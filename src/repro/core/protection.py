@@ -139,10 +139,8 @@ class ProtectionDomain:
         """Identity page table over the domain's regions (for the OS domain)."""
         table = PageTable(asid=self.domain_id)
         for region in sorted(self.regions):
-            base = address_map.region_base(region)
-            for page in range(address_map.pages_per_region):
-                virtual = base + page * table.page_bytes
-                table.map_page(virtual, virtual)
+            first_page = address_map.region_base(region) // table.page_bytes
+            table.map_identity_pages(first_page, address_map.pages_per_region)
         table.root_physical_address = (
             address_map.region_base(min(self.regions)) if self.regions else 0
         )

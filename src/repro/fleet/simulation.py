@@ -418,6 +418,8 @@ def run_fleet_shard(
         raise ConfigurationError("dram_wipe_bytes_per_cycle must be non-negative")
     if measurement_cycles_per_page < 0:
         raise ConfigurationError("measurement_cycles_per_page must be non-negative")
+    if churn_every < 0:
+        raise ConfigurationError("churn_every must be non-negative")
     tenants = tuple(tenants)
     if not tenants or num_requests < 1:
         return empty_shard_outcome(shard_index, tenants)

@@ -188,6 +188,7 @@ class SetAssociativeCache:
             self.probe = self._probe_slab  # type: ignore[method-assign]
             self.lookup = self._lookup_slab  # type: ignore[method-assign]
             self.invalidate_address = self._invalidate_address_slab  # type: ignore[method-assign]
+            self.invalidate_tag_range = self._invalidate_tag_range_slab  # type: ignore[method-assign]
             self.flush_all = self._flush_all_slab  # type: ignore[method-assign]
         else:
             self._sets = [
@@ -570,6 +571,44 @@ class SetAssociativeCache:
             self._policy.note_set_empty(set_index)
         return True
 
+    def _invalidate_tag_range_slab(self, low_tag: int, high_tag: int) -> int:
+        """Slab twin of :meth:`invalidate_tag_range`.
+
+        Empty sets are skipped on their valid count, so the cost follows
+        the resident lines rather than the geometry; the surviving sets
+        are scanned in the reference order with the same policy calls.
+        """
+        ways = self._ways
+        tags = self._slab_tags
+        dirty = self._slab_dirty
+        owners = self._slab_owners
+        tag_maps = self._tag_maps
+        valid_counts = self._valid_counts
+        invalidate = self._policy.invalidate
+        invalidated = 0
+        for set_index, count in enumerate(valid_counts):
+            if not count:
+                continue
+            remaining = count
+            base = set_index * ways
+            for way in range(ways):
+                slot = base + way
+                tag = tags[slot]
+                if tag is None or not low_tag <= tag < high_tag:
+                    continue
+                del tag_maps[set_index][tag]
+                tags[slot] = None
+                dirty[slot] = False
+                owners[slot] = None
+                remaining -= 1
+                invalidate(set_index, way)
+                if self._self_cleaning and remaining == 0:
+                    self._policy.note_set_empty(set_index)
+            if remaining != count:
+                valid_counts[set_index] = remaining
+                invalidated += count - remaining
+        return invalidated
+
     def _flush_all_slab(self) -> int:
         flushed = sum(self._valid_counts)
         total = len(self._slab_tags)
@@ -596,6 +635,24 @@ class SetAssociativeCache:
                 self._note_if_set_empty(set_index)
                 return True
         return False
+
+    def invalidate_tag_range(self, low_tag: int, high_tag: int) -> int:
+        """Invalidate every line whose tag lies in ``[low_tag, high_tag)``.
+
+        Lines are visited set by set and way by way, ascending, and each
+        one is invalidated exactly as :meth:`invalidate_address` would,
+        so the replacement state afterwards is that of a line-by-line
+        scrub.  Returns the number of lines invalidated.
+        """
+        invalidated = 0
+        for set_index, lines in enumerate(self._sets):
+            for way, line in enumerate(lines):
+                if line.valid and low_tag <= line.tag < high_tag:
+                    lines[way] = CacheLine()
+                    self._policy.invalidate(set_index, way)
+                    self._note_if_set_empty(set_index)
+                    invalidated += 1
+        return invalidated
 
     def flush_all(self) -> int:
         """Invalidate every line; returns the number of valid lines flushed.

@@ -219,16 +219,17 @@ class LastLevelCache:
         re-allocated to a new protection domain; the security monitor
         calls this before handing a DRAM region to a new owner.  Returns
         the number of lines invalidated.
+
+        Tags are line addresses and regions are contiguous, so the
+        region's lines are exactly the tags in one half-open range (a
+        line belongs to the region holding its first byte).
         """
-        scrubbed = 0
-        for set_index in range(self.config.geometry.num_sets):
-            for line in self._cache.set_contents(set_index):
-                if not line.valid:
-                    continue
-                physical_address = line.tag << self.config.geometry.offset_bits
-                if self.address_map.region_of(physical_address) == region:
-                    if self._cache.invalidate_address(physical_address):
-                        scrubbed += 1
+        offset_bits = self.config.geometry.offset_bits
+        region_bytes = self.address_map.region_bytes
+        # Ceiling shifts: the first line address at or past each bound.
+        low_tag = -(-(region * region_bytes) >> offset_bits)
+        high_tag = -(-((region + 1) * region_bytes) >> offset_bits)
+        scrubbed = self._cache.invalidate_tag_range(low_tag, high_tag)
         self._stats.counter("llc.region_scrub_lines").increment(scrubbed)
         return scrubbed
 

@@ -42,6 +42,16 @@ class PageTable:
         """Map the page containing ``virtual_address`` to ``physical_address``'s page."""
         self.mappings[virtual_address // self.page_bytes] = physical_address // self.page_bytes
 
+    def map_identity_pages(self, first_page: int, num_pages: int) -> None:
+        """Identity-map ``num_pages`` pages starting at page number ``first_page``.
+
+        One bulk update over the page-number range, in ascending order:
+        the same mappings, inserted in the same order, as calling
+        :meth:`map_page` with ``virtual == physical`` page by page.
+        """
+        pages = range(first_page, first_page + num_pages)
+        self.mappings.update(zip(pages, pages))
+
     def unmap_page(self, virtual_address: int) -> None:
         """Remove the mapping for the page containing ``virtual_address``."""
         self.mappings.pop(virtual_address // self.page_bytes, None)
@@ -62,8 +72,7 @@ class PageTable:
         virtual memory on.
         """
         table = cls(asid=asid, page_bytes=page_bytes)
-        for page in range(size_bytes // page_bytes):
-            table.mappings[page] = page
+        table.map_identity_pages(0, size_bytes // page_bytes)
         return table
 
     def mapped_physical_pages(self) -> set:

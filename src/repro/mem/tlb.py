@@ -115,17 +115,28 @@ class Tlb:
 
         Corresponds to the purge of TLB state and to the TLB shootdown the
         security monitor forces when protection domains change
-        (Section 6.2).
+        (Section 6.2).  Only the sets holding a resident translation are
+        touched, so a near-empty TLB flushes in time proportional to its
+        contents rather than its size.
         """
-        flushed = sum(len(entries) for entries in self._sets)
-        self._sets = [[] for _ in range(self.num_sets)]
-        self._asid_of.clear()
+        asid_of = self._asid_of
+        flushed = len(asid_of)
+        sets = self._sets
+        num_sets = self.num_sets
+        for vpn in asid_of:
+            sets[vpn % num_sets].clear()
+        asid_of.clear()
         self._stats.counter(f"{self.name}.flush_entries").increment(flushed)
         return flushed
 
     def resident_entries(self) -> int:
-        """Number of translations currently resident."""
-        return sum(len(entries) for entries in self._sets)
+        """Number of translations currently resident.
+
+        Every resident VPN has exactly one ASID entry (a VPN maps to one
+        set and appears there at most once), so this is the ASID map's
+        size.
+        """
+        return len(self._asid_of)
 
     @property
     def miss_count(self) -> int:

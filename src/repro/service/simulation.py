@@ -296,6 +296,10 @@ def run_service(
         raise ConfigurationError("load must be positive")
     if num_cores < 1:
         raise ConfigurationError("num_cores must be positive")
+    if num_tenants < 1:
+        raise ConfigurationError("num_tenants must be positive")
+    if churn_every < 0:
+        raise ConfigurationError("churn_every must be non-negative")
     benchmarks = tenant_benchmarks(num_tenants)
     missing = sorted(set(benchmarks) - set(service_cycles))
     if missing:

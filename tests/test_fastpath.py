@@ -15,8 +15,10 @@ import pytest
 
 from repro.analysis.engine import (
     EvaluationSettings,
+    FleetShardRequest,
     ServiceRunRequest,
     evaluation_config,
+    execute_fleet_shard_request,
     execute_request,
     execute_service_request,
     request_for,
@@ -189,5 +191,39 @@ class TestServeEquivalence:
         slow_key = request.cache_key()
         slow = execute_service_request(request).to_dict()
         monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+        assert fast_key == slow_key
+        assert fast == slow
+
+    def test_churned_fleet_shard_outcome_identical(self, monkeypatch):
+        # Churn destroys and relaunches tenant enclaves, so the monitor
+        # scrubs their regions' LLC sets: the slab scrub lane and its
+        # reference walk both run under the fleet loop here.
+        request = FleetShardRequest(
+            policy="affinity",
+            config=evaluation_config(parse_variant("F+P+M+A"), 1_000),
+            seed=2019,
+            shard_index=0,
+            tenants=(0, 1, 2),
+            num_tenants=3,
+            admission="deadline",
+            client="closed_loop",
+            load=1.0,
+            load_profile="poisson",
+            num_cores=2,
+            num_requests=60,
+            queue_depth=8,
+            slo_cycles=50_000,
+            think_factor=2.0,
+            instructions=1_000,
+            churn_every=5,
+        )
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+        fast_key = request.cache_key()
+        fast = execute_fleet_shard_request(request).to_dict()
+        monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
+        slow_key = request.cache_key()
+        slow = execute_fleet_shard_request(request).to_dict()
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+        assert fast["charged_scrub_cycles"] > 0
         assert fast_key == slow_key
         assert fast == slow

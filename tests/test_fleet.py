@@ -344,6 +344,12 @@ class TestRunFleetShard:
         with pytest.raises(ConfigurationError, match="missing benchmarks"):
             self.shard(service_cycles={})
 
+    def test_negative_churn_rejected(self):
+        # A period of -1 divides every tally, which would churn the
+        # tenant after each completion.
+        with pytest.raises(ConfigurationError, match="churn_every must be non-negative"):
+            self.shard(churn_every=-1)
+
 
 class TestEngineRequests:
     def test_cache_key_distinguishes_every_fleet_axis(self):

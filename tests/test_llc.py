@@ -1,5 +1,10 @@
 """Tests for the functional LLC model and the detailed (Figure 2/3) LLC."""
 
+import random
+
+import pytest
+
+from repro.common.fastpath import SLOW_PATH_ENV_VAR
 from repro.common.rng import DeterministicRng
 from repro.mem.address import AddressMap, IndexFunction
 from repro.mem.dram import DramController
@@ -54,6 +59,129 @@ class TestFunctionalLlc:
             llc.access(base + way * llc.config.geometry.num_sets * 64, is_write=True)
         outcome = llc.access(base + 16 * llc.config.geometry.num_sets * 64)
         assert outcome.writeback is True
+
+
+#: Regions filled before a scrub.  1, 5 and 9 share their low two bits,
+#: so under set partitioning they share the same quarter of the sets
+#: (the scrubbed region's sets also hold other regions' lines); 2 lives
+#: in another quarter.
+FILL_REGIONS = (1, 5, 9, 2)
+SCRUBBED_REGION = 5
+#: Sets per region that the fill concentrates on, so that they overflow.
+FILL_SETS = 6
+
+
+def _region_lines(llc, region, set_index, count, exclude=()):
+    """The first ``count`` line addresses of ``region`` in ``set_index``."""
+    base = AddressMap().region_base(region)
+    found = []
+    line = 0
+    while len(found) < count:
+        address = base + line * 64
+        if llc.set_index(address) == set_index and address not in exclude:
+            found.append(address)
+        line += 1
+    return found
+
+
+def _scrub_snapshot(index_function, monkeypatch, *, slow):
+    """Fill, scrub one region, overflow a partly scrubbed set; record all."""
+    if slow:
+        monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
+    else:
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+    try:
+        llc = build_llc(index_function=index_function, region_index_bits=2)
+    finally:
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+    cache = llc.cache
+    num_sets = llc.config.geometry.num_sets
+    address_map = AddressMap()
+    rng = random.Random(2019)
+    pool = []
+    for region in FILL_REGIONS:
+        first_set = llc.set_index(address_map.region_base(region))
+        for set_index in range(first_set, first_set + FILL_SETS):
+            pool.extend(_region_lines(llc, region, set_index, 10))
+    # Draws repeat addresses, so the fill mixes hits (LRU reorders),
+    # misses and evictions, with some lines dirty.
+    for _ in range(1_500):
+        address = rng.choice(pool)
+        region = address_map.region_of(address)
+        llc.access(address, is_write=rng.random() < 0.3, owner=region)
+    # A line on each side of both region bounds, so that an off-by-one
+    # tag range shows.
+    low = address_map.region_base(SCRUBBED_REGION)
+    high = low + address_map.region_bytes
+    for address in (low - 64, low, high - 64, high):
+        llc.access(address, owner=address_map.region_of(address))
+    before = [cache.set_contents(set_index) for set_index in range(num_sets)]
+    scrubbed = llc.scrub_region_sets(SCRUBBED_REGION)
+    after = [cache.set_contents(set_index) for set_index in range(num_sets)]
+    recency = [cache.policy.recency_order(set_index) for set_index in range(num_sets)]
+
+    def in_scrubbed_region(line):
+        return line.valid and address_map.region_of(line.tag << 6) == SCRUBBED_REGION
+
+    partly_scrubbed = [
+        set_index
+        for set_index in range(num_sets)
+        if any(in_scrubbed_region(line) for line in before[set_index])
+        and any(line.valid for line in after[set_index])
+    ]
+    target = partly_scrubbed[0]
+    resident = {line.tag << 6 for line in after[target] if line.valid}
+    overflow = _region_lines(llc, SCRUBBED_REGION, target, cache.geometry.ways + 4, resident)
+    victims = []
+    for address in overflow:
+        result = cache.access(address, owner=SCRUBBED_REGION)
+        victims.append(
+            (result.way, result.evicted_tag, result.evicted_dirty, result.evicted_owner)
+        )
+    return {
+        "before": before,
+        "scrubbed": scrubbed,
+        "counter": llc.stats.value("llc.region_scrub_lines"),
+        "after": after,
+        "recency": recency,
+        "partly_scrubbed": partly_scrubbed,
+        "victims": victims,
+    }
+
+
+class TestRegionScrubEquivalence:
+    """The slab scrub lane equals the reference walk, LRU state included."""
+
+    @pytest.mark.parametrize(
+        "index_function", [IndexFunction.BASELINE, IndexFunction.SET_PARTITIONED]
+    )
+    def test_fast_scrub_equals_reference(self, index_function, monkeypatch):
+        fast = _scrub_snapshot(index_function, monkeypatch, slow=False)
+        slow = _scrub_snapshot(index_function, monkeypatch, slow=True)
+        assert fast["scrubbed"] > 0 and fast["partly_scrubbed"]
+        assert fast["scrubbed"] == slow["scrubbed"]
+        assert fast["counter"] == slow["counter"] == fast["scrubbed"]
+        assert fast["before"] == slow["before"]
+        assert fast["after"] == slow["after"]
+        assert fast["recency"] == slow["recency"]
+        assert fast["partly_scrubbed"] == slow["partly_scrubbed"]
+        assert fast["victims"] == slow["victims"]
+
+    @pytest.mark.parametrize(
+        "index_function", [IndexFunction.BASELINE, IndexFunction.SET_PARTITIONED]
+    )
+    def test_scrub_removes_exactly_the_region(self, index_function, monkeypatch):
+        snapshot = _scrub_snapshot(index_function, monkeypatch, slow=False)
+        address_map = AddressMap()
+        removed = 0
+        for before, after in zip(snapshot["before"], snapshot["after"]):
+            for old, new in zip(before, after):
+                if old.valid and address_map.region_of(old.tag << 6) == SCRUBBED_REGION:
+                    assert not new.valid
+                    removed += 1
+                else:
+                    assert new == old
+        assert removed == snapshot["scrubbed"]
 
 
 class TestDetailedLlcTimingIndependence:

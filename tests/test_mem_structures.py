@@ -1,5 +1,7 @@
 """Tests for TLBs, page tables, MSHRs, and the DRAM controller."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -35,6 +37,29 @@ class TestTlb:
         tlb = Tlb("l2tlb", entries=1024, ways=4)
         assert tlb.num_sets == 256
 
+    def test_flush_counts_resident_entries_after_random_fills(self):
+        # Fills cross ASIDs (an ASID change on a resident page re-fills
+        # it) and overflow sets (LRU evictions drop ASID entries too);
+        # the flush must still report exactly what the sets held.
+        tlb = Tlb("l2tlb", entries=64, ways=4)
+        rng = random.Random(2019)
+        for _ in range(3):
+            for _ in range(400):
+                tlb.access(rng.randrange(256) * 4096, asid=rng.randrange(3))
+            resident = sum(len(entries) for entries in tlb._sets)
+            assert 0 < resident <= tlb.entries
+            assert tlb.resident_entries() == resident
+            before = tlb.stats.value("l2tlb.flush_entries")
+            assert tlb.flush_all() == resident
+            assert tlb.stats.value("l2tlb.flush_entries") == before + resident
+            assert all(not entries for entries in tlb._sets)
+            assert tlb.resident_entries() == 0
+
+    def test_flush_of_empty_tlb_registers_the_counter(self):
+        tlb = Tlb("itlb", entries=32)
+        assert tlb.flush_all() == 0
+        assert tlb.stats.counters() == {"itlb.flush_entries": 0}
+
 
 class TestTranslationCache:
     def test_deeper_hits_after_fill(self):
@@ -60,6 +85,19 @@ class TestPageTable:
     def test_identity_table(self):
         table = PageTable.identity(64 * 1024)
         assert table.translate(0x3123) == 0x3123
+
+    def test_bulk_identity_map_matches_page_by_page_mapping(self):
+        # Same mappings, same insertion order as mapping each page in turn.
+        for first_page, num_pages in ((0, 16), (8192, 300)):
+            reference = PageTable()
+            for page in range(first_page, first_page + num_pages):
+                address = page * reference.page_bytes
+                reference.map_page(address, address)
+            table = PageTable()
+            table.map_identity_pages(first_page, num_pages)
+            assert list(table.mappings.items()) == list(reference.mappings.items())
+        identity = PageTable.identity(64 * 1024)
+        assert list(identity.mappings.items()) == [(page, page) for page in range(16)]
 
     def test_walker_charges_levels_and_honours_translation_cache_skips(self):
         table = PageTable()

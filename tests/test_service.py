@@ -1,6 +1,7 @@
 """Tests for the enclave-serving subsystem (repro/service)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -238,6 +239,28 @@ class TestRunService:
     def test_too_many_tenants_rejected(self):
         with pytest.raises(ConfigurationError, match="DRAM regions"):
             execute_service_request(small_request(num_tenants=63))
+
+    def test_zero_tenants_rejected(self):
+        # Without the check the mean service demand divides by zero.
+        with pytest.raises(ConfigurationError, match="num_tenants must be positive"):
+            run_service(
+                config_for_spec("BASE"),
+                "fifo",
+                service_cycles={},
+                seed=7,
+                **dict(SMALL, num_tenants=0),
+            )
+
+    def test_negative_churn_rejected(self):
+        # ``tally % churn_every == 0`` holds for every tally when the
+        # period is -1, so a direct request would churn on every
+        # completion instead of failing.
+        cycles = {name: 2_000 for name in tenant_benchmarks(SMALL["num_tenants"])}
+        request = replace(
+            small_request(churn_every=-1), service_cycles=tuple(sorted(cycles.items()))
+        )
+        with pytest.raises(ConfigurationError, match="churn_every must be non-negative"):
+            execute_service_request(request)
 
 
 class TestEngineRequests:
