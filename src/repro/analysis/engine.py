@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.attacks.scenarios import ScenarioOutcome, run_scenario, scenario_names
 from repro.core.config import MI6Config
@@ -505,26 +505,8 @@ class ServiceRunRequest:
         )
 
     def workload_requests(self) -> List[RunRequest]:
-        """The kernel runs whose cycle counts price this fleet's requests.
-
-        One request per distinct tenant benchmark, on exactly this
-        machine configuration — the same requests a ``sweep`` at the
-        same instruction budget would issue, so serving sweeps and
-        figure sweeps share cache entries.
-        """
-        seen: List[str] = []
-        for benchmark in tenant_benchmarks(self.num_tenants):
-            if benchmark not in seen:
-                seen.append(benchmark)
-        return [
-            RunRequest(
-                config=self.config,
-                benchmark=benchmark,
-                instructions=self.instructions,
-                seed=self.seed,
-            )
-            for benchmark in seen
-        ]
+        """The kernel runs pricing this request (see :func:`pricing_requests`)."""
+        return pricing_requests(self, tenant_benchmarks(self.num_tenants))
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-compatible encoding shipped to worker processes."""
@@ -569,30 +551,12 @@ class ServiceRunRequest:
         )
 
 
-def resolve_service_cycles(request: ServiceRunRequest) -> Dict[str, int]:
-    """Benchmark -> request service cycles, simulated directly.
-
-    The session resolves these through the result store instead (cached,
-    parallel); this fallback keeps :func:`execute_service_request` a
-    pure function of the request for pool workers and direct callers.
-    """
-    return {
-        workload.benchmark: execute_request(workload).cycles
-        for workload in request.workload_requests()
-    }
-
-
 def execute_service_request(request: ServiceRunRequest) -> ServiceOutcome:
     """Run one serving simulation (the only place service runs happen)."""
-    cycles = (
-        dict(request.service_cycles)
-        if request.service_cycles is not None
-        else resolve_service_cycles(request)
-    )
     return run_service(
         request.config,
         request.policy,
-        service_cycles=cycles,
+        service_cycles=resolve_service_cycles(request),
         seed=request.seed,
         load=request.load,
         load_profile=request.load_profile,
@@ -821,19 +785,7 @@ class FleetShardRequest:
     def workload_requests(self) -> List[RunRequest]:
         """Kernel runs pricing this shard's tenants (fallback path)."""
         benchmarks = tenant_benchmarks(self.num_tenants)
-        seen: List[str] = []
-        for tenant in self.tenants:
-            if benchmarks[tenant] not in seen:
-                seen.append(benchmarks[tenant])
-        return [
-            RunRequest(
-                config=self.config,
-                benchmark=benchmark,
-                instructions=self.instructions,
-                seed=self.seed,
-            )
-            for benchmark in seen
-        ]
+        return pricing_requests(self, [benchmarks[tenant] for tenant in self.tenants])
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-compatible encoding shipped to worker processes."""
@@ -898,18 +850,10 @@ class FleetShardRequest:
 
 def execute_fleet_shard_request(request: FleetShardRequest) -> ShardOutcome:
     """Run one shard simulation (the only place shard runs happen)."""
-    cycles = (
-        dict(request.service_cycles)
-        if request.service_cycles is not None
-        else {
-            workload.benchmark: execute_request(workload).cycles
-            for workload in request.workload_requests()
-        }
-    )
     return run_fleet_shard(
         request.config,
         request.policy,
-        service_cycles=cycles,
+        service_cycles=resolve_service_cycles(request),
         seed=request.seed,
         shard_index=request.shard_index,
         tenants=request.tenants,
@@ -1015,21 +959,8 @@ class FleetRunRequest:
         )
 
     def workload_requests(self) -> List[RunRequest]:
-        """Kernel runs pricing this fleet's requests (same key space as
-        sweep runs, so fleet sweeps share cache entries with figures)."""
-        seen: List[str] = []
-        for benchmark in tenant_benchmarks(self.num_tenants):
-            if benchmark not in seen:
-                seen.append(benchmark)
-        return [
-            RunRequest(
-                config=self.config,
-                benchmark=benchmark,
-                instructions=self.instructions,
-                seed=self.seed,
-            )
-            for benchmark in seen
-        ]
+        """The kernel runs pricing this fleet (see :func:`pricing_requests`)."""
+        return pricing_requests(self, tenant_benchmarks(self.num_tenants))
 
     def shard_plan(self, cycles: Dict[str, int]) -> FleetPlan:
         """Route tenants and expand this fleet into shard requests.
@@ -1110,13 +1041,40 @@ class FleetRunRequest:
         )
 
 
-def resolve_fleet_cycles(request: FleetRunRequest) -> Dict[str, int]:
-    """Benchmark -> request service cycles, simulated directly.
+#: A serving request whose tenants are priced by kernel runs.
+PricedRequest = TypeVar("PricedRequest", ServiceRunRequest, FleetShardRequest, FleetRunRequest)
 
-    The session resolves these through the result store instead; this
-    fallback keeps :func:`execute_fleet_request` a pure function of the
-    request for direct callers.
+
+def pricing_requests(request: PricedRequest, benchmarks: Sequence[str]) -> List[RunRequest]:
+    """The kernel runs whose cycle counts price a serving request.
+
+    One run per distinct tenant benchmark, on exactly the request's
+    machine configuration — the same runs a ``sweep`` at the same
+    instruction budget would issue, so serving sweeps and figure sweeps
+    share cache entries.
     """
+    return [
+        RunRequest(
+            config=request.config,
+            benchmark=benchmark,
+            instructions=request.instructions,
+            seed=request.seed,
+        )
+        for benchmark in dict.fromkeys(benchmarks)
+    ]
+
+
+def resolve_service_cycles(request: PricedRequest) -> Dict[str, int]:
+    """Benchmark -> request service cycles of any serving request.
+
+    The attached ``service_cycles`` table when the request carries one;
+    otherwise its kernel runs, simulated directly.  The session prices
+    requests through the result store instead (cached, parallel); this
+    fallback keeps the ``execute_*`` functions pure functions of the
+    request for pool workers and direct callers.
+    """
+    if request.service_cycles is not None:
+        return dict(request.service_cycles)
     return {
         workload.benchmark: execute_request(workload).cycles
         for workload in request.workload_requests()
@@ -1168,12 +1126,7 @@ def execute_fleet_request(request: FleetRunRequest) -> FleetOutcome:
     the store and the process pool instead; this pure path exists for
     direct callers and produces bit-identical results.
     """
-    cycles = (
-        dict(request.service_cycles)
-        if request.service_cycles is not None
-        else resolve_fleet_cycles(request)
-    )
-    plan = request.shard_plan(cycles)
+    plan = request.shard_plan(resolve_service_cycles(request))
     outcomes = [
         execute_fleet_shard_request(shard_request)
         for shard_request in plan.shard_requests
@@ -1603,6 +1556,22 @@ class ParallelRunner:
         """Execute (or fetch) a single request."""
         return self.run([request])[0]
 
+    def priced(self, requests: Sequence[PricedRequest]) -> List[PricedRequest]:
+        """Attach each serving request's kernel-priced cycle table.
+
+        The per-benchmark cycle costs are served from (and persisted to)
+        the store through :meth:`run`, so a serving event loop never
+        simulates the kernel and a warm rerun touches no simulation.
+        """
+        workload_lists = [request.workload_requests() for request in requests]
+        flat = [workload for group in workload_lists for workload in group]
+        runs = iter(self.run(flat) if flat else [])
+        priced = []
+        for request, group in zip(requests, workload_lists):
+            table = tuple(sorted((workload.benchmark, next(runs).cycles) for workload in group))
+            priced.append(replace(request, service_cycles=table))
+        return priced
+
     def run_spec(self, spec: ExperimentSpec) -> ExperimentResult:
         """Execute a full sweep and return its indexed results."""
         requests = spec.requests()
@@ -1725,15 +1694,9 @@ class ParallelRunner:
         reruns skip the shard layer entirely while cold ones still share
         cached shards and kernel runs with earlier sweeps.
         """
-        if request.service_cycles is not None:
-            cycles = dict(request.service_cycles)
-        else:
-            workloads = request.workload_requests()
-            cycles = {
-                workload.benchmark: run.cycles
-                for workload, run in zip(workloads, self.run(workloads))
-            }
-        plan = request.shard_plan(cycles)
+        if request.service_cycles is None:
+            request = self.priced([request])[0]
+        plan = request.shard_plan(resolve_service_cycles(request))
         outcomes = self.run_fleet_shards(plan.shard_requests)
         return _merge_fleet(request, plan, outcomes)
 

@@ -20,8 +20,6 @@ process so BASE runs are computed once, re-pointable by the CLI via
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.engine import (
@@ -227,27 +225,7 @@ class Session:
         spec = request.resolve(self.settings)
         engine_requests = spec.requests()
         started = time.perf_counter()
-        # Price the fleet's requests through the run layer first: the
-        # per-benchmark cycle costs are served from (and persisted to)
-        # the session's store, so the event loop never simulates the
-        # kernel and a warm rerun touches no simulation at all.
-        workload_lists = [
-            service_request.workload_requests() for service_request in engine_requests
-        ]
-        flat = [workload for group in workload_lists for workload in group]
-        runs = self.runner.run(flat) if flat else []
-        resolved = []
-        cursor = 0
-        for service_request, group in zip(engine_requests, workload_lists):
-            table = tuple(
-                sorted(
-                    (workload.benchmark, run.cycles)
-                    for workload, run in zip(group, runs[cursor : cursor + len(group)])
-                )
-            )
-            cursor += len(group)
-            resolved.append(replace(service_request, service_cycles=table))
-        outcomes = self.runner.run_services(resolved)
+        outcomes = self.runner.run_services(self.runner.priced(engine_requests))
         elapsed = time.perf_counter() - started
         keys = [
             (
@@ -278,26 +256,7 @@ class Session:
         spec = request.resolve(self.settings)
         engine_requests = spec.requests()
         started = time.perf_counter()
-        # Price each fleet's requests through the run layer first, as in
-        # _run_service: the router weighs tenants by these measured
-        # costs, and a warm fleet rerun is a single document lookup.
-        workload_lists = [
-            fleet_request.workload_requests() for fleet_request in engine_requests
-        ]
-        flat = [workload for group in workload_lists for workload in group]
-        runs = self.runner.run(flat) if flat else []
-        resolved = []
-        cursor = 0
-        for fleet_request, group in zip(engine_requests, workload_lists):
-            table = tuple(
-                sorted(
-                    (workload.benchmark, run.cycles)
-                    for workload, run in zip(group, runs[cursor : cursor + len(group)])
-                )
-            )
-            cursor += len(group)
-            resolved.append(replace(fleet_request, service_cycles=table))
-        outcomes = self.runner.run_fleets(resolved)
+        outcomes = self.runner.run_fleets(self.runner.priced(engine_requests))
         elapsed = time.perf_counter() - started
         keys = [
             (
@@ -357,46 +316,6 @@ class Session:
         return self.run(
             ScenarioRequest(scenarios=scenarios, variants=variants, **fields)
         )
-
-    def serve(
-        self,
-        policies: Optional[Sequence[str]] = None,
-        variants: Optional[Sequence[VariantLike]] = None,
-        **fields: Any,
-    ) -> Result:
-        """Deprecated alias: build a :class:`ServiceRequest` and ``run`` it.
-
-        .. deprecated::
-            ``run`` is the single front door every request type (and the
-            daemon) dispatches through; construct the request directly.
-        """
-        warnings.warn(
-            "Session.serve() is deprecated; use "
-            "Session.run(ServiceRequest(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(ServiceRequest(policies=policies, variants=variants, **fields))
-
-    def serve_fleet(
-        self,
-        variants: Optional[Sequence[VariantLike]] = None,
-        loads: Optional[Sequence[float]] = None,
-        **fields: Any,
-    ) -> Result:
-        """Deprecated alias: build a :class:`FleetRequest` and ``run`` it.
-
-        .. deprecated::
-            ``run`` is the single front door every request type (and the
-            daemon) dispatches through; construct the request directly.
-        """
-        warnings.warn(
-            "Session.serve_fleet() is deprecated; use "
-            "Session.run(FleetRequest(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(FleetRequest(variants=variants, loads=loads, **fields))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -2,12 +2,13 @@
 
 The serving layer (:mod:`repro.service`) simulates one machine; this
 package scales it out.  A front-end router distributes tenant enclaves
-across N independent shard machines (:mod:`repro.fleet.routing`), each
-shard runs the discrete-event serving loop behind a bounded queue with
-admission control (:mod:`repro.fleet.admission`,
-:mod:`repro.fleet.simulation`), and the request stream comes from either
-the open-loop arrival profiles or a closed-loop think-time client
-population (:mod:`repro.fleet.clients`) so offered load can be swept to
+across N independent shard machines (:mod:`repro.fleet.routing`).  Each
+shard runs the serving layer's one event loop through
+:func:`~repro.fleet.simulation.run_fleet_shard`, the adapter that puts
+a bounded queue with admission control in front of it
+(:mod:`repro.fleet.admission`) and feeds it either the open-loop
+arrival profiles or a closed-loop think-time client population
+(:mod:`repro.fleet.clients`), so offered load can be swept to
 saturation.  Shard results merge deterministically into a
 :class:`~repro.fleet.simulation.FleetOutcome`, the unit the engine
 caches and the CLI reports.

@@ -24,12 +24,10 @@ Models are registered by unconditional top-level
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.common.errors import ConfigurationError
-from repro.common.rng import DeterministicRng
 
 
 @dataclass(frozen=True)
@@ -89,12 +87,6 @@ def closed_loop_population(load: float, num_cores: int, think_factor: float) -> 
     each client contributes ``S / (Z + S)`` core-streams of demand.
     """
     return max(1, int(round(load * num_cores * (1.0 + think_factor))))
-
-
-def think_gap(rng: DeterministicRng, mean_cycles: float) -> int:
-    """One exponential think-time gap, floored at a single cycle."""
-    draw = -mean_cycles * math.log(1.0 - rng.fraction())
-    return max(1, int(round(draw)))
 
 
 register_client_model(

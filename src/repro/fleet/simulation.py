@@ -1,10 +1,12 @@
-"""The per-shard serving loop and the deterministic fleet merge.
+"""The per-shard adapter over the serving loop, and the fleet merge.
 
 One fleet simulation is N independent shard simulations plus a merge.
-Each shard is a full :mod:`repro.service`-style machine — real enclaves
-through the :class:`~repro.monitor.security_monitor.SecurityMonitor`,
-purge and scrub costs taken from the machine's own counters — extended
-with the three fleet mechanisms:
+Each shard runs the one serving event loop,
+:func:`repro.service.simulation.serve` — real enclaves through the
+:class:`~repro.monitor.security_monitor.SecurityMonitor`, purge and
+scrub costs taken from the machine's own counters.
+:func:`run_fleet_shard` is the adapter that feeds it the three fleet
+mechanisms:
 
 * a **bounded queue with admission control**: every arrival passes an
   admission policy (:mod:`repro.fleet.admission`) before it may queue,
@@ -30,18 +32,21 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng, derive_seed
 from repro.core.config import MI6Config
 from repro.fleet.admission import REJECT_QUEUE_FULL, AdmissionContext, admit
-from repro.fleet.clients import client_model, closed_loop_population, think_gap
-from repro.obs.trace import active_tracer
-from repro.service.arrivals import generate_arrivals
+from repro.fleet.clients import client_model, closed_loop_population
+from repro.service.arrivals import Arrival, exponential_gap, generate_arrivals
 from repro.service.metrics import summarize_latencies, throughput_per_mcycle
-from repro.service.schedulers import QueueView, create_policy
-from repro.service.simulation import MIN_SCRUB_CYCLES, _Fleet, tenant_benchmarks
+from repro.service.simulation import (
+    mean_service_cycles,
+    serve,
+    teardown_cycles,
+    tenant_benchmarks,
+)
 
 #: Default shard count of a fleet simulation.
 DEFAULT_FLEET_SHARDS = 4
@@ -61,17 +66,9 @@ DEFAULT_WIPE_BYTES_PER_CYCLE = 64
 #: (hashing the page into the measurement register).
 DEFAULT_MEASUREMENT_CYCLES_PER_PAGE = 4096
 
-#: Page-table pages the monitor charges per enclave (mirrors the
-#: security monitor's ``used_pages`` accounting).
-PAGE_TABLE_PAGES = 8
-
 #: Nominal purge stall used for routing *estimates* only (the shard
 #: loop always charges the machine's measured stall, never this).
 PURGE_STALL_ESTIMATE = 512
-
-#: Event-kind ranks (completions free cores first, then stall-end
-#: wakes, then simultaneous arrivals) — identical to the service loop.
-_COMPLETE, _WAKE, _ARRIVAL = 0, 1, 2
 
 
 def shard_seed(seed: int, shard_index: int) -> int:
@@ -91,23 +88,23 @@ def estimate_boundary_cycles(
 
     A deterministic a-priori estimate — purge pair per request when the
     configuration flushes on context switch, plus the churn teardown
-    charges (scrub floor, DRAM wipe, measurement) amortised over the
-    churn period on protected builds.  Routing only needs relative
-    weights; the shard loop charges measured costs.
+    charge (:func:`~repro.service.simulation.teardown_cycles` at the
+    scrub floor) amortised over the churn period on protected builds.
+    Routing only needs relative weights; the shard loop charges
+    measured costs.
     """
     estimate = 0
     if config.flush_on_context_switch:
         estimate += 2 * PURGE_STALL_ESTIMATE
     if churn_every and config.has_protection_hardware:
-        page_bytes = config.address_map.page_bytes
-        wiped = (loaded_pages + PAGE_TABLE_PAGES) * page_bytes
-        wipe = (
-            -(-wiped // dram_wipe_bytes_per_cycle)
-            if dram_wipe_bytes_per_cycle > 0
-            else 0
+        teardown = teardown_cycles(
+            config,
+            scrubbed_lines=0,
+            loaded_pages=loaded_pages,
+            dram_wipe_bytes_per_cycle=dram_wipe_bytes_per_cycle,
+            measurement_cycles_per_page=measurement_cycles_per_page,
         )
-        teardown = MIN_SCRUB_CYCLES + wipe + measurement_cycles_per_page * loaded_pages
-        estimate += teardown // churn_every
+        estimate += sum(teardown) // churn_every
     return estimate
 
 
@@ -332,27 +329,6 @@ class FleetOutcome:
         )
 
 
-@dataclass
-class _ShardPending:
-    """One queued request (``client`` is None under open-loop models)."""
-
-    seq: int
-    tenant: int
-    arrival: int
-    client: Optional[int] = None
-
-
-@dataclass
-class _ShardCore:
-    """Serving-side view of one shard core."""
-
-    core_id: int
-    busy_until: int = 0
-    installed: Optional[int] = None
-    streak: int = 0
-    busy_cycles: int = 0
-
-
 def run_fleet_shard(
     config: MI6Config,
     policy: str,
@@ -376,6 +352,11 @@ def run_fleet_shard(
     measurement_cycles_per_page: int = DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
 ) -> ShardOutcome:
     """Serve one shard's request stream behind a bounded queue.
+
+    The fleet's adapter over :func:`repro.service.simulation.serve`: it
+    hands the loop the admission policy as a gate, closed-loop think
+    time (or open-loop arrivals), and the DRAM-wipe and measurement
+    teardown charges.
 
     Args:
         config: Machine configuration (any mitigation combination).
@@ -426,348 +407,88 @@ def run_fleet_shard(
     model = client_model(client)
     benchmarks_all = tenant_benchmarks(num_tenants)
     local_benchmarks = [benchmarks_all[tenant] for tenant in tenants]
-    missing = sorted(set(local_benchmarks) - set(service_cycles))
-    if missing:
-        raise ConfigurationError(
-            f"service_cycles is missing benchmarks: {', '.join(missing)}"
-        )
-    scheduler = create_policy(policy)
+    mean_service = mean_service_cycles(service_cycles, local_benchmarks)
     local_count = len(tenants)
     stream_seed = shard_seed(seed, shard_index)
-    fleet = _Fleet(config, num_cores, local_count, stream_seed)
-    charge_purge = config.flush_on_context_switch
-    charge_teardown = config.has_protection_hardware
-    page_bytes = config.address_map.page_bytes
-    # Tracing is inert: resolved once per shard simulation, timestamps
-    # are event-loop cycles only, and no span reaches the outcome or
-    # its cache key.
-    tracer = active_tracer()
-    variant = config.name
-    shard_track = f"shard-{shard_index}"
 
-    mean_service = sum(service_cycles[name] for name in local_benchmarks) / local_count
-
-    cores = [_ShardCore(core_id=index) for index in range(num_cores)]
-    pending: List[_ShardPending] = []
-    in_service: set = set()
-    installed_core: Dict[int, int] = {}
-    latencies: List[int] = []
-    completions_per_tenant: Dict[int, int] = {}
-    switches = 0
-    affinity_hits = 0
-    charged_purge_total = 0
-    charged_scrub_total = 0
-    charged_wipe_total = 0
-    charged_measurement_total = 0
-    offered = 0
-    dropped_queue_full = 0
-    rejected_deadline = 0
-    deadline_misses = 0
-    slo_met = 0
-    horizon = 0
-    queue_peak = 0
-
-    events: List[Tuple[int, int, int, Any]] = []
-    wake_counter = 0
-    issued = 0
-    client_rng = DeterministicRng(stream_seed).fork("fleet-clients", client)
-    think_mean = max(1.0, think_factor * mean_service)
-
-    def issue(client_id: Optional[int], tenant: int, when: int) -> None:
-        """Push one arrival if the shard's request budget allows it."""
-        nonlocal issued
-        if issued >= num_requests:
-            return
-        seq = issued
-        issued += 1
-        heapq.heappush(
-            events, (when, _ARRIVAL, seq, _ShardPending(seq, tenant, when, client_id))
-        )
-
+    think: Optional[Callable[[], int]] = None
+    arrivals: List[Arrival]
     if model.closed_loop:
-        population = closed_loop_population(load, num_cores, think_factor)
-        for client_id in range(population):
-            issue(
-                client_id,
-                client_id % local_count,
-                think_gap(client_rng, think_mean),
-            )
+        client_rng = DeterministicRng(stream_seed).fork("fleet-clients", client)
+        think_mean = max(1.0, think_factor * mean_service)
+        think = lambda: exponential_gap(client_rng, think_mean)
+        arrivals = [
+            Arrival(think(), client_id % local_count, client_id)
+            for client_id in range(closed_loop_population(load, num_cores, think_factor))
+        ]
     else:
         mean_gap = max(1, int(round(mean_service / (load * num_cores))))
-        for arrival in generate_arrivals(
+        arrivals = generate_arrivals(
             load_profile,
             num_requests=num_requests,
             num_tenants=local_count,
             mean_gap_cycles=mean_gap,
             seed=stream_seed,
-        ):
-            issue(None, arrival.tenant, arrival.time)
-
-    def wake_at(when: int) -> None:
-        """Re-run dispatch when a post-completion stall ends."""
-        nonlocal wake_counter
-        wake_counter += 1
-        heapq.heappush(events, (when, _WAKE, wake_counter, None))
-
-    def reissue(client_id: Optional[int], now: int) -> None:
-        """Closed-loop clients think, then come back for more."""
-        if client_id is None:
-            return
-        issue(client_id, client_id % local_count, now + think_gap(client_rng, think_mean))
-
-    def install(core: _ShardCore, tenant: int) -> int:
-        """Point ``core`` at ``tenant``'s enclave; returns charged cycles."""
-        nonlocal switches, affinity_hits, charged_purge_total
-        if core.installed == tenant:
-            affinity_hits += 1
-            return 0
-        cost = 0
-        if core.installed is not None:
-            result = fleet.monitor.deschedule_enclave(
-                fleet.enclaves[core.installed], core.core_id
-            )
-            installed_core.pop(core.installed, None)
-            if charge_purge:
-                cost += result.purge_stall_cycles
-        result = fleet.monitor.schedule_enclave(fleet.enclaves[tenant], core.core_id)
-        if charge_purge:
-            cost += result.purge_stall_cycles
-        core.installed = tenant
-        core.streak = 0
-        installed_core[tenant] = core.core_id
-        switches += 1
-        charged_purge_total += cost
-        return cost
-
-    def release(core: _ShardCore, now: int) -> None:
-        """Eagerly deschedule the core's enclave (FIFO-style policies)."""
-        nonlocal charged_purge_total
-        if core.installed is None:
-            return
-        tenant = core.installed
-        result = fleet.monitor.deschedule_enclave(
-            fleet.enclaves[core.installed], core.core_id
         )
-        installed_core.pop(core.installed, None)
-        core.installed = None
-        core.streak = 0
-        if charge_purge:
-            stall = result.purge_stall_cycles
-            charged_purge_total += stall
-            core.busy_until = now + stall
-            core.busy_cycles += stall
-            wake_at(core.busy_until)
-            if tracer is not None:
-                tracer.sim_span(
-                    "purge-stall",
-                    f"{shard_track}/core-{core.core_id}",
-                    now,
-                    now + stall,
-                    tenant=tenant,
-                    shard=shard_index,
-                    variant=variant,
-                )
 
-    def churn(core: _ShardCore, tenant: int, now: int) -> None:
-        """Tear down and relaunch a tenant's enclave, charging teardown.
-
-        The scrub charge is measured from the machine's scrub counter
-        (floored as in the service loop); the DRAM wipe covers the
-        enclave's loaded pages plus its page table at the configured
-        bandwidth, and the measurement charge re-hashes every loaded
-        page on relaunch.  All three occupy the completing core.
-        """
-        nonlocal charged_scrub_total, charged_wipe_total, charged_measurement_total
-        if core.installed == tenant:
-            installed_core.pop(tenant, None)
-            core.installed = None
-            core.streak = 0
-        scrubbed = fleet.recreate_enclave(tenant)
-        if not charge_teardown:
-            return
-        scrub = max(MIN_SCRUB_CYCLES, scrubbed)
-        loaded = len(fleet.enclaves[tenant].loaded_pages)
-        wiped_bytes = (loaded + PAGE_TABLE_PAGES) * page_bytes
-        wipe = (
-            -(-wiped_bytes // dram_wipe_bytes_per_cycle)
-            if dram_wipe_bytes_per_cycle > 0
-            else 0
+    def gate(now: int, queue_length: int, earliest_free: int, service: int) -> Optional[str]:
+        """The admission policy, on a deterministic queue-wait estimate."""
+        backlog = (queue_length // num_cores) * int(mean_service)
+        return admit(
+            admission,
+            AdmissionContext(
+                now=now,
+                queue_length=queue_length,
+                queue_depth=queue_depth,
+                service_cycles=service,
+                estimated_wait_cycles=max(0, earliest_free - now) + backlog,
+                slo_cycles=slo_cycles,
+            ),
         )
-        measurement = measurement_cycles_per_page * loaded
-        charged_scrub_total += scrub
-        charged_wipe_total += wipe
-        charged_measurement_total += measurement
-        stall = scrub + wipe + measurement
-        core.busy_until = now + stall
-        core.busy_cycles += stall
-        wake_at(core.busy_until)
-        if tracer is not None:
-            tracer.sim_span(
-                "teardown",
-                f"{shard_track}/core-{core.core_id}",
-                now,
-                now + stall,
-                tenant=tenant,
-                shard=shard_index,
-                scrub_cycles=scrub,
-                wipe_cycles=wipe,
-                measurement_cycles=measurement,
-                variant=variant,
-            )
 
-    def estimated_wait(now: int) -> int:
-        """Deterministic queue-wait estimate the admission policy sees."""
-        earliest_free = min(core.busy_until for core in cores)
-        backlog = (len(pending) // num_cores) * int(mean_service)
-        return max(0, earliest_free - now) + backlog
-
-    def dispatch(now: int) -> None:
-        progress = True
-        while progress and pending:
-            progress = False
-            view = QueueView(pending, in_service, installed_core)
-            for core in cores:
-                if core.busy_until > now or not pending:
-                    continue
-                choice = scheduler.pick(core, view)
-                if choice is None:
-                    continue
-                pending.remove(choice)
-                cost = install(core, choice.tenant)
-                core.streak += 1
-                service = service_cycles[local_benchmarks[choice.tenant]]
-                completion = now + cost + service
-                core.busy_until = completion
-                core.busy_cycles += cost + service
-                in_service.add(choice.tenant)
-                heapq.heappush(events, (completion, _COMPLETE, choice.seq, (core, choice)))
-                if tracer is not None:
-                    track = f"{shard_track}/core-{core.core_id}"
-                    tracer.sim_span(
-                        "queue",
-                        f"{shard_track}/queue",
-                        choice.arrival,
-                        now,
-                        tenant=choice.tenant,
-                        seq=choice.seq,
-                        shard=shard_index,
-                        variant=variant,
-                    )
-                    if cost:
-                        tracer.sim_span(
-                            "purge-stall",
-                            track,
-                            now,
-                            now + cost,
-                            tenant=choice.tenant,
-                            seq=choice.seq,
-                            shard=shard_index,
-                            variant=variant,
-                        )
-                    tracer.sim_span(
-                        "execute",
-                        track,
-                        now + cost,
-                        completion,
-                        tenant=choice.tenant,
-                        seq=choice.seq,
-                        shard=shard_index,
-                        variant=variant,
-                    )
-                progress = True
-
-    while events:
-        now, kind, _seq, payload = heapq.heappop(events)
-        if kind == _ARRIVAL:
-            offered += 1
-            reason = admit(
-                admission,
-                AdmissionContext(
-                    now=now,
-                    queue_length=len(pending),
-                    queue_depth=queue_depth,
-                    service_cycles=service_cycles[local_benchmarks[payload.tenant]],
-                    estimated_wait_cycles=estimated_wait(now),
-                    slo_cycles=slo_cycles,
-                ),
-            )
-            if tracer is not None:
-                tracer.sim_event(
-                    "admit",
-                    f"{shard_track}/admission",
-                    now,
-                    outcome=reason if reason is not None else "admitted",
-                    tenant=payload.tenant,
-                    seq=payload.seq,
-                    shard=shard_index,
-                    variant=variant,
-                )
-            if reason == REJECT_QUEUE_FULL:
-                dropped_queue_full += 1
-                reissue(payload.client, now)
-            elif reason is not None:
-                rejected_deadline += 1
-                reissue(payload.client, now)
-            else:
-                # Arrival pops come off the heap in time order, so
-                # appending keeps `pending` time-ordered — the order
-                # every scheduling policy scans in.
-                pending.append(payload)
-                queue_peak = max(queue_peak, len(pending))
-        elif kind == _COMPLETE:
-            core, request = payload
-            in_service.discard(request.tenant)
-            latency = now - request.arrival
-            latencies.append(latency)
-            if latency <= slo_cycles:
-                slo_met += 1
-            else:
-                deadline_misses += 1
-            if tracer is not None:
-                tracer.sim_event(
-                    "complete",
-                    f"{shard_track}/core-{core.core_id}",
-                    now,
-                    tenant=request.tenant,
-                    seq=request.seq,
-                    latency_cycles=latency,
-                    slo_met=latency <= slo_cycles,
-                    shard=shard_index,
-                    variant=variant,
-                )
-            horizon = max(horizon, now)
-            tally = completions_per_tenant.get(request.tenant, 0) + 1
-            completions_per_tenant[request.tenant] = tally
-            if churn_every and tally % churn_every == 0:
-                churn(core, request.tenant, now)
-            elif scheduler.eager_release:
-                release(core, now)
-            reissue(request.client, now)
-        dispatch(now)
-
-    horizon = max(horizon, 1)
-    busy_total = sum(core.busy_cycles for core in cores)
+    stream = serve(
+        config,
+        policy,
+        service_cycles=service_cycles,
+        benchmarks=local_benchmarks,
+        seed=stream_seed,
+        num_cores=num_cores,
+        arrivals=arrivals,
+        num_requests=num_requests,
+        churn_every=churn_every,
+        dram_wipe_bytes_per_cycle=dram_wipe_bytes_per_cycle,
+        measurement_cycles_per_page=measurement_cycles_per_page,
+        gate=gate,
+        think=think,
+        slo_cycles=slo_cycles,
+        track=f"shard-{shard_index}",
+        labels={"shard": shard_index},
+    )
+    dropped_queue_full = stream.rejections.get(REJECT_QUEUE_FULL, 0)
+    rejected_deadline = sum(stream.rejections.values()) - dropped_queue_full
+    completed = len(stream.latencies)
+    slo_met = sum(1 for latency in stream.latencies if latency <= slo_cycles)
     return ShardOutcome(
         shard=shard_index,
         tenants=tenants,
-        offered=offered,
-        admitted=offered - dropped_queue_full - rejected_deadline,
-        completed=len(latencies),
+        offered=stream.offered,
+        admitted=stream.offered - dropped_queue_full - rejected_deadline,
+        completed=completed,
         dropped_queue_full=dropped_queue_full,
         rejected_deadline=rejected_deadline,
-        deadline_misses=deadline_misses,
+        deadline_misses=completed - slo_met,
         slo_met=slo_met,
-        horizon_cycles=horizon,
-        busy_cycles=busy_total,
-        utilization=busy_total / (num_cores * horizon),
-        switches=switches,
-        affinity_hits=affinity_hits,
-        queue_peak=queue_peak,
-        charged_purge_cycles=charged_purge_total,
-        charged_scrub_cycles=charged_scrub_total,
-        charged_wipe_cycles=charged_wipe_total,
-        charged_measurement_cycles=charged_measurement_total,
-        latencies=tuple(sorted(latencies)),
+        horizon_cycles=stream.horizon_cycles,
+        busy_cycles=stream.busy_cycles,
+        utilization=stream.utilization,
+        switches=stream.switches,
+        affinity_hits=stream.affinity_hits,
+        queue_peak=stream.queue_peak,
+        charged_purge_cycles=stream.charged_purge_cycles,
+        charged_scrub_cycles=stream.charged_scrub_cycles,
+        charged_wipe_cycles=stream.charged_wipe_cycles,
+        charged_measurement_cycles=stream.charged_measurement_cycles,
+        latencies=tuple(sorted(stream.latencies)),
         details={
             "mean_service_cycles": mean_service,
             "tenant_benchmarks": list(local_benchmarks),

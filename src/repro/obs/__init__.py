@@ -5,7 +5,7 @@ reproduction, it never feeds it.  Three modules:
 
 * :mod:`repro.obs.trace` — spans.  Simulated-cycle spans record the
   serving layers' request lifecycle (queue wait, purge stall, execute,
-  scrub/teardown) with timestamps taken from the event loop's integer
+  teardown) with timestamps taken from the event loop's integer
   cycle counter; wall-clock spans record engine work (store I/O, worker
   dispatch, HTTP handling) against the process clock.  The wall clock
   lives *here* — simulation packages never import ``time``; the

@@ -27,14 +27,14 @@ from repro.analysis.engine import (
     ServiceRunRequest,
     evaluation_config,
     execute_fleet_request,
+    execute_service_request,
     request_for,
-    resolve_fleet_cycles,
     resolve_service_cycles,
 )
 from repro.core.serialization import config_digest
 from repro.fleet.simulation import FleetOutcome
 from repro.perf.profiler import ProfileReport, Profiler, component_shares_of
-from repro.service.simulation import ServiceOutcome, run_service
+from repro.service.simulation import ServiceOutcome
 
 #: (mitigation spec, benchmark) pairs of the pinned suite, in run order.
 PINNED_SUITE: Tuple[Tuple[str, str], ...] = (
@@ -226,20 +226,10 @@ def run_service_case(
     """
     request = pinned_service_request(seed)
     cycles = resolve_service_cycles(request)
+    priced = replace(request, service_cycles=tuple(sorted(cycles.items())))
 
     def _serve() -> ServiceOutcome:
-        return run_service(
-            request.config,
-            request.policy,
-            service_cycles=cycles,
-            seed=request.seed,
-            load=request.load,
-            load_profile=request.load_profile,
-            num_cores=request.num_cores,
-            num_tenants=request.num_tenants,
-            num_requests=request.num_requests,
-            instructions=request.instructions,
-        )
+        return execute_service_request(priced)
 
     started = time.perf_counter()
     outcome = _serve()
@@ -335,7 +325,7 @@ def run_fleet_case(
             read off the instrumented run.
     """
     request = pinned_fleet_request(seed)
-    cycles = resolve_fleet_cycles(request)
+    cycles = resolve_service_cycles(request)
     priced = replace(request, service_cycles=tuple(sorted(cycles.items())))
 
     def _fleet() -> FleetOutcome:

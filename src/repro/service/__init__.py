@@ -14,9 +14,16 @@ become throughput and tail-latency numbers under tenant churn.
   diurnal arrival processes;
 * :mod:`repro.service.schedulers` — the scheduling-policy registry
   (``fifo``, ``affinity``, ``batch``);
-* :mod:`repro.service.simulation` — the discrete-event loop and the
+* :mod:`repro.service.simulation` — the one serving event loop
+  (:func:`~repro.service.simulation.serve`), its one-machine adapter
+  :func:`~repro.service.simulation.run_service`, and the
   JSON-serialisable :class:`~repro.service.simulation.ServiceOutcome`;
 * :mod:`repro.service.metrics` — latency percentile helpers.
+
+The loop takes its request stream from the caller: ``run_service``
+feeds it open-loop arrivals and admits every one, and
+:func:`repro.fleet.simulation.run_fleet_shard` — the fleet's adapter
+over the same loop — adds admission control and closed-loop clients.
 
 Entry points: ``Session.run(ServiceRequest(...))`` for cached, parallel
 sweeps, or :func:`repro.service.run_service` for a single standalone

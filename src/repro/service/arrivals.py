@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
@@ -48,14 +48,19 @@ DIURNAL_SWING = 1.3
 
 @dataclass(frozen=True)
 class Arrival:
-    """One request arrival: absolute cycle time plus owning tenant."""
+    """One request arrival: absolute cycle time plus owning tenant.
+
+    ``client`` names the closed-loop client that issued the request
+    (``None`` for open-loop arrivals, which nobody waits on).
+    """
 
     time: int
     tenant: int
+    client: Optional[int] = None
 
 
-def _exponential_gap(rng: DeterministicRng, mean_gap: float) -> int:
-    """One exponential inter-arrival gap, floored at a single cycle."""
+def exponential_gap(rng: DeterministicRng, mean_gap: float) -> int:
+    """One exponential gap (inter-arrival or think time), floored at a cycle."""
     draw = -mean_gap * math.log(1.0 - rng.fraction())
     return max(1, int(round(draw)))
 
@@ -149,7 +154,7 @@ def _poisson(
     arrivals: List[Arrival] = []
     time = 0
     for _ in range(num_requests):
-        time += _exponential_gap(rng, float(mean_gap_cycles))
+        time += exponential_gap(rng, float(mean_gap_cycles))
         arrivals.append(Arrival(time, rng.integer(0, num_tenants - 1)))
     return arrivals
 
@@ -196,7 +201,7 @@ def _diurnal(
     # would not be comparable with the other profiles.
     normalizer = sum(1.0 / rate for rate in rates) / num_requests
     for rate in rates:
-        time += _exponential_gap(rng, float(mean_gap_cycles) / (rate * normalizer))
+        time += exponential_gap(rng, float(mean_gap_cycles) / (rate * normalizer))
         arrivals.append(Arrival(time, rng.integer(0, num_tenants - 1)))
     return arrivals
 

@@ -187,56 +187,6 @@ class TestDefaultSession:
             set_default_session(original)
 
 
-class TestDeprecatedServeAliases:
-    """``Session.serve``/``serve_fleet`` warn and delegate to ``run``."""
-
-    FIELDS = {
-        "policies": ("fifo",),
-        "variants": ("BASE",),
-        "loads": (0.5,),
-        "seeds": (1,),
-        "num_cores": 2,
-        "num_tenants": 2,
-        "requests": 4,
-        "instructions": 300,
-    }
-
-    def test_serve_warns_and_matches_run(self):
-        from repro.api import ServiceRequest
-
-        session = Session(ResultStore.in_memory())
-        with pytest.warns(DeprecationWarning, match="Session.serve\\(\\) is deprecated"):
-            aliased = session.serve(**self.FIELDS)
-        direct = session.run(ServiceRequest(**self.FIELDS))
-        assert [entry.key for entry in aliased] == [entry.key for entry in direct]
-        assert [entry.value.to_dict() for entry in aliased] == [
-            entry.value.to_dict() for entry in direct
-        ]
-
-    def test_serve_fleet_warns_and_matches_run(self):
-        from repro.api import FleetRequest
-
-        fields = {
-            "variants": ("BASE",),
-            "loads": (0.5,),
-            "seeds": (1,),
-            "num_shards": 2,
-            "shard_cores": 2,
-            "num_tenants": 2,
-            "requests": 4,
-            "instructions": 300,
-        }
-        session = Session(ResultStore.in_memory())
-        with pytest.warns(
-            DeprecationWarning, match="Session.serve_fleet\\(\\) is deprecated"
-        ):
-            aliased = session.serve_fleet(**fields)
-        direct = session.run(FleetRequest(**fields))
-        assert [entry.value.to_dict() for entry in aliased] == [
-            entry.value.to_dict() for entry in direct
-        ]
-
-
 class TestPlacement:
     def test_default_placement_assigns_bystanders(self):
         placement = default_placement(4)

@@ -11,7 +11,7 @@ from repro.analysis.engine import (
     FleetSpec,
     evaluation_config,
     execute_fleet_request,
-    resolve_fleet_cycles,
+    resolve_service_cycles,
 )
 from repro.analysis.figures import (
     FLEET_TABLE_TITLE,
@@ -47,9 +47,9 @@ from repro.fleet.clients import (
     ClientModel,
     client_model,
     closed_loop_population,
-    think_gap,
 )
 from repro.common.rng import DeterministicRng
+from repro.service.arrivals import exponential_gap
 from repro.service.simulation import tenant_benchmarks
 
 #: Small fleet shared by most tests: four tenants over two 2-core
@@ -236,10 +236,10 @@ class TestClients:
         )
 
     def test_think_gap_deterministic_and_positive(self):
-        gaps = [think_gap(DeterministicRng(11), 500.0) for _ in range(3)]
+        gaps = [exponential_gap(DeterministicRng(11), 500.0) for _ in range(3)]
         assert gaps[0] == gaps[1] == gaps[2] >= 1
         rng = DeterministicRng(11)
-        draws = [think_gap(rng, 500.0) for _ in range(200)]
+        draws = [exponential_gap(rng, 500.0) for _ in range(200)]
         assert all(gap >= 1 for gap in draws)
         assert 250 <= sum(draws) / len(draws) <= 1_000
 
@@ -434,7 +434,7 @@ class TestEngineRequests:
 
     def test_resolve_fleet_cycles_covers_all_tenant_benchmarks(self):
         request = small_request(num_requests=4, instructions=400)
-        cycles = resolve_fleet_cycles(request)
+        cycles = resolve_service_cycles(request)
         assert set(cycles) == set(tenant_benchmarks(request.num_tenants))
         assert all(value > 0 for value in cycles.values())
 

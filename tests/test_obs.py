@@ -234,10 +234,22 @@ class TestMetrics:
 # Daemon surface
 
 
-@pytest.fixture(scope="module")
-def obs_daemon(tmp_path_factory):
-    session = Session(ResultStore(tmp_path_factory.mktemp("obs_cache")), jobs=2)
-    server = ReproDaemonServer(("127.0.0.1", 0), session)
+class JoiningDaemon(ReproDaemonServer):
+    """A daemon whose ``server_close`` joins every request handler."""
+
+    daemon_threads = False
+
+
+@pytest.fixture
+def obs_daemon(tmp_path):
+    """A fresh daemon per test, with no request left in flight after it.
+
+    The daemon counts and logs a request only after writing its body, so
+    a daemon shared across tests could still be finishing an earlier
+    test's request when the next test reads its counters or its log.
+    """
+    session = Session(ResultStore(tmp_path / "obs_cache"), jobs=2)
+    server = JoiningDaemon(("127.0.0.1", 0), session)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -305,7 +317,7 @@ class TestDaemonMetrics:
             # The structured line is emitted by the handler thread after
             # the response body is written, so briefly wait for it.
             for _ in range(100):
-                if caplog.records:
+                if any(record.name == "repro.daemon" for record in caplog.records):
                     break
                 time.sleep(0.01)
         lines = [

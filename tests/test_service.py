@@ -18,6 +18,7 @@ from repro.api import ServiceRequest, Session
 from repro.cli import main as cli_main
 from repro.common.errors import ConfigurationError
 from repro.core.mitigations import config_for_spec
+from repro.obs import tracing
 from repro.service import (
     LOAD_PROFILES,
     ServiceOutcome,
@@ -206,8 +207,18 @@ class TestRunService:
         assert flush.charged_purge_cycles > 0
 
     def test_churn_charges_flush_penalty_on_mi6(self):
-        secured = execute_service_request(small_request(policy="batch", churn_every=5))
+        with tracing() as tracer:
+            secured = execute_service_request(small_request(policy="batch", churn_every=5))
         assert secured.charged_flush_cycles > 0
+        # Churn traces as the fleet's `teardown` span: the scrub alone,
+        # with no DRAM-wipe or measurement charge on a single machine.
+        teardowns = [span for span in tracer.sim_spans() if span.name == "teardown"]
+        charges = [dict(span.args) for span in teardowns]
+        assert sum(span.duration for span in teardowns) == secured.charged_flush_cycles
+        assert [charge["scrub_cycles"] for charge in charges] == [
+            span.duration for span in teardowns
+        ]
+        assert all(charge["wipe_cycles"] == charge["measurement_cycles"] == 0 for charge in charges)
         base_cycles = resolve_service_cycles(small_request(spec="BASE"))
         base = run_service(
             config_for_spec("BASE"),
