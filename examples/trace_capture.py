@@ -50,11 +50,11 @@ def run_spec(tracer=None):
     )
     runner = ParallelRunner(store=ResultStore.in_memory(), jobs=1)
     if tracer is None:
-        pairs = runner.run_service_spec(spec)
+        outcomes = runner.run(spec.requests())
     else:
         with tracing(tracer):
-            pairs = runner.run_service_spec(spec)
-    return [outcome.to_dict() for _, outcome in pairs]
+            outcomes = runner.run(spec.requests())
+    return [outcome.to_dict() for outcome in outcomes]
 
 
 def main() -> int:

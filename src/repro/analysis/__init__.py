@@ -21,10 +21,8 @@ from repro.analysis.engine import (
 from repro.analysis.harness import (
     cached_run,
     clear_run_cache,
-    default_store,
     overhead_percent,
     run_figure_series,
-    set_default_store,
 )
 from repro.analysis.report import format_comparison_table, format_series_table, geometric_mean
 from repro.analysis.store import ResultStore
@@ -38,7 +36,6 @@ __all__ = [
     "RunRequest",
     "cached_run",
     "clear_run_cache",
-    "default_store",
     "execute_request",
     "format_comparison_table",
     "format_series_table",
@@ -46,5 +43,4 @@ __all__ = [
     "overhead_percent",
     "request_for",
     "run_figure_series",
-    "set_default_store",
 ]

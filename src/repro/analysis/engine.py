@@ -14,8 +14,13 @@ layer that executes such sweeps:
   variants × benchmarks × seeds expanded into run requests;
 * :class:`ScenarioRequest` / :class:`ScenarioSpec` — the same machinery
   for the co-scheduled security scenarios of
-  :mod:`repro.attacks.scenarios` (scenarios × variants × seeds);
-* :class:`ParallelRunner` — executes requests, serving repeats from a
+  :mod:`repro.attacks.scenarios` (scenarios × variants × seeds), and
+  likewise for enclave serving on one machine and on a sharded fleet;
+* :data:`JOB_KINDS` — the one registry of request kinds: each request
+  dataclass declares only its fields and a ``kind`` tag, and the registry
+  names the function executing it and the codec of its value;
+* :class:`ParallelRunner` — executes requests of every kind through one
+  path, serving repeats from a
   :class:`~repro.analysis.store.ResultStore` and fanning cache misses out
   over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
@@ -29,21 +34,18 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.attacks.scenarios import ScenarioOutcome, run_scenario, scenario_names
 from repro.core.config import MI6Config
 from repro.core.processor import WorkloadRun
 from repro.core.serialization import (
-    config_from_dict,
-    config_to_dict,
-    fleet_cache_key,
-    fleet_shard_cache_key,
+    request_cache_key,
+    request_from_payload,
+    request_to_payload,
     run_cache_key,
     run_from_dict,
     run_to_dict,
-    scenario_cache_key,
-    service_cache_key,
 )
 from repro.fleet.admission import admission_names
 from repro.fleet.clients import client_model_names
@@ -137,6 +139,36 @@ CACHE_KEY_EXCLUSIONS = {
 }
 
 
+class EngineRequest:
+    """Base of the engine's request dataclasses: fields plus a ``kind`` tag.
+
+    A request class declares only its dataclass fields and its
+    :data:`JOB_KINDS` tag.  Its cache key and worker payload are derived
+    from those fields
+    (:func:`~repro.core.serialization.request_cache_key`,
+    :func:`~repro.core.serialization.request_to_payload`), so a field
+    added to a request reaches its key unless :data:`CACHE_KEY_EXCLUSIONS`
+    excludes it with a justification.
+    """
+
+    kind: ClassVar[str]
+
+    def cache_key(self) -> str:
+        """Content-hash identity of this request (the store key)."""
+        return request_cache_key(
+            self, self.kind, CACHE_KEY_EXCLUSIONS.get(type(self).__name__, {})
+        )
+
+    def to_payload(self) -> Dict[str, Any]:
+        """JSON-compatible encoding shipped to worker processes."""
+        return request_to_payload(self)
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> Any:
+        """Rebuild a request from :meth:`to_payload` output."""
+        return request_from_payload(cls, payload)
+
+
 @dataclass(frozen=True)
 class EvaluationSettings:
     """Settings for one evaluation sweep."""
@@ -172,6 +204,31 @@ def default_jobs() -> int:
     return max(1, int(os.environ.get(JOBS_ENV_VAR, "1")))
 
 
+def _reject_empty(**sequences: Optional[Sequence[Any]]) -> None:
+    """Spec arguments must not be empty sequences (``None`` means default)."""
+    for name, value in sequences.items():
+        if value is not None and len(value) == 0:
+            raise ValueError(f"{name} must not be empty (pass None for the default)")
+
+
+def _require_known(what: str, value: str, known: Sequence[str]) -> None:
+    """A registry name given to a spec must be registered."""
+    if value not in known:
+        raise ValueError(f"unknown {what} {value!r} (expected one of: {', '.join(known)})")
+
+
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
+
+
+def _require_non_negative(**values: float) -> None:
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
+
+
 # ----------------------------------------------------------------------
 # Evaluation policy: how a (variant, settings) pair becomes a request
 
@@ -198,7 +255,7 @@ def evaluation_config(variant: VariantLike, instructions: int) -> MI6Config:
 
 
 @dataclass(frozen=True)
-class RunRequest:
+class RunRequest(EngineRequest):
     """One fully specified simulation run.
 
     Unlike the old ``(variant, benchmark, instructions, seed)`` tuple,
@@ -207,6 +264,8 @@ class RunRequest:
     and the cache key reflects every parameter that affects the numbers.
     """
 
+    kind: ClassVar[str] = "run"
+
     config: MI6Config
     benchmark: str
     instructions: int
@@ -214,34 +273,16 @@ class RunRequest:
     warm_up: bool = True
 
     def cache_key(self) -> str:
-        """Content-hash identity of this run (the store key)."""
+        """Content-hash identity of this run: :func:`run_cache_key`.
+
+        Run keys predate the kind tag, so they carry none.
+        """
         return run_cache_key(
             self.config,
             self.benchmark,
             self.instructions,
             self.seed,
             warm_up=self.warm_up,
-        )
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-compatible encoding shipped to worker processes."""
-        return {
-            "config": config_to_dict(self.config),
-            "benchmark": self.benchmark,
-            "instructions": self.instructions,
-            "seed": self.seed,
-            "warm_up": self.warm_up,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> RunRequest:
-        """Rebuild a request from :meth:`to_payload` output."""
-        return cls(
-            config=config_from_dict(payload["config"]),
-            benchmark=payload["benchmark"],
-            instructions=payload["instructions"],
-            seed=payload["seed"],
-            warm_up=payload["warm_up"],
         )
 
 
@@ -271,44 +312,8 @@ def execute_request(request: RunRequest) -> WorkloadRun:
     )
 
 
-def _pool_execute(
-    envelope: Dict[str, Any],
-    decode_request: Any,
-    execute: Any,
-    encode: Any,
-) -> Dict[str, Any]:
-    """Worker-side envelope protocol shared by every pool worker.
-
-    The envelope is ``{"request": to_payload(), "trace": bool}``.  When
-    the parent is tracing, the worker collects sim spans on a local
-    tracer and ships them back beside the encoded outcome — the outcome
-    encoding itself is identical either way, so persisted store bytes
-    never depend on tracing.
-    """
-    request = decode_request(envelope["request"])
-    if not envelope.get("trace"):
-        return {"value": encode(execute(request))}
-    tracer = Tracer()
-    previous = set_active_tracer(tracer)
-    try:
-        value = execute(request)
-    finally:
-        set_active_tracer(previous)
-    return {"value": encode(value), "spans": tracer.span_dicts()}
-
-
-def _pool_worker(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point: dicts in, dicts out (always picklable)."""
-    return _pool_execute(
-        envelope, RunRequest.from_payload, execute_request, run_to_dict
-    )
-
-
 # ----------------------------------------------------------------------
 # Security scenarios
-
-#: Store document kind under which scenario outcomes persist.
-SCENARIO_STORE_KIND = "scenario"
 
 #: Variants the security evaluation compares by default: the insecure
 #: baseline against the full MI6 machine (the Section 6 comparison).
@@ -316,7 +321,7 @@ DEFAULT_SCENARIO_VARIANTS = (Variant.BASE, Variant.F_P_M_A)
 
 
 @dataclass(frozen=True)
-class ScenarioRequest:
+class ScenarioRequest(EngineRequest):
     """One fully specified security-scenario run.
 
     Like :class:`RunRequest`, a scenario request carries the complete
@@ -324,51 +329,18 @@ class ScenarioRequest:
     parameter that affects the outcome.
     """
 
+    kind: ClassVar[str] = "scenario"
+
     scenario: str
     config: MI6Config
     seed: int = DEFAULT_SEED
     num_cores: int = 2
-
-    def cache_key(self) -> str:
-        """Content-hash identity of this scenario run (the store key)."""
-        return scenario_cache_key(
-            self.scenario, self.config, self.seed, num_cores=self.num_cores
-        )
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-compatible encoding shipped to worker processes."""
-        return {
-            "scenario": self.scenario,
-            "config": config_to_dict(self.config),
-            "seed": self.seed,
-            "num_cores": self.num_cores,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> ScenarioRequest:
-        """Rebuild a request from :meth:`to_payload` output."""
-        return cls(
-            scenario=payload["scenario"],
-            config=config_from_dict(payload["config"]),
-            seed=payload["seed"],
-            num_cores=payload.get("num_cores", 2),
-        )
 
 
 def execute_scenario_request(request: ScenarioRequest) -> ScenarioOutcome:
     """Run one scenario on a fresh machine (the only place scenarios run)."""
     return run_scenario(
         request.scenario, request.config, request.seed, num_cores=request.num_cores
-    )
-
-
-def _scenario_pool_worker(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point for scenarios: dicts in, dicts out."""
-    return _pool_execute(
-        envelope,
-        ScenarioRequest.from_payload,
-        execute_scenario_request,
-        lambda outcome: outcome.to_dict(),
     )
 
 
@@ -403,13 +375,7 @@ class ScenarioSpec:
         names are validated against the registry here rather than at run
         time.
         """
-        for name, value in (
-            ("scenarios", scenarios),
-            ("variants", variants),
-            ("seeds", seeds),
-        ):
-            if value is not None and len(value) == 0:
-                raise ValueError(f"{name} must not be empty (pass None for the default)")
+        _reject_empty(scenarios=scenarios, variants=variants, seeds=seeds)
         known = scenario_names()
         if scenarios is not None:
             unknown = [name for name in scenarios if name not in known]
@@ -453,9 +419,6 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 # Enclave serving
 
-#: Store document kind under which service outcomes persist.
-SERVICE_STORE_KIND = "service"
-
 #: Scheduling policies a default serving sweep compares.
 DEFAULT_SERVICE_POLICIES = ("fifo", "affinity", "batch")
 
@@ -464,7 +427,7 @@ DEFAULT_SERVICE_LOAD = 0.7
 
 
 @dataclass(frozen=True)
-class ServiceRunRequest:
+class ServiceRunRequest(EngineRequest):
     """One fully specified enclave-serving simulation.
 
     Like :class:`RunRequest` and :class:`ScenarioRequest`, a service
@@ -476,6 +439,8 @@ class ServiceRunRequest:
     pool workers never re-simulate the kernel, but it is excluded from
     the cache key.
     """
+
+    kind: ClassVar[str] = "service"
 
     policy: str
     config: MI6Config
@@ -489,66 +454,9 @@ class ServiceRunRequest:
     churn_every: int = 0
     service_cycles: Optional[Tuple[Tuple[str, int], ...]] = None
 
-    def cache_key(self) -> str:
-        """Content-hash identity of this serving run (the store key)."""
-        return service_cache_key(
-            self.policy,
-            self.config,
-            self.seed,
-            load=self.load,
-            load_profile=self.load_profile,
-            num_cores=self.num_cores,
-            num_tenants=self.num_tenants,
-            num_requests=self.num_requests,
-            instructions=self.instructions,
-            churn_every=self.churn_every,
-        )
-
     def workload_requests(self) -> List[RunRequest]:
         """The kernel runs pricing this request (see :func:`pricing_requests`)."""
         return pricing_requests(self, tenant_benchmarks(self.num_tenants))
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-compatible encoding shipped to worker processes."""
-        return {
-            "policy": self.policy,
-            "config": config_to_dict(self.config),
-            "seed": self.seed,
-            "load": self.load,
-            "load_profile": self.load_profile,
-            "num_cores": self.num_cores,
-            "num_tenants": self.num_tenants,
-            "num_requests": self.num_requests,
-            "instructions": self.instructions,
-            "churn_every": self.churn_every,
-            "service_cycles": (
-                [list(pair) for pair in self.service_cycles]
-                if self.service_cycles is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> ServiceRunRequest:
-        """Rebuild a request from :meth:`to_payload` output."""
-        cycles = payload.get("service_cycles")
-        return cls(
-            policy=payload["policy"],
-            config=config_from_dict(payload["config"]),
-            seed=payload["seed"],
-            load=payload["load"],
-            load_profile=payload["load_profile"],
-            num_cores=payload["num_cores"],
-            num_tenants=payload["num_tenants"],
-            num_requests=payload["num_requests"],
-            instructions=payload["instructions"],
-            churn_every=payload.get("churn_every", 0),
-            service_cycles=(
-                tuple((name, count) for name, count in cycles)
-                if cycles is not None
-                else None
-            ),
-        )
 
 
 def execute_service_request(request: ServiceRunRequest) -> ServiceOutcome:
@@ -565,16 +473,6 @@ def execute_service_request(request: ServiceRunRequest) -> ServiceOutcome:
         num_requests=request.num_requests,
         instructions=request.instructions,
         churn_every=request.churn_every,
-    )
-
-
-def _service_pool_worker(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point for serving runs: dicts in, dicts out."""
-    return _pool_execute(
-        envelope,
-        ServiceRunRequest.from_payload,
-        execute_service_request,
-        lambda outcome: outcome.to_dict(),
     )
 
 
@@ -621,14 +519,7 @@ class ServiceSpec:
         and the numeric parameters are validated here rather than at run
         time.
         """
-        for name, value in (
-            ("policies", policies),
-            ("variants", variants),
-            ("loads", loads),
-            ("seeds", seeds),
-        ):
-            if value is not None and len(value) == 0:
-                raise ValueError(f"{name} must not be empty (pass None for the default)")
+        _reject_empty(policies=policies, variants=variants, loads=loads, seeds=seeds)
         known = policy_names()
         if policies is not None:
             unknown = [name for name in policies if name not in known]
@@ -637,23 +528,16 @@ class ServiceSpec:
                     f"unknown scheduling policy(ies): {', '.join(unknown)} "
                     f"(expected: {', '.join(known)})"
                 )
-        if load_profile not in LOAD_PROFILES:
-            raise ValueError(
-                f"unknown load profile {load_profile!r} "
-                f"(expected one of: {', '.join(LOAD_PROFILES)})"
-            )
+        _require_known("load profile", load_profile, LOAD_PROFILES)
         if loads is not None and any(load <= 0.0 for load in loads):
             raise ValueError("loads must be positive fractions of fleet capacity")
-        if num_cores < 1:
-            raise ValueError("num_cores must be positive")
-        if num_tenants < 1:
-            raise ValueError("num_tenants must be positive")
-        if num_requests < 1:
-            raise ValueError("num_requests must be positive")
-        if instructions < 1:
-            raise ValueError("instructions must be positive")
-        if churn_every < 0:
-            raise ValueError("churn_every must be non-negative")
+        _require_positive(
+            num_cores=num_cores,
+            num_tenants=num_tenants,
+            num_requests=num_requests,
+            instructions=instructions,
+        )
+        _require_non_negative(churn_every=churn_every)
         settings = EvaluationSettings.from_environment()
         return cls(
             policies=tuple(policies) if policies is not None else DEFAULT_SERVICE_POLICIES,
@@ -700,12 +584,6 @@ class ServiceSpec:
 # ----------------------------------------------------------------------
 # Fleet serving
 
-#: Store document kind under which merged fleet outcomes persist.
-FLEET_STORE_KIND = "fleet"
-
-#: Store document kind under which per-shard outcomes persist.
-FLEET_SHARD_STORE_KIND = "fleet-shard"
-
 #: Default scheduling policy of a fleet sweep (lazy release keeps the
 #: per-shard purge traffic representative of a tuned deployment).
 DEFAULT_FLEET_POLICY = "affinity"
@@ -725,17 +603,19 @@ DEFAULT_FLEET_REQUESTS = 400
 
 
 @dataclass(frozen=True)
-class FleetShardRequest:
+class FleetShardRequest(EngineRequest):
     """One fully specified shard of a fleet simulation.
 
     The engine's unit of parallel fan-out: a shard request carries the
     complete machine configuration plus the exact tenant placement the
-    router produced, so its content-hash identity
-    (:func:`repro.core.serialization.fleet_shard_cache_key`) reflects
-    every parameter that affects the shard's numbers.  ``service_cycles``
-    is derived state, excluded from the key exactly as for
-    :class:`ServiceRunRequest`.
+    router produced, so its content-hash identity reflects every
+    parameter that affects the shard's numbers — the shard index seeds
+    its streams, and the placement replaces the fleet-level router name.
+    ``service_cycles`` is derived state, excluded from the key exactly as
+    for :class:`ServiceRunRequest`.
     """
+
+    kind: ClassVar[str] = "fleet-shard"
 
     policy: str
     config: MI6Config
@@ -758,94 +638,10 @@ class FleetShardRequest:
     measurement_cycles_per_page: int = DEFAULT_MEASUREMENT_CYCLES_PER_PAGE
     service_cycles: Optional[Tuple[Tuple[str, int], ...]] = None
 
-    def cache_key(self) -> str:
-        """Content-hash identity of this shard run (the store key)."""
-        return fleet_shard_cache_key(
-            self.policy,
-            self.config,
-            self.seed,
-            shard_index=self.shard_index,
-            tenants=self.tenants,
-            num_tenants=self.num_tenants,
-            admission=self.admission,
-            client=self.client,
-            load=self.load,
-            load_profile=self.load_profile,
-            num_cores=self.num_cores,
-            num_requests=self.num_requests,
-            queue_depth=self.queue_depth,
-            slo_cycles=self.slo_cycles,
-            think_factor=self.think_factor,
-            instructions=self.instructions,
-            churn_every=self.churn_every,
-            dram_wipe_bytes_per_cycle=self.dram_wipe_bytes_per_cycle,
-            measurement_cycles_per_page=self.measurement_cycles_per_page,
-        )
-
     def workload_requests(self) -> List[RunRequest]:
         """Kernel runs pricing this shard's tenants (fallback path)."""
         benchmarks = tenant_benchmarks(self.num_tenants)
         return pricing_requests(self, [benchmarks[tenant] for tenant in self.tenants])
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-compatible encoding shipped to worker processes."""
-        return {
-            "policy": self.policy,
-            "config": config_to_dict(self.config),
-            "seed": self.seed,
-            "shard_index": self.shard_index,
-            "tenants": list(self.tenants),
-            "num_tenants": self.num_tenants,
-            "admission": self.admission,
-            "client": self.client,
-            "load": self.load,
-            "load_profile": self.load_profile,
-            "num_cores": self.num_cores,
-            "num_requests": self.num_requests,
-            "queue_depth": self.queue_depth,
-            "slo_cycles": self.slo_cycles,
-            "think_factor": self.think_factor,
-            "instructions": self.instructions,
-            "churn_every": self.churn_every,
-            "dram_wipe_bytes_per_cycle": self.dram_wipe_bytes_per_cycle,
-            "measurement_cycles_per_page": self.measurement_cycles_per_page,
-            "service_cycles": (
-                [list(pair) for pair in self.service_cycles]
-                if self.service_cycles is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> FleetShardRequest:
-        """Rebuild a request from :meth:`to_payload` output."""
-        cycles = payload.get("service_cycles")
-        return cls(
-            policy=payload["policy"],
-            config=config_from_dict(payload["config"]),
-            seed=payload["seed"],
-            shard_index=payload["shard_index"],
-            tenants=tuple(payload["tenants"]),
-            num_tenants=payload["num_tenants"],
-            admission=payload["admission"],
-            client=payload["client"],
-            load=payload["load"],
-            load_profile=payload["load_profile"],
-            num_cores=payload["num_cores"],
-            num_requests=payload["num_requests"],
-            queue_depth=payload["queue_depth"],
-            slo_cycles=payload["slo_cycles"],
-            think_factor=payload["think_factor"],
-            instructions=payload["instructions"],
-            churn_every=payload.get("churn_every", 0),
-            dram_wipe_bytes_per_cycle=payload["dram_wipe_bytes_per_cycle"],
-            measurement_cycles_per_page=payload["measurement_cycles_per_page"],
-            service_cycles=(
-                tuple((name, count) for name, count in cycles)
-                if cycles is not None
-                else None
-            ),
-        )
 
 
 def execute_fleet_shard_request(request: FleetShardRequest) -> ShardOutcome:
@@ -873,16 +669,6 @@ def execute_fleet_shard_request(request: FleetShardRequest) -> ShardOutcome:
     )
 
 
-def _fleet_shard_pool_worker(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point for shard runs: dicts in, dicts out."""
-    return _pool_execute(
-        envelope,
-        FleetShardRequest.from_payload,
-        execute_fleet_shard_request,
-        lambda outcome: outcome.to_dict(),
-    )
-
-
 @dataclass
 class FleetPlan:
     """One fleet request lowered onto shards (router already applied)."""
@@ -902,16 +688,18 @@ class FleetPlan:
 
 
 @dataclass(frozen=True)
-class FleetRunRequest:
+class FleetRunRequest(EngineRequest):
     """One fully specified fleet simulation (all shards plus the merge).
 
     Carries every fleet-level parameter — routing/admission policies,
     client model, fleet shape, queue bound, SLO/think factors, and the
-    extended churn-costing knobs — hashed into
-    :func:`repro.core.serialization.fleet_cache_key`.  Lowering onto
-    shard requests (:meth:`shard_plan`) needs the service-cycle table,
-    because two routers weigh tenants by their measured demand.
+    extended churn-costing knobs — all hashed into its cache key.
+    Lowering onto shard requests (:meth:`shard_plan`) needs the
+    service-cycle table, because two routers weigh tenants by their
+    measured demand.
     """
+
+    kind: ClassVar[str] = "fleet"
 
     policy: str
     config: MI6Config
@@ -933,30 +721,6 @@ class FleetRunRequest:
     dram_wipe_bytes_per_cycle: int = DEFAULT_WIPE_BYTES_PER_CYCLE
     measurement_cycles_per_page: int = DEFAULT_MEASUREMENT_CYCLES_PER_PAGE
     service_cycles: Optional[Tuple[Tuple[str, int], ...]] = None
-
-    def cache_key(self) -> str:
-        """Content-hash identity of this fleet run (the store key)."""
-        return fleet_cache_key(
-            self.policy,
-            self.config,
-            self.seed,
-            router=self.router,
-            admission=self.admission,
-            client=self.client,
-            load=self.load,
-            load_profile=self.load_profile,
-            num_shards=self.num_shards,
-            shard_cores=self.shard_cores,
-            num_tenants=self.num_tenants,
-            num_requests=self.num_requests,
-            queue_depth=self.queue_depth,
-            slo_factor=self.slo_factor,
-            think_factor=self.think_factor,
-            instructions=self.instructions,
-            churn_every=self.churn_every,
-            dram_wipe_bytes_per_cycle=self.dram_wipe_bytes_per_cycle,
-            measurement_cycles_per_page=self.measurement_cycles_per_page,
-        )
 
     def workload_requests(self) -> List[RunRequest]:
         """The kernel runs pricing this fleet (see :func:`pricing_requests`)."""
@@ -1122,9 +886,9 @@ def _merge_fleet(
 def execute_fleet_request(request: FleetRunRequest) -> FleetOutcome:
     """Run one fleet simulation serially (shards in index order).
 
-    The runner's :meth:`ParallelRunner.run_fleets` fans shards out over
-    the store and the process pool instead; this pure path exists for
-    direct callers and produces bit-identical results.
+    The runner's :meth:`ParallelRunner.run` fans shards out over the
+    store and the process pool instead; this pure path exists for direct
+    callers and produces bit-identical results.
     """
     plan = request.shard_plan(resolve_service_cycles(request))
     outcomes = [
@@ -1196,62 +960,29 @@ class FleetSpec:
         client model, load profile) and the numeric fleet shape are
         validated here rather than at run time.
         """
-        for name, value in (
-            ("variants", variants),
-            ("loads", loads),
-            ("seeds", seeds),
-        ):
-            if value is not None and len(value) == 0:
-                raise ValueError(f"{name} must not be empty (pass None for the default)")
-        if policy not in policy_names():
-            raise ValueError(
-                f"unknown scheduling policy {policy!r} "
-                f"(expected one of: {', '.join(policy_names())})"
-            )
-        if router not in router_names():
-            raise ValueError(
-                f"unknown routing policy {router!r} "
-                f"(expected one of: {', '.join(router_names())})"
-            )
-        if admission not in admission_names():
-            raise ValueError(
-                f"unknown admission policy {admission!r} "
-                f"(expected one of: {', '.join(admission_names())})"
-            )
-        if client not in client_model_names():
-            raise ValueError(
-                f"unknown client model {client!r} "
-                f"(expected one of: {', '.join(client_model_names())})"
-            )
-        if load_profile not in LOAD_PROFILES:
-            raise ValueError(
-                f"unknown load profile {load_profile!r} "
-                f"(expected one of: {', '.join(LOAD_PROFILES)})"
-            )
+        _reject_empty(variants=variants, loads=loads, seeds=seeds)
+        _require_known("scheduling policy", policy, policy_names())
+        _require_known("routing policy", router, router_names())
+        _require_known("admission policy", admission, admission_names())
+        _require_known("client model", client, client_model_names())
+        _require_known("load profile", load_profile, LOAD_PROFILES)
         if loads is not None and any(load <= 0.0 for load in loads):
             raise ValueError("loads must be positive fractions of shard capacity")
-        if num_shards < 1:
-            raise ValueError("num_shards must be positive")
-        if shard_cores < 1:
-            raise ValueError("shard_cores must be positive")
-        if num_tenants < 1:
-            raise ValueError("num_tenants must be positive")
-        if num_requests < 1:
-            raise ValueError("num_requests must be positive")
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be positive")
-        if slo_factor <= 0.0:
-            raise ValueError("slo_factor must be positive")
-        if think_factor < 0.0:
-            raise ValueError("think_factor must be non-negative")
-        if instructions < 1:
-            raise ValueError("instructions must be positive")
-        if churn_every < 0:
-            raise ValueError("churn_every must be non-negative")
-        if dram_wipe_bytes_per_cycle < 0:
-            raise ValueError("dram_wipe_bytes_per_cycle must be non-negative")
-        if measurement_cycles_per_page < 0:
-            raise ValueError("measurement_cycles_per_page must be non-negative")
+        _require_positive(
+            num_shards=num_shards,
+            shard_cores=shard_cores,
+            num_tenants=num_tenants,
+            num_requests=num_requests,
+            queue_depth=queue_depth,
+            slo_factor=slo_factor,
+        )
+        _require_non_negative(think_factor=think_factor)
+        _require_positive(instructions=instructions)
+        _require_non_negative(
+            churn_every=churn_every,
+            dram_wipe_bytes_per_cycle=dram_wipe_bytes_per_cycle,
+            measurement_cycles_per_page=measurement_cycles_per_page,
+        )
         settings = EvaluationSettings.from_environment()
         return cls(
             variants=(
@@ -1349,13 +1080,7 @@ class ExperimentSpec:
         grid.  Explicitly empty sequences are rejected rather than
         silently expanded into the full grid.
         """
-        for name, value in (
-            ("variants", variants),
-            ("benchmarks", benchmarks),
-            ("seeds", seeds),
-        ):
-            if value is not None and len(value) == 0:
-                raise ValueError(f"{name} must not be empty (pass None for the default)")
+        _reject_empty(variants=variants, benchmarks=benchmarks, seeds=seeds)
         settings = EvaluationSettings.from_environment()
         return cls(
             variants=tuple(variants) if variants is not None else tuple(all_variants()),
@@ -1425,8 +1150,78 @@ class ExperimentResult:
         return secured.overhead_vs(base)
 
 
+@dataclass(frozen=True)
+class JobKind:
+    """How the engine executes and stores one request kind.
+
+    Attributes:
+        request_type: The request dataclass (its ``kind`` tag is the key
+            of this entry in :data:`JOB_KINDS`).
+        execute: Name of the module-level function running one request.
+            It is looked up at every call, so instrumentation can wrap
+            it in place.
+        value_type: Type of the value one request produces.
+        encode / decode: The value's JSON document codec — the worker
+            transport, the store's document layer, and the wire.
+    """
+
+    request_type: Type[EngineRequest]
+    execute: str
+    value_type: type
+    encode: Callable[[Any], Dict[str, Any]]
+    decode: Callable[[Dict[str, Any]], Any]
+
+    def executor(self) -> Callable[[Any], Any]:
+        """The execute function as this module binds it right now."""
+        return globals()[self.execute]
+
+
+def _outcome(value_type: Any) -> Tuple[Any, Any, Any]:
+    """An outcome type with its own ``to_dict``/``from_dict`` codec."""
+    return value_type, value_type.to_dict, value_type.from_dict
+
+
+#: Request kind -> how the engine runs it.  Runs persist in the store's
+#: run layer; every other kind persists in its document layer under the
+#: kind tag.  A fleet is the one expanding kind: the runner lowers it onto
+#: shard requests of its own (see :meth:`ParallelRunner.run`), and
+#: :func:`execute_fleet_request` is the serial path for direct callers.
+JOB_KINDS: Dict[str, JobKind] = {
+    job.request_type.kind: job
+    for job in (
+        JobKind(RunRequest, "execute_request", WorkloadRun, run_to_dict, run_from_dict),
+        JobKind(ScenarioRequest, "execute_scenario_request", *_outcome(ScenarioOutcome)),
+        JobKind(ServiceRunRequest, "execute_service_request", *_outcome(ServiceOutcome)),
+        JobKind(FleetShardRequest, "execute_fleet_shard_request", *_outcome(ShardOutcome)),
+        JobKind(FleetRunRequest, "execute_fleet_request", *_outcome(FleetOutcome)),
+    )
+}
+
+
+def _pool_worker(envelope: Dict[str, Any]) -> Dict[str, Any]:
+    """Process-pool entry point for every kind: dicts in, dicts out.
+
+    The envelope is ``{"kind": tag, "request": to_payload(), "trace":
+    bool}``.  When the parent is tracing, the worker collects sim spans
+    on a local tracer and ships them back beside the encoded value — the
+    encoding itself is identical either way, so persisted store bytes
+    never depend on tracing.
+    """
+    job = JOB_KINDS[envelope["kind"]]
+    request = job.request_type.from_payload(envelope["request"])
+    if not envelope["trace"]:
+        return {"value": job.encode(job.executor()(request))}
+    tracer = Tracer()
+    previous = set_active_tracer(tracer)
+    try:
+        value = job.executor()(request)
+    finally:
+        set_active_tracer(previous)
+    return {"value": job.encode(value), "spans": tracer.span_dicts()}
+
+
 class ParallelRunner:
-    """Executes run requests through a store, in parallel on cache misses.
+    """Executes engine requests through a store, in parallel on cache misses.
 
     Args:
         store: Result store consulted before simulating (defaults to a
@@ -1438,10 +1233,10 @@ class ParallelRunner:
         executed_runs: Simulations actually executed by this runner.
         warm_runs: Requests served from the store without simulating.
         last_origins: Per-request provenance of the most recent
-            :meth:`run`/:meth:`run_scenarios` call, aligned with the
-            request sequence: ``"warm"`` for store hits, ``"cold"`` for
-            executed simulations (duplicate positions of one executed
-            key are all ``"cold"``).
+            :meth:`run` call, aligned with the request sequence:
+            ``"warm"`` for store hits, ``"cold"`` for executed
+            simulations (duplicate positions of one executed key are all
+            ``"cold"``).
         last_keys: Cache keys of the most recent call, aligned the same
             way — computed once here, so provenance consumers (the
             Session API) never re-hash configurations.
@@ -1455,38 +1250,46 @@ class ParallelRunner:
         self.last_origins: List[str] = []
         self.last_keys: List[str] = []
 
-    def _execute_through_store(
-        self,
-        requests: Sequence[Any],
-        *,
-        lookup: Any,
-        persist: Any,
-        execute: Any,
-        pool_worker: Any,
-        decode: Any,
-    ) -> List[Any]:
-        """Shared request-execution machinery for runs and scenarios.
+    def _lookup(self, kind: str, key: str) -> Any:
+        """The stored value of ``kind`` under ``key``, or ``None``."""
+        if kind == RunRequest.kind:
+            return self.store.get(key)
+        payload = self.store.get_payload(kind, key)
+        return JOB_KINDS[kind].decode(payload) if payload is not None else None
+
+    def _persist(self, kind: str, key: str, value: Any) -> None:
+        """Store a value: runs in the run layer, the rest as documents."""
+        if kind == RunRequest.kind:
+            self.store.put(key, value)
+        else:
+            self.store.put_payload(kind, key, JOB_KINDS[kind].encode(value))
+
+    def run(self, requests: Sequence[EngineRequest]) -> List[Any]:
+        """Execute requests of one kind, returning values in request order.
 
         Deduplicates by content key *before* the store lookup (so the
         store's hit/miss counters reflect simulations, not positions),
-        serves warm keys through ``lookup``, and fans the rest out over
-        the process pool — ``pool_worker`` must be a module-level
-        function taking the request's ``to_payload()`` dict and
-        returning an encoded result for ``decode``.
+        serves warm keys from the store, and fans the rest out over the
+        process pool, bit-identical to serial execution.  Serving
+        requests shipped without a ``service_cycles`` table price their
+        tenants inline (still deterministic, just slower; the Session
+        prices them through :meth:`priced` first).  Fleet requests
+        expand instead (:meth:`_run_fleets`).
         """
         requests = list(requests)
+        if requests and requests[0].kind == FleetRunRequest.kind:
+            return self._run_fleets(requests)
         results: List[Any] = [None] * len(requests)
         origins: List[str] = ["cold"] * len(requests)
         tracer = active_tracer()
         by_key: Dict[str, List[int]] = {}
         pending: Dict[str, List[int]] = {}
-        pending_requests: Dict[str, Any] = {}
         with wall_span("store-lookup", track="engine", requests=len(requests)):
             keys: List[str] = [request.cache_key() for request in requests]
             for position, key in enumerate(keys):
                 by_key.setdefault(key, []).append(position)
             for key, positions in by_key.items():
-                cached = lookup(key)
+                cached = self._lookup(requests[positions[0]].kind, key)
                 if cached is not None:
                     for position in positions:
                         results[position] = cached
@@ -1494,67 +1297,49 @@ class ParallelRunner:
                     self.warm_runs += len(positions)
                 else:
                     pending[key] = positions
-                    pending_requests[key] = requests[positions[0]]
         if pending:
-            pending_keys = list(pending)
-            _SIMULATIONS_TOTAL.inc(len(pending_keys))
+            to_run = [requests[positions[0]] for positions in pending.values()]
+            _SIMULATIONS_TOTAL.inc(len(to_run))
             with wall_span(
-                "worker-dispatch",
-                track="engine",
-                pending=len(pending_keys),
-                jobs=self.jobs,
+                "worker-dispatch", track="engine", pending=len(to_run), jobs=self.jobs
             ):
-                if self.jobs == 1 or len(pending_keys) == 1:
+                if self.jobs == 1 or len(to_run) == 1:
                     # In-process execution: the ambient tracer (if any)
                     # records sim spans directly.
-                    produced = [execute(pending_requests[key]) for key in pending_keys]
+                    produced = [
+                        JOB_KINDS[request.kind].executor()(request) for request in to_run
+                    ]
                 else:
                     envelopes = [
                         {
-                            "request": pending_requests[key].to_payload(),
+                            "kind": request.kind,
+                            "request": request.to_payload(),
                             "trace": tracer is not None,
                         }
-                        for key in pending_keys
+                        for request in to_run
                     ]
                     produced = []
-                    with ProcessPoolExecutor(
-                        max_workers=min(self.jobs, len(pending_keys))
-                    ) as pool:
+                    with ProcessPoolExecutor(max_workers=min(self.jobs, len(to_run))) as pool:
                         # pool.map preserves request order, so absorbed
                         # worker spans arrive in the same order the
                         # serial path would have recorded them.
-                        for encoded in pool.map(pool_worker, envelopes):
+                        for request, encoded in zip(to_run, pool.map(_pool_worker, envelopes)):
                             spans = encoded.get("spans")
                             if spans and tracer is not None:
                                 tracer.absorb(spans)
-                            produced.append(decode(encoded["value"]))
-            with wall_span("store-persist", track="engine", produced=len(pending_keys)):
-                for key, result in zip(pending_keys, produced):
-                    persist(key, result)
+                            produced.append(JOB_KINDS[request.kind].decode(encoded["value"]))
+            with wall_span("store-persist", track="engine", produced=len(to_run)):
+                for (key, positions), request, value in zip(pending.items(), to_run, produced):
+                    self._persist(request.kind, key, value)
                     self.executed_runs += 1
-                    for position in pending[key]:
-                        results[position] = result
+                    for position in positions:
+                        results[position] = value
         # `keys` stays the full position-aligned list (one per request),
         # NOT the deduplicated pending subset: provenance consumers zip
         # it against the request sequence.
         self.last_origins = origins
         self.last_keys = keys
         return results
-
-    def run(self, requests: Sequence[RunRequest]) -> List[WorkloadRun]:
-        """Execute requests, returning runs in request order."""
-        return self._execute_through_store(
-            requests,
-            lookup=self.store.get,
-            persist=self.store.put,
-            execute=execute_request,
-            pool_worker=_pool_worker,
-            decode=run_from_dict,
-        )
-
-    def run_one(self, request: RunRequest) -> WorkloadRun:
-        """Execute (or fetch) a single request."""
-        return self.run([request])[0]
 
     def priced(self, requests: Sequence[PricedRequest]) -> List[PricedRequest]:
         """Attach each serving request's kernel-priced cycle table.
@@ -1577,166 +1362,38 @@ class ParallelRunner:
         requests = spec.requests()
         return ExperimentResult(spec=spec, requests=requests, runs=self.run(requests))
 
-    # ------------------------------------------------------------------
-    # Security scenarios
+    def _run_fleets(self, requests: Sequence[Any]) -> List[FleetOutcome]:
+        """Fleet requests: a document lookup each, or lowering onto shards.
 
-    def run_scenarios(
-        self, requests: Sequence[ScenarioRequest]
-    ) -> List[ScenarioOutcome]:
-        """Execute scenario requests, returning outcomes in request order.
-
-        Mirrors :meth:`run`: outcomes are served from the store's
-        document layer when warm and fanned out over the process pool on
-        cache misses, with identical results either way.
+        The merged fleet document persists under the fleet kind, so a
+        repeated fleet is a single lookup.  A cold one is priced (kernel
+        runs) and its shards run through :meth:`run`, so it still shares
+        cached shards and kernel runs with earlier sweeps.  This level
+        records no engine spans of its own; ``last_keys`` and
+        ``last_origins`` are realigned with the fleet requests after the
+        nested calls.
         """
-
-        def lookup(key: str) -> Optional[ScenarioOutcome]:
-            payload = self.store.get_payload(SCENARIO_STORE_KIND, key)
-            return ScenarioOutcome.from_dict(payload) if payload is not None else None
-
-        def persist(key: str, outcome: ScenarioOutcome) -> None:
-            self.store.put_payload(SCENARIO_STORE_KIND, key, outcome.to_dict())
-
-        return self._execute_through_store(
-            requests,
-            lookup=lookup,
-            persist=persist,
-            execute=execute_scenario_request,
-            pool_worker=_scenario_pool_worker,
-            decode=ScenarioOutcome.from_dict,
-        )
-
-    def run_scenario_spec(
-        self, spec: ScenarioSpec
-    ) -> List[Tuple[ScenarioRequest, ScenarioOutcome]]:
-        """Execute a full security sweep, pairing requests with outcomes."""
-        requests = spec.requests()
-        return list(zip(requests, self.run_scenarios(requests)))
-
-    # ------------------------------------------------------------------
-    # Enclave serving
-
-    def run_services(
-        self, requests: Sequence[ServiceRunRequest]
-    ) -> List[ServiceOutcome]:
-        """Execute serving requests, returning outcomes in request order.
-
-        Mirrors :meth:`run_scenarios`: outcomes persist in the store's
-        document layer under :data:`SERVICE_STORE_KIND` and cache misses
-        fan out over the process pool, bit-identical either way.  The
-        caller (the Session) normally resolves each request's
-        ``service_cycles`` through the run layer first so the event loop
-        never re-simulates the kernel; requests shipped without a table
-        compute it inline (still deterministic, just slower).
-        """
-
-        def lookup(key: str) -> Optional[ServiceOutcome]:
-            payload = self.store.get_payload(SERVICE_STORE_KIND, key)
-            return ServiceOutcome.from_dict(payload) if payload is not None else None
-
-        def persist(key: str, outcome: ServiceOutcome) -> None:
-            self.store.put_payload(SERVICE_STORE_KIND, key, outcome.to_dict())
-
-        return self._execute_through_store(
-            requests,
-            lookup=lookup,
-            persist=persist,
-            execute=execute_service_request,
-            pool_worker=_service_pool_worker,
-            decode=ServiceOutcome.from_dict,
-        )
-
-    def run_service_spec(
-        self, spec: ServiceSpec
-    ) -> List[Tuple[ServiceRunRequest, ServiceOutcome]]:
-        """Execute a full serving sweep, pairing requests with outcomes."""
-        requests = spec.requests()
-        return list(zip(requests, self.run_services(requests)))
-
-    # ------------------------------------------------------------------
-    # Fleet serving
-
-    def run_fleet_shards(
-        self, requests: Sequence[FleetShardRequest]
-    ) -> List[ShardOutcome]:
-        """Execute shard requests, returning outcomes in request order.
-
-        Mirrors :meth:`run_services` one level down: shard outcomes
-        persist under :data:`FLEET_SHARD_STORE_KIND` and cache misses
-        fan out one-per-worker over the process pool.  Results are
-        bit-identical across ``jobs`` settings because each shard's
-        streams are seeded from ``(seed, shard_index)`` alone and
-        ``pool.map`` preserves request order.
-        """
-
-        def lookup(key: str) -> Optional[ShardOutcome]:
-            payload = self.store.get_payload(FLEET_SHARD_STORE_KIND, key)
-            return ShardOutcome.from_dict(payload) if payload is not None else None
-
-        def persist(key: str, outcome: ShardOutcome) -> None:
-            self.store.put_payload(FLEET_SHARD_STORE_KIND, key, outcome.to_dict())
-
-        return self._execute_through_store(
-            requests,
-            lookup=lookup,
-            persist=persist,
-            execute=execute_fleet_shard_request,
-            pool_worker=_fleet_shard_pool_worker,
-            decode=ShardOutcome.from_dict,
-        )
-
-    def _execute_fleet(self, request: FleetRunRequest) -> FleetOutcome:
-        """Lower one fleet request onto shards and merge the outcomes.
-
-        Cannot reuse ``_execute_through_store``'s execute hook: the
-        expansion itself goes back through the store (kernel pricing via
-        :meth:`run`, shards via :meth:`run_fleet_shards`), so warm fleet
-        reruns skip the shard layer entirely while cold ones still share
-        cached shards and kernel runs with earlier sweeps.
-        """
-        if request.service_cycles is None:
-            request = self.priced([request])[0]
-        plan = request.shard_plan(resolve_service_cycles(request))
-        outcomes = self.run_fleet_shards(plan.shard_requests)
-        return _merge_fleet(request, plan, outcomes)
-
-    def run_fleets(self, requests: Sequence[FleetRunRequest]) -> List[FleetOutcome]:
-        """Execute fleet requests, returning outcomes in request order.
-
-        The merged fleet document persists under
-        :data:`FLEET_STORE_KIND` keyed by
-        :func:`repro.core.serialization.fleet_cache_key`, so a repeated
-        fleet run is a single document lookup.  ``last_keys`` and
-        ``last_origins`` are (re)aligned with the *fleet* request
-        sequence after any nested kernel/shard execution updated them.
-        """
-        requests = list(requests)
-        results: List[Optional[FleetOutcome]] = [None] * len(requests)
-        origins: List[str] = ["cold"] * len(requests)
-        keys: List[str] = [request.cache_key() for request in requests]
+        keys = [request.cache_key() for request in requests]
+        origins = ["cold"] * len(requests)
+        results: List[FleetOutcome] = []
         executed: Dict[str, FleetOutcome] = {}
         for position, (request, key) in enumerate(zip(requests, keys)):
             if key in executed:
-                results[position] = executed[key]
+                results.append(executed[key])
                 continue
-            payload = self.store.get_payload(FLEET_STORE_KIND, key)
-            if payload is not None:
-                results[position] = FleetOutcome.from_dict(payload)
+            outcome = self._lookup(FleetRunRequest.kind, key)
+            if outcome is not None:
                 origins[position] = "warm"
                 self.warm_runs += 1
-                continue
-            outcome = self._execute_fleet(request)
-            self.store.put_payload(FLEET_STORE_KIND, key, outcome.to_dict())
-            self.executed_runs += 1
-            executed[key] = outcome
-            results[position] = outcome
+            else:
+                if request.service_cycles is None:
+                    request = self.priced([request])[0]
+                plan = request.shard_plan(resolve_service_cycles(request))
+                outcome = _merge_fleet(request, plan, self.run(plan.shard_requests))
+                self._persist(FleetRunRequest.kind, key, outcome)
+                self.executed_runs += 1
+                executed[key] = outcome
+            results.append(outcome)
         self.last_origins = origins
         self.last_keys = keys
-        return [outcome for outcome in results if outcome is not None]
-
-    def run_fleet_spec(
-        self, spec: FleetSpec
-    ) -> List[Tuple[FleetRunRequest, FleetOutcome]]:
-        """Execute a full fleet sweep, pairing requests with outcomes."""
-        requests = spec.requests()
-        return list(zip(requests, self.run_fleets(requests)))
+        return results

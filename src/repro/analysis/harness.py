@@ -28,12 +28,7 @@ from repro.analysis.engine import (
 )
 from repro.analysis.store import ResultStore
 from repro.api.requests import SweepRequest, WorkloadRequest
-from repro.api.session import (
-    Session,
-    coerce_session,
-    default_session,
-    set_default_session,
-)
+from repro.api.session import coerce_session, default_session
 from repro.core.mitigations import VariantLike, spec_name
 from repro.core.processor import WorkloadRun
 from repro.workloads.spec_cint2006 import benchmark_names
@@ -47,34 +42,12 @@ __all__ = [
     "branch_mpki_metric",
     "cached_run",
     "clear_run_cache",
-    "default_store",
     "flush_stall_metric",
     "llc_mpki_metric",
     "overhead_percent",
     "run_figure_series",
     "runtime_overhead_metric",
-    "set_default_store",
 ]
-
-
-def default_store() -> ResultStore:
-    """The default session's result store (deprecated shim).
-
-    Call sites that only need somewhere to cache runs should use
-    :func:`repro.api.default_session` directly; this remains because the
-    store-centric signature predates the Session API.
-    """
-    return default_session().store
-
-
-def set_default_store(store: ResultStore) -> ResultStore:
-    """Point the shared session at ``store`` (deprecated shim).
-
-    Replaces the process-wide default session with one owning ``store``;
-    prefer :func:`repro.api.set_default_session`.
-    """
-    set_default_session(Session(store))
-    return store
 
 
 def clear_run_cache(*, disk: bool = False) -> None:
@@ -85,7 +58,7 @@ def clear_run_cache(*, disk: bool = False) -> None:
     never be returned for a changed configuration, so clearing disk is
     only needed to reclaim space or force fresh simulations.
     """
-    default_store().clear(disk=disk)
+    default_session().store.clear(disk=disk)
 
 
 def cached_run(

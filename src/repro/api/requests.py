@@ -15,10 +15,10 @@ notebooks) speaks this one vocabulary instead of its own dialect:
 Requests are *declarative*: fields left as ``None`` resolve against the
 session's :class:`~repro.analysis.engine.EvaluationSettings` (environment
 defaults) at run time.  ``resolve`` lowers each request onto the engine's
-fully-specified form — :class:`~repro.analysis.engine.RunRequest`,
-:class:`~repro.analysis.engine.ExperimentSpec`, or
-:class:`~repro.analysis.engine.ScenarioSpec` — which is where the
-content-hash cache keys live.  Variant fields accept anything
+fully-specified form — a :class:`~repro.analysis.engine.RunRequest`, or
+the spec (:class:`~repro.analysis.engine.ExperimentSpec`,
+``ScenarioSpec``, ``ServiceSpec``, ``FleetSpec``) whose expansion holds
+the content-hash cache keys.  Variant fields accept anything
 :data:`~repro.core.mitigations.VariantLike`: legacy enum members,
 composed :class:`~repro.core.mitigations.MitigationSet` values, or spec
 strings such as ``"FLUSH+MISS"``.
@@ -36,7 +36,7 @@ for enum or :class:`MitigationSet` spellings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, ClassVar, Dict, Optional, Sequence, Union
 
 from repro.analysis.engine import (
@@ -55,10 +55,9 @@ from repro.analysis.engine import (
     ServiceSpec,
     request_for,
 )
-from repro.analysis.engine import ScenarioRequest as EngineScenarioRequest
 from repro.core.config import MI6Config
-from repro.core.mitigations import VariantLike, spec_name
-from repro.core.serialization import config_from_dict, config_to_dict
+from repro.core.mitigations import VariantLike
+from repro.core.serialization import decode_field, encode_field, field_types
 from repro.fleet.simulation import (
     DEFAULT_FLEET_SHARDS,
     DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
@@ -81,12 +80,6 @@ from repro.service.simulation import (
 #: reinterpreting fields.
 WIRE_VERSION = 1
 
-#: Request fields holding sequences; wire documents carry them as JSON
-#: arrays and decoding restores the canonical tuple spelling.
-_SEQUENCE_FIELDS = frozenset(
-    {"variants", "benchmarks", "seeds", "scenarios", "policies", "loads"}
-)
-
 #: The keys every request wire document must carry — exactly these.
 _WIRE_KEYS = frozenset({"wire_version", "kind", "fields"})
 
@@ -95,53 +88,49 @@ class WireError(ValueError):
     """A wire document is malformed, unknown, or version-incompatible."""
 
 
-def _encode_field(name: str, value: Any) -> Any:
-    if value is None:
-        return None
-    if name == "variant":
-        return spec_name(value)
-    if name == "variants":
-        return [spec_name(variant) for variant in value]
-    if name == "config":
-        return config_to_dict(value)
-    if name in _SEQUENCE_FIELDS:
-        return list(value)
-    return value
+class _SessionRequest:
+    """Base of the session's request dataclasses.
 
+    Provides the wire encoding and, for the grid-shaped kinds, the
+    lowering onto the engine's ``spec_type``: every field passes through
+    to its ``create`` (``requests`` as ``num_requests``), and unset seeds
+    and run lengths take the session settings.
+    """
 
-def _decode_field(name: str, value: Any) -> Any:
-    if value is None:
-        return None
-    if name == "variant":
-        spec_name(value)  # validation only: reject malformed specs early
-        return value if isinstance(value, str) else spec_name(value)
-    if name == "variants":
-        return tuple(_decode_field("variant", variant) for variant in value)
-    if name == "config":
-        return config_from_dict(value)
-    if name in _SEQUENCE_FIELDS:
-        return tuple(value)
-    return value
+    wire_kind: ClassVar[str]
+    spec_type: ClassVar[Any]
 
+    def resolve(self, settings: EvaluationSettings) -> Any:
+        """Lower onto the engine's spec of this request kind."""
+        arguments = {
+            "num_requests" if name == "requests" else name: getattr(self, name)
+            for name in field_types(type(self))
+        }
+        for name, default in (("seeds", (settings.seed,)), ("instructions", settings.instructions)):
+            if name in arguments and arguments[name] is None:
+                arguments[name] = default
+        return self.spec_type.create(**arguments)
 
-def _request_to_wire(request: "Request") -> Dict[str, Any]:
-    document_fields = {
-        field.name: _encode_field(field.name, getattr(request, field.name))
-        for field in dataclass_fields(request)
-    }
-    return {
-        "wire_version": WIRE_VERSION,
-        "kind": request.wire_kind,
-        "fields": document_fields,
-    }
+    def to_wire(self) -> Dict[str, Any]:
+        """Versioned JSON-serialisable document for this request."""
+        return {
+            "wire_version": WIRE_VERSION,
+            "kind": self.wire_kind,
+            "fields": {
+                name: encode_field(annotation, getattr(self, name))
+                for name, annotation in field_types(type(self)).items()
+            },
+        }
 
 
 def request_from_wire(document: Any) -> "Request":
     """Decode a wire document into the typed request it names.
 
     The inverse of ``Request.to_wire()``.  Strict by design — unknown
-    top-level keys, unknown request kinds, unknown fields, and any
-    ``wire_version`` other than :data:`WIRE_VERSION` are
+    top-level keys, unknown request kinds, unknown fields, any
+    ``wire_version`` other than :data:`WIRE_VERSION`, and field values
+    that do not match their declared type
+    (:func:`~repro.core.serialization.decode_field`) are
     :class:`WireError`\\ s, so a client/daemon skew can never silently
     drop or reinterpret a parameter.
     """
@@ -173,8 +162,8 @@ def request_from_wire(document: Any) -> "Request":
         raise WireError(
             f"wire 'fields' must be a JSON object, got {type(wire_fields).__name__}"
         )
-    known = {field.name for field in dataclass_fields(request_type)}
-    unknown_fields = sorted(set(wire_fields) - known)
+    types = field_types(request_type)
+    unknown_fields = sorted(set(wire_fields) - set(types))
     if unknown_fields:
         raise WireError(
             f"unknown field(s) for {kind!r} request: {', '.join(unknown_fields)}"
@@ -182,7 +171,7 @@ def request_from_wire(document: Any) -> "Request":
     decoded: Dict[str, Any] = {}
     for name, value in wire_fields.items():
         try:
-            decoded[name] = _decode_field(name, value)
+            decoded[name] = decode_field(types[name], value)
         except (TypeError, ValueError, KeyError) as error:
             raise WireError(
                 f"bad value for {kind!r} field {name!r}: {error}"
@@ -191,7 +180,7 @@ def request_from_wire(document: Any) -> "Request":
 
 
 @dataclass(frozen=True)
-class WorkloadRequest:
+class WorkloadRequest(_SessionRequest):
     """One benchmark run on one machine configuration.
 
     Attributes:
@@ -213,10 +202,6 @@ class WorkloadRequest:
     seed: Optional[int] = None
     warm_up: bool = True
     config: Optional[MI6Config] = None
-
-    def to_wire(self) -> Dict[str, Any]:
-        """Versioned JSON-serialisable document for this request."""
-        return _request_to_wire(self)
 
     def resolve(self, settings: EvaluationSettings) -> RunRequest:
         """Lower onto the engine's fully-specified run request."""
@@ -243,7 +228,7 @@ class WorkloadRequest:
 
 
 @dataclass(frozen=True)
-class SweepRequest:
+class SweepRequest(_SessionRequest):
     """A cartesian sweep: variants × benchmarks × seeds.
 
     ``None`` fields resolve to the paper's full grid (all seven named
@@ -252,32 +237,16 @@ class SweepRequest:
     """
 
     wire_kind: ClassVar[str] = "sweep"
+    spec_type: ClassVar[Any] = ExperimentSpec
 
     variants: Optional[Sequence[VariantLike]] = None
     benchmarks: Optional[Sequence[str]] = None
     seeds: Optional[Sequence[int]] = None
     instructions: Optional[int] = None
 
-    def to_wire(self) -> Dict[str, Any]:
-        """Versioned JSON-serialisable document for this request."""
-        return _request_to_wire(self)
-
-    def resolve(self, settings: EvaluationSettings) -> ExperimentSpec:
-        """Lower onto the engine's experiment spec."""
-        return ExperimentSpec.create(
-            variants=self.variants,
-            benchmarks=self.benchmarks,
-            seeds=self.seeds if self.seeds is not None else (settings.seed,),
-            instructions=(
-                self.instructions
-                if self.instructions is not None
-                else settings.instructions
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class ScenarioRequest:
+class ScenarioRequest(_SessionRequest):
     """Co-scheduled security scenarios across variants × seeds.
 
     ``None`` fields resolve to every registered scenario, the paper's
@@ -287,28 +256,16 @@ class ScenarioRequest:
     """
 
     wire_kind: ClassVar[str] = "scenario"
+    spec_type: ClassVar[Any] = ScenarioSpec
 
     scenarios: Optional[Sequence[str]] = None
     variants: Optional[Sequence[VariantLike]] = None
     seeds: Optional[Sequence[int]] = None
     num_cores: int = 2
 
-    def to_wire(self) -> Dict[str, Any]:
-        """Versioned JSON-serialisable document for this request."""
-        return _request_to_wire(self)
-
-    def resolve(self, settings: EvaluationSettings) -> ScenarioSpec:
-        """Lower onto the engine's scenario spec."""
-        return ScenarioSpec.create(
-            scenarios=self.scenarios,
-            variants=self.variants,
-            seeds=self.seeds if self.seeds is not None else (settings.seed,),
-            num_cores=self.num_cores,
-        )
-
 
 @dataclass(frozen=True)
-class ServiceRequest:
+class ServiceRequest(_SessionRequest):
     """An enclave-serving sweep: policies × variants × loads × seeds.
 
     ``None`` fields resolve to all three shipped scheduling policies,
@@ -320,6 +277,7 @@ class ServiceRequest:
     """
 
     wire_kind: ClassVar[str] = "service"
+    spec_type: ClassVar[Any] = ServiceSpec
 
     policies: Optional[Sequence[str]] = None
     variants: Optional[Sequence[VariantLike]] = None
@@ -332,28 +290,9 @@ class ServiceRequest:
     instructions: int = DEFAULT_SERVICE_INSTRUCTIONS
     churn_every: int = 0
 
-    def to_wire(self) -> Dict[str, Any]:
-        """Versioned JSON-serialisable document for this request."""
-        return _request_to_wire(self)
-
-    def resolve(self, settings: EvaluationSettings) -> ServiceSpec:
-        """Lower onto the engine's serving spec."""
-        return ServiceSpec.create(
-            policies=self.policies,
-            variants=self.variants,
-            loads=self.loads,
-            seeds=self.seeds if self.seeds is not None else (settings.seed,),
-            load_profile=self.load_profile,
-            num_cores=self.num_cores,
-            num_tenants=self.num_tenants,
-            num_requests=self.requests,
-            instructions=self.instructions,
-            churn_every=self.churn_every,
-        )
-
 
 @dataclass(frozen=True)
-class FleetRequest:
+class FleetRequest(_SessionRequest):
     """A fleet-scale serving sweep: variants × loads × seeds on shards.
 
     ``None`` fields resolve to the paper's BASE-vs-F+P+M+A comparison,
@@ -368,6 +307,7 @@ class FleetRequest:
     """
 
     wire_kind: ClassVar[str] = "fleet"
+    spec_type: ClassVar[Any] = FleetSpec
 
     variants: Optional[Sequence[VariantLike]] = None
     loads: Optional[Sequence[float]] = None
@@ -389,34 +329,6 @@ class FleetRequest:
     dram_wipe_bytes_per_cycle: int = DEFAULT_WIPE_BYTES_PER_CYCLE
     measurement_cycles_per_page: int = DEFAULT_MEASUREMENT_CYCLES_PER_PAGE
 
-    def to_wire(self) -> Dict[str, Any]:
-        """Versioned JSON-serialisable document for this request."""
-        return _request_to_wire(self)
-
-    def resolve(self, settings: EvaluationSettings) -> FleetSpec:
-        """Lower onto the engine's fleet spec."""
-        return FleetSpec.create(
-            variants=self.variants,
-            loads=self.loads,
-            seeds=self.seeds if self.seeds is not None else (settings.seed,),
-            policy=self.policy,
-            router=self.router,
-            admission=self.admission,
-            client=self.client,
-            load_profile=self.load_profile,
-            num_shards=self.num_shards,
-            shard_cores=self.shard_cores,
-            num_tenants=self.num_tenants,
-            num_requests=self.requests,
-            queue_depth=self.queue_depth,
-            slo_factor=self.slo_factor,
-            think_factor=self.think_factor,
-            instructions=self.instructions,
-            churn_every=self.churn_every,
-            dram_wipe_bytes_per_cycle=self.dram_wipe_bytes_per_cycle,
-            measurement_cycles_per_page=self.measurement_cycles_per_page,
-        )
-
 
 #: Any request the Session accepts.
 Request = Union[
@@ -433,7 +345,6 @@ _WIRE_KINDS: Dict[str, Any] = {
 }
 
 __all__ = [
-    "EngineScenarioRequest",
     "FleetRequest",
     "Request",
     "ScenarioRequest",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.engine import EvaluationSettings, ExperimentResult
+from repro.analysis.engine import JOB_KINDS, EvaluationSettings, ExperimentResult, JobKind
 from repro.api.requests import (
     WIRE_VERSION,
     SweepRequest,
@@ -35,7 +35,6 @@ from repro.api.requests import (
 from repro.attacks.scenarios import ScenarioOutcome
 from repro.core.mitigations import VariantLike, spec_name
 from repro.core.processor import WorkloadRun
-from repro.core.serialization import run_from_dict, run_to_dict
 from repro.fleet.simulation import FleetOutcome
 from repro.service.simulation import ServiceOutcome
 
@@ -221,13 +220,11 @@ class Result:
 # ----------------------------------------------------------------------
 # Wire codec: Result <-> versioned JSON document
 
-#: Wire tag -> (value type, encoder, decoder) for every entry kind the
-#: envelope can carry.  Declaration order is the dispatch order.
-_VALUE_CODECS: Dict[str, Tuple[type, Any, Any]] = {
-    "run": (WorkloadRun, run_to_dict, run_from_dict),
-    "scenario": (ScenarioOutcome, ScenarioOutcome.to_dict, ScenarioOutcome.from_dict),
-    "service": (ServiceOutcome, ServiceOutcome.to_dict, ServiceOutcome.from_dict),
-    "fleet": (FleetOutcome, FleetOutcome.to_dict, FleetOutcome.from_dict),
+#: Wire tag -> the engine kind (value type and codec) of every entry the
+#: envelope can carry; fleet shards never reach one.  Declaration order
+#: is the dispatch order.
+_VALUE_CODECS: Dict[str, JobKind] = {
+    kind: JOB_KINDS[kind] for kind in ("run", "scenario", "service", "fleet")
 }
 
 #: The keys every result wire document must carry — exactly these.
@@ -237,9 +234,9 @@ _RESULT_WIRE_KEYS = frozenset(
 
 
 def _value_to_wire(value: Any) -> Dict[str, Any]:
-    for tag, (value_type, encode, _) in _VALUE_CODECS.items():
-        if isinstance(value, value_type):
-            return {"kind": tag, "data": encode(value)}
+    for tag, job in _VALUE_CODECS.items():
+        if isinstance(value, job.value_type):
+            return {"kind": tag, "data": job.encode(value)}
     raise WireError(f"cannot encode result value of type {type(value).__name__}")
 
 
@@ -252,9 +249,8 @@ def _value_from_wire(document: Any) -> Any:
             f"unknown entry value kind {tag!r} "
             f"(expected one of: {', '.join(_VALUE_CODECS)})"
         )
-    _, _, decode = _VALUE_CODECS[tag]
     try:
-        return decode(document["data"])
+        return _VALUE_CODECS[tag].decode(document["data"])
     except (TypeError, ValueError, KeyError) as error:
         raise WireError(f"bad {tag!r} entry value: {error}") from error
 

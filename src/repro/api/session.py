@@ -20,23 +20,19 @@ process so BASE runs are computed once, re-pointable by the CLI via
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, get_args
 
 from repro.analysis.engine import (
     EvaluationSettings,
     ExperimentResult,
+    ExperimentSpec,
     ParallelRunner,
+    RunRequest,
     default_jobs,
 )
 from repro.analysis.store import ResultStore
-from repro.api.requests import (
-    FleetRequest,
-    Request,
-    ScenarioRequest,
-    ServiceRequest,
-    SweepRequest,
-    WorkloadRequest,
-)
+from repro.api.requests import Request, ScenarioRequest, SweepRequest, WorkloadRequest
 from repro.api.results import Provenance, Result, ResultEntry
 from repro.attacks.scenarios import scenario_description, scenario_names
 from repro.core.mitigations import (
@@ -52,6 +48,45 @@ from repro.fleet.clients import client_model_description, client_model_names
 from repro.fleet.routing import router_description, router_names
 from repro.service.schedulers import policy_description, policy_names
 from repro.workloads.spec_cint2006 import benchmark_names
+
+#: Engine kind -> the cell key (``ResultEntry.key``) of one of its
+#: requests; ``config.name`` is the variant's canonical name.
+_CELLS: Dict[str, Callable[[Any], Tuple[Any, ...]]] = {
+    "run": attrgetter("config.name", "benchmark", "seed"),
+    "scenario": attrgetter("scenario", "config.name", "seed"),
+    "service": attrgetter("policy", "config.name", "load", "seed"),
+    "fleet": attrgetter("config.name", "load", "seed"),
+}
+
+#: Serving kind -> the outcome fields of each entry's provenance audit:
+#: the purge audit of a service run, the admission audit of a fleet.
+#: These kinds' tenants are priced by kernel runs before they execute.
+_AUDITS: Dict[str, Tuple[str, ...]] = {
+    "service": (
+        "purge_count",
+        "purge_stall_cycles",
+        "charged_purge_cycles",
+        "charged_flush_cycles",
+        "per_core",
+    ),
+    "fleet": (
+        "offered",
+        "admitted",
+        "dropped_queue_full",
+        "rejected_deadline",
+        "deadline_misses",
+        "per_shard",
+    ),
+}
+
+
+def _audit(outcome: Any, names: Tuple[str, ...]) -> Dict[str, Any]:
+    """A serving outcome's audit fields, its per-row lists copied."""
+    audit: Dict[str, Any] = {}
+    for name in names:
+        value = getattr(outcome, name)
+        audit[name] = [dict(row) for row in value] if isinstance(value, list) else value
+    return audit
 
 
 class Session:
@@ -126,161 +161,57 @@ class Session:
     def run(self, request: Request) -> Result:
         """Execute one typed request and return its result envelope.
 
-        Repeats are served from the session's store (``warm`` entries);
-        everything else is simulated, in parallel when the session has
-        more than one job, and persisted before the call returns.
+        Every request kind takes the same path: resolve it against the
+        session settings into engine requests, price serving kinds'
+        tenants through the run layer, execute through the runner, and
+        wrap each value in an entry with its cell key, provenance and —
+        for serving kinds — its audit.  Repeats are served from the
+        session's store (``warm`` entries); everything else is
+        simulated, in parallel when the session has more than one job,
+        and persisted before the call returns.
         """
-        if isinstance(request, WorkloadRequest):
-            return self._run_workload(request)
-        if isinstance(request, SweepRequest):
-            return self._run_sweep(request)
-        if isinstance(request, ScenarioRequest):
-            return self._run_scenarios(request)
-        if isinstance(request, ServiceRequest):
-            return self._run_service(request)
-        if isinstance(request, FleetRequest):
-            return self._run_fleet(request)
-        raise TypeError(
-            f"unsupported request type {type(request).__name__!r} "
-            "(expected WorkloadRequest, SweepRequest, ScenarioRequest, "
-            "ServiceRequest, or FleetRequest)"
+        if not isinstance(request, get_args(Request)):
+            raise TypeError(
+                f"unsupported request type {type(request).__name__!r} "
+                "(expected WorkloadRequest, SweepRequest, ScenarioRequest, "
+                "ServiceRequest, or FleetRequest)"
+            )
+        resolved = request.resolve(self.settings)
+        engine_requests = (
+            [resolved] if isinstance(resolved, RunRequest) else resolved.requests()
         )
-
-    def _entries_for(
-        self,
-        values: Sequence[Any],
-        keys: Sequence[tuple],
-        purge_audits: Optional[Sequence[Optional[Dict[str, Any]]]] = None,
-    ) -> List[ResultEntry]:
-        # Snapshot the runner's per-request bookkeeping immediately: the
-        # cache keys were already computed during execution (no
-        # re-hashing here) and the origins belong to exactly this call.
-        cache_keys = list(self.runner.last_keys)
-        origins = list(self.runner.last_origins)
-        if purge_audits is None:
-            purge_audits = [None] * len(keys)
-        return [
+        kind = engine_requests[0].kind
+        started = time.perf_counter()
+        executed = (
+            self.runner.priced(engine_requests) if kind in _AUDITS else engine_requests
+        )
+        values = self.runner.run(executed)
+        elapsed = time.perf_counter() - started
+        # The runner's per-request bookkeeping belongs to exactly this
+        # call: its cache keys were computed during execution (no
+        # re-hashing here).
+        entries = [
             ResultEntry(
-                key=key,
+                key=_CELLS[kind](engine_request),
                 value=value,
                 provenance=Provenance(
                     cache_key=cache_key,
                     schema_version=SCHEMA_VERSION,
                     origin=origin,
-                    purge=purge,
+                    purge=_audit(value, _AUDITS[kind]) if kind in _AUDITS else None,
                 ),
             )
-            for value, key, cache_key, origin, purge in zip(
-                values, keys, cache_keys, origins, purge_audits
+            for engine_request, value, cache_key, origin in zip(
+                engine_requests, values, self.runner.last_keys, self.runner.last_origins
             )
         ]
-
-    def _run_workload(self, request: WorkloadRequest) -> Result:
-        resolved = request.resolve(self.settings)
-        started = time.perf_counter()
-        runs = self.runner.run([resolved])
-        elapsed = time.perf_counter() - started
-        keys = [(resolved.config.name, resolved.benchmark, resolved.seed)]
-        return Result(
-            request=request,
-            entries=self._entries_for(runs, keys),
-            wall_time_seconds=elapsed,
+        sweep = (
+            ExperimentResult(spec=resolved, requests=engine_requests, runs=values)
+            if isinstance(resolved, ExperimentSpec)
+            else None
         )
-
-    def _run_sweep(self, request: SweepRequest) -> Result:
-        spec = request.resolve(self.settings)
-        engine_requests = spec.requests()
-        started = time.perf_counter()
-        runs = self.runner.run(engine_requests)
-        elapsed = time.perf_counter() - started
-        sweep = ExperimentResult(spec=spec, requests=engine_requests, runs=runs)
-        keys = [
-            (engine_request.config.name, engine_request.benchmark, engine_request.seed)
-            for engine_request in engine_requests
-        ]
         return Result(
-            request=request,
-            entries=self._entries_for(sweep.runs, keys),
-            wall_time_seconds=elapsed,
-            sweep=sweep,
-        )
-
-    def _run_scenarios(self, request: ScenarioRequest) -> Result:
-        spec = request.resolve(self.settings)
-        engine_requests = spec.requests()
-        started = time.perf_counter()
-        outcomes = self.runner.run_scenarios(engine_requests)
-        elapsed = time.perf_counter() - started
-        keys = [
-            (engine_request.scenario, engine_request.config.name, engine_request.seed)
-            for engine_request in engine_requests
-        ]
-        return Result(
-            request=request,
-            entries=self._entries_for(outcomes, keys),
-            wall_time_seconds=elapsed,
-        )
-
-    def _run_service(self, request: ServiceRequest) -> Result:
-        spec = request.resolve(self.settings)
-        engine_requests = spec.requests()
-        started = time.perf_counter()
-        outcomes = self.runner.run_services(self.runner.priced(engine_requests))
-        elapsed = time.perf_counter() - started
-        keys = [
-            (
-                service_request.policy,
-                service_request.config.name,
-                service_request.load,
-                service_request.seed,
-            )
-            for service_request in engine_requests
-        ]
-        purge_audits = [
-            {
-                "purge_count": outcome.purge_count,
-                "purge_stall_cycles": outcome.purge_stall_cycles,
-                "charged_purge_cycles": outcome.charged_purge_cycles,
-                "charged_flush_cycles": outcome.charged_flush_cycles,
-                "per_core": [dict(row) for row in outcome.per_core],
-            }
-            for outcome in outcomes
-        ]
-        return Result(
-            request=request,
-            entries=self._entries_for(outcomes, keys, purge_audits),
-            wall_time_seconds=elapsed,
-        )
-
-    def _run_fleet(self, request: FleetRequest) -> Result:
-        spec = request.resolve(self.settings)
-        engine_requests = spec.requests()
-        started = time.perf_counter()
-        outcomes = self.runner.run_fleets(self.runner.priced(engine_requests))
-        elapsed = time.perf_counter() - started
-        keys = [
-            (
-                fleet_request.config.name,
-                fleet_request.load,
-                fleet_request.seed,
-            )
-            for fleet_request in engine_requests
-        ]
-        admission_audits = [
-            {
-                "offered": outcome.offered,
-                "admitted": outcome.admitted,
-                "dropped_queue_full": outcome.dropped_queue_full,
-                "rejected_deadline": outcome.rejected_deadline,
-                "deadline_misses": outcome.deadline_misses,
-                "per_shard": [dict(row) for row in outcome.per_shard],
-            }
-            for outcome in outcomes
-        ]
-        return Result(
-            request=request,
-            entries=self._entries_for(outcomes, keys, admission_audits),
-            wall_time_seconds=elapsed,
+            request=request, entries=entries, wall_time_seconds=elapsed, sweep=sweep
         )
 
     # ------------------------------------------------------------------

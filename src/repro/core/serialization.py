@@ -5,12 +5,16 @@ result store (:mod:`repro.analysis.store`) need two things from the core
 layer:
 
 * a canonical, content-addressed identity for a simulation — the cache
-  key of a run is a SHA-256 digest over the *full* machine configuration
-  plus the workload parameters, so any configuration change (not just the
-  variant name) invalidates cached results;
+  key of a run (:func:`run_cache_key`) or of any other engine request
+  (:func:`request_cache_key`) is a SHA-256 digest over the *full* machine
+  configuration plus the request's parameters, so any configuration
+  change (not just the variant name) invalidates cached results;
 * a lossless serialisation of :class:`~repro.core.processor.WorkloadRun`
   so results survive process boundaries (the parallel runner's worker
-  processes) and process exits (the on-disk store).
+  processes) and process exits (the on-disk store);
+* one field-typed codec for request dataclasses, shared by the worker
+  payloads (:func:`request_to_payload`) and the strict wire decoder
+  (:func:`decode_field`).
 
 Everything here is plain dicts of JSON-compatible scalars; enums are
 encoded by name.  ``SCHEMA_VERSION`` is folded into every digest so a
@@ -22,12 +26,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import abc
 from dataclasses import fields, is_dataclass
 from enum import Enum
-from typing import Any, Dict
+from functools import lru_cache
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Mapping,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.common.stats import StatsRegistry
 from repro.core.config import MI6Config
+from repro.core.mitigations import VariantLike, spec_name
 from repro.core.processor import WorkloadRun
 from repro.mem.address import AddressMap, CacheGeometry, IndexFunction
 from repro.mem.dram import DramConfig
@@ -45,10 +62,13 @@ SCHEMA_VERSION = 2
 
 #: Digest-builder parameters deliberately excluded from their content
 #: hash, as ``owner -> {name: justification}``.  Empty today: every
-#: parameter of every ``*_cache_key`` below is hashed.  The ``cache-key``
-#: lint rule (``repro lint``) enforces that invariant and keeps this
-#: table honest (stale or unjustified entries are findings).
+#: parameter of :func:`run_cache_key` is hashed.  The ``cache-key`` lint
+#: rule (``repro lint``) enforces that invariant and keeps this table
+#: honest (stale or unjustified entries are findings).
 CACHE_KEY_EXCLUSIONS: Dict[str, Dict[str, str]] = {}
+
+#: An engine request type rebuilt by :func:`request_from_payload`.
+_Request = TypeVar("_Request")
 
 
 # ----------------------------------------------------------------------
@@ -123,197 +143,112 @@ def run_cache_key(
     )
 
 
-def scenario_cache_key(
-    scenario: str, config: MI6Config, seed: int, *, num_cores: int = 2
-) -> str:
-    """Canonical cache key for one security-scenario run.
+def request_cache_key(request: Any, kind: str, exclusions: Mapping[str, str]) -> str:
+    """Canonical cache key of an engine request, derived from its fields.
 
-    Mirrors :func:`run_cache_key`: the digest covers the complete machine
-    configuration, so a scenario outcome cached for one variant can never
-    be returned for another.  The ``kind`` discriminator keeps scenario
-    keys disjoint from benchmark-run keys even for identical configs.
-
-    ``num_cores`` is the *machine* core count the scenario co-schedules
-    on (distinct from ``config.num_cores``, the conceptual 16-core
-    arithmetic).  Adding it to the digest also retired every pre-seeded
-    scenario key: scenario machines now take their RNG seed from the
-    scenario seed (it was hardwired to 7), which changes outcomes for
-    what would otherwise be the same key.  Benchmark-run keys are
-    untouched by either change.
+    Mirrors :func:`run_cache_key` for every other request kind: the
+    digest covers the schema version, the ``kind`` discriminator (which
+    keeps the kinds' keys disjoint even for identical fields) and every
+    dataclass field of ``request`` — the complete machine configuration
+    included, tuples hashed as JSON arrays — except the ``exclusions`` its owner
+    declares in a ``CACHE_KEY_EXCLUSIONS`` table.  A field added to a
+    request therefore reaches its key without touching this function,
+    and the ``cache-key`` lint rule checks that the loop drops nothing
+    but those exclusions.
     """
-    return _digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "kind": "scenario",
-            "scenario": scenario,
-            "config": config_to_dict(config),
-            "seed": seed,
-            "num_cores": num_cores,
-        }
+    document: Dict[str, Any] = {"schema": SCHEMA_VERSION, "kind": kind}
+    for field in fields(request):
+        if field.name in exclusions:
+            continue
+        document[field.name] = _encode_value(getattr(request, field.name))
+    return _digest(document)
+
+
+# ----------------------------------------------------------------------
+# Request fields: worker payloads and wire documents
+
+
+def request_to_payload(request: Any) -> Dict[str, Any]:
+    """JSON-compatible encoding of every field of an engine request."""
+    return {field.name: _encode_value(getattr(request, field.name)) for field in fields(request)}
+
+
+def request_from_payload(
+    request_type: Callable[..., _Request], payload: Mapping[str, Any]
+) -> _Request:
+    """Rebuild a request from :func:`request_to_payload` output."""
+    types = field_types(request_type)
+    return request_type(
+        **{name: decode_field(types[name], value) for name, value in payload.items()}
     )
 
 
-def service_cache_key(
-    policy: str,
-    config: MI6Config,
-    seed: int,
-    *,
-    load: float,
-    load_profile: str,
-    num_cores: int,
-    num_tenants: int,
-    num_requests: int,
-    instructions: int,
-    churn_every: int = 0,
-) -> str:
-    """Canonical cache key for one enclave-serving simulation.
+@lru_cache(maxsize=None)
+def field_types(owner: Any) -> Mapping[str, Any]:
+    """Resolved annotations of a dataclass's fields, by field name (shared; read-only)."""
+    hints = get_type_hints(owner)
+    return {field.name: hints[field.name] for field in fields(owner)}
 
-    Mirrors :func:`run_cache_key` and :func:`scenario_cache_key`: the
-    digest covers the complete machine configuration plus every serving
-    parameter the event loop consumes (policy, load point and profile,
-    fleet shape, request stream length, per-request instruction budget,
-    churn period), under its own ``kind`` discriminator.  The per-
-    benchmark service-cycle table is deliberately *not* part of the key:
-    it is derived deterministically from ``(config, instructions,
-    seed)`` through the run layer, so hashing it would only duplicate
-    information already covered.
+
+def _optional_inner(annotation: Any) -> Any:
+    """``X`` for ``Optional[X]``; any other annotation unchanged."""
+    if get_origin(annotation) is Union:
+        members = [arg for arg in get_args(annotation) if arg is not type(None)]
+        if len(members) == 1:
+            return members[0]
+    return annotation
+
+
+def encode_field(annotation: Any, value: Any) -> Any:
+    """JSON-compatible form of a field value of type ``annotation``.
+
+    Variant specs become their canonical names (``spec_name``), sequences
+    become arrays, and configurations become :func:`config_to_dict`
+    documents.
     """
-    return _digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "kind": "service",
-            "policy": policy,
-            "config": config_to_dict(config),
-            "seed": seed,
-            "load": load,
-            "load_profile": load_profile,
-            "num_cores": num_cores,
-            "num_tenants": num_tenants,
-            "num_requests": num_requests,
-            "instructions": instructions,
-            "churn_every": churn_every,
-        }
-    )
+    annotation = _optional_inner(annotation)
+    if value is not None and annotation == VariantLike:
+        return spec_name(value)
+    if value is not None and get_origin(annotation) is abc.Sequence:
+        return [encode_field(get_args(annotation)[0], item) for item in value]
+    return _encode_value(value)
 
 
-def fleet_cache_key(
-    policy: str,
-    config: MI6Config,
-    seed: int,
-    *,
-    router: str,
-    admission: str,
-    client: str,
-    load: float,
-    load_profile: str,
-    num_shards: int,
-    shard_cores: int,
-    num_tenants: int,
-    num_requests: int,
-    queue_depth: int,
-    slo_factor: float,
-    think_factor: float,
-    instructions: int,
-    churn_every: int,
-    dram_wipe_bytes_per_cycle: int,
-    measurement_cycles_per_page: int,
-) -> str:
-    """Canonical cache key for one fleet simulation (the merged document).
+def decode_field(annotation: Any, value: Any) -> Any:
+    """Check a JSON value against ``annotation`` and rebuild the typed field.
 
-    Mirrors :func:`service_cache_key` one level up: the digest covers
-    the complete machine configuration plus every fleet parameter —
-    routing and admission policies, client model, fleet shape, queue
-    bound, SLO and think-time factors, and the extended churn-costing
-    knobs (DRAM-wipe bandwidth, measurement cost) — under its own
-    ``kind`` discriminator.  The per-benchmark service-cycle table is
-    deliberately *not* part of the key: it is derived deterministically
-    from ``(config, instructions, seed)`` through the run layer.
+    ``int`` rejects booleans, ``float`` accepts ints and keeps them as
+    sent (so no cache key moves), ``Optional`` admits ``null``,
+    sequences must be arrays and become tuples, configurations are
+    rebuilt with :func:`config_from_dict`, and variant specs must be
+    strings naming registered mitigations.  Raises :class:`TypeError` on
+    a mismatch and :class:`ValueError` for an unknown variant spec.
     """
-    return _digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "kind": "fleet",
-            "policy": policy,
-            "config": config_to_dict(config),
-            "seed": seed,
-            "router": router,
-            "admission": admission,
-            "client": client,
-            "load": load,
-            "load_profile": load_profile,
-            "num_shards": num_shards,
-            "shard_cores": shard_cores,
-            "num_tenants": num_tenants,
-            "num_requests": num_requests,
-            "queue_depth": queue_depth,
-            "slo_factor": slo_factor,
-            "think_factor": think_factor,
-            "instructions": instructions,
-            "churn_every": churn_every,
-            "dram_wipe_bytes_per_cycle": dram_wipe_bytes_per_cycle,
-            "measurement_cycles_per_page": measurement_cycles_per_page,
-        }
-    )
-
-
-def fleet_shard_cache_key(
-    policy: str,
-    config: MI6Config,
-    seed: int,
-    *,
-    shard_index: int,
-    tenants: tuple,
-    num_tenants: int,
-    admission: str,
-    client: str,
-    load: float,
-    load_profile: str,
-    num_cores: int,
-    num_requests: int,
-    queue_depth: int,
-    slo_cycles: int,
-    think_factor: float,
-    instructions: int,
-    churn_every: int,
-    dram_wipe_bytes_per_cycle: int,
-    measurement_cycles_per_page: int,
-) -> str:
-    """Canonical cache key for one shard of a fleet simulation.
-
-    Shards are the engine's unit of parallel fan-out, so each needs its
-    own content-hash identity in the store's document layer.  The
-    digest covers everything the shard event loop consumes — including
-    the shard index (it seeds the shard's streams) and the exact tenant
-    placement the router produced — under its own ``kind``
-    discriminator.  The service-cycle table is excluded for the same
-    reason as in :func:`service_cache_key`; the router name is fleet-
-    level state (the placement it produced is hashed instead).
-    """
-    return _digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "kind": "fleet-shard",
-            "policy": policy,
-            "config": config_to_dict(config),
-            "seed": seed,
-            "shard_index": shard_index,
-            "tenants": list(tenants),
-            "num_tenants": num_tenants,
-            "admission": admission,
-            "client": client,
-            "load": load,
-            "load_profile": load_profile,
-            "num_cores": num_cores,
-            "num_requests": num_requests,
-            "queue_depth": queue_depth,
-            "slo_cycles": slo_cycles,
-            "think_factor": think_factor,
-            "instructions": instructions,
-            "churn_every": churn_every,
-            "dram_wipe_bytes_per_cycle": dram_wipe_bytes_per_cycle,
-            "measurement_cycles_per_page": measurement_cycles_per_page,
-        }
-    )
+    inner = _optional_inner(annotation)
+    if value is None and inner is not annotation:
+        return None
+    if inner == VariantLike:
+        if not isinstance(value, str):
+            raise TypeError(f"expected a variant spec string, got {value!r}")
+        spec_name(value)  # validation only: reject unknown mitigations
+        return value
+    origin, args = get_origin(inner), get_args(inner)
+    if origin in (tuple, abc.Sequence):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected an array, got {value!r}")
+        # Tuple[X, ...] and Sequence[X] repeat X; Tuple[X, Y] is positional.
+        items = list(args) if origin is tuple and Ellipsis not in args else [args[0]] * len(value)
+        if len(items) != len(value):
+            raise TypeError(f"expected {len(items)} items, got {value!r}")
+        return tuple(decode_field(item, member) for item, member in zip(items, value))
+    if inner is MI6Config:
+        if not isinstance(value, dict):
+            raise TypeError(f"expected a configuration object, got {value!r}")
+        return config_from_dict(value)
+    accepted = (int, float) if inner is float else inner
+    if isinstance(value, bool) is not (inner is bool) or not isinstance(value, accepted):
+        raise TypeError(f"expected {getattr(inner, '__name__', inner)}, got {value!r}")
+    return value
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Bad fixture: digest gaps in a key function and a request dataclass."""
+"""Bad fixture: digest gaps in key functions and a request dataclass."""
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 CACHE_KEY_EXCLUSIONS = {
     "service_cache_key": {
@@ -21,6 +21,15 @@ def service_cache_key(policy, config, seed, *, load, load_profile):
         "load": load,
     }
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def request_cache_key(request, kind, exclusions):
+    document = {"kind": kind}
+    for field in fields(request):
+        if field.name in exclusions or field.name == "load":
+            continue
+        document[field.name] = getattr(request, field.name)
+    return hashlib.sha256(json.dumps(document).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

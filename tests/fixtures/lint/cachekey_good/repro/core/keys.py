@@ -2,10 +2,13 @@
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 CACHE_KEY_EXCLUSIONS = {
     "RunRequest": {
+        "service_cycles": "derived deterministically from the other fields",
+    },
+    "ShardRequest": {
         "service_cycles": "derived deterministically from the other fields",
     },
 }
@@ -47,3 +50,28 @@ class SweepSpec:
         return [
             RunRequest(name, self.instructions, 7, {}) for name in self.variants
         ]
+
+
+def request_cache_key(request, kind, exclusions):
+    document = {"kind": kind}
+    for field in fields(request):
+        if field.name in exclusions:
+            continue
+        document[field.name] = getattr(request, field.name)
+    return hashlib.sha256(json.dumps(document).encode()).hexdigest()
+
+
+class KindedRequest:
+    kind = "shard"
+
+    def cache_key(self):
+        return request_cache_key(
+            self, self.kind, CACHE_KEY_EXCLUSIONS.get(type(self).__name__, {})
+        )
+
+
+@dataclass(frozen=True)
+class ShardRequest(KindedRequest):
+    shard: int
+    tenants: tuple
+    service_cycles: dict

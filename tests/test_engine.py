@@ -1,14 +1,21 @@
 """Tests for the experiment engine, serialization, and result store."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.analysis.engine import (
+    CACHE_KEY_EXCLUSIONS,
+    JOB_KINDS,
     EvaluationSettings,
     ExperimentSpec,
+    FleetRunRequest,
+    FleetShardRequest,
     ParallelRunner,
     RunRequest,
+    ScenarioRequest,
+    ServiceRunRequest,
     execute_request,
     request_for,
 )
@@ -71,6 +78,52 @@ class TestSerialization:
         from_env = EvaluationSettings.from_environment()
         assert from_env.instructions == 1234
         assert from_env.seed == 99
+
+    def test_every_keyed_field_moves_the_cache_key(self):
+        # One request of each engine kind; changing any field outside
+        # CACHE_KEY_EXCLUSIONS must change its key, and changing an
+        # excluded field must not.
+        config = MI6Config()
+        requests = [
+            RunRequest(config=config, benchmark="gcc", instructions=2000, seed=1),
+            ScenarioRequest("spectre", config, seed=1),
+            ServiceRunRequest("fifo", config),
+            FleetShardRequest(
+                policy="fifo", config=config, seed=1, shard_index=0, tenants=(0, 1),
+                num_tenants=2, admission="deadline", client="open_loop", load=0.7,
+                load_profile="poisson", num_cores=2, num_requests=10, queue_depth=4,
+                slo_cycles=5000, think_factor=1.0, instructions=2000,
+            ),
+            FleetRunRequest("affinity", config),
+        ]
+        assert sorted(request.kind for request in requests) == sorted(JOB_KINDS)
+
+        def changed(value):
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, (int, float)):
+                return value + 1
+            if isinstance(value, str):
+                return value + "-other"
+            if isinstance(value, tuple):
+                return value + (2,)
+            if isinstance(value, MI6Config):
+                return replace(value, trap_interval_instructions=12_345)
+            assert value is None
+            return (("gcc", 1_000),)
+
+        for request in requests:
+            excluded = CACHE_KEY_EXCLUSIONS.get(type(request).__name__, {})
+            for field in fields(request):
+                moved = replace(request, **{field.name: changed(getattr(request, field.name))})
+                label = f"{type(request).__name__}.{field.name}"
+                if field.name in excluded:
+                    assert moved.cache_key() == request.cache_key(), label
+                else:
+                    assert moved.cache_key() != request.cache_key(), label
+        assert {
+            name for owner in CACHE_KEY_EXCLUSIONS.values() for name in owner
+        } == {"service_cycles"}
 
     def test_parse_variant_accepts_both_spellings(self):
         assert parse_variant("F+P+M+A") is Variant.F_P_M_A

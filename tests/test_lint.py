@@ -2,10 +2,10 @@
 
 Covers every rule family against good/bad fixture trees under
 ``tests/fixtures/lint/``, the suppression and baseline mechanisms, the
-``repro lint`` CLI surface, the shipped-tree self-check, and the
-mutation checks the issue calls for: deleting a field-consuming line
-from ``service_cache_key`` or stripping the sanctioned-tap annotations
-from ``mem/cache.py`` must turn the lint red.
+``repro lint`` CLI surface, the shipped-tree self-check, and mutation
+checks on the shipped tree: letting the field-driven cache-key builder
+drop a ``ServiceRunRequest`` field, or stripping the sanctioned-tap
+annotations from ``mem/cache.py``, must turn the lint red.
 """
 
 import json
@@ -101,6 +101,7 @@ class TestCacheKeyRule:
         assert "SweepSpec.instructions is not consumed by requests()" in found
         assert "empty justification" in found
         assert "unknown owner 'GhostRequest'" in found
+        assert "request_cache_key() drops fields by a test other than its exclusions" in found
 
     def test_good_fixture_is_clean(self):
         report = lint_fixture("cachekey_good", rules=["cache-key"])
@@ -437,20 +438,41 @@ class TestShippedTree:
             "config",
         ],
     )
-    def test_deleting_a_service_cache_key_line_fails_lint(self, tmp_path, field):
-        source = (REPO_ROOT / "src/repro/core/serialization.py").read_text()
-        needle = f'"{field}":'
-        assert needle in source
-        mutated = "\n".join(
-            line for line in source.splitlines() if needle not in line
-        )
-        assert mutated != source
-        report = lint_mutated(
-            tmp_path, "repro/core/serialization.py", mutated, rules=["cache-key"]
-        )
-        assert any(
-            "service_cache_key" in m and f"{field!r}" in m for m in messages(report)
-        ), f"deleting the {field} line must be a cache-key finding"
+    def test_dropping_a_service_request_field_fails_lint(self, tmp_path, field):
+        # The key builder lives in core/serialization.py and the requests
+        # handing themselves to it in analysis/engine.py; lint both.
+        serialization = (REPO_ROOT / "src/repro/core/serialization.py").read_text()
+        engine = (REPO_ROOT / "src/repro/analysis/engine.py").read_text()
+        skip = "        if field.name in exclusions:\n"
+        entry = '    "ServiceRunRequest": {\n'
+        handed = "CACHE_KEY_EXCLUSIONS.get(type(self).__name__, {})"
+        assert skip in serialization and entry in engine and handed in engine
+        mutations = {
+            "builder-test": (
+                serialization.replace(skip, skip.replace(":", f" or field.name == {field!r}:")),
+                engine,
+            ),
+            "empty-justification": (
+                serialization,
+                engine.replace(entry, entry + f'        "{field}": "",\n'),
+            ),
+            "table-bypass": (
+                serialization,
+                engine.replace(handed, f'{{**{handed}, "{field}": "derived"}}'),
+            ),
+        }
+        for mutation, (mutated_serialization, mutated_engine) in mutations.items():
+            root = tmp_path / mutation
+            for relpath, source in (
+                ("repro/core/serialization.py", mutated_serialization),
+                ("repro/analysis/engine.py", mutated_engine),
+            ):
+                (root / relpath).parent.mkdir(parents=True, exist_ok=True)
+                (root / relpath).write_text(source)
+            report = run_rules(build_context([root], root=root), rules=["cache-key"])
+            assert any(
+                f"{field!r}" in message for message in messages(report)
+            ), f"{mutation} dropping {field} must be a cache-key finding"
 
     def test_stripping_cache_rng_annotations_fails_lint(self, tmp_path):
         source = (REPO_ROOT / "src/repro/mem/cache.py").read_text()

@@ -52,11 +52,12 @@ def run_service_spec(jobs, tracer=None, directory=None):
     spec = ServiceSpec.create(**SPEC_FIELDS)
     store = ResultStore.in_memory() if directory is None else ResultStore(directory)
     runner = ParallelRunner(store=store, jobs=jobs)
+    requests = spec.requests()
     if tracer is None:
-        pairs = runner.run_service_spec(spec)
+        pairs = zip(requests, runner.run(requests))
     else:
         with tracing(tracer):
-            pairs = runner.run_service_spec(spec)
+            pairs = zip(requests, runner.run(requests))
     return [(request.cache_key(), outcome.to_dict()) for request, outcome in pairs]
 
 

@@ -170,10 +170,10 @@ class TestScenarioEngine:
     def test_warm_start_from_disk(self, tmp_path):
         spec = ScenarioSpec.create(scenarios=["branch_residue"], seeds=[2019])
         cold_runner = ParallelRunner(ResultStore(tmp_path))
-        cold = cold_runner.run_scenarios(spec.requests())
+        cold = cold_runner.run(spec.requests())
         assert cold_runner.executed_runs == spec.size == 2
         warm_runner = ParallelRunner(ResultStore(tmp_path))
-        warm = warm_runner.run_scenarios(spec.requests())
+        warm = warm_runner.run(spec.requests())
         assert warm_runner.executed_runs == 0
         assert warm_runner.warm_runs == spec.size
         assert [outcome.to_dict() for outcome in warm] == [
@@ -184,10 +184,10 @@ class TestScenarioEngine:
         spec = ScenarioSpec.create(
             scenarios=["branch_residue", "spectre"], seeds=[2019]
         )
-        serial = ParallelRunner(ResultStore.in_memory(), jobs=1).run_scenarios(
+        serial = ParallelRunner(ResultStore.in_memory(), jobs=1).run(
             spec.requests()
         )
-        parallel = ParallelRunner(ResultStore.in_memory(), jobs=2).run_scenarios(
+        parallel = ParallelRunner(ResultStore.in_memory(), jobs=2).run(
             spec.requests()
         )
         assert [outcome.to_dict() for outcome in serial] == [

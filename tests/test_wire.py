@@ -139,6 +139,44 @@ class TestRequestStrictness:
         with pytest.raises(WireError, match="JSON object"):
             request_from_wire([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "kind, name, value",
+        [
+            ("workload", "warm_up", "no"),
+            ("workload", "seed", True),
+            ("workload", "seed", "7"),
+            ("workload", "instructions", 2000.0),
+            ("workload", "variant", ["FLUSH", "MISS"]),
+            ("workload", "benchmark", None),
+            ("workload", "config", "BASE"),
+            ("sweep", "seeds", "12"),
+            ("sweep", "variants", "BASE"),
+            ("sweep", "benchmarks", [1, 2]),
+            ("scenario", "num_cores", 4.0),
+            ("service", "loads", [True]),
+            ("service", "requests", "40"),
+            ("fleet", "slo_factor", "8"),
+            ("fleet", "think_factor", None),
+        ],
+        ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+    )
+    def test_mistyped_field_rejected(self, kind, name, value):
+        document = {"wire_version": WIRE_VERSION, "kind": kind, "fields": {name: value}}
+        with pytest.raises(WireError, match=f"bad value for {kind!r} field {name!r}"):
+            request_from_wire(document)
+
+    def test_float_fields_keep_ints_as_sent(self):
+        # An int where a float is declared is accepted unchanged, so a
+        # document spelling a load as 1 keeps the key it always had.
+        document = ServiceRequest(loads=(1, 0.5)).to_wire()
+        decoded = request_from_wire(json.loads(json.dumps(document)))
+        assert decoded.loads == (1, 0.5)
+        assert isinstance(decoded.loads[0], int)
+        fleet = request_from_wire(
+            {"wire_version": WIRE_VERSION, "kind": "fleet", "fields": {"slo_factor": 3}}
+        )
+        assert fleet.slo_factor == 3 and isinstance(fleet.slo_factor, int)
+
     def test_malformed_variant_spec_rejected(self):
         document = SweepRequest().to_wire()
         document["fields"]["variants"] = ["BASE", "WARP"]
