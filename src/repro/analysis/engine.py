@@ -18,27 +18,46 @@ layer that executes such sweeps:
   likewise for enclave serving on one machine and on a sharded fleet;
 * :data:`JOB_KINDS` — the one registry of request kinds: each request
   dataclass declares only its fields and a ``kind`` tag, and the registry
-  names the function executing it and the codec of its value;
+  names the function executing it, the codec of its value and, for runs,
+  the key of the group it shares preparation with;
 * :class:`ParallelRunner` — executes requests of every kind through one
   path, serving repeats from a
   :class:`~repro.analysis.store.ResultStore` and fanning cache misses out
   over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
-Each request is simulated on a *fresh* machine seeded from the request
-alone, so a sweep's numbers are bit-identical whether it runs serially,
-in parallel, or split across separate processes on different days.
+Each request is simulated on a *fresh* machine built from its own
+configuration and seed.  Run requests sharing (benchmark, seed, warm-up)
+form a group that builds its workload once (:func:`execute_run_group`),
+and in the fast kernel a machine may load the warmed hierarchy of an
+earlier group member of the same *warm class* (:func:`warm_class`)
+instead of warming up itself — bit-identical to warming up, so a
+sweep's numbers are the same whether it runs serially, in parallel, or
+split across separate processes on different days.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
+from dataclasses import dataclass, field, fields, replace
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 from repro.attacks.scenarios import ScenarioOutcome, run_scenario, scenario_names
+from repro.common.fastpath import slow_path_enabled
 from repro.core.config import MI6Config
-from repro.core.processor import WorkloadRun
+from repro.core.processor import MI6Processor, WarmState, WorkloadRun
 from repro.core.serialization import (
     request_cache_key,
     request_from_payload,
@@ -75,7 +94,7 @@ from repro.service.simulation import (
     run_service,
     tenant_benchmarks,
 )
-from repro.core.simulator import DEFAULT_SEED, Simulator
+from repro.core.simulator import DEFAULT_SEED
 from repro.core.mitigations import config_for_spec
 from repro.obs.metrics import global_registry
 from repro.obs.trace import Tracer, active_tracer, set_active_tracer, wall_span
@@ -87,7 +106,8 @@ from repro.core.variants import (
     spec_name,
 )
 from repro.analysis.store import ResultStore
-from repro.workloads.spec_cint2006 import benchmark_names
+from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
+from repro.workloads.spec_cint2006 import benchmark_names, profile_for
 
 #: Environment variable controlling how many instructions each run commits.
 INSTRUCTIONS_ENV_VAR = "REPRO_BENCH_INSTRUCTIONS"
@@ -137,6 +157,53 @@ CACHE_KEY_EXCLUSIONS = {
         ),
     },
 }
+
+#: ``MI6Config`` fields a warmed hierarchy cannot see.  Warm-up primes
+#: the L1s, the LLC, the TLBs and the translation cache directly,
+#: discarding every latency; configs equal outside these fields
+#: therefore warm up to identical states and form one *warm class*
+#: (:func:`warm_class`).  Every other field, including any added later,
+#: separates classes.
+WARM_KEY_EXCLUSIONS = {
+    "name": "a label for reports and keys; no structure reads it",
+    "core": (
+        "core timing parameters: warm-up primes the memory hierarchy "
+        "directly and never enters the pipeline"
+    ),
+    "dram": (
+        "DRAM latency and queue depth: warm-up discards every latency it "
+        "computes and never queues a DRAM request"
+    ),
+    "flush_on_context_switch": (
+        "FLUSH purges on traps, and warm-up commits no instruction that "
+        "could trap"
+    ),
+    "partition_mshrs": (
+        "MISS resizes and banks the LLC MSHR file; warm-up allocates no "
+        "MSHR and discards the bank it computes"
+    ),
+    "llc_arbiter": "ARB adds LLC pipeline-entry latency, which warm-up discards",
+    "nonspec_memory": (
+        "NONSPEC only delays when the core sends loads and stores; warm-up "
+        "bypasses the core"
+    ),
+    "trap_interval_instructions": (
+        "timer traps fire on committed instructions, and warm-up commits none"
+    ),
+}
+
+
+def warm_class(config: MI6Config) -> Tuple[Tuple[str, Any], ...]:
+    """The warm class of ``config``: its fields minus :data:`WARM_KEY_EXCLUSIONS`.
+
+    Machines of one class warming up on the same workload end in the
+    same hierarchy state, so one warm-up can serve them all.
+    """
+    return tuple(
+        (item.name, getattr(config, item.name))
+        for item in fields(config)
+        if item.name not in WARM_KEY_EXCLUSIONS
+    )
 
 
 class EngineRequest:
@@ -272,6 +339,11 @@ class RunRequest(EngineRequest):
     seed: int = DEFAULT_SEED
     warm_up: bool = True
 
+    def __post_init__(self) -> None:
+        # An empty run would commit nothing in zero cycles and still be
+        # stored under its key.
+        _require_positive(instructions=self.instructions)
+
     def cache_key(self) -> str:
         """Content-hash identity of this run: :func:`run_cache_key`.
 
@@ -291,8 +363,13 @@ def request_for(
     benchmark: str,
     settings: Optional[EvaluationSettings] = None,
 ) -> RunRequest:
-    """Build the evaluation run request for one (variant, benchmark)."""
+    """Build the evaluation run request for one (variant, benchmark).
+
+    The requested run length must be positive even where NONSPEC's
+    truncation floor would lift it.
+    """
     settings = settings or EvaluationSettings.from_environment()
+    _require_positive(instructions=settings.instructions)
     instructions = instructions_for_variant(variant, settings.instructions)
     return RunRequest(
         config=evaluation_config(variant, instructions),
@@ -302,14 +379,46 @@ def request_for(
     )
 
 
-def execute_request(request: RunRequest) -> WorkloadRun:
-    """Simulate one request on a fresh machine (the only place runs happen)."""
-    simulator = Simulator(request.config, seed=request.seed)
-    return simulator.run(
-        request.benchmark,
-        instructions=request.instructions,
-        warm_up=request.warm_up,
+def run_group_key(request: RunRequest) -> Tuple[str, int, bool]:
+    """What run requests must share to share a prepared workload."""
+    return (request.benchmark, request.seed, request.warm_up)
+
+
+def execute_run_group(requests: Sequence[RunRequest]) -> List[WorkloadRun]:
+    """Simulate run requests of one :func:`run_group_key` (the only place runs happen).
+
+    The group builds one :class:`~repro.workloads.generator.PreparedWorkload`:
+    the domain's page list, the warm-up address lists and the longest
+    member's instruction stream, whose prefix the shorter (NONSPEC) runs
+    consume.  Every member runs on a fresh machine built from its own
+    configuration.  In the fast kernel the first member of each warm
+    class (:func:`warm_class`) warms up and the later ones load a copy
+    of its warmed state; under ``REPRO_SLOW_PATH`` every machine warms
+    itself, so the reference path stays the oracle.
+    """
+    first = requests[0]
+    workload = PreparedWorkload(
+        SyntheticWorkload(profile_for(first.benchmark), seed=first.seed),
+        max(request.instructions for request in requests),
     )
+    sharing = first.warm_up and len(requests) > 1 and not slow_path_enabled()
+    warmed: Dict[Hashable, WarmState] = {}
+    runs = []
+    for request in requests:
+        processor = MI6Processor(request.config, seed=request.seed)
+        warm = warm_class(request.config) if sharing else None
+        processor.load_workload(
+            workload, warm_up=request.warm_up, warm_state=warmed.get(warm)
+        )
+        if sharing and warm not in warmed:
+            warmed[warm] = processor.capture_warm_state()
+        runs.append(processor.run_loaded(workload, request.instructions))
+    return runs
+
+
+def execute_request(request: RunRequest) -> WorkloadRun:
+    """Simulate one request on a fresh machine: a run group of one."""
+    return execute_run_group([request])[0]
 
 
 # ----------------------------------------------------------------------
@@ -1078,17 +1187,21 @@ class ExperimentSpec:
         eleven SPEC benchmarks, the environment-controlled seed, and the
         environment-controlled run length — i.e. the full Figure 13
         grid.  Explicitly empty sequences are rejected rather than
-        silently expanded into the full grid.
+        silently expanded into the full grid, and so is a non-positive
+        run length.
         """
         _reject_empty(variants=variants, benchmarks=benchmarks, seeds=seeds)
         settings = EvaluationSettings.from_environment()
+        if instructions is None:
+            instructions = settings.instructions
+        _require_positive(instructions=instructions)
         return cls(
             variants=tuple(variants) if variants is not None else tuple(all_variants()),
             benchmarks=(
                 tuple(benchmarks) if benchmarks is not None else tuple(benchmark_names())
             ),
             seeds=tuple(seeds) if seeds is not None else (settings.seed,),
-            instructions=instructions if instructions is not None else settings.instructions,
+            instructions=instructions,
         )
 
     @property
@@ -1157,12 +1270,15 @@ class JobKind:
     Attributes:
         request_type: The request dataclass (its ``kind`` tag is the key
             of this entry in :data:`JOB_KINDS`).
-        execute: Name of the module-level function running one request.
+        execute: Name of the module-level function running one request,
+            or one group of requests for a kind with a ``group_key``.
             It is looked up at every call, so instrumentation can wrap
             it in place.
         value_type: Type of the value one request produces.
         encode / decode: The value's JSON document codec — the worker
             transport, the store's document layer, and the wire.
+        group_key: Maps a request to the group it shares preparation
+            with; ``None`` (every kind but runs) runs each request alone.
     """
 
     request_type: Type[EngineRequest]
@@ -1170,10 +1286,18 @@ class JobKind:
     value_type: type
     encode: Callable[[Any], Dict[str, Any]]
     decode: Callable[[Dict[str, Any]], Any]
+    group_key: Optional[Callable[[Any], Hashable]] = None
 
     def executor(self) -> Callable[[Any], Any]:
         """The execute function as this module binds it right now."""
         return globals()[self.execute]
+
+    def execute_group(self, requests: Sequence[Any]) -> List[Any]:
+        """Values of one group, in order (a group of one for ungrouped kinds)."""
+        if self.group_key is not None:
+            return self.executor()(requests)
+        (request,) = requests
+        return [self.executor()(request)]
 
 
 def _outcome(value_type: Any) -> Tuple[Any, Any, Any]:
@@ -1189,7 +1313,14 @@ def _outcome(value_type: Any) -> Tuple[Any, Any, Any]:
 JOB_KINDS: Dict[str, JobKind] = {
     job.request_type.kind: job
     for job in (
-        JobKind(RunRequest, "execute_request", WorkloadRun, run_to_dict, run_from_dict),
+        JobKind(
+            RunRequest,
+            "execute_run_group",
+            WorkloadRun,
+            run_to_dict,
+            run_from_dict,
+            group_key=run_group_key,
+        ),
         JobKind(ScenarioRequest, "execute_scenario_request", *_outcome(ScenarioOutcome)),
         JobKind(ServiceRunRequest, "execute_service_request", *_outcome(ServiceOutcome)),
         JobKind(FleetShardRequest, "execute_fleet_shard_request", *_outcome(ShardOutcome)),
@@ -1198,26 +1329,46 @@ JOB_KINDS: Dict[str, JobKind] = {
 }
 
 
+def _tasks(job: JobKind, requests: Sequence[EngineRequest], jobs: int) -> List[List[int]]:
+    """Positions of ``requests`` (all of ``job``'s kind) in execution tasks.
+
+    A task is one group, in the order of the group's first request.  A
+    group larger than ⌈len(requests) / jobs⌉ is split into tasks of at
+    most that size, so a one-benchmark lattice sweep still spreads over
+    every worker.
+    """
+    groups: Dict[Hashable, List[int]] = {}
+    for position, request in enumerate(requests):
+        key = position if job.group_key is None else job.group_key(request)
+        groups.setdefault(key, []).append(position)
+    size = -(-len(requests) // jobs)
+    return [
+        group[start:start + size]
+        for group in groups.values()
+        for start in range(0, len(group), size)
+    ]
+
+
 def _pool_worker(envelope: Dict[str, Any]) -> Dict[str, Any]:
     """Process-pool entry point for every kind: dicts in, dicts out.
 
-    The envelope is ``{"kind": tag, "request": to_payload(), "trace":
-    bool}``.  When the parent is tracing, the worker collects sim spans
-    on a local tracer and ships them back beside the encoded value — the
-    encoding itself is identical either way, so persisted store bytes
-    never depend on tracing.
+    The envelope is ``{"kind": tag, "requests": [to_payload(), ...],
+    "trace": bool}`` for one task.  When the parent is tracing, the
+    worker collects sim spans on a local tracer and ships them back
+    beside the encoded values — the encoding itself is identical either
+    way, so persisted store bytes never depend on tracing.
     """
     job = JOB_KINDS[envelope["kind"]]
-    request = job.request_type.from_payload(envelope["request"])
+    requests = [job.request_type.from_payload(payload) for payload in envelope["requests"]]
     if not envelope["trace"]:
-        return {"value": job.encode(job.executor()(request))}
+        return {"values": [job.encode(value) for value in job.execute_group(requests)]}
     tracer = Tracer()
     previous = set_active_tracer(tracer)
     try:
-        value = job.executor()(request)
+        values = job.execute_group(requests)
     finally:
         set_active_tracer(previous)
-    return {"value": job.encode(value), "spans": tracer.span_dicts()}
+    return {"values": [job.encode(value) for value in values], "spans": tracer.span_dicts()}
 
 
 class ParallelRunner:
@@ -1269,8 +1420,10 @@ class ParallelRunner:
 
         Deduplicates by content key *before* the store lookup (so the
         store's hit/miss counters reflect simulations, not positions),
-        serves warm keys from the store, and fans the rest out over the
-        process pool, bit-identical to serial execution.  Serving
+        serves warm keys from the store, and executes the rest a group at
+        a time (:attr:`JobKind.group_key`), in process or over the process
+        pool, bit-identical either way (:meth:`_execute`).  Values and
+        store writes follow request order.  Serving
         requests shipped without a ``service_cycles`` table price their
         tenants inline (still deterministic, just slower; the Session
         prices them through :meth:`priced` first).  Fleet requests
@@ -1303,31 +1456,7 @@ class ParallelRunner:
             with wall_span(
                 "worker-dispatch", track="engine", pending=len(to_run), jobs=self.jobs
             ):
-                if self.jobs == 1 or len(to_run) == 1:
-                    # In-process execution: the ambient tracer (if any)
-                    # records sim spans directly.
-                    produced = [
-                        JOB_KINDS[request.kind].executor()(request) for request in to_run
-                    ]
-                else:
-                    envelopes = [
-                        {
-                            "kind": request.kind,
-                            "request": request.to_payload(),
-                            "trace": tracer is not None,
-                        }
-                        for request in to_run
-                    ]
-                    produced = []
-                    with ProcessPoolExecutor(max_workers=min(self.jobs, len(to_run))) as pool:
-                        # pool.map preserves request order, so absorbed
-                        # worker spans arrive in the same order the
-                        # serial path would have recorded them.
-                        for request, encoded in zip(to_run, pool.map(_pool_worker, envelopes)):
-                            spans = encoded.get("spans")
-                            if spans and tracer is not None:
-                                tracer.absorb(spans)
-                            produced.append(JOB_KINDS[request.kind].decode(encoded["value"]))
+                produced = self._execute(to_run, tracer)
             with wall_span("store-persist", track="engine", produced=len(to_run)):
                 for (key, positions), request, value in zip(pending.items(), to_run, produced):
                     self._persist(request.kind, key, value)
@@ -1340,6 +1469,42 @@ class ParallelRunner:
         self.last_origins = origins
         self.last_keys = keys
         return results
+
+    def _execute(self, requests: List[EngineRequest], tracer: Optional[Tracer]) -> List[Any]:
+        """Values of ``requests`` (one kind), executed a task at a time.
+
+        Tasks run in the order of their first request, in process or on
+        the pool; either way each task is one :meth:`JobKind.execute_group`
+        call.  Kinds that record sim spans run each request alone, so
+        their spans arrive in request order on both paths.
+        """
+        job = JOB_KINDS[requests[0].kind]
+        tasks = _tasks(job, requests, self.jobs)
+        values: List[Any] = [None] * len(requests)
+        if self.jobs == 1 or len(tasks) == 1:
+            # In-process execution: the ambient tracer (if any) records
+            # sim spans directly.
+            for task in tasks:
+                for index, value in zip(task, job.execute_group([requests[i] for i in task])):
+                    values[index] = value
+            return values
+        envelopes = [
+            {
+                "kind": job.request_type.kind,
+                "requests": [requests[index].to_payload() for index in task],
+                "trace": tracer is not None,
+            }
+            for task in tasks
+        ]
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(tasks))) as pool:
+            # pool.map preserves task order.
+            for task, encoded in zip(tasks, pool.map(_pool_worker, envelopes)):
+                spans = encoded.get("spans")
+                if spans and tracer is not None:
+                    tracer.absorb(spans)
+                for index, value in zip(task, encoded["values"]):
+                    values[index] = job.decode(value)
+        return values
 
     def priced(self, requests: Sequence[PricedRequest]) -> List[PricedRequest]:
         """Attach each serving request's kernel-priced cycle table.

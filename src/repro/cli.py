@@ -373,6 +373,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
         return 2
     try:
         result, session = _execute(args, request, settings)
+    except (ValueError, ConfigurationError) as error:
+        print(str(error), file=sys.stderr)
+        return 2
     except DaemonError as error:
         print(str(error), file=sys.stderr)
         return 1

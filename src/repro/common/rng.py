@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from itertools import accumulate
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -131,3 +131,15 @@ class DeterministicRng:
     def shuffle(self, items: list) -> None:
         """Shuffle ``items`` in place."""
         self._random.shuffle(items)
+
+    def getstate(self) -> Tuple[Any, ...]:
+        """This generator's position in its stream (see :meth:`setstate`)."""
+        return self._random.getstate()
+
+    def setstate(self, state: Tuple[Any, ...]) -> None:
+        """Move to a position :meth:`getstate` returned, on any generator.
+
+        The underlying generator object is kept, so handles bound to it
+        (the fast path's draw taps) follow the new position.
+        """
+        self._random.setstate(state)

@@ -10,7 +10,7 @@ mispredictions per kilo-instruction, flush stall cycles, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping
+from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 
 @dataclass
@@ -107,6 +107,17 @@ class StatsRegistry:
     def histograms(self) -> Mapping[str, Histogram]:
         """Mapping of all histograms by name."""
         return dict(self._histograms)
+
+    def registered(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """Names of every counter and every histogram, in registration order."""
+        return tuple(self._counters), tuple(self._histograms)
+
+    def register(self, counters: Iterable[str] = (), histograms: Iterable[str] = ()) -> None:
+        """Create each named counter and histogram that does not exist yet."""
+        for name in counters:
+            self.counter(name)
+        for name in histograms:
+            self.histogram(name)
 
     def reset(self) -> None:
         """Reset every counter and histogram to its initial state."""

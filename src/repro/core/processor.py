@@ -16,8 +16,9 @@ is about timing.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 from repro.common.fastpath import slow_path_enabled
 from repro.common.rng import DeterministicRng
@@ -30,9 +31,12 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.llc import LastLevelCache
 from repro.mem.page_table import PageTable
 from repro.ooo.core import CoreResult, OutOfOrderCore
-from repro.workloads.generator import SyntheticWorkload
+from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.spec_cint2006 import profile_for
+
+#: What a machine runs: a live generator, or one built once and shared.
+Workload = Union[SyntheticWorkload, PreparedWorkload]
 
 
 @dataclass
@@ -61,6 +65,44 @@ class WorkloadRun:
         if baseline.cycles == 0:
             return 0.0
         return 100.0 * (self.cycles - baseline.cycles) / baseline.cycles
+
+
+@dataclass(frozen=True)
+class WarmState:
+    """A warmed machine's hierarchy, copied out for machines of its warm class.
+
+    Attributes:
+        hierarchy: Per-structure copies
+            (:meth:`~repro.mem.hierarchy.MemoryHierarchy.capture_warm_state`).
+        counters: Names of the counters warm-up registered.  A machine
+            loading the state registers them too, at zero as the
+            post-warm-up reset leaves them, so it reports the same
+            counter set as a machine that warmed itself.
+        histograms: Likewise for histograms.
+    """
+
+    hierarchy: tuple
+    counters: Tuple[str, ...]
+    histograms: Tuple[str, ...]
+
+
+def _weak_call(method: Callable[[], int]) -> Callable[[], int]:
+    """Call ``method`` through a weak reference to its object.
+
+    The core holds its purge callback and the purge unit holds the core.
+    A weak reference on the core's side keeps the machine free of
+    reference cycles, so it is freed by reference counting as soon as
+    its run is done instead of whenever the cyclic collector runs.
+    """
+    reference = weakref.WeakMethod(method)
+
+    def call() -> int:
+        bound = reference()
+        if bound is None:
+            raise RuntimeError("the purge unit of this core's machine was freed")
+        return bound()
+
+    return call
 
 
 class MI6Processor:
@@ -92,9 +134,11 @@ class MI6Processor:
         )
         self.purge_unit = PurgeUnit(self.core, self.hierarchy, stats=self.stats)
         if config.flush_on_context_switch:
-            self.core.purge_callback = self.purge_unit.stall_only
+            self.core.purge_callback = _weak_call(self.purge_unit.stall_only)
         self.region_bitvector = RegionBitvector(config.address_map, stats=self.stats)
         self._domain: Optional[ProtectionDomain] = None
+        # Counter and histogram names the last warm-up registered.
+        self._warm_registered: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
 
     # ------------------------------------------------------------------
     # Protection-domain setup
@@ -110,7 +154,7 @@ class MI6Processor:
         )
 
     def build_workload_domain(
-        self, workload: SyntheticWorkload, *, domain_id: int = 1, first_region: int = 1
+        self, workload: Workload, *, domain_id: int = 1, first_region: int = 1
     ) -> ProtectionDomain:
         """Create a protection domain and page tables for a workload.
 
@@ -146,7 +190,7 @@ class MI6Processor:
     # ------------------------------------------------------------------
     # Running workloads
 
-    def warm_up(self, workload: SyntheticWorkload) -> None:
+    def warm_up(self, workload: Workload) -> None:
         """Prime the caches/TLBs with the workload's resident working set.
 
         The paper measures benchmarks that have been running for a long
@@ -161,6 +205,7 @@ class MI6Processor:
         (identical state/statistics effects, no per-access records).  The
         ``REPRO_SLOW_PATH`` escape hatch keeps the original accessors.
         """
+        counters, histograms = self.stats.registered()
         if slow_path_enabled():
             for virtual_address in workload.warmup_addresses():
                 self.hierarchy.data_access(virtual_address)
@@ -170,6 +215,66 @@ class MI6Processor:
             self.hierarchy.prime_data_timing(workload.warmup_addresses())
             self.hierarchy.prime_fetch_timing(workload.warmup_code_addresses())
         self.stats.reset()
+        # Registration order is insertion order: what warm-up added is
+        # the tail of each name list.
+        after_counters, after_histograms = self.stats.registered()
+        self._warm_registered = (
+            after_counters[len(counters):],
+            after_histograms[len(histograms):],
+        )
+
+    def capture_warm_state(self) -> WarmState:
+        """Copy of this machine's warmed hierarchy (fast kernel only).
+
+        Call it after :meth:`warm_up` and before the measured run; any
+        machine of the same warm class running the same workload can
+        :meth:`load_warm_state` it instead of warming up itself.
+        """
+        if self._warm_registered is None:
+            raise RuntimeError("only a machine that has warmed up has a warm state")
+        counters, histograms = self._warm_registered
+        return WarmState(self.hierarchy.capture_warm_state(), counters, histograms)
+
+    def load_warm_state(self, state: WarmState) -> None:
+        """Stand in for :meth:`warm_up` by copying a warmed machine's state.
+
+        Bit-identical to warming up when the state came from a machine of
+        the same warm class that warmed up on the same workload.
+        """
+        self.hierarchy.load_warm_state(state.hierarchy)
+        self.stats.register(state.counters, state.histograms)
+        self.stats.reset()
+        self._warm_registered = (state.counters, state.histograms)
+
+    def load_workload(
+        self,
+        workload: Workload,
+        *,
+        warm_up: bool = True,
+        warm_state: Optional[WarmState] = None,
+    ) -> None:
+        """Install the workload's domain and, with ``warm_up``, warm the hierarchy.
+
+        A ``warm_state`` is loaded in place of the warm-up (see
+        :meth:`load_warm_state`).
+        """
+        self.install_domain(self.build_workload_domain(workload))
+        if not warm_up:
+            return
+        if warm_state is None:
+            self.warm_up(workload)
+        else:
+            self.load_warm_state(warm_state)
+
+    def run_loaded(self, workload: Workload, instructions: int) -> WorkloadRun:
+        """Run the first ``instructions`` of the loaded workload's stream."""
+        result = self.core.run(workload.instructions(instructions))
+        return WorkloadRun(
+            benchmark=workload.profile.name,
+            config_name=self.config.name,
+            instructions=result.instructions,
+            result=result,
+        )
 
     def run_workload(
         self,
@@ -179,17 +284,15 @@ class MI6Processor:
         seed: Optional[int] = None,
         warm_up: bool = True,
     ) -> WorkloadRun:
-        """Run a benchmark profile to completion and return its timing."""
+        """Run a benchmark profile to completion and return its timing.
+
+        The single-machine case of the engine's run groups: prepare the
+        workload, load it, run it.
+        """
         profile = profile_for(benchmark) if isinstance(benchmark, str) else benchmark
-        workload = SyntheticWorkload(profile, seed=seed if seed is not None else self.seed)
-        domain = self.build_workload_domain(workload)
-        self.install_domain(domain)
-        if warm_up:
-            self.warm_up(workload)
-        result = self.core.run(workload.instructions(instructions))
-        return WorkloadRun(
-            benchmark=profile.name,
-            config_name=self.config.name,
-            instructions=result.instructions,
-            result=result,
+        workload = PreparedWorkload(
+            SyntheticWorkload(profile, seed=seed if seed is not None else self.seed),
+            instructions,
         )
+        self.load_workload(workload, warm_up=warm_up)
+        return self.run_loaded(workload, instructions)

@@ -17,8 +17,13 @@ policy) and hard to change the assembly policy in one place.
 By default every :meth:`run` uses a *fresh* machine, so runs are
 independent and reproducible regardless of the order in which they are
 issued — the property the experiment engine's serial/parallel equivalence
-guarantee rests on.  Pass ``fresh_machine=False`` to reuse one machine
-across runs (warm-hierarchy experiments).
+guarantee rests on.  The engine keeps that property while sharing work:
+each of its requests still gets a fresh machine, but in the fast kernel
+a machine's warmed hierarchy may be copied from an earlier member of its
+run group in the same warm class (:func:`repro.analysis.engine.warm_class`),
+which is bit-identical to warming up itself.  Pass
+``fresh_machine=False`` to reuse one machine across runs
+(warm-hierarchy experiments).
 
 Execution goes through the fast simulator kernel by default: warm-up is
 fast-forwarded through the hierarchy's timing accessors (its latencies
@@ -32,9 +37,9 @@ enforces and ``python -m repro perf`` quantifies.
     New code should go through :class:`repro.api.Session`, which runs the
     same simulations through the result store (warm-start, provenance)
     and accepts arbitrary mitigation combinations.  ``Simulator`` remains
-    as a thin assembly facade — the engine's ``execute_request`` and the
-    purge/property tests still build machines through it — but it caches
-    nothing and knows nothing about the store.
+    as a thin assembly facade — the purge/property tests still build
+    machines through it — but it caches nothing and knows nothing about
+    the store.
 """
 
 from __future__ import annotations

@@ -93,7 +93,44 @@ class SetAssociativeCache:
             the full line address so that lines are unambiguous regardless
             of the index function.
         stats: Statistics registry to record hits/misses/evictions into.
+
+    The storage layout is chosen by class before ``__init__`` runs: in the
+    fast kernel a cache whose policy is one of the in-tree ones is built
+    as a :class:`_SlabCache`, whose public entry points are the slab
+    lanes as class attributes.  Binding them on the instance instead
+    would make every cache a reference cycle (and every machine cyclic
+    garbage); assigning ``__class__`` after construction would cost
+    instance attribute loads their fast path.
     """
+
+    #: True on the slab-backed layout (:class:`_SlabCache`).
+    _uses_slabs = False
+
+    def __new__(
+        cls,
+        name: str,
+        geometry: CacheGeometry,
+        policy: ReplacementPolicy,
+        index_for: Optional[Callable[[int], int]] = None,
+        tag_for: Optional[Callable[[int], int]] = None,
+        stats: Optional[StatsRegistry] = None,
+    ) -> SetAssociativeCache:
+        # The slab layout requires a policy whose victim/touch behaviour
+        # is known (the in-tree policies); anything else keeps the
+        # reference layout so custom policies see exactly the reference
+        # call pattern.
+        policy_type = type(policy)
+        if (
+            cls is SetAssociativeCache
+            and not slow_path_enabled()
+            and (
+                policy_type is PseudoRandomPolicy
+                or policy_type is LruPolicy
+                or policy_type is SelfCleaningLruPolicy
+            )
+        ):
+            cls = _SlabCache
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -136,16 +173,8 @@ class SetAssociativeCache:
         self._c_eviction: Optional[object] = None
         self._c_writeback: Optional[object] = None
 
-        # Storage layout selection.  The slab layout requires a policy
-        # whose victim/touch behaviour is known (the two in-tree
-        # policies); anything else keeps the reference layout so custom
-        # policies see exactly the reference call pattern.
+        # Storage layout: chosen by class in __new__.
         policy_type = type(policy)
-        use_slabs = not slow_path_enabled() and (
-            policy_type is PseudoRandomPolicy
-            or policy_type is LruPolicy
-            or policy_type is SelfCleaningLruPolicy
-        )
         self._sets: Optional[List[List[CacheLine]]] = None
         self._slab_tags: List[Optional[int]] = []
         self._slab_dirty: List[bool] = []
@@ -158,7 +187,7 @@ class SetAssociativeCache:
         self._self_cleaning = policy_type is SelfCleaningLruPolicy
         self._randbelow: Optional[Callable[[int], int]] = None
         self._victim_getrandbits: Optional[Callable[[int], int]] = None
-        if use_slabs:
+        if self._uses_slabs:
             total = geometry.num_sets * geometry.ways
             self._slab_tags = [None] * total
             self._slab_dirty = [False] * total
@@ -184,12 +213,6 @@ class SetAssociativeCache:
                 # LruPolicy.reset() refills this container in place, so
                 # the binding survives purges.
                 self._lru_stacks = policy._stacks
-            self.access_parts = self._access_parts_slab  # type: ignore[method-assign]
-            self.probe = self._probe_slab  # type: ignore[method-assign]
-            self.lookup = self._lookup_slab  # type: ignore[method-assign]
-            self.invalidate_address = self._invalidate_address_slab  # type: ignore[method-assign]
-            self.invalidate_tag_range = self._invalidate_tag_range_slab  # type: ignore[method-assign]
-            self.flush_all = self._flush_all_slab  # type: ignore[method-assign]
         else:
             self._sets = [
                 [CacheLine() for _ in range(geometry.ways)]
@@ -333,8 +356,8 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     # Slab (flat-array) fast path.  Same observable behaviour as the
     # reference methods above: identical counters, identical policy-state
-    # transitions, identical RNG draw sequence.  Installed as the
-    # instance's public entry points at construction (fast kernel only).
+    # transitions, identical RNG draw sequence.  They are the public
+    # entry points of :class:`_SlabCache` (fast kernel only).
 
     def _lookup_slab(self, physical_address: int) -> bool:
         tag = self._tag_for(physical_address)
@@ -738,3 +761,54 @@ class SetAssociativeCache:
     def access_count(self) -> int:
         """Total accesses recorded so far."""
         return self._stats.value(f"{self.name}.access")
+
+
+class _SlabCache(SetAssociativeCache):
+    """The slab layout: the ``*_slab`` lanes as public entry points.
+
+    Built by :meth:`SetAssociativeCache.__new__` in the fast kernel.  The
+    warm-state pair below copies the whole slab and replacement state
+    out of one cache and into another of the same geometry and policy,
+    which is how machines of one warm class share a single warm-up.
+    """
+
+    _uses_slabs = True
+
+    access_parts = SetAssociativeCache._access_parts_slab  # type: ignore[assignment]
+    probe = SetAssociativeCache._probe_slab  # type: ignore[assignment]
+    lookup = SetAssociativeCache._lookup_slab  # type: ignore[assignment]
+    invalidate_address = SetAssociativeCache._invalidate_address_slab  # type: ignore[assignment]
+    invalidate_tag_range = SetAssociativeCache._invalidate_tag_range_slab  # type: ignore[assignment]
+    flush_all = SetAssociativeCache._flush_all_slab  # type: ignore[assignment]
+
+    def capture_warm_state(self) -> tuple:
+        """Copy of the tag slabs, LRU stacks and replacement-RNG position."""
+        policy = self._policy
+        return (
+            list(self._slab_tags),
+            list(self._slab_dirty),
+            list(self._slab_owners),
+            [dict(tag_map) for tag_map in self._tag_maps],
+            list(self._valid_counts),
+            None if self._lru_stacks is None else [list(stack) for stack in self._lru_stacks],
+            policy._rng.getstate() if isinstance(policy, PseudoRandomPolicy) else None,
+        )
+
+    def load_warm_state(self, state: tuple) -> None:
+        """Become a copy of the cache :meth:`capture_warm_state` read.
+
+        Counters and their cached handles are left alone: they belong to
+        this cache's own registry.
+        """
+        tags, dirty, owners, tag_maps, valid_counts, stacks, rng_state = state
+        self._slab_tags = list(tags)
+        self._slab_dirty = list(dirty)
+        self._slab_owners = list(owners)
+        self._tag_maps = [dict(tag_map) for tag_map in tag_maps]
+        self._valid_counts = list(valid_counts)
+        if self._lru_stacks is not None:
+            # In place: the policy and this cache share the container.
+            self._lru_stacks[:] = [list(stack) for stack in stacks]
+        policy = self._policy
+        if isinstance(policy, PseudoRandomPolicy):
+            policy._rng.setstate(rng_state)

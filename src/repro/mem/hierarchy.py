@@ -693,6 +693,40 @@ class MemoryHierarchy:
             "translation_cache_entries": self.translation_cache.flush_all(),
         }
 
+    # ------------------------------------------------------------------
+    # Warm-state sharing (fast kernel only)
+
+    def _warm_structures(self) -> tuple:
+        """Every structure warm-up changes, in a fixed order."""
+        return (
+            self.l1i.cache,
+            self.l1d.cache,
+            self.llc.cache,
+            self.itlb,
+            self.dtlb,
+            self.l2tlb,
+            self.translation_cache,
+        )
+
+    def capture_warm_state(self) -> tuple:
+        """Copy of every structure warm-up changes (see :meth:`load_warm_state`).
+
+        Warm-up touches the L1 I/D caches (slabs and replacement-RNG
+        position), the LLC (slabs and LRU stacks), the three TLBs and the
+        translation cache; latencies, MSHRs and DRAM are never touched.
+        """
+        return tuple(structure.capture_warm_state() for structure in self._warm_structures())
+
+    def load_warm_state(self, state: tuple) -> None:
+        """Copy a captured warm state into this hierarchy's structures.
+
+        The source must have had the same geometry, LLC index function
+        and seed-derived replacement RNGs; the engine guarantees it by
+        sharing only within one warm class of one (benchmark, seed).
+        """
+        for structure, structure_state in zip(self._warm_structures(), state):
+            structure.load_warm_state(structure_state)
+
     def install_context(
         self,
         page_table: Optional[PageTable],

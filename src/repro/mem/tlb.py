@@ -129,6 +129,16 @@ class Tlb:
         self._stats.counter(f"{self.name}.flush_entries").increment(flushed)
         return flushed
 
+    def capture_warm_state(self) -> tuple:
+        """Copy of the resident translations and their LRU order."""
+        return [list(entries) for entries in self._sets], dict(self._asid_of)
+
+    def load_warm_state(self, state: tuple) -> None:
+        """Become a copy of the TLB :meth:`capture_warm_state` read."""
+        sets, asid_of = state
+        self._sets = [list(entries) for entries in sets]
+        self._asid_of = dict(asid_of)
+
     def resident_entries(self) -> int:
         """Number of translations currently resident.
 
@@ -219,6 +229,14 @@ class TranslationCache:
         self._levels = [[] for _ in range(self.levels)]
         self._stats.counter(f"{self.name}.flush_entries").increment(flushed)
         return flushed
+
+    def capture_warm_state(self) -> tuple:
+        """Copy of the cached walk steps, per level in LRU order."""
+        return tuple(list(entries) for entries in self._levels)
+
+    def load_warm_state(self, state: tuple) -> None:
+        """Become a copy of the cache :meth:`capture_warm_state` read."""
+        self._levels = [list(entries) for entries in state]
 
     def _key(self, virtual_address: int, level: int, page_bytes: int) -> int:
         # Each level covers 512x more address space than the one below it

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import deque
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterator, List
 
 from repro.common.fastpath import slow_path_enabled
@@ -627,3 +627,55 @@ class SyntheticWorkload:
             pc += 4
             if pc >= code_end:
                 pc = CODE_BASE
+
+
+class PreparedWorkload:
+    """One workload built once, then shared read-only by many runs.
+
+    What a run takes from its (profile, seed) — the virtual pages its
+    domain maps, the warm-up address lists and the instruction stream —
+    never depends on the machine, so the engine builds it once for every
+    run of one benchmark at one seed.  It offers the surface of
+    :class:`SyntheticWorkload` the processor uses; ``instructions(n)``
+    yields the first ``n`` instructions of the materialized stream,
+    which is exactly what a fresh generator yields for ``n`` (the draws
+    never depend on the count).
+
+    Args:
+        workload: A generator that has not produced instructions yet.
+        instructions: Length of the stream to materialize (the longest
+            run that will consume it).
+    """
+
+    def __init__(self, workload: SyntheticWorkload, instructions: int) -> None:
+        self.profile = workload.profile
+        self._source = workload
+        self._pages = workload.virtual_pages()
+        # Warm-up reads the pre-populated line history, which generating
+        # the stream advances: take the address lists first.
+        self._warmup = workload.warmup_addresses()
+        self._warmup_code = workload.warmup_code_addresses()
+        self._stream = list(workload.instructions(instructions))
+
+    def virtual_pages(self, page_bytes: int = 4096) -> List[int]:
+        """All virtual page numbers the workload can touch."""
+        if page_bytes == 4096:
+            return self._pages
+        return self._source.virtual_pages(page_bytes)
+
+    def warmup_addresses(self) -> List[int]:
+        """Data-side warm-up addresses (see :meth:`SyntheticWorkload.warmup_addresses`)."""
+        return self._warmup
+
+    def warmup_code_addresses(self) -> List[int]:
+        """Code-side warm-up addresses, one per line of the code footprint."""
+        return self._warmup_code
+
+    def instructions(self, count: int) -> Iterator[Instruction]:
+        """The first ``count`` instructions of the materialized stream."""
+        if not 0 <= count <= len(self._stream):
+            raise ValueError(
+                f"the prepared stream holds {len(self._stream)} instructions; "
+                f"{count} were asked for"
+            )
+        return islice(self._stream, count)

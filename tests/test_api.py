@@ -62,6 +62,14 @@ class TestWorkloadRequests:
     def test_unsupported_request_type_rejected(self):
         with pytest.raises(TypeError, match="unsupported request"):
             session().run("not a request")
+        for request in (
+            WorkloadRequest(benchmark="gcc", instructions=0),
+            WorkloadRequest(variant="NONSPEC", benchmark="gcc", instructions=-5),
+            WorkloadRequest(config=MI6Config(), benchmark="gcc", instructions=0),
+            SweepRequest(benchmarks=("gcc",), instructions=0),
+        ):
+            with pytest.raises(ValueError, match="instructions must be positive"):
+                session().run(request)
 
 
 class TestSweepRequests:

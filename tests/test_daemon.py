@@ -122,6 +122,13 @@ class TestRun:
         document = SweepRequest(benchmarks=("not_a_benchmark",)).to_wire()
         with pytest.raises(DaemonError, match="400"):
             client.run_wire(document)
+        for request in (
+            SweepRequest(variants=("BASE",), benchmarks=("gcc",), instructions=0),
+            WorkloadRequest(benchmark="gcc", instructions=-5),
+            WorkloadRequest(variant="NONSPEC", benchmark="gcc", instructions=0),
+        ):
+            with pytest.raises(DaemonError, match="400.*instructions must be positive"):
+                client.run_wire(request.to_wire())
 
     def test_invalid_json_body_is_400(self, client):
         import urllib.request
@@ -178,6 +185,14 @@ class TestCliRemote:
         )
         assert code == 1
         assert "cannot reach daemon" in capsys.readouterr().err
+
+    def test_local_sweep_rejects_non_positive_instructions(self, capsys):
+        for instructions in ("0", "-5"):
+            code = cli_main(
+                ["sweep", "--no-cache", "--benchmarks", "gcc", "--instructions", instructions]
+            )
+            assert code == 2
+            assert "instructions must be positive" in capsys.readouterr().err
 
 
 class TestJobRegistry:

@@ -268,6 +268,13 @@ class TestSpec:
             ExperimentSpec.create(benchmarks=[])
         with pytest.raises(ValueError, match="seeds"):
             ExperimentSpec.create(seeds=[])
+        for instructions in (0, -5):
+            with pytest.raises(ValueError, match="instructions must be positive"):
+                ExperimentSpec.create(instructions=instructions)
+            with pytest.raises(ValueError, match="instructions must be positive"):
+                request_for("NONSPEC", "gcc", EvaluationSettings(instructions=instructions))
+            with pytest.raises(ValueError, match="instructions must be positive"):
+                RunRequest(config=MI6Config(), benchmark="gcc", instructions=instructions)
 
     def test_requests_expand_in_deterministic_order(self):
         spec = ExperimentSpec(
