@@ -10,12 +10,22 @@ the experiment.  The helpers here are shared by the standalone
 :class:`~repro.attacks.prime_probe.PrimeProbeAttack` and the
 co-scheduled scenarios (:mod:`repro.attacks.scenarios`), so the bound
 and the raise-on-unreachable behaviour cannot silently diverge.
+
+:func:`addresses_for_set` strides: within one DRAM region, two lines
+:attr:`~repro.mem.address.LlcIndexer.line_period` apart share a set, so
+the scan visits only the lines whose line-address index bits equal the
+target's, and still checks each against the full index function (so a
+scan that crosses a region boundary stays exact).  Under PART a foreign
+set is unreachable, and the stride turns that case's 131,072-line walk
+into 512 visits.  The line-by-line walk stays as the
+``REPRO_SLOW_PATH=1`` reference twin.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+from repro.common.fastpath import slow_path_enabled
 from repro.mem.llc import LastLevelCache
 
 #: Cap on how far a scan walks into a region (keeps scans fast when
@@ -32,26 +42,56 @@ def region_scan_limit(llc: LastLevelCache, region_base: int) -> int:
 
 
 def addresses_for_set(
-    llc: LastLevelCache, region_base: int, target_set: int, count: int, *, skip: int = 0
+    llc: LastLevelCache, region_base: int, target_set: int, count: int
 ) -> List[int]:
     """``count`` addresses in the region mapping to ``target_set``.
 
     Under set partitioning a foreign set may be unreachable from the
     region, in which case the result is simply shorter than ``count``
-    (possibly empty).  ``skip`` drops the first matches, letting a
-    caller pick fresh addresses for repeated trials.
+    (possibly empty).
     """
+    if slow_path_enabled():
+        return _addresses_for_set_reference(llc, region_base, target_set, count)
+    return _addresses_for_set_fast(llc, region_base, target_set, count)
+
+
+def _addresses_for_set_reference(
+    llc: LastLevelCache, region_base: int, target_set: int, count: int
+) -> List[int]:
+    """The line-by-line scan: every line from ``region_base`` to the limit."""
     addresses: List[int] = []
-    to_skip = skip
     candidate = region_base
     limit = region_scan_limit(llc, region_base)
     while len(addresses) < count and candidate < limit:
         if llc.set_index(candidate) == target_set:
-            if to_skip:
-                to_skip -= 1
-            else:
-                addresses.append(candidate)
+            addresses.append(candidate)
         candidate += LINE_BYTES
+    return addresses
+
+
+def _addresses_for_set_fast(
+    llc: LastLevelCache, region_base: int, target_set: int, count: int
+) -> List[int]:
+    """The strided scan: only lines whose line-address index bits match."""
+    indexer = llc.indexer
+    limit = region_scan_limit(llc, region_base)
+    dram_bytes = llc.address_map.dram_bytes
+    if indexer.geometry.line_bytes != LINE_BYTES or region_base < 0 or limit > dram_bytes:
+        # Outside the stride's assumptions (one scan step per LLC line,
+        # and every line of the scan inside DRAM, since the partitioned
+        # index raises outside it); no caller scans there.
+        return _addresses_for_set_reference(llc, region_base, target_set, count)
+    period = indexer.line_period
+    # The first line at or after the base whose low index bits match:
+    # the scan keeps the base's offset within its line, as the walk does.
+    first_line = (target_set - (region_base // LINE_BYTES)) & (period - 1)
+    addresses: List[int] = []
+    set_index = llc.set_index
+    for candidate in range(region_base + first_line * LINE_BYTES, limit, period * LINE_BYTES):
+        if len(addresses) >= count:
+            break
+        if set_index(candidate) == target_set:
+            addresses.append(candidate)
     return addresses
 
 

@@ -229,10 +229,12 @@ class CoScheduledExecutor:
         results: Dict[int, List[CompletedAccess]] = {core_id: [] for core_id in traces}
         deadline = self.detailed.cycle + max_cycles
         # Event-batched driving: jump the shared clock over gaps where the
-        # detailed pipeline is idle, no local completion is due, and no
-        # party may issue (issue-gap spacing).  The skipped cycles are
-        # no-ops in the per-cycle reference loop, which stays reachable
-        # under REPRO_SLOW_PATH=1 as the bit-identity oracle.
+        # detailed pipeline is idle or only MSHR-parked, no local
+        # completion is due, and no party may issue (issue-gap spacing).
+        # The skipped cycles only add MSHR stall cycles in the per-cycle
+        # reference loop, which advance_to charges in closed form; that
+        # loop stays reachable under REPRO_SLOW_PATH=1 as the
+        # bit-identity oracle.
         batched = not slow_path_enabled()
         while any(not state.done for state in states.values()):
             if self.detailed.cycle >= deadline:

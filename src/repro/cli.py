@@ -494,6 +494,7 @@ def _command_attack(args: argparse.Namespace) -> int:
                     "leaked_bits": outcome.leaked_bits,
                     "total_bits": outcome.total_bits,
                     "leaked": outcome.leaked,
+                    "cycles": outcome.cycles,
                     "cache_key": entry.provenance.cache_key,
                     "origin": entry.provenance.origin,
                 }

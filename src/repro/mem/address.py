@@ -187,6 +187,7 @@ class LlcIndexer:
         self._region_mask = (1 << region_index_bits) - 1
         self._region_bytes = address_map.region_bytes
         self._dram_bytes = address_map.dram_bytes
+        self._line_period = geometry.num_sets if self._baseline else 1 << self._low_bits
 
     @property
     def index_function(self) -> IndexFunction:
@@ -197,6 +198,19 @@ class LlcIndexer:
     def geometry(self) -> CacheGeometry:
         """Cache geometry this indexer targets."""
         return self._geometry
+
+    @property
+    def line_period(self) -> int:
+        """Lines after which the index's line-address bits repeat.
+
+        ``num_sets`` under the baseline function, and
+        ``2**(index_bits - region_index_bits)`` under set partitioning,
+        whose remaining index bits come from the region ID.  Two lines
+        this far apart within one DRAM region map to the same set, and
+        the low ``log2(line_period)`` bits of a set index are exactly
+        those line-address bits.
+        """
+        return self._line_period
 
     def set_index(self, physical_address: int) -> int:
         """Set index for a physical address."""

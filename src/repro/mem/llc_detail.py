@@ -215,6 +215,10 @@ class DetailedLlc:
             return self._occupancy_by_core.get(core, 0) < self.config.mshrs_per_core
         return len(self._mshrs) < self.config.total_mshrs
 
+    def _parked(self, core: int) -> bool:
+        """Whether ``core``'s upgrade queue waits on a full MSHR file."""
+        return bool(self._upgrade_in[core]) and not self._can_allocate_mshr(core)
+
     def _allocate_mshr(self, request: LlcRequest) -> _Mshr:
         mshr = _Mshr(mshr_id=self._next_mshr_id, request=request)
         self._mshrs[mshr.mshr_id] = mshr
@@ -258,10 +262,17 @@ class DetailedLlc:
         and statistics.  Returns ``None`` when the LLC is fully quiescent
         and only new injections can wake it.
 
-        The estimate is conservative: a non-empty queue reports the
-        current cycle even if arbitration would leave it waiting, so the
-        driver simply steps per-cycle while any message is in flight at
-        the entry mux.
+        An upgrade queue whose head cannot allocate an MSHR is *parked*
+        and is not an event: the arbiter keeps offering it entry slots,
+        and each slot it wins only adds one to
+        ``llc_detail.mshr_stall_cycles``.  MSHRs free only when a response
+        leaves a UQ, which is an event itself, so a parked queue stays
+        parked over any gap this method reports, and :meth:`advance_to`
+        charges the gap's stall cycles in closed form.  Every other
+        non-empty queue is conservative: it reports the current cycle
+        even if arbitration would leave it waiting, and so is a DQ head
+        held by DRAM backpressure, so the driver steps per-cycle while
+        such a message waits.
         """
         cycle = self.cycle
         if self._downgrades_unsent or self._shared_uq:
@@ -269,8 +280,8 @@ class DetailedLlc:
         for queue in self._uq.values():
             if queue:
                 return cycle
-        for _core, fifo in self._entry_queue_structure:
-            if fifo:
+        for core, fifo in self._entry_queue_structure:
+            if fifo and not (fifo is self._upgrade_in.get(core) and self._parked(core)):
                 return cycle
         if self._shared_dram_resp_in:
             return cycle
@@ -297,9 +308,29 @@ class DetailedLlc:
 
         Only valid for gaps where :meth:`next_event_cycle` guarantees no
         phase would act; the per-cycle reference loop never calls it.
+        The entry slots parked upgrade queues would have lost in the
+        skipped cycles are added to ``llc_detail.mshr_stall_cycles``:
+        every cycle under the fixed-priority mux, and under the
+        round-robin arbiter each cycle ``c`` with
+        ``c % num_cores == core`` for each parked core.
         """
-        if cycle > self.cycle:
-            self.cycle = cycle
+        start = self.cycle
+        if cycle <= start:
+            return
+        self.cycle = cycle
+        parked = [core for core in self._upgrade_in if self._parked(core)]
+        if not parked:
+            return
+        if self.config.secure:
+            cores = self.config.num_cores
+            # Cycles c in [start, cycle) with c % cores == core.
+            stalled = sum(
+                (cycle - core - 1) // cores - (start - core - 1) // cores for core in parked
+            )
+        else:
+            stalled = cycle - start
+        if stalled:
+            self.stats.counter("llc_detail.mshr_stall_cycles").increment(stalled)
 
     # ------------------------------------------------------------------
     # Per-cycle phases
@@ -678,8 +709,9 @@ class LlcTrafficSimulator:
         # Event-batched driving: whenever the LLC reports its next
         # actionable cycle, jump the clock there (or to the next trace
         # injection) instead of ticking through the idle gap.  Skipped
-        # cycles are provably state-free, so results are bit-identical to
-        # the per-cycle reference loop kept under REPRO_SLOW_PATH=1.
+        # cycles change nothing but the clock and the MSHR stall count
+        # advance_to charges, so results are bit-identical to the
+        # per-cycle reference loop kept under REPRO_SLOW_PATH=1.
         batched = not slow_path_enabled()
         while len(llc.completed) < total and llc.cycle < max_cycles:
             while injected < total and pending[injected].issue_cycle <= llc.cycle:

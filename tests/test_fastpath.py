@@ -23,8 +23,11 @@ from repro.analysis.engine import (
     execute_service_request,
     request_for,
 )
-from repro.attacks.scenarios import run_scenario, scenario_names
+from repro.attacks.coschedule import CoScheduledExecutor, MemOp
+from repro.attacks.placement import ATTACKER_REGIONS, VICTIM_REGIONS, default_placement
+from repro.attacks.scenarios import build_scenario_machine, run_scenario, scenario_names
 from repro.common.fastpath import SLOW_PATH_ENV_VAR, slow_path_enabled
+from repro.core.mitigations import config_for_spec
 from repro.core.serialization import config_digest, run_to_dict
 from repro.core.variants import Variant, all_variants, config_for_variant, parse_variant
 
@@ -168,6 +171,47 @@ class TestScenarioEquivalence:
         monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
         slow = run_scenario(name, config, 2019).to_dict()
         assert fast == slow
+
+
+class TestCoScheduledCounterEquivalence:
+    """The detailed LLC's own counters, which no outcome document carries."""
+
+    @staticmethod
+    def flooding_phase(spec):
+        """A sender flooding writes past its MSHRs while a receiver polls."""
+        machine = build_scenario_machine(config_for_spec(spec), seed=2019)
+        placement = default_placement(2)
+        receiver, sender = placement.attacker_core, placement.victim_core
+        executor = CoScheduledExecutor(machine, max_outstanding={receiver: 4, sender: 24})
+        receiver_base = machine.address_map.region_base(min(ATTACKER_REGIONS))
+        sender_base = machine.address_map.region_base(min(VICTIM_REGIONS))
+        executor.run_phase(
+            {
+                receiver: [
+                    MemOp(receiver_base + (poll % 8) * 64, issue_gap=23, l1_bypass=True)
+                    for poll in range(60)
+                ],
+                sender: [
+                    MemOp(sender_base + line * 64, is_write=True, issue_gap=line % 3)
+                    for line in range(150)
+                ],
+            }
+        )
+        executor.idle(333)
+        return machine.stats.counters(), executor.cycle, executor.completed
+
+    @pytest.mark.parametrize("spec", ["BASE", "MISS", "ARB", "F+P+M+A"])
+    def test_flooding_phase_counters_identical(self, spec, monkeypatch):
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+        fast = self.flooding_phase(spec)
+        monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
+        slow = self.flooding_phase(spec)
+        counters, cycle, completed = fast
+        assert counters.get("llc_detail.mshr_stall_cycles", 0) > 0
+        assert len(completed) == 60 + 150
+        assert counters == slow[0]
+        assert cycle == slow[1]
+        assert completed == slow[2]
 
 
 class TestServeEquivalence:

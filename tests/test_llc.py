@@ -232,6 +232,39 @@ class TestDetailedLlcTimingIndependence:
         simulator.run({0: [(0, index * 11, False) for index in range(8)], 1: []})
         assert simulator.llc.stats.value("llc_detail.mshr_stall_cycles") > 0
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            DetailedLlcConfig(secure=False, total_mshrs=2, dram_latency=200),
+            DetailedLlcConfig(secure=True, mshrs_per_core=1, dram_latency=200),
+            DetailedLlcConfig(num_cores=3, secure=True, mshrs_per_core=2, dram_latency=150),
+        ],
+        ids=["baseline", "secure", "secure-3-cores"],
+    )
+    def test_mshr_stalls_skipped_in_closed_form_match_stepping(self, config, monkeypatch):
+        # Parked upgrade queues are not events on the fast path: the
+        # driver jumps over them and charges their stall cycles in
+        # closed form.  Every counter and latency must still equal the
+        # per-cycle loop's.
+        traces = {
+            core: [(core * 5 + index * 3, core * 0x1000 + index * 11, index % 2 == 0) for index in range(10)]
+            for core in range(config.num_cores)
+        }
+
+        def run():
+            simulator = LlcTrafficSimulator(config)
+            results = simulator.run(traces)
+            latencies = {core: request_latencies(results, core) for core in traces}
+            return simulator.llc.stats.counters(), latencies, simulator.llc.cycle
+
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+        fast = run()
+        monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
+        slow = run()
+        assert fast[0]["llc_detail.mshr_stall_cycles"] > 0
+        assert all(len(latencies) == 10 for latencies in fast[1].values())
+        assert fast == slow
+
 
 class TestLlcMshrInteraction:
     def test_banked_mshr_config_accepted(self):

@@ -418,3 +418,4 @@ class TestCli:
         assert entry["scenario"] == "prime_probe"
         assert entry["leaked"] is True
         assert entry["leaked_bits"] > 0
+        assert entry["cycles"] > 0
