@@ -15,10 +15,10 @@ and the raise-on-unreachable behaviour cannot silently diverge.
 :attr:`~repro.mem.address.LlcIndexer.line_period` apart share a set, so
 the scan visits only the lines whose line-address index bits equal the
 target's, and still checks each against the full index function (so a
-scan that crosses a region boundary stays exact).  Under PART a foreign
-set is unreachable, and the stride turns that case's 131,072-line walk
-into 512 visits.  The line-by-line walk stays as the
-``REPRO_SLOW_PATH=1`` reference twin.
+scan that crosses a region boundary stays exact).  On the evaluated
+``{R[1:0], A[7:0]}`` index a foreign set is unreachable, and the stride
+turns that case's 131,072-line walk into 512 visits.  The line-by-line
+walk stays as the ``REPRO_SLOW_PATH=1`` reference twin.
 """
 
 from __future__ import annotations

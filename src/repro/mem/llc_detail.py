@@ -269,10 +269,10 @@ class DetailedLlc:
         leaves a UQ, which is an event itself, so a parked queue stays
         parked over any gap this method reports, and :meth:`advance_to`
         charges the gap's stall cycles in closed form.  Every other
-        non-empty queue is conservative: it reports the current cycle
-        even if arbitration would leave it waiting, and so is a DQ head
-        held by DRAM backpressure, so the driver steps per-cycle while
-        such a message waits.
+        waiting message is conservative: a non-empty queue reports the
+        current cycle even if arbitration would leave it waiting, and so
+        does a DQ head held by DRAM backpressure, so the driver steps
+        per-cycle while such a message waits.
         """
         cycle = self.cycle
         if self._downgrades_unsent or self._shared_uq:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.attacks.addressing import (
-    REGION_SCAN_BYTES,
     _addresses_for_set_fast,
     _addresses_for_set_reference,
     addresses_for_set,
@@ -131,6 +130,19 @@ def build_llc(num_sets, index_function, region_index_bits, num_regions, dram_byt
     return LastLevelCache(config, address_map, DramController(), rng=DeterministicRng(0))
 
 
+def record_set_index_calls(llc):
+    """Make ``llc.set_index`` log each address it is asked about."""
+    calls = []
+    index = llc.set_index
+
+    def recording_set_index(address):
+        calls.append(address)
+        return index(address)
+
+    llc.set_index = recording_set_index
+    return calls
+
+
 def scan_outcome(scan, llc, base, target_set, count):
     try:
         return scan(llc, base, target_set, count)
@@ -178,10 +190,10 @@ class TestStridedSetScan:
         target_fraction,
         count,
     ):
-        # Regions of 64 MB (past REGION_SCAN_BYTES) down to 16 KB (inside
-        # one index period); bases anywhere in a region, neither line- nor
-        # region-aligned, up to the top of DRAM (a partitioned scan that
-        # leaves DRAM raises in both lanes).
+        # Regions of 64 MB (past the 8 MB REGION_SCAN_BYTES cap) down to
+        # 16 KB (inside one index period); bases anywhere in a region,
+        # neither line- nor region-aligned, up to the top of DRAM (a
+        # partitioned scan that leaves DRAM raises in both lanes).
         region_index_bits = {"none": 0, "two": 2, "six": 6, "all": index_bits}[region_choice]
         llc = build_llc(1 << index_bits, index_function, region_index_bits, num_regions)
         address_map = llc.address_map
@@ -191,33 +203,20 @@ class TestStridedSetScan:
         expected = scan_outcome(_addresses_for_set_reference, llc, base, target_set, count)
         assert scan_outcome(_addresses_for_set_fast, llc, base, target_set, count) == expected
 
-    def test_regions_span_both_sides_of_the_scan_cap(self):
-        sizes = {(1 << 28) // regions for regions in (4, 16384)}
-        assert max(sizes) > REGION_SCAN_BYTES > min(sizes)
-
     def test_partitioned_foreign_set_visits_one_line_per_period(self):
         llc = build_llc(1024, IndexFunction.SET_PARTITIONED, 2, 4)
         period = llc.indexer.line_period
         base = llc.address_map.region_base(1)
-        visited = []
-        index = llc.set_index
-
-        def counting_set_index(address):
-            visited.append(address)
-            return index(address)
-
-        llc.set_index = counting_set_index
+        visited = record_set_index_calls(llc)
         # Region 1's sets carry region bits 01; set 0 (bits 00) is foreign.
         assert _addresses_for_set_fast(llc, base, 0, 4) == []
         scan_lines = (region_scan_limit(llc, base) - base) // 64
-        assert len(visited) == scan_lines // period
-        assert all(index(address) % period == 0 for address in visited)
+        assert len(visited) == scan_lines // period == 512
+        assert all(llc.indexer.set_index(address) % period == 0 for address in visited)
 
     def test_dispatch_follows_the_slow_path_switch(self, monkeypatch):
         llc = build_llc(1024, IndexFunction.BASELINE, 2, 64)
-        calls = []
-        index = llc.set_index
-        llc.set_index = lambda address: calls.append(address) or index(address)
+        calls = record_set_index_calls(llc)
         monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
         slow = addresses_for_set(llc, 0, 1000, 2)
         slow_calls = len(calls)

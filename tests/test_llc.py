@@ -247,7 +247,10 @@ class TestDetailedLlcTimingIndependence:
         # closed form.  Every counter and latency must still equal the
         # per-cycle loop's.
         traces = {
-            core: [(core * 5 + index * 3, core * 0x1000 + index * 11, index % 2 == 0) for index in range(10)]
+            core: [
+                (core * 5 + index * 3, core * 0x1000 + index * 11, index % 2 == 0)
+                for index in range(10)
+            ]
             for core in range(config.num_cores)
         }
 
