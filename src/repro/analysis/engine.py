@@ -123,7 +123,7 @@ NONSPEC_INSTRUCTIONS_FRACTION = 0.5
 MIN_TRAP_INTERVAL = 5_000
 
 #: Process-wide count of simulations actually executed (cache misses);
-#: snapshotted into BENCH records by ``repro perf --record``.
+#: exported on the daemon's ``/v1/metrics``.
 _SIMULATIONS_TOTAL = global_registry().counter(
     "repro_simulations_total",
     "Simulations executed by this process (store misses that ran)",

@@ -24,6 +24,8 @@ sharing one cache directory): every write goes through a temp file +
 entry serialise on a per-entry ``fcntl`` advisory lock, and a reader
 that still finds an unparseable file retries once under that lock
 before treating it as a miss (logged once per store) and dropping it.
+An entry whose embedded ``key`` (or ``kind``) is not the one requested
+is dropped the same way, so a file under the wrong name is never served.
 """
 
 from __future__ import annotations
@@ -122,10 +124,13 @@ class ResultStore:
             run = None
             if document is not None:
                 try:
-                    run = run_from_dict(document["run"])
+                    if document["key"] == key:
+                        run = run_from_dict(document["run"])
                 except (ValueError, KeyError, TypeError):
-                    # Parseable JSON but not a run document of this
-                    # schema: drop it so the next put() rewrites cleanly.
+                    pass
+                if run is None:
+                    # Parseable JSON but not this key's run document of
+                    # this schema: drop it so the next put() rewrites cleanly.
                     self._drop_corrupt(path)
             if run is not None:
                 self._memory[key] = run
@@ -199,7 +204,7 @@ class ResultStore:
         if not self._corruption_logged:
             self._corruption_logged = True
             _LOGGER.warning(
-                "dropping unreadable cache entry %s (treating as a miss; "
+                "dropping unreadable or mis-keyed cache entry %s (treating as a miss; "
                 "further drops by this store are not logged)",
                 path,
             )
@@ -254,8 +259,11 @@ class ResultStore:
             payload = None
             if document is not None:
                 try:
-                    payload = document["payload"]
+                    if document["kind"] == kind and document["key"] == key:
+                        payload = document["payload"]
                 except (KeyError, TypeError):
+                    pass
+                if payload is None:
                     self._drop_corrupt(path)
             if payload is not None:
                 self._payload_memory[(kind, key)] = payload

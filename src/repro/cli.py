@@ -1,4 +1,4 @@
-"""repro-bench: run paper figures, custom sweeps, and perf checks.
+"""repro-bench: run paper figures, custom sweeps, attacks and serving runs.
 
 Examples::
 
@@ -21,8 +21,6 @@ Examples::
     repro-bench fleet --trace fleet-trace.json --json > fleet.json
     repro-bench trace summary fleet-trace.json
     repro-bench trace validate fleet-trace.json
-    repro-bench perf
-    repro-bench perf --instructions 20000 --baseline benchmarks/perf_baseline.json
     repro-bench list
 
 Variants are mitigation specs: any ``+``-combination of FLUSH, PART,
@@ -96,7 +94,6 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import global_registry
 from repro.obs.trace import Tracer, tracing
 from repro.service import (
     DEFAULT_SERVICE_CORES,
@@ -104,18 +101,6 @@ from repro.service import (
     DEFAULT_SERVICE_REQUESTS,
     DEFAULT_SERVICE_TENANTS,
     LOAD_PROFILES,
-)
-from repro.perf import (
-    DEFAULT_SUITE_INSTRUCTIONS,
-    PINNED_SEED,
-    BenchRecorder,
-    calibration_score,
-    commit_record_path,
-    compare_to_baseline,
-    load_bench,
-    run_fleet_case,
-    run_service_case,
-    run_suite,
 )
 from repro.workloads.spec_cint2006 import benchmark_names
 
@@ -709,208 +694,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_perf(args: argparse.Namespace) -> int:
-    result = run_suite(
-        instructions=args.instructions, seed=args.seed, components=args.components
-    )
-    service = None if args.no_service else run_service_case(components=args.components)
-    fleet = None if args.no_fleet else run_fleet_case(components=args.components)
-    recorder = BenchRecorder(args.output_dir)
-    record = recorder.build_record(
-        result,
-        calibration=calibration_score(),
-        service=service,
-        fleet=fleet,
-        metrics=global_registry().snapshot(),
-    )
-    record_path = None
-    if not args.no_record:
-        # The printed/diffed record and the written file are the same
-        # document (same date, same git SHA).
-        record_path = recorder.write(record=record)
-    commit_path = None
-    if args.record:
-        # Stable-name copy at the repo root, meant to be committed so
-        # the file's history IS the throughput trajectory.
-        commit_path = recorder.write(record=record, path=commit_record_path())
-
-    comparison = None
-    if args.baseline is not None:
-        try:
-            baseline = load_bench(args.baseline)
-            comparison = compare_to_baseline(
-                record, baseline, max_regression=args.max_regression / 100.0
-            )
-        except (OSError, ValueError, json.JSONDecodeError) as error:
-            print(f"cannot compare against {args.baseline}: {error}", file=sys.stderr)
-            return 2
-
-    if args.json:
-        document = dict(record)
-        if record_path is not None:
-            document["record_path"] = str(record_path)
-        if commit_path is not None:
-            document["commit_record_path"] = str(commit_path)
-        if comparison is not None:
-            document["baseline"] = {
-                "path": str(args.baseline),
-                "ratio": comparison.ratio,
-                "raw_ratio": comparison.raw_ratio,
-                "service_ratio": comparison.service_ratio,
-                "fleet_ratio": comparison.fleet_ratio,
-                "max_regression_percent": args.max_regression,
-                "regressed": comparison.regressed,
-            }
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        print(
-            f"repro perf — pinned suite, {result.instructions} instructions/run, "
-            f"seed {result.seed}"
-        )
-        header = f"{'variant':<12} {'benchmark':<12} {'instructions':>13} {'cycles':>10} {'wall(s)':>8} {'instr/s':>9}"
-        print(header)
-        print("-" * len(header))
-        for measurement in result.measurements:
-            report = measurement.report
-            print(
-                f"{measurement.variant:<12} {measurement.benchmark:<12}"
-                f" {report.instructions:>13} {report.cycles:>10}"
-                f" {report.wall_seconds:>8.3f} {report.instructions_per_second:>9.0f}"
-            )
-            if report.component_shares:
-                shares = ", ".join(
-                    f"{component} {share:.0%}"
-                    for component, share in report.component_shares.items()
-                )
-                print(f"{'':<12} time shares: {shares}")
-        aggregate = record["aggregate"]
-        print(
-            f"\naggregate: {aggregate['instructions_per_second']:.0f} instr/s, "
-            f"{aggregate['cycles_per_second']:.0f} cycles/s, "
-            f"calibration {record['calibration_mops']:.1f} Mops, "
-            f"normalized {aggregate['normalized_throughput']:.1f}"
-        )
-        if service is not None:
-            service_record = record["service"]
-            print(
-                f"service ({service_record['policy']}/{service_record['variant']}): "
-                f"{service_record['requests']} requests in "
-                f"{service_record['wall_seconds']:.3f}s = "
-                f"{service_record['requests_per_second']:.0f} req/s, "
-                f"normalized {service_record['normalized_throughput']:.1f}"
-            )
-            if service_record.get("component_shares"):
-                shares = ", ".join(
-                    f"{component} {share:.0%}"
-                    for component, share in service_record["component_shares"].items()
-                )
-                print(f"{'':<12} time shares: {shares}")
-        if fleet is not None:
-            fleet_record = record["fleet"]
-            print(
-                f"fleet ({fleet_record['router']}/{fleet_record['admission']}"
-                f"/{fleet_record['variant']}): "
-                f"{fleet_record['requests']} requests in "
-                f"{fleet_record['wall_seconds']:.3f}s = "
-                f"{fleet_record['requests_per_second']:.0f} req/s, "
-                f"normalized {fleet_record['normalized_throughput']:.1f}"
-            )
-            if fleet_record.get("component_shares"):
-                shares = ", ".join(
-                    f"{component} {share:.0%}"
-                    for component, share in fleet_record["component_shares"].items()
-                )
-                print(f"{'':<12} time shares: {shares}")
-        if record["slow_path"]:
-            print("note: REPRO_SLOW_PATH is active (reference kernel)")
-        if record_path is not None:
-            print(f"wrote {record_path}")
-        if commit_path is not None:
-            print(f"wrote {commit_path}")
-        if comparison is not None:
-            verdict = "REGRESSED" if comparison.regressed else "ok"
-            line = (
-                f"baseline {args.baseline}: {comparison.ratio:.2f}x normalized "
-                f"({comparison.raw_ratio:.2f}x raw)"
-            )
-            if comparison.service_ratio is not None:
-                line += f", service {comparison.service_ratio:.2f}x"
-            if comparison.fleet_ratio is not None:
-                line += f", fleet {comparison.fleet_ratio:.2f}x"
-            print(f"{line}, gate -{args.max_regression:.0f}% -> {verdict}")
-    if comparison is not None and comparison.regressed:
-        _print_perf_regression(record, baseline, comparison)
-        return 1
-    return 0
-
-
-def _print_perf_regression(record, baseline, comparison) -> None:
-    """Per-case normalized deltas of a failed perf gate, on stderr.
-
-    CI captures stdout (``--json | tee perf.json``), so a bare exit 1
-    leaves the log saying nothing about *which* case slowed down; this
-    breakdown names it.  Normalization divides each case's raw
-    instructions/second by its record's calibration score, the same
-    machine-speed correction the gate itself applies.
-    """
-    current_cal = float(record.get("calibration_mops") or 0.0)
-    baseline_cal = float(baseline.get("calibration_mops") or 0.0)
-    print(
-        "perf gate FAILED — per-case normalized throughput vs baseline "
-        f"(allowed drop {comparison.max_regression:.0%}):",
-        file=sys.stderr,
-    )
-    baseline_runs = {
-        (run.get("variant"), run.get("benchmark")): run
-        for run in baseline.get("runs", [])
-    }
-    for run in record.get("runs", []):
-        label = f"{run.get('variant')}/{run.get('benchmark')}"
-        current_norm = (
-            float(run["instructions_per_second"]) / current_cal if current_cal else 0.0
-        )
-        base_run = baseline_runs.get((run.get("variant"), run.get("benchmark")))
-        if base_run is None:
-            print(f"  {label:<24} {current_norm:9.1f} (case not in baseline)", file=sys.stderr)
-            continue
-        base_norm = (
-            float(base_run["instructions_per_second"]) / baseline_cal
-            if baseline_cal
-            else 0.0
-        )
-        ratio = current_norm / base_norm if base_norm > 0.0 else float("inf")
-        print(
-            f"  {label:<24} {current_norm:9.1f} vs {base_norm:9.1f} -> {ratio:5.2f}x",
-            file=sys.stderr,
-        )
-    current_service = record.get("service")
-    baseline_service = baseline.get("service")
-    if current_service and baseline_service and comparison.service_ratio is not None:
-        print(
-            f"  {'service (' + str(current_service.get('policy')) + ')':<24}"
-            f" {float(current_service['normalized_throughput']):9.1f}"
-            f" vs {float(baseline_service['normalized_throughput']):9.1f}"
-            f" -> {comparison.service_ratio:5.2f}x",
-            file=sys.stderr,
-        )
-    current_fleet = record.get("fleet")
-    baseline_fleet = baseline.get("fleet")
-    if current_fleet and baseline_fleet and comparison.fleet_ratio is not None:
-        print(
-            f"  {'fleet (' + str(current_fleet.get('router')) + ')':<24}"
-            f" {float(current_fleet['normalized_throughput']):9.1f}"
-            f" vs {float(baseline_fleet['normalized_throughput']):9.1f}"
-            f" -> {comparison.fleet_ratio:5.2f}x",
-            file=sys.stderr,
-        )
-    print(
-        f"  {'aggregate':<24} {comparison.current_normalized:9.1f}"
-        f" vs {comparison.baseline_normalized:9.1f}"
-        f" -> {comparison.ratio:5.2f}x (raw {comparison.raw_ratio:.2f}x)",
-        file=sys.stderr,
-    )
-
-
 def _command_trace_summary(args: argparse.Namespace) -> int:
     """``repro trace summary``: per-phase latency-breakdown table."""
     try:
@@ -1333,70 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_remote_argument(fleet)
     _add_trace_argument(fleet)
     fleet.set_defaults(handler=_command_fleet)
-
-    perf = subparsers.add_parser(
-        "perf",
-        help="measure simulator throughput on the pinned suite and record a BENCH file",
-    )
-    perf.add_argument(
-        "--instructions",
-        type=int,
-        default=DEFAULT_SUITE_INSTRUCTIONS,
-        help=f"instructions per suite run (default {DEFAULT_SUITE_INSTRUCTIONS})",
-    )
-    perf.add_argument(
-        "--seed", type=int, default=PINNED_SEED, help=f"suite seed (default {PINNED_SEED})"
-    )
-    perf.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="BENCH_*.json to diff against; exits 1 on a regression",
-    )
-    perf.add_argument(
-        "--max-regression",
-        type=float,
-        default=20.0,
-        metavar="PCT",
-        help="allowed normalized-throughput drop vs the baseline (default 20%%)",
-    )
-    perf.add_argument(
-        "--output-dir",
-        default=".",
-        help="directory the BENCH_<date>.json record is written to (default .)",
-    )
-    perf.add_argument(
-        "--no-record", action="store_true", help="measure only; write no BENCH file"
-    )
-    perf.add_argument(
-        "--record",
-        action="store_true",
-        help=(
-            "also write the record to <repo root>/BENCH.json — a stable, "
-            "commit-friendly name whose git history is the throughput trajectory"
-        ),
-    )
-    perf.add_argument(
-        "--no-service",
-        action="store_true",
-        help="skip the pinned enclave-serving event-loop case",
-    )
-    perf.add_argument(
-        "--no-fleet",
-        action="store_true",
-        help="skip the pinned sharded-fleet case",
-    )
-    perf.add_argument(
-        "--components",
-        action="store_true",
-        help="also profile per-component time shares (slower: one extra run each)",
-    )
-    perf.add_argument(
-        "--json",
-        action="store_true",
-        help="print the BENCH record (and baseline diff) as JSON",
-    )
-    perf.set_defaults(handler=_command_perf)
 
     trace = subparsers.add_parser(
         "trace",

@@ -31,7 +31,7 @@ are discarded anyway) and the measured interval runs the optimized stage
 loop.  Setting ``REPRO_SLOW_PATH=1`` (:mod:`repro.common.fastpath`)
 routes both through the original reference implementations instead;
 results are bit-identical either way, which ``tests/test_fastpath.py``
-enforces and ``python -m repro perf`` quantifies.
+enforces.
 
 .. deprecated::
     New code should go through :class:`repro.api.Session`, which runs the

@@ -10,7 +10,7 @@ over plain HTTP — stdlib :mod:`http.server` only, no dependencies:
   ``?mode=async`` enqueues instead and answers a job id;
 * ``GET /v1/jobs/<id>`` — an async submission's status and progress;
 * ``GET /v1/health`` — cache hit rates, store entry counts, worker-pool
-  state, and the recorded perf-gate status;
+  state and async job counts;
 * ``GET /v1/registries`` — every registry the session exposes.
 
 :class:`~repro.daemon.client.DaemonClient` is the matching thin urllib

@@ -32,16 +32,12 @@ from repro.common.errors import ConfigurationError
 from repro.daemon.jobs import JobRegistry
 from repro.obs.metrics import LabelValues, MetricsRegistry, global_registry
 from repro.obs.trace import wall_span, wall_time
-from repro.perf import commit_record_path, load_bench
 
 #: Default bind address: loopback only — the daemon speaks plain HTTP
 #: with no authentication, so exposing it wider is an explicit choice.
 DEFAULT_HOST = "127.0.0.1"
 #: Default TCP port.
 DEFAULT_PORT = 8642
-
-#: Allowed drop vs the committed baseline (mirrors the CI perf gate).
-PERF_GATE_MAX_REGRESSION_PERCENT = 20.0
 
 _LOGGER = logging.getLogger("repro.daemon")
 
@@ -55,39 +51,6 @@ _ENDPOINTS = (
 
 #: Content type of the ``/v1/metrics`` exposition.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
-def _perf_gate_status() -> Dict[str, Any]:
-    """Recorded perf-gate state, without running the suite.
-
-    Health must stay cheap, so this reports what the gate would compare:
-    whether the committed baseline exists (and its aggregate numbers)
-    and the latest ``BENCH.json`` trajectory record, if any.
-    """
-    record_path = commit_record_path()
-    baseline_path = record_path.parent / "benchmarks" / "perf_baseline.json"
-    status: Dict[str, Any] = {
-        "baseline_path": str(baseline_path),
-        "baseline_present": baseline_path.is_file(),
-        "baseline_aggregate": None,
-        "latest_record": None,
-        "max_regression_percent": PERF_GATE_MAX_REGRESSION_PERCENT,
-    }
-    try:
-        status["baseline_aggregate"] = load_bench(baseline_path).get("aggregate")
-    except (OSError, ValueError, json.JSONDecodeError):
-        pass
-    try:
-        record = load_bench(record_path)
-        status["latest_record"] = {
-            "path": str(record_path),
-            "date": record.get("date"),
-            "git_sha": record.get("git_sha"),
-            "aggregate": record.get("aggregate"),
-        }
-    except (OSError, ValueError, json.JSONDecodeError):
-        pass
-    return status
 
 
 class DaemonState:
@@ -203,7 +166,6 @@ class DaemonState:
                     for key, value in metrics.values("repro_jobs").items()
                 },
             },
-            "perf_gate": _perf_gate_status(),
         }
 
     def render_metrics(self) -> str:

@@ -58,10 +58,6 @@ MODULE_ALLOWLIST: Dict[str, str] = {
         "owns the random module for the whole tree; every simulator draw "
         "flows through DeterministicRng seeded from the request"
     ),
-    "repro/perf/": (
-        "wall-clock measurement is the perf subsystem's purpose; its "
-        "numbers are throughput records, never simulation results"
-    ),
 }
 
 #: Modules allowed to read the environment, with justifications.

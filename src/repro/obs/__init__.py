@@ -13,8 +13,7 @@ reproduction, it never feeds it.  Three modules:
 * :mod:`repro.obs.metrics` — a process-level metrics registry
   (counters, gauges, histograms; deterministic iteration order) with a
   Prometheus text-exposition renderer.  The daemon's ``/v1/metrics``
-  and ``/v1/health`` surfaces both read it, and ``repro perf --record``
-  snapshots it into the BENCH record.
+  and ``/v1/health`` surfaces both read it.
 * :mod:`repro.obs.export` — the Chrome-trace-event (Perfetto) JSON
   exporter behind ``--trace out.json`` and ``repro trace summary``.
 

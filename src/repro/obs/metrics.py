@@ -4,8 +4,7 @@ A :class:`MetricsRegistry` owns metric *families* keyed by name; a
 family with label names fans out into children keyed by their label
 values.  Iteration order is deterministic everywhere — families sort by
 name, children by label values — so a rendered exposition (and the
-JSON snapshot ``repro perf --record`` embeds in BENCH records) is
-byte-stable for a given set of values.
+JSON snapshot) is byte-stable for a given set of values.
 
 This is deliberately a separate concern from
 :class:`repro.common.stats.StatsRegistry`: that registry counts events
@@ -328,7 +327,7 @@ class MetricsRegistry:
         }
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-ready value snapshot (the BENCH ``metrics`` section).
+        """JSON-ready value snapshot of every family.
 
         Unlabeled counters/gauges map to their scalar; labeled families
         map to ``{"label=value,...": value}``; histograms map to their
@@ -387,8 +386,8 @@ def global_registry() -> MetricsRegistry:
     """The process-wide registry.
 
     Cross-cutting counters live here — simulations executed, store
-    hits/misses, spans recorded — so ``repro perf --record`` can embed
-    one snapshot covering the whole process.  Subsystem-local surfaces
-    (the daemon) keep their own :class:`MetricsRegistry` instances.
+    hits/misses, spans recorded — so one snapshot or exposition covers
+    the whole process.  Subsystem-local surfaces (the daemon) keep their
+    own :class:`MetricsRegistry` instances.
     """
     return _GLOBAL

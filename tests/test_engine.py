@@ -187,6 +187,25 @@ class TestResultStore:
         path.write_text("{not json")
         assert ResultStore(tmp_path / "cache").get(key) is None
         assert not path.exists()  # corrupt entry dropped
+        # A well-formed document filed under another key's name, or
+        # another kind's, is dropped and counted as a miss the same way.
+        store.put(key, store.get(key))
+        store.put_payload("scenario", key, {"leaked": True})
+        scenario = store._payload_path("scenario", key)
+        other = "0" * 64
+        for source, copy, lookup in (
+            (path, store._path_for(other), lambda r: r.get(other)),
+            (scenario, store._payload_path("scenario", other), lambda r: r.get_payload("scenario", other)),
+            (scenario, store._payload_path("service", key), lambda r: r.get_payload("service", key)),
+        ):
+            copy.write_bytes(source.read_bytes())
+            reader = ResultStore(tmp_path / "cache")
+            assert lookup(reader) is None
+            assert (reader.disk_hits, reader.misses) == (0, 1)
+            assert not copy.exists()
+        reader = ResultStore(tmp_path / "cache")
+        assert reader.get(key) is not None
+        assert reader.get_payload("scenario", key) == {"leaked": True}
 
     def test_memory_only_store_never_touches_disk(self):
         store = ResultStore.in_memory()

@@ -284,6 +284,8 @@ class TestDaemonMetrics:
         assert "repro_jobs_total" in samples
         assert "repro_store_memory_runs" in samples
         assert "repro_simulations_total" in samples
+        assert "repro_store_memory_hits_total" in samples
+        assert "repro_store_disk_hits_total" in samples
         assert "repro_store_misses_total" in samples
         assert any(name.startswith("repro_http_request_wall_ms") for name in samples)
 
