@@ -9,38 +9,31 @@ both; :mod:`repro.analysis.report` renders the paper-vs-measured tables
 printed by the benchmark harness and recorded in EXPERIMENTS.md.
 """
 
-from repro.analysis.engine import (
-    EvaluationSettings,
-    ExperimentResult,
-    ExperimentSpec,
-    ParallelRunner,
-    RunRequest,
-    execute_request,
-    request_for,
-)
-from repro.analysis.harness import (
-    cached_run,
-    clear_run_cache,
-    overhead_percent,
-    run_figure_series,
-)
-from repro.analysis.report import format_comparison_table, format_series_table, geometric_mean
-from repro.analysis.store import ResultStore
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "EvaluationSettings",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "ParallelRunner",
-    "ResultStore",
-    "RunRequest",
-    "cached_run",
-    "clear_run_cache",
-    "execute_request",
-    "format_comparison_table",
-    "format_series_table",
-    "geometric_mean",
-    "overhead_percent",
-    "request_for",
-    "run_figure_series",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.analysis.engine": (
+            "EvaluationSettings",
+            "ExperimentResult",
+            "ExperimentSpec",
+            "ParallelRunner",
+            "RunRequest",
+            "execute_request",
+            "request_for",
+        ),
+        "repro.analysis.harness": (
+            "cached_run",
+            "clear_run_cache",
+            "overhead_percent",
+            "run_figure_series",
+        ),
+        "repro.analysis.report": (
+            "format_comparison_table",
+            "format_series_table",
+            "geometric_mean",
+        ),
+        "repro.analysis.store": ("ResultStore",),
+    },
+)

@@ -38,9 +38,11 @@ split across separate processes on different days.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from importlib import import_module
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     ClassVar,
@@ -54,10 +56,24 @@ from typing import (
     TypeVar,
 )
 
-from repro.attacks.scenarios import ScenarioOutcome, run_scenario, scenario_names
+from repro.analysis.store import ResultStore
+from repro.common.defaults import (
+    DEFAULT_FLEET_SHARDS,
+    DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
+    DEFAULT_QUEUE_DEPTH,
+    DEFAULT_SEED,
+    DEFAULT_SERVICE_CORES,
+    DEFAULT_SERVICE_INSTRUCTIONS,
+    DEFAULT_SERVICE_REQUESTS,
+    DEFAULT_SERVICE_TENANTS,
+    DEFAULT_SLO_FACTOR,
+    DEFAULT_THINK_FACTOR,
+    DEFAULT_WIPE_BYTES_PER_CYCLE,
+)
 from repro.common.fastpath import slow_path_enabled
 from repro.core.config import MI6Config
-from repro.core.processor import MI6Processor, WarmState, WorkloadRun
+from repro.core.mitigations import config_for_spec
+from repro.core.results import WarmState, WorkloadRun
 from repro.core.serialization import (
     request_cache_key,
     request_from_payload,
@@ -66,38 +82,6 @@ from repro.core.serialization import (
     run_from_dict,
     run_to_dict,
 )
-from repro.fleet.admission import admission_names
-from repro.fleet.clients import client_model_names
-from repro.fleet.routing import TenantLoad, assign_tenants, router_names
-from repro.fleet.simulation import (
-    DEFAULT_FLEET_SHARDS,
-    DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
-    DEFAULT_QUEUE_DEPTH,
-    DEFAULT_SLO_FACTOR,
-    DEFAULT_THINK_FACTOR,
-    DEFAULT_WIPE_BYTES_PER_CYCLE,
-    FleetOutcome,
-    ShardOutcome,
-    empty_shard_outcome,
-    estimate_boundary_cycles,
-    merge_shard_outcomes,
-    run_fleet_shard,
-)
-from repro.service.arrivals import LOAD_PROFILES
-from repro.service.schedulers import policy_names
-from repro.service.simulation import (
-    DEFAULT_SERVICE_CORES,
-    DEFAULT_SERVICE_INSTRUCTIONS,
-    DEFAULT_SERVICE_REQUESTS,
-    DEFAULT_SERVICE_TENANTS,
-    ServiceOutcome,
-    run_service,
-    tenant_benchmarks,
-)
-from repro.core.simulator import DEFAULT_SEED
-from repro.core.mitigations import config_for_spec
-from repro.obs.metrics import global_registry
-from repro.obs.trace import Tracer, active_tracer, set_active_tracer, wall_span
 from repro.core.variants import (
     Variant,
     VariantLike,
@@ -105,9 +89,19 @@ from repro.core.variants import (
     as_spec,
     spec_name,
 )
-from repro.analysis.store import ResultStore
-from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
-from repro.workloads.spec_cint2006 import benchmark_names, profile_for
+from repro.fleet.admission import admission_names
+from repro.fleet.clients import client_model_names
+from repro.fleet.routing import TenantLoad, assign_tenants, router_names
+from repro.obs.metrics import global_registry
+from repro.obs.trace import Tracer, active_tracer, set_active_tracer, wall_span
+from repro.service.arrivals import LOAD_PROFILES
+from repro.service.schedulers import policy_names
+from repro.workloads.spec_cint2006 import benchmark_names, profile_for, tenant_benchmarks
+
+if TYPE_CHECKING:
+    from repro.attacks.scenarios import ScenarioOutcome
+    from repro.fleet.simulation import FleetOutcome, ShardOutcome
+    from repro.service.simulation import ServiceOutcome
 
 #: Environment variable controlling how many instructions each run commits.
 INSTRUCTIONS_ENV_VAR = "REPRO_BENCH_INSTRUCTIONS"
@@ -396,6 +390,9 @@ def execute_run_group(requests: Sequence[RunRequest]) -> List[WorkloadRun]:
     of its warmed state; under ``REPRO_SLOW_PATH`` every machine warms
     itself, so the reference path stays the oracle.
     """
+    from repro.core.processor import MI6Processor
+    from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
+
     first = requests[0]
     workload = PreparedWorkload(
         SyntheticWorkload(profile_for(first.benchmark), seed=first.seed),
@@ -448,6 +445,8 @@ class ScenarioRequest(EngineRequest):
 
 def execute_scenario_request(request: ScenarioRequest) -> ScenarioOutcome:
     """Run one scenario on a fresh machine (the only place scenarios run)."""
+    from repro.attacks.scenarios import run_scenario
+
     return run_scenario(
         request.scenario, request.config, request.seed, num_cores=request.num_cores
     )
@@ -484,6 +483,8 @@ class ScenarioSpec:
         names are validated against the registry here rather than at run
         time.
         """
+        from repro.attacks.scenarios import scenario_names
+
         _reject_empty(scenarios=scenarios, variants=variants, seeds=seeds)
         known = scenario_names()
         if scenarios is not None:
@@ -570,6 +571,8 @@ class ServiceRunRequest(EngineRequest):
 
 def execute_service_request(request: ServiceRunRequest) -> ServiceOutcome:
     """Run one serving simulation (the only place service runs happen)."""
+    from repro.service.simulation import run_service
+
     return run_service(
         request.config,
         request.policy,
@@ -755,6 +758,8 @@ class FleetShardRequest(EngineRequest):
 
 def execute_fleet_shard_request(request: FleetShardRequest) -> ShardOutcome:
     """Run one shard simulation (the only place shard runs happen)."""
+    from repro.fleet.simulation import run_fleet_shard
+
     return run_fleet_shard(
         request.config,
         request.policy,
@@ -844,8 +849,11 @@ class FleetRunRequest(EngineRequest):
         tenants (remainder to the lowest ids), and the SLO is fixed
         fleet-wide from the mean service demand.  Shards the router
         left empty (or with a zero budget) produce no request — the
-        merge fills their rows with :func:`empty_shard_outcome`.
+        merge fills their rows with
+        :func:`~repro.fleet.simulation.empty_shard_outcome`.
         """
+        from repro.fleet.simulation import estimate_boundary_cycles
+
         benchmarks = tenant_benchmarks(self.num_tenants)
         boundary = estimate_boundary_cycles(
             self.config,
@@ -958,6 +966,8 @@ def _merge_fleet(
     request: FleetRunRequest, plan: FleetPlan, outcomes: Sequence[ShardOutcome]
 ) -> FleetOutcome:
     """Fold shard outcomes into the fleet document for ``request``."""
+    from repro.fleet.simulation import empty_shard_outcome, merge_shard_outcomes
+
     produced = {outcome.shard: outcome for outcome in outcomes}
     shards = [
         produced.get(index, empty_shard_outcome(index, plan.shard_tenants(index)))
@@ -1274,19 +1284,38 @@ class JobKind:
             or one group of requests for a kind with a ``group_key``.
             It is looked up at every call, so instrumentation can wrap
             it in place.
-        value_type: Type of the value one request produces.
-        encode / decode: The value's JSON document codec — the worker
-            transport, the store's document layer, and the wire.
+        value: ``module:name`` of the type of the value one request
+            produces, imported once, on first use (:attr:`value_type`), so
+            answering a kind from the store loads no simulator.
         group_key: Maps a request to the group it shares preparation
             with; ``None`` (every kind but runs) runs each request alone.
+        codec: The value's ``(encode, decode)`` pair when its type has no
+            ``to_dict``/``from_dict`` of its own.
     """
 
     request_type: Type[EngineRequest]
     execute: str
-    value_type: type
-    encode: Callable[[Any], Dict[str, Any]]
-    decode: Callable[[Dict[str, Any]], Any]
+    value: str
     group_key: Optional[Callable[[Any], Hashable]] = None
+    codec: Optional[Tuple[Callable[[Any], Dict[str, Any]], Callable[[Dict[str, Any]], Any]]] = None
+
+    @cached_property
+    def value_type(self) -> Any:
+        """Type of the value one request produces."""
+        module, _, name = self.value.partition(":")
+        return getattr(import_module(module), name)
+
+    def encode(self, value: Any) -> Dict[str, Any]:
+        """The value's JSON document (worker transport, store document, wire)."""
+        if self.codec is not None:
+            return self.codec[0](value)
+        return self.value_type.to_dict(value)
+
+    def decode(self, document: Dict[str, Any]) -> Any:
+        """Rebuild a value from :meth:`encode` output."""
+        if self.codec is not None:
+            return self.codec[1](document)
+        return self.value_type.from_dict(document)
 
     def executor(self) -> Callable[[Any], Any]:
         """The execute function as this module binds it right now."""
@@ -1300,11 +1329,6 @@ class JobKind:
         return [self.executor()(request)]
 
 
-def _outcome(value_type: Any) -> Tuple[Any, Any, Any]:
-    """An outcome type with its own ``to_dict``/``from_dict`` codec."""
-    return value_type, value_type.to_dict, value_type.from_dict
-
-
 #: Request kind -> how the engine runs it.  Runs persist in the store's
 #: run layer; every other kind persists in its document layer under the
 #: kind tag.  A fleet is the one expanding kind: the runner lowers it onto
@@ -1316,15 +1340,20 @@ JOB_KINDS: Dict[str, JobKind] = {
         JobKind(
             RunRequest,
             "execute_run_group",
-            WorkloadRun,
-            run_to_dict,
-            run_from_dict,
+            "repro.core.results:WorkloadRun",
             group_key=run_group_key,
+            codec=(run_to_dict, run_from_dict),
         ),
-        JobKind(ScenarioRequest, "execute_scenario_request", *_outcome(ScenarioOutcome)),
-        JobKind(ServiceRunRequest, "execute_service_request", *_outcome(ServiceOutcome)),
-        JobKind(FleetShardRequest, "execute_fleet_shard_request", *_outcome(ShardOutcome)),
-        JobKind(FleetRunRequest, "execute_fleet_request", *_outcome(FleetOutcome)),
+        JobKind(
+            ScenarioRequest, "execute_scenario_request", "repro.attacks.scenarios:ScenarioOutcome"
+        ),
+        JobKind(
+            ServiceRunRequest, "execute_service_request", "repro.service.simulation:ServiceOutcome"
+        ),
+        JobKind(
+            FleetShardRequest, "execute_fleet_shard_request", "repro.fleet.simulation:ShardOutcome"
+        ),
+        JobKind(FleetRunRequest, "execute_fleet_request", "repro.fleet.simulation:FleetOutcome"),
     )
 }
 
@@ -1496,6 +1525,8 @@ class ParallelRunner:
             }
             for task in tasks
         ]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(self.jobs, len(tasks))) as pool:
             # pool.map preserves task order.
             for task, encoded in zip(tasks, pool.map(_pool_worker, envelopes)):

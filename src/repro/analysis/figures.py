@@ -21,17 +21,17 @@ from repro.analysis.harness import (
     runtime_overhead_metric,
 )
 from repro.analysis.store import ResultStore
-from repro.api.requests import FleetRequest, ScenarioRequest, ServiceRequest
-from repro.api.session import coerce_session
-from repro.core.mitigations import VariantLike, config_for_spec
-from repro.core.variants import Variant
-from repro.obs.export import trace_spans
-from repro.service.simulation import (
+from repro.common.defaults import (
     DEFAULT_SERVICE_CORES,
     DEFAULT_SERVICE_INSTRUCTIONS,
     DEFAULT_SERVICE_REQUESTS,
     DEFAULT_SERVICE_TENANTS,
 )
+from repro.api.requests import FleetRequest, ScenarioRequest, ServiceRequest
+from repro.api.session import coerce_session
+from repro.core.mitigations import VariantLike, config_for_spec
+from repro.core.variants import Variant
+from repro.obs.export import trace_spans
 from repro.workloads.characteristics import PAPER_REPORTED
 
 FigureResult = Tuple[str, Dict[str, float], Dict[str, float]]

@@ -30,7 +30,7 @@ from repro.analysis.store import ResultStore
 from repro.api.requests import SweepRequest, WorkloadRequest
 from repro.api.session import coerce_session, default_session
 from repro.core.mitigations import VariantLike, spec_name
-from repro.core.processor import WorkloadRun
+from repro.core.results import WorkloadRun
 from repro.workloads.spec_cint2006 import benchmark_names
 
 __all__ = [

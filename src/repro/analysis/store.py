@@ -4,7 +4,7 @@ This replaces the old module-global ``_RUN_CACHE`` dict in the harness.
 A :class:`ResultStore` has two layers:
 
 * an in-memory dict, so repeated lookups within one process return the
-  *same* :class:`~repro.core.processor.WorkloadRun` object (the property
+  *same* :class:`~repro.core.results.WorkloadRun` object (the property
   the harness always had);
 * an optional on-disk layer of JSON files under ``.repro_cache/`` (or
   ``$REPRO_CACHE_DIR``), so repeated figure/benchmark invocations across
@@ -43,7 +43,7 @@ try:  # pragma: no cover - fcntl is present on every POSIX build
 except ImportError:  # pragma: no cover - non-POSIX fallback: atomic writes only
     fcntl = None  # type: ignore[assignment]
 
-from repro.core.processor import WorkloadRun
+from repro.core.results import WorkloadRun
 from repro.core.serialization import SCHEMA_VERSION, run_from_dict, run_to_dict
 from repro.obs.metrics import global_registry
 from repro.obs.trace import wall_span

@@ -55,23 +55,21 @@ from repro.analysis.engine import (
     ServiceSpec,
     request_for,
 )
-from repro.core.config import MI6Config
-from repro.core.mitigations import VariantLike
-from repro.core.serialization import decode_field, encode_field, field_types
-from repro.fleet.simulation import (
+from repro.common.defaults import (
     DEFAULT_FLEET_SHARDS,
     DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
     DEFAULT_QUEUE_DEPTH,
-    DEFAULT_SLO_FACTOR,
-    DEFAULT_THINK_FACTOR,
-    DEFAULT_WIPE_BYTES_PER_CYCLE,
-)
-from repro.service.simulation import (
     DEFAULT_SERVICE_CORES,
     DEFAULT_SERVICE_INSTRUCTIONS,
     DEFAULT_SERVICE_REQUESTS,
     DEFAULT_SERVICE_TENANTS,
+    DEFAULT_SLO_FACTOR,
+    DEFAULT_THINK_FACTOR,
+    DEFAULT_WIPE_BYTES_PER_CYCLE,
 )
+from repro.core.config import MI6Config
+from repro.core.mitigations import VariantLike
+from repro.core.serialization import decode_field, encode_field, field_types
 
 
 #: Version stamped into (and demanded from) every wire document.  Bump

@@ -3,7 +3,7 @@
 Whatever the request shape — one workload, a sweep grid, a scenario
 matrix — the session answers with one :class:`Result`: an ordered list of
 :class:`ResultEntry` values, each carrying the domain object
-(:class:`~repro.core.processor.WorkloadRun` or
+(:class:`~repro.core.results.WorkloadRun` or
 :class:`~repro.attacks.scenarios.ScenarioOutcome`) plus its
 :class:`Provenance` — the content-hash cache key the entry is stored
 under, the serialization schema version, and whether it was simulated
@@ -23,7 +23,7 @@ over the network produces byte-identical documents modulo that field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.analysis.engine import JOB_KINDS, EvaluationSettings, ExperimentResult, JobKind
 from repro.api.requests import (
@@ -32,11 +32,13 @@ from repro.api.requests import (
     WireError,
     request_from_wire,
 )
-from repro.attacks.scenarios import ScenarioOutcome
 from repro.core.mitigations import VariantLike, spec_name
-from repro.core.processor import WorkloadRun
-from repro.fleet.simulation import FleetOutcome
-from repro.service.simulation import ServiceOutcome
+from repro.core.results import WorkloadRun
+
+if TYPE_CHECKING:
+    from repro.attacks.scenarios import ScenarioOutcome
+    from repro.fleet.simulation import FleetOutcome
+    from repro.service.simulation import ServiceOutcome
 
 
 @dataclass(frozen=True)
@@ -192,29 +194,22 @@ class Result:
     @property
     def outcomes(self) -> List[ScenarioOutcome]:
         """All scenario outcomes, in expansion order."""
-        return [
-            entry.value
-            for entry in self.entries
-            if isinstance(entry.value, ScenarioOutcome)
-        ]
+        return self._values_of("scenario")
 
     @property
     def service_outcomes(self) -> List[ServiceOutcome]:
         """All enclave-serving outcomes, in expansion order."""
-        return [
-            entry.value
-            for entry in self.entries
-            if isinstance(entry.value, ServiceOutcome)
-        ]
+        return self._values_of("service")
 
     @property
     def fleet_outcomes(self) -> List[FleetOutcome]:
         """All fleet serving outcomes, in expansion order."""
-        return [
-            entry.value
-            for entry in self.entries
-            if isinstance(entry.value, FleetOutcome)
-        ]
+        return self._values_of("fleet")
+
+    def _values_of(self, kind: str) -> List[Any]:
+        """Entry values of one engine kind's value type, in expansion order."""
+        value_type = JOB_KINDS[kind].value_type
+        return [entry.value for entry in self.entries if isinstance(entry.value, value_type)]
 
 
 # ----------------------------------------------------------------------

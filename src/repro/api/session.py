@@ -34,7 +34,6 @@ from repro.analysis.engine import (
 from repro.analysis.store import ResultStore
 from repro.api.requests import Request, ScenarioRequest, SweepRequest, WorkloadRequest
 from repro.api.results import Provenance, Result, ResultEntry
-from repro.attacks.scenarios import scenario_description, scenario_names
 from repro.core.mitigations import (
     Mitigation,
     VariantLike,
@@ -129,6 +128,8 @@ class Session:
 
     def scenarios(self) -> Dict[str, str]:
         """Registered security scenarios and their descriptions."""
+        from repro.attacks.scenarios import scenario_description, scenario_names
+
         return {name: scenario_description(name) for name in scenario_names()}
 
     def policies(self) -> Dict[str, str]:

@@ -14,9 +14,10 @@ from typing import List, Set
 
 from repro.attacks.addressing import addresses_for_set, distinct_sets
 from repro.common.rng import DeterministicRng
+from repro.core.config import LlcConfig
 from repro.mem.address import AddressMap, CacheGeometry, IndexFunction
 from repro.mem.dram import DramController
-from repro.mem.llc import LastLevelCache, LlcConfig
+from repro.mem.llc import LastLevelCache
 
 
 @dataclass(frozen=True)

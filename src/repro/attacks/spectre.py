@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.rng import DeterministicRng
+from repro.core.config import LlcConfig
 from repro.core.protection import RegionBitvector
 from repro.mem.address import AddressMap, IndexFunction
 from repro.mem.dram import DramController
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.mem.llc import LastLevelCache, LlcConfig
+from repro.mem.llc import LastLevelCache
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,13 @@ wire codec (args -> wire document -> typed request), the same documents
 ``repro-bench serve --daemon`` accepts over HTTP — so ``--remote <addr>``
 sends the identical request to a running daemon and decodes the identical
 result envelope.
+
+Importing this module, and answering a ``sweep`` from the store, loads
+no simulator: the subcommand handlers import the figures, the report
+tables, the scenarios, the daemon, the trace exporter and the HTTP
+client (``--remote`` only) when they are dispatched, and the engine
+imports each simulator inside the function that runs it.
+``tests/test_entry_points.py`` holds that line.
 """
 
 from __future__ import annotations
@@ -44,10 +51,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
-from repro.analysis import figures
-from repro.analysis.engine import EvaluationSettings
 from repro.analysis.engine import (
     DEFAULT_FLEET_ADMISSION,
     DEFAULT_FLEET_CLIENT,
@@ -56,13 +61,7 @@ from repro.analysis.engine import (
     DEFAULT_FLEET_ROUTER,
     DEFAULT_FLEET_SHARD_CORES,
     DEFAULT_FLEET_TENANTS,
-)
-from repro.analysis.report import (
-    format_breakdown_table,
-    format_fleet_table,
-    format_security_table,
-    format_series_table,
-    format_service_table,
+    EvaluationSettings,
 )
 from repro.analysis.store import DEFAULT_CACHE_DIR, ResultStore
 from repro.api import (
@@ -74,34 +73,26 @@ from repro.api import (
     request_from_wire,
     set_default_session,
 )
-from repro.attacks.scenarios import scenario_names
-from repro.common.errors import ConfigurationError
-from repro.common.log import LOG_LEVELS, configure_logging
-from repro.core.mitigations import known_compositions, known_mitigations
-from repro.daemon import DEFAULT_HOST, DEFAULT_PORT, DaemonClient, DaemonError, serve_daemon
-from repro.fleet.simulation import (
+from repro.common.defaults import (
     DEFAULT_FLEET_SHARDS,
+    DEFAULT_HOST,
     DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
+    DEFAULT_PORT,
     DEFAULT_QUEUE_DEPTH,
-    DEFAULT_SLO_FACTOR,
-    DEFAULT_THINK_FACTOR,
-    DEFAULT_WIPE_BYTES_PER_CYCLE,
-)
-from repro.lint import add_lint_arguments, command_lint
-from repro.obs.export import (
-    load_trace,
-    trace_spans,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.trace import Tracer, tracing
-from repro.service import (
     DEFAULT_SERVICE_CORES,
     DEFAULT_SERVICE_INSTRUCTIONS,
     DEFAULT_SERVICE_REQUESTS,
     DEFAULT_SERVICE_TENANTS,
-    LOAD_PROFILES,
+    DEFAULT_SLO_FACTOR,
+    DEFAULT_THINK_FACTOR,
+    DEFAULT_WIPE_BYTES_PER_CYCLE,
 )
+from repro.common.errors import ConfigurationError
+from repro.common.log import LOG_LEVELS, configure_logging
+from repro.core.mitigations import known_compositions, known_mitigations
+from repro.lint.cli import add_lint_arguments, command_lint
+from repro.obs.trace import Tracer, tracing
+from repro.service.arrivals import LOAD_PROFILES
 from repro.workloads.spec_cint2006 import benchmark_names
 
 #: Figure name -> callable printing that figure's tables.
@@ -109,6 +100,8 @@ _FigureHandler = Callable[[EvaluationSettings, Optional[int]], None]
 
 
 def _print_series_figure(figure_fn, settings: EvaluationSettings, jobs: Optional[int]) -> None:
+    from repro.analysis.report import format_series_table
+
     title, measured, paper = figure_fn(settings, jobs=jobs)
     print(format_series_table(title, measured, paper))
 
@@ -116,6 +109,8 @@ def _print_series_figure(figure_fn, settings: EvaluationSettings, jobs: Optional
 def _print_pair_figure(
     figure_fn, labels, settings: EvaluationSettings, jobs: Optional[int]
 ) -> None:
+    from repro.analysis.report import format_series_table
+
     title, measured_a, measured_b, paper_a, paper_b = figure_fn(settings, jobs=jobs)
     print(title)
     print(format_series_table(labels[0], measured_a, paper_a, unit="mpki"))
@@ -124,6 +119,8 @@ def _print_pair_figure(
 
 
 def _figure_handlers() -> Dict[str, _FigureHandler]:
+    from repro.analysis import figures
+
     return {
         "fig04": lambda settings, jobs: print(figures.figure04_configuration()),
         "fig05": lambda settings, jobs: _print_series_figure(
@@ -237,24 +234,47 @@ def _wire_request(kind: str, **fields: Any) -> Request:
 
 def _execute(
     args: argparse.Namespace, request: Request, settings: EvaluationSettings
-) -> tuple[Result, Optional[Session]]:
+) -> Union[int, Tuple[Result, Optional[Session]]]:
     """Run a request locally, or remotely when ``--remote`` is set.
 
     Returns the result and the local session (``None`` in remote mode —
     the cache counters live in the daemon's store, reported by its
-    health endpoint rather than a local summary line).  With ``--trace``
-    the run executes under an ambient tracer and the captured spans are
-    exported as Chrome-trace-event JSON; outcomes (and everything on
-    stdout) are byte-identical either way — only the trace file and a
-    stderr footer are added.
+    health endpoint rather than a local summary line).  A failure is
+    reported on stderr and returned as the exit code instead: 2 for a
+    request the engine rejects (``ConfigurationError`` covers
+    machine-size limits discovered at assembly time, such as bystander
+    regions or the Section 5.2 MSHR bound), 1 when the daemon fails or
+    cannot be reached.
     """
-    if getattr(args, "remote", None):
-        client = DaemonClient(args.remote)
-        return client.run(request, settings=settings), None
+    try:
+        if not getattr(args, "remote", None):
+            return _execute_local(args, request)
+        from repro.daemon.client import DaemonClient, DaemonError
+
+        try:
+            return DaemonClient(args.remote).run(request, settings=settings), None
+        except DaemonError as error:
+            print(str(error), file=sys.stderr)
+            return 1
+    except (ValueError, ConfigurationError) as error:
+        print(str(error), file=sys.stderr)
+        return 2
+
+
+def _execute_local(args: argparse.Namespace, request: Request) -> Tuple[Result, Session]:
+    """Run a request in this process's session.
+
+    With ``--trace`` the run executes under an ambient tracer and the
+    captured spans are exported as Chrome-trace-event JSON; outcomes (and
+    everything on stdout) are byte-identical either way — only the trace
+    file and a stderr footer are added.
+    """
     session = _build_session(args)
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
         return session.run(request), session
+    from repro.obs.export import write_chrome_trace
+
     tracer = Tracer()
     with tracing(tracer):
         result = session.run(request)
@@ -356,14 +376,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
     except WireError as error:
         print(str(error), file=sys.stderr)
         return 2
-    try:
-        result, session = _execute(args, request, settings)
-    except (ValueError, ConfigurationError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    except DaemonError as error:
-        print(str(error), file=sys.stderr)
-        return 1
+    executed = _execute(args, request, settings)
+    if isinstance(executed, int):
+        return executed
+    result, session = executed
 
     if args.json:
         entries = []
@@ -429,6 +445,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_attack(args: argparse.Namespace) -> int:
+    from repro.attacks.scenarios import scenario_names
+
     known = scenario_names()
     if not args.scenarios or "all" in [name.lower() for name in args.scenarios]:
         names = known
@@ -454,16 +472,10 @@ def _command_attack(args: argparse.Namespace) -> int:
     except WireError as error:
         print(str(error), file=sys.stderr)
         return 2
-    try:
-        result, session = _execute(args, request, settings)
-    except (ValueError, ConfigurationError) as error:
-        # ConfigurationError covers machine-size limits discovered at
-        # assembly time (bystander regions, the Section 5.2 MSHR bound).
-        print(str(error), file=sys.stderr)
-        return 2
-    except DaemonError as error:
-        print(str(error), file=sys.stderr)
-        return 1
+    executed = _execute(args, request, settings)
+    if isinstance(executed, int):
+        return executed
+    result, session = executed
 
     if args.json:
         entries = []
@@ -519,6 +531,9 @@ def _command_attack(args: argparse.Namespace) -> int:
         )
         print(row)
     print()
+    from repro.analysis import figures
+    from repro.analysis.report import format_security_table
+
     rows = figures.aggregate_leakage_rows(result.outcomes)
     print(format_security_table(figures.SECURITY_TABLE_TITLE, rows))
     _print_run_summary(args, session, result.wall_time_seconds)
@@ -532,6 +547,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         # Long-running mode: host this session behind the HTTP/JSON API
         # until SIGTERM/SIGINT.  All other serve flags still shape the
         # session (cache dir, jobs, seed).
+        from repro.daemon.server import serve_daemon
+
         session = _build_session(args)
         serve_daemon(session, host=args.host, port=args.port)
         return 0
@@ -558,14 +575,10 @@ def _command_serve(args: argparse.Namespace) -> int:
     except WireError as error:
         print(str(error), file=sys.stderr)
         return 2
-    try:
-        result, session = _execute(args, request, settings)
-    except (ValueError, ConfigurationError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    except DaemonError as error:
-        print(str(error), file=sys.stderr)
-        return 1
+    executed = _execute(args, request, settings)
+    if isinstance(executed, int):
+        return executed
+    result, session = executed
 
     if args.json:
         entries = []
@@ -599,6 +612,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             )
         )
         return 0
+
+    from repro.analysis import figures
+    from repro.analysis.report import format_service_table
 
     rows = figures.service_latency_rows(result.service_outcomes)
     print(format_service_table(figures.SERVICE_TABLE_TITLE, rows))
@@ -641,14 +657,10 @@ def _command_fleet(args: argparse.Namespace) -> int:
     except WireError as error:
         print(str(error), file=sys.stderr)
         return 2
-    try:
-        result, session = _execute(args, request, settings)
-    except (ValueError, ConfigurationError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    except DaemonError as error:
-        print(str(error), file=sys.stderr)
-        return 1
+    executed = _execute(args, request, settings)
+    if isinstance(executed, int):
+        return executed
+    result, session = executed
 
     if args.json:
         entries = []
@@ -682,6 +694,9 @@ def _command_fleet(args: argparse.Namespace) -> int:
         )
         return 0
 
+    from repro.analysis import figures
+    from repro.analysis.report import format_fleet_table
+
     rows = figures.fleet_goodput_rows(result.fleet_outcomes)
     print(format_fleet_table(figures.FLEET_TABLE_TITLE, rows))
     loads = {row["load"] for row in rows}
@@ -696,6 +711,10 @@ def _command_fleet(args: argparse.Namespace) -> int:
 
 def _command_trace_summary(args: argparse.Namespace) -> int:
     """``repro trace summary``: per-phase latency-breakdown table."""
+    from repro.analysis import figures
+    from repro.analysis.report import format_breakdown_table
+    from repro.obs.export import load_trace
+
     try:
         document = load_trace(args.file)
     except (OSError, ValueError) as error:
@@ -711,6 +730,8 @@ def _command_trace_summary(args: argparse.Namespace) -> int:
 
 def _command_trace_validate(args: argparse.Namespace) -> int:
     """``repro trace validate``: schema-check a captured trace file."""
+    from repro.obs.export import load_trace, trace_spans, validate_chrome_trace
+
     try:
         document = load_trace(args.file)
     except (OSError, ValueError) as error:

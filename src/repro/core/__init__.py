@@ -3,7 +3,7 @@
 This package layers the MI6 mechanisms on top of the RiscyOO substrate:
 
 * :mod:`repro.core.config` — the machine configuration (Figure 4) plus the
-  MI6 security switches;
+  MI6 security switches, with the core's and the LLC's parameters;
 * :mod:`repro.core.protection` — protection domains and the per-core
   DRAM-region access bitvector (Section 5.3);
 * :mod:`repro.core.purge` — the ``purge`` instruction: what it scrubs, how
@@ -17,6 +17,9 @@ This package layers the MI6 mechanisms on top of the RiscyOO substrate:
   layer over the registry;
 * :mod:`repro.core.processor` — :class:`MI6Processor`, the single-core
   evaluation vehicle that runs synthetic workloads under a chosen variant;
+* :mod:`repro.core.results` — what a run produces
+  (:class:`~repro.core.results.WorkloadRun`), readable without importing
+  the simulator;
 * :mod:`repro.core.simulator` — :class:`Simulator`, the facade that
   decouples machine assembly from workload execution (what the
   experiment engine and all entry points build machines through);
@@ -26,75 +29,48 @@ This package layers the MI6 mechanisms on top of the RiscyOO substrate:
   demonstrate Property 1 (strong isolation).
 """
 
-from repro.core.config import MI6Config
-from repro.core.mitigations import (
-    Mitigation,
-    MitigationSet,
-    VariantLike,
-    as_spec,
-    config_for_spec,
-    known_compositions,
-    known_mitigations,
-    parse_spec,
-    register_composition,
-    register_mitigation,
-    spec_name,
-)
-from repro.core.isolation import (
-    llc_sets_disjoint,
-    timing_independence_report,
-    verify_purged_state,
-)
-from repro.core.processor import MI6Processor, WorkloadRun
-from repro.core.protection import ProtectionDomain, RegionBitvector
-from repro.core.purge import PurgeResult, PurgeUnit
-from repro.core.serialization import (
-    config_digest,
-    config_from_dict,
-    config_to_dict,
-    run_cache_key,
-    run_from_dict,
-    run_to_dict,
-)
-from repro.core.simulator import Simulator
-from repro.core.variants import (
-    Variant,
-    config_for_variant,
-    parse_variant,
-    variant_description,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "MI6Config",
-    "MI6Processor",
-    "Mitigation",
-    "MitigationSet",
-    "ProtectionDomain",
-    "PurgeResult",
-    "PurgeUnit",
-    "RegionBitvector",
-    "Simulator",
-    "Variant",
-    "VariantLike",
-    "WorkloadRun",
-    "as_spec",
-    "config_digest",
-    "config_for_spec",
-    "known_compositions",
-    "known_mitigations",
-    "parse_spec",
-    "register_composition",
-    "register_mitigation",
-    "spec_name",
-    "config_for_variant",
-    "config_from_dict",
-    "config_to_dict",
-    "llc_sets_disjoint",
-    "parse_variant",
-    "run_cache_key",
-    "run_from_dict",
-    "run_to_dict",
-    "timing_independence_report",
-    "variant_description",
-    "verify_purged_state",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.config": ("MI6Config",),
+        "repro.core.mitigations": (
+            "Mitigation",
+            "MitigationSet",
+            "VariantLike",
+            "as_spec",
+            "config_for_spec",
+            "known_compositions",
+            "known_mitigations",
+            "parse_spec",
+            "register_composition",
+            "register_mitigation",
+            "spec_name",
+        ),
+        "repro.core.isolation": (
+            "llc_sets_disjoint",
+            "timing_independence_report",
+            "verify_purged_state",
+        ),
+        "repro.core.processor": ("MI6Processor",),
+        "repro.core.protection": ("ProtectionDomain", "RegionBitvector"),
+        "repro.core.purge": ("PurgeResult", "PurgeUnit"),
+        "repro.core.results": ("WorkloadRun",),
+        "repro.core.serialization": (
+            "config_digest",
+            "config_from_dict",
+            "config_to_dict",
+            "run_cache_key",
+            "run_from_dict",
+            "run_to_dict",
+        ),
+        "repro.core.simulator": ("Simulator",),
+        "repro.core.variants": (
+            "Variant",
+            "config_for_variant",
+            "parse_variant",
+            "variant_description",
+        ),
+    },
+)

@@ -3,6 +3,9 @@
 A single :class:`MI6Config` describes both the baseline machine and any of
 the secured variants; the evaluation variants of Section 7 are produced by
 :mod:`repro.core.variants` as specific settings of the security switches.
+The core's :class:`CoreConfig` and the LLC's :class:`LlcConfig` live here
+beside it, so a configuration can be built, hashed and decoded without
+importing the timing models that consume it.
 """
 
 from __future__ import annotations
@@ -10,11 +13,77 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigurationError
-from repro.mem.address import AddressMap, IndexFunction
+from repro.mem.address import AddressMap, CacheGeometry, IndexFunction
 from repro.mem.dram import DramConfig
-from repro.mem.llc import LlcConfig
 from repro.mem.mshr import MshrConfig
-from repro.ooo.core import CoreConfig
+
+
+@dataclass(frozen=True)
+class CoreConfig:
+    """Parameters of the core timing model (Figure 4 defaults).
+
+    Attributes:
+        fetch_width: Instructions fetched/renamed per cycle.
+        commit_width: Instructions committed per cycle.
+        rob_entries: Reorder-buffer capacity.
+        frontend_depth: Cycles from fetch to dispatch.
+        load_queue_entries / store_queue_entries / store_buffer_entries:
+            Load-store unit capacities.
+        alu_units / mem_units / fp_units: Execution pipelines.
+        mul_div_latency / fp_latency: Long-operation latencies.
+        mispredict_penalty: Redirect cycles after a resolved misprediction
+            (on top of the front-end refill).
+        trap_interval_instructions: Deliver a timer interrupt every N
+            committed instructions (0 disables timer traps).
+        trap_handler_cycles: Cycles spent in the OS trap handler.
+        trap_redirect_penalty: Pipeline-drain cycles on trap entry/exit.
+        flush_on_trap: FLUSH variant — purge microarchitectural state on
+            every trap entry and exit.
+        nonspec_memory: NONSPEC variant — memory instructions are not
+            renamed until the ROB is empty.
+    """
+
+    fetch_width: int = 2
+    commit_width: int = 2
+    rob_entries: int = 80
+    frontend_depth: int = 6
+    load_queue_entries: int = 24
+    store_queue_entries: int = 14
+    store_buffer_entries: int = 4
+    alu_units: int = 2
+    mem_units: int = 1
+    fp_units: int = 1
+    mul_div_latency: int = 8
+    fp_latency: int = 4
+    mispredict_penalty: int = 3
+    trap_interval_instructions: int = 0
+    trap_handler_cycles: int = 400
+    trap_redirect_penalty: int = 10
+    flush_on_trap: bool = False
+    nonspec_memory: bool = False
+
+
+@dataclass(frozen=True)
+class LlcConfig:
+    """LLC organisation.
+
+    Attributes:
+        geometry: Cache geometry (Figure 4: 1 MB, 16-way, 64 B lines).
+        hit_latency: LLC hit latency seen by the L1 on top of its own.
+        index_function: Baseline or MI6 set-partitioned indexing.
+        region_index_bits: Index bits taken from the DRAM-region ID when
+            set partitioning is enabled (2 in the Section 7.2 evaluation).
+        extra_pipeline_latency: Added cycles at the cache-access pipeline
+            entry (models the round-robin arbiter; 8 for a 16-core MI6).
+        mshr: MSHR file organisation.
+    """
+
+    geometry: CacheGeometry = CacheGeometry(size_bytes=1024 * 1024, ways=16, line_bytes=64)
+    hit_latency: int = 16
+    index_function: IndexFunction = IndexFunction.BASELINE
+    region_index_bits: int = 2
+    extra_pipeline_latency: int = 0
+    mshr: MshrConfig = MshrConfig()
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ is about timing.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 from repro.common.fastpath import slow_path_enabled
@@ -26,64 +25,18 @@ from repro.common.stats import StatsRegistry
 from repro.core.config import MI6Config
 from repro.core.protection import ProtectionDomain, RegionBitvector
 from repro.core.purge import PurgeUnit
+from repro.core.results import WarmState, WorkloadRun
 from repro.mem.dram import DramController
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.llc import LastLevelCache
 from repro.mem.page_table import PageTable
-from repro.ooo.core import CoreResult, OutOfOrderCore
+from repro.ooo.core import OutOfOrderCore
 from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.spec_cint2006 import profile_for
 
 #: What a machine runs: a live generator, or one built once and shared.
 Workload = Union[SyntheticWorkload, PreparedWorkload]
-
-
-@dataclass
-class WorkloadRun:
-    """Result of running one workload on one configuration.
-
-    Attributes:
-        benchmark: Benchmark name.
-        config_name: Machine configuration name (variant).
-        instructions: Committed instructions.
-        result: Full core timing result (cycles, counters).
-    """
-
-    benchmark: str
-    config_name: str
-    instructions: int
-    result: CoreResult
-
-    @property
-    def cycles(self) -> int:
-        """Total execution time in cycles."""
-        return self.result.cycles
-
-    def overhead_vs(self, baseline: WorkloadRun) -> float:
-        """Increased runtime relative to ``baseline``, as a percentage."""
-        if baseline.cycles == 0:
-            return 0.0
-        return 100.0 * (self.cycles - baseline.cycles) / baseline.cycles
-
-
-@dataclass(frozen=True)
-class WarmState:
-    """A warmed machine's hierarchy, copied out for machines of its warm class.
-
-    Attributes:
-        hierarchy: Per-structure copies
-            (:meth:`~repro.mem.hierarchy.MemoryHierarchy.capture_warm_state`).
-        counters: Names of the counters warm-up registered.  A machine
-            loading the state registers them too, at zero as the
-            post-warm-up reset leaves them, so it reports the same
-            counter set as a machine that warmed itself.
-        histograms: Likewise for histograms.
-    """
-
-    hierarchy: tuple
-    counters: Tuple[str, ...]
-    histograms: Tuple[str, ...]
 
 
 def _weak_call(method: Callable[[], int]) -> Callable[[], int]:

@@ -9,7 +9,7 @@ layer:
   (:func:`request_cache_key`) is a SHA-256 digest over the *full* machine
   configuration plus the request's parameters, so any configuration
   change (not just the variant name) invalidates cached results;
-* a lossless serialisation of :class:`~repro.core.processor.WorkloadRun`
+* a lossless serialisation of :class:`~repro.core.results.WorkloadRun`
   so results survive process boundaries (the parallel runner's worker
   processes) and process exits (the on-disk store);
 * one field-typed codec for request dataclasses, shared by the worker
@@ -43,14 +43,12 @@ from typing import (
 )
 
 from repro.common.stats import StatsRegistry
-from repro.core.config import MI6Config
+from repro.core.config import CoreConfig, LlcConfig, MI6Config
 from repro.core.mitigations import VariantLike, spec_name
-from repro.core.processor import WorkloadRun
+from repro.core.results import CoreResult, WorkloadRun
 from repro.mem.address import AddressMap, CacheGeometry, IndexFunction
 from repro.mem.dram import DramConfig
-from repro.mem.llc import LlcConfig
 from repro.mem.mshr import MshrConfig
-from repro.ooo.core import CoreConfig, CoreResult
 
 #: Version of the serialised formats below.  Bump on any incompatible
 #: change; the digest namespace includes it, so old on-disk entries are

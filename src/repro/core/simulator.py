@@ -12,7 +12,7 @@ policy) and hard to change the assembly policy in one place.
 * assembly — :meth:`Simulator.build_processor` constructs a fresh
   :class:`MI6Processor` from the held configuration and seed;
 * execution — :meth:`Simulator.run` runs one benchmark and returns its
-  :class:`~repro.core.processor.WorkloadRun`.
+  :class:`~repro.core.results.WorkloadRun`.
 
 By default every :meth:`run` uses a *fresh* machine, so runs are
 independent and reproducible regardless of the order in which they are
@@ -46,14 +46,13 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro.common.defaults import DEFAULT_SEED
 from repro.core.config import MI6Config
 from repro.core.mitigations import config_for_spec
-from repro.core.processor import MI6Processor, WorkloadRun
+from repro.core.processor import MI6Processor
+from repro.core.results import WorkloadRun
 from repro.core.variants import Variant
 from repro.workloads.profiles import WorkloadProfile
-
-#: Seed used throughout the evaluation when none is given (the paper year).
-DEFAULT_SEED = 2019
 
 
 class Simulator:

@@ -18,15 +18,10 @@ client; the CLI's ``--remote <addr>`` flag routes any sweep/attack/
 serve/fleet invocation through it.
 """
 
+from repro.common.defaults import DEFAULT_HOST, DEFAULT_PORT
 from repro.daemon.client import DaemonClient, DaemonError
 from repro.daemon.jobs import JobRegistry
-from repro.daemon.server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    DaemonState,
-    ReproDaemonServer,
-    serve_daemon,
-)
+from repro.daemon.server import DaemonState, ReproDaemonServer, serve_daemon
 
 __all__ = [
     "DEFAULT_HOST",

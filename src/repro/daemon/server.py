@@ -9,6 +9,11 @@ exactly :func:`~repro.api.results.result_to_wire` of the envelope, so a
 request answered over the network is byte-identical (modulo the wall
 time) to the same request answered in-process.
 
+A request body is read only when its declared length is sane: a
+negative ``Content-Length`` is answered 400, one above
+:data:`MAX_BODY_BYTES` 413, and a client that stalls mid-body 408 after
+:data:`REQUEST_TIMEOUT_SECONDS`; each of these closes the connection.
+
 Shutdown is cooperative: SIGTERM/SIGINT trigger ``server.shutdown()``
 from a helper thread (calling it from the signal handler itself would
 deadlock ``serve_forever``), in-flight handlers drain, and the listening
@@ -28,16 +33,11 @@ from urllib.parse import parse_qs, urlparse
 from repro.api.requests import WIRE_VERSION, Request, WireError, request_from_wire
 from repro.api.results import Result, result_to_wire
 from repro.api.session import Session
+from repro.common.defaults import DEFAULT_HOST, DEFAULT_PORT
 from repro.common.errors import ConfigurationError
 from repro.daemon.jobs import JobRegistry
 from repro.obs.metrics import LabelValues, MetricsRegistry, global_registry
 from repro.obs.trace import wall_span, wall_time
-
-#: Default bind address: loopback only — the daemon speaks plain HTTP
-#: with no authentication, so exposing it wider is an explicit choice.
-DEFAULT_HOST = "127.0.0.1"
-#: Default TCP port.
-DEFAULT_PORT = 8642
 
 _LOGGER = logging.getLogger("repro.daemon")
 
@@ -51,6 +51,16 @@ _ENDPOINTS = (
 
 #: Content type of the ``/v1/metrics`` exposition.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Largest ``POST /v1/run`` body the daemon reads.  Wire documents are
+#: small (a 32-spec x 11-benchmark x 50-seed sweep request is 1,057
+#: bytes), so a longer declared body is answered 413 without reading it.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a handler thread waits on a silent client socket.  A client
+#: that stalls mid-body is answered 408; an idle keep-alive connection
+#: is closed.  Either way the thread is freed.
+REQUEST_TIMEOUT_SECONDS = 10.0
 
 
 class DaemonState:
@@ -203,6 +213,7 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-daemon"
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_SECONDS
 
     #: Status of the response in flight (set by the ``_send_*`` helpers,
     #: read by :meth:`_handle` for the request log and HTTP counters).
@@ -218,12 +229,17 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         _LOGGER.info("%s %s", self.address_string(), format % args)
 
-    def _send_json(self, status: int, document: Dict[str, Any]) -> None:
+    def _send_json(
+        self, status: int, document: Dict[str, Any], *, close: bool = False
+    ) -> None:
+        """Answer ``document``; ``close`` ends the connection (its body is unread)."""
         body = json.dumps(document, sort_keys=True).encode("utf-8")
         self._status = status
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -301,10 +317,29 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            self._send_json(400, {"error": "bad Content-Length header"})
+            self._send_json(400, {"error": "bad Content-Length header"}, close=True)
+            return
+        if length < 0:
+            self._send_json(400, {"error": f"negative Content-Length {length}"}, close=True)
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                413,
+                {"error": f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"},
+                close=True,
+            )
             return
         try:
-            document = json.loads(self.rfile.read(length))
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self._send_json(
+                408,
+                {"error": f"request body not received within {self.timeout:g}s"},
+                close=True,
+            )
+            return
+        try:
+            document = json.loads(body)
         except ValueError:
             self._send_json(400, {"error": "request body is not valid JSON"})
             return

@@ -14,56 +14,41 @@ saturation.  Shard results merge deterministically into a
 caches and the CLI reports.
 """
 
-from repro.fleet.admission import (
-    admission_description,
-    admission_names,
-    register_admission_policy,
-)
-from repro.fleet.clients import (
-    client_model_description,
-    client_model_names,
-    register_client_model,
-)
-from repro.fleet.routing import (
-    TenantLoad,
-    assign_tenants,
-    register_router,
-    router_description,
-    router_names,
-)
-from repro.fleet.simulation import (
-    DEFAULT_FLEET_SHARDS,
-    DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
-    DEFAULT_QUEUE_DEPTH,
-    DEFAULT_SLO_FACTOR,
-    DEFAULT_THINK_FACTOR,
-    DEFAULT_WIPE_BYTES_PER_CYCLE,
-    FleetOutcome,
-    ShardOutcome,
-    merge_shard_outcomes,
-    run_fleet_shard,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_FLEET_SHARDS",
-    "DEFAULT_MEASUREMENT_CYCLES_PER_PAGE",
-    "DEFAULT_QUEUE_DEPTH",
-    "DEFAULT_SLO_FACTOR",
-    "DEFAULT_THINK_FACTOR",
-    "DEFAULT_WIPE_BYTES_PER_CYCLE",
-    "FleetOutcome",
-    "ShardOutcome",
-    "TenantLoad",
-    "assign_tenants",
-    "admission_description",
-    "admission_names",
-    "client_model_description",
-    "client_model_names",
-    "merge_shard_outcomes",
-    "register_admission_policy",
-    "register_client_model",
-    "register_router",
-    "router_description",
-    "router_names",
-    "run_fleet_shard",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.common.defaults": (
+            "DEFAULT_FLEET_SHARDS",
+            "DEFAULT_MEASUREMENT_CYCLES_PER_PAGE",
+            "DEFAULT_QUEUE_DEPTH",
+            "DEFAULT_SLO_FACTOR",
+            "DEFAULT_THINK_FACTOR",
+            "DEFAULT_WIPE_BYTES_PER_CYCLE",
+        ),
+        "repro.fleet.admission": (
+            "admission_description",
+            "admission_names",
+            "register_admission_policy",
+        ),
+        "repro.fleet.clients": (
+            "client_model_description",
+            "client_model_names",
+            "register_client_model",
+        ),
+        "repro.fleet.routing": (
+            "TenantLoad",
+            "assign_tenants",
+            "register_router",
+            "router_description",
+            "router_names",
+        ),
+        "repro.fleet.simulation": (
+            "FleetOutcome",
+            "ShardOutcome",
+            "merge_shard_outcomes",
+            "run_fleet_shard",
+        ),
+    },
+)

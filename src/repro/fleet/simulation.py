@@ -34,6 +34,10 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.common.defaults import (
+    DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
+    DEFAULT_WIPE_BYTES_PER_CYCLE,
+)
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng, derive_seed
 from repro.core.config import MI6Config
@@ -41,30 +45,8 @@ from repro.fleet.admission import REJECT_QUEUE_FULL, AdmissionContext, admit
 from repro.fleet.clients import client_model, closed_loop_population
 from repro.service.arrivals import Arrival, exponential_gap, generate_arrivals
 from repro.service.metrics import summarize_latencies, throughput_per_mcycle
-from repro.service.simulation import (
-    mean_service_cycles,
-    serve,
-    teardown_cycles,
-    tenant_benchmarks,
-)
-
-#: Default shard count of a fleet simulation.
-DEFAULT_FLEET_SHARDS = 4
-#: Default bound on each shard's pending-request queue.
-DEFAULT_QUEUE_DEPTH = 32
-#: Default latency SLO as a multiple of the mean per-request service
-#: demand (queue wait + boundary costs + service must fit inside it).
-DEFAULT_SLO_FACTOR = 8.0
-#: Default closed-loop think time as a multiple of the mean service
-#: demand (``Z = think_factor × S``).
-DEFAULT_THINK_FACTOR = 2.0
-#: Default DRAM-wipe bandwidth charged on enclave teardown, in bytes
-#: per cycle (0 disables the charge).  At 64 B/cycle a one-page enclave
-#: plus its 8 page-table pages costs ~576 cycles per churn.
-DEFAULT_WIPE_BYTES_PER_CYCLE = 64
-#: Default enclave-measurement cost per loaded page on relaunch
-#: (hashing the page into the measurement register).
-DEFAULT_MEASUREMENT_CYCLES_PER_PAGE = 4096
+from repro.service.simulation import mean_service_cycles, serve, teardown_cycles
+from repro.workloads.spec_cint2006 import tenant_benchmarks
 
 #: Nominal purge stall used for routing *estimates* only (the shard
 #: loop always charges the machine's measured stall, never this).

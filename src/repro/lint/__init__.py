@@ -27,40 +27,23 @@ committed ``lint-baseline.json``.  EXPERIMENTS.md documents the catalog.
 
 from __future__ import annotations
 
-# Importing the rule modules registers the rules; keep the imports
-# unconditional so every entry point sees the same registry.
-import repro.lint.cache_keys  # noqa: F401
-import repro.lint.determinism  # noqa: F401
-import repro.lint.obs_purity  # noqa: F401
-import repro.lint.parity  # noqa: F401
-import repro.lint.registries  # noqa: F401
-from repro.lint.cli import add_lint_arguments, command_lint
-from repro.lint.engine import (
-    LintContext,
-    LintReport,
-    Rule,
-    SourceModule,
-    build_context,
-    register_rule,
-    rule_descriptions,
-    rule_names,
-    run_rules,
-)
-from repro.lint.findings import Finding, load_baseline, write_baseline
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "LintContext",
-    "LintReport",
-    "Rule",
-    "SourceModule",
-    "add_lint_arguments",
-    "build_context",
-    "command_lint",
-    "load_baseline",
-    "register_rule",
-    "rule_descriptions",
-    "rule_names",
-    "run_rules",
-    "write_baseline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.lint.cli": ("add_lint_arguments", "command_lint"),
+        "repro.lint.engine": (
+            "LintContext",
+            "LintReport",
+            "Rule",
+            "SourceModule",
+            "build_context",
+            "register_rule",
+            "rule_descriptions",
+            "rule_names",
+            "run_rules",
+        ),
+        "repro.lint.findings": ("Finding", "load_baseline", "write_baseline"),
+    },
+)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set
 
@@ -110,7 +111,26 @@ class Rule:
         )
 
 
+#: The modules whose import registers the shipped rules.  The registry
+#: imports them, in this order, before it answers, so every entry point
+#: sees every rule and ``repro.cli`` need not import them to build its
+#: parser.
+RULE_MODULES = (
+    "repro.lint.cache_keys",
+    "repro.lint.determinism",
+    "repro.lint.obs_purity",
+    "repro.lint.parity",
+    "repro.lint.registries",
+)
+
 _RULES: Dict[str, Rule] = {}
+
+
+def _registry() -> Dict[str, Rule]:
+    """The rule registry, with every shipped rule module imported."""
+    for module in RULE_MODULES:
+        import_module(module)
+    return _RULES
 
 
 def register_rule(rule: Rule) -> Rule:
@@ -125,12 +145,12 @@ def register_rule(rule: Rule) -> Rule:
 
 def rule_names() -> List[str]:
     """All registered rule names, in registration order."""
-    return list(_RULES)
+    return list(_registry())
 
 
 def rule_descriptions() -> Dict[str, str]:
     """Rule name -> one-line description, in registration order."""
-    return {name: rule.description for name, rule in _RULES.items()}
+    return {name: rule.description for name, rule in _registry().items()}
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +281,9 @@ def run_rules(
     findings fingerprint-matched by ``baseline`` are counted but not
     reported.
     """
-    selected = list(rules) if rules is not None else rule_names()
-    unknown = [name for name in selected if name not in _RULES]
+    registry = _registry()
+    selected = list(rules) if rules is not None else list(registry)
+    unknown = [name for name in selected if name not in registry]
     if unknown:
         raise ValueError(
             f"unknown lint rule(s): {', '.join(unknown)} "
@@ -273,7 +294,7 @@ def run_rules(
     suppressed = 0
     baselined = 0
     for name in selected:
-        for finding in _RULES[name].check(context):
+        for finding in registry[name].check(context):
             module = by_path.get(finding.path)
             if module is not None and module.is_suppressed(finding.rule, finding.line):
                 suppressed += 1

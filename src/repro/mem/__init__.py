@@ -20,41 +20,25 @@ depends on:
   independence.
 """
 
-from repro.mem.address import AddressMap, CacheGeometry, IndexFunction, dram_region_of
-from repro.mem.cache import AccessResult, SetAssociativeCache
-from repro.mem.dram import DramController
-from repro.mem.hierarchy import HierarchyAccess, MemoryHierarchy
-from repro.mem.l1 import L1Cache
-from repro.mem.llc import LastLevelCache
-from repro.mem.mshr import MshrFile
-from repro.mem.page_table import PageTable, PageTableWalker
-from repro.mem.replacement import (
-    LruPolicy,
-    PseudoRandomPolicy,
-    ReplacementPolicy,
-    SelfCleaningLruPolicy,
-)
-from repro.mem.tlb import TranslationCache, Tlb
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "AccessResult",
-    "AddressMap",
-    "CacheGeometry",
-    "DramController",
-    "HierarchyAccess",
-    "IndexFunction",
-    "L1Cache",
-    "LastLevelCache",
-    "LruPolicy",
-    "MemoryHierarchy",
-    "MshrFile",
-    "PageTable",
-    "PageTableWalker",
-    "PseudoRandomPolicy",
-    "ReplacementPolicy",
-    "SelfCleaningLruPolicy",
-    "SetAssociativeCache",
-    "Tlb",
-    "TranslationCache",
-    "dram_region_of",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.mem.address": ("AddressMap", "CacheGeometry", "IndexFunction", "dram_region_of"),
+        "repro.mem.cache": ("AccessResult", "SetAssociativeCache"),
+        "repro.mem.dram": ("DramController",),
+        "repro.mem.hierarchy": ("HierarchyAccess", "MemoryHierarchy"),
+        "repro.mem.l1": ("L1Cache",),
+        "repro.mem.llc": ("LastLevelCache",),
+        "repro.mem.mshr": ("MshrFile",),
+        "repro.mem.page_table": ("PageTable", "PageTableWalker"),
+        "repro.mem.replacement": (
+            "LruPolicy",
+            "PseudoRandomPolicy",
+            "ReplacementPolicy",
+            "SelfCleaningLruPolicy",
+        ),
+        "repro.mem.tlb": ("TranslationCache", "Tlb"),
+    },
+)

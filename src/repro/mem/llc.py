@@ -24,34 +24,12 @@ from typing import Optional
 
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
-from repro.mem.address import AddressMap, CacheGeometry, IndexFunction, LlcIndexer
+from repro.core.config import LlcConfig
+from repro.mem.address import AddressMap, LlcIndexer
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.dram import DramController
-from repro.mem.mshr import MshrConfig, MshrFile
+from repro.mem.mshr import MshrFile
 from repro.mem.replacement import LruPolicy
-
-
-@dataclass(frozen=True)
-class LlcConfig:
-    """LLC organisation.
-
-    Attributes:
-        geometry: Cache geometry (Figure 4: 1 MB, 16-way, 64 B lines).
-        hit_latency: LLC hit latency seen by the L1 on top of its own.
-        index_function: Baseline or MI6 set-partitioned indexing.
-        region_index_bits: Index bits taken from the DRAM-region ID when
-            set partitioning is enabled (2 in the Section 7.2 evaluation).
-        extra_pipeline_latency: Added cycles at the cache-access pipeline
-            entry (models the round-robin arbiter; 8 for a 16-core MI6).
-        mshr: MSHR file organisation.
-    """
-
-    geometry: CacheGeometry = CacheGeometry(size_bytes=1024 * 1024, ways=16, line_bytes=64)
-    hit_latency: int = 16
-    index_function: IndexFunction = IndexFunction.BASELINE
-    region_index_bits: int = 2
-    extra_pipeline_latency: int = 0
-    mshr: MshrConfig = MshrConfig()
 
 
 @dataclass(frozen=True)

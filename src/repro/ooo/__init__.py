@@ -15,9 +15,11 @@ audit in :mod:`repro.core.purge` walks them to verify that the
 post-flush state is indistinguishable from the initial state.
 """
 
+from repro.core.config import CoreConfig
+from repro.core.results import CoreResult
 from repro.ooo.branch_predictor import TournamentPredictor
 from repro.ooo.btb import BranchTargetBuffer, ReturnAddressStack
-from repro.ooo.core import CoreConfig, CoreResult, OutOfOrderCore
+from repro.ooo.core import OutOfOrderCore
 from repro.ooo.frontend import FrontEnd
 from repro.ooo.lsq import LoadStoreQueue, StoreBuffer
 from repro.ooo.rename import FreeList, RenameTable

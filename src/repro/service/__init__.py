@@ -30,51 +30,34 @@ sweeps, or :func:`repro.service.run_service` for a single standalone
 simulation.
 """
 
-from repro.service.arrivals import (
-    LOAD_PROFILES,
-    Arrival,
-    generate_arrivals,
-    profile_description,
-    profile_names,
-    register_arrival_profile,
-)
-from repro.service.metrics import percentile, summarize_latencies
-from repro.service.schedulers import (
-    SchedulingPolicy,
-    create_policy,
-    policy_description,
-    policy_names,
-    register_policy,
-)
-from repro.service.simulation import (
-    DEFAULT_SERVICE_CORES,
-    DEFAULT_SERVICE_INSTRUCTIONS,
-    DEFAULT_SERVICE_REQUESTS,
-    DEFAULT_SERVICE_TENANTS,
-    ServiceOutcome,
-    run_service,
-    tenant_benchmarks,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Arrival",
-    "DEFAULT_SERVICE_CORES",
-    "DEFAULT_SERVICE_INSTRUCTIONS",
-    "DEFAULT_SERVICE_REQUESTS",
-    "DEFAULT_SERVICE_TENANTS",
-    "LOAD_PROFILES",
-    "SchedulingPolicy",
-    "ServiceOutcome",
-    "create_policy",
-    "generate_arrivals",
-    "percentile",
-    "policy_description",
-    "policy_names",
-    "profile_description",
-    "profile_names",
-    "register_arrival_profile",
-    "register_policy",
-    "run_service",
-    "summarize_latencies",
-    "tenant_benchmarks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.common.defaults": (
+            "DEFAULT_SERVICE_CORES",
+            "DEFAULT_SERVICE_INSTRUCTIONS",
+            "DEFAULT_SERVICE_REQUESTS",
+            "DEFAULT_SERVICE_TENANTS",
+        ),
+        "repro.service.arrivals": (
+            "LOAD_PROFILES",
+            "Arrival",
+            "generate_arrivals",
+            "profile_description",
+            "profile_names",
+            "register_arrival_profile",
+        ),
+        "repro.service.metrics": ("percentile", "summarize_latencies"),
+        "repro.service.schedulers": (
+            "SchedulingPolicy",
+            "create_policy",
+            "policy_description",
+            "policy_names",
+            "register_policy",
+        ),
+        "repro.service.simulation": ("ServiceOutcome", "run_service"),
+        "repro.workloads.spec_cint2006": ("tenant_benchmarks",),
+    },
+)

@@ -51,6 +51,12 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.common.defaults import (
+    DEFAULT_SERVICE_CORES,
+    DEFAULT_SERVICE_INSTRUCTIONS,
+    DEFAULT_SERVICE_REQUESTS,
+    DEFAULT_SERVICE_TENANTS,
+)
 from repro.common.errors import ConfigurationError
 from repro.core.config import MI6Config
 from repro.monitor.enclave import Enclave
@@ -61,19 +67,7 @@ from repro.os_model.machine import Machine
 from repro.service.arrivals import Arrival, generate_arrivals
 from repro.service.metrics import summarize_latencies, throughput_per_mcycle
 from repro.service.schedulers import QueueView, create_policy
-from repro.workloads.spec_cint2006 import benchmark_names
-
-#: Default instruction budget of one request (kept short: fine-grained
-#: serving is exactly where the per-switch boundary costs surface).
-DEFAULT_SERVICE_INSTRUCTIONS = 2_000
-#: Default open-loop requests per simulation.
-DEFAULT_SERVICE_REQUESTS = 300
-#: Default machine size of the serving fleet.
-DEFAULT_SERVICE_CORES = 4
-#: Default tenant count (more tenants than cores, so scheduling policies
-#: actually contend — with one core per tenant affinity is trivially
-#: perfect and the policies converge).
-DEFAULT_SERVICE_TENANTS = 6
+from repro.workloads.spec_cint2006 import tenant_benchmarks
 
 #: Floor on the charged LLC scrub penalty per churned region (a scrub
 #: walks the region's sets even when few lines are resident).
@@ -91,12 +85,6 @@ _COMPLETE, _WAKE, _ARRIVAL = 0, 1, 2
 #: ``None`` admits the arriving request, a string rejects it and names
 #: the reason it is counted under.
 AdmissionGate = Callable[[int, int, int, int], Optional[str]]
-
-
-def tenant_benchmarks(num_tenants: int) -> Tuple[str, ...]:
-    """The workload profile of each tenant (paper benchmarks, cycled)."""
-    names = benchmark_names()
-    return tuple(names[index % len(names)] for index in range(num_tenants))
 
 
 def mean_service_cycles(service_cycles: Mapping[str, int], benchmarks: Sequence[str]) -> float:

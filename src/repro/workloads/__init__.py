@@ -15,17 +15,14 @@ MPKI in Figure 7, LLC MPKI in Figure 9); the MI6 overheads then emerge
 from the mechanisms rather than from the calibration.
 """
 
-from repro.workloads.characteristics import PAPER_REPORTED, PaperFigures
-from repro.workloads.generator import SyntheticWorkload
-from repro.workloads.profiles import WorkloadProfile
-from repro.workloads.spec_cint2006 import SPEC_CINT2006, benchmark_names, profile_for
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "PAPER_REPORTED",
-    "PaperFigures",
-    "SPEC_CINT2006",
-    "SyntheticWorkload",
-    "WorkloadProfile",
-    "benchmark_names",
-    "profile_for",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.workloads.characteristics": ("PAPER_REPORTED", "PaperFigures"),
+        "repro.workloads.generator": ("SyntheticWorkload",),
+        "repro.workloads.profiles": ("WorkloadProfile",),
+        "repro.workloads.spec_cint2006": ("SPEC_CINT2006", "benchmark_names", "profile_for"),
+    },
+)

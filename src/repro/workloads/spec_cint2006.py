@@ -25,7 +25,7 @@ records how closely the resulting baseline matches the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.workloads.profiles import WorkloadProfile
 
@@ -212,6 +212,12 @@ SPEC_CINT2006: Dict[str, WorkloadProfile] = {
 def benchmark_names() -> List[str]:
     """Names of the SPEC CINT2006 benchmarks the paper evaluates."""
     return list(SPEC_CINT2006.keys())
+
+
+def tenant_benchmarks(num_tenants: int) -> Tuple[str, ...]:
+    """The workload profile of each serving tenant (paper benchmarks, cycled)."""
+    names = benchmark_names()
+    return tuple(names[index % len(names)] for index in range(num_tenants))
 
 
 def profile_for(name: str) -> WorkloadProfile:

@@ -8,8 +8,10 @@ boundary: concurrent writers hammer one cache directory and every
 entry must parse afterwards (atomic replace + per-entry locks).
 """
 
+import http.client
 import json
 import multiprocessing
+import socket
 import threading
 
 import pytest
@@ -18,6 +20,7 @@ from repro.analysis.store import ResultStore
 from repro.api import Session, SweepRequest, WorkloadRequest, result_to_wire
 from repro.cli import main as cli_main
 from repro.daemon import DaemonClient, DaemonError, JobRegistry, ReproDaemonServer
+from repro.daemon.server import DaemonRequestHandler
 
 TINY = 400  # instructions per run: enough to exercise the kernel, fast in CI
 
@@ -146,6 +149,48 @@ class TestRun:
             client._request(
                 "POST", "/v1/run?mode=later", SweepRequest(**SWEEP_FIELDS).to_wire()
             )
+
+    @staticmethod
+    def _post(daemon, headers, body=b""):
+        """Raw ``POST /v1/run``: (status, decoded JSON answer)."""
+        connection = http.client.HTTPConnection("127.0.0.1", daemon.server_port, timeout=10)
+        try:
+            connection.putrequest("POST", "/v1/run", skip_accept_encoding=True)
+            for name, value in headers.items():
+                connection.putheader(name, value)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def _assert_still_serving(self, daemon):
+        body = json.dumps(WorkloadRequest(benchmark="gcc", instructions=TINY).to_wire()).encode()
+        status, document = self._post(daemon, {"Content-Length": str(len(body))}, body)
+        assert status == 200
+        assert len(document["entries"]) == 1
+
+    def test_negative_content_length_is_400(self, daemon):
+        status, document = self._post(daemon, {"Content-Length": "-1"})
+        assert status == 400
+        assert "negative Content-Length" in document["error"]
+        self._assert_still_serving(daemon)
+
+    def test_oversized_content_length_is_413_unread(self, daemon):
+        status, document = self._post(daemon, {"Content-Length": "999999999999"})
+        assert status == 413
+        assert "exceeds the 1048576-byte limit" in document["error"]
+        self._assert_still_serving(daemon)
+
+    def test_stalled_body_is_408(self, daemon, monkeypatch):
+        # The handler's fixed socket timeout, shortened so the test is quick.
+        monkeypatch.setattr(DaemonRequestHandler, "timeout", 0.5)
+        with socket.create_connection(("127.0.0.1", daemon.server_port), timeout=10) as raw:
+            raw.sendall(b"POST /v1/run HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{")
+            answer = raw.makefile("rb").read()
+        assert answer.startswith(b"HTTP/1.1 408 ")
+        assert b"request body not received within 0.5s" in answer
+        self._assert_still_serving(daemon)
 
 
 class TestCliRemote:
