@@ -39,10 +39,10 @@ from repro.obs.export import write_chrome_trace
 
 def run_spec(tracer=None):
     """One small serving sweep; fresh in-memory store each call."""
-    spec = ServiceSpec.create(
-        policies=["fifo", "affinity"],
-        loads=[0.7],
-        seeds=[7],
+    spec = ServiceSpec(
+        policies=("fifo", "affinity"),
+        loads=(0.7,),
+        seeds=(7,),
         num_cores=4,
         num_tenants=4,
         num_requests=40,

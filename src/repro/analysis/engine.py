@@ -15,7 +15,10 @@ layer that executes such sweeps:
 * :class:`ScenarioRequest` / :class:`ScenarioSpec` — the same machinery
   for the co-scheduled security scenarios of
   :mod:`repro.attacks.scenarios` (scenarios × variants × seeds), and
-  likewise for enclave serving on one machine and on a sharded fleet;
+  likewise for enclave serving on one machine and on a sharded fleet.
+  Every spec declares its defaults on its fields and validates itself
+  in ``__post_init__``, so no spec can be built from bad input; the
+  session's requests (:mod:`repro.api.requests`) construct them;
 * :data:`JOB_KINDS` — the one registry of request kinds: each request
   dataclass declares only its fields and a ``kind`` tag, and the registry
   names the function executing it, the codec of its value and, for runs,
@@ -54,6 +57,7 @@ from typing import (
     Tuple,
     Type,
     TypeVar,
+    get_origin,
 )
 
 from repro.analysis.store import ResultStore
@@ -75,6 +79,7 @@ from repro.core.config import MI6Config
 from repro.core.mitigations import config_for_spec
 from repro.core.results import WarmState, WorkloadRun
 from repro.core.serialization import (
+    field_types,
     request_cache_key,
     request_from_payload,
     request_to_payload,
@@ -248,15 +253,6 @@ class EvaluationSettings:
         seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))  # repro: allow[determinism]: same boundary.
         return cls(instructions=instructions, seed=seed)
 
-    def to_dict(self) -> Dict[str, int]:
-        """JSON-compatible encoding (stable round-trip)."""
-        return {"instructions": self.instructions, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> EvaluationSettings:
-        """Rebuild settings from :meth:`to_dict` output."""
-        return cls(instructions=data["instructions"], seed=data["seed"])
-
 
 def default_jobs() -> int:
     """Sweep parallelism honouring ``REPRO_BENCH_JOBS`` (default 1)."""
@@ -265,10 +261,18 @@ def default_jobs() -> int:
     return max(1, int(os.environ.get(JOBS_ENV_VAR, "1")))
 
 
-def _reject_empty(**sequences: Optional[Sequence[Any]]) -> None:
-    """Spec arguments must not be empty sequences (``None`` means default)."""
+def _freeze_sequences(spec: Any) -> None:
+    """Hold a spec's tuple fields as tuples, whatever sequence was passed."""
+    for name, annotation in field_types(type(spec)).items():
+        value = getattr(spec, name)
+        if get_origin(annotation) is tuple and not isinstance(value, tuple):
+            object.__setattr__(spec, name, tuple(value))
+
+
+def _reject_empty(**sequences: Sequence[Any]) -> None:
+    """Spec axes must not be empty (a request field left ``None`` takes the default)."""
     for name, value in sequences.items():
-        if value is not None and len(value) == 0:
+        if len(value) == 0:
             raise ValueError(f"{name} must not be empty (pass None for the default)")
 
 
@@ -276,6 +280,13 @@ def _require_known(what: str, value: str, known: Sequence[str]) -> None:
     """A registry name given to a spec must be registered."""
     if value not in known:
         raise ValueError(f"unknown {what} {value!r} (expected one of: {', '.join(known)})")
+
+
+def _require_all_known(what: str, values: Sequence[str], known: Sequence[str]) -> None:
+    """Every registry name of a spec axis must be registered."""
+    unknown = [name for name in values if name not in known]
+    if unknown:
+        raise ValueError(f"unknown {what}: {', '.join(unknown)} (expected: {', '.join(known)})")
 
 
 def _require_positive(**values: float) -> None:
@@ -452,6 +463,13 @@ def execute_scenario_request(request: ScenarioRequest) -> ScenarioOutcome:
     )
 
 
+def _registered_scenarios() -> Tuple[str, ...]:
+    """Every registered scenario (imports the registry when called)."""
+    from repro.attacks.scenarios import scenario_names
+
+    return tuple(scenario_names())
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A security sweep: scenarios × variants × seeds (× machine size).
@@ -460,56 +478,22 @@ class ScenarioSpec:
     outermost, seeds innermost), mirroring :class:`ExperimentSpec`.
     Variants are :data:`~repro.core.mitigations.VariantLike` — legacy
     enum members, mitigation sets, or spec strings like ``FLUSH+MISS``.
+    The defaults are every registered scenario and the BASE-vs-F+P+M+A
+    pair; empty axes, unknown scenario names and machines smaller than
+    attacker + victim are rejected on construction.
     """
 
-    scenarios: Tuple[str, ...]
+    scenarios: Tuple[str, ...] = field(default_factory=_registered_scenarios)
     variants: Tuple[VariantLike, ...] = DEFAULT_SCENARIO_VARIANTS
     seeds: Tuple[int, ...] = (DEFAULT_SEED,)
     num_cores: int = 2
 
-    @classmethod
-    def create(
-        cls,
-        scenarios: Optional[Sequence[str]] = None,
-        variants: Optional[Sequence[VariantLike]] = None,
-        seeds: Optional[Sequence[int]] = None,
-        num_cores: int = 2,
-    ) -> ScenarioSpec:
-        """Spec with security-evaluation defaults for anything omitted.
-
-        Defaults (for ``None`` arguments): every registered scenario,
-        the BASE-vs-F+P+M+A variant pair, and the environment-controlled
-        seed.  Explicitly empty sequences are rejected, and scenario
-        names are validated against the registry here rather than at run
-        time.
-        """
-        from repro.attacks.scenarios import scenario_names
-
-        _reject_empty(scenarios=scenarios, variants=variants, seeds=seeds)
-        known = scenario_names()
-        if scenarios is not None:
-            unknown = [name for name in scenarios if name not in known]
-            if unknown:
-                raise ValueError(
-                    f"unknown scenario(s): {', '.join(unknown)} "
-                    f"(expected: {', '.join(known)})"
-                )
-        if num_cores < 2:
+    def __post_init__(self) -> None:
+        _freeze_sequences(self)
+        _reject_empty(scenarios=self.scenarios, variants=self.variants, seeds=self.seeds)
+        _require_all_known("scenario(s)", self.scenarios, _registered_scenarios())
+        if self.num_cores < 2:
             raise ValueError("num_cores must be at least 2 (attacker + victim)")
-        settings = EvaluationSettings.from_environment()
-        return cls(
-            scenarios=tuple(scenarios) if scenarios is not None else tuple(known),
-            variants=(
-                tuple(variants) if variants is not None else DEFAULT_SCENARIO_VARIANTS
-            ),
-            seeds=tuple(seeds) if seeds is not None else (settings.seed,),
-            num_cores=num_cores,
-        )
-
-    @property
-    def size(self) -> int:
-        """Number of scenario runs in the sweep."""
-        return len(self.scenarios) * len(self.variants) * len(self.seeds)
 
     def requests(self) -> List[ScenarioRequest]:
         """Expand the sweep into scenario requests (deterministic order)."""
@@ -596,6 +580,8 @@ class ServiceSpec:
     outermost, seeds innermost).  The fleet shape (cores, tenants,
     stream length, per-request budget, churn) is shared across the
     sweep so the grid isolates the scheduling/mitigation/load axes.
+    Empty axes, unknown policy or load-profile names and out-of-range
+    numbers are rejected on construction.
     """
 
     policies: Tuple[str, ...] = DEFAULT_SERVICE_POLICIES
@@ -609,67 +595,22 @@ class ServiceSpec:
     instructions: int = DEFAULT_SERVICE_INSTRUCTIONS
     churn_every: int = 0
 
-    @classmethod
-    def create(
-        cls,
-        policies: Optional[Sequence[str]] = None,
-        variants: Optional[Sequence[VariantLike]] = None,
-        loads: Optional[Sequence[float]] = None,
-        seeds: Optional[Sequence[int]] = None,
-        load_profile: str = "poisson",
-        num_cores: int = DEFAULT_SERVICE_CORES,
-        num_tenants: int = DEFAULT_SERVICE_TENANTS,
-        num_requests: int = DEFAULT_SERVICE_REQUESTS,
-        instructions: int = DEFAULT_SERVICE_INSTRUCTIONS,
-        churn_every: int = 0,
-    ) -> ServiceSpec:
-        """Spec with serving defaults for anything omitted.
-
-        Defaults (for ``None`` arguments): all three shipped policies,
-        the BASE-vs-F+P+M+A comparison, one 0.7-load point, and the
-        environment-controlled seed.  Policy names, the load profile,
-        and the numeric parameters are validated here rather than at run
-        time.
-        """
-        _reject_empty(policies=policies, variants=variants, loads=loads, seeds=seeds)
-        known = policy_names()
-        if policies is not None:
-            unknown = [name for name in policies if name not in known]
-            if unknown:
-                raise ValueError(
-                    f"unknown scheduling policy(ies): {', '.join(unknown)} "
-                    f"(expected: {', '.join(known)})"
-                )
-        _require_known("load profile", load_profile, LOAD_PROFILES)
-        if loads is not None and any(load <= 0.0 for load in loads):
+    def __post_init__(self) -> None:
+        _freeze_sequences(self)
+        _reject_empty(
+            policies=self.policies, variants=self.variants, loads=self.loads, seeds=self.seeds
+        )
+        _require_all_known("scheduling policy(ies)", self.policies, policy_names())
+        _require_known("load profile", self.load_profile, LOAD_PROFILES)
+        if any(load <= 0.0 for load in self.loads):
             raise ValueError("loads must be positive fractions of fleet capacity")
         _require_positive(
-            num_cores=num_cores,
-            num_tenants=num_tenants,
-            num_requests=num_requests,
-            instructions=instructions,
+            num_cores=self.num_cores,
+            num_tenants=self.num_tenants,
+            num_requests=self.num_requests,
+            instructions=self.instructions,
         )
-        _require_non_negative(churn_every=churn_every)
-        settings = EvaluationSettings.from_environment()
-        return cls(
-            policies=tuple(policies) if policies is not None else DEFAULT_SERVICE_POLICIES,
-            variants=(
-                tuple(variants) if variants is not None else DEFAULT_SCENARIO_VARIANTS
-            ),
-            loads=tuple(loads) if loads is not None else (DEFAULT_SERVICE_LOAD,),
-            seeds=tuple(seeds) if seeds is not None else (settings.seed,),
-            load_profile=load_profile,
-            num_cores=num_cores,
-            num_tenants=num_tenants,
-            num_requests=num_requests,
-            instructions=instructions,
-            churn_every=churn_every,
-        )
-
-    @property
-    def size(self) -> int:
-        """Number of serving simulations in the sweep."""
-        return len(self.policies) * len(self.variants) * len(self.loads) * len(self.seeds)
+        _require_non_negative(churn_every=self.churn_every)
 
     def requests(self) -> List[ServiceRunRequest]:
         """Expand the sweep into service requests (deterministic order)."""
@@ -1025,7 +966,9 @@ class FleetSpec:
     outermost, seeds innermost).  The router/admission/client triple and
     the fleet shape are shared across the sweep, so the grid isolates
     the mitigation and offered-load axes — the goodput-vs-offered-load
-    frontier per mitigation spec.
+    frontier per mitigation spec.  Empty axes, unknown registry names
+    (scheduling policy, router, admission, client model, load profile)
+    and out-of-range numbers are rejected on construction.
     """
 
     variants: Tuple[VariantLike, ...] = DEFAULT_SCENARIO_VARIANTS
@@ -1048,89 +991,31 @@ class FleetSpec:
     dram_wipe_bytes_per_cycle: int = DEFAULT_WIPE_BYTES_PER_CYCLE
     measurement_cycles_per_page: int = DEFAULT_MEASUREMENT_CYCLES_PER_PAGE
 
-    @classmethod
-    def create(
-        cls,
-        variants: Optional[Sequence[VariantLike]] = None,
-        loads: Optional[Sequence[float]] = None,
-        seeds: Optional[Sequence[int]] = None,
-        policy: str = DEFAULT_FLEET_POLICY,
-        router: str = DEFAULT_FLEET_ROUTER,
-        admission: str = DEFAULT_FLEET_ADMISSION,
-        client: str = DEFAULT_FLEET_CLIENT,
-        load_profile: str = "poisson",
-        num_shards: int = DEFAULT_FLEET_SHARDS,
-        shard_cores: int = DEFAULT_FLEET_SHARD_CORES,
-        num_tenants: int = DEFAULT_FLEET_TENANTS,
-        num_requests: int = DEFAULT_FLEET_REQUESTS,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        slo_factor: float = DEFAULT_SLO_FACTOR,
-        think_factor: float = DEFAULT_THINK_FACTOR,
-        instructions: int = DEFAULT_SERVICE_INSTRUCTIONS,
-        churn_every: int = 0,
-        dram_wipe_bytes_per_cycle: int = DEFAULT_WIPE_BYTES_PER_CYCLE,
-        measurement_cycles_per_page: int = DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
-    ) -> FleetSpec:
-        """Spec with fleet defaults for anything omitted.
-
-        Defaults (for ``None`` arguments): the BASE-vs-F+P+M+A
-        comparison, one 0.7-load point, and the environment-controlled
-        seed.  Registry names (scheduling policy, router, admission,
-        client model, load profile) and the numeric fleet shape are
-        validated here rather than at run time.
-        """
-        _reject_empty(variants=variants, loads=loads, seeds=seeds)
-        _require_known("scheduling policy", policy, policy_names())
-        _require_known("routing policy", router, router_names())
-        _require_known("admission policy", admission, admission_names())
-        _require_known("client model", client, client_model_names())
-        _require_known("load profile", load_profile, LOAD_PROFILES)
-        if loads is not None and any(load <= 0.0 for load in loads):
+    def __post_init__(self) -> None:
+        _freeze_sequences(self)
+        _reject_empty(variants=self.variants, loads=self.loads, seeds=self.seeds)
+        _require_known("scheduling policy", self.policy, policy_names())
+        _require_known("routing policy", self.router, router_names())
+        _require_known("admission policy", self.admission, admission_names())
+        _require_known("client model", self.client, client_model_names())
+        _require_known("load profile", self.load_profile, LOAD_PROFILES)
+        if any(load <= 0.0 for load in self.loads):
             raise ValueError("loads must be positive fractions of shard capacity")
         _require_positive(
-            num_shards=num_shards,
-            shard_cores=shard_cores,
-            num_tenants=num_tenants,
-            num_requests=num_requests,
-            queue_depth=queue_depth,
-            slo_factor=slo_factor,
+            num_shards=self.num_shards,
+            shard_cores=self.shard_cores,
+            num_tenants=self.num_tenants,
+            num_requests=self.num_requests,
+            queue_depth=self.queue_depth,
+            slo_factor=self.slo_factor,
         )
-        _require_non_negative(think_factor=think_factor)
-        _require_positive(instructions=instructions)
+        _require_non_negative(think_factor=self.think_factor)
+        _require_positive(instructions=self.instructions)
         _require_non_negative(
-            churn_every=churn_every,
-            dram_wipe_bytes_per_cycle=dram_wipe_bytes_per_cycle,
-            measurement_cycles_per_page=measurement_cycles_per_page,
+            churn_every=self.churn_every,
+            dram_wipe_bytes_per_cycle=self.dram_wipe_bytes_per_cycle,
+            measurement_cycles_per_page=self.measurement_cycles_per_page,
         )
-        settings = EvaluationSettings.from_environment()
-        return cls(
-            variants=(
-                tuple(variants) if variants is not None else DEFAULT_SCENARIO_VARIANTS
-            ),
-            loads=tuple(loads) if loads is not None else (DEFAULT_SERVICE_LOAD,),
-            seeds=tuple(seeds) if seeds is not None else (settings.seed,),
-            policy=policy,
-            router=router,
-            admission=admission,
-            client=client,
-            load_profile=load_profile,
-            num_shards=num_shards,
-            shard_cores=shard_cores,
-            num_tenants=num_tenants,
-            num_requests=num_requests,
-            queue_depth=queue_depth,
-            slo_factor=slo_factor,
-            think_factor=think_factor,
-            instructions=instructions,
-            churn_every=churn_every,
-            dram_wipe_bytes_per_cycle=dram_wipe_bytes_per_cycle,
-            measurement_cycles_per_page=measurement_cycles_per_page,
-        )
-
-    @property
-    def size(self) -> int:
-        """Number of fleet simulations in the sweep."""
-        return len(self.variants) * len(self.loads) * len(self.seeds)
 
     def requests(self) -> List[FleetRunRequest]:
         """Expand the sweep into fleet requests (deterministic order)."""
@@ -1175,49 +1060,21 @@ class ExperimentSpec:
     Variants are :data:`~repro.core.mitigations.VariantLike`: legacy
     enum members, composed :class:`~repro.core.mitigations.MitigationSet`
     values, and spec strings (``"FLUSH+MISS"``) may be mixed freely —
-    the full 2^5 mitigation lattice is sweepable.
+    the full 2^5 mitigation lattice is sweepable.  The defaults are the
+    full Figure 13 grid (all seven variants, all eleven benchmarks);
+    empty axes and a non-positive run length are rejected on
+    construction.
     """
 
-    variants: Tuple[VariantLike, ...]
-    benchmarks: Tuple[str, ...]
+    variants: Tuple[VariantLike, ...] = field(default_factory=lambda: tuple(all_variants()))
+    benchmarks: Tuple[str, ...] = field(default_factory=lambda: tuple(benchmark_names()))
     seeds: Tuple[int, ...] = (DEFAULT_SEED,)
     instructions: int = DEFAULT_INSTRUCTIONS
 
-    @classmethod
-    def create(
-        cls,
-        variants: Optional[Sequence[VariantLike]] = None,
-        benchmarks: Optional[Sequence[str]] = None,
-        seeds: Optional[Sequence[int]] = None,
-        instructions: Optional[int] = None,
-    ) -> ExperimentSpec:
-        """Spec with paper defaults for anything omitted.
-
-        Defaults (for ``None`` arguments): all seven variants, all
-        eleven SPEC benchmarks, the environment-controlled seed, and the
-        environment-controlled run length — i.e. the full Figure 13
-        grid.  Explicitly empty sequences are rejected rather than
-        silently expanded into the full grid, and so is a non-positive
-        run length.
-        """
-        _reject_empty(variants=variants, benchmarks=benchmarks, seeds=seeds)
-        settings = EvaluationSettings.from_environment()
-        if instructions is None:
-            instructions = settings.instructions
-        _require_positive(instructions=instructions)
-        return cls(
-            variants=tuple(variants) if variants is not None else tuple(all_variants()),
-            benchmarks=(
-                tuple(benchmarks) if benchmarks is not None else tuple(benchmark_names())
-            ),
-            seeds=tuple(seeds) if seeds is not None else (settings.seed,),
-            instructions=instructions,
-        )
-
-    @property
-    def size(self) -> int:
-        """Number of runs in the sweep."""
-        return len(self.variants) * len(self.benchmarks) * len(self.seeds)
+    def __post_init__(self) -> None:
+        _freeze_sequences(self)
+        _reject_empty(variants=self.variants, benchmarks=self.benchmarks, seeds=self.seeds)
+        _require_positive(instructions=self.instructions)
 
     def requests(self) -> List[RunRequest]:
         """Expand the sweep into run requests (deterministic order)."""
@@ -1237,7 +1094,6 @@ class ExperimentSpec:
 class ExperimentResult:
     """Runs of one sweep, addressable by (variant, benchmark, seed)."""
 
-    spec: ExperimentSpec
     requests: List[RunRequest]
     runs: List[WorkloadRun]
     _index: Dict[Tuple[str, str, int], WorkloadRun] = field(
@@ -1251,8 +1107,8 @@ class ExperimentResult:
     def run_for(
         self, variant: VariantLike, benchmark: str, seed: Optional[int] = None
     ) -> WorkloadRun:
-        """The run for one (variant, benchmark, seed) cell of the sweep."""
-        seed = seed if seed is not None else self.spec.seeds[0]
+        """The run for one (variant, benchmark, seed) cell (default: the first seed)."""
+        seed = seed if seed is not None else self.requests[0].seed
         return self._index[(spec_name(variant), benchmark, seed)]
 
     def overhead_percent(
@@ -1434,8 +1290,7 @@ class ParallelRunner:
         """The stored value of ``kind`` under ``key``, or ``None``."""
         if kind == RunRequest.kind:
             return self.store.get(key)
-        payload = self.store.get_payload(kind, key)
-        return JOB_KINDS[kind].decode(payload) if payload is not None else None
+        return self.store.get_payload(kind, key, JOB_KINDS[kind].decode)
 
     def _persist(self, kind: str, key: str, value: Any) -> None:
         """Store a value: runs in the run layer, the rest as documents."""
@@ -1552,11 +1407,6 @@ class ParallelRunner:
             table = tuple(sorted((workload.benchmark, next(runs).cycles) for workload in group))
             priced.append(replace(request, service_cycles=table))
         return priced
-
-    def run_spec(self, spec: ExperimentSpec) -> ExperimentResult:
-        """Execute a full sweep and return its indexed results."""
-        requests = spec.requests()
-        return ExperimentResult(spec=spec, requests=requests, runs=self.run(requests))
 
     def _run_fleets(self, requests: Sequence[Any]) -> List[FleetOutcome]:
         """Fleet requests: a document lookup each, or lowering onto shards.

@@ -24,8 +24,9 @@ sharing one cache directory): every write goes through a temp file +
 entry serialise on a per-entry ``fcntl`` advisory lock, and a reader
 that still finds an unparseable file retries once under that lock
 before treating it as a miss (logged once per store) and dropping it.
-An entry whose embedded ``key`` (or ``kind``) is not the one requested
-is dropped the same way, so a file under the wrong name is never served.
+An entry whose embedded ``key`` (or ``kind``) is not the one requested,
+or whose content does not decode, is dropped the same way, so a file
+under the wrong name or with a damaged payload is never served.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 try:  # pragma: no cover - fcntl is present on every POSIX build
     import fcntl
@@ -239,37 +240,43 @@ class ResultStore:
         assert self.directory is not None
         return self.directory / f"{kind}-v{SCHEMA_VERSION}-{key}.json"
 
-    def get_payload(self, kind: str, key: str) -> Optional[Dict]:
-        """Return the stored JSON document of ``kind`` for ``key``.
+    def get_payload(
+        self, kind: str, key: str, decode: Optional[Callable[[Dict], Any]] = None
+    ) -> Any:
+        """Return the stored JSON document of ``kind`` for ``key``, decoded.
 
         The document layer shares the two-layer policy (and hit/miss
         counters) of the run layer but stores schemaless JSON dicts, so
         new result kinds — security-scenario outcomes today — persist
         through the same store without the run layer's
-        :class:`WorkloadRun` shape.
+        :class:`WorkloadRun` shape.  ``decode`` (the raw document when
+        omitted) runs inside the disk layer's corruption guard, as
+        :meth:`get` decodes runs: a file it cannot decode is dropped and
+        counted as a miss.
         """
         payload = self._payload_memory.get((kind, key))
         if payload is not None:
             self.memory_hits += 1
             _MEMORY_HITS.inc()
-            return payload
+            return payload if decode is None else decode(payload)
         if self.directory is not None:
             path = self._payload_path(kind, key)
             document = self._read_document(path)
-            payload = None
+            value = None
             if document is not None:
                 try:
                     if document["kind"] == kind and document["key"] == key:
                         payload = document["payload"]
-                except (KeyError, TypeError):
+                        value = payload if decode is None else decode(payload)
+                except (KeyError, TypeError, ValueError):
                     pass
-                if payload is None:
+                if value is None:
                     self._drop_corrupt(path)
-            if payload is not None:
+            if value is not None:
                 self._payload_memory[(kind, key)] = payload
                 self.disk_hits += 1
                 _DISK_HITS.inc()
-                return payload
+                return value
         self.misses += 1
         _MISSES.inc()
         return None

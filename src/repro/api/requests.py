@@ -12,13 +12,18 @@ notebooks) speaks this one vocabulary instead of its own dialect:
 * :class:`FleetRequest` — sharded fleet serving with routing, bounded
   admission, and a closed-loop client model.
 
-Requests are *declarative*: fields left as ``None`` resolve against the
-session's :class:`~repro.analysis.engine.EvaluationSettings` (environment
-defaults) at run time.  ``resolve`` lowers each request onto the engine's
+Requests are *declarative*: seeds and run lengths left as ``None``
+resolve against the session's
+:class:`~repro.analysis.engine.EvaluationSettings` (environment
+defaults) at run time, and every other ``None`` field takes the
+engine's default.  ``resolve`` lowers each request onto the engine's
 fully-specified form — a :class:`~repro.analysis.engine.RunRequest`, or
 the spec (:class:`~repro.analysis.engine.ExperimentSpec`,
 ``ScenarioSpec``, ``ServiceSpec``, ``FleetSpec``) whose expansion holds
-the content-hash cache keys.  Variant fields accept anything
+the content-hash cache keys.  Requests and specs are two classes per
+grid kind on purpose: requests are the wire vocabulary, with ``None``
+for "default" and no validation, while a spec is the resolved grid and
+rejects bad input when it is constructed.  Variant fields accept anything
 :data:`~repro.core.mitigations.VariantLike`: legacy enum members,
 composed :class:`~repro.core.mitigations.MitigationSet` values, or spec
 strings such as ``"FLUSH+MISS"``.
@@ -90,9 +95,12 @@ class _SessionRequest:
     """Base of the session's request dataclasses.
 
     Provides the wire encoding and, for the grid-shaped kinds, the
-    lowering onto the engine's ``spec_type``: every field passes through
-    to its ``create`` (``requests`` as ``num_requests``), and unset seeds
-    and run lengths take the session settings.
+    lowering onto the engine's ``spec_type``: the spec is built from the
+    request's non-``None`` fields (``requests`` as ``num_requests``), so
+    every other field takes the spec's own default, except unset seeds
+    and run lengths, which take the session settings.  The spec
+    validates itself; a request validates nothing, so decoding a wire
+    document raises only :class:`WireError`.
     """
 
     wire_kind: ClassVar[str]
@@ -100,14 +108,15 @@ class _SessionRequest:
 
     def resolve(self, settings: EvaluationSettings) -> Any:
         """Lower onto the engine's spec of this request kind."""
-        arguments = {
-            "num_requests" if name == "requests" else name: getattr(self, name)
-            for name in field_types(type(self))
-        }
-        for name, default in (("seeds", (settings.seed,)), ("instructions", settings.instructions)):
-            if name in arguments and arguments[name] is None:
-                arguments[name] = default
-        return self.spec_type.create(**arguments)
+        unset = {"seeds": (settings.seed,), "instructions": settings.instructions}
+        arguments = {}
+        for name in field_types(type(self)):
+            value = getattr(self, name)
+            if value is None:
+                value = unset.get(name)
+            if value is not None:
+                arguments["num_requests" if name == "requests" else name] = value
+        return self.spec_type(**arguments)
 
     def to_wire(self) -> Dict[str, Any]:
         """Versioned JSON-serialisable document for this request."""

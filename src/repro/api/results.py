@@ -347,7 +347,6 @@ def result_from_wire(
         engine_requests = resolved.requests()
         if len(engine_requests) == len(entries):
             sweep = ExperimentResult(
-                spec=resolved,
                 requests=engine_requests,
                 runs=[entry.value for entry in entries],
             )

@@ -207,7 +207,7 @@ class Session:
             )
         ]
         sweep = (
-            ExperimentResult(spec=resolved, requests=engine_requests, runs=values)
+            ExperimentResult(requests=engine_requests, runs=values)
             if isinstance(resolved, ExperimentSpec)
             else None
         )

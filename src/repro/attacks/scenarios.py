@@ -45,29 +45,23 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.core.config import MI6Config
+from repro.core.serialization import OutcomeDocument
 from repro.attacks.addressing import addresses_for_set, distinct_sets
 from repro.attacks.coschedule import CoScheduledExecutor, MemOp, latencies_by_label
 from repro.attacks.placement import (
     ATTACKER_REGIONS,
-    DEFAULT_ATTACKER_CORE,
-    DEFAULT_VICTIM_CORE,
     VICTIM_REGIONS,
     Placement,
     default_placement,
 )
 from repro.os_model.machine import Machine
 
-#: Core assignments of the default two-core placement (kept for call
-#: sites that predate :mod:`repro.attacks.placement`).
-ATTACKER_CORE = DEFAULT_ATTACKER_CORE
-VICTIM_CORE = DEFAULT_VICTIM_CORE
-
 #: PC of the branch whose direction the branch-residue victim leaks.
 RESIDUE_PC = 0x0040_1234
 
 
 @dataclass(frozen=True)
-class ScenarioOutcome:
+class ScenarioOutcome(OutcomeDocument):
     """Result of one scenario run (JSON-serialisable for the store).
 
     Attributes:
@@ -95,43 +89,6 @@ class ScenarioOutcome:
     def leaked(self) -> bool:
         """True if the attacker learned anything at all."""
         return self.leaked_bits > 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible encoding (stable round-trip)."""
-        return {
-            "scenario": self.scenario,
-            "variant": self.variant,
-            "seed": self.seed,
-            "leaked_bits": self.leaked_bits,
-            "total_bits": self.total_bits,
-            "cycles": self.cycles,
-            "num_cores": self.num_cores,
-            "details": dict(self.details),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> ScenarioOutcome:
-        """Rebuild an outcome from :meth:`to_dict` output."""
-        return cls(
-            scenario=data["scenario"],
-            variant=data["variant"],
-            seed=data["seed"],
-            leaked_bits=data["leaked_bits"],
-            total_bits=data["total_bits"],
-            cycles=data["cycles"],
-            num_cores=data.get("num_cores", 2),
-            details=dict(data.get("details", {})),
-        )
-
-
-def mi6_protection_enabled(config: MI6Config) -> bool:
-    """Whether the machine ships the MI6 protection hardware.
-
-    Kept as the historical entry point; the logic lives on the
-    configuration itself (:attr:`MI6Config.has_protection_hardware`) so
-    the OS-model machine and the serving subsystem share it.
-    """
-    return config.has_protection_hardware
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +128,7 @@ def build_scenario_machine(
         if seed is not None
         else Machine(config=config, num_cores=placement.num_cores)
     )
-    enforce = mi6_protection_enabled(config)
+    enforce = config.has_protection_hardware
     assignments = [
         (placement.attacker_core, ATTACKER_REGIONS),
         (placement.victim_core, VICTIM_REGIONS),

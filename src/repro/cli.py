@@ -553,8 +553,9 @@ def _command_serve(args: argparse.Namespace) -> int:
         serve_daemon(session, host=args.host, port=args.port)
         return 0
     # Policy names, the load profile, and the numeric parameters are
-    # validated by ServiceSpec.create; its ValueError lands in the
-    # except below with the registry's own message.
+    # validated when the request resolves into a ServiceSpec; _execute
+    # reports its ValueError, with the registry's own message, and
+    # exits 2.
     settings = _settings(args)
     try:
         request = _wire_request(
@@ -626,8 +627,9 @@ def _command_fleet(args: argparse.Namespace) -> int:
     if _reject_remote_trace(args):
         return 2
     # Registry names (scheduling policy, router, admission, client
-    # model, load profile) and the numeric fleet shape are validated by
-    # FleetSpec.create; its ValueError lands in the except below.
+    # model, load profile) and the numeric fleet shape are validated
+    # when the request resolves into a FleetSpec; _execute reports its
+    # ValueError and exits 2.
     settings = _settings(args)
     try:
         request = _wire_request(

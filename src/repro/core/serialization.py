@@ -1,7 +1,7 @@
 """Stable dict/JSON round-trips for configurations and run results.
 
 The experiment engine (:mod:`repro.analysis.engine`) and the persistent
-result store (:mod:`repro.analysis.store`) need two things from the core
+result store (:mod:`repro.analysis.store`) need these from the core
 layer:
 
 * a canonical, content-addressed identity for a simulation — the cache
@@ -14,7 +14,9 @@ layer:
   processes) and process exits (the on-disk store);
 * one field-typed codec for request dataclasses, shared by the worker
   payloads (:func:`request_to_payload`) and the strict wire decoder
-  (:func:`decode_field`).
+  (:func:`decode_field`);
+* one field-driven codec for outcome dataclasses
+  (:class:`OutcomeDocument`), the documents the result store persists.
 
 Everything here is plain dicts of JSON-compatible scalars; enums are
 encoded by name.  ``SCHEMA_VERSION`` is folded into every digest so a
@@ -27,14 +29,19 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import abc
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import (
     Any,
     Callable,
     Dict,
+    List,
     Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Type,
     TypeVar,
     Union,
     get_args,
@@ -67,6 +74,8 @@ CACHE_KEY_EXCLUSIONS: Dict[str, Dict[str, str]] = {}
 
 #: An engine request type rebuilt by :func:`request_from_payload`.
 _Request = TypeVar("_Request")
+#: An outcome type rebuilt by :meth:`OutcomeDocument.from_dict`.
+_Document = TypeVar("_Document", bound="OutcomeDocument")
 
 
 # ----------------------------------------------------------------------
@@ -186,6 +195,86 @@ def field_types(owner: Any) -> Mapping[str, Any]:
     """Resolved annotations of a dataclass's fields, by field name (shared; read-only)."""
     hints = get_type_hints(owner)
     return {field.name: hints[field.name] for field in fields(owner)}
+
+
+# ----------------------------------------------------------------------
+# Outcome documents
+
+
+def _copy_rows(rows: Any) -> List[Dict[str, Any]]:
+    return [dict(row) for row in rows]
+
+
+#: ``(encode, decode)`` of an outcome field, by container type: copies,
+#: and arrays for tuples.  Outcome lists hold dict rows (per-core and
+#: per-shard audits); any other field is written as it is.
+_CONVERTERS: Dict[Any, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
+    tuple: (list, tuple),
+    dict: (dict, dict),
+    list: (_copy_rows, _copy_rows),
+}
+
+
+class _DocumentPlan(NamedTuple):
+    """How :class:`OutcomeDocument` writes one class's fields."""
+
+    #: Every field, in declaration order.
+    names: Tuple[str, ...]
+    #: The fields without a default, which a document must carry.
+    required: Tuple[str, ...]
+    #: The fields with a default, which a document may omit.
+    optional: Tuple[str, ...]
+    #: ``(name, encode, decode)`` of the fields whose value is converted.
+    converted: Tuple[Tuple[str, Callable[[Any], Any], Callable[[Any], Any]], ...]
+
+
+@lru_cache(maxsize=None)
+def _document_plan(owner: Any) -> _DocumentPlan:
+    """``owner``'s :class:`_DocumentPlan`, computed once per class."""
+    types = field_types(owner)
+    required: List[str] = []
+    optional: List[str] = []
+    converted: List[Tuple[str, Callable[[Any], Any], Callable[[Any], Any]]] = []
+    for field in fields(owner):
+        has_default = field.default is not MISSING or field.default_factory is not MISSING
+        (optional if has_default else required).append(field.name)
+        pair = _CONVERTERS.get(get_origin(types[field.name]))
+        if pair is not None:
+            converted.append((field.name, *pair))
+    return _DocumentPlan(tuple(types), tuple(required), tuple(optional), tuple(converted))
+
+
+class OutcomeDocument:
+    """Mixin: the JSON document codec of an outcome dataclass.
+
+    :meth:`to_dict` writes one key per field, in declaration order;
+    tuples become arrays, and dicts and lists of dict rows are copied.
+    :meth:`from_dict` inverts it: arrays come back as tuples, a field
+    absent from the document takes its dataclass default, and a missing
+    required field raises :class:`KeyError`.  The store writes
+    documents unsorted, so the field order is part of the store format.
+    """
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-compatible encoding (stable round-trip)."""
+        plan = _document_plan(type(self))
+        document = {name: getattr(self, name) for name in plan.names}
+        for name, encode, _ in plan.converted:
+            document[name] = encode(document[name])
+        return document
+
+    @classmethod
+    def from_dict(cls: Type[_Document], data: Mapping[str, Any]) -> _Document:
+        """Rebuild an outcome from :meth:`to_dict` output."""
+        plan = _document_plan(cls)
+        arguments = {name: data[name] for name in plan.required}
+        for name in plan.optional:
+            if name in data:
+                arguments[name] = data[name]
+        for name, _, decode in plan.converted:
+            if name in arguments:
+                arguments[name] = decode(arguments[name])
+        return cls(**arguments)  # type: ignore[call-arg]
 
 
 def _optional_inner(annotation: Any) -> Any:

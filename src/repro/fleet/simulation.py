@@ -41,6 +41,7 @@ from repro.common.defaults import (
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng, derive_seed
 from repro.core.config import MI6Config
+from repro.core.serialization import OutcomeDocument
 from repro.fleet.admission import REJECT_QUEUE_FULL, AdmissionContext, admit
 from repro.fleet.clients import client_model, closed_loop_population
 from repro.service.arrivals import Arrival, exponential_gap, generate_arrivals
@@ -91,7 +92,7 @@ def estimate_boundary_cycles(
 
 
 @dataclass(frozen=True)
-class ShardOutcome:
+class ShardOutcome(OutcomeDocument):
     """Result of one shard simulation (JSON-serialisable for the store).
 
     ``latencies`` is the full sorted per-request latency list: fleet
@@ -122,59 +123,6 @@ class ShardOutcome:
     latencies: Tuple[int, ...] = ()
     details: Dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible encoding (stable round-trip)."""
-        return {
-            "shard": self.shard,
-            "tenants": list(self.tenants),
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "dropped_queue_full": self.dropped_queue_full,
-            "rejected_deadline": self.rejected_deadline,
-            "deadline_misses": self.deadline_misses,
-            "slo_met": self.slo_met,
-            "horizon_cycles": self.horizon_cycles,
-            "busy_cycles": self.busy_cycles,
-            "utilization": self.utilization,
-            "switches": self.switches,
-            "affinity_hits": self.affinity_hits,
-            "queue_peak": self.queue_peak,
-            "charged_purge_cycles": self.charged_purge_cycles,
-            "charged_scrub_cycles": self.charged_scrub_cycles,
-            "charged_wipe_cycles": self.charged_wipe_cycles,
-            "charged_measurement_cycles": self.charged_measurement_cycles,
-            "latencies": list(self.latencies),
-            "details": dict(self.details),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> ShardOutcome:
-        """Rebuild an outcome from :meth:`to_dict` output."""
-        return cls(
-            shard=data["shard"],
-            tenants=tuple(data["tenants"]),
-            offered=data["offered"],
-            admitted=data["admitted"],
-            completed=data["completed"],
-            dropped_queue_full=data["dropped_queue_full"],
-            rejected_deadline=data["rejected_deadline"],
-            deadline_misses=data["deadline_misses"],
-            slo_met=data["slo_met"],
-            horizon_cycles=data["horizon_cycles"],
-            busy_cycles=data["busy_cycles"],
-            utilization=data["utilization"],
-            switches=data["switches"],
-            affinity_hits=data["affinity_hits"],
-            queue_peak=data["queue_peak"],
-            charged_purge_cycles=data["charged_purge_cycles"],
-            charged_scrub_cycles=data["charged_scrub_cycles"],
-            charged_wipe_cycles=data["charged_wipe_cycles"],
-            charged_measurement_cycles=data["charged_measurement_cycles"],
-            latencies=tuple(data.get("latencies", [])),
-            details=dict(data.get("details", {})),
-        )
-
 
 def empty_shard_outcome(shard: int, tenants: Tuple[int, ...] = ()) -> ShardOutcome:
     """The well-defined outcome of a shard that served nothing."""
@@ -202,7 +150,7 @@ def empty_shard_outcome(shard: int, tenants: Tuple[int, ...] = ()) -> ShardOutco
 
 
 @dataclass(frozen=True)
-class FleetOutcome:
+class FleetOutcome(OutcomeDocument):
     """Merged result of one fleet simulation (the cached document).
 
     Fleet-wide percentiles are exact (computed over the merged latency
@@ -240,75 +188,6 @@ class FleetOutcome:
     assignment: Tuple[int, ...]
     per_shard: List[Dict[str, Any]] = field(default_factory=list)
     details: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible encoding (stable round-trip)."""
-        return {
-            "router": self.router,
-            "admission": self.admission,
-            "client_model": self.client_model,
-            "policy": self.policy,
-            "variant": self.variant,
-            "seed": self.seed,
-            "load": self.load,
-            "load_profile": self.load_profile,
-            "num_shards": self.num_shards,
-            "shard_cores": self.shard_cores,
-            "num_tenants": self.num_tenants,
-            "num_requests": self.num_requests,
-            "queue_depth": self.queue_depth,
-            "slo_cycles": self.slo_cycles,
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "dropped_queue_full": self.dropped_queue_full,
-            "rejected_deadline": self.rejected_deadline,
-            "deadline_misses": self.deadline_misses,
-            "slo_met": self.slo_met,
-            "horizon_cycles": self.horizon_cycles,
-            "throughput_rpmc": self.throughput_rpmc,
-            "goodput_rpmc": self.goodput_rpmc,
-            "latency": dict(self.latency),
-            "utilization": self.utilization,
-            "assignment": list(self.assignment),
-            "per_shard": [dict(row) for row in self.per_shard],
-            "details": dict(self.details),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> FleetOutcome:
-        """Rebuild an outcome from :meth:`to_dict` output."""
-        return cls(
-            router=data["router"],
-            admission=data["admission"],
-            client_model=data["client_model"],
-            policy=data["policy"],
-            variant=data["variant"],
-            seed=data["seed"],
-            load=data["load"],
-            load_profile=data["load_profile"],
-            num_shards=data["num_shards"],
-            shard_cores=data["shard_cores"],
-            num_tenants=data["num_tenants"],
-            num_requests=data["num_requests"],
-            queue_depth=data["queue_depth"],
-            slo_cycles=data["slo_cycles"],
-            offered=data["offered"],
-            admitted=data["admitted"],
-            completed=data["completed"],
-            dropped_queue_full=data["dropped_queue_full"],
-            rejected_deadline=data["rejected_deadline"],
-            deadline_misses=data["deadline_misses"],
-            slo_met=data["slo_met"],
-            horizon_cycles=data["horizon_cycles"],
-            throughput_rpmc=data["throughput_rpmc"],
-            goodput_rpmc=data["goodput_rpmc"],
-            latency=dict(data["latency"]),
-            utilization=data["utilization"],
-            assignment=tuple(data["assignment"]),
-            per_shard=[dict(row) for row in data.get("per_shard", [])],
-            details=dict(data.get("details", {})),
-        )
 
 
 def run_fleet_shard(

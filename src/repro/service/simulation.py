@@ -59,6 +59,7 @@ from repro.common.defaults import (
 )
 from repro.common.errors import ConfigurationError
 from repro.core.config import MI6Config
+from repro.core.serialization import OutcomeDocument
 from repro.monitor.enclave import Enclave
 from repro.obs.trace import active_tracer
 from repro.monitor.security_monitor import SecurityMonitor
@@ -126,7 +127,7 @@ def teardown_cycles(
 
 
 @dataclass(frozen=True)
-class ServiceOutcome:
+class ServiceOutcome(OutcomeDocument):
     """Result of one serving simulation (JSON-serialisable for the store).
 
     Attributes:
@@ -185,57 +186,6 @@ class ServiceOutcome:
         """Charged purge cycles as a fraction of fleet busy time."""
         busy = sum(row["busy_cycles"] for row in self.per_core)
         return self.charged_purge_cycles / busy if busy else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible encoding (stable round-trip)."""
-        return {
-            "policy": self.policy,
-            "variant": self.variant,
-            "seed": self.seed,
-            "load": self.load,
-            "load_profile": self.load_profile,
-            "num_cores": self.num_cores,
-            "num_tenants": self.num_tenants,
-            "requests": self.requests,
-            "horizon_cycles": self.horizon_cycles,
-            "throughput_rpmc": self.throughput_rpmc,
-            "latency": dict(self.latency),
-            "utilization": self.utilization,
-            "switches": self.switches,
-            "affinity_hits": self.affinity_hits,
-            "purge_count": self.purge_count,
-            "purge_stall_cycles": self.purge_stall_cycles,
-            "charged_purge_cycles": self.charged_purge_cycles,
-            "charged_flush_cycles": self.charged_flush_cycles,
-            "per_core": [dict(row) for row in self.per_core],
-            "details": dict(self.details),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> ServiceOutcome:
-        """Rebuild an outcome from :meth:`to_dict` output."""
-        return cls(
-            policy=data["policy"],
-            variant=data["variant"],
-            seed=data["seed"],
-            load=data["load"],
-            load_profile=data["load_profile"],
-            num_cores=data["num_cores"],
-            num_tenants=data["num_tenants"],
-            requests=data["requests"],
-            horizon_cycles=data["horizon_cycles"],
-            throughput_rpmc=data["throughput_rpmc"],
-            latency=dict(data["latency"]),
-            utilization=data["utilization"],
-            switches=data["switches"],
-            affinity_hits=data["affinity_hits"],
-            purge_count=data["purge_count"],
-            purge_stall_cycles=data["purge_stall_cycles"],
-            charged_purge_cycles=data["charged_purge_cycles"],
-            charged_flush_cycles=data["charged_flush_cycles"],
-            per_core=[dict(row) for row in data.get("per_core", [])],
-            details=dict(data.get("details", {})),
-        )
 
 
 @dataclass(eq=False)

@@ -9,6 +9,7 @@ from repro.analysis.engine import (
     CACHE_KEY_EXCLUSIONS,
     JOB_KINDS,
     EvaluationSettings,
+    ExperimentResult,
     ExperimentSpec,
     FleetRunRequest,
     FleetShardRequest,
@@ -20,6 +21,7 @@ from repro.analysis.engine import (
     request_for,
 )
 from repro.analysis.store import ResultStore
+from repro import api
 from repro.core.config import MI6Config
 from repro.core.processor import MI6Processor
 from repro.core.serialization import (
@@ -71,8 +73,6 @@ class TestSerialization:
         assert restored.result.flush_stall_cycles == run.result.flush_stall_cycles
 
     def test_settings_round_trip_and_environment(self, monkeypatch):
-        settings = EvaluationSettings(instructions=4000, seed=7)
-        assert EvaluationSettings.from_dict(settings.to_dict()) == settings
         monkeypatch.setenv("REPRO_BENCH_INSTRUCTIONS", "1234")
         monkeypatch.setenv("REPRO_BENCH_SEED", "99")
         from_env = EvaluationSettings.from_environment()
@@ -207,6 +207,28 @@ class TestResultStore:
         assert reader.get(key) is not None
         assert reader.get_payload("scenario", key) == {"leaked": True}
 
+    def test_undecodable_document_is_a_miss_and_is_rewritten(self, tmp_path):
+        # A document-layer entry that parses but does not decode (here a
+        # required outcome field is gone) is dropped and re-simulated,
+        # exactly as a damaged run entry is, instead of failing every
+        # later request for it.
+        request = api.ScenarioRequest(
+            scenarios=("branch_residue",), variants=("BASE",), seeds=(2019,)
+        )
+        settings = EvaluationSettings(seed=2019)
+        first = api.Session(ResultStore(tmp_path), jobs=1, settings=settings).run(request)
+        (path,) = tmp_path.glob("scenario-v*.json")
+        document = json.loads(path.read_text())
+        del document["payload"]["cycles"]
+        path.write_text(json.dumps(document))
+
+        store = ResultStore(tmp_path)
+        again = api.Session(store, jobs=1, settings=settings).run(request)
+        assert [entry.provenance.origin for entry in again] == ["cold"]
+        assert again.entries[0].value == first.entries[0].value
+        assert (store.misses, store.disk_hits) == (1, 0)
+        assert "cycles" in json.loads(path.read_text())["payload"]
+
     def test_memory_only_store_never_touches_disk(self):
         store = ResultStore.in_memory()
         request = request_for(Variant.BASE, "hmmer", SMALL)
@@ -224,23 +246,25 @@ class TestParallelRunner:
     )
 
     def test_serial_and_parallel_sweeps_are_bit_identical(self):
-        serial = ParallelRunner(ResultStore.in_memory(), jobs=1).run_spec(self.SPEC)
-        parallel = ParallelRunner(ResultStore.in_memory(), jobs=2).run_spec(self.SPEC)
-        assert len(serial.runs) == self.SPEC.size
-        for serial_run, parallel_run in zip(serial.runs, parallel.runs):
+        requests = self.SPEC.requests()
+        serial = ParallelRunner(ResultStore.in_memory(), jobs=1).run(requests)
+        parallel = ParallelRunner(ResultStore.in_memory(), jobs=2).run(requests)
+        assert len(serial) == len(requests) == 6
+        for serial_run, parallel_run in zip(serial, parallel):
             assert runs_equal(serial_run, parallel_run)
 
     def test_warm_start_from_disk(self, tmp_path):
+        requests = self.SPEC.requests()
         cold = ParallelRunner(ResultStore(tmp_path / "cache"), jobs=2)
-        cold_result = cold.run_spec(self.SPEC)
-        assert cold.executed_runs == self.SPEC.size
+        cold_runs = cold.run(requests)
+        assert cold.executed_runs == len(requests)
         assert cold.warm_runs == 0
 
         warm = ParallelRunner(ResultStore(tmp_path / "cache"), jobs=2)
-        warm_result = warm.run_spec(self.SPEC)
+        warm_runs = warm.run(requests)
         assert warm.executed_runs == 0
-        assert warm.warm_runs == self.SPEC.size
-        for cold_run, warm_run in zip(cold_result.runs, warm_result.runs):
+        assert warm.warm_runs == len(requests)
+        for cold_run, warm_run in zip(cold_runs, warm_runs):
             assert runs_equal(cold_run, warm_run)
 
     def test_duplicate_requests_simulate_once(self):
@@ -261,7 +285,10 @@ class TestParallelRunner:
         assert requests["BASE"].instructions == 2500
 
     def test_experiment_result_indexing(self):
-        result = ParallelRunner(ResultStore.in_memory()).run_spec(self.SPEC)
+        requests = self.SPEC.requests()
+        result = ExperimentResult(
+            requests=requests, runs=ParallelRunner(ResultStore.in_memory()).run(requests)
+        )
         run = result.run_for(Variant.ARB, "libquantum")
         assert run.config_name == "ARB"
         assert run.benchmark == "libquantum"
@@ -271,25 +298,35 @@ class TestParallelRunner:
 
 
 class TestSpec:
-    def test_create_defaults_to_full_grid(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_INSTRUCTIONS", raising=False)
-        monkeypatch.delenv("REPRO_BENCH_SEED", raising=False)
-        spec = ExperimentSpec.create()
+    def test_defaults_to_full_grid(self, monkeypatch):
+        # Specs read no environment: the session settings fill unset
+        # request seeds and run lengths instead.
+        monkeypatch.setenv("REPRO_BENCH_INSTRUCTIONS", "1234")
+        monkeypatch.setenv("REPRO_BENCH_SEED", "99")
+        spec = ExperimentSpec()
         assert len(spec.variants) == 7
         assert len(spec.benchmarks) == 11
         assert spec.seeds == (2019,)
-        assert spec.size == 77
+        assert spec.instructions == 30_000
+        assert len(spec.requests()) == 77
 
-    def test_create_rejects_explicitly_empty_selections(self):
+    def test_sequences_are_held_as_tuples(self):
+        spec = ExperimentSpec(variants=["BASE"], benchmarks=["gcc"], seeds=[1, 2])
+        assert (spec.variants, spec.benchmarks, spec.seeds) == (("BASE",), ("gcc",), (1, 2))
+
+    def test_construction_rejects_explicitly_empty_selections(self):
         with pytest.raises(ValueError, match="variants"):
-            ExperimentSpec.create(variants=[])
+            ExperimentSpec(variants=[])
         with pytest.raises(ValueError, match="benchmarks"):
-            ExperimentSpec.create(benchmarks=[])
+            ExperimentSpec(benchmarks=[])
         with pytest.raises(ValueError, match="seeds"):
-            ExperimentSpec.create(seeds=[])
+            ExperimentSpec(seeds=[])
+        # An empty grid used to build and expand into no requests at all.
+        with pytest.raises(ValueError, match="variants must not be empty"):
+            ExperimentSpec(variants=(), benchmarks=("gcc",), instructions=0)
         for instructions in (0, -5):
             with pytest.raises(ValueError, match="instructions must be positive"):
-                ExperimentSpec.create(instructions=instructions)
+                ExperimentSpec(instructions=instructions)
             with pytest.raises(ValueError, match="instructions must be positive"):
                 request_for("NONSPEC", "gcc", EvaluationSettings(instructions=instructions))
             with pytest.raises(ValueError, match="instructions must be positive"):

@@ -49,7 +49,7 @@ SPEC_FIELDS = dict(
 
 
 def run_service_spec(jobs, tracer=None, directory=None):
-    spec = ServiceSpec.create(**SPEC_FIELDS)
+    spec = ServiceSpec(**SPEC_FIELDS)
     store = ResultStore.in_memory() if directory is None else ResultStore(directory)
     runner = ParallelRunner(store=store, jobs=jobs)
     requests = spec.requests()

@@ -8,6 +8,7 @@ keys, store persistence, serial/parallel equivalence, security table).
 """
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,11 +21,10 @@ from repro.analysis.engine import (
 from repro.analysis.figures import security_leakage_table
 from repro.analysis.store import ResultStore
 from repro.attacks.coschedule import CoScheduledExecutor, MemOp, detailed_config_for
+from repro.attacks.placement import DEFAULT_ATTACKER_CORE
 from repro.attacks.scenarios import (
-    ATTACKER_CORE,
     ScenarioOutcome,
     build_scenario_machine,
-    mi6_protection_enabled,
     run_scenario,
     scenario_names,
 )
@@ -41,13 +41,13 @@ class TestCoScheduledExecutor:
         executor = CoScheduledExecutor(machine)
         base_address = machine.address_map.region_base(8)
         ops = [MemOp(base_address + index * 64, l1_bypass=True) for index in range(4)]
-        done = executor.run_phase({ATTACKER_CORE: ops})
-        assert len(done[ATTACKER_CORE]) == 4
+        done = executor.run_phase({DEFAULT_ATTACKER_CORE: ops})
+        assert len(done[DEFAULT_ATTACKER_CORE]) == 4
         # Cold lines: every access misses and pays the DRAM latency
         # through the message-level pipeline.
         assert all(
             access.latency >= machine.config.dram.latency_cycles
-            for access in done[ATTACKER_CORE]
+            for access in done[DEFAULT_ATTACKER_CORE]
         )
         assert machine.stats.value("llc_detail.pipeline_entries") >= 4
 
@@ -55,23 +55,23 @@ class TestCoScheduledExecutor:
         machine = build_scenario_machine(BASE)
         executor = CoScheduledExecutor(machine)
         address = machine.address_map.region_base(8)
-        executor.run_phase({ATTACKER_CORE: [MemOp(address)]})
+        executor.run_phase({DEFAULT_ATTACKER_CORE: [MemOp(address)]})
         entries_before = machine.stats.value("llc_detail.pipeline_entries")
-        done = executor.run_phase({ATTACKER_CORE: [MemOp(address)]})
-        access = done[ATTACKER_CORE][0]
+        done = executor.run_phase({DEFAULT_ATTACKER_CORE: [MemOp(address)]})
+        access = done[DEFAULT_ATTACKER_CORE][0]
         assert access.l1_hit
-        assert access.latency <= machine.core(ATTACKER_CORE).hierarchy.l1d.hit_latency
+        assert access.latency <= machine.core(DEFAULT_ATTACKER_CORE).hierarchy.l1d.hit_latency
         assert machine.stats.value("llc_detail.pipeline_entries") == entries_before
 
     def test_mi6_protection_suppresses_cross_domain_access(self):
         machine = build_scenario_machine(MI6)
         victim_address = machine.address_map.region_base(9)
         done = CoScheduledExecutor(machine).run_phase(
-            {ATTACKER_CORE: [MemOp(victim_address)]}
+            {DEFAULT_ATTACKER_CORE: [MemOp(victim_address)]}
         )
-        assert done[ATTACKER_CORE][0].blocked
-        assert not mi6_protection_enabled(BASE)
-        assert mi6_protection_enabled(MI6)
+        assert done[DEFAULT_ATTACKER_CORE][0].blocked
+        assert not BASE.has_protection_hardware
+        assert MI6.has_protection_hardware
 
     def test_arbiter_matches_machine_organisation(self):
         assert not detailed_config_for(BASE).secure
@@ -90,12 +90,12 @@ class TestCoScheduledExecutor:
         machine = build_scenario_machine(BASE)
         executor = CoScheduledExecutor(machine)
         address = machine.address_map.region_base(8)
-        executor.run_phase({ATTACKER_CORE: [MemOp(address, l1_bypass=True)]})
+        executor.run_phase({DEFAULT_ATTACKER_CORE: [MemOp(address, l1_bypass=True)]})
         first_phase_end = executor.cycle
-        done = executor.run_phase({ATTACKER_CORE: [MemOp(address, l1_bypass=True)]})
+        done = executor.run_phase({DEFAULT_ATTACKER_CORE: [MemOp(address, l1_bypass=True)]})
         assert executor.cycle > first_phase_end
         # The second phase sees the line the first phase installed.
-        assert done[ATTACKER_CORE][0].llc_hit
+        assert done[DEFAULT_ATTACKER_CORE][0].llc_hit
 
 
 class TestScenarioProperty1:
@@ -166,24 +166,30 @@ class TestScenarioEngine:
         outcome = execute_scenario_request(ScenarioRequest("branch_residue", BASE, 2019))
         encoded = json.loads(json.dumps(outcome.to_dict()))
         assert ScenarioOutcome.from_dict(encoded) == outcome
+        # Keys follow the field order (store files are written unsorted);
+        # a field with a default may be absent, a required one may not.
+        assert list(encoded) == [field.name for field in fields(ScenarioOutcome)]
+        del encoded["num_cores"], encoded["details"]
+        assert ScenarioOutcome.from_dict(encoded) == replace(outcome, num_cores=2, details={})
+        del encoded["cycles"]
+        with pytest.raises(KeyError, match="cycles"):
+            ScenarioOutcome.from_dict(encoded)
 
     def test_warm_start_from_disk(self, tmp_path):
-        spec = ScenarioSpec.create(scenarios=["branch_residue"], seeds=[2019])
+        spec = ScenarioSpec(scenarios=("branch_residue",), seeds=(2019,))
         cold_runner = ParallelRunner(ResultStore(tmp_path))
         cold = cold_runner.run(spec.requests())
-        assert cold_runner.executed_runs == spec.size == 2
+        assert cold_runner.executed_runs == len(spec.requests()) == 2
         warm_runner = ParallelRunner(ResultStore(tmp_path))
         warm = warm_runner.run(spec.requests())
         assert warm_runner.executed_runs == 0
-        assert warm_runner.warm_runs == spec.size
+        assert warm_runner.warm_runs == len(spec.requests())
         assert [outcome.to_dict() for outcome in warm] == [
             outcome.to_dict() for outcome in cold
         ]
 
     def test_serial_and_parallel_outcomes_are_identical(self):
-        spec = ScenarioSpec.create(
-            scenarios=["branch_residue", "spectre"], seeds=[2019]
-        )
+        spec = ScenarioSpec(scenarios=("branch_residue", "spectre"), seeds=(2019,))
         serial = ParallelRunner(ResultStore.in_memory(), jobs=1).run(
             spec.requests()
         )
@@ -196,12 +202,18 @@ class TestScenarioEngine:
 
     def test_spec_validates_scenario_names_and_rejects_empty(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            ScenarioSpec.create(scenarios=["nope"])
+            ScenarioSpec(scenarios=["nope"])
         with pytest.raises(ValueError, match="must not be empty"):
-            ScenarioSpec.create(scenarios=[])
-        spec = ScenarioSpec.create()
+            ScenarioSpec(scenarios=[])
+        # Direct construction validates too: these used to build.
+        with pytest.raises(ValueError, match=r"unknown scenario\(s\): nope"):
+            ScenarioSpec(scenarios=("prime_probe", "nope"))
+        with pytest.raises(ValueError, match="num_cores must be at least 2"):
+            ScenarioSpec(num_cores=1)
+        spec = ScenarioSpec()
         assert spec.scenarios == tuple(scenario_names())
         assert spec.variants == (Variant.BASE, Variant.F_P_M_A)
+        assert spec.seeds == (2019,)
 
     def test_security_table_reports_leak_on_base_only(self):
         title, rows = security_leakage_table(

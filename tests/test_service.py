@@ -313,18 +313,23 @@ class TestEngineRequests:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="unknown scheduling policy"):
-            ServiceSpec.create(policies=["round-robin"])
+            ServiceSpec(policies=["round-robin"])
+        # Direct construction used to skip validation: this spec built
+        # and expanded into two requests naming an unknown policy.
+        with pytest.raises(ValueError, match=r"unknown scheduling policy\(ies\): round-robin"):
+            ServiceSpec(policies=("round-robin",))
         with pytest.raises(ValueError, match="unknown load profile"):
-            ServiceSpec.create(load_profile="weekend")
+            ServiceSpec(load_profile="weekend")
         with pytest.raises(ValueError, match="must not be empty"):
-            ServiceSpec.create(policies=[])
+            ServiceSpec(policies=[])
         with pytest.raises(ValueError, match="positive"):
-            ServiceSpec.create(loads=[0.0])
+            ServiceSpec(loads=[0.0])
         with pytest.raises(ValueError, match="instructions must be positive"):
-            ServiceSpec.create(instructions=0)
-        spec = ServiceSpec.create(policies=["fifo"], loads=[0.5, 0.9])
-        assert spec.size == 1 * 2 * 2 * 1
-        assert len(spec.requests()) == spec.size
+            ServiceSpec(instructions=0)
+        with pytest.raises(ValueError, match="churn_every must be non-negative"):
+            ServiceSpec(churn_every=-1)
+        spec = ServiceSpec(policies=["fifo"], loads=[0.5, 0.9])
+        assert len(spec.requests()) == 1 * 2 * 2 * 1
 
 
 class TestSessionServe:
