@@ -1,65 +1,60 @@
 #!/usr/bin/env python3
 """Side-channel lab: every modelled attack, on the baseline and on MI6.
 
-Runs the four attack families the paper's threat model covers against both
-the insecure RiscyOO-style configuration and the MI6 configuration, and
-prints whether each channel leaks.  This is the executable version of the
-strong-isolation argument (Property 1 / Section 6.3).
+Runs every registered co-scheduled scenario (prime+probe, Spectre,
+MSHR/arbiter contention, branch-predictor residue) through the
+:class:`repro.api.Session` front door against both the insecure BASE
+machine and the full MI6 machine (F+P+M+A), and prints whether each
+channel leaks.  This is the executable version of the strong-isolation
+argument (Property 1 / Section 6.3): the script exits 1, naming the
+scenario, if any channel is closed on BASE or open on F+P+M+A.
 
-The second half re-runs the co-scheduled scenario matrix through the
-:class:`repro.api.Session` front door on a *partial* mitigation
-combination — showing that the composable spec vocabulary lets you probe
-exactly which defence closes which channel (here ``PART+ARB`` closes
-prime+probe but leaves the MSHR half of the contention channel open).
+The second half shows the detailed LLC's timing independence directly,
+then re-runs the scenario matrix on a 4-core machine with a *partial*
+mitigation combination — showing that the composable spec vocabulary
+lets you probe exactly which defence closes which channel (here
+``PART+ARB`` closes prime+probe but leaves the MSHR half of the
+contention channel open).
 """
+
+import sys
 
 from repro.analysis.figures import SECURITY_TABLE_TITLE, aggregate_leakage_rows
 from repro.analysis.report import format_security_table
 from repro.api import Session
-from repro.attacks import (
-    BranchResidueAttack,
-    PrimeProbeAttack,
-    SpectreGadgetExperiment,
-    arbiter_contention_channel,
-    mshr_contention_channel,
-)
+from repro.attacks.scenarios import scenario_description
 from repro.core.isolation import timing_independence_report
 
+BASELINE = "BASE"
+MI6 = "F+P+M+A"
 
-def row(name: str, baseline_leaks: bool, mi6_leaks: bool) -> None:
-    print(f"{name:<42} {'LEAKS' if baseline_leaks else 'closed':>8} {'LEAKS' if mi6_leaks else 'closed':>8}")
+
+def verdict(leaked: bool) -> str:
+    return "LEAKS" if leaked else "closed"
 
 
-def main() -> None:
-    print(f"{'channel':<42} {'baseline':>8} {'MI6':>8}")
-    print("-" * 62)
-
-    secret = 11
-    row(
-        "LLC prime+probe (cache tag state)",
-        PrimeProbeAttack(set_partitioned=False).run(secret).leaked,
-        PrimeProbeAttack(set_partitioned=True).run(secret).leaked,
-    )
-    row(
-        "Spectre gadget (speculative cross-domain read)",
-        SpectreGadgetExperiment(mi6_protection=False).run(secret).leaked,
-        SpectreGadgetExperiment(mi6_protection=True).run(secret).leaked,
-    )
-    row(
-        "Branch predictor residue across switch",
-        BranchResidueAttack(purge_on_switch=False).run(True).leaked,
-        BranchResidueAttack(purge_on_switch=True).run(True).leaked,
-    )
-    row(
-        "LLC MSHR / DRAM-bandwidth contention",
-        mshr_contention_channel(secure=False).channel_open,
-        mshr_contention_channel(secure=True).channel_open,
-    )
-    row(
-        "LLC pipeline-arbiter contention",
-        arbiter_contention_channel(secure=False).channel_open,
-        arbiter_contention_channel(secure=True).channel_open,
-    )
+def main() -> int:
+    session = Session()
+    leaked = {
+        (outcome.scenario, outcome.variant): outcome.leaked
+        for outcome in session.attack(variants=[BASELINE, MI6]).outcomes
+    }
+    scenarios = list(dict.fromkeys(scenario for scenario, _ in leaked))
+    print(f"{'scenario':<16} {'baseline':>8} {'MI6':>8}  channel")
+    print("-" * 100)
+    for name in scenarios:
+        print(
+            f"{name:<16} {verdict(leaked[name, BASELINE]):>8} "
+            f"{verdict(leaked[name, MI6]):>8}  {scenario_description(name)}"
+        )
+    broken = [
+        name for name in scenarios if not leaked[name, BASELINE] or leaked[name, MI6]
+    ]
+    for name in broken:
+        print(
+            f"side_channel_lab: scenario {name!r} must leak on {BASELINE} and not on {MI6}",
+            file=sys.stderr,
+        )
 
     print()
     secure = timing_independence_report(secure=True)
@@ -69,15 +64,15 @@ def main() -> None:
     print(f"  MI6 LLC     : max per-request difference {secure.max_difference} cycles")
 
     print()
-    session = Session()
-    result = session.attack(variants=["BASE", "PART+ARB", "F+P+M+A"], num_cores=4)
+    result = session.attack(variants=[BASELINE, "PART+ARB", MI6], num_cores=4)
     print("Co-scheduled scenario matrix on a 4-core machine (via Session):")
     print(format_security_table(SECURITY_TABLE_TITLE, aggregate_leakage_rows(result.outcomes)))
     print(
         f"({result.cold_count} scenarios simulated, {result.warm_count} warm, "
         f"{result.wall_time_seconds:.2f}s wall)"
     )
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

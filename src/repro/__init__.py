@@ -59,7 +59,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.core.protection": ("ProtectionDomain", "RegionBitvector"),
         "repro.core.purge": ("PurgeUnit",),
         "repro.core.results": ("WorkloadRun",),
-        "repro.core.simulator": ("Simulator",),
         "repro.core.variants": (
             "Variant",
             "config_for_variant",

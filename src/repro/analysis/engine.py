@@ -266,14 +266,16 @@ def _freeze_sequences(spec: Any) -> None:
     for name, annotation in field_types(type(spec)).items():
         value = getattr(spec, name)
         if get_origin(annotation) is tuple and not isinstance(value, tuple):
+            if value is None:
+                raise ValueError(f"{name} must be a sequence (omit it for the default)")
             object.__setattr__(spec, name, tuple(value))
 
 
 def _reject_empty(**sequences: Sequence[Any]) -> None:
-    """Spec axes must not be empty (a request field left ``None`` takes the default)."""
+    """Spec axes must not be empty (an omitted axis takes the default)."""
     for name, value in sequences.items():
         if len(value) == 0:
-            raise ValueError(f"{name} must not be empty (pass None for the default)")
+            raise ValueError(f"{name} must not be empty (omit it for the default)")
 
 
 def _require_known(what: str, value: str, known: Sequence[str]) -> None:
@@ -348,6 +350,7 @@ class RunRequest(EngineRequest):
         # An empty run would commit nothing in zero cycles and still be
         # stored under its key.
         _require_positive(instructions=self.instructions)
+        _require_known("benchmark", self.benchmark, benchmark_names())
 
     def cache_key(self) -> str:
         """Content-hash identity of this run: :func:`run_cache_key`.

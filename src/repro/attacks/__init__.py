@@ -1,37 +1,29 @@
-"""Executable attack models used to validate MI6's isolation.
+"""Co-scheduled attack scenarios used to validate MI6's isolation.
 
-Each attack is written as an experiment that runs against both the
-baseline (insecure) and the MI6 configuration of the relevant structure
-and reports how much information the attacker obtains.  The security test
-suite asserts that every channel is open on the baseline and closed on
-MI6 — the executable version of the paper's Property 1 argument.
+Each attack of the paper's threat model is one registered scenario
+(:mod:`repro.attacks.scenarios`): attacker and victim domains run on
+cores of one shared :class:`~repro.os_model.machine.Machine`, and the
+:class:`CoScheduledExecutor` times every LLC-bound access through the
+cycle-level :class:`~repro.mem.llc_detail.DetailedLlc`.  The engine
+sweeps scenarios across the mitigation lattice like benchmark runs; the
+security tests assert that every channel is open on BASE and closed on
+F+P+M+A, and pin which mitigations close each one — the executable
+version of the paper's Property 1 argument.
 """
 
-from repro.attacks.branch_residue import BranchResidueAttack
-from repro.attacks.contention import (
-    arbiter_contention_channel,
-    mshr_contention_channel,
-)
 from repro.attacks.coschedule import CoScheduledExecutor, CompletedAccess, MemOp
-from repro.attacks.prime_probe import PrimeProbeAttack
 from repro.attacks.scenarios import (
     ScenarioOutcome,
     run_scenario,
     scenario_description,
     scenario_names,
 )
-from repro.attacks.spectre import SpectreGadgetExperiment
 
 __all__ = [
-    "BranchResidueAttack",
     "CoScheduledExecutor",
     "CompletedAccess",
     "MemOp",
-    "PrimeProbeAttack",
     "ScenarioOutcome",
-    "SpectreGadgetExperiment",
-    "arbiter_contention_channel",
-    "mshr_contention_channel",
     "run_scenario",
     "scenario_description",
     "scenario_names",

@@ -6,10 +6,11 @@ region that map to a given set.  Both scans must stay inside the
 scanning party's *own* region — the parties' regions are disjoint by
 construction, and a scan that wandered past the boundary would touch
 (or, on MI6, be suppressed touching) another party's memory and corrupt
-the experiment.  The helpers here are shared by the standalone
-:class:`~repro.attacks.prime_probe.PrimeProbeAttack` and the
-co-scheduled scenarios (:mod:`repro.attacks.scenarios`), so the bound
-and the raise-on-unreachable behaviour cannot silently diverge.
+the experiment.  The co-scheduled prime+probe scenario
+(:mod:`repro.attacks.scenarios`) computes both through the helpers
+here: each scan stops at the region's end, and :func:`distinct_sets`
+with ``required`` raises when the region reaches fewer sets than asked
+for.
 
 :func:`addresses_for_set` strides: within one DRAM region, two lines
 :attr:`~repro.mem.address.LlcIndexer.line_period` apart share a set, so

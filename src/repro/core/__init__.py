@@ -16,13 +16,12 @@ This package layers the MI6 mechanisms on top of the RiscyOO substrate:
   (BASE, FLUSH, PART, MISS, ARB, NONSPEC, F+P+M+A) as a compatibility
   layer over the registry;
 * :mod:`repro.core.processor` — :class:`MI6Processor`, the single-core
-  evaluation vehicle that runs synthetic workloads under a chosen variant;
+  evaluation vehicle that runs synthetic workloads under a chosen variant
+  (the experiment engine assembles one per run request, in
+  :func:`repro.analysis.engine.execute_run_group`);
 * :mod:`repro.core.results` — what a run produces
   (:class:`~repro.core.results.WorkloadRun`), readable without importing
   the simulator;
-* :mod:`repro.core.simulator` — :class:`Simulator`, the facade that
-  decouples machine assembly from workload execution (what the
-  experiment engine and all entry points build machines through);
 * :mod:`repro.core.serialization` — stable dict/JSON round-trips for
   configurations and results, plus the content-hash cache keys;
 * :mod:`repro.core.isolation` — checkers used by tests and examples to
@@ -65,7 +64,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "run_from_dict",
             "run_to_dict",
         ),
-        "repro.core.simulator": ("Simulator",),
         "repro.core.variants": (
             "Variant",
             "config_for_variant",

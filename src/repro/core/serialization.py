@@ -39,7 +39,6 @@ from typing import (
     List,
     Mapping,
     NamedTuple,
-    Optional,
     Tuple,
     Type,
     TypeVar,

@@ -4,8 +4,9 @@ RiscyOO's front end uses a 256-entry direct-mapped BTB and an 8-entry
 return-address stack (Figure 4).  Both retain program-dependent state (the
 targets of a previous program's branches and calls) and are scrubbed by
 the purge instruction; both are also classic side channels for leaking a
-victim's control flow, which the branch-predictor residue attack in
-:mod:`repro.attacks.branch_residue` exploits on the baseline processor.
+victim's control flow, like the direction-predictor residue that the
+``branch_residue`` scenario in :mod:`repro.attacks.scenarios` exploits on
+the baseline processor.
 """
 
 from __future__ import annotations

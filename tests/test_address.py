@@ -7,6 +7,7 @@ from repro.attacks.addressing import (
     _addresses_for_set_fast,
     _addresses_for_set_reference,
     addresses_for_set,
+    distinct_sets,
     region_scan_limit,
 )
 from repro.common.errors import ConfigurationError
@@ -225,3 +226,28 @@ class TestStridedSetScan:
         assert addresses_for_set(llc, 0, 1000, 2) == slow == [1000 * 64, 2024 * 64]
         assert slow_calls == 2025
         assert len(calls) == 2
+
+
+class TestDistinctSets:
+    """``distinct_sets`` stays inside the scanning party's own region."""
+
+    @pytest.mark.parametrize("index_function", list(IndexFunction))
+    def test_sets_are_distinct_and_reachable_from_the_region(self, index_function):
+        llc = build_llc(1024, index_function, 6, 64)
+        base = llc.address_map.region_base(8)
+        sets = distinct_sets(llc, base, 8, required=True)
+        assert len(set(sets)) == 8
+        # Every set is reachable from the region itself: the scan may
+        # not wander into other parties' memory.
+        for set_index in sets:
+            assert addresses_for_set(llc, base, set_index, 1)
+
+    def test_partitioned_scan_raises_past_the_reachable_sets(self):
+        # With 1024 sets and 6 region-index bits a region reaches only
+        # 1024 >> 6 = 16 distinct sets; asking for more must raise
+        # instead of scanning other regions or looping forever.
+        llc = build_llc(1024, IndexFunction.SET_PARTITIONED, 6, 64)
+        base = llc.address_map.region_base(8)
+        assert len(set(distinct_sets(llc, base, 16, required=True))) == 16
+        with pytest.raises(ValueError, match="distinct LLC sets"):
+            distinct_sets(llc, base, 17, required=True)

@@ -7,7 +7,6 @@ from repro.analysis.harness import run_figure_series, runtime_overhead_metric
 from repro.analysis.engine import EvaluationSettings
 from repro.analysis.store import ResultStore
 from repro.api import (
-    ScenarioRequest,
     Session,
     SweepRequest,
     WorkloadRequest,
@@ -18,7 +17,6 @@ from repro.attacks.placement import Placement, default_placement
 from repro.attacks.scenarios import build_scenario_machine
 from repro.common.errors import ConfigurationError
 from repro.core.config import MI6Config
-from repro.core.simulator import Simulator
 from repro.core.variants import Variant, config_for_variant
 from repro.os_model.machine import Machine
 
@@ -69,6 +67,15 @@ class TestWorkloadRequests:
             SweepRequest(benchmarks=("gcc",), instructions=0),
         ):
             with pytest.raises(ValueError, match="instructions must be positive"):
+                session().run(request)
+
+    def test_unknown_benchmark_rejected_naming_the_known_ones(self):
+        for request in (
+            SweepRequest(benchmarks=["nope"]),
+            WorkloadRequest(benchmark="nope"),
+            WorkloadRequest(config=MI6Config(), benchmark="nope"),
+        ):
+            with pytest.raises(ValueError, match="unknown benchmark 'nope'.*gcc.*xalancbmk"):
                 session().run(request)
 
 
@@ -245,15 +252,3 @@ class TestSeedPlumbing:
             return tuple(rng.integer(0, 1_000_000) for _ in range(4))
 
         assert draws(1) != draws(2)
-
-    def test_simulator_rejects_conflicting_seed_on_reused_machine(self):
-        simulator = Simulator(BASE, seed=2019)
-        simulator.run("hmmer", instructions=1000, fresh_machine=False)
-        with pytest.raises(ValueError, match="conflicts with the reused machine"):
-            simulator.run("hmmer", instructions=1000, seed=7, fresh_machine=False)
-        # Matching and omitted seeds stay fine.
-        simulator.run("hmmer", instructions=1000, seed=2019, fresh_machine=False)
-        simulator.run("hmmer", instructions=1000, fresh_machine=False)
-        # Fresh machines honour per-run overrides as before.
-        run = simulator.run("hmmer", instructions=1000, seed=7)
-        assert run.instructions == 1000

@@ -123,9 +123,14 @@ class TestRun:
             client.run_wire({"wire_version": 1, "kind": "banquet", "fields": {}})
 
     def test_unsatisfiable_request_is_400(self, client):
-        document = SweepRequest(benchmarks=("not_a_benchmark",)).to_wire()
-        with pytest.raises(DaemonError, match="400"):
-            client.run_wire(document)
+        for request in (
+            SweepRequest(benchmarks=("not_a_benchmark",)),
+            WorkloadRequest(benchmark="not_a_benchmark"),
+        ):
+            with pytest.raises(
+                DaemonError, match="400.*unknown benchmark 'not_a_benchmark'.*gcc.*xalancbmk"
+            ):
+                client.run_wire(request.to_wire())
         for request in (
             SweepRequest(variants=("BASE",), benchmarks=("gcc",), instructions=0),
             WorkloadRequest(benchmark="gcc", instructions=-5),

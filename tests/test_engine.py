@@ -23,7 +23,6 @@ from repro.analysis.engine import (
 from repro.analysis.store import ResultStore
 from repro import api
 from repro.core.config import MI6Config
-from repro.core.processor import MI6Processor
 from repro.core.serialization import (
     config_digest,
     config_from_dict,
@@ -31,7 +30,6 @@ from repro.core.serialization import (
     run_from_dict,
     run_to_dict,
 )
-from repro.core.simulator import Simulator
 from repro.core.variants import Variant, all_variants, config_for_variant, parse_variant
 
 SMALL = EvaluationSettings(instructions=2500)
@@ -62,7 +60,9 @@ class TestSerialization:
         assert config_digest(tweaked) != config_digest(MI6Config())
 
     def test_run_round_trips_through_json(self):
-        run = Simulator.for_variant(Variant.FLUSH).run("hmmer", instructions=2000)
+        run = execute_request(
+            request_for(Variant.FLUSH, "hmmer", EvaluationSettings(instructions=2000))
+        )
         restored = run_from_dict(json.loads(json.dumps(run_to_dict(run))))
         assert restored.benchmark == run.benchmark
         assert restored.config_name == run.config_name
@@ -104,7 +104,8 @@ class TestSerialization:
             if isinstance(value, (int, float)):
                 return value + 1
             if isinstance(value, str):
-                return value + "-other"
+                # A run request takes registered benchmark names only.
+                return "mcf" if value == "gcc" else value + "-other"
             if isinstance(value, tuple):
                 return value + (2,)
             if isinstance(value, MI6Config):
@@ -131,21 +132,6 @@ class TestSerialization:
         assert parse_variant("base") is Variant.BASE
         with pytest.raises(ValueError):
             parse_variant("TURBO")
-
-
-class TestSimulator:
-    def test_matches_direct_processor_construction(self):
-        config = config_for_variant(Variant.ARB)
-        direct = MI6Processor(config, seed=2019).run_workload("gcc", instructions=2500)
-        via_facade = Simulator(config, seed=2019).run("gcc", instructions=2500)
-        assert runs_equal(direct, via_facade)
-
-    def test_fresh_machine_runs_are_order_independent(self):
-        simulator = Simulator.for_variant(Variant.BASE)
-        first = simulator.run("hmmer", instructions=2000)
-        simulator.run("mcf", instructions=2000)
-        again = simulator.run("hmmer", instructions=2000)
-        assert runs_equal(first, again)
 
 
 class TestResultStore:
@@ -331,6 +317,15 @@ class TestSpec:
                 request_for("NONSPEC", "gcc", EvaluationSettings(instructions=instructions))
             with pytest.raises(ValueError, match="instructions must be positive"):
                 RunRequest(config=MI6Config(), benchmark="gcc", instructions=instructions)
+
+    def test_empty_or_none_axis_says_to_omit_it(self):
+        # Specs take no None: an omitted axis takes the default.
+        with pytest.raises(ValueError) as empty:
+            ExperimentSpec(variants=[])
+        assert str(empty.value) == "variants must not be empty (omit it for the default)"
+        with pytest.raises(ValueError) as none:
+            ExperimentSpec(variants=None)
+        assert str(none.value) == "variants must be a sequence (omit it for the default)"
 
     def test_requests_expand_in_deterministic_order(self):
         spec = ExperimentSpec(
