@@ -118,7 +118,6 @@ class MemoryHierarchy:
         self.owner: Optional[int] = None
         # Hot-path handles: the L1 tag arrays' access entry points bound
         # once, and lazily cached counters.
-        self._l1d_access_parts = self.l1d.cache.access_parts
         self._l1i_access_parts = self.l1i.cache.access_parts
         self._l1d_probe = self.l1d.cache.probe
         self._l1i_probe = self.l1i.cache.probe
@@ -194,8 +193,7 @@ class MemoryHierarchy:
 
         The L1-TLB probe, miss accounting, and refill have already
         happened; this resolves through the L2 TLB or a (possibly
-        translation-cache-shortened) page walk.  Shared by
-        :meth:`_translate` and the inlined probes in the timing methods.
+        translation-cache-shortened) page walk.
         """
         page_table = self.page_table
         if self.l2tlb.access(virtual_address):
@@ -222,6 +220,24 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Physical-side accesses
 
+    def _count_blocked_access(self) -> None:
+        """Count a data access the DRAM-region check suppressed."""
+        counter = self._c_blocked_accesses
+        if counter is None:
+            counter = self._c_blocked_accesses = self._stats.counter(
+                "protection.blocked_accesses"
+            )
+        counter.value += 1
+
+    def _count_blocked_fetch(self) -> None:
+        """Count an instruction fetch the DRAM-region check suppressed."""
+        counter = self._c_blocked_fetches
+        if counter is None:
+            counter = self._c_blocked_fetches = self._stats.counter(
+                "protection.blocked_fetches"
+            )
+        counter.value += 1
+
     def _physical_data_timing(
         self, physical_address: int, *, is_write: bool, is_ptw: bool = False
     ) -> tuple:
@@ -230,16 +246,12 @@ class MemoryHierarchy:
         Returns ``(latency, llc_parts, blocked)`` where ``llc_parts`` is
         the LLC's ``access_parts`` tuple when the access reached the LLC
         and ``None`` otherwise.  This is the single implementation behind
-        :meth:`_physical_data_access` and the timing/warm-up paths, so the
-        state and statistics effects are identical on every path.
+        every data access after translation (reference, timing, page
+        walk, and the core's fused lane on an L1D miss), so the state and
+        statistics effects are identical on every path.
         """
         if self.region_allowed is not None and not self.region_allowed(physical_address):
-            counter = self._c_blocked_accesses
-            if counter is None:
-                counter = self._c_blocked_accesses = self._stats.counter(
-                    "protection.blocked_accesses"
-                )
-            counter.value += 1
+            self._count_blocked_access()
             return (0, None, True)
         if self._l1d_probe(physical_address, is_write, self.owner):
             return (self.l1d.hit_latency, None, False)
@@ -258,29 +270,21 @@ class MemoryHierarchy:
         counter.value += 1
         return (latency, llc_parts, False)
 
-    def _physical_data_access(
-        self, physical_address: int, *, is_write: bool, count_as: str = "data"
-    ) -> HierarchyAccess:
-        """Access the data-side hierarchy with an already translated address."""
-        latency, llc_parts, blocked = self._physical_data_timing(
-            physical_address, is_write=is_write, is_ptw=(count_as == "ptw")
-        )
-        if blocked:
-            return HierarchyAccess(latency=0, blocked_by_protection=True)
-        if llc_parts is None:
-            return HierarchyAccess(
-                latency=latency, physical_address=physical_address, l1_hit=True
-            )
-        return HierarchyAccess(
-            latency=latency,
-            physical_address=physical_address,
-            l1_hit=False,
-            llc_accessed=True,
-            llc_hit=llc_parts[0],
-            llc_set=llc_parts[2],
-            llc_bank=llc_parts[3],
-            llc_writeback=llc_parts[4],
-        )
+    def _physical_fetch_timing(self, physical_address: int) -> tuple:
+        """Fetch one line with an already translated address: ``(latency, l1_hit)``.
+
+        The I-side twin of :meth:`_physical_data_timing`, behind
+        :meth:`fetch_access_timing` and the core's fused lane on an L1I
+        miss.  A suppressed fetch reports a hit: it stalls nothing.
+        """
+        if self.region_allowed is not None and not self.region_allowed(physical_address):
+            self._count_blocked_fetch()
+            return (0, True)
+        hit_latency = self.l1i.hit_latency
+        if self._l1i_probe(physical_address, False, self.owner):
+            return (hit_latency, True)
+        llc_parts = self.llc.access_parts(physical_address, core=self.core_id, owner=self.owner)
+        return (hit_latency + llc_parts[1], False)
 
     # ------------------------------------------------------------------
     # Public access points used by the core model
@@ -293,71 +297,17 @@ class MemoryHierarchy:
         latency, whether the access missed in the LLC (and therefore needs
         an MSHR), and the MSHR bank a miss occupies.
         """
-        # Inlined ``_translate`` (identical state/stats effects): probe the
-        # D-TLB in place, deferring to ``_translate_miss_tail`` on a miss.
-        page_table = self.page_table
-        extra = 0
-        fault = False
-        if page_table is None:
-            physical = virtual_address % self._dram_bytes
-        else:
-            tlb = self.dtlb
-            vpn = virtual_address // tlb.page_bytes
-            entries = tlb._sets[vpn % tlb.num_sets]
-            counter = tlb._c_access
-            if counter is None:
-                counter = tlb._c_access = tlb._stats.counter(f"{tlb.name}.access")
-            counter.value += 1
-            if vpn in entries and tlb._asid_of.get(vpn, 0) == 0:
-                if entries[0] != vpn:
-                    entries.remove(vpn)
-                    entries.insert(0, vpn)
-                counter = tlb._c_hit
-                if counter is None:
-                    counter = tlb._c_hit = tlb._stats.counter(f"{tlb.name}.hit")
-                counter.value += 1
-                page_bytes = page_table.page_bytes
-                ppn = page_table.mappings.get(virtual_address // page_bytes)
-                if ppn is None:
-                    physical = None
-                    fault = True
-                else:
-                    physical = ppn * page_bytes + virtual_address % page_bytes
-            else:
-                counter = tlb._c_miss
-                if counter is None:
-                    counter = tlb._c_miss = tlb._stats.counter(f"{tlb.name}.miss")
-                counter.value += 1
-                tlb.fill(virtual_address, 0)
-                physical, extra, _walk, fault = self._translate_miss_tail(virtual_address)
+        physical, extra, _walk, fault = self._translate(virtual_address, self.dtlb)
         if fault:
             counter = self._c_page_faults
             if counter is None:
                 counter = self._c_page_faults = self._stats.counter("mem.page_faults")
             counter.value += 1
             return (extra, False, 0)
-        # Inlined ``_physical_data_timing`` (identical state/stats effects).
-        if self.region_allowed is not None and not self.region_allowed(physical):
-            counter = self._c_blocked_accesses
-            if counter is None:
-                counter = self._c_blocked_accesses = self._stats.counter(
-                    "protection.blocked_accesses"
-                )
-            counter.value += 1
-            return (extra, False, 0)
-        if self._l1d_probe(physical, is_write, self.owner):
-            return (self.l1d.hit_latency + extra, False, 0)
-        llc_parts = self.llc.access_parts(
-            physical, is_write=is_write, core=self.core_id, owner=self.owner
-        )
-        counter = self._c_data_llc_access
-        if counter is None:
-            counter = self._c_data_llc_access = self._stats.counter("data.llc_access")
-        counter.value += 1
-        latency = self.l1d.hit_latency + llc_parts[1] + extra
-        if llc_parts[0]:
-            return (latency, False, 0)
-        return (latency, True, llc_parts[3])
+        latency, llc_parts, _blocked = self._physical_data_timing(physical, is_write=is_write)
+        if llc_parts is None or llc_parts[0]:
+            return (latency + extra, False, 0)
+        return (latency + extra, True, llc_parts[3])
 
     def prime_data_timing(self, addresses) -> None:
         """Warm-up prime of the data-side hierarchy (fast kernel only).
@@ -417,12 +367,7 @@ class MemoryHierarchy:
                 continue
             physical = ppn * page_bytes + virtual_address % page_bytes
             if region_allowed is not None and not region_allowed(physical):
-                counter = self._c_blocked_accesses
-                if counter is None:
-                    counter = self._c_blocked_accesses = self._stats.counter(
-                        "protection.blocked_accesses"
-                    )
-                counter.value += 1
+                self._count_blocked_access()
                 continue
             if l1d_probe(physical, False, owner):
                 continue
@@ -496,12 +441,7 @@ class MemoryHierarchy:
                 continue
             physical = ppn * page_bytes + virtual_address % page_bytes
             if region_allowed is not None and not region_allowed(physical):
-                counter = self._c_blocked_fetches
-                if counter is None:
-                    counter = self._c_blocked_fetches = self._stats.counter(
-                        "protection.blocked_fetches"
-                    )
-                counter.value += 1
+                self._count_blocked_fetch()
                 continue
             if l1i_probe(physical, False, owner):
                 continue
@@ -559,7 +499,7 @@ class MemoryHierarchy:
         like ordinary accesses (Section 5.3).
         """
         if not self._check_region(physical_address):
-            self._stats.counter("protection.blocked_accesses").increment()
+            self._count_blocked_access()
             return HierarchyAccess(latency=0, blocked_by_protection=True)
         outcome = self.llc.access(
             physical_address, is_write=is_write, core=self.core_id, owner=self.owner
@@ -580,45 +520,10 @@ class MemoryHierarchy:
 
         Identical state and statistics effects to :meth:`fetch_access`,
         returning only the fetch latency and the L1I hit bit the front
-        end's stall computation consumes.
+        end's stall computation consumes (the latency only matters on a
+        miss).
         """
-        # Inlined ``_translate`` (identical state/stats effects): probe the
-        # I-TLB in place, deferring to ``_translate_miss_tail`` on a miss.
-        page_table = self.page_table
-        extra = 0
-        fault = False
-        if page_table is None:
-            physical = virtual_address % self._dram_bytes
-        else:
-            tlb = self.itlb
-            vpn = virtual_address // tlb.page_bytes
-            entries = tlb._sets[vpn % tlb.num_sets]
-            counter = tlb._c_access
-            if counter is None:
-                counter = tlb._c_access = tlb._stats.counter(f"{tlb.name}.access")
-            counter.value += 1
-            if vpn in entries and tlb._asid_of.get(vpn, 0) == 0:
-                if entries[0] != vpn:
-                    entries.remove(vpn)
-                    entries.insert(0, vpn)
-                counter = tlb._c_hit
-                if counter is None:
-                    counter = tlb._c_hit = tlb._stats.counter(f"{tlb.name}.hit")
-                counter.value += 1
-                page_bytes = page_table.page_bytes
-                ppn = page_table.mappings.get(virtual_address // page_bytes)
-                if ppn is None:
-                    physical = None
-                    fault = True
-                else:
-                    physical = ppn * page_bytes + virtual_address % page_bytes
-            else:
-                counter = tlb._c_miss
-                if counter is None:
-                    counter = tlb._c_miss = tlb._stats.counter(f"{tlb.name}.miss")
-                counter.value += 1
-                tlb.fill(virtual_address, 0)
-                physical, extra, _walk, fault = self._translate_miss_tail(virtual_address)
+        physical, extra, _walk, fault = self._translate(virtual_address, self.itlb)
         if fault:
             counter = self._c_instruction_page_faults
             if counter is None:
@@ -627,19 +532,8 @@ class MemoryHierarchy:
                 )
             counter.value += 1
             return (extra, True)
-        if self.region_allowed is not None and not self.region_allowed(physical):
-            counter = self._c_blocked_fetches
-            if counter is None:
-                counter = self._c_blocked_fetches = self._stats.counter(
-                    "protection.blocked_fetches"
-                )
-            counter.value += 1
-            return (0, True)
-        hit_latency = self.l1i.hit_latency
-        if self._l1i_probe(physical, False, self.owner):
-            return (hit_latency + extra, True)
-        llc_parts = self.llc.access_parts(physical, core=self.core_id, owner=self.owner)
-        return (hit_latency + extra + llc_parts[1], False)
+        latency, l1_hit = self._physical_fetch_timing(physical)
+        return (latency + extra, l1_hit)
 
     def fetch_access(self, virtual_address: int) -> HierarchyAccess:
         """Perform an instruction fetch (one cache line) through the I-side."""
@@ -653,7 +547,7 @@ class MemoryHierarchy:
             counter.value += 1
             return HierarchyAccess(latency=extra, tlb_walk_accesses=walk_accesses, page_fault=True)
         if not self._check_region(physical):
-            self._stats.counter("protection.blocked_fetches").increment()
+            self._count_blocked_fetch()
             return HierarchyAccess(latency=0, blocked_by_protection=True)
         l1_hit = self._l1i_access_parts(physical, owner=self.owner)[0]
         latency = self.l1i.hit_latency + extra

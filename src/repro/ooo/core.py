@@ -26,11 +26,28 @@ from repro.common.stats import StatsRegistry
 from repro.core.config import CoreConfig
 from repro.core.results import CoreResult
 from repro.isa.instructions import Instruction, InstructionKind, TrapCause
+from repro.mem.cache import SetAssociativeCache
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.ooo.frontend import FrontEnd
 from repro.ooo.lsq import LoadStoreQueue, MissSlots, StoreBuffer
 from repro.ooo.rename import FreeList, ReadyFile, RenameTable
 from repro.ooo.rob import CommitRing, IssueQueue, ReorderBuffer
+
+
+#: The page mappings the fused lanes of :meth:`OutOfOrderCore._run_fast`
+#: see when they cannot run: every lookup misses, so every access takes
+#: the hierarchy's full accessor.
+_NO_PAGES: Dict[int, int] = {}
+
+
+def _fusable(cache: SetAssociativeCache) -> bool:
+    """Whether a fused lane may apply an L1 hit to ``cache``'s slabs in place.
+
+    That needs the slab layout, the default index and tag functions, and
+    a replacement policy with no recency state to touch on a hit (the
+    L1s' pseudo-random one).
+    """
+    return cache._uses_slabs and cache._fast_offset_bits is not None and cache._lru_stacks is None
 
 
 class OutOfOrderCore:
@@ -265,6 +282,40 @@ class OutOfOrderCore:
         total_cycles = last_commit if committed else 0
         return CoreResult(cycles=total_cycles, instructions=committed, stats=stats)
 
+    def _lane_context(self) -> tuple:
+        """State :meth:`_run_fast` holds in locals that a callback may replace.
+
+        A trap hook may install a new page table, region check or owner
+        (a context switch), and a purge replaces the L1 tag slabs and the
+        BTB lists, so the loop reads these again after every trap.  When
+        the fused lanes cannot read the structures directly (bare
+        physical mode, or L1s without the slab layout), the mappings
+        are empty and every access takes the hierarchy's full accessor.
+        """
+        hierarchy = self.hierarchy
+        page_table = hierarchy.page_table
+        l1d = hierarchy.l1d.cache
+        l1i = hierarchy.l1i.cache
+        btb = self.frontend.btb
+        mappings = (
+            page_table.mappings
+            if page_table is not None and _fusable(l1d) and _fusable(l1i)
+            else _NO_PAGES
+        )
+        return (
+            mappings.get,
+            page_table.page_bytes if page_table is not None else 1,
+            hierarchy.region_allowed,
+            hierarchy.owner,
+            l1d._tag_maps,
+            l1d._slab_dirty,
+            l1d._slab_owners,
+            l1i._tag_maps,
+            l1i._slab_owners,
+            btb._tags,
+            btb._targets,
+        )
+
     # repro: allow[fastpath-parity]: the frontend.* counters are inlined bumps of counters
     # the reference path registers inside FrontEnd itself; the equivalence suite compares
     # the full counter sets of both kernels field-for-field.
@@ -273,44 +324,46 @@ class OutOfOrderCore:
     ) -> CoreResult:
         """Fast stage loop: same semantics as :meth:`_run_reference`.
 
-        Differences are strictly mechanical — attribute lookups hoisted
+        Differences are strictly mechanical: attribute lookups hoisted
         into locals, enum membership tests against prebound members,
-        counter handles bound once, the per-instruction
-        ``FetchOutcome``/``HierarchyAccess`` records replaced by inlined
-        fetch-slot arithmetic and the timing tuple of
-        :meth:`MemoryHierarchy.data_access_timing`, and the per-entry hot
-        state held in flat slot structures (:class:`CommitRing`,
-        :class:`ReadyFile`, :class:`MissSlots`) instead of
-        deque/dict/tuple-list containers.
+        counter handles bound once, ``FrontEnd.fetch`` and
+        ``FrontEnd.resolve_control`` inlined without their
+        ``FetchOutcome`` records, the issue slot picked without a loop
+        for one or two pipelines, and the per-entry hot state held in
+        flat slot structures (:class:`CommitRing`, :class:`ReadyFile`,
+        :class:`MissSlots`) instead of deque/dict/tuple-list containers.
+
+        The common memory access runs in the loop itself.  A fetch of a
+        new line whose I-TLB entry is resident and mapped, and a load or
+        store whose D-TLB entry is, touch the TLB's LRU list and counters
+        in place; if the L1 also holds the line and the region check
+        passes, the L1 hit is applied in place too.  Every other case
+        takes the hierarchy's own code, so each counter bump, fill and
+        eviction happens exactly once: a TLB miss or page fault goes to
+        ``fetch_access_timing`` / ``data_access_timing``, and an L1 miss
+        after a TLB hit to ``_physical_fetch_timing`` /
+        ``_physical_data_timing``.  The lanes bump only counter handles
+        the TLBs and L1s already hold; until a structure holds them, its
+        accesses take the full accessor, which registers them.
 
         The front-end fetch state (``_current_cycle`` / ``_slots_used`` /
         ``_last_fetch_line``) lives in locals for the duration of the
         loop; it is synchronised back to the :class:`FrontEnd` around any
         callback that may observe or scrub it (trap hooks, the purge
         callback, which clears the fetch line via ``flush_predictors``)
-        and when the run ends.  ``fetch_range`` is bound once: nothing
-        changes it mid-run.
-
-        ALU instructions additionally go through a memoized timing lane:
-        for a straight-line ALU instruction (same fetch line, no trap
-        pending) the cycle deltas it produces are a pure function of the
-        pipeline state *relative to the fetch base cycle* — the memo key.
-        A key miss computes the deltas once; a key hit replays them.
-        Divergent state (an instruction-line crossing, a pending
-        redirect past the fetch cycle, a timer trap about to fire, or a
-        machine-mode fetch range) fails the applicability gate and takes
-        the generic path, which is the "invalidated when cache/branch
-        state diverges" rule: anything whose timing could depend on cache
-        or predictor state is never served from the memo.  The
-        equivalence suite asserts bit-identical results against the
-        reference.
+        and when the run ends.  The hierarchy context and the L1 and BTB
+        lists come from :meth:`_lane_context`, read again after those
+        callbacks.  ``fetch_range`` is bound once: nothing changes it
+        mid-run.
         """
         config = self.config
         stats = self.stats
+        hierarchy = self.hierarchy
         frontend = self.frontend
-        resolve_control_timing = frontend.resolve_control_timing
         predictor_predict = frontend.predictor.predict
+        predictor_update = frontend.predictor.update
         btb_lookup = frontend.btb.lookup
+        btb_entries = frontend.btb.entries
         ras_push = frontend.ras.push
         ras_pop = frontend.ras.pop
         fetch_width = frontend.fetch_width
@@ -318,10 +371,48 @@ class OutOfOrderCore:
         line_bytes = frontend._line_bytes
         l1i_hit_latency = frontend._l1i_hit_latency
         btb_miss_bubble = frontend.BTB_MISS_BUBBLE
-        fetch_access_timing = self.hierarchy.fetch_access_timing
-        data_access_timing = self.hierarchy.data_access_timing
 
-        mshr_config = self.hierarchy.llc.config.mshr
+        # Fused TLB/L1 hit lanes (see docstring).
+        fetch_access_timing = hierarchy.fetch_access_timing
+        data_access_timing = hierarchy.data_access_timing
+        physical_fetch_timing = hierarchy._physical_fetch_timing
+        physical_data_timing = hierarchy._physical_data_timing
+        count_blocked_fetch = hierarchy._count_blocked_fetch
+        count_blocked_access = hierarchy._count_blocked_access
+        itlb = hierarchy.itlb
+        itlb_sets = itlb._sets
+        itlb_asid_get = itlb._asid_of.get
+        itlb_page_bytes = itlb.page_bytes
+        itlb_num_sets = itlb.num_sets
+        dtlb = hierarchy.dtlb
+        dtlb_sets = dtlb._sets
+        dtlb_asid_get = dtlb._asid_of.get
+        dtlb_page_bytes = dtlb.page_bytes
+        dtlb_num_sets = dtlb.num_sets
+        l1i = hierarchy.l1i.cache
+        l1i_shift = l1i._fast_offset_bits
+        l1i_set_mask = l1i._fast_set_mask
+        l1i_ways = l1i._ways
+        l1d = hierarchy.l1d.cache
+        l1d_shift = l1d._fast_offset_bits
+        l1d_set_mask = l1d._fast_set_mask
+        l1d_ways = l1d._ways
+        l1d_hit_latency = hierarchy.l1d.hit_latency
+        c_itlb_access = itlb._c_access
+        c_itlb_hit = itlb._c_hit
+        c_dtlb_access = dtlb._c_access
+        c_dtlb_hit = dtlb._c_hit
+        c_l1i_access = l1i._c_access
+        c_l1i_hit = l1i._c_hit
+        c_l1d_access = l1d._c_access
+        c_l1d_hit = l1d._c_hit
+        (
+            mappings_get, page_bytes, region_allowed, owner,
+            l1d_tag_maps, l1d_dirty, l1d_owners, l1i_tag_maps, l1i_owners,
+            btb_tags, btb_targets,
+        ) = self._lane_context()
+
+        mshr_config = hierarchy.llc.config.mshr
         mshr_capacity = mshr_config.entries_per_core
         bank_count = mshr_config.banks
         bank_capacity = mshr_config.entries_per_bank
@@ -351,8 +442,6 @@ class OutOfOrderCore:
         PURGE = InstructionKind.PURGE
         TIMER_INTERRUPT = TrapCause.TIMER_INTERRUPT
         SYSCALL_CAUSE = TrapCause.SYSCALL
-
-        ALU = InstructionKind.ALU
 
         # Slot-backed hot state (tentpole: array/slot representations).
         commit_ring = CommitRing(rob_entries)
@@ -384,11 +473,6 @@ class OutOfOrderCore:
         fe_slots = frontend._slots_used
         fe_line = frontend._last_fetch_line
 
-        # Memoized ALU timing lane (see docstring).
-        memo_enabled = config.alu_units == 2 and fetch_range is None
-        memo: Dict[tuple, tuple] = {}
-        memo_get = memo.get
-
         counter_committed = stats.counter("core.instructions")
         counter_branches = stats.counter("core.branches")
         counter_traps = stats.counter("core.traps")
@@ -399,6 +483,8 @@ class OutOfOrderCore:
         counter_fetched = stats.counter("frontend.fetched")
         counter_range_violations = None
         counter_ras_mispredicts = None
+        counter_branch_mispredicts = None
+        counter_target_mispredicts = None
 
         for instruction in instructions:
             if committed >= limit:
@@ -415,121 +501,12 @@ class OutOfOrderCore:
                 vaddr,
                 _sizes,
                 _branch_id,
-                _taken,
+                taken,
                 target,
                 trap,
             ) = instruction
 
-            # ---------------- memoized ALU lane ----------------
-            if (
-                memo_enabled
-                and kind is ALU
-                and trap is None
-                and committed >= window_len
-                and (not trap_interval or committed_since_trap + 1 < trap_interval)
-            ):
-                if fetch_floor > fe_cycle:
-                    base = fetch_floor
-                    eff_slots = 0
-                else:
-                    base = fe_cycle
-                    eff_slots = fe_slots
-                if pc // line_bytes == fe_line:
-                    # Straight-line fetch: no i-cache access, the timing is
-                    # a pure function of the relative pipeline state.
-                    src_max = 0
-                    for source in srcs:
-                        if source < reg_count:
-                            source_ready = reg_ready[source]
-                            if source_ready > src_max:
-                                src_max = source_ready
-                    fetch_rel = 1 if eff_slots >= fetch_width else 0
-                    dispatch = base + fetch_rel + frontend_depth
-                    if dispatch_floor > dispatch:
-                        dispatch = dispatch_floor
-                    if committed >= rob_entries:
-                        oldest = ring_cycles[ring_index]
-                        if oldest > dispatch:
-                            dispatch = oldest
-                    ready = dispatch if dispatch > src_max else src_max
-                    signature = (
-                        eff_slots,
-                        ready - base,
-                        alu_slots[0] - base,
-                        alu_slots[1] - base,
-                        last_commit - base,
-                        window_cycles[window_index] - base,
-                    )
-                    deltas = memo_get(signature)
-                    if deltas is not None:
-                        slot_index, issue_rel, commit_rel = deltas
-                        fe_cycle = base + fetch_rel
-                        fe_slots = (0 if fetch_rel else eff_slots) + 1
-                        alu_slots[slot_index] = base + issue_rel + 1
-                        commit = base + commit_rel
-                        window_cycles[window_index] = commit
-                        window_index += 1
-                        if window_index == window_len:
-                            window_index = 0
-                        last_commit = commit
-                        ring_cycles[ring_index] = commit
-                        ring_index += 1
-                        if ring_index == rob_entries:
-                            ring_index = 0
-                        if dst >= 0:
-                            if dst >= reg_count:
-                                reg_ready.extend([0] * (dst + 1 - reg_count))
-                                reg_count = dst + 1
-                            reg_ready[dst] = base + issue_rel + 1
-                        committed += 1
-                        committed_since_trap += 1
-                        counter_committed.value += 1
-                        counter_fetched.value += 1
-                        continue
-                    # Memo miss: compute the ALU timing once and record the
-                    # deltas for this signature.
-                    fe_cycle = base + fetch_rel
-                    fe_slots = (0 if fetch_rel else eff_slots) + 1
-                    alu0 = alu_slots[0]
-                    alu1 = alu_slots[1]
-                    if alu1 < alu0:
-                        slot_index = 1
-                        issue = alu1
-                    else:
-                        slot_index = 0
-                        issue = alu0
-                    if ready > issue:
-                        issue = ready
-                    alu_slots[slot_index] = issue + 1
-                    complete = issue + 1
-                    commit = complete if complete > last_commit else last_commit
-                    window_oldest = window_cycles[window_index]
-                    if commit <= window_oldest:
-                        commit = window_oldest + 1
-                    window_cycles[window_index] = commit
-                    window_index += 1
-                    if window_index == window_len:
-                        window_index = 0
-                    last_commit = commit
-                    ring_cycles[ring_index] = commit
-                    ring_index += 1
-                    if ring_index == rob_entries:
-                        ring_index = 0
-                    if dst >= 0:
-                        if dst >= reg_count:
-                            reg_ready.extend([0] * (dst + 1 - reg_count))
-                            reg_count = dst + 1
-                        reg_ready[dst] = complete
-                    committed += 1
-                    committed_since_trap += 1
-                    counter_committed.value += 1
-                    counter_fetched.value += 1
-                    if len(memo) > 65536:
-                        memo.clear()
-                    memo[signature] = (slot_index, issue - base, commit - base)
-                    continue
-
-            # ---------------- fetch (inlined FrontEnd.fetch_timing) -----
+            # ---------------- fetch (inlined FrontEnd.fetch) ----------------
             if fetch_floor > fe_cycle:
                 fe_cycle = fetch_floor
                 fe_slots = 0
@@ -547,7 +524,41 @@ class OutOfOrderCore:
             line = pc // line_bytes
             if line != fe_line:
                 fe_line = line
-                fetch_latency, l1_hit = fetch_access_timing(pc)
+                # Fused I-TLB-hit -> L1I-hit lane.
+                vpn = pc // itlb_page_bytes
+                entries = itlb_sets[vpn % itlb_num_sets]
+                ppn = (
+                    mappings_get(pc // page_bytes)
+                    if c_itlb_hit is not None and vpn in entries and itlb_asid_get(vpn, 0) == 0
+                    else None
+                )
+                if ppn is None:
+                    fetch_latency, l1_hit = fetch_access_timing(pc)
+                    c_itlb_access = itlb._c_access
+                    c_itlb_hit = itlb._c_hit
+                else:
+                    c_itlb_access.value += 1
+                    if entries[0] != vpn:
+                        entries.remove(vpn)
+                        entries.insert(0, vpn)
+                    c_itlb_hit.value += 1
+                    physical = ppn * page_bytes + pc % page_bytes
+                    tag = physical >> l1i_shift
+                    set_index = tag & l1i_set_mask
+                    way = l1i_tag_maps[set_index].get(tag)
+                    if way is None or c_l1i_hit is None:
+                        fetch_latency, l1_hit = physical_fetch_timing(physical)
+                        c_l1i_access = l1i._c_access
+                        c_l1i_hit = l1i._c_hit
+                    else:
+                        l1_hit = True
+                        if region_allowed is None or region_allowed(physical):
+                            c_l1i_access.value += 1
+                            c_l1i_hit.value += 1
+                            if owner is not None:
+                                l1i_owners[set_index * l1i_ways + way] = owner
+                        else:
+                            count_blocked_fetch()
                 if not l1_hit:
                     # The fetch stream stalls for the miss latency.
                     fe_cycle += fetch_latency - l1i_hit_latency
@@ -623,13 +634,20 @@ class OutOfOrderCore:
                 unit_slots = fp_slots
             else:
                 unit_slots = alu_slots
-            slot_index = 0
+            # The earliest-free pipeline, lowest index on a tie.
             issue = unit_slots[0]
-            for index in range(1, len(unit_slots)):
-                slot_free = unit_slots[index]
-                if slot_free < issue:
-                    issue = slot_free
-                    slot_index = index
+            slot_index = 0
+            unit_count = len(unit_slots)
+            if unit_count == 2:
+                if unit_slots[1] < issue:
+                    issue = unit_slots[1]
+                    slot_index = 1
+            elif unit_count > 2:
+                for index in range(1, unit_count):
+                    slot_free = unit_slots[index]
+                    if slot_free < issue:
+                        issue = slot_free
+                        slot_index = index
             if ready > issue:
                 issue = ready
             unit_slots[slot_index] = issue + 1
@@ -638,9 +656,51 @@ class OutOfOrderCore:
             mshr_wait = 0
             if kind is LOAD or kind is STORE:
                 is_store = kind is STORE
-                latency, llc_miss, llc_bank = data_access_timing(
-                    vaddr or 0, is_write=is_store
+                address = vaddr or 0
+                # Fused D-TLB-hit -> L1D-hit lane.
+                vpn = address // dtlb_page_bytes
+                entries = dtlb_sets[vpn % dtlb_num_sets]
+                ppn = (
+                    mappings_get(address // page_bytes)
+                    if c_dtlb_hit is not None and vpn in entries and dtlb_asid_get(vpn, 0) == 0
+                    else None
                 )
+                if ppn is None:
+                    latency, llc_miss, llc_bank = data_access_timing(address, is_write=is_store)
+                    c_dtlb_access = dtlb._c_access
+                    c_dtlb_hit = dtlb._c_hit
+                else:
+                    c_dtlb_access.value += 1
+                    if entries[0] != vpn:
+                        entries.remove(vpn)
+                        entries.insert(0, vpn)
+                    c_dtlb_hit.value += 1
+                    physical = ppn * page_bytes + address % page_bytes
+                    tag = physical >> l1d_shift
+                    set_index = tag & l1d_set_mask
+                    way = l1d_tag_maps[set_index].get(tag)
+                    llc_miss = False
+                    if way is None or c_l1d_hit is None:
+                        latency, llc_parts, _blocked = physical_data_timing(
+                            physical, is_write=is_store
+                        )
+                        c_l1d_access = l1d._c_access
+                        c_l1d_hit = l1d._c_hit
+                        if llc_parts is not None and not llc_parts[0]:
+                            llc_miss = True
+                            llc_bank = llc_parts[3]
+                    elif region_allowed is None or region_allowed(physical):
+                        c_l1d_access.value += 1
+                        c_l1d_hit.value += 1
+                        slot = set_index * l1d_ways + way
+                        if is_store:
+                            l1d_dirty[slot] = True
+                        if owner is not None:
+                            l1d_owners[slot] = owner
+                        latency = l1d_hit_latency
+                    else:
+                        count_blocked_access()
+                        latency = 0
                 if llc_miss:
                     # The miss needs an MSHR (and a bank slot); wait for
                     # availability based on the misses still outstanding.
@@ -703,10 +763,37 @@ class OutOfOrderCore:
             else:
                 complete = issue + 1
 
-            # ---------------- control resolution ----------------
+            # ------- control resolution (inlined FrontEnd.resolve_control) -------
             if is_control:
                 counter_branches.value += 1
-                if resolve_control_timing(instruction, predicted_taken, target_known):
+                if kind is BRANCH:
+                    correct = predictor_update(pc, taken)
+                    if taken and target is not None:
+                        btb_index = (pc >> 2) % btb_entries
+                        btb_tags[btb_index] = pc
+                        btb_targets[btb_index] = target
+                    mispredicted = (
+                        not correct or predicted_taken != taken or (taken and not target_known)
+                    )
+                    if mispredicted:
+                        if counter_branch_mispredicts is None:
+                            counter_branch_mispredicts = stats.counter(
+                                "frontend.branch_mispredicts"
+                            )
+                        counter_branch_mispredicts.value += 1
+                else:
+                    if target is not None:
+                        btb_index = (pc >> 2) % btb_entries
+                        btb_tags[btb_index] = pc
+                        btb_targets[btb_index] = target
+                    mispredicted = not target_known
+                    if mispredicted:
+                        if counter_target_mispredicts is None:
+                            counter_target_mispredicts = stats.counter(
+                                "frontend.target_mispredicts"
+                            )
+                        counter_target_mispredicts.value += 1
+                if mispredicted:
                     counter_mispredict_redirects.value += 1
                     redirect = complete + mispredict_penalty
                     if redirect > fetch_floor:
@@ -768,6 +855,11 @@ class OutOfOrderCore:
                 fe_cycle = frontend._current_cycle
                 fe_slots = frontend._slots_used
                 fe_line = frontend._last_fetch_line
+                (
+                    mappings_get, page_bytes, region_allowed, owner,
+                    l1d_tag_maps, l1d_dirty, l1d_owners, l1i_tag_maps, l1i_owners,
+                    btb_tags, btb_targets,
+                ) = self._lane_context()
                 floor = commit + penalty
                 if floor > fetch_floor:
                     fetch_floor = floor

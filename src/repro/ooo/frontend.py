@@ -66,15 +66,10 @@ class FrontEnd:
         # outside [lo, hi) are refused and the restriction violation is
         # counted instead of being emitted to the memory system.
         self.fetch_range: Optional[tuple] = None
-        # Hot-path constants and lazily cached counter handles for the
-        # timing variants used by the fast core loop.
+        # Hot-path constants for the fast core loop, which inlines
+        # fetch and control resolution.
         self._line_bytes = hierarchy.l1i.geometry.line_bytes
         self._l1i_hit_latency = hierarchy.l1i.hit_latency
-        self._c_fetched: Optional[object] = None
-        self._c_range_violations: Optional[object] = None
-        self._c_ras_mispredicts: Optional[object] = None
-        self._c_branch_mispredicts: Optional[object] = None
-        self._c_target_mispredicts: Optional[object] = None
 
     @property
     def stats(self) -> StatsRegistry:
@@ -149,78 +144,6 @@ class FrontEnd:
             icache_miss=icache_miss,
         )
 
-    def fetch_timing(self, instruction: Instruction, earliest_cycle: int) -> tuple:
-        """Fast-path fetch: ``(fetch_cycle, predicted_taken, target_known)``.
-
-        Identical state and statistics effects to :meth:`fetch`, without
-        constructing a :class:`FetchOutcome`; the fast core loop threads
-        the prediction scalars straight into
-        :meth:`resolve_control_timing`.
-        """
-        pc = instruction.pc
-        if earliest_cycle > self._current_cycle:
-            self._current_cycle = earliest_cycle
-            self._slots_used = 0
-        if self._slots_used >= self.fetch_width:
-            self._current_cycle += 1
-            self._slots_used = 0
-
-        if self.fetch_range is not None:
-            low, high = self.fetch_range
-            if not (low <= pc < high):
-                counter = self._c_range_violations
-                if counter is None:
-                    counter = self._c_range_violations = self._stats.counter(
-                        "frontend.fetch_range_violations"
-                    )
-                counter.value += 1
-
-        line = pc // self._line_bytes
-        if line != self._last_fetch_line:
-            self._last_fetch_line = line
-            latency, l1_hit = self.hierarchy.fetch_access_timing(pc)
-            if not l1_hit:
-                # The fetch stream stalls for the miss latency.
-                self._current_cycle += latency - self._l1i_hit_latency
-                self._slots_used = 0
-
-        fetch_cycle = self._current_cycle
-        self._slots_used += 1
-        counter = self._c_fetched
-        if counter is None:
-            counter = self._c_fetched = self._stats.counter("frontend.fetched")
-        counter.value += 1
-
-        kind = instruction.kind
-        if kind is InstructionKind.BRANCH:
-            predicted_taken = self.predictor.predict(pc)
-            if predicted_taken and self.btb.lookup(pc) is None:
-                self._current_cycle += self.BTB_MISS_BUBBLE
-                self._slots_used = 0
-                return (fetch_cycle, True, False)
-            return (fetch_cycle, predicted_taken, True)
-        if kind is InstructionKind.JUMP:
-            target_known = self.btb.lookup(pc) is not None
-            if not target_known:
-                self._current_cycle += self.BTB_MISS_BUBBLE
-                self._slots_used = 0
-            self.ras.push(pc + 4)
-            return (fetch_cycle, True, target_known)
-        if kind is InstructionKind.RETURN:
-            predicted_return = self.ras.pop()
-            target_known = predicted_return is not None and (
-                instruction.target is None or predicted_return == instruction.target
-            )
-            if not target_known:
-                counter = self._c_ras_mispredicts
-                if counter is None:
-                    counter = self._c_ras_mispredicts = self._stats.counter(
-                        "frontend.ras_mispredicts"
-                    )
-                counter.value += 1
-            return (fetch_cycle, True, target_known)
-        return (fetch_cycle, False, True)
-
     def resolve_control(self, instruction: Instruction, outcome: FetchOutcome) -> bool:
         """Resolve a control instruction; returns True on a misprediction."""
         if instruction.kind is InstructionKind.BRANCH:
@@ -239,43 +162,6 @@ class FrontEnd:
                 self.btb.update(instruction.pc, instruction.target)
             if not outcome.predicted_target_known:
                 self._stats.counter("frontend.target_mispredicts").increment()
-                return True
-        return False
-
-    def resolve_control_timing(
-        self, instruction: Instruction, predicted_taken: bool, target_known: bool
-    ) -> bool:
-        """Fast-path control resolution; returns True on a misprediction.
-
-        Identical state and statistics effects to :meth:`resolve_control`,
-        consuming the scalars :meth:`fetch_timing` returned instead of a
-        :class:`FetchOutcome`.
-        """
-        kind = instruction.kind
-        if kind is InstructionKind.BRANCH:
-            taken = instruction.taken
-            correct = self.predictor.update(instruction.pc, taken)
-            if taken and instruction.target is not None:
-                self.btb.update(instruction.pc, instruction.target)
-            if not correct or predicted_taken != taken or (taken and not target_known):
-                counter = self._c_branch_mispredicts
-                if counter is None:
-                    counter = self._c_branch_mispredicts = self._stats.counter(
-                        "frontend.branch_mispredicts"
-                    )
-                counter.value += 1
-                return True
-            return False
-        if kind is InstructionKind.JUMP or kind is InstructionKind.RETURN:
-            if instruction.target is not None:
-                self.btb.update(instruction.pc, instruction.target)
-            if not target_known:
-                counter = self._c_target_mispredicts
-                if counter is None:
-                    counter = self._c_target_mispredicts = self._stats.counter(
-                        "frontend.target_mispredicts"
-                    )
-                counter.value += 1
                 return True
         return False
 

@@ -10,6 +10,8 @@ content-hash cache keys.
 """
 
 import random
+from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -28,8 +30,11 @@ from repro.attacks.placement import ATTACKER_REGIONS, VICTIM_REGIONS, default_pl
 from repro.attacks.scenarios import build_scenario_machine, run_scenario, scenario_names
 from repro.common.fastpath import SLOW_PATH_ENV_VAR, slow_path_enabled
 from repro.core.mitigations import config_for_spec
+from repro.core.processor import MI6Processor
 from repro.core.serialization import config_digest, run_to_dict
 from repro.core.variants import Variant, all_variants, config_for_variant, parse_variant
+from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
+from repro.workloads.spec_cint2006 import profile_for
 
 SETTINGS = EvaluationSettings(instructions=2_000, seed=2019)
 
@@ -67,15 +72,22 @@ LATTICE_SPECS = sorted(
 )
 
 
-def _execute(request, monkeypatch, *, slow):
+@contextmanager
+def _kernel(monkeypatch, *, slow):
+    """Select the reference (``slow``) or the fast kernel for the body."""
     if slow:
         monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
     else:
         monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
     try:
-        return request.cache_key(), run_to_dict(execute_request(request))
+        yield
     finally:
         monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+
+
+def _execute(request, monkeypatch, *, slow):
+    with _kernel(monkeypatch, slow=slow):
+        return request.cache_key(), run_to_dict(execute_request(request))
 
 
 class TestSlowPathSwitch:
@@ -149,6 +161,126 @@ class TestLatticeEquivalence:
                 range(32), LATTICE_SAMPLE_SIZE
             )
         )
+
+
+#: Timer-trap interval of the mid-run purge cases: 4 traps in a
+#: 2,000-instruction run, so 8 purges on a FLUSH variant.  Evaluation
+#: runs that short see none (their interval floors at 5,000).
+MID_RUN_TRAP_INTERVAL = 500
+
+
+def _with_config(request, **changes):
+    return replace(request, config=replace(request.config, **changes))
+
+
+class TestMidRunPurgeEquivalence:
+    """Fast == slow when purges and context switches happen inside a run.
+
+    The fast loop holds the page table, region check, owner, L1 tag
+    slabs and BTB lists in locals.  A purge replaces the slabs and the
+    BTB lists, and a trap hook may install a new context, so the loop
+    must read them again after every trap; these runs differ if it
+    keeps the old ones.
+    """
+
+    @pytest.mark.parametrize("profile", ["hmmer", "mcf", "libquantum"])
+    @pytest.mark.parametrize("spec", ["FLUSH", "F+P+M+A"])
+    def test_purging_run_fast_equals_slow(self, spec, profile, monkeypatch):
+        request = _with_config(
+            request_for(parse_variant(spec), profile, SETTINGS),
+            trap_interval_instructions=MID_RUN_TRAP_INTERVAL,
+        )
+        fast_key, fast_run = _execute(request, monkeypatch, slow=False)
+        slow_key, slow_run = _execute(request, monkeypatch, slow=True)
+        assert fast_run["result"]["counters"]["purge.executions"] == 8
+        assert fast_key == slow_key
+        assert fast_run == slow_run
+
+    @staticmethod
+    def context_switching_run(spec, monkeypatch, *, slow):
+        """A run whose trap hook changes the domain's context at every trap.
+
+        Each of the 3 traps installs a new owner.  The first also purges
+        (as the monitor does on an enclave exit, even without FLUSH) and
+        revokes the region holding the workload's pages and its page
+        table.  The second grants it back and installs a page table
+        mapping every page 4,096 pages higher.  The third revokes the
+        region again but installs no region check, so lines filled under
+        the second owner hit under the third.  The run ends 300
+        instructions after the last trap.  Returns the run document, the
+        L1 contents, the LLC's lines per owner and the BTB, which carry
+        the owner labels, dirty bits and targets that no counter shows.
+        """
+        with _kernel(monkeypatch, slow=slow):
+            config = replace(
+                config_for_spec(spec), trap_interval_instructions=MID_RUN_TRAP_INTERVAL
+            )
+            processor = MI6Processor(config, seed=2019)
+            workload = PreparedWorkload(SyntheticWorkload(profile_for("gcc"), seed=2019), 1_800)
+            processor.load_workload(workload)
+            hierarchy = processor.hierarchy
+            bitvector = processor.region_bitvector
+            region = min(bitvector.allowed_regions())
+            traps = []
+
+            def switch_context(cause):
+                traps.append(cause)
+                page_table, region_allowed = hierarchy.page_table, hierarchy.region_allowed
+                if len(traps) == 2:
+                    bitvector.grant(region)
+                    page_table = replace(
+                        page_table,
+                        mappings={page: frame + 4096 for page, frame in page_table.mappings.items()},
+                    )
+                else:
+                    bitvector.revoke(region)
+                    if len(traps) == 1:
+                        processor.purge_unit.execute()
+                    else:
+                        region_allowed = None
+                hierarchy.install_context(page_table, region_allowed, 100 + len(traps))
+
+            processor.core.add_trap_hook(switch_context)
+            run = run_to_dict(processor.run_loaded(workload, 1_800))
+            l1_contents = [
+                [cache.set_contents(index) for index in range(cache.geometry.num_sets)]
+                for cache in (hierarchy.l1i.cache, hierarchy.l1d.cache)
+            ]
+            return (
+                run,
+                l1_contents,
+                processor.llc.cache.occupancy_by_owner(),
+                processor.core.frontend.btb.snapshot(),
+            )
+
+    @pytest.mark.parametrize("spec", ["BASE", "FLUSH"])
+    def test_context_switching_run_fast_equals_slow(self, spec, monkeypatch):
+        fast = self.context_switching_run(spec, monkeypatch, slow=False)
+        slow = self.context_switching_run(spec, monkeypatch, slow=True)
+        counters = fast[0]["result"]["counters"]
+        assert counters["core.traps"] == 3
+        assert counters["protection.blocked_accesses"] > 0
+        assert counters["protection.blocked_fetches"] > 0
+        assert fast == slow
+
+
+#: Core widths off the 2/1/1 default: the fast loop picks the issue
+#: slot without a loop for one or two pipelines of a unit type.
+CORE_WIDTHS = [{"alu_units": 1}, {"alu_units": 3}, {"mem_units": 2}, {"fp_units": 2}]
+
+
+class TestCoreWidthEquivalence:
+    @pytest.mark.parametrize(
+        "widths", CORE_WIDTHS, ids=lambda widths: ",".join(f"{k}={v}" for k, v in widths.items())
+    )
+    @pytest.mark.parametrize("spec", ["BASE", "F+P+M+A"])
+    def test_width_fast_equals_slow(self, spec, widths, monkeypatch):
+        request = request_for(parse_variant(spec), "hmmer", SETTINGS)
+        request = _with_config(request, core=replace(request.config.core, **widths))
+        fast_key, fast_run = _execute(request, monkeypatch, slow=False)
+        slow_key, slow_run = _execute(request, monkeypatch, slow=True)
+        assert fast_key == slow_key
+        assert fast_run == slow_run
 
 
 class TestScenarioEquivalence:
