@@ -9,6 +9,8 @@ stats (cycles, instructions, every counter and histogram) and identical
 content-hash cache keys.
 """
 
+import hashlib
+import json
 import random
 from contextlib import contextmanager
 from dataclasses import replace
@@ -169,8 +171,30 @@ class TestLatticeEquivalence:
 MID_RUN_TRAP_INTERVAL = 500
 
 
+#: sha256 of each mid-run case's run document (``run_to_dict``).  Fast
+#: == slow cannot see a defect in code both kernels share (the
+#: predictor, the purge unit, the monitor); these digests can.  Change
+#: one only with an intended output change: a mismatch prints the
+#: digest the code produces.
+MID_RUN_DIGESTS = {
+    "FLUSH/hmmer": "69844360214e981a8748b5f20ad64bccd71eab3493a2f6843a6fd2ff68e8caad",
+    "FLUSH/mcf": "3e790172c0d9fcdf597f95a4e9df9b0586987676fc78332a0f3c1ae280b4fdfc",
+    "FLUSH/libquantum": "9931a5aad8062e89dd46b699ca75e145f9728b313212df17f1819592a5bcfde4",
+    "F+P+M+A/hmmer": "e1b3f364984c0e5f62f9c221a349bc0f2879411155ccb56afc12c66b2b15632e",
+    "F+P+M+A/mcf": "ee204e36570db73588ce6e316710637ce8bc88e308275d84f87abff94e595b58",
+    "F+P+M+A/libquantum": "90790ba973299fd6e56c5753d005bf59eb479e843fe485f50acd0e3b4bf33dd3",
+    "context-switch/BASE": "9d26fd8f23f5f30bd75a4fbe1e9fb1166d87f75bfeed017a57cb3e7fbaed0279",
+    "context-switch/FLUSH": "209b68205c808646b2b48f253f3a6591b9f2a44f96a0adf5451424cab5feabb1",
+}
+
+
 def _with_config(request, **changes):
     return replace(request, config=replace(request.config, **changes))
+
+
+def _run_digest(run):
+    encoded = json.dumps(run, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 class TestMidRunPurgeEquivalence:
@@ -195,6 +219,7 @@ class TestMidRunPurgeEquivalence:
         assert fast_run["result"]["counters"]["purge.executions"] == 8
         assert fast_key == slow_key
         assert fast_run == slow_run
+        assert _run_digest(fast_run) == MID_RUN_DIGESTS[f"{spec}/{profile}"]
 
     @staticmethod
     def context_switching_run(spec, monkeypatch, *, slow):
@@ -262,6 +287,7 @@ class TestMidRunPurgeEquivalence:
         assert counters["protection.blocked_accesses"] > 0
         assert counters["protection.blocked_fetches"] > 0
         assert fast == slow
+        assert _run_digest(fast[0]) == MID_RUN_DIGESTS[f"context-switch/{spec}"]
 
 
 #: Core widths off the 2/1/1 default: the fast loop picks the issue
