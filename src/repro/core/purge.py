@@ -17,8 +17,10 @@ The stall cost follows Section 7.1: structures are scrubbed in parallel,
 the slowest being the 512-line L1 caches at one line per cycle (the MSI
 protocol requires notifying the LLC even for clean-line invalidations), so
 the purge stalls the core for 512 cycles regardless of program state.
-The shared LLC is *not* flushed: its sets are partitioned by DRAM region
-and are scrubbed only when physical memory changes owner
+Only the host work follows what the core holds: a predictor nothing has
+trained and an L1 that holds no line are left as they are.  The shared
+LLC is *not* flushed: its sets are partitioned by DRAM region and are
+scrubbed only when physical memory changes owner
 (:meth:`repro.mem.llc.LastLevelCache.scrub_region_sets`).
 """
 
@@ -56,8 +58,16 @@ class PurgeUnit:
         stats: Optional[StatsRegistry] = None,
     ) -> None:
         self.core = core
-        self.hierarchy = hierarchy or core.hierarchy
+        self.hierarchy = hierarchy = hierarchy or core.hierarchy
         self.stats = stats or core.stats
+        # Data independent, so computed once.
+        self._stall_cycles = max(
+            hierarchy.l1i.flush_stall_cycles(),
+            hierarchy.l1d.flush_stall_cycles(),
+            hierarchy.l2tlb.num_sets,
+            core.frontend.predictor.flush_stall_cycles(),
+            1,
+        )
 
     # ------------------------------------------------------------------
 
@@ -71,11 +81,7 @@ class PurgeUnit:
         table (8 entries per cycle), one cycle for the fully associative
         L1 TLBs.
         """
-        l1i_cycles = self.hierarchy.l1i.flush_stall_cycles()
-        l1d_cycles = self.hierarchy.l1d.flush_stall_cycles()
-        l2tlb_cycles = self.hierarchy.l2tlb.num_sets
-        predictor_cycles = self.core.frontend.predictor.flush_stall_cycles()
-        return max(l1i_cycles, l1d_cycles, l2tlb_cycles, predictor_cycles, 1)
+        return self._stall_cycles
 
     def execute(self) -> PurgeResult:
         """Scrub all core-private state and return the cost summary."""
@@ -100,7 +106,7 @@ class PurgeUnit:
         # Core-private memory structures.
         flushed.update(self.hierarchy.flush_core_private_state())
 
-        stall = self.stall_cycles()
+        stall = self._stall_cycles
         self.stats.counter("purge.executions").increment()
         self.stats.counter("purge.stall_cycles").increment(stall)
         return PurgeResult(stall_cycles=stall, flushed=flushed)

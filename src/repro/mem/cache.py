@@ -35,6 +35,7 @@ Two storage layouts back the same public API:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Dict, List, Optional
 
 from repro.common.fastpath import slow_path_enabled
@@ -597,9 +598,10 @@ class SetAssociativeCache:
     def _invalidate_tag_range_slab(self, low_tag: int, high_tag: int) -> int:
         """Slab twin of :meth:`invalidate_tag_range`.
 
-        Empty sets are skipped on their valid count, so the cost follows
-        the resident lines rather than the geometry; the surviving sets
-        are scanned in the reference order with the same policy calls.
+        Only the sets with a non-zero valid count are visited (through
+        :func:`itertools.compress`), so the cost follows the resident
+        lines rather than the geometry; they are scanned in the
+        reference order with the same policy calls.
         """
         ways = self._ways
         tags = self._slab_tags
@@ -609,10 +611,8 @@ class SetAssociativeCache:
         valid_counts = self._valid_counts
         invalidate = self._policy.invalidate
         invalidated = 0
-        for set_index, count in enumerate(valid_counts):
-            if not count:
-                continue
-            remaining = count
+        for set_index in compress(range(len(valid_counts)), valid_counts):
+            count = remaining = valid_counts[set_index]
             base = set_index * ways
             for way in range(ways):
                 slot = base + way
@@ -633,13 +633,22 @@ class SetAssociativeCache:
         return invalidated
 
     def _flush_all_slab(self) -> int:
+        """Slab twin of :meth:`flush_all`.
+
+        The purge stall (one cycle per line slot, 512 for an L1) does
+        not depend on what the cache holds; only this host work does.
+        A cache holding no line is left as it is: every invalidation
+        restores its slot's dirty bit and owner, so it already equals a
+        fresh cache.
+        """
         flushed = sum(self._valid_counts)
-        total = len(self._slab_tags)
-        self._slab_tags = [None] * total
-        self._slab_dirty = [False] * total
-        self._slab_owners = [None] * total
-        self._tag_maps = [{} for _ in range(self.geometry.num_sets)]
-        self._valid_counts = [0] * self.geometry.num_sets
+        if flushed:
+            total = len(self._slab_tags)
+            self._slab_tags = [None] * total
+            self._slab_dirty = [False] * total
+            self._slab_owners = [None] * total
+            self._tag_maps = [{} for _ in range(self.geometry.num_sets)]
+            self._valid_counts = [0] * self.geometry.num_sets
         self._policy.reset()
         self._stats.counter(f"{self.name}.flush_lines").increment(flushed)
         return flushed

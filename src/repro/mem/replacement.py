@@ -14,6 +14,7 @@ properties for the purge analysis (Section 6.1):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import repeat
 from typing import List, Optional
 
 from repro.common.rng import DeterministicRng
@@ -97,8 +98,12 @@ class LruPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, ways: int) -> None:
         self._num_sets = num_sets
-        self._ways = ways
-        self._stacks: List[List[int]] = [list(range(ways)) for _ in range(num_sets)]
+        self._initial_stack = list(range(ways))
+        self._stacks: List[List[int]] = self._fresh_stacks()
+
+    def _fresh_stacks(self) -> List[List[int]]:
+        """One copy of the initial recency stack per set."""
+        return list(map(list.copy, repeat(self._initial_stack, self._num_sets)))
 
     def victim(self, set_index: int, valid: List[bool]) -> int:
         invalid_way = _first_invalid(valid)
@@ -120,9 +125,7 @@ class LruPolicy(ReplacementPolicy):
         # Reset in place: the slab-backed cache fast path binds the outer
         # stack list once at construction, so the container object must
         # survive a purge.
-        stacks = self._stacks
-        for set_index in range(self._num_sets):
-            stacks[set_index] = list(range(self._ways))
+        self._stacks[:] = self._fresh_stacks()
 
     def recency_order(self, set_index: int) -> List[int]:
         """Most- to least-recently-used way order (exposed for tests)."""
@@ -141,4 +144,4 @@ class SelfCleaningLruPolicy(LruPolicy):
 
     def note_set_empty(self, set_index: int) -> None:
         """Restore the canonical fill order for an empty set."""
-        self._stacks[set_index] = list(range(self._ways))
+        self._stacks[set_index] = self._initial_stack.copy()

@@ -62,6 +62,9 @@ class TournamentPredictor:
         # only wins an index once it has repeatedly outperformed local.
         self._choice_counters: List[int] = [0] * global_entries
         self._global_history = 0
+        # Set by update(), cleared by flush(): tables nothing has trained
+        # since the last reset are still in their initial state.
+        self._trained = False
         # Hot-path constants and lazily cached counter handles.
         self._local_taken_threshold = 1 << (local_counter_bits - 1)
         self._local_counter_max = (1 << local_counter_bits) - 1
@@ -109,6 +112,7 @@ class TournamentPredictor:
         use_global = self._choice_counters[global_index] >= 2
         predicted = global_taken if use_global else local_taken
         correct = predicted == taken
+        self._trained = True
 
         counter = self._c_lookups
         if counter is None:
@@ -160,12 +164,20 @@ class TournamentPredictor:
     # Purge support
 
     def flush(self) -> None:
-        """Reset every table to its initial, program-independent state."""
-        self._local_history = [0] * self.local_history_entries
-        self._local_counters = [0] * (1 << self.local_history_bits)
-        self._global_counters = [1] * self.global_entries
-        self._choice_counters = [0] * self.global_entries
-        self._global_history = 0
+        """Reset every table to its initial, program-independent state.
+
+        The purge stall (:meth:`flush_stall_cycles`) stays 512 cycles
+        whatever the tables hold; only this host work follows it.  Tables
+        no :meth:`update` has touched since the last reset are left as
+        they are.
+        """
+        if self._trained:
+            self._local_history = [0] * self.local_history_entries
+            self._local_counters = [0] * (1 << self.local_history_bits)
+            self._global_counters = [1] * self.global_entries
+            self._choice_counters = [0] * self.global_entries
+            self._global_history = 0
+            self._trained = False
         self._stats.counter("bp.flushes").increment()
 
     def flush_stall_cycles(self) -> int:

@@ -16,12 +16,16 @@ from typing import Dict, List, Optional
 from repro.isa.instructions import ARCH_REGISTER_COUNT
 
 
+#: The rename table's initial (identity) mapping, copied on every reset.
+_IDENTITY_MAP: Dict[int, int] = {arch: arch for arch in range(ARCH_REGISTER_COUNT)}
+
+
 class RenameTable:
     """Map from architectural to physical registers."""
 
     def __init__(self, num_physical: int = 128) -> None:
         self.num_physical = num_physical
-        self._map: Dict[int, int] = {arch: arch for arch in range(ARCH_REGISTER_COUNT)}
+        self._map: Dict[int, int] = _IDENTITY_MAP.copy()
 
     def mapping(self, arch_register: int) -> int:
         """Physical register currently mapped to ``arch_register``."""
@@ -35,7 +39,7 @@ class RenameTable:
 
     def reset(self) -> None:
         """Restore the identity mapping (architectural state re-established)."""
-        self._map = {arch: arch for arch in range(ARCH_REGISTER_COUNT)}
+        self._map = _IDENTITY_MAP.copy()
 
     def snapshot(self) -> tuple:
         """Raw mapping state."""

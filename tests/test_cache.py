@@ -1,10 +1,15 @@
 """Tests for the set-associative cache and replacement policies."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.fastpath import SLOW_PATH_ENV_VAR
 from repro.common.rng import DeterministicRng
-from repro.mem.address import CacheGeometry
+from repro.common.stats import StatsRegistry
+from repro.mem.address import AddressMap, CacheGeometry
 from repro.mem.cache import SetAssociativeCache
+from repro.mem.dram import DramController
+from repro.mem.llc import LastLevelCache, LlcConfig
 from repro.mem.replacement import LruPolicy, PseudoRandomPolicy, SelfCleaningLruPolicy
 
 
@@ -101,3 +106,76 @@ class TestReplacementPolicies:
         policy.touch(0, 3)
         policy.note_set_empty(0)
         assert policy.recency_order(0) == [0, 1, 2, 3]
+
+
+@pytest.fixture(params=["fast", "slow"])
+def kernel(request, monkeypatch):
+    """Build caches in the fast (slab) or the reference layout."""
+    if request.param == "slow":
+        monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
+    else:
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+    return request.param
+
+
+def l1_like_cache():
+    """Pseudo-random replacement, as RiscyOO's L1s: 4 ways x 8 sets."""
+    geometry = CacheGeometry(size_bytes=4 * 8 * 64, ways=4, line_bytes=64)
+    return SetAssociativeCache("l1t", geometry, PseudoRandomPolicy(DeterministicRng(5)))
+
+
+def fill_every_way(cache, owner=None):
+    """One write per line slot: no eviction, so no RNG draw."""
+    addresses = [line * 64 for line in range(cache.geometry.num_sets * cache.geometry.ways)]
+    for address in addresses:
+        cache.access(address, is_write=True, owner=owner)
+    return addresses
+
+
+def invalidate_every_owned_line(cache):
+    for address in fill_every_way(cache, owner=3):
+        assert cache.invalidate_address(address)
+
+
+class TestFlushOfEmptyCache:
+    """A flush that skips its rebuild must leave what a rebuild leaves."""
+
+    @pytest.mark.parametrize(
+        "prepare, flushed",
+        [(lambda cache: None, 0), (invalidate_every_owned_line, 0), (fill_every_way, 32)],
+        ids=["fresh", "all-invalidated", "resident"],
+    )
+    def test_flush_leaves_a_fresh_cache(self, prepare, flushed, kernel):
+        cache, fresh = l1_like_cache(), l1_like_cache()
+        assert cache._uses_slabs == (kernel == "fast")
+        prepare(cache)
+        assert cache.flush_all() == flushed
+        assert cache.flush_all() == 0
+        assert cache.stats.value("l1t.flush_lines") == flushed
+        assert "l1t.flush_lines" in cache.stats.registered()[0]
+        sets = range(cache.geometry.num_sets)
+        assert [cache.set_contents(i) for i in sets] == [fresh.set_contents(i) for i in sets]
+        # Five lines into set 0: four fill the invalid ways in order, the
+        # fifth draws its victim from the replacement RNG.
+        for line in range(5):
+            address = line * 8 * 64
+            assert cache.access(address, owner=4) == fresh.access(address, owner=4)
+        assert cache.set_contents(0) == fresh.set_contents(0)
+
+    def test_region_scrub_of_an_empty_llc(self, kernel):
+        stats = StatsRegistry()
+        llc = LastLevelCache(
+            LlcConfig(), AddressMap(), DramController(stats=stats), rng=DeterministicRng(0), stats=stats
+        )
+        assert llc.scrub_region_sets(3) == 0
+        assert "llc.region_scrub_lines" in stats.registered()[0]
+
+    def test_lru_stacks_start_and_reset_as_distinct_initial_orders(self):
+        policy = LruPolicy(num_sets=16, ways=4)
+        for _ in range(2):
+            assert [policy.recency_order(i) for i in range(16)] == [[0, 1, 2, 3]] * 16
+            assert len({id(stack) for stack in policy._stacks}) == 16
+            policy.touch(0, 3)
+            assert policy.recency_order(0) == [3, 0, 1, 2]
+            assert policy.recency_order(1) == [0, 1, 2, 3]
+            policy.reset()

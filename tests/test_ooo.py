@@ -56,6 +56,37 @@ class TestBranchPredictor:
         predictor = TournamentPredictor()
         assert predictor.flush_stall_cycles() == 4096 // 8
 
+    def test_flushing_an_untrained_predictor_counts_every_flush(self):
+        stats = StatsRegistry()
+        predictor = TournamentPredictor(stats=stats)
+        predictor.flush()
+        predictor.flush()
+        assert predictor.snapshot() == TournamentPredictor().snapshot()
+        assert stats.value("bp.flushes") == 2
+
+    def test_flush_after_only_correct_predictions_restores_initial_state(self):
+        # On a fresh predictor a not-taken branch is predicted correctly
+        # and still moves a global counter from 1 to 0, so the flush must
+        # rebuild after any update, not only after a misprediction.
+        predictor = TournamentPredictor()
+        for index in range(64):
+            pc = 0x400 + index * 4
+            assert predictor.update(pc, predictor.predict(pc))
+        assert predictor.misprediction_count == 0
+        assert predictor.snapshot() != TournamentPredictor().snapshot()
+        predictor.flush()
+        assert predictor.snapshot() == TournamentPredictor().snapshot()
+
+    def test_train_flush_train_flush_restores_initial_state(self):
+        predictor = TournamentPredictor()
+        pristine = predictor.snapshot()
+        for _ in range(2):
+            for index in range(200):
+                predictor.update(0x400 + index * 4, index % 3 == 0)
+            assert predictor.snapshot() != pristine
+            predictor.flush()
+            assert predictor.snapshot() == pristine
+
 
 class TestFrontEndStructures:
     def test_btb_lookup_and_flush(self):
