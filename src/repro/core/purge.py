@@ -58,13 +58,13 @@ class PurgeUnit:
         stats: Optional[StatsRegistry] = None,
     ) -> None:
         self.core = core
-        self.hierarchy = hierarchy = hierarchy or core.hierarchy
+        self.hierarchy = hierarchy or core.hierarchy
         self.stats = stats or core.stats
         # Data independent, so computed once.
         self._stall_cycles = max(
-            hierarchy.l1i.flush_stall_cycles(),
-            hierarchy.l1d.flush_stall_cycles(),
-            hierarchy.l2tlb.num_sets,
+            self.hierarchy.l1i.flush_stall_cycles(),
+            self.hierarchy.l1d.flush_stall_cycles(),
+            self.hierarchy.l2tlb.num_sets,
             core.frontend.predictor.flush_stall_cycles(),
             1,
         )
