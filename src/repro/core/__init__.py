@@ -54,7 +54,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "repro.core.processor": ("MI6Processor",),
         "repro.core.protection": ("ProtectionDomain", "RegionBitvector"),
-        "repro.core.purge": ("PurgeResult", "PurgeUnit"),
+        "repro.core.purge": ("PurgeUnit",),
         "repro.core.results": ("WorkloadRun",),
         "repro.core.serialization": (
             "config_digest",

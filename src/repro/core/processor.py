@@ -87,7 +87,7 @@ class MI6Processor:
         )
         self.purge_unit = PurgeUnit(self.core, self.hierarchy, stats=self.stats)
         if config.flush_on_context_switch:
-            self.core.purge_callback = _weak_call(self.purge_unit.stall_only)
+            self.core.purge_callback = _weak_call(self.purge_unit.execute)
         self.region_bitvector = RegionBitvector(config.address_map, stats=self.stats)
         self._domain: Optional[ProtectionDomain] = None
         # Counter and histogram names the last warm-up registered.

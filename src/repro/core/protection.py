@@ -136,7 +136,14 @@ class ProtectionDomain:
         return [address_map.region_base(region) for region in sorted(self.regions)]
 
     def build_identity_table(self, address_map: AddressMap) -> PageTable:
-        """Identity page table over the domain's regions (for the OS domain)."""
+        """Identity page table over the domain's regions (for the OS domain).
+
+        The table records one identity range per region and builds its
+        8,192-page-per-region dict only when something first reads its
+        mappings (:class:`~repro.mem.page_table.PageTable`), so a machine
+        that installs the OS but never translates through its table
+        never pays for it.
+        """
         table = PageTable(asid=self.domain_id)
         for region in sorted(self.regions):
             first_page = address_map.region_base(region) // table.page_bytes

@@ -18,33 +18,22 @@ the slowest being the 512-line L1 caches at one line per cycle (the MSI
 protocol requires notifying the LLC even for clean-line invalidations), so
 the purge stalls the core for 512 cycles regardless of program state.
 Only the host work follows what the core holds: a predictor nothing has
-trained and an L1 that holds no line are left as they are.  The shared
-LLC is *not* flushed: its sets are partitioned by DRAM region and are
-scrubbed only when physical memory changes owner
+trained and an L1 that holds no line are left as they are.  A purge
+returns only its stall: what each structure flushed goes to that
+structure's own ``flush_*`` counter, and the ``purge.*`` and ``flush_*``
+counters keep their handles after first use.  The shared LLC is *not*
+flushed: its sets are partitioned by DRAM region and are scrubbed only
+when physical memory changes owner
 (:meth:`repro.mem.llc.LastLevelCache.scrub_region_sets`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.stats import StatsRegistry
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.ooo.core import OutOfOrderCore
-
-
-@dataclass(frozen=True)
-class PurgeResult:
-    """Summary of one purge execution.
-
-    Attributes:
-        stall_cycles: Cycles the core is stalled while structures flush.
-        flushed: Per-structure counts of entries scrubbed.
-    """
-
-    stall_cycles: int
-    flushed: Dict[str, int]
 
 
 class PurgeUnit:
@@ -68,6 +57,8 @@ class PurgeUnit:
             core.frontend.predictor.flush_stall_cycles(),
             1,
         )
+        self._c_executions: Optional[object] = None
+        self._c_stall_cycles: Optional[object] = None
 
     # ------------------------------------------------------------------
 
@@ -83,41 +74,35 @@ class PurgeUnit:
         """
         return self._stall_cycles
 
-    def execute(self) -> PurgeResult:
-        """Scrub all core-private state and return the cost summary."""
-        flushed: Dict[str, int] = {}
+    def execute(self) -> int:
+        """Scrub all core-private state; returns the stall cycles.
 
-        # In-flight instruction bookkeeping.
-        flushed["rob_entries"] = self.core.rob.squash_all()
-        flushed["issue_queue_entries"] = sum(
-            queue.squash_all() for queue in self.core.issue_queues.values()
-        )
-        flushed["lsq_entries"] = self.core.lsq.squash_all()
-        flushed["store_buffer_entries"] = len(self.core.store_buffer.drain_all())
-        self.core.rename_table.reset()
-        self.core.free_list.reset()
-
-        # Prediction structures.
-        predictor_lookups_before = self.core.frontend.predictor.lookup_count
-        self.core.frontend.flush_predictors()
-        flushed["predictor_tables"] = 1
-        flushed["predictor_lookups_before_flush"] = predictor_lookups_before
-
-        # Core-private memory structures.
-        flushed.update(self.hierarchy.flush_core_private_state())
-
-        stall = self._stall_cycles
-        self.stats.counter("purge.executions").increment()
-        self.stats.counter("purge.stall_cycles").increment(stall)
-        return PurgeResult(stall_cycles=stall, flushed=flushed)
-
-    def stall_only(self) -> int:
-        """Execute a purge and return just the stall cycles.
-
-        Convenience adapter matching the ``purge_callback`` signature of
+        Matches the ``purge_callback`` signature of
         :class:`repro.ooo.core.OutOfOrderCore`.
         """
-        return self.execute().stall_cycles
+        core = self.core
+        # In-flight instruction bookkeeping.
+        core.rob.squash_all()
+        for queue in core.issue_queues.values():
+            queue.squash_all()
+        core.lsq.squash_all()
+        core.store_buffer.drain_all()
+        core.rename_table.reset()
+        core.free_list.reset()
+        # Prediction structures, then core-private memory structures.
+        core.frontend.flush_predictors()
+        self.hierarchy.flush_core_private_state()
+
+        stall = self._stall_cycles
+        counter = self._c_executions
+        if counter is None:
+            counter = self._c_executions = self.stats.counter("purge.executions")
+        counter.value += 1
+        counter = self._c_stall_cycles
+        if counter is None:
+            counter = self._c_stall_cycles = self.stats.counter("purge.stall_cycles")
+        counter.value += stall
+        return stall
 
     # ------------------------------------------------------------------
     # Indistinguishability audit (Section 6.1)

@@ -84,14 +84,37 @@ _Document = TypeVar("_Document", bound="OutcomeDocument")
 def _encode_value(value: Any) -> Any:
     if isinstance(value, Enum):
         return value.name
+    if isinstance(value, MI6Config):
+        return config_to_dict(value)
     if is_dataclass(value):
-        return {f.name: _encode_value(getattr(value, f.name)) for f in fields(value)}
+        return _encode_fields(value)
     return value
 
 
+def _encode_fields(value: Any) -> Dict[str, Any]:
+    return {f.name: _encode_value(getattr(value, f.name)) for f in fields(value)}
+
+
 def config_to_dict(config: MI6Config) -> Dict[str, Any]:
-    """Encode a full machine configuration as a JSON-compatible dict."""
-    return _encode_value(config)
+    """Encode a full machine configuration as a JSON-compatible dict.
+
+    Every cache key, worker payload and wire document with a
+    configuration goes through here, so the encoding is memoized:
+    configurations with the same ``repr`` share one document, which
+    callers must not mutate (shared; read-only).
+    """
+    return _config_document(config, repr(config))
+
+
+@lru_cache(maxsize=256)
+def _config_document(config: MI6Config, spelling: str) -> Dict[str, Any]:
+    """:func:`config_to_dict`'s memo, bounded for a long-running daemon.
+
+    ``spelling`` is the configuration's ``repr``.  It is part of the key
+    because ``==`` and ``hash`` do not tell ``True`` from ``1`` or ``16``
+    from ``16.0``, whose documents, and so cache keys, differ.
+    """
+    return _encode_fields(config)
 
 
 def config_from_dict(data: Dict[str, Any]) -> MI6Config:

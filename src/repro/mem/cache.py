@@ -173,6 +173,7 @@ class SetAssociativeCache:
         self._c_miss: Optional[object] = None
         self._c_eviction: Optional[object] = None
         self._c_writeback: Optional[object] = None
+        self._c_flush_lines: Optional[object] = None
 
         # Storage layout: chosen by class in __new__.
         policy_type = type(policy)
@@ -184,7 +185,7 @@ class SetAssociativeCache:
         self._valid_counts: List[int] = []
         self._ways = geometry.ways
         self._ways_bits = geometry.ways.bit_length()
-        self._lru_stacks: Optional[List[List[int]]] = None
+        self._lru_stacks: Optional[List[bytearray]] = None
         self._self_cleaning = policy_type is SelfCleaningLruPolicy
         self._randbelow: Optional[Callable[[int], int]] = None
         self._victim_getrandbits: Optional[Callable[[int], int]] = None
@@ -650,7 +651,10 @@ class SetAssociativeCache:
             self._tag_maps = [{} for _ in range(self.geometry.num_sets)]
             self._valid_counts = [0] * self.geometry.num_sets
         self._policy.reset()
-        self._stats.counter(f"{self.name}.flush_lines").increment(flushed)
+        counter = self._c_flush_lines
+        if counter is None:
+            counter = self._c_flush_lines = self._stats.counter(f"{self.name}.flush_lines")
+        counter.value += flushed
         return flushed
 
     # ------------------------------------------------------------------
@@ -791,7 +795,7 @@ class _SlabCache(SetAssociativeCache):
     flush_all = SetAssociativeCache._flush_all_slab  # type: ignore[assignment]
 
     def capture_warm_state(self) -> tuple:
-        """Copy of the tag slabs, LRU stacks and replacement-RNG position."""
+        """Copy of the tag slabs, LRU stacks (as bytes) and replacement-RNG position."""
         policy = self._policy
         return (
             list(self._slab_tags),
@@ -799,7 +803,7 @@ class _SlabCache(SetAssociativeCache):
             list(self._slab_owners),
             [dict(tag_map) for tag_map in self._tag_maps],
             list(self._valid_counts),
-            None if self._lru_stacks is None else [list(stack) for stack in self._lru_stacks],
+            None if self._lru_stacks is None else list(map(bytes, self._lru_stacks)),
             policy._rng.getstate() if isinstance(policy, PseudoRandomPolicy) else None,
         )
 
@@ -817,7 +821,7 @@ class _SlabCache(SetAssociativeCache):
         self._valid_counts = list(valid_counts)
         if self._lru_stacks is not None:
             # In place: the policy and this cache share the container.
-            self._lru_stacks[:] = [list(stack) for stack in stacks]
+            self._lru_stacks[:] = map(bytearray, stacks)
         policy = self._policy
         if isinstance(policy, PseudoRandomPolicy):
             policy._rng.setstate(rng_state)

@@ -570,22 +570,20 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Purge support
 
-    def flush_core_private_state(self) -> dict:
+    def flush_core_private_state(self) -> None:
         """Scrub all core-private memory structures.
 
-        Returns a dictionary of entries flushed per structure.  The stall
-        cycles charged for the flush are computed by the purge cost model
-        (:mod:`repro.core.purge`), which knows the per-cycle flush
-        bandwidth of each structure.
+        Each structure counts what it flushed in its own ``flush_*``
+        counter.  The stall cycles charged for the flush are computed by
+        the purge cost model (:mod:`repro.core.purge`), which knows the
+        per-cycle flush bandwidth of each structure.
         """
-        return {
-            "l1i_lines": self.l1i.flush_all(),
-            "l1d_lines": self.l1d.flush_all(),
-            "itlb_entries": self.itlb.flush_all(),
-            "dtlb_entries": self.dtlb.flush_all(),
-            "l2tlb_entries": self.l2tlb.flush_all(),
-            "translation_cache_entries": self.translation_cache.flush_all(),
-        }
+        self.l1i.flush_all()
+        self.l1d.flush_all()
+        self.itlb.flush_all()
+        self.dtlb.flush_all()
+        self.l2tlb.flush_all()
+        self.translation_cache.flush_all()
 
     # ------------------------------------------------------------------
     # Warm-state sharing (fast kernel only)

@@ -13,7 +13,7 @@ part of a program's physical-address footprint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.common.errors import ProtectionFault
 
@@ -21,6 +21,15 @@ from repro.common.errors import ProtectionFault
 @dataclass
 class PageTable:
     """A per-domain mapping from virtual page numbers to physical page numbers.
+
+    Identity ranges (:meth:`map_identity_pages`) are recorded, not
+    inserted: ``mappings`` is built from them the first time anything
+    reads it, with the same keys, values and insertion order as inserting
+    each range when it was mapped.  Every reader and writer of the table
+    (:meth:`map_page`, :meth:`unmap_page`, :meth:`translate`, the memory
+    hierarchy and the core's fused lanes) goes through that read, so a
+    table nothing translates through, like the OS table of a serving
+    machine, never builds its dict.
 
     Attributes:
         asid: Address-space identifier (informational).
@@ -38,6 +47,19 @@ class PageTable:
     root_physical_address: int = 0
     mappings: Dict[int, int] = field(default_factory=dict)
 
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute the instance lacks: ``mappings``
+        # while identity ranges wait to be inserted.
+        state = self.__dict__
+        if name != "mappings" or "_identity_ranges" not in state:
+            raise AttributeError(name)
+        mappings = state.pop("_mapped_before_ranges")
+        for first_page, num_pages in state.pop("_identity_ranges"):
+            pages = range(first_page, first_page + num_pages)
+            mappings.update(zip(pages, pages))
+        self.mappings = mappings
+        return mappings
+
     def map_page(self, virtual_address: int, physical_address: int) -> None:
         """Map the page containing ``virtual_address`` to ``physical_address``'s page."""
         self.mappings[virtual_address // self.page_bytes] = physical_address // self.page_bytes
@@ -45,12 +67,16 @@ class PageTable:
     def map_identity_pages(self, first_page: int, num_pages: int) -> None:
         """Identity-map ``num_pages`` pages starting at page number ``first_page``.
 
-        One bulk update over the page-number range, in ascending order:
-        the same mappings, inserted in the same order, as calling
-        :meth:`map_page` with ``virtual == physical`` page by page.
+        Recorded now and inserted at the next read of ``mappings``, in
+        ascending order after everything mapped before: the same
+        mappings, in the same order, as calling :meth:`map_page` with
+        ``virtual == physical`` page by page.
         """
-        pages = range(first_page, first_page + num_pages)
-        self.mappings.update(zip(pages, pages))
+        state = self.__dict__
+        if "mappings" in state:
+            state["_mapped_before_ranges"] = state.pop("mappings")
+            state["_identity_ranges"] = []
+        state["_identity_ranges"].append((first_page, num_pages))
 
     def unmap_page(self, virtual_address: int) -> None:
         """Remove the mapping for the page containing ``virtual_address``."""

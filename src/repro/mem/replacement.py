@@ -17,6 +17,7 @@ from abc import ABC, abstractmethod
 from itertools import repeat
 from typing import List, Optional
 
+from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 
 
@@ -94,16 +95,23 @@ class LruPolicy(ReplacementPolicy):
     Keeps a recency stack per set.  A plain LRU cache retains
     program-dependent ordering even after all lines are invalidated unless
     the stack is also cleared, which :meth:`reset` does.
+
+    Each stack is a ``bytearray`` of way numbers, most recent first: way
+    numbers fit a byte, so a policy over more than 256 ways is rejected,
+    and the 1,024 stacks of an LLC are objects the cyclic garbage
+    collector does not track.
     """
 
     def __init__(self, num_sets: int, ways: int) -> None:
+        if ways > 256:
+            raise ConfigurationError(f"an LRU policy orders at most 256 ways, got {ways}")
         self._num_sets = num_sets
-        self._initial_stack = list(range(ways))
-        self._stacks: List[List[int]] = self._fresh_stacks()
+        self._initial_stack = bytes(range(ways))
+        self._stacks: List[bytearray] = self._fresh_stacks()
 
-    def _fresh_stacks(self) -> List[List[int]]:
+    def _fresh_stacks(self) -> List[bytearray]:
         """One copy of the initial recency stack per set."""
-        return list(map(list.copy, repeat(self._initial_stack, self._num_sets)))
+        return list(map(bytearray, repeat(self._initial_stack, self._num_sets)))
 
     def victim(self, set_index: int, valid: List[bool]) -> int:
         invalid_way = _first_invalid(valid)
@@ -144,4 +152,4 @@ class SelfCleaningLruPolicy(LruPolicy):
 
     def note_set_empty(self, set_index: int) -> None:
         """Restore the canonical fill order for an empty set."""
-        self._stacks[set_index] = self._initial_stack.copy()
+        self._stacks[set_index] = bytearray(self._initial_stack)

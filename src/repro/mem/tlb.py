@@ -14,7 +14,7 @@ misses that follow.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.stats import StatsRegistry
 
@@ -22,7 +22,11 @@ from repro.common.stats import StatsRegistry
 class Tlb:
     """A TLB with bounded capacity and LRU replacement.
 
-    Fully associative TLBs are the special case of one set.
+    Fully associative TLBs are the special case of one set.  Each set is
+    a list of virtual page numbers, most recent first, created when the
+    set is first filled; an empty set is the shared empty tuple, so a
+    fresh or flushed TLB holds no per-set list (an L2 TLB has 256 sets
+    per core).  Readers need no case for it: no page is ``in ()``.
 
     Args:
         name: Statistics prefix (``"itlb"``, ``"dtlb"``, ``"l2tlb"``).
@@ -48,13 +52,14 @@ class Tlb:
         self.num_sets = entries // self.ways
         self.page_bytes = page_bytes
         self._stats = stats or StatsRegistry()
-        # Per set: ordered list of virtual page numbers, most recent first.
-        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
+        # Per set: virtual page numbers, most recent first; () while empty.
+        self._sets: List[Sequence[int]] = [()] * self.num_sets
         self._asid_of: Dict[int, int] = {}
         # Lazily cached counter handles (registration stays on first use).
         self._c_access: Optional[object] = None
         self._c_hit: Optional[object] = None
         self._c_miss: Optional[object] = None
+        self._c_flush_entries: Optional[object] = None
 
     @property
     def stats(self) -> StatsRegistry:
@@ -101,11 +106,15 @@ class Tlb:
     def fill(self, virtual_address: int, asid: int = 0) -> None:
         """Insert a translation (evicting the LRU entry if the set is full)."""
         vpn = self._vpn(virtual_address)
-        entries = self._sets[self._set_of(vpn)]
+        set_index = self._set_of(vpn)
+        entries = self._sets[set_index]
+        self._asid_of[vpn] = asid
+        if not entries:
+            self._sets[set_index] = [vpn]
+            return
         if vpn in entries:
             entries.remove(vpn)
         entries.insert(0, vpn)
-        self._asid_of[vpn] = asid
         if len(entries) > self.ways:
             evicted = entries.pop()
             self._asid_of.pop(evicted, None)
@@ -124,19 +133,22 @@ class Tlb:
         sets = self._sets
         num_sets = self.num_sets
         for vpn in asid_of:
-            sets[vpn % num_sets].clear()
+            sets[vpn % num_sets] = ()
         asid_of.clear()
-        self._stats.counter(f"{self.name}.flush_entries").increment(flushed)
+        counter = self._c_flush_entries
+        if counter is None:
+            counter = self._c_flush_entries = self._stats.counter(f"{self.name}.flush_entries")
+        counter.value += flushed
         return flushed
 
     def capture_warm_state(self) -> tuple:
         """Copy of the resident translations and their LRU order."""
-        return [list(entries) for entries in self._sets], dict(self._asid_of)
+        return [list(entries) if entries else () for entries in self._sets], dict(self._asid_of)
 
     def load_warm_state(self, state: tuple) -> None:
         """Become a copy of the TLB :meth:`capture_warm_state` read."""
         sets, asid_of = state
-        self._sets = [list(entries) for entries in sets]
+        self._sets = [list(entries) if entries else () for entries in sets]
         self._asid_of = dict(asid_of)
 
     def resident_entries(self) -> int:
@@ -178,6 +190,7 @@ class TranslationCache:
         self._c_lookup: Optional[object] = None
         self._c_hit: Optional[object] = None
         self._c_miss: Optional[object] = None
+        self._c_flush_entries: Optional[object] = None
 
     @property
     def stats(self) -> StatsRegistry:
@@ -225,9 +238,14 @@ class TranslationCache:
 
     def flush_all(self) -> int:
         """Discard all cached walk steps; returns entries flushed."""
-        flushed = sum(len(entries) for entries in self._levels)
-        self._levels = [[] for _ in range(self.levels)]
-        self._stats.counter(f"{self.name}.flush_entries").increment(flushed)
+        flushed = 0
+        for entries in self._levels:
+            flushed += len(entries)
+            entries.clear()
+        counter = self._c_flush_entries
+        if counter is None:
+            counter = self._c_flush_entries = self._stats.counter(f"{self.name}.flush_entries")
+        counter.value += flushed
         return flushed
 
     def capture_warm_state(self) -> tuple:

@@ -65,10 +65,10 @@ class CoreComplex:
 
     def purge(self) -> int:
         """Execute the purge instruction on this core; returns stall cycles."""
-        result = self.purge_unit.execute()
+        stall = self.purge_unit.execute()
         self.purge_count += 1
-        self.purge_stall_cycles += result.stall_cycles
-        return result.stall_cycles
+        self.purge_stall_cycles += stall
+        return stall
 
 
 #: Machine seed used when none is given (kept at the historical value so

@@ -1,16 +1,22 @@
 """Tests for the set-associative cache and replacement policies."""
 
+import gc
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.errors import ConfigurationError
 from repro.common.fastpath import SLOW_PATH_ENV_VAR
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
+from repro.core.mitigations import config_for_spec
 from repro.mem.address import AddressMap, CacheGeometry
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.dram import DramController
 from repro.mem.llc import LastLevelCache, LlcConfig
 from repro.mem.replacement import LruPolicy, PseudoRandomPolicy, SelfCleaningLruPolicy
+from repro.service.simulation import _TenantMachine
 
 
 def small_cache(policy=None, ways=4, sets=8):
@@ -179,3 +185,83 @@ class TestFlushOfEmptyCache:
             assert policy.recency_order(0) == [3, 0, 1, 2]
             assert policy.recency_order(1) == [0, 1, 2, 3]
             policy.reset()
+
+
+class _ListLru:
+    """The list-based recency stacks the LRU policies kept before: the reference."""
+
+    def __init__(self, num_sets, ways):
+        self.ways = ways
+        self.stacks = [list(range(ways)) for _ in range(num_sets)]
+
+    def victim(self, set_index, valid):
+        if not all(valid):
+            return valid.index(False)
+        return self.stacks[set_index][-1]
+
+    def touch(self, set_index, way):
+        self.stacks[set_index].remove(way)
+        self.stacks[set_index].insert(0, way)
+
+    def invalidate(self, set_index, way):
+        self.stacks[set_index].remove(way)
+        self.stacks[set_index].append(way)
+
+    def reset(self):
+        self.stacks = [list(range(self.ways)) for _ in self.stacks]
+
+    def note_set_empty(self, set_index):
+        self.stacks[set_index] = list(range(self.ways))
+
+
+class TestPerSetStateOffTheGc:
+    @pytest.mark.parametrize("policy_type", [LruPolicy, SelfCleaningLruPolicy])
+    def test_stacks_follow_a_list_reference(self, policy_type):
+        num_sets, ways = 4, 16
+        policy, reference = policy_type(num_sets, ways), _ListLru(num_sets, ways)
+        weights = {"touch": 45, "invalidate": 25, "victim": 25, "reset": 1}
+        if policy_type is SelfCleaningLruPolicy:
+            weights["note_set_empty"] = 4
+        rng = random.Random(2019)
+        for operation in rng.choices(list(weights), list(weights.values()), k=3000):
+            set_index = rng.randrange(num_sets)
+            if operation == "victim":
+                valid = [rng.random() < 0.9 for _ in range(ways)]
+                assert policy.victim(set_index, valid) == reference.victim(set_index, valid)
+            elif operation == "reset":
+                policy.reset()
+                reference.reset()
+            elif operation == "note_set_empty":
+                policy.note_set_empty(set_index)
+                reference.note_set_empty(set_index)
+            else:
+                way = rng.randrange(ways)
+                getattr(policy, operation)(set_index, way)
+                getattr(reference, operation)(set_index, way)
+            assert [policy.recency_order(i) for i in range(num_sets)] == reference.stacks
+
+    def test_more_ways_than_a_byte_can_name_are_rejected(self):
+        assert LruPolicy(num_sets=1, ways=256).recency_order(0) == list(range(256))
+        with pytest.raises(ConfigurationError):
+            LruPolicy(num_sets=1, ways=257)
+
+    def test_serving_machine_build_adds_few_tracked_objects(self, monkeypatch):
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+        config = config_for_spec("F+P+M+A")
+        _TenantMachine(config, 2, 4, 7)  # first-build caches out of the count
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            host = _TenantMachine(config, 2, 4, 7)
+            added = len(gc.get_objects()) - before
+        finally:
+            if was_enabled:
+                gc.enable()
+        # A list per LLC recency stack and per L2 TLB set would add
+        # 1,536 more (1,024 + 2 x 256).
+        assert added < 400
+        stacks = host.machine.llc.cache.policy._stacks
+        assert len(stacks) == 1024
+        assert not any(gc.is_tracked(stack) for stack in stacks)

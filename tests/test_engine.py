@@ -1,7 +1,8 @@
 """Tests for the experiment engine, serialization, and result store."""
 
 import json
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
 
 import pytest
 
@@ -22,8 +23,12 @@ from repro.analysis.engine import (
 )
 from repro.analysis.store import ResultStore
 from repro import api
+from repro.cli import main as cli_main
+from repro.core import serialization
 from repro.core.config import MI6Config
+from repro.core.mitigations import config_for_spec, known_compositions, known_mitigations
 from repro.core.serialization import (
+    canonical_json,
     config_digest,
     config_from_dict,
     config_to_dict,
@@ -345,3 +350,83 @@ class TestSpec:
             ("ARB", "mcf", 1),
             ("ARB", "mcf", 2),
         ]
+
+
+def _fresh_encoding(value):
+    """Field-by-field encoding with no memo: the reference for ``config_to_dict``."""
+    if isinstance(value, Enum):
+        return value.name
+    if is_dataclass(value):
+        return {f.name: _fresh_encoding(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _encodes(document, config) -> bool:
+    """Whether ``document`` is ``config``'s encoding, leaf types included (``True`` is not ``1``)."""
+    fresh = _fresh_encoding(config)
+    return document == fresh and canonical_json(document) == canonical_json(fresh)
+
+
+class TestConfigDocumentMemo:
+    @pytest.mark.parametrize(
+        "spec",
+        ["BASE"] + [mitigation.name for mitigation in known_mitigations()] + list(known_compositions()),
+    )
+    def test_every_spec_and_composition_encodes_as_a_fresh_encoding(self, spec):
+        first = config_to_dict(config_for_spec(spec))
+        again = config_to_dict(config_for_spec(spec))
+        assert again is first
+        assert _encodes(again, config_for_spec(spec))
+
+    def test_equal_configs_with_other_leaf_types_keep_their_own_documents(self):
+        canonical = MI6Config(flush_on_context_switch=True)
+        spelled = MI6Config(flush_on_context_switch=1, num_cores=16.0)
+        assert canonical == spelled and hash(canonical) == hash(spelled)
+        for config in (canonical, spelled, canonical, spelled):
+            assert _encodes(config_to_dict(config), config)
+        assert config_digest(canonical) != config_digest(spelled)
+
+    def test_memo_is_bounded(self):
+        assert serialization._config_document.cache_info().maxsize is not None
+
+    def test_shared_documents_stay_unchanged_through_every_command_and_wire_kind(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        seen = []
+        memo = serialization._config_document
+
+        def recording(config, spelling):
+            document = memo(config, spelling)
+            seen.append((config, document))
+            return document
+
+        monkeypatch.setattr(serialization, "_config_document", recording)
+        store = ("--cache-dir", str(tmp_path / "cache"), "--jobs", "1", "--json")
+        variants = ("--variants", "BASE", "F+P+M+A")
+        commands = [
+            ("sweep", *variants, "--benchmarks", "hmmer", "--instructions", "2000"),
+            ("attack", "prime_probe", *variants),
+            ("serve", *variants, "--requests", "40", "--tenants", "4", "--num-cores", "2",
+             "--churn-every", "5", "--instructions", "1500"),
+            ("fleet", *variants, "--load", "0.8", "--tenants", "4", "--shards", "2",
+             "--requests", "60", "--churn-every", "5", "--instructions", "1500"),
+        ]
+        for command in commands:
+            simulated = []
+            for _ in ("cold", "warm"):
+                assert cli_main([*command, *store]) == 0
+                simulated.append(json.loads(capsys.readouterr().out)["cache"]["runs_simulated"])
+            assert simulated[0] > 0 and simulated[1] == 0
+        wire_requests = [
+            api.WorkloadRequest(benchmark="hmmer", config=config_for_spec("F+P+M+A")),
+            api.SweepRequest(variants=("BASE", "F+P+M+A"), benchmarks=("hmmer",)),
+            api.ScenarioRequest(scenarios=("prime_probe",), variants=("F+P+M+A",)),
+            api.ServiceRequest(variants=("F+P+M+A",), churn_every=5),
+            api.FleetRequest(variants=("F+P+M+A",), churn_every=5),
+        ]
+        for request in wire_requests:
+            assert api.request_from_wire(request.to_wire()) == request
+            assert api.request_from_wire(json.loads(json.dumps(request.to_wire()))) == request
+        assert len({id(document) for _, document in seen}) > 1
+        for config, document in seen:
+            assert _encodes(document, config)

@@ -55,6 +55,23 @@ class TestTlb:
             assert all(not entries for entries in tlb._sets)
             assert tlb.resident_entries() == 0
 
+    def test_a_set_holds_a_list_only_while_it_holds_entries(self):
+        def filled_sets(tlb):
+            return [index for index, entries in enumerate(tlb._sets) if isinstance(entries, list)]
+
+        tlb = Tlb("l2tlb", entries=1024, ways=4)
+        assert filled_sets(tlb) == []
+        tlb.access(5 * 4096)
+        tlb.access(261 * 4096)
+        assert filled_sets(tlb) == [5]
+        copy = Tlb("l2tlb", entries=1024, ways=4)
+        copy.load_warm_state(tlb.capture_warm_state())
+        assert filled_sets(copy) == [5]
+        assert copy.lookup(5 * 4096) and copy.lookup(261 * 4096)
+        assert tlb.flush_all() == 2
+        assert filled_sets(tlb) == []
+        assert tlb.access(5 * 4096) is False
+
     def test_flush_of_empty_tlb_registers_the_counter(self):
         tlb = Tlb("itlb", entries=32)
         assert tlb.flush_all() == 0

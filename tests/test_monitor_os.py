@@ -10,6 +10,7 @@ from repro.monitor.measurement import attest, measure_pages
 from repro.monitor.security_monitor import SecurityMonitor
 from repro.os_model.kernel import MaliciousOS, UntrustedOS
 from repro.os_model.machine import Machine
+from repro.service.simulation import _TenantMachine
 
 
 @pytest.fixture()
@@ -202,3 +203,76 @@ class TestPurgeAccounting:
         assert set(audit) == {0, 1}
         assert audit[1] == {"purge_count": 2, "purge_stall_cycles": 1024}
         assert audit[0] == {"purge_count": 0, "purge_stall_cycles": 0}
+
+
+def _eager_identity_mappings(regions, address_map):
+    """The OS identity table as an eager build inserts it: region by region, page by page."""
+    mappings = {}
+    page_bytes = address_map.page_bytes
+    for region in sorted(regions):
+        first_page = address_map.region_base(region) // page_bytes
+        for page in range(first_page, first_page + address_map.pages_per_region):
+            mappings[page] = page
+    return mappings
+
+
+class TestLazyIdentityTable:
+    """The OS table builds its dict on first read, and nothing can tell."""
+
+    @pytest.fixture(params=[{63}, {40, 60}, None], ids=["one-region", "two-regions", "default"])
+    def os_platform(self, request):
+        machine = Machine(config_for_spec("F+P+M+A"), num_cores=2)
+        operating_system = UntrustedOS(machine, SecurityMonitor(machine), os_regions=request.param)
+        table = operating_system.domain.page_table
+        eager = _eager_identity_mappings(operating_system.domain.regions, machine.address_map)
+        return machine, table, eager
+
+    def test_first_read_equals_the_eager_build(self, os_platform):
+        _, table, eager = os_platform
+        assert list(table.mappings.items()) == list(eager.items())
+        assert table.mappings is table.mappings
+
+    def test_translate_before_the_first_read_sees_identity_pages(self, os_platform):
+        machine, table, eager = os_platform
+        last_page = next(reversed(eager))
+        address = last_page * table.page_bytes + 123
+        assert table.translate(address) == address
+        assert table.translate(machine.address_map.region_base(1)) is None
+        assert list(table.mappings.items()) == list(eager.items())
+
+    def test_unmap_before_the_first_read_removes_an_identity_page(self, os_platform):
+        _, table, eager = os_platform
+        page = list(eager)[len(eager) // 2]
+        table.unmap_page(page * table.page_bytes)
+        del eager[page]
+        assert table.translate(page * table.page_bytes) is None
+        assert list(table.mappings.items()) == list(eager.items())
+
+    def test_map_before_the_first_read_keeps_the_eager_order(self, os_platform):
+        machine, table, eager = os_platform
+        remapped = next(iter(eager))
+        outside = machine.address_map.region_base(1) // table.page_bytes
+        table.map_page(remapped * table.page_bytes, outside * table.page_bytes)
+        table.map_page(outside * table.page_bytes, outside * table.page_bytes)
+        eager[remapped] = outside
+        eager[outside] = outside
+        assert list(table.mappings.items()) == list(eager.items())
+
+    def test_a_probe_leaves_another_machines_table_unchanged(self):
+        platforms = []
+        for _ in range(2):
+            machine = Machine(config_for_spec("F+P+M+A"), num_cores=2)
+            operating_system = MaliciousOS(machine, SecurityMonitor(machine))
+            victim = operating_system.launch_enclave({2, 3}, {0x1000: b"secret"}, core_id=1)
+            platforms.append((machine, operating_system, victim))
+        (_, prober, victim), (machine, bystander, _) = platforms
+        assert prober.probe_enclave_memory(victim) is False
+        target_page = machine.address_map.region_base(2) // 4096
+        assert prober.domain.page_table.mappings[target_page] == target_page
+        eager = _eager_identity_mappings(bystander.domain.regions, machine.address_map)
+        assert target_page not in eager
+        assert list(bystander.domain.page_table.mappings.items()) == list(eager.items())
+
+    def test_serving_machine_build_leaves_the_os_table_unbuilt(self):
+        host = _TenantMachine(config_for_spec("F+P+M+A"), 2, 4, 7)
+        assert "mappings" not in vars(host.os.domain.page_table)
