@@ -34,7 +34,7 @@ phases did to the shared cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.fastpath import slow_path_enabled
@@ -133,16 +133,20 @@ class _CoreState:
     """Issue cursor and in-flight bookkeeping for one party."""
 
     ops: List[MemOp]
+    cap: int
     phase_start: int = 0
     next_index: int = 0
     last_issue_cycle: int = -1
     # In-flight entries: (op index, op, functional outcome, issue cycle,
     # llc request or local completion cycle).
     in_flight: List[tuple] = field(default_factory=list)
+    # Earliest completion cycle among the in-flight local entries (L1
+    # hits and suppressed accesses), or None when there are none.
+    local_due: Optional[int] = None
 
-    @property
-    def done(self) -> bool:
-        return self.next_index >= len(self.ops) and not self.in_flight
+
+#: One party of a phase: core id, its state, and its completion sink.
+_Party = Tuple[int, _CoreState, List[CompletedAccess]]
 
 
 class CoScheduledExecutor:
@@ -184,11 +188,6 @@ class CoScheduledExecutor:
         """Current cycle of the shared timing pipeline."""
         return self.detailed.cycle
 
-    def _cap_for(self, core_id: int) -> int:
-        if isinstance(self._max_outstanding, int):
-            return self._max_outstanding
-        return self._max_outstanding.get(core_id, DEFAULT_MAX_OUTSTANDING)
-
     # ------------------------------------------------------------------
     # Functional resolution
 
@@ -209,6 +208,20 @@ class CoScheduledExecutor:
     ) -> Dict[int, List[CompletedAccess]]:
         """Run one co-scheduled phase to completion.
 
+        The phase's bookkeeping is set up once: the cores in ascending
+        id order (the order they issue and are collected in), each
+        core's in-flight cap, and a count of the ops not yet collected,
+        which ends the phase when it reaches zero.
+
+        On the fast path a core is collected after a step only when a
+        completion can be waiting: the detailed LLC answered a request
+        in that step (:attr:`DetailedLlc.completed` grew), or the core's
+        earliest local completion (an L1 hit or a suppressed access,
+        noted as it issues) is due.  A core skipped otherwise holds
+        nothing to collect, so the completion records and their order
+        are the reference loop's; under ``REPRO_SLOW_PATH=1`` that loop
+        collects every core after every cycle and stays the oracle.
+
         Args:
             traces: Mapping core id -> that party's access stream.  Cores
                 absent from the mapping stay idle (their queues still own
@@ -222,12 +235,22 @@ class CoScheduledExecutor:
         for core_id in traces:
             if core_id < 0 or core_id >= self.machine.num_cores:
                 raise ConfigurationError(f"core {core_id} not present on the machine")
-        states = {
-            core_id: _CoreState(ops=list(ops), phase_start=self.detailed.cycle)
-            for core_id, ops in traces.items()
-        }
+        detailed = self.detailed
+        phase_start = detailed.cycle
+        max_outstanding = self._max_outstanding
         results: Dict[int, List[CompletedAccess]] = {core_id: [] for core_id in traces}
-        deadline = self.detailed.cycle + max_cycles
+        cores: List[_Party] = []
+        remaining = 0
+        for core_id in sorted(traces):
+            if isinstance(max_outstanding, int):
+                cap = max_outstanding
+            else:
+                cap = max_outstanding.get(core_id, DEFAULT_MAX_OUTSTANDING)
+            state = _CoreState(ops=list(traces[core_id]), cap=cap, phase_start=phase_start)
+            cores.append((core_id, state, results[core_id]))
+            remaining += len(state.ops)
+        deadline = phase_start + max_cycles
+        llc_completed = detailed.completed
         # Event-batched driving: jump the shared clock over gaps where the
         # detailed pipeline is idle or only MSHR-parked, no local
         # completion is due, and no party may issue (issue-gap spacing).
@@ -236,46 +259,46 @@ class CoScheduledExecutor:
         # loop stays reachable under REPRO_SLOW_PATH=1 as the
         # bit-identity oracle.
         batched = not slow_path_enabled()
-        while any(not state.done for state in states.values()):
-            if self.detailed.cycle >= deadline:
+        while remaining:
+            if detailed.cycle >= deadline:
+                in_flight = sum(len(state.in_flight) for _core_id, state, _sink in cores)
                 raise RuntimeError(
-                    f"co-scheduled phase exceeded {max_cycles} cycles "
-                    f"({sum(len(state.in_flight) for state in states.values())} in flight)"
+                    f"co-scheduled phase exceeded {max_cycles} cycles ({in_flight} in flight)"
                 )
             if batched:
-                target = self._next_interesting_cycle(states)
-                if target is not None and target > self.detailed.cycle:
-                    self.detailed.advance_to(min(target, deadline))
-                    if self.detailed.cycle >= deadline:
+                target = self._next_interesting_cycle(cores)
+                if target is not None and target > detailed.cycle:
+                    detailed.advance_to(min(target, deadline))
+                    if detailed.cycle >= deadline:
                         continue
-            cycle = self.detailed.cycle
-            for core_id in sorted(states):
-                self._issue_ready_ops(core_id, states[core_id], cycle)
-            self.detailed.step()
-            for core_id in sorted(states):
-                self._collect_completions(core_id, states[core_id], results[core_id])
+            cycle = detailed.cycle
+            for core_id, state, _sink in cores:
+                self._issue_ready_ops(core_id, state, cycle)
+            answered_before = len(llc_completed)
+            detailed.step()
+            collect_all = not batched or len(llc_completed) != answered_before
+            cycle = detailed.cycle
+            for core_id, state, sink in cores:
+                if collect_all or (state.local_due is not None and state.local_due <= cycle):
+                    remaining -= self._collect_completions(core_id, state, sink)
         return results
 
-    def _next_interesting_cycle(self, states: Dict[int, _CoreState]) -> Optional[int]:
+    def _next_interesting_cycle(self, cores: List[_Party]) -> Optional[int]:
         """Earliest pre-step cycle at which issuing, stepping, or collecting acts.
 
         Detailed-LLC events act in the step of the cycle they report.  A
         locally completing access (L1 hit / suppressed) with completion
         cycle ``P`` is collected after the step of cycle ``P - 1`` — and
-        only then frees its slot in the in-flight cap — so it contributes
-        ``P - 1``.  An issuable op contributes its earliest issue cycle.
+        only then frees its slot in the in-flight cap — so each core's
+        earliest one contributes ``P - 1``.  An issuable op contributes
+        its earliest issue cycle.
         """
         best = self.detailed.next_event_cycle()
-        for core_id, state in states.items():
-            for entry in state.in_flight:
-                pending = entry[4]
-                if not isinstance(pending, LlcRequest):
-                    due = pending - 1
-                    if best is None or due < best:
-                        best = due
-            if state.next_index < len(state.ops) and len(state.in_flight) < self._cap_for(
-                core_id
-            ):
+        for _core_id, state, _sink in cores:
+            local_due = state.local_due
+            if local_due is not None and (best is None or local_due - 1 < best):
+                best = local_due - 1
+            if state.next_index < len(state.ops) and len(state.in_flight) < state.cap:
                 op = state.ops[state.next_index]
                 gap_base = (
                     state.last_issue_cycle
@@ -290,7 +313,7 @@ class CoScheduledExecutor:
         return best
 
     def _issue_ready_ops(self, core_id: int, state: _CoreState, cycle: int) -> None:
-        cap = self._cap_for(core_id)
+        cap = state.cap
         while state.next_index < len(state.ops) and len(state.in_flight) < cap:
             op = state.ops[state.next_index]
             gap_base = (
@@ -306,7 +329,10 @@ class CoScheduledExecutor:
                 # Suppressed accesses and L1 hits never reach the shared
                 # LLC: they complete locally after a fixed private delay.
                 local_delay = 1 if outcome.blocked_by_protection else max(1, outcome.latency)
-                state.in_flight.append((index, op, outcome, cycle, cycle + local_delay))
+                due = cycle + local_delay
+                state.in_flight.append((index, op, outcome, cycle, due))
+                if state.local_due is None or due < state.local_due:
+                    state.local_due = due
                 continue
             request = LlcRequest(
                 core=core_id,
@@ -322,9 +348,11 @@ class CoScheduledExecutor:
 
     def _collect_completions(
         self, core_id: int, state: _CoreState, sink: List[CompletedAccess]
-    ) -> None:
+    ) -> int:
+        """Record ``core_id``'s finished accesses; returns how many."""
         cycle = self.detailed.cycle
         still_pending: List[tuple] = []
+        local_due: Optional[int] = None
         for entry in state.in_flight:
             index, op, outcome, issue, pending = entry
             if isinstance(pending, LlcRequest):
@@ -335,6 +363,8 @@ class CoScheduledExecutor:
             else:
                 if pending > cycle:
                     still_pending.append(entry)
+                    if local_due is None or pending < local_due:
+                        local_due = pending
                     continue
                 complete = pending
             record = CompletedAccess(
@@ -350,7 +380,10 @@ class CoScheduledExecutor:
             )
             sink.append(record)
             self.completed.append(record)
+        collected = len(state.in_flight) - len(still_pending)
         state.in_flight = still_pending
+        state.local_due = local_due
+        return collected
 
     # ------------------------------------------------------------------
     # Conveniences for sequential (time-sliced) scenarios

@@ -24,7 +24,13 @@ Two storage layouts back the same public API:
   (``tags`` / ``dirty`` / ``owner`` lists indexed ``set * ways + way``)
   plus a per-set ``{tag: way}`` map and a per-set valid count, so a hit
   is one dict probe instead of a way scan and victim selection never
-  builds a per-access ``valid`` list.  Replacement decisions consume the
+  builds a per-access ``valid`` list.  A set that has never been filled
+  (since construction or the last flush) points at one shared, never
+  written empty map, and gets a dict of its own on its first fill, so
+  building or flushing a 1,024-set LLC allocates one list, not 1,024
+  dicts.  Lookups and invalidations only read an unfilled set's map;
+  warm-state capture and load keep the shared map for empty sets.
+  Replacement decisions consume the
   policy objects' own state (the LRU recency stacks, the pseudo-random
   RNG draw sequence) so every policy-visible effect — including which
   RNG values are drawn and when — is bit-identical to the reference
@@ -47,6 +53,10 @@ from repro.mem.replacement import (
     ReplacementPolicy,
     SelfCleaningLruPolicy,
 )
+
+
+#: Tag map of every slab set without a dict of its own; never written.
+_NO_TAGS: Dict[int, int] = {}
 
 
 @dataclass(slots=True)
@@ -194,7 +204,7 @@ class SetAssociativeCache:
             self._slab_tags = [None] * total
             self._slab_dirty = [False] * total
             self._slab_owners = [None] * total
-            self._tag_maps = [{} for _ in range(geometry.num_sets)]
+            self._tag_maps = [_NO_TAGS] * geometry.num_sets
             self._valid_counts = [0] * geometry.num_sets
             if policy_type is PseudoRandomPolicy:
                 # randint(0, ways-1) resolves to _randbelow(ways); binding
@@ -424,6 +434,8 @@ class SetAssociativeCache:
         evicted_dirty = False
         evicted_owner: Optional[int] = None
         if valid_count < ways:
+            if not valid_count and tag_map is _NO_TAGS:
+                tag_map = self._tag_maps[set_index] = {}
             # Both in-tree policies fill the first invalid way.
             victim_way = 0
             slot = base
@@ -533,6 +545,8 @@ class SetAssociativeCache:
         base = set_index * ways
         valid_count = self._valid_counts[set_index]
         if valid_count < ways:
+            if not valid_count and tag_map is _NO_TAGS:
+                tag_map = self._tag_maps[set_index] = {}
             victim_way = 0
             slot = base
             while tags[slot] is not None:
@@ -602,14 +616,17 @@ class SetAssociativeCache:
         Only the sets with a non-zero valid count are visited (through
         :func:`itertools.compress`), so the cost follows the resident
         lines rather than the geometry; they are scanned in the
-        reference order with the same policy calls.
+        reference order with the same policy calls.  A cache holding no
+        line returns at once.
         """
+        valid_counts = self._valid_counts
+        if not any(valid_counts):
+            return 0
         ways = self._ways
         tags = self._slab_tags
         dirty = self._slab_dirty
         owners = self._slab_owners
         tag_maps = self._tag_maps
-        valid_counts = self._valid_counts
         invalidate = self._policy.invalidate
         invalidated = 0
         for set_index in compress(range(len(valid_counts)), valid_counts):
@@ -648,7 +665,7 @@ class SetAssociativeCache:
             self._slab_tags = [None] * total
             self._slab_dirty = [False] * total
             self._slab_owners = [None] * total
-            self._tag_maps = [{} for _ in range(self.geometry.num_sets)]
+            self._tag_maps = [_NO_TAGS] * self.geometry.num_sets
             self._valid_counts = [0] * self.geometry.num_sets
         self._policy.reset()
         counter = self._c_flush_lines
@@ -801,7 +818,7 @@ class _SlabCache(SetAssociativeCache):
             list(self._slab_tags),
             list(self._slab_dirty),
             list(self._slab_owners),
-            [dict(tag_map) for tag_map in self._tag_maps],
+            [dict(tag_map) if tag_map else _NO_TAGS for tag_map in self._tag_maps],
             list(self._valid_counts),
             None if self._lru_stacks is None else list(map(bytes, self._lru_stacks)),
             policy._rng.getstate() if isinstance(policy, PseudoRandomPolicy) else None,
@@ -817,7 +834,7 @@ class _SlabCache(SetAssociativeCache):
         self._slab_tags = list(tags)
         self._slab_dirty = list(dirty)
         self._slab_owners = list(owners)
-        self._tag_maps = [dict(tag_map) for tag_map in tag_maps]
+        self._tag_maps = [dict(tag_map) if tag_map else _NO_TAGS for tag_map in tag_maps]
         self._valid_counts = list(valid_counts)
         if self._lru_stacks is not None:
             # In place: the policy and this cache share the container.

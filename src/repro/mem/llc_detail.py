@@ -235,13 +235,25 @@ class DetailedLlc:
         self._upgrade_in[request.core].append(request)
 
     def step(self) -> None:
-        """Advance the LLC by one cycle."""
-        self._deliver_due_l1_answers()
-        self._deliver_due_dram_responses()
+        """Advance the LLC by one cycle.
+
+        A phase whose trigger is empty is not called: pending L1
+        answers, DRAM-waiting MSHRs, unsent downgrades, the DQ and the
+        pipeline are each tested here first.  Each of those phases
+        returns at once on that same test, so skipping the call changes
+        nothing; both kernels run this step.
+        """
+        if self._pending_l1_answers:
+            self._deliver_due_l1_answers()
+        if self._dram_waiting:
+            self._deliver_due_dram_responses()
         self._dequeue_uq()
-        self._run_downgrade_logic()
-        self._dequeue_dq()
-        self._process_pipeline_exit()
+        if self._downgrades_unsent:
+            self._run_downgrade_logic()
+        if self._dq:
+            self._dequeue_dq()
+        if self._pipeline:
+            self._process_pipeline_exit()
         self._arbitrate_pipeline_entry()
         self.cycle += 1
 

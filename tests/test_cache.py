@@ -12,7 +12,7 @@ from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
 from repro.core.mitigations import config_for_spec
 from repro.mem.address import AddressMap, CacheGeometry
-from repro.mem.cache import SetAssociativeCache
+from repro.mem.cache import _NO_TAGS, SetAssociativeCache
 from repro.mem.dram import DramController
 from repro.mem.llc import LastLevelCache, LlcConfig
 from repro.mem.replacement import LruPolicy, PseudoRandomPolicy, SelfCleaningLruPolicy
@@ -187,6 +187,64 @@ class TestFlushOfEmptyCache:
             policy.reset()
 
 
+def line_in_set(set_index, way):
+    """Address of the ``way``-th line that maps to ``set_index`` of an 8-set cache."""
+    return (set_index + 8 * way) * 64
+
+
+class TestTagMapsOnFirstFill:
+    """Slab sets share one never-written empty tag map until their first fill."""
+
+    @staticmethod
+    def check(cache, reference, owning):
+        """``owning`` sets have a map of their own; every map names its valid lines."""
+        assert not _NO_TAGS
+        maps = cache._tag_maps
+        assert {index for index, tag_map in enumerate(maps) if tag_map is not _NO_TAGS} == owning
+        sets = range(cache.geometry.num_sets)
+        contents = [cache.set_contents(index) for index in sets]
+        assert contents == [reference.set_contents(index) for index in sets]
+        for tag_map, lines in zip(maps, contents):
+            assert tag_map == {line.tag: way for way, line in enumerate(lines) if line.valid}
+
+    def test_only_filled_sets_get_a_map(self, monkeypatch):
+        monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
+        reference = small_cache(ways=2, sets=8)
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR)
+        cache = small_cache(ways=2, sets=8)
+        assert cache._uses_slabs and not reference._uses_slabs
+        assert all(tag_map is _NO_TAGS for tag_map in cache._tag_maps)
+        self.check(cache, reference, set())
+        both = (cache, reference)
+        for target in both:  # fills: set 1 through access, set 4 through probe
+            target.access(line_in_set(1, 0), owner=1)
+            target.access(line_in_set(1, 1), is_write=True, owner=1)
+            assert not target.probe(line_in_set(4, 0), owner=2)
+        self.check(cache, reference, {1, 4})
+        for target in both:  # an eviction from the full set 1
+            assert target.access(line_in_set(1, 2), owner=3).evicted_tag == 1
+        self.check(cache, reference, {1, 4})
+        for target in both:  # set 4 empties and keeps its map; set 6 was never filled
+            assert target.invalidate_address(line_in_set(4, 0))
+            assert not target.invalidate_address(line_in_set(6, 0))
+        self.check(cache, reference, {1, 4})
+        for target in both:  # a region scrub over tags 9..16: set 1's tag 9
+            assert target.invalidate_tag_range(9, 17) == 1
+        self.check(cache, reference, {1, 4})
+        copy = small_cache(ways=2, sets=8)
+        copy.load_warm_state(cache.capture_warm_state())
+        self.check(copy, reference, {1})  # the emptied set 4 is back on the shared map
+        for target in (cache, copy, reference):
+            target.access(line_in_set(4, 1), owner=5)
+        self.check(cache, reference, {1, 4})
+        self.check(copy, reference, {1, 4})
+        for target in both:
+            assert target.flush_all() == 2
+        self.check(cache, reference, set())
+        assert copy.flush_all() == 2
+        self.check(copy, reference, set())
+
+
 class _ListLru:
     """The list-based recency stacks the LRU policies kept before: the reference."""
 
@@ -253,8 +311,10 @@ class TestPerSetStateOffTheGc:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
+            allocated = gc.get_count()[0]
             before = len(gc.get_objects())
             host = _TenantMachine(config, 2, 4, 7)
+            allocated = gc.get_count()[0] - allocated
             added = len(gc.get_objects()) - before
         finally:
             if was_enabled:
@@ -262,6 +322,10 @@ class TestPerSetStateOffTheGc:
         # A list per LLC recency stack and per L2 TLB set would add
         # 1,536 more (1,024 + 2 x 256).
         assert added < 400
+        # Every object of a collectable type counts toward the young
+        # generation's threshold, tracked or not: a tag-map dict per LLC
+        # set would add 1,024.
+        assert allocated < 400
         stacks = host.machine.llc.cache.policy._stacks
         assert len(stacks) == 1024
         assert not any(gc.is_tracked(stack) for stack in stacks)

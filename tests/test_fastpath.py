@@ -370,6 +370,73 @@ class TestCoScheduledCounterEquivalence:
         assert fast == slow
 
 
+class TestCoScheduledCompletionEquivalence:
+    """Three parties' completion records, record for record and in order.
+
+    Each core is collected on the fast path only when the detailed LLC
+    answered a request in the step or the core's earliest local
+    completion is due; a local completion (an L1 hit or a suppressed
+    access) collected one cycle late would free its in-flight slot late
+    and reorder :attr:`CoScheduledExecutor.completed`.
+    """
+
+    @staticmethod
+    def three_party_phase(spec):
+        machine = build_scenario_machine(config_for_spec(spec), seed=2019, num_cores=3)
+        placement = default_placement(3)
+        attacker, victim = placement.attacker_core, placement.victim_core
+        (bystander,) = placement.bystander_cores
+        region_base = machine.address_map.region_base
+        num_regions = machine.config.address_map.num_regions
+        attacker_base = region_base(min(ATTACKER_REGIONS))
+        victim_base = region_base(min(VICTIM_REGIONS))
+        bystander_base = region_base(min(placement.bystander_regions(bystander, num_regions)))
+        executor = CoScheduledExecutor(
+            machine, max_outstanding={attacker: 3, victim: 6, bystander: 2}
+        )
+        executor.run_phase(
+            {
+                # Four lines over and over (an LLC miss each, then L1
+                # hits), and every fifth op reaches into the victim's
+                # region, which the region check suppresses on MI6.
+                attacker: [
+                    MemOp(
+                        victim_base + step * 64
+                        if step % 5 == 4
+                        else attacker_base + (step % 4) * 64,
+                        issue_gap=step % 3,
+                    )
+                    for step in range(40)
+                ],
+                victim: [
+                    MemOp(victim_base + (line % 12) * 64, is_write=line % 3 == 0, issue_gap=5)
+                    for line in range(30)
+                ],
+                bystander: [
+                    MemOp(bystander_base + (line % 6) * 64, issue_gap=11) for line in range(24)
+                ],
+            }
+        )
+        executor.idle(200)
+        return executor.completed, executor.cycle, machine.stats.counters()
+
+    @pytest.mark.parametrize("spec", ["BASE", "F+P+M+A"])
+    def test_three_party_records_identical(self, spec, monkeypatch):
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+        fast = self.three_party_phase(spec)
+        monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
+        slow = self.three_party_phase(spec)
+        completed = fast[0]
+        assert len(completed) == 40 + 30 + 24
+        assert {record.core_id for record in completed} == {0, 1, 2}
+        assert any(record.l1_hit for record in completed)
+        assert any(
+            not (record.l1_hit or record.llc_hit or record.blocked) for record in completed
+        )
+        assert any(record.blocked for record in completed) == (spec == "F+P+M+A")
+        assert fast == slow
+
+
 class TestServeEquivalence:
     def test_service_outcome_identical(self, monkeypatch):
         # Field-for-field through ServiceOutcome.to_dict(): latencies,
