@@ -12,7 +12,9 @@ This module sits on the simulator's hottest path (every instruction fetch
 and data access lands here), so the access machinery avoids per-access
 allocations: counter handles are cached after first use (registration
 stays lazy, so the set of counters a run reports is unchanged), the
-index/tag decomposition is a precomputed shift-and-mask, and the internal
+index/tag decomposition is a precomputed shift-and-mask whenever the
+default index and tag functions are in use (the L1s, and the LLC under
+the baseline index function), and the internal
 :meth:`SetAssociativeCache.access_parts` returns plain values that the L1
 and LLC wrappers consume without building an :class:`AccessResult`.
 
@@ -24,7 +26,9 @@ Two storage layouts back the same public API:
   (``tags`` / ``dirty`` / ``owner`` lists indexed ``set * ways + way``)
   plus a per-set ``{tag: way}`` map and a per-set valid count, so a hit
   is one dict probe instead of a way scan and victim selection never
-  builds a per-access ``valid`` list.  A set that has never been filled
+  builds a per-access ``valid`` list: a set with a free way fills the
+  first one, found with ``list.index`` over the set's tag slots, and a
+  full set takes the policy's victim.  A set that has never been filled
   (since construction or the last flush) points at one shared, never
   written empty map, and gets a dict of its own on its first fill, so
   building or flushing a 1,024-set LLC allocates one list, not 1,024
@@ -36,6 +40,12 @@ Two storage layouts back the same public API:
   RNG values are drawn and when — is bit-identical to the reference
   layout.  The equivalence suite (``tests/test_fastpath.py``) enforces
   this across the mitigation lattice.
+
+The memory hierarchy's warm-up lanes
+(:meth:`repro.mem.hierarchy.MemoryHierarchy.prime_data_timing` and
+``prime_fetch_timing``) apply the slab probe, fill and LRU access to
+the L1 and LLC slabs in place; ``tests/test_warmup_lanes.py`` checks
+that they leave the slabs as these methods do.
 """
 
 from __future__ import annotations
@@ -241,9 +251,6 @@ class SetAssociativeCache:
         """Replacement policy instance."""
         return self._policy
 
-    def _default_index(self, physical_address: int) -> int:
-        return self.geometry.line_address(physical_address) & (self.geometry.num_sets - 1)
-
     def set_index(self, physical_address: int) -> int:
         """Set index a physical address maps to."""
         return self._index_for(physical_address)
@@ -437,11 +444,8 @@ class SetAssociativeCache:
             if not valid_count and tag_map is _NO_TAGS:
                 tag_map = self._tag_maps[set_index] = {}
             # Both in-tree policies fill the first invalid way.
-            victim_way = 0
-            slot = base
-            while tags[slot] is not None:
-                victim_way += 1
-                slot += 1
+            slot = tags.index(None, base, base + ways)
+            victim_way = slot - base
             self._valid_counts[set_index] = valid_count + 1
         else:
             stacks = self._lru_stacks
@@ -547,11 +551,8 @@ class SetAssociativeCache:
         if valid_count < ways:
             if not valid_count and tag_map is _NO_TAGS:
                 tag_map = self._tag_maps[set_index] = {}
-            victim_way = 0
-            slot = base
-            while tags[slot] is not None:
-                victim_way += 1
-                slot += 1
+            slot = tags.index(None, base, base + ways)
+            victim_way = slot - base
             self._valid_counts[set_index] = valid_count + 1
         else:
             stacks = self._lru_stacks
@@ -760,17 +761,6 @@ class SetAssociativeCache:
                 for slot in range(base, base + self._ways)
             ]
         return [CacheLine(line.valid, line.tag, line.dirty, line.owner) for line in self._sets[set_index]]
-
-    def owners_in_set(self, set_index: int) -> set:
-        """Distinct owner labels with valid lines in ``set_index``."""
-        if self._sets is None:
-            base = set_index * self._ways
-            tags = self._slab_tags
-            owners = self._slab_owners
-            return {
-                owners[slot] for slot in range(base, base + self._ways) if tags[slot] is not None
-            }
-        return {line.owner for line in self._sets[set_index] if line.valid}
 
     def _note_if_set_empty(self, set_index: int) -> None:
         if isinstance(self._policy, SelfCleaningLruPolicy):

@@ -17,19 +17,24 @@ Two access surfaces are exposed:
 * the timing methods (:meth:`MemoryHierarchy.data_access_timing`,
   :meth:`MemoryHierarchy.fetch_access_timing`) perform *identical* state
   and statistics updates but return only the scalars the fast core loop
-  consumes, skipping the per-access record construction.  They also serve
-  as the warm-up fast-forward: priming runs through them because warm-up
-  discards every latency anyway.
+  consumes, skipping the per-access record construction.
+
+Warm-up discards every latency, so the fast kernel primes through the
+fused warm-up lanes (:meth:`MemoryHierarchy.prime_data_timing`,
+:meth:`MemoryHierarchy.prime_fetch_timing`): one loop per side that
+applies the TLB, L1 and LLC effects of each address in place, with the
+timing methods' state and statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
 from repro.mem.address import AddressMap
+from repro.mem.cache import _NO_TAGS, SetAssociativeCache
 from repro.mem.dram import DramController
 from repro.mem.l1 import L1Cache
 from repro.mem.llc import LastLevelCache
@@ -239,7 +244,7 @@ class MemoryHierarchy:
         counter.value += 1
 
     def _physical_data_timing(
-        self, physical_address: int, *, is_write: bool, is_ptw: bool = False
+        self, physical_address: int, *, is_write: bool = False, is_ptw: bool = False
     ) -> tuple:
         """Access the data-side hierarchy with an already translated address.
 
@@ -309,150 +314,325 @@ class MemoryHierarchy:
             return (latency + extra, False, 0)
         return (latency + extra, True, llc_parts[3])
 
-    def prime_data_timing(self, addresses) -> None:
-        """Warm-up prime of the data-side hierarchy (fast kernel only).
+    def prime_data_timing(self, addresses: Iterable[int]) -> None:
+        """Warm-up prime of the data side (fast kernel only).
 
         State- and statistics-identical to calling
         :meth:`data_access_timing` on every address in ``addresses`` and
-        discarding the results, which is exactly what the processor's
-        warm-up loop does: every hot handle (TLB set lists, page-table
-        mappings, L1 probe, LLC tag access) is bound once for the whole
-        batch instead of per access.  The common case — a D-TLB hit — is
-        handled in the loop; anything else (TLB miss, page fault, blocked
-        region) falls back to the full accessor, whose counter bumps then
-        happen exactly once per access, as in the reference.
+        discarding the results, which is what the processor's warm-up
+        does; see :meth:`_prime_lane`.
         """
-        page_table = self.page_table
-        data_access_timing = self.data_access_timing
-        if page_table is None:
-            for virtual_address in addresses:
-                data_access_timing(virtual_address)
-            return
-        tlb = self.dtlb
-        tlb_page_bytes = tlb.page_bytes
-        tlb_num_sets = tlb.num_sets
-        tlb_sets = tlb._sets
-        asid_get = tlb._asid_of.get
-        page_bytes = page_table.page_bytes
-        mappings_get = page_table.mappings.get
-        region_allowed = self.region_allowed
-        l1d_probe = self._l1d_probe
-        llc = self.llc
-        llc_cache_access_parts = llc._cache_access_parts
-        owner = self.owner
-        c_tlb_access = tlb._c_access
-        c_tlb_hit = tlb._c_hit
-        c_llc_access = self._c_data_llc_access
-        for virtual_address in addresses:
-            vpn = virtual_address // tlb_page_bytes
-            entries = tlb_sets[vpn % tlb_num_sets]
-            if vpn not in entries or asid_get(vpn, 0) != 0:
-                data_access_timing(virtual_address)
-                continue
-            if c_tlb_access is None:
-                c_tlb_access = tlb._c_access = tlb._stats.counter(f"{tlb.name}.access")
-            c_tlb_access.value += 1
-            if entries[0] != vpn:
-                entries.remove(vpn)
-                entries.insert(0, vpn)
-            if c_tlb_hit is None:
-                c_tlb_hit = tlb._c_hit = tlb._stats.counter(f"{tlb.name}.hit")
-            c_tlb_hit.value += 1
-            ppn = mappings_get(virtual_address // page_bytes)
-            if ppn is None:
-                counter = self._c_page_faults
-                if counter is None:
-                    counter = self._c_page_faults = self._stats.counter("mem.page_faults")
-                counter.value += 1
-                continue
-            physical = ppn * page_bytes + virtual_address % page_bytes
-            if region_allowed is not None and not region_allowed(physical):
-                self._count_blocked_access()
-                continue
-            if l1d_probe(physical, False, owner):
-                continue
-            # Inlined ``LastLevelCache.access_parts`` minus the latency and
-            # bank values the warm-up discards.
-            parts = llc_cache_access_parts(physical, False, owner)
-            if not parts[0] and parts[4]:
-                counter = llc._c_replacement_writeback
-                if counter is None:
-                    counter = llc._c_replacement_writeback = llc._stats.counter(
-                        "llc.replacement_writeback"
-                    )
-                counter.value += 1
-            if c_llc_access is None:
-                c_llc_access = self._c_data_llc_access = self._stats.counter(
-                    "data.llc_access"
-                )
-            c_llc_access.value += 1
+        self._prime_lane(addresses, data_side=True)
 
-    def prime_fetch_timing(self, addresses) -> None:
+    def prime_fetch_timing(self, addresses: Iterable[int]) -> None:
         """Warm-up prime of the instruction side (fast kernel only).
 
-        The I-side twin of :meth:`prime_data_timing`: identical state and
-        statistics effects to :meth:`fetch_access_timing` per address,
-        with the I-TLB hit case fused into the loop and everything else
-        delegated to the full accessor.
+        State- and statistics-identical to calling
+        :meth:`fetch_access_timing` on every address; see
+        :meth:`_prime_lane`.
         """
+        self._prime_lane(addresses, data_side=False)
+
+    def _prime_handles(self, tlb: Tlb, l1: SetAssociativeCache, data_side: bool) -> tuple:
+        """The counter handles :meth:`_prime_lane` needs, as the structures hold them.
+
+        A handle is ``None`` until its counter is registered.
+        """
+        llc_cache = self.llc.cache
+        return (
+            tlb._c_access,
+            tlb._c_hit,
+            l1._c_access,
+            l1._c_hit,
+            l1._c_miss,
+            l1._c_eviction,
+            llc_cache._c_access,
+            llc_cache._c_hit,
+            llc_cache._c_miss,
+            llc_cache._c_eviction,
+            llc_cache._c_writeback,
+            self.llc._c_replacement_writeback,
+            self._c_data_llc_access if data_side else None,
+        )
+
+    def _prime_lane(self, addresses: Iterable[int], data_side: bool) -> None:
+        """Fused warm-up lane of one side: the TLB, the L1 and the LLC in one loop.
+
+        The data side is the D-TLB, the L1D and the ``data.llc_access``
+        count; the instruction side is the I-TLB and the L1I.  Warm-up
+        discards every latency, so the loop applies each access's state
+        and statistics effects in place and computes no latency:
+
+        * a hit on a resident, mapped TLB entry moves it to the front and
+          bumps the TLB's counters.  While consecutive addresses stay on
+          that front page, the loop reuses its translation and its
+          region verdict.  Only an allowing verdict is reused: the
+          region check changes and counts nothing when it allows, and a
+          page never straddles two DRAM regions.  A denied access is
+          counted by the check and by :meth:`_count_blocked_access` /
+          :meth:`_count_blocked_fetch`, once per access, as in the
+          accessors;
+        * the L1 slab is probed and filled in place, a full set drawing
+          its victim with the pseudo-random policy's ``getrandbits``
+          rejection loop, as :meth:`SetAssociativeCache._probe_slab` does;
+        * on an L1 miss the LRU LLC slab access is applied in place, its
+          set index computed inline: a mask under the baseline index
+          function, and the DRAM-region bits shifted in under set
+          partitioning.
+
+        Every other case takes the full accessor, as the core's fused
+        lanes do.  A TLB miss, a page fault or an entry of another
+        address space takes :meth:`data_access_timing` /
+        :meth:`fetch_access_timing`.  An access that needs a counter its
+        structure does not hold yet, or an address outside DRAM under
+        set partitioning (whose index function raises), takes
+        :meth:`_physical_data_timing` / :meth:`_physical_fetch_timing`
+        before the L1 or the LLC changes.  So every counter is registered
+        where the accessors register it.  The one exception is the L1
+        victim's writeback counter: the victim is known only after its
+        draw, so a dirty victim registers it in place.  The loop tallies
+        the hits, misses and evictions it applies and adds them to the
+        counters when it ends, or when an accessor raises.  Without a
+        page table, or with the reference cache layout, every address
+        takes the full accessor.
+        """
+        if data_side:
+            tlb, l1 = self.dtlb, self.l1d.cache
+            access_timing = self.data_access_timing
+            physical_timing = self._physical_data_timing
+            count_blocked = self._count_blocked_access
+        else:
+            tlb, l1 = self.itlb, self.l1i.cache
+            access_timing = self.fetch_access_timing
+            physical_timing = self._physical_fetch_timing
+            count_blocked = self._count_blocked_fetch
         page_table = self.page_table
-        fetch_access_timing = self.fetch_access_timing
-        if page_table is None:
+        llc_cache = self.llc.cache
+        if (
+            page_table is None
+            or page_table.page_bytes != tlb.page_bytes
+            or self.address_map.region_bytes % tlb.page_bytes
+            or l1._victim_getrandbits is None
+            or l1._fast_offset_bits is None
+            or llc_cache._lru_stacks is None
+        ):
             for virtual_address in addresses:
-                fetch_access_timing(virtual_address)
+                access_timing(virtual_address)
             return
-        tlb = self.itlb
-        tlb_page_bytes = tlb.page_bytes
+        page_bytes = tlb.page_bytes
         tlb_num_sets = tlb.num_sets
         tlb_sets = tlb._sets
         asid_get = tlb._asid_of.get
-        page_bytes = page_table.page_bytes
         mappings_get = page_table.mappings.get
         region_allowed = self.region_allowed
-        l1i_probe = self._l1i_probe
-        llc = self.llc
-        llc_cache_access_parts = llc._cache_access_parts
         owner = self.owner
-        c_tlb_access = tlb._c_access
-        c_tlb_hit = tlb._c_hit
-        for virtual_address in addresses:
-            vpn = virtual_address // tlb_page_bytes
-            entries = tlb_sets[vpn % tlb_num_sets]
-            if vpn not in entries or asid_get(vpn, 0) != 0:
-                fetch_access_timing(virtual_address)
-                continue
-            if c_tlb_access is None:
-                c_tlb_access = tlb._c_access = tlb._stats.counter(f"{tlb.name}.access")
-            c_tlb_access.value += 1
-            if entries[0] != vpn:
-                entries.remove(vpn)
-                entries.insert(0, vpn)
-            if c_tlb_hit is None:
-                c_tlb_hit = tlb._c_hit = tlb._stats.counter(f"{tlb.name}.hit")
-            c_tlb_hit.value += 1
-            ppn = mappings_get(virtual_address // page_bytes)
-            if ppn is None:
-                counter = self._c_instruction_page_faults
-                if counter is None:
-                    counter = self._c_instruction_page_faults = self._stats.counter(
-                        "mem.instruction_page_faults"
+        l1_shift = l1._fast_offset_bits
+        l1_set_mask = l1._fast_set_mask
+        l1_ways = l1._ways
+        l1_ways_bits = l1._ways_bits
+        l1_getrandbits = l1._victim_getrandbits
+        indexer = self.llc.indexer
+        llc_shift = indexer._offset_bits
+        llc_baseline = indexer._baseline
+        llc_set_mask = indexer._set_mask
+        llc_region_bytes = indexer._region_bytes
+        llc_region_mask = indexer._region_mask
+        llc_low_bits = indexer._low_bits
+        llc_low_mask = indexer._low_mask
+        llc_dram_bytes = indexer._dram_bytes
+        llc_ways = llc_cache._ways
+        llc_stacks = llc_cache._lru_stacks
+        (
+            c_tlb_access, c_tlb_hit,
+            c_l1_access, c_l1_hit, c_l1_miss, c_l1_eviction,
+            c_llc_access, c_llc_hit, c_llc_miss, c_llc_eviction, c_llc_writeback,
+            c_replacement_writeback, c_side,
+        ) = self._prime_handles(tlb, l1, data_side)
+        # A flush or a warm-state load replaces the slab lists; nothing
+        # in this loop does.
+        l1_tags = l1._slab_tags
+        l1_dirty = l1._slab_dirty
+        l1_owners = l1._slab_owners
+        l1_tag_maps = l1._tag_maps
+        l1_valid_counts = l1._valid_counts
+        llc_tags = llc_cache._slab_tags
+        llc_dirty = llc_cache._slab_dirty
+        llc_owners = llc_cache._slab_owners
+        llc_tag_maps = llc_cache._tag_maps
+        llc_valid_counts = llc_cache._valid_counts
+        # The page of the last access this loop translated itself: at
+        # the front of its TLB set, mapped at ``front_base``, allowed.
+        front = None
+        front_base = 0
+        # What the loop applies in place is tallied here and added to the
+        # counters when it ends; the accessors bump them directly.
+        tlb_hits = l1_hits = l1_misses = l1_evictions = llc_hits = llc_misses = llc_evictions = 0
+        try:
+            for virtual_address in addresses:
+                vpn = virtual_address // page_bytes
+                if vpn != front:
+                    entries = tlb_sets[vpn % tlb_num_sets]
+                    ppn = (
+                        mappings_get(vpn)
+                        if c_tlb_hit is not None and vpn in entries and asid_get(vpn, 0) == 0
+                        else None
                     )
-                counter.value += 1
-                continue
-            physical = ppn * page_bytes + virtual_address % page_bytes
-            if region_allowed is not None and not region_allowed(physical):
-                self._count_blocked_fetch()
-                continue
-            if l1i_probe(physical, False, owner):
-                continue
-            parts = llc_cache_access_parts(physical, False, owner)
-            if not parts[0] and parts[4]:
-                counter = llc._c_replacement_writeback
-                if counter is None:
-                    counter = llc._c_replacement_writeback = llc._stats.counter(
-                        "llc.replacement_writeback"
+                    if ppn is None:
+                        access_timing(virtual_address)
+                        front = None
+                        (
+                            c_tlb_access, c_tlb_hit,
+                            c_l1_access, c_l1_hit, c_l1_miss, c_l1_eviction,
+                            c_llc_access, c_llc_hit, c_llc_miss, c_llc_eviction, c_llc_writeback,
+                            c_replacement_writeback, c_side,
+                        ) = self._prime_handles(tlb, l1, data_side)
+                        continue
+                    tlb_hits += 1
+                    if entries[0] != vpn:
+                        entries.remove(vpn)
+                        entries.insert(0, vpn)
+                    front_base = ppn * page_bytes
+                    physical = front_base + virtual_address % page_bytes
+                    if region_allowed is not None and not region_allowed(physical):
+                        count_blocked()
+                        front = None
+                        continue
+                    front = vpn
+                else:
+                    tlb_hits += 1
+                    physical = front_base + virtual_address % page_bytes
+
+                tag = physical >> l1_shift
+                set_index = tag & l1_set_mask
+                tag_map = l1_tag_maps[set_index]
+                way = tag_map.get(tag)
+                if way is not None:
+                    if c_l1_hit is not None:
+                        l1_hits += 1
+                        if owner is not None:
+                            l1_owners[set_index * l1_ways + way] = owner
+                        continue
+                else:
+                    # Decide the whole miss before anything changes: the
+                    # LLC set, its hit or victim, and the counters they
+                    # bump.  A structure registers its access counter
+                    # before its hit or miss counter, and its miss counter
+                    # before its eviction counter, so holding the last
+                    # one a path bumps means holding them all.
+                    line = physical >> llc_shift
+                    if llc_baseline:
+                        llc_set = line & llc_set_mask
+                    elif 0 <= physical < llc_dram_bytes:
+                        llc_set = (
+                            ((physical // llc_region_bytes) & llc_region_mask) << llc_low_bits
+                        ) | (line & llc_low_mask)
+                    else:
+                        llc_set = -1
+                    l1_valid = l1_valid_counts[set_index]
+                    ready = (
+                        llc_set >= 0
+                        and (c_l1_miss if l1_valid < l1_ways else c_l1_eviction) is not None
+                        and (c_side is not None or not data_side)
                     )
-                counter.value += 1
+                    if ready:
+                        llc_map = llc_tag_maps[llc_set]
+                        llc_way = llc_map.get(line)
+                        llc_valid = llc_valid_counts[llc_set]
+                        if llc_way is not None:
+                            ready = c_llc_hit is not None
+                        elif llc_valid < llc_ways:
+                            ready = c_llc_miss is not None
+                        else:
+                            llc_slot = llc_set * llc_ways + llc_stacks[llc_set][-1]
+                            ready = c_llc_eviction is not None and (
+                                not llc_dirty[llc_slot]
+                                or (c_llc_writeback is not None and c_replacement_writeback is not None)
+                            )
+                    if ready:
+                        # The L1 fill (SetAssociativeCache._probe_slab).
+                        l1_misses += 1
+                        base = set_index * l1_ways
+                        if l1_valid < l1_ways:
+                            if not l1_valid and tag_map is _NO_TAGS:
+                                tag_map = l1_tag_maps[set_index] = {}
+                            slot = l1_tags.index(None, base, base + l1_ways)
+                            l1_valid_counts[set_index] = l1_valid + 1
+                        else:
+                            way = l1_getrandbits(l1_ways_bits)
+                            while way >= l1_ways:
+                                way = l1_getrandbits(l1_ways_bits)
+                            slot = base + way
+                            del tag_map[l1_tags[slot]]
+                            l1_evictions += 1
+                            if l1_dirty[slot]:
+                                counter = l1._c_writeback
+                                if counter is None:
+                                    counter = l1._c_writeback = l1._stats.counter(
+                                        f"{l1.name}.writeback"
+                                    )
+                                counter.value += 1
+                        l1_tags[slot] = tag
+                        l1_dirty[slot] = False
+                        l1_owners[slot] = owner
+                        tag_map[tag] = slot - base
+                        # The LLC access (SetAssociativeCache._access_parts_slab
+                        # under LastLevelCache.access_parts).
+                        stack = llc_stacks[llc_set]
+                        if llc_way is not None:
+                            llc_hits += 1
+                            if owner is not None:
+                                llc_owners[llc_set * llc_ways + llc_way] = owner
+                        else:
+                            llc_misses += 1
+                            if llc_valid < llc_ways:
+                                if not llc_valid and llc_map is _NO_TAGS:
+                                    llc_map = llc_tag_maps[llc_set] = {}
+                                base = llc_set * llc_ways
+                                slot = llc_tags.index(None, base, base + llc_ways)
+                                llc_way = slot - base
+                                llc_valid_counts[llc_set] = llc_valid + 1
+                            else:
+                                slot = llc_slot
+                                llc_way = stack[-1]
+                                del llc_map[llc_tags[slot]]
+                                llc_evictions += 1
+                                if llc_dirty[slot]:
+                                    c_llc_writeback.value += 1
+                                    c_replacement_writeback.value += 1
+                            llc_tags[slot] = line
+                            llc_dirty[slot] = False
+                            llc_owners[slot] = owner
+                            llc_map[line] = llc_way
+                        if stack[0] != llc_way:
+                            stack.remove(llc_way)
+                            stack.insert(0, llc_way)
+                        continue
+                # A counter the structures do not hold yet, or an index
+                # function that raises: the full accessor after translation.
+                physical_timing(physical)
+                (
+                    c_tlb_access, c_tlb_hit,
+                    c_l1_access, c_l1_hit, c_l1_miss, c_l1_eviction,
+                    c_llc_access, c_llc_hit, c_llc_miss, c_llc_eviction, c_llc_writeback,
+                    c_replacement_writeback, c_side,
+                ) = self._prime_handles(tlb, l1, data_side)
+        finally:
+            llc_accesses = llc_hits + llc_misses
+            for counter, count in (
+                (c_tlb_access, tlb_hits),
+                (c_tlb_hit, tlb_hits),
+                (c_l1_access, l1_hits + l1_misses),
+                (c_l1_hit, l1_hits),
+                (c_l1_miss, l1_misses),
+                (c_l1_eviction, l1_evictions),
+                (c_llc_access, llc_accesses),
+                (c_llc_hit, llc_hits),
+                (c_llc_miss, llc_misses),
+                (c_llc_eviction, llc_evictions),
+                (c_side, llc_accesses if data_side else 0),
+            ):
+                if count:
+                    counter.value += count
 
     def data_access(self, virtual_address: int, *, is_write: bool = False) -> HierarchyAccess:
         """Perform a load or store through the data-side hierarchy."""
@@ -625,7 +805,14 @@ class MemoryHierarchy:
         region_allowed: Optional[Callable[[int], bool]],
         owner: Optional[int],
     ) -> None:
-        """Install a new translation/protection context (context switch)."""
+        """Install a new translation/protection context (context switch).
+
+        ``region_allowed`` is the DRAM-region check (in-tree, always a
+        :class:`~repro.core.protection.RegionBitvector`'s ``is_allowed``):
+        its verdict must depend only on the address's region, and an
+        allowing call must change nothing, because the warm-up lanes
+        reuse an allowing verdict across a page (:meth:`_prime_lane`).
+        """
         self.page_table = page_table
         self.region_allowed = region_allowed
         self.owner = owner

@@ -25,7 +25,7 @@ from typing import Optional
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
 from repro.core.config import LlcConfig
-from repro.mem.address import AddressMap, LlcIndexer
+from repro.mem.address import AddressMap, IndexFunction, LlcIndexer
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.dram import DramController
 from repro.mem.mshr import MshrFile
@@ -68,6 +68,16 @@ class LastLevelCache:
         rng: Optional[DeterministicRng] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
+        """Build the tag array, its index function and the MSHR file.
+
+        The tag array is an LRU :class:`SetAssociativeCache` whose tags
+        are line addresses.  Under the baseline index function its set
+        index is the cache's default shift-and-mask, the function
+        :meth:`LlcIndexer.set_index` computes there, so the slab access
+        paths compute it inline and only set-partitioned accesses call
+        the indexer.  (The memory hierarchy's warm-up lanes compute both
+        functions inline.)
+        """
         self.config = config
         self.address_map = address_map
         self.dram = dram
@@ -91,7 +101,11 @@ class LastLevelCache:
             name="llc",
             geometry=config.geometry,
             policy=LruPolicy(config.geometry.num_sets, config.geometry.ways),
-            index_for=self._indexer.set_index,
+            index_for=(
+                None
+                if config.index_function is IndexFunction.BASELINE
+                else self._indexer.set_index
+            ),
             stats=self._stats,
         )
         self._mshrs = MshrFile(config.mshr)
