@@ -59,12 +59,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.core.protection": ("ProtectionDomain", "RegionBitvector"),
         "repro.core.purge": ("PurgeUnit",),
         "repro.core.results": ("WorkloadRun",),
-        "repro.core.variants": (
-            "Variant",
-            "config_for_variant",
-            "parse_variant",
-            "variant_description",
-        ),
         "repro.monitor.security_monitor": ("SecurityMonitor",),
         "repro.os_model.kernel": ("MaliciousOS", "UntrustedOS"),
         "repro.os_model.machine": ("Machine",),

@@ -76,7 +76,7 @@ from repro.common.defaults import (
 )
 from repro.common.fastpath import slow_path_enabled
 from repro.core.config import MI6Config
-from repro.core.mitigations import config_for_spec
+from repro.core.mitigations import VariantLike, as_spec, config_for_spec, spec_name
 from repro.core.results import WarmState, WorkloadRun
 from repro.core.serialization import (
     field_types,
@@ -86,13 +86,6 @@ from repro.core.serialization import (
     run_cache_key,
     run_from_dict,
     run_to_dict,
-)
-from repro.core.variants import (
-    Variant,
-    VariantLike,
-    all_variants,
-    as_spec,
-    spec_name,
 )
 from repro.fleet.admission import admission_names
 from repro.fleet.clients import client_model_names
@@ -435,9 +428,12 @@ def execute_request(request: RunRequest) -> WorkloadRun:
 # ----------------------------------------------------------------------
 # Security scenarios
 
+#: The paper's seven evaluation variants (Section 7), in its order.
+PAPER_VARIANTS = ("BASE", "FLUSH", "PART", "MISS", "ARB", "NONSPEC", "F+P+M+A")
+
 #: Variants the security evaluation compares by default: the insecure
 #: baseline against the full MI6 machine (the Section 6 comparison).
-DEFAULT_SCENARIO_VARIANTS = (Variant.BASE, Variant.F_P_M_A)
+DEFAULT_SCENARIO_VARIANTS = ("BASE", "F+P+M+A")
 
 
 @dataclass(frozen=True)
@@ -479,8 +475,8 @@ class ScenarioSpec:
 
     Requests are expanded in deterministic insertion order (scenarios
     outermost, seeds innermost), mirroring :class:`ExperimentSpec`.
-    Variants are :data:`~repro.core.mitigations.VariantLike` — legacy
-    enum members, mitigation sets, or spec strings like ``FLUSH+MISS``.
+    Variants are :data:`~repro.core.mitigations.VariantLike` — mitigation
+    sets or spec strings like ``FLUSH+MISS``.
     The defaults are every registered scenario and the BASE-vs-F+P+M+A
     pair; empty axes, unknown scenario names and machines smaller than
     attacker + victim are rejected on construction.
@@ -1060,16 +1056,16 @@ class ExperimentSpec:
 
     Requests are expanded in deterministic insertion order (variants
     outermost, seeds innermost) so result rows line up across runs.
-    Variants are :data:`~repro.core.mitigations.VariantLike`: legacy
-    enum members, composed :class:`~repro.core.mitigations.MitigationSet`
-    values, and spec strings (``"FLUSH+MISS"``) may be mixed freely —
+    Variants are :data:`~repro.core.mitigations.VariantLike`: composed
+    :class:`~repro.core.mitigations.MitigationSet` values and spec
+    strings (``"FLUSH+MISS"``) may be mixed freely —
     the full 2^5 mitigation lattice is sweepable.  The defaults are the
     full Figure 13 grid (all seven variants, all eleven benchmarks);
     empty axes and a non-positive run length are rejected on
     construction.
     """
 
-    variants: Tuple[VariantLike, ...] = field(default_factory=lambda: tuple(all_variants()))
+    variants: Tuple[VariantLike, ...] = PAPER_VARIANTS
     benchmarks: Tuple[str, ...] = field(default_factory=lambda: tuple(benchmark_names()))
     seeds: Tuple[int, ...] = (DEFAULT_SEED,)
     instructions: int = DEFAULT_INSTRUCTIONS
@@ -1123,7 +1119,7 @@ class ExperimentResult:
         comparison when the two runs committed different instruction
         counts (the NONSPEC truncation).
         """
-        base = self.run_for(Variant.BASE, benchmark, seed)
+        base = self.run_for("BASE", benchmark, seed)
         secured = self.run_for(variant, benchmark, seed)
         if secured.instructions != base.instructions:
             if not base.result.cpi:

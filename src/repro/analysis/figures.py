@@ -1,16 +1,19 @@
-"""One function per paper figure: compute the measured series.
+"""The paper's figures as data, and the tables of the other studies.
 
-Each function returns ``(title, measured, paper)`` where ``measured`` and
-``paper`` are benchmark -> value mappings (including an ``"average"``
-entry for the measured series).  The benchmark files under
-``benchmarks/`` call these and print paper-vs-measured tables; tests use
-them to check the shape of the reproduction.
+:data:`FIGURES` holds one :class:`Figure` per paper figure: the variants
+it measures, the per-run metric, and the ``PAPER_REPORTED`` fields it is
+compared with.  :func:`measure_figure` runs a figure through the Session
+API and :func:`render_figure` prints its paper-vs-measured tables;
+``repro figure``, ``repro list`` and the figure-shape checks under
+``benchmarks/`` all go through them.  The rest of the module folds
+security, serving, fleet and trace results into the rows of their
+tables (:mod:`repro.analysis.report`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.analysis.harness import (
     EvaluationSettings,
@@ -20,21 +23,114 @@ from repro.analysis.harness import (
     run_figure_series,
     runtime_overhead_metric,
 )
+from repro.analysis.report import format_series_table
 from repro.analysis.store import ResultStore
-from repro.common.defaults import (
-    DEFAULT_SERVICE_CORES,
-    DEFAULT_SERVICE_INSTRUCTIONS,
-    DEFAULT_SERVICE_REQUESTS,
-    DEFAULT_SERVICE_TENANTS,
-)
-from repro.api.requests import FleetRequest, ScenarioRequest, ServiceRequest
+from repro.api.requests import ScenarioRequest
 from repro.api.session import coerce_session
 from repro.core.mitigations import VariantLike, config_for_spec
-from repro.core.variants import Variant
+from repro.core.results import WorkloadRun
 from repro.obs.export import trace_spans
 from repro.workloads.characteristics import PAPER_REPORTED
 
-FigureResult = Tuple[str, Dict[str, float], Dict[str, float]]
+
+class Figure(NamedTuple):
+    """One paper figure: a measured series per variant, each against the paper.
+
+    A figure without a metric is the configuration table of its one
+    variant (Figure 4).  With one variant the table carries the title;
+    with several, the title heads one table per variant.
+    """
+
+    name: str
+    title: str
+    variants: Tuple[str, ...]
+    metric: Optional[Callable[[WorkloadRun, WorkloadRun], float]] = None
+    paper: Tuple[str, ...] = ()
+    unit: str = "%"
+
+
+#: Figure name -> figure, in the paper's order.
+FIGURES: Dict[str, Figure] = {
+    figure.name: figure
+    for figure in (
+        Figure("fig04", "Figure 4: the BASE configuration", ("BASE",)),
+        Figure(
+            "fig05",
+            "Figure 5: FLUSH runtime overhead (%)",
+            ("FLUSH",),
+            runtime_overhead_metric,
+            ("flush_overhead_pct",),
+        ),
+        Figure(
+            "fig06",
+            "Figure 6: flush stall time (% of BASE)",
+            ("FLUSH",),
+            flush_stall_metric,
+            ("flush_stall_pct",),
+        ),
+        Figure(
+            "fig07",
+            "Figure 7: branch mispredictions per 1K instructions",
+            ("BASE", "FLUSH"),
+            branch_mpki_metric,
+            ("branch_mpki_base", "branch_mpki_flush"),
+            "mpki",
+        ),
+        Figure(
+            "fig08",
+            "Figure 8: PART runtime overhead (%)",
+            ("PART",),
+            runtime_overhead_metric,
+            ("part_overhead_pct",),
+        ),
+        Figure(
+            "fig09",
+            "Figure 9: LLC misses per 1K instructions",
+            ("BASE", "PART"),
+            llc_mpki_metric,
+            ("llc_mpki_base", "llc_mpki_part"),
+            "mpki",
+        ),
+        Figure(
+            "fig10",
+            "Figure 10: MISS runtime overhead (%)",
+            ("MISS",),
+            runtime_overhead_metric,
+            ("miss_overhead_pct",),
+        ),
+        Figure(
+            "fig11",
+            "Figure 11: ARB runtime overhead (%)",
+            ("ARB",),
+            runtime_overhead_metric,
+            ("arb_overhead_pct",),
+        ),
+        Figure(
+            "fig12",
+            "Figure 12: NONSPEC runtime overhead (%)",
+            ("NONSPEC",),
+            runtime_overhead_metric,
+            ("nonspec_overhead_pct",),
+        ),
+        Figure(
+            "fig13",
+            "Figure 13: F+P+M+A runtime overhead (%)",
+            ("F+P+M+A",),
+            runtime_overhead_metric,
+            ("overall_overhead_pct",),
+        ),
+    )
+}
+
+
+def figure_key(name: str) -> str:
+    """The :data:`FIGURES` key a spelling names: ``5``, ``fig05`` and ``figure5`` are ``fig05``."""
+    text = name.strip().lower()
+    if text.startswith("figure"):
+        text = text[len("figure") :]
+    elif text.startswith("fig"):
+        text = text[len("fig") :]
+    return f"fig{int(text):02d}" if text.isdigit() else name.strip().lower()
 
 
 def _paper_series(field: str) -> Dict[str, float]:
@@ -43,122 +139,43 @@ def _paper_series(field: str) -> Dict[str, float]:
     return series
 
 
-def figure04_configuration() -> str:
-    """Figure 4: the BASE configuration table."""
-    return config_for_spec(Variant.BASE).describe()
-
-
-def figure05_flush_overhead(
+def measure_figure(
+    figure: Figure,
     settings: Optional[EvaluationSettings] = None,
     *,
     jobs: Optional[int] = None,
     store: Optional[ResultStore] = None,
-) -> FigureResult:
-    """Figure 5: FLUSH execution-time overhead vs BASE."""
-    measured = run_figure_series(Variant.FLUSH, runtime_overhead_metric, settings, jobs=jobs, store=store)
-    return "Figure 5: FLUSH runtime overhead (%)", measured, _paper_series("flush_overhead_pct")
+) -> Dict[str, Dict[str, float]]:
+    """Variant -> measured series (benchmark -> value, then ``"average"``).
+
+    Each series compares its variant with BASE through
+    :func:`~repro.analysis.harness.run_figure_series`; a figure without
+    a metric measures nothing.
+    """
+    if figure.metric is None:
+        return {}
+    return {
+        variant: run_figure_series(variant, figure.metric, settings, jobs=jobs, store=store)
+        for variant in figure.variants
+    }
 
 
-def figure06_flush_stall(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> FigureResult:
-    """Figure 6: stall time waiting for flushes, normalised to BASE time."""
-    measured = run_figure_series(Variant.FLUSH, flush_stall_metric, settings, jobs=jobs, store=store)
-    return "Figure 6: flush stall time (% of BASE)", measured, _paper_series("flush_stall_pct")
-
-
-def figure07_branch_mpki(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> Tuple[str, Dict[str, float], Dict[str, float], Dict[str, float], Dict[str, float]]:
-    """Figure 7: branch MPKI for BASE and FLUSH (measured and paper)."""
-    measured_base = run_figure_series(Variant.BASE, branch_mpki_metric, settings, jobs=jobs, store=store)
-    measured_flush = run_figure_series(Variant.FLUSH, branch_mpki_metric, settings, jobs=jobs, store=store)
-    return (
-        "Figure 7: branch mispredictions per 1K instructions",
-        measured_base,
-        measured_flush,
-        _paper_series("branch_mpki_base"),
-        _paper_series("branch_mpki_flush"),
-    )
-
-
-def figure08_part_overhead(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> FigureResult:
-    """Figure 8: LLC set-partitioning overhead vs BASE."""
-    measured = run_figure_series(Variant.PART, runtime_overhead_metric, settings, jobs=jobs, store=store)
-    return "Figure 8: PART runtime overhead (%)", measured, _paper_series("part_overhead_pct")
-
-
-def figure09_llc_mpki(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> Tuple[str, Dict[str, float], Dict[str, float], Dict[str, float], Dict[str, float]]:
-    """Figure 9: LLC MPKI for BASE and PART (measured and paper)."""
-    measured_base = run_figure_series(Variant.BASE, llc_mpki_metric, settings, jobs=jobs, store=store)
-    measured_part = run_figure_series(Variant.PART, llc_mpki_metric, settings, jobs=jobs, store=store)
-    return (
-        "Figure 9: LLC misses per 1K instructions",
-        measured_base,
-        measured_part,
-        _paper_series("llc_mpki_base"),
-        _paper_series("llc_mpki_part"),
-    )
-
-
-def figure10_mshr_overhead(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> FigureResult:
-    """Figure 10: MSHR partitioning/sizing overhead vs BASE."""
-    measured = run_figure_series(Variant.MISS, runtime_overhead_metric, settings, jobs=jobs, store=store)
-    return "Figure 10: MISS runtime overhead (%)", measured, _paper_series("miss_overhead_pct")
-
-
-def figure11_arbiter_overhead(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> FigureResult:
-    """Figure 11: LLC round-robin arbiter overhead vs BASE."""
-    measured = run_figure_series(Variant.ARB, runtime_overhead_metric, settings, jobs=jobs, store=store)
-    return "Figure 11: ARB runtime overhead (%)", measured, _paper_series("arb_overhead_pct")
-
-
-def figure12_nonspec_overhead(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> FigureResult:
-    """Figure 12: non-speculative execution overhead vs BASE."""
-    measured = run_figure_series(Variant.NONSPEC, runtime_overhead_metric, settings, jobs=jobs, store=store)
-    return "Figure 12: NONSPEC runtime overhead (%)", measured, _paper_series("nonspec_overhead_pct")
-
-
-def figure13_overall_overhead(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> FigureResult:
-    """Figure 13: F+P+M+A (enclave steady-state) overhead vs BASE."""
-    measured = run_figure_series(Variant.F_P_M_A, runtime_overhead_metric, settings, jobs=jobs, store=store)
-    return "Figure 13: F+P+M+A runtime overhead (%)", measured, _paper_series("overall_overhead_pct")
+def render_figure(figure: Figure, measured: Dict[str, Dict[str, float]]) -> str:
+    """The figure's paper-vs-measured tables, as ``repro figure`` prints them."""
+    if figure.metric is None:
+        return config_for_spec(figure.variants[0]).describe()
+    tables = [
+        format_series_table(
+            figure.title if len(figure.variants) == 1 else variant,
+            measured[variant],
+            _paper_series(paper),
+            unit=figure.unit,
+        )
+        for variant, paper in zip(figure.variants, figure.paper)
+    ]
+    if len(tables) == 1:
+        return tables[0]
+    return figure.title + "\n" + "\n\n".join(tables)
 
 
 #: Title of the security evaluation's leakage table.
@@ -197,9 +214,7 @@ def service_latency_rows(outcomes) -> list:
 
     One row per outcome, in expansion order, with the fields
     :func:`repro.analysis.report.format_service_table` renders; the
-    flush/purge shares are fractions of fleet busy time.  Used by
-    :func:`service_latency_table` and by the CLI, which already holds
-    the outcomes from its own sweep.
+    flush/purge shares are fractions of fleet busy time.
     """
     rows = []
     for outcome in outcomes:
@@ -223,50 +238,6 @@ def service_latency_rows(outcomes) -> list:
             }
         )
     return rows
-
-
-def service_latency_table(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    policies: Optional[Tuple[str, ...]] = None,
-    variants: Optional[Tuple[VariantLike, ...]] = None,
-    loads: Optional[Tuple[float, ...]] = None,
-    seeds: Optional[Tuple[int, ...]] = None,
-    load_profile: str = "poisson",
-    num_cores: int = DEFAULT_SERVICE_CORES,
-    num_tenants: int = DEFAULT_SERVICE_TENANTS,
-    requests: int = DEFAULT_SERVICE_REQUESTS,
-    instructions: int = DEFAULT_SERVICE_INSTRUCTIONS,
-    churn_every: int = 0,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> Tuple[str, list]:
-    """Serving evaluation: tail latency per scheduling policy × variant.
-
-    Runs the enclave-serving sweep through the Session API — per-request
-    cycle costs and serving outcomes are both served from the session's
-    store when warm — and flattens the outcomes into the rows
-    :func:`repro.analysis.report.format_service_table` renders.  This is
-    the figure the paper doesn't have: its per-switch purge/flush costs
-    expressed as p95/p99 request latency under open-loop load.
-    """
-    settings = settings or EvaluationSettings.from_environment()
-    session = coerce_session(store, jobs)
-    result = session.run(
-        ServiceRequest(
-            policies=policies,
-            variants=variants,
-            loads=loads,
-            seeds=seeds if seeds is not None else (settings.seed,),
-            load_profile=load_profile,
-            num_cores=num_cores,
-            num_tenants=num_tenants,
-            requests=requests,
-            instructions=instructions,
-            churn_every=churn_every,
-        )
-    )
-    return SERVICE_TABLE_TITLE, service_latency_rows(result.service_outcomes)
 
 
 FLEET_TABLE_TITLE = (
@@ -326,38 +297,6 @@ def fleet_saturation_points(rows) -> Dict[str, float]:
         if variant not in best or candidate > best[variant]:
             best[variant] = candidate
     return {variant: -negative_load for variant, (_, negative_load) in best.items()}
-
-
-def fleet_goodput_table(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    variants: Optional[Tuple[VariantLike, ...]] = None,
-    loads: Optional[Tuple[float, ...]] = None,
-    seeds: Optional[Tuple[int, ...]] = None,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    **fleet_fields,
-) -> Tuple[str, list]:
-    """Fleet evaluation: goodput vs offered load per mitigation variant.
-
-    Runs the sharded fleet-serving sweep through the Session API —
-    per-request cycle costs, shard outcomes, and merged fleet documents
-    are all served from the session's store when warm — and flattens the
-    outcomes into the rows :func:`repro.analysis.report.format_fleet_table`
-    renders.  Keyword fleet fields (``router``, ``admission``,
-    ``num_shards``, ...) pass through to :class:`FleetRequest`.
-    """
-    settings = settings or EvaluationSettings.from_environment()
-    session = coerce_session(store, jobs)
-    result = session.run(
-        FleetRequest(
-            variants=variants,
-            loads=loads,
-            seeds=seeds if seeds is not None else (settings.seed,),
-            **fleet_fields,
-        )
-    )
-    return FLEET_TABLE_TITLE, fleet_goodput_rows(result.fleet_outcomes)
 
 
 #: Title of the trace latency-breakdown table (``repro trace summary``).

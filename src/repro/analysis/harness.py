@@ -6,8 +6,8 @@ those comparisons on top of :class:`repro.api.Session` — the single front
 door that owns the result store and the parallel runner — so BASE runs
 are shared between figures and repeated invocations are warm-start.
 ``variant`` arguments accept the full mitigation vocabulary
-(:data:`~repro.core.mitigations.VariantLike`): legacy enum members,
-composed sets, or spec strings such as ``"FLUSH+MISS"``.
+(:data:`~repro.core.mitigations.VariantLike`): composed sets or spec
+strings such as ``"FLUSH+MISS"``.
 
 Run length is controlled by the ``REPRO_BENCH_INSTRUCTIONS`` environment
 variable (default 30000) and the sweep seed by ``REPRO_BENCH_SEED``

@@ -25,8 +25,8 @@ The one front door every consumer goes through:
 
 Variant arguments everywhere accept the composable mitigation vocabulary
 of :mod:`repro.core.mitigations`: ``"BASE"``, ``"FLUSH"``,
-``"FLUSH+MISS"``, ``"f+p+m+a"``, a :class:`~repro.core.variants.Variant`
-member, or a :class:`~repro.core.mitigations.MitigationSet`.
+``"FLUSH+MISS"``, ``"f+p+m+a"``, or a
+:class:`~repro.core.mitigations.MitigationSet`.
 """
 
 from repro.api.requests import (

@@ -24,9 +24,9 @@ the content-hash cache keys.  Requests and specs are two classes per
 grid kind on purpose: requests are the wire vocabulary, with ``None``
 for "default" and no validation, while a spec is the resolved grid and
 rejects bad input when it is constructed.  Variant fields accept anything
-:data:`~repro.core.mitigations.VariantLike`: legacy enum members,
-composed :class:`~repro.core.mitigations.MitigationSet` values, or spec
-strings such as ``"FLUSH+MISS"``.
+:data:`~repro.core.mitigations.VariantLike`: composed
+:class:`~repro.core.mitigations.MitigationSet` values or spec strings
+such as ``"FLUSH+MISS"``.
 
 Every request also speaks the **wire format**: ``to_wire()`` produces a
 versioned, JSON-serialisable document and :func:`request_from_wire`
@@ -36,12 +36,18 @@ so a request is the same object whether it was typed in Python, parsed
 from argv, or POSTed over the network.  Variant values are canonicalised
 to spec strings on encode (``spec_name``), so a round trip through the
 wire is exact for canonically spelled requests and cache-key-identical
-for enum or :class:`MitigationSet` spellings.
+for other spellings and :class:`MitigationSet` values.
+
+The grid kinds also declare their command line: a field made with
+:func:`_flag` carries its ``repro`` flag, help text and any argparse
+options in its metadata, and :mod:`repro.cli` builds each subcommand's
+options from those fields (type and ``nargs`` from the annotation, the
+default from the field).  A new request field needs no CLI edit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Dict, Optional, Sequence, Union
 
 from repro.analysis.engine import (
@@ -75,6 +81,7 @@ from repro.common.defaults import (
 from repro.core.config import MI6Config
 from repro.core.mitigations import VariantLike
 from repro.core.serialization import decode_field, encode_field, field_types
+from repro.service.arrivals import LOAD_PROFILES
 
 
 #: Version stamped into (and demanded from) every wire document.  Bump
@@ -234,21 +241,43 @@ class WorkloadRequest(_SessionRequest):
         return resolved
 
 
+def _flag(flag: str, help: str, default: Any = None, **options: Any) -> Any:
+    """A request field the ``repro`` subcommand of its kind exposes as ``flag``.
+
+    ``options`` (``choices``, ``metavar``, ``nargs``) go to
+    ``add_argument`` as they are; a ``flag`` without leading dashes is a
+    positional argument named after the field.
+    """
+    return field(default=default, metadata={"flag": flag, "help": help, **options})
+
+
+_SEEDS_HELP = "seeds (default: the sweep seed)"
+_PAIR_VARIANTS_HELP = "mitigation specs, e.g. BASE FLUSH+MISS (default: BASE and F+P+M+A)"
+_CHURN_HELP = "destroy+recreate a tenant's enclave after N of its requests (default off)"
+
+
 @dataclass(frozen=True)
 class SweepRequest(_SessionRequest):
     """A cartesian sweep: variants × benchmarks × seeds.
 
     ``None`` fields resolve to the paper's full grid (all seven named
     variants, all eleven benchmarks) and the session settings — i.e. an
-    empty ``SweepRequest()`` is the Figure 13 evaluation.
+    empty ``SweepRequest()`` is the Figure 13 evaluation.  The CLI's
+    shared ``--instructions`` flag sets the session's run length, which
+    ``instructions`` then takes.
     """
 
     wire_kind: ClassVar[str] = "sweep"
     spec_type: ClassVar[Any] = ExperimentSpec
 
-    variants: Optional[Sequence[VariantLike]] = None
-    benchmarks: Optional[Sequence[str]] = None
-    seeds: Optional[Sequence[int]] = None
+    variants: Optional[Sequence[VariantLike]] = _flag(
+        "--variants",
+        "mitigation specs, e.g. BASE FLUSH+MISS F+P+M+A (default: the paper's seven)",
+    )
+    benchmarks: Optional[Sequence[str]] = _flag(
+        "--benchmarks", "benchmark names (default: all eleven)"
+    )
+    seeds: Optional[Sequence[int]] = _flag("--seeds", "seeds (default: one, the sweep seed)")
     instructions: Optional[int] = None
 
 
@@ -265,10 +294,19 @@ class ScenarioRequest(_SessionRequest):
     wire_kind: ClassVar[str] = "scenario"
     spec_type: ClassVar[Any] = ScenarioSpec
 
-    scenarios: Optional[Sequence[str]] = None
-    variants: Optional[Sequence[VariantLike]] = None
-    seeds: Optional[Sequence[int]] = None
-    num_cores: int = 2
+    scenarios: Optional[Sequence[str]] = _flag(
+        "scenarios",
+        "scenario names (default: all registered scenarios)",
+        nargs="*",
+        metavar="SCENARIO",
+    )
+    variants: Optional[Sequence[VariantLike]] = _flag("--variants", _PAIR_VARIANTS_HELP)
+    seeds: Optional[Sequence[int]] = _flag("--seeds", _SEEDS_HELP)
+    num_cores: int = _flag(
+        "--num-cores",
+        "machine size; cores beyond attacker+victim host bystander domains (default 2)",
+        default=2,
+    )
 
 
 @dataclass(frozen=True)
@@ -286,16 +324,42 @@ class ServiceRequest(_SessionRequest):
     wire_kind: ClassVar[str] = "service"
     spec_type: ClassVar[Any] = ServiceSpec
 
-    policies: Optional[Sequence[str]] = None
-    variants: Optional[Sequence[VariantLike]] = None
-    loads: Optional[Sequence[float]] = None
-    seeds: Optional[Sequence[int]] = None
-    load_profile: str = "poisson"
-    num_cores: int = DEFAULT_SERVICE_CORES
-    num_tenants: int = DEFAULT_SERVICE_TENANTS
-    requests: int = DEFAULT_SERVICE_REQUESTS
-    instructions: int = DEFAULT_SERVICE_INSTRUCTIONS
-    churn_every: int = 0
+    policies: Optional[Sequence[str]] = _flag(
+        "--policy", "scheduling policies (default: fifo affinity batch)", metavar="POLICY"
+    )
+    variants: Optional[Sequence[VariantLike]] = _flag("--variants", _PAIR_VARIANTS_HELP)
+    loads: Optional[Sequence[float]] = _flag(
+        "--load", "offered load points as fractions of fleet capacity (default: 0.7)"
+    )
+    seeds: Optional[Sequence[int]] = _flag("--seeds", _SEEDS_HELP)
+    load_profile: str = _flag(
+        "--profile",
+        "arrival process shape (default: poisson)",
+        default="poisson",
+        choices=LOAD_PROFILES,
+    )
+    num_cores: int = _flag(
+        "--num-cores",
+        f"serving cores of the machine (default {DEFAULT_SERVICE_CORES})",
+        default=DEFAULT_SERVICE_CORES,
+    )
+    num_tenants: int = _flag(
+        "--tenants",
+        f"tenant enclaves sharing the machine (default {DEFAULT_SERVICE_TENANTS})",
+        default=DEFAULT_SERVICE_TENANTS,
+    )
+    requests: int = _flag(
+        "--requests",
+        f"open-loop requests per simulation (default {DEFAULT_SERVICE_REQUESTS})",
+        default=DEFAULT_SERVICE_REQUESTS,
+    )
+    instructions: int = _flag(
+        "--instructions",
+        f"instructions per request (default {DEFAULT_SERVICE_INSTRUCTIONS}; "
+        "short requests are where enclave boundary costs surface)",
+        default=DEFAULT_SERVICE_INSTRUCTIONS,
+    )
+    churn_every: int = _flag("--churn-every", _CHURN_HELP, default=0)
 
 
 @dataclass(frozen=True)
@@ -316,25 +380,95 @@ class FleetRequest(_SessionRequest):
     wire_kind: ClassVar[str] = "fleet"
     spec_type: ClassVar[Any] = FleetSpec
 
-    variants: Optional[Sequence[VariantLike]] = None
-    loads: Optional[Sequence[float]] = None
-    seeds: Optional[Sequence[int]] = None
-    policy: str = DEFAULT_FLEET_POLICY
-    router: str = DEFAULT_FLEET_ROUTER
-    admission: str = DEFAULT_FLEET_ADMISSION
-    client: str = DEFAULT_FLEET_CLIENT
-    load_profile: str = "poisson"
-    num_shards: int = DEFAULT_FLEET_SHARDS
-    shard_cores: int = DEFAULT_FLEET_SHARD_CORES
-    num_tenants: int = DEFAULT_FLEET_TENANTS
-    requests: int = DEFAULT_FLEET_REQUESTS
-    queue_depth: int = DEFAULT_QUEUE_DEPTH
-    slo_factor: float = DEFAULT_SLO_FACTOR
-    think_factor: float = DEFAULT_THINK_FACTOR
-    instructions: int = DEFAULT_SERVICE_INSTRUCTIONS
-    churn_every: int = 0
-    dram_wipe_bytes_per_cycle: int = DEFAULT_WIPE_BYTES_PER_CYCLE
-    measurement_cycles_per_page: int = DEFAULT_MEASUREMENT_CYCLES_PER_PAGE
+    variants: Optional[Sequence[VariantLike]] = _flag("--variants", _PAIR_VARIANTS_HELP)
+    loads: Optional[Sequence[float]] = _flag(
+        "--load", "offered load points as fractions of per-shard capacity (default: 0.7)"
+    )
+    seeds: Optional[Sequence[int]] = _flag("--seeds", _SEEDS_HELP)
+    policy: str = _flag(
+        "--policy",
+        f"per-shard scheduling policy (default {DEFAULT_FLEET_POLICY})",
+        default=DEFAULT_FLEET_POLICY,
+    )
+    router: str = _flag(
+        "--router",
+        "routing policy placing tenants on shards "
+        f"(default {DEFAULT_FLEET_ROUTER}; see 'repro-bench list')",
+        default=DEFAULT_FLEET_ROUTER,
+    )
+    admission: str = _flag(
+        "--admission",
+        "admission policy at each shard's bounded queue "
+        f"(default {DEFAULT_FLEET_ADMISSION}; see 'repro-bench list')",
+        default=DEFAULT_FLEET_ADMISSION,
+    )
+    client: str = _flag(
+        "--client",
+        "client model generating the request stream "
+        f"(default {DEFAULT_FLEET_CLIENT}; see 'repro-bench list')",
+        default=DEFAULT_FLEET_CLIENT,
+    )
+    load_profile: str = _flag(
+        "--profile",
+        "arrival process shape for open-loop clients (default: poisson)",
+        default="poisson",
+        choices=LOAD_PROFILES,
+    )
+    num_shards: int = _flag(
+        "--shards",
+        f"independent shard machines (default {DEFAULT_FLEET_SHARDS})",
+        default=DEFAULT_FLEET_SHARDS,
+    )
+    shard_cores: int = _flag(
+        "--shard-cores",
+        f"serving cores per shard (default {DEFAULT_FLEET_SHARD_CORES})",
+        default=DEFAULT_FLEET_SHARD_CORES,
+    )
+    num_tenants: int = _flag(
+        "--tenants",
+        f"tenant enclaves across the fleet (default {DEFAULT_FLEET_TENANTS})",
+        default=DEFAULT_FLEET_TENANTS,
+    )
+    requests: int = _flag(
+        "--requests",
+        f"fleet-wide request budget (default {DEFAULT_FLEET_REQUESTS})",
+        default=DEFAULT_FLEET_REQUESTS,
+    )
+    queue_depth: int = _flag(
+        "--queue-depth",
+        f"bounded per-shard queue depth (default {DEFAULT_QUEUE_DEPTH})",
+        default=DEFAULT_QUEUE_DEPTH,
+    )
+    slo_factor: float = _flag(
+        "--slo-factor",
+        "latency SLO as a multiple of the mean request service time "
+        f"(default {DEFAULT_SLO_FACTOR})",
+        default=DEFAULT_SLO_FACTOR,
+    )
+    think_factor: float = _flag(
+        "--think-factor",
+        "closed-loop mean think time as a multiple of the mean service "
+        f"time (default {DEFAULT_THINK_FACTOR})",
+        default=DEFAULT_THINK_FACTOR,
+    )
+    instructions: int = _flag(
+        "--instructions",
+        f"instructions per request (default {DEFAULT_SERVICE_INSTRUCTIONS})",
+        default=DEFAULT_SERVICE_INSTRUCTIONS,
+    )
+    churn_every: int = _flag("--churn-every", _CHURN_HELP, default=0)
+    dram_wipe_bytes_per_cycle: int = _flag(
+        "--wipe-bytes-per-cycle",
+        "DRAM-wipe bandwidth charged on churn teardown "
+        f"(default {DEFAULT_WIPE_BYTES_PER_CYCLE} bytes/cycle)",
+        default=DEFAULT_WIPE_BYTES_PER_CYCLE,
+    )
+    measurement_cycles_per_page: int = _flag(
+        "--measurement-cycles",
+        "enclave-measurement cycles per loaded page charged on churn "
+        f"re-create (default {DEFAULT_MEASUREMENT_CYCLES_PER_PAGE})",
+        default=DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
+    )
 
 
 #: Any request the Session accepts.

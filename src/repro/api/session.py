@@ -48,13 +48,19 @@ from repro.fleet.routing import router_description, router_names
 from repro.service.schedulers import policy_description, policy_names
 from repro.workloads.spec_cint2006 import benchmark_names
 
-#: Engine kind -> the cell key (``ResultEntry.key``) of one of its
-#: requests; ``config.name`` is the variant's canonical name.
+#: Engine kind -> the names of the cell key (``ResultEntry.key``) of
+#: one of its requests: each is a field of the engine request, except
+#: ``variant``, the configuration's canonical name.
+CELL_KEYS: Dict[str, Tuple[str, ...]] = {
+    "run": ("variant", "benchmark", "seed"),
+    "scenario": ("scenario", "variant", "seed"),
+    "service": ("policy", "variant", "load", "seed"),
+    "fleet": ("variant", "load", "seed"),
+}
+
 _CELLS: Dict[str, Callable[[Any], Tuple[Any, ...]]] = {
-    "run": attrgetter("config.name", "benchmark", "seed"),
-    "scenario": attrgetter("scenario", "config.name", "seed"),
-    "service": attrgetter("policy", "config.name", "load", "seed"),
-    "fleet": attrgetter("config.name", "load", "seed"),
+    kind: attrgetter(*("config.name" if name == "variant" else name for name in names))
+    for kind, names in CELL_KEYS.items()
 }
 
 #: Serving kind -> the outcome fields of each entry's provenance audit:

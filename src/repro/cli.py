@@ -32,11 +32,19 @@ invocation is warm-start: the cache summary line at the end reports how
 many runs were actually simulated.  Use ``--no-cache`` for a memory-only
 store or ``--cache-dir`` to relocate it.
 
-Every sweep/attack/serve/fleet invocation builds its request through the
-wire codec (args -> wire document -> typed request), the same documents
+The four request subcommands — ``sweep``, ``attack``, ``serve`` and
+``fleet`` — are built from their request types
+(:mod:`repro.api.requests`), whose fields declare their flags, and share
+one handler: the parsed arguments become a wire document that is
+decoded into the typed request (the same documents
 ``repro-bench serve --daemon`` accepts over HTTP — so ``--remote <addr>``
-sends the identical request to a running daemon and decodes the identical
-result envelope.
+sends the identical request to a running daemon and decodes the
+identical result envelope), and one writer builds every ``--json``
+entry from the cell key names, the subcommand's value fields and the
+provenance.  Only the text tables are written per subcommand.  The
+figures come from one table, :data:`repro.analysis.figures.FIGURES`.
+Only ``--instructions`` on ``sweep`` and ``figure`` sets the session's
+run length; on ``serve`` and ``fleet`` it is a request field.
 
 Importing this module, and answering a ``sweep`` from the store, loads
 no simulator: the subcommand handlers import the figures, the report
@@ -49,143 +57,64 @@ imports each simulator inside the function that runs it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
-
-from repro.analysis.engine import (
-    DEFAULT_FLEET_ADMISSION,
-    DEFAULT_FLEET_CLIENT,
-    DEFAULT_FLEET_POLICY,
-    DEFAULT_FLEET_REQUESTS,
-    DEFAULT_FLEET_ROUTER,
-    DEFAULT_FLEET_SHARD_CORES,
-    DEFAULT_FLEET_TENANTS,
-    EvaluationSettings,
+from collections import abc
+from operator import attrgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
 )
+
+from repro.analysis.engine import EvaluationSettings
 from repro.analysis.store import DEFAULT_CACHE_DIR, ResultStore
 from repro.api import (
     WIRE_VERSION,
+    FleetRequest,
     Request,
     Result,
+    ScenarioRequest,
+    ServiceRequest,
     Session,
+    SweepRequest,
     WireError,
     request_from_wire,
     set_default_session,
 )
-from repro.common.defaults import (
-    DEFAULT_FLEET_SHARDS,
-    DEFAULT_HOST,
-    DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
-    DEFAULT_PORT,
-    DEFAULT_QUEUE_DEPTH,
-    DEFAULT_SERVICE_CORES,
-    DEFAULT_SERVICE_INSTRUCTIONS,
-    DEFAULT_SERVICE_REQUESTS,
-    DEFAULT_SERVICE_TENANTS,
-    DEFAULT_SLO_FACTOR,
-    DEFAULT_THINK_FACTOR,
-    DEFAULT_WIPE_BYTES_PER_CYCLE,
-)
+from repro.api.session import CELL_KEYS
+from repro.common.defaults import DEFAULT_HOST, DEFAULT_PORT
 from repro.common.errors import ConfigurationError
 from repro.common.log import LOG_LEVELS, configure_logging
 from repro.core.mitigations import known_compositions, known_mitigations
+from repro.core.serialization import field_types
 from repro.lint.cli import add_lint_arguments, command_lint
 from repro.obs.trace import Tracer, tracing
-from repro.service.arrivals import LOAD_PROFILES
 from repro.workloads.spec_cint2006 import benchmark_names
 
-#: Figure name -> callable printing that figure's tables.
-_FigureHandler = Callable[[EvaluationSettings, Optional[int]], None]
 
-
-def _print_series_figure(figure_fn, settings: EvaluationSettings, jobs: Optional[int]) -> None:
-    from repro.analysis.report import format_series_table
-
-    title, measured, paper = figure_fn(settings, jobs=jobs)
-    print(format_series_table(title, measured, paper))
-
-
-def _print_pair_figure(
-    figure_fn, labels, settings: EvaluationSettings, jobs: Optional[int]
+def _print_summary(
+    args: argparse.Namespace, session: Optional[Session], wall_time: Optional[float] = None
 ) -> None:
-    from repro.analysis.report import format_series_table
-
-    title, measured_a, measured_b, paper_a, paper_b = figure_fn(settings, jobs=jobs)
-    print(title)
-    print(format_series_table(labels[0], measured_a, paper_a, unit="mpki"))
+    """The closing line of a text table (in remote mode the daemon keeps the counters)."""
     print()
-    print(format_series_table(labels[1], measured_b, paper_b, unit="mpki"))
-
-
-def _figure_handlers() -> Dict[str, _FigureHandler]:
-    from repro.analysis import figures
-
-    return {
-        "fig04": lambda settings, jobs: print(figures.figure04_configuration()),
-        "fig05": lambda settings, jobs: _print_series_figure(
-            figures.figure05_flush_overhead, settings, jobs
-        ),
-        "fig06": lambda settings, jobs: _print_series_figure(
-            figures.figure06_flush_stall, settings, jobs
-        ),
-        "fig07": lambda settings, jobs: _print_pair_figure(
-            figures.figure07_branch_mpki, ("BASE", "FLUSH"), settings, jobs
-        ),
-        "fig08": lambda settings, jobs: _print_series_figure(
-            figures.figure08_part_overhead, settings, jobs
-        ),
-        "fig09": lambda settings, jobs: _print_pair_figure(
-            figures.figure09_llc_mpki, ("BASE", "PART"), settings, jobs
-        ),
-        "fig10": lambda settings, jobs: _print_series_figure(
-            figures.figure10_mshr_overhead, settings, jobs
-        ),
-        "fig11": lambda settings, jobs: _print_series_figure(
-            figures.figure11_arbiter_overhead, settings, jobs
-        ),
-        "fig12": lambda settings, jobs: _print_series_figure(
-            figures.figure12_nonspec_overhead, settings, jobs
-        ),
-        "fig13": lambda settings, jobs: _print_series_figure(
-            figures.figure13_overall_overhead, settings, jobs
-        ),
-    }
-
-
-def _normalize_figure_name(name: str) -> str:
-    text = name.strip().lower()
-    if text.startswith("figure"):
-        text = text[len("figure") :]
-    elif text.startswith("fig"):
-        text = text[len("fig") :]
-    return f"fig{int(text):02d}" if text.isdigit() else name.strip().lower()
-
-
-def _print_cache_summary(session: Session, wall_time: Optional[float] = None) -> None:
+    if session is None:
+        print(f"remote: {args.remote}")
+        return
     store = session.store
-    print()
-    line = (
-        f"cache: {store.misses} runs simulated, "
-        f"{store.disk_hits} warm from disk, "
-        f"{store.memory_hits} reused in memory"
+    wall = f" ({wall_time:.2f}s wall)" if wall_time is not None else ""
+    print(
+        f"cache: {store.misses} runs simulated, {store.disk_hits} warm from disk, "
+        f"{store.memory_hits} reused in memory{wall}"
     )
-    if wall_time is not None:
-        line += f" ({wall_time:.2f}s wall)"
-    print(line)
-
-
-def _cache_summary_dict(session: Session, wall_time: Optional[float] = None) -> Dict:
-    """Machine-readable counterpart of :func:`_print_cache_summary`."""
-    store = session.store
-    summary: Dict = {
-        "runs_simulated": store.misses,
-        "warm_from_disk": store.disk_hits,
-        "reused_in_memory": store.memory_hits,
-    }
-    if wall_time is not None:
-        summary["wall_seconds"] = wall_time
-    return summary
 
 
 def _build_session(args: argparse.Namespace) -> Session:
@@ -203,32 +132,42 @@ def _build_session(args: argparse.Namespace) -> Session:
 
 
 def _settings(args: argparse.Namespace) -> EvaluationSettings:
+    """The environment's settings under ``--seed`` and the shared run length.
+
+    The run length comes only from the shared ``--instructions`` of
+    ``sweep`` and ``figure`` (``run_length``): on ``serve`` and
+    ``fleet`` that flag is a request field, the per-request budget.
+    """
     settings = EvaluationSettings.from_environment()
-    instructions = getattr(args, "instructions", None)
-    if instructions is not None:
-        settings = EvaluationSettings(instructions=instructions, seed=settings.seed)
-    if args.seed is not None:
-        settings = EvaluationSettings(instructions=settings.instructions, seed=args.seed)
-    return settings
+    run_length = getattr(args, "run_length", None)
+    return EvaluationSettings(
+        instructions=run_length if run_length is not None else settings.instructions,
+        seed=args.seed if args.seed is not None else settings.seed,
+    )
 
 
-def _wire_request(kind: str, **fields: Any) -> Request:
-    """Build a typed request through the wire codec.
+def _wire_request(
+    args: argparse.Namespace, request_type: Any, settings: EvaluationSettings
+) -> Request:
+    """Build a subcommand's typed request through the wire codec.
 
-    The one args->request path: CLI flag values become a wire document
-    (``None`` values are omitted so request defaults apply) and the
-    document is decoded exactly as the daemon decodes an HTTP body —
-    including variant-spec validation, which surfaces as
+    The one args->request path: each request field's parsed value, with
+    unset seeds and run length taken from ``settings``, becomes a wire
+    document (``None`` values are omitted so request defaults apply),
+    and the document is decoded exactly as the daemon decodes an HTTP
+    body — including variant-spec validation, which surfaces as
     :class:`WireError` with the registry's own message.
     """
+    unset = {"seeds": [settings.seed], "instructions": settings.instructions}
+    fields = {}
+    for name in field_types(request_type):
+        value = getattr(args, name, None)
+        if value is None:
+            value = unset.get(name)
+        if value is not None:
+            fields[name] = value
     return request_from_wire(
-        {
-            "wire_version": WIRE_VERSION,
-            "kind": kind,
-            "fields": {
-                name: value for name, value in fields.items() if value is not None
-            },
-        }
+        {"wire_version": WIRE_VERSION, "kind": request_type.wire_kind, "fields": fields}
     )
 
 
@@ -247,7 +186,7 @@ def _execute(
     cannot be reached.
     """
     try:
-        if not getattr(args, "remote", None):
+        if not args.remote:
             return _execute_local(args, request)
         from repro.daemon.client import DaemonClient, DaemonError
 
@@ -294,127 +233,34 @@ def _execute_local(args: argparse.Namespace, request: Request) -> Tuple[Result, 
     return result, session
 
 
-def _reject_remote_trace(args: argparse.Namespace) -> bool:
-    """``--trace`` needs the local engine; reject the combination."""
-    if getattr(args, "remote", None) and getattr(args, "trace", None):
-        print(
-            "--trace records in-process spans and cannot be combined with "
-            "--remote (capture the trace on the daemon side instead)",
-            file=sys.stderr,
-        )
-        return True
-    return False
-
-
-def _print_run_summary(
-    args: argparse.Namespace,
-    session: Optional[Session],
-    wall_time: Optional[float] = None,
-) -> None:
-    if session is None:
-        print()
-        print(f"remote: {args.remote}")
-    else:
-        _print_cache_summary(session, wall_time)
-
-
-def _summary_dict(
-    args: argparse.Namespace,
-    session: Optional[Session],
-    wall_time: Optional[float] = None,
-) -> Dict:
-    if session is None:
-        return {"remote": args.remote}
-    return _cache_summary_dict(session, wall_time)
-
-
-def _command_figure(args: argparse.Namespace) -> int:
-    handlers = _figure_handlers()
-    if "all" in [name.lower() for name in args.names]:
-        names = sorted(handlers)
-    else:
-        names = [_normalize_figure_name(name) for name in args.names]
-    unknown = [name for name in names if name not in handlers]
-    if unknown:
-        print(
-            f"unknown figure(s): {', '.join(unknown)} "
-            f"(expected one of: {', '.join(sorted(handlers))}, or 'all')",
-            file=sys.stderr,
-        )
-        return 2
-    session = _build_session(args)
-    settings = _settings(args)
-    for position, name in enumerate(names):
-        if position:
-            print()
-        handlers[name](settings, args.jobs)
-    _print_cache_summary(session)
-    return 0
-
-
-def _command_sweep(args: argparse.Namespace) -> int:
-    if _reject_remote_trace(args):
-        return 2
-    known = set(benchmark_names())
+def _check_benchmarks(args: argparse.Namespace) -> Optional[str]:
+    """``sweep``: name the unknown benchmarks, if any."""
+    known = benchmark_names()
     unknown = [name for name in args.benchmarks or [] if name not in known]
-    if unknown:
-        print(
-            f"unknown benchmark(s): {', '.join(unknown)} "
-            f"(expected: {', '.join(benchmark_names())})",
-            file=sys.stderr,
-        )
-        return 2
-    settings = _settings(args)
-    try:
-        request = _wire_request(
-            "sweep",
-            variants=args.variants or None,
-            benchmarks=args.benchmarks or None,
-            seeds=args.seeds or [settings.seed],
-            instructions=settings.instructions,
-        )
-    except WireError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    executed = _execute(args, request, settings)
-    if isinstance(executed, int):
-        return executed
-    result, session = executed
+    if not unknown:
+        return None
+    return f"unknown benchmark(s): {', '.join(unknown)} (expected: {', '.join(known)})"
 
-    if args.json:
-        entries = []
-        for entry in result.entries:
-            variant_name, benchmark, seed = entry.key
-            run = entry.value
-            row = {
-                "variant": variant_name,
-                "benchmark": benchmark,
-                "seed": seed,
-                "instructions": run.instructions,
-                "cycles": run.cycles,
-                "cpi": run.result.cpi,
-                "cache_key": entry.provenance.cache_key,
-                "origin": entry.provenance.origin,
-            }
-            entries.append(row)
-        print(
-            json.dumps(
-                {
-                    "command": "sweep",
-                    "entries": entries,
-                    "cache": _summary_dict(args, session, result.wall_time_seconds),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 0
 
+def _check_scenarios(args: argparse.Namespace) -> Optional[str]:
+    """``attack``: expand no scenario or ``all`` to every one; name unknown ones."""
+    from repro.attacks.scenarios import scenario_names
+
+    known = scenario_names()
+    if not args.scenarios or "all" in [name.lower() for name in args.scenarios]:
+        args.scenarios = known
+    unknown = [name for name in args.scenarios if name not in known]
+    if not unknown:
+        return None
+    return (
+        f"unknown scenario(s): {', '.join(unknown)} "
+        f"(expected one of: {', '.join(known)}, or 'all')"
+    )
+
+
+def _sweep_table(result: Result) -> None:
     seeds = {entry.key[2] for entry in result.entries}
-    variant_names = []
-    for entry in result.entries:
-        if entry.key[0] not in variant_names:
-            variant_names.append(entry.key[0])
+    variant_names = list(dict.fromkeys(entry.key[0] for entry in result.entries))
     show_seed = len(seeds) > 1
     has_base = "BASE" in variant_names
     width = max(10, max(len(name) for name in variant_names))
@@ -440,77 +286,13 @@ def _command_sweep(args: argparse.Namespace) -> int:
                 overhead = result.overhead_percent(variant_name, benchmark, seed)
                 row += f" {overhead:>12.2f}"
         print(row)
-    _print_run_summary(args, session, result.wall_time_seconds)
-    return 0
 
 
-def _command_attack(args: argparse.Namespace) -> int:
-    from repro.attacks.scenarios import scenario_names
+def _attack_table(result: Result) -> None:
+    from repro.analysis import figures
+    from repro.analysis.report import format_security_table
 
-    known = scenario_names()
-    if not args.scenarios or "all" in [name.lower() for name in args.scenarios]:
-        names = known
-    else:
-        names = args.scenarios
-        unknown = [name for name in names if name not in known]
-        if unknown:
-            print(
-                f"unknown scenario(s): {', '.join(unknown)} "
-                f"(expected one of: {', '.join(known)}, or 'all')",
-                file=sys.stderr,
-            )
-            return 2
-    settings = _settings(args)
-    try:
-        request = _wire_request(
-            "scenario",
-            scenarios=names,
-            variants=args.variants or None,
-            seeds=args.seeds or [settings.seed],
-            num_cores=args.num_cores,
-        )
-    except WireError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    executed = _execute(args, request, settings)
-    if isinstance(executed, int):
-        return executed
-    result, session = executed
-
-    if args.json:
-        entries = []
-        for entry in result.entries:
-            scenario, variant_name, seed = entry.key
-            outcome = entry.value
-            entries.append(
-                {
-                    "scenario": scenario,
-                    "variant": variant_name,
-                    "seed": seed,
-                    "num_cores": outcome.num_cores,
-                    "leaked_bits": outcome.leaked_bits,
-                    "total_bits": outcome.total_bits,
-                    "leaked": outcome.leaked,
-                    "cycles": outcome.cycles,
-                    "cache_key": entry.provenance.cache_key,
-                    "origin": entry.provenance.origin,
-                }
-            )
-        print(
-            json.dumps(
-                {
-                    "command": "attack",
-                    "entries": entries,
-                    "cache": _summary_dict(args, session, result.wall_time_seconds),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 0
-
-    seeds = {entry.key[2] for entry in result.entries}
-    show_seed = len(seeds) > 1
+    show_seed = len({entry.key[2] for entry in result.entries}) > 1
     width = max(10, max(len(entry.key[1]) for entry in result.entries))
     header = f"{'scenario':<16} {'variant':<{width}}"
     if show_seed:
@@ -531,131 +313,149 @@ def _command_attack(args: argparse.Namespace) -> int:
         )
         print(row)
     print()
-    from repro.analysis import figures
-    from repro.analysis.report import format_security_table
-
     rows = figures.aggregate_leakage_rows(result.outcomes)
     print(format_security_table(figures.SECURITY_TABLE_TITLE, rows))
-    _print_run_summary(args, session, result.wall_time_seconds)
-    return 0
 
 
-def _command_serve(args: argparse.Namespace) -> int:
-    if _reject_remote_trace(args):
-        return 2
-    if args.daemon:
-        # Long-running mode: host this session behind the HTTP/JSON API
-        # until SIGTERM/SIGINT.  All other serve flags still shape the
-        # session (cache dir, jobs, seed).
-        from repro.daemon.server import serve_daemon
-
-        session = _build_session(args)
-        serve_daemon(session, host=args.host, port=args.port)
-        return 0
-    # Policy names, the load profile, and the numeric parameters are
-    # validated when the request resolves into a ServiceSpec; _execute
-    # reports its ValueError, with the registry's own message, and
-    # exits 2.
-    settings = _settings(args)
-    try:
-        request = _wire_request(
-            "service",
-            policies=args.policy or None,
-            variants=args.variants or None,
-            loads=args.load or None,
-            seeds=args.seeds or [settings.seed],
-            load_profile=args.profile,
-            num_cores=args.num_cores,
-            num_tenants=args.tenants,
-            requests=args.requests,
-            instructions=args.instructions
-            if args.instructions is not None
-            else DEFAULT_SERVICE_INSTRUCTIONS,
-            churn_every=args.churn_every,
-        )
-    except WireError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    executed = _execute(args, request, settings)
-    if isinstance(executed, int):
-        return executed
-    result, session = executed
-
-    if args.json:
-        entries = []
-        for entry in result.entries:
-            policy, variant_name, load, seed = entry.key
-            entries.append(
-                {
-                    "policy": policy,
-                    "variant": variant_name,
-                    "load": load,
-                    "seed": seed,
-                    "outcome": entry.value.to_dict(),
-                    "cache_key": entry.provenance.cache_key,
-                    "origin": entry.provenance.origin,
-                    "purge": entry.provenance.purge,
-                }
-            )
-        # No wall time inside the document: outcome payloads are
-        # bit-identical across repeated seeded invocations and across
-        # --jobs settings (with --no-cache the whole document is), and
-        # only "origin"/"cache" distinguish a cold run from a warm one.
-        print(
-            json.dumps(
-                {
-                    "command": "serve",
-                    "entries": entries,
-                    "cache": _summary_dict(args, session),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 0
-
+def _serve_table(result: Result) -> None:
     from repro.analysis import figures
     from repro.analysis.report import format_service_table
 
     rows = figures.service_latency_rows(result.service_outcomes)
     print(format_service_table(figures.SERVICE_TABLE_TITLE, rows))
-    _print_run_summary(args, session, result.wall_time_seconds)
-    return 0
 
 
-def _command_fleet(args: argparse.Namespace) -> int:
-    if _reject_remote_trace(args):
+def _fleet_table(result: Result) -> None:
+    from repro.analysis import figures
+    from repro.analysis.report import format_fleet_table
+
+    rows = figures.fleet_goodput_rows(result.fleet_outcomes)
+    print(format_fleet_table(figures.FLEET_TABLE_TITLE, rows))
+    if len({row["load"] for row in rows}) > 1:
+        print()
+        print("measured saturation points (offered load at peak goodput):")
+        for variant, load in figures.fleet_saturation_points(rows).items():
+            print(f"  {variant:<12} {load:.2f}")
+
+
+class _Command(NamedTuple):
+    """A request subcommand: its request type and how its results print.
+
+    A ``--json`` entry holds the cell key (named by ``CELL_KEYS[cells]``),
+    the values at the attribute paths ``values`` (named by their last
+    part) and the provenance.  A serving kind (``audit`` set) holds its
+    outcome document and provenance audit instead, and no wall time, so
+    its document is bit-identical across seeded reruns and ``--jobs``.
+    """
+
+    request_type: Any
+    help: str
+    cells: str
+    table: Callable[[Result], None]
+    values: Tuple[str, ...] = ()
+    audit: Optional[str] = None
+    check: Optional[Callable[[argparse.Namespace], Optional[str]]] = None
+    run_length: bool = False
+    trace: bool = True
+
+
+_COMMANDS: Dict[str, _Command] = {
+    "sweep": _Command(
+        SweepRequest,
+        "run a custom variants x benchmarks x seeds sweep",
+        "run",
+        _sweep_table,
+        values=("instructions", "cycles", "result.cpi"),
+        check=_check_benchmarks,
+        run_length=True,
+    ),
+    "attack": _Command(
+        ScenarioRequest,
+        "run co-scheduled security scenarios (scenarios x variants x seeds)",
+        "scenario",
+        _attack_table,
+        values=("num_cores", "leaked_bits", "total_bits", "leaked", "cycles"),
+        check=_check_scenarios,
+        trace=False,
+    ),
+    "serve": _Command(
+        ServiceRequest,
+        "simulate an enclave fleet serving an open-loop request stream",
+        "service",
+        _serve_table,
+        audit="purge",
+    ),
+    "fleet": _Command(
+        FleetRequest,
+        "simulate a sharded fleet with routing, bounded admission, and "
+        "closed-loop clients (variants x loads x seeds)",
+        "fleet",
+        _fleet_table,
+        audit="admission",
+    ),
+}
+
+
+def _json_document(
+    args: argparse.Namespace, command: _Command, result: Result, session: Optional[Session]
+) -> str:
+    """The ``--json`` document of a request subcommand: one entry per result cell."""
+    entries = []
+    for entry in result.entries:
+        row = dict(zip(CELL_KEYS[command.cells], entry.key))
+        if command.audit is None:
+            for path in command.values:
+                row[path.rpartition(".")[2]] = attrgetter(path)(entry.value)
+        else:
+            row["outcome"] = entry.value.to_dict()
+            row[command.audit] = entry.provenance.purge
+        row["cache_key"] = entry.provenance.cache_key
+        row["origin"] = entry.provenance.origin
+        entries.append(row)
+    # The cache summary: the store's counters, or the daemon's address.
+    if session is None:
+        cache: Dict[str, Any] = {"remote": args.remote}
+    else:
+        store = session.store
+        cache = {
+            "runs_simulated": store.misses,
+            "warm_from_disk": store.disk_hits,
+            "reused_in_memory": store.memory_hits,
+        }
+        if command.audit is None:
+            cache["wall_seconds"] = result.wall_time_seconds
+    document = {"command": args.command, "entries": entries, "cache": cache}
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
+def _command_request(args: argparse.Namespace) -> int:
+    """``sweep``, ``attack``, ``serve`` and ``fleet``: build, run and print a request."""
+    command = _COMMANDS[args.command]
+    if args.remote and getattr(args, "trace", None):
+        print(
+            "--trace records in-process spans and cannot be combined with "
+            "--remote (capture the trace on the daemon side instead)",
+            file=sys.stderr,
+        )
         return 2
-    # Registry names (scheduling policy, router, admission, client
-    # model, load profile) and the numeric fleet shape are validated
-    # when the request resolves into a FleetSpec; _execute reports its
-    # ValueError and exits 2.
+    if getattr(args, "daemon", False):
+        # Long-running mode: host this session behind the HTTP/JSON API
+        # until SIGTERM/SIGINT.  The other flags shape the session only
+        # (cache dir, jobs, seed).
+        from repro.daemon.server import serve_daemon
+
+        serve_daemon(_build_session(args), host=args.host, port=args.port)
+        return 0
+    problem = command.check(args) if command.check is not None else None
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
+    # Registry names and numeric parameters are validated when the
+    # request resolves into its engine spec; _execute reports that
+    # ValueError, with the registry's own message, and exits 2.
     settings = _settings(args)
     try:
-        request = _wire_request(
-            "fleet",
-            variants=args.variants or None,
-            loads=args.load or None,
-            seeds=args.seeds or [settings.seed],
-            policy=args.policy,
-            router=args.router,
-            admission=args.admission,
-            client=args.client,
-            load_profile=args.profile,
-            num_shards=args.shards,
-            shard_cores=args.shard_cores,
-            num_tenants=args.tenants,
-            requests=args.requests,
-            queue_depth=args.queue_depth,
-            slo_factor=args.slo_factor,
-            think_factor=args.think_factor,
-            instructions=args.instructions
-            if args.instructions is not None
-            else DEFAULT_SERVICE_INSTRUCTIONS,
-            churn_every=args.churn_every,
-            dram_wipe_bytes_per_cycle=args.wipe_bytes_per_cycle,
-            measurement_cycles_per_page=args.measurement_cycles,
-        )
+        request = _wire_request(args, command.request_type, settings)
     except WireError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -663,51 +463,37 @@ def _command_fleet(args: argparse.Namespace) -> int:
     if isinstance(executed, int):
         return executed
     result, session = executed
-
     if args.json:
-        entries = []
-        for entry in result.entries:
-            variant_name, load, seed = entry.key
-            entries.append(
-                {
-                    "variant": variant_name,
-                    "load": load,
-                    "seed": seed,
-                    "outcome": entry.value.to_dict(),
-                    "cache_key": entry.provenance.cache_key,
-                    "origin": entry.provenance.origin,
-                    "admission": entry.provenance.purge,
-                }
-            )
-        # As for serve: no wall time inside the document, so outcome
-        # payloads are bit-identical across repeated seeded invocations
-        # and across --jobs settings; only "origin"/"cache" distinguish
-        # a cold run from a warm one.
+        print(_json_document(args, command, result, session))
+    else:
+        command.table(result)
+        _print_summary(args, session, result.wall_time_seconds)
+    return 0
+
+
+def _command_figure(args: argparse.Namespace) -> int:
+    from repro.analysis.figures import FIGURES, figure_key, measure_figure, render_figure
+
+    if "all" in [name.lower() for name in args.names]:
+        names = sorted(FIGURES)
+    else:
+        names = [figure_key(name) for name in args.names]
+    unknown = [name for name in names if name not in FIGURES]
+    if unknown:
         print(
-            json.dumps(
-                {
-                    "command": "fleet",
-                    "entries": entries,
-                    "cache": _summary_dict(args, session),
-                },
-                indent=2,
-                sort_keys=True,
-            )
+            f"unknown figure(s): {', '.join(unknown)} "
+            f"(expected one of: {', '.join(sorted(FIGURES))}, or 'all')",
+            file=sys.stderr,
         )
-        return 0
-
-    from repro.analysis import figures
-    from repro.analysis.report import format_fleet_table
-
-    rows = figures.fleet_goodput_rows(result.fleet_outcomes)
-    print(format_fleet_table(figures.FLEET_TABLE_TITLE, rows))
-    loads = {row["load"] for row in rows}
-    if len(loads) > 1:
-        print()
-        print("measured saturation points (offered load at peak goodput):")
-        for variant, load in figures.fleet_saturation_points(rows).items():
-            print(f"  {variant:<12} {load:.2f}")
-    _print_run_summary(args, session, result.wall_time_seconds)
+        return 2
+    session = _build_session(args)
+    settings = _settings(args)
+    for position, name in enumerate(names):
+        if position:
+            print()
+        figure = FIGURES[name]
+        print(render_figure(figure, measure_figure(figure, settings, jobs=args.jobs)))
+    _print_summary(args, session)
     return 0
 
 
@@ -750,8 +536,10 @@ def _command_trace_validate(args: argparse.Namespace) -> int:
 
 
 def _command_list(_args: argparse.Namespace) -> int:
+    from repro.analysis.figures import FIGURES
+
     print("figures:")
-    for name in sorted(_figure_handlers()):
+    for name in sorted(FIGURES):
         print(f"  {name}")
     print("mitigations (compose freely with '+', e.g. FLUSH+MISS):")
     for mitigation in known_mitigations():
@@ -764,61 +552,61 @@ def _command_list(_args: argparse.Namespace) -> int:
     print("benchmarks:")
     for name in benchmark_names():
         print(f"  {name}")
-    print("scenarios:")
     session = Session(ResultStore.in_memory())
-    for name, description in session.scenarios().items():
-        print(f"  {name:<16} {description}")
-    print("serving policies:")
-    for name, description in session.policies().items():
-        print(f"  {name:<16} {description}")
-    print("fleet routers:")
-    for name, description in session.routers().items():
-        print(f"  {name:<16} {description}")
-    print("fleet admission policies:")
-    for name, description in session.admission_policies().items():
-        print(f"  {name:<16} {description}")
-    print("fleet client models:")
-    for name, description in session.client_models().items():
-        print(f"  {name:<16} {description}")
+    for heading, registry in (
+        ("scenarios", session.scenarios()),
+        ("serving policies", session.policies()),
+        ("fleet routers", session.routers()),
+        ("fleet admission policies", session.admission_policies()),
+        ("fleet client models", session.client_models()),
+    ):
+        print(f"{heading}:")
+        for name, description in registry.items():
+            print(f"  {name:<16} {description}")
     return 0
 
 
-def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write a Chrome-trace-event (Perfetto) JSON trace of the run; "
-        "outcomes are unchanged (not compatible with --remote)",
-    )
+def _add_request_arguments(parser: argparse.ArgumentParser, request_type: Any) -> None:
+    """One argument per request field that declares a flag.
+
+    The field's metadata gives the flag, help text and argparse options;
+    a sequence annotation gives ``nargs="+"``, an ``int`` or ``float``
+    element the ``type``, and an option's default is the field's.
+    """
+    annotations = field_types(request_type)
+    for field in dataclasses.fields(request_type):
+        options = dict(field.metadata)
+        flag = options.pop("flag", None)
+        if flag is None:
+            continue
+        annotation = annotations[field.name]
+        if get_origin(annotation) is Union:
+            (annotation,) = [arg for arg in get_args(annotation) if arg is not type(None)]
+        if get_origin(annotation) is abc.Sequence:
+            options.setdefault("nargs", "+")
+            (annotation,) = get_args(annotation)
+        if annotation in (int, float):
+            options["type"] = annotation
+        if flag.startswith("-"):
+            options.update(dest=field.name, default=field.default)
+        parser.add_argument(flag, **options)
 
 
-def _add_remote_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--remote",
-        default=None,
-        metavar="ADDR",
-        help="send the request to a running daemon (host:port or URL) "
-        "instead of simulating locally",
-    )
-
-
-def _add_common_arguments(
-    parser: argparse.ArgumentParser, *, instructions: bool = True
-) -> None:
+def _add_common_arguments(parser: argparse.ArgumentParser, *, run_length: bool) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
         default=None,
         help="worker processes for uncached runs (default 1)",
     )
-    if instructions:
-        # Scenarios have no run length; the attack subcommand omits the
-        # flag entirely rather than accepting and ignoring it.
+    if run_length:
+        # The session's run length; attack (no run length) and serve and
+        # fleet (whose --instructions is a request field) leave it out.
         parser.add_argument(
             "--instructions",
             type=int,
             default=None,
+            dest="run_length",
             help="instructions per run (default $REPRO_BENCH_INSTRUCTIONS or 30000)",
         )
     parser.add_argument(
@@ -856,137 +644,36 @@ def build_parser() -> argparse.ArgumentParser:
         "figure", help="reproduce one or more paper figures (fig04..fig13, or all)"
     )
     figure.add_argument("names", nargs="+", metavar="FIGURE")
-    _add_common_arguments(figure)
+    _add_common_arguments(figure, run_length=True)
     figure.set_defaults(handler=_command_figure)
 
-    sweep = subparsers.add_parser(
-        "sweep", help="run a custom variants x benchmarks x seeds sweep"
-    )
-    sweep.add_argument(
-        "--variants",
-        nargs="+",
-        default=None,
-        help="mitigation specs, e.g. BASE FLUSH+MISS F+P+M+A (default: the paper's seven)",
-    )
-    sweep.add_argument(
-        "--benchmarks", nargs="+", default=None, help="benchmark names (default: all eleven)"
-    )
-    sweep.add_argument(
-        "--seeds", nargs="+", type=int, default=None, help="seeds (default: one, the sweep seed)"
-    )
-    sweep.add_argument(
-        "--json",
-        action="store_true",
-        help="print entries and the cache summary as JSON (for CI and scripts)",
-    )
-    _add_common_arguments(sweep)
-    _add_remote_argument(sweep)
-    _add_trace_argument(sweep)
-    sweep.set_defaults(handler=_command_sweep)
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
+        _add_request_arguments(sub, command.request_type)
+        sub.add_argument(
+            "--json",
+            action="store_true",
+            help="print entries and the cache summary as JSON (for CI and scripts)",
+        )
+        _add_common_arguments(sub, run_length=command.run_length)
+        sub.add_argument(
+            "--remote",
+            default=None,
+            metavar="ADDR",
+            help="send the request to a running daemon (host:port or URL) "
+            "instead of simulating locally",
+        )
+        if command.trace:
+            sub.add_argument(
+                "--trace",
+                default=None,
+                metavar="FILE",
+                help="write a Chrome-trace-event (Perfetto) JSON trace of the run; "
+                "outcomes are unchanged (not compatible with --remote)",
+            )
+        sub.set_defaults(handler=_command_request)
 
-    attack = subparsers.add_parser(
-        "attack",
-        help="run co-scheduled security scenarios (scenarios x variants x seeds)",
-    )
-    attack.add_argument(
-        "scenarios",
-        nargs="*",
-        metavar="SCENARIO",
-        help="scenario names (default: all registered scenarios)",
-    )
-    attack.add_argument(
-        "--variants",
-        nargs="+",
-        default=None,
-        help="mitigation specs, e.g. BASE FLUSH+MISS (default: BASE and F+P+M+A)",
-    )
-    attack.add_argument(
-        "--seeds", nargs="+", type=int, default=None, help="seeds (default: the sweep seed)"
-    )
-    attack.add_argument(
-        "--num-cores",
-        type=int,
-        default=2,
-        help="machine size; cores beyond attacker+victim host bystander domains (default 2)",
-    )
-    attack.add_argument(
-        "--json",
-        action="store_true",
-        help="print entries and the cache summary as JSON (for CI and scripts)",
-    )
-    _add_common_arguments(attack, instructions=False)
-    _add_remote_argument(attack)
-    attack.set_defaults(handler=_command_attack)
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="simulate an enclave fleet serving an open-loop request stream",
-    )
-    serve.add_argument(
-        "--policy",
-        nargs="+",
-        default=None,
-        metavar="POLICY",
-        help="scheduling policies (default: fifo affinity batch)",
-    )
-    serve.add_argument(
-        "--variants",
-        nargs="+",
-        default=None,
-        help="mitigation specs, e.g. BASE FLUSH+MISS (default: BASE and F+P+M+A)",
-    )
-    serve.add_argument(
-        "--load",
-        nargs="+",
-        type=float,
-        default=None,
-        help="offered load points as fractions of fleet capacity (default: 0.7)",
-    )
-    serve.add_argument(
-        "--profile",
-        choices=LOAD_PROFILES,
-        default="poisson",
-        help="arrival process shape (default: poisson)",
-    )
-    serve.add_argument(
-        "--num-cores",
-        type=int,
-        default=DEFAULT_SERVICE_CORES,
-        help=f"serving cores of the machine (default {DEFAULT_SERVICE_CORES})",
-    )
-    serve.add_argument(
-        "--tenants",
-        type=int,
-        default=DEFAULT_SERVICE_TENANTS,
-        help=f"tenant enclaves sharing the machine (default {DEFAULT_SERVICE_TENANTS})",
-    )
-    serve.add_argument(
-        "--requests",
-        type=int,
-        default=DEFAULT_SERVICE_REQUESTS,
-        help=f"open-loop requests per simulation (default {DEFAULT_SERVICE_REQUESTS})",
-    )
-    serve.add_argument(
-        "--churn-every",
-        type=int,
-        default=0,
-        help="destroy+recreate a tenant's enclave after N of its requests (default off)",
-    )
-    serve.add_argument(
-        "--instructions",
-        type=int,
-        default=None,
-        help=f"instructions per request (default {DEFAULT_SERVICE_INSTRUCTIONS}; "
-        "short requests are where enclave boundary costs surface)",
-    )
-    serve.add_argument(
-        "--seeds", nargs="+", type=int, default=None, help="seeds (default: the sweep seed)"
-    )
-    serve.add_argument(
-        "--json",
-        action="store_true",
-        help="print entries and the cache summary as JSON (for CI and scripts)",
-    )
+    serve = subparsers.choices["serve"]
     serve.add_argument(
         "--daemon",
         action="store_true",
@@ -1005,140 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"daemon TCP port, 0 picks a free one (default {DEFAULT_PORT}; "
         "only with --daemon)",
     )
-    _add_common_arguments(serve, instructions=False)
-    _add_remote_argument(serve)
-    _add_trace_argument(serve)
-    serve.set_defaults(handler=_command_serve)
-
-    fleet = subparsers.add_parser(
-        "fleet",
-        help="simulate a sharded fleet with routing, bounded admission, and "
-        "closed-loop clients (variants x loads x seeds)",
-    )
-    fleet.add_argument(
-        "--variants",
-        nargs="+",
-        default=None,
-        help="mitigation specs, e.g. BASE FLUSH+MISS (default: BASE and F+P+M+A)",
-    )
-    fleet.add_argument(
-        "--load",
-        nargs="+",
-        type=float,
-        default=None,
-        help="offered load points as fractions of per-shard capacity (default: 0.7)",
-    )
-    fleet.add_argument(
-        "--shards",
-        type=int,
-        default=DEFAULT_FLEET_SHARDS,
-        help=f"independent shard machines (default {DEFAULT_FLEET_SHARDS})",
-    )
-    fleet.add_argument(
-        "--shard-cores",
-        type=int,
-        default=DEFAULT_FLEET_SHARD_CORES,
-        help=f"serving cores per shard (default {DEFAULT_FLEET_SHARD_CORES})",
-    )
-    fleet.add_argument(
-        "--router",
-        default=DEFAULT_FLEET_ROUTER,
-        help="routing policy placing tenants on shards "
-        f"(default {DEFAULT_FLEET_ROUTER}; see 'repro-bench list')",
-    )
-    fleet.add_argument(
-        "--admission",
-        default=DEFAULT_FLEET_ADMISSION,
-        help="admission policy at each shard's bounded queue "
-        f"(default {DEFAULT_FLEET_ADMISSION}; see 'repro-bench list')",
-    )
-    fleet.add_argument(
-        "--client",
-        default=DEFAULT_FLEET_CLIENT,
-        help="client model generating the request stream "
-        f"(default {DEFAULT_FLEET_CLIENT}; see 'repro-bench list')",
-    )
-    fleet.add_argument(
-        "--policy",
-        default=DEFAULT_FLEET_POLICY,
-        help=f"per-shard scheduling policy (default {DEFAULT_FLEET_POLICY})",
-    )
-    fleet.add_argument(
-        "--profile",
-        choices=LOAD_PROFILES,
-        default="poisson",
-        help="arrival process shape for open-loop clients (default: poisson)",
-    )
-    fleet.add_argument(
-        "--queue-depth",
-        type=int,
-        default=DEFAULT_QUEUE_DEPTH,
-        help=f"bounded per-shard queue depth (default {DEFAULT_QUEUE_DEPTH})",
-    )
-    fleet.add_argument(
-        "--tenants",
-        type=int,
-        default=DEFAULT_FLEET_TENANTS,
-        help=f"tenant enclaves across the fleet (default {DEFAULT_FLEET_TENANTS})",
-    )
-    fleet.add_argument(
-        "--requests",
-        type=int,
-        default=DEFAULT_FLEET_REQUESTS,
-        help=f"fleet-wide request budget (default {DEFAULT_FLEET_REQUESTS})",
-    )
-    fleet.add_argument(
-        "--slo-factor",
-        type=float,
-        default=DEFAULT_SLO_FACTOR,
-        help="latency SLO as a multiple of the mean request service time "
-        f"(default {DEFAULT_SLO_FACTOR})",
-    )
-    fleet.add_argument(
-        "--think-factor",
-        type=float,
-        default=DEFAULT_THINK_FACTOR,
-        help="closed-loop mean think time as a multiple of the mean service "
-        f"time (default {DEFAULT_THINK_FACTOR})",
-    )
-    fleet.add_argument(
-        "--churn-every",
-        type=int,
-        default=0,
-        help="destroy+recreate a tenant's enclave after N of its requests (default off)",
-    )
-    fleet.add_argument(
-        "--wipe-bytes-per-cycle",
-        type=int,
-        default=DEFAULT_WIPE_BYTES_PER_CYCLE,
-        help="DRAM-wipe bandwidth charged on churn teardown "
-        f"(default {DEFAULT_WIPE_BYTES_PER_CYCLE} bytes/cycle)",
-    )
-    fleet.add_argument(
-        "--measurement-cycles",
-        type=int,
-        default=DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
-        help="enclave-measurement cycles per loaded page charged on churn "
-        f"re-create (default {DEFAULT_MEASUREMENT_CYCLES_PER_PAGE})",
-    )
-    fleet.add_argument(
-        "--instructions",
-        type=int,
-        default=None,
-        help=f"instructions per request (default {DEFAULT_SERVICE_INSTRUCTIONS})",
-    )
-    fleet.add_argument(
-        "--seeds", nargs="+", type=int, default=None, help="seeds (default: the sweep seed)"
-    )
-    fleet.add_argument(
-        "--json",
-        action="store_true",
-        help="print entries and the cache summary as JSON (for CI and scripts)",
-    )
-    _add_common_arguments(fleet, instructions=False)
-    _add_remote_argument(fleet)
-    _add_trace_argument(fleet)
-    fleet.set_defaults(handler=_command_fleet)
 
     trace = subparsers.add_parser(
         "trace",

@@ -11,10 +11,8 @@ This package layers the MI6 mechanisms on top of the RiscyOO substrate:
 * :mod:`repro.core.mitigations` — the composable mitigation registry:
   each defence is a registered config transform, arbitrary combinations
   (``FLUSH+MISS``) are first-class, and the paper's named variants are
-  declared compositions;
-* :mod:`repro.core.variants` — the seven evaluation variants of Section 7
-  (BASE, FLUSH, PART, MISS, ARB, NONSPEC, F+P+M+A) as a compatibility
-  layer over the registry;
+  declared compositions; the seven evaluation variants of Section 7
+  (BASE, FLUSH, PART, MISS, ARB, NONSPEC, F+P+M+A) are spec strings;
 * :mod:`repro.core.processor` — :class:`MI6Processor`, the single-core
   evaluation vehicle that runs synthetic workloads under a chosen variant
   (the experiment engine assembles one per run request, in
@@ -63,12 +61,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "run_cache_key",
             "run_from_dict",
             "run_to_dict",
-        ),
-        "repro.core.variants": (
-            "Variant",
-            "config_for_variant",
-            "parse_variant",
-            "variant_description",
         ),
     },
 )

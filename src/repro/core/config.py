@@ -2,7 +2,8 @@
 
 A single :class:`MI6Config` describes both the baseline machine and any of
 the secured variants; the evaluation variants of Section 7 are produced by
-:mod:`repro.core.variants` as specific settings of the security switches.
+the mitigation registry (:mod:`repro.core.mitigations`) as specific
+settings of the security switches.
 The core's :class:`CoreConfig` and the LLC's :class:`LlcConfig` live here
 beside it, so a configuration can be built, hashed and decoded without
 importing the timing models that consume it.

@@ -21,16 +21,14 @@ and replaces the closed ``Variant`` if-chain with composition:
   cases: they only pin display names (and hence cache-key identity) to
   the paper's spelling.
 
-The legacy :class:`~repro.core.variants.Variant` enum remains as a thin
-compatibility layer on top of this registry; for each of the seven paper
-variants the composed configuration is field-for-field identical to the
-enum path and therefore hashes to the identical cache key.
+The paper's seven evaluation variants are spec strings over this
+registry (``"BASE"``, ``"FLUSH"``, ..., ``"F+P+M+A"``); every front end
+names a variant that way or by a :class:`MitigationSet`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.config import MI6Config
@@ -79,8 +77,8 @@ def register_mitigation(
     import time (module level), never conditionally.
     """
     canonical = name.strip().upper()
-    # '+' is the spec separator and '_' is rewritten to '+' for the
-    # legacy enum spelling, so neither can appear in a registered name
+    # '+' is the spec separator and '_' is rewritten to '+' (the
+    # underscore spelling F_P_M_A), so neither can appear in a registered name
     # (an underscore name could never be composed via string specs).
     if not canonical or "+" in canonical or "_" in canonical:
         raise ValueError(f"invalid mitigation name {name!r}")
@@ -101,8 +99,8 @@ def register_composition(name: str, mitigations: Iterable[str]) -> None:
 
     Declared names pin the canonical name — and therefore the
     content-hash cache-key identity — of that combination; the paper's
-    ``BASE`` (empty set) and ``F+P+M+A`` are declared here so the
-    composed configurations stay bit-identical to the legacy enum path.
+    ``BASE`` (empty set) and ``F+P+M+A`` are declared here so their
+    configurations carry the paper's spelling.
     """
     canonical = name.strip().upper()
     if canonical in _MITIGATIONS or canonical in _ALIASES:
@@ -208,8 +206,7 @@ class MitigationSet:
 
         Starts from ``base`` (Figure 4 defaults if omitted), stamps the
         canonical name, and applies each member transform in canonical
-        order.  For the seven paper variants the result is field-for-field
-        identical to the legacy ``config_for_variant`` path.
+        order.
         """
         config = base or MI6Config()
         config = replace(config, name=self.name)
@@ -224,13 +221,13 @@ def parse_spec(text: str) -> MitigationSet:
     Accepts any ``+``-separated combination of mitigation names, their
     single-letter aliases, and declared composition names, in any case
     and order: ``FLUSH+MISS``, ``miss+flush``, ``F+P+M+A``, ``f_p_m_a``
-    (legacy enum spelling), ``BASE``.  Unknown names raise
+    (underscores as separators), ``BASE``.  Unknown names raise
     :class:`ValueError` listing the valid mitigations.
     """
     normalized = text.strip().upper()
     if not normalized:
         raise ValueError("empty mitigation spec")
-    # Legacy enum spelling: underscores as separators (F_P_M_A).
+    # Underscores are separators too (F_P_M_A).
     if normalized in _COMPOSITIONS or normalized in _MITIGATIONS or normalized in _ALIASES:
         tokens = [normalized]
     else:
@@ -247,18 +244,15 @@ def parse_spec(text: str) -> MitigationSet:
 # ----------------------------------------------------------------------
 # VariantLike: the one spec vocabulary every front end accepts
 
-#: Anything that names a machine-configuration variant: a legacy
-#: ``Variant`` enum member, a composed ``MitigationSet``, or a spec
-#: string (``"FLUSH+MISS"``).
-VariantLike = Union[Enum, MitigationSet, str]
+#: Anything that names a machine-configuration variant: a composed
+#: ``MitigationSet`` or a spec string (``"FLUSH+MISS"``).
+VariantLike = Union[MitigationSet, str]
 
 
 def as_spec(value: VariantLike) -> MitigationSet:
     """Coerce any :data:`VariantLike` to a canonical :class:`MitigationSet`."""
     if isinstance(value, MitigationSet):
         return value
-    if isinstance(value, Enum):
-        return parse_spec(str(value.value))
     if isinstance(value, str):
         return parse_spec(value)
     raise TypeError(f"cannot interpret {value!r} as a variant spec")

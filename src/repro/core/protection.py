@@ -131,10 +131,6 @@ class ProtectionDomain:
             return False
         return address_map.region_of(physical_address) in self.regions
 
-    def region_base_addresses(self, address_map: AddressMap) -> list:
-        """Base physical address of every region the domain owns, sorted."""
-        return [address_map.region_base(region) for region in sorted(self.regions)]
-
     def build_identity_table(self, address_map: AddressMap) -> PageTable:
         """Identity page table over the domain's regions (for the OS domain).
 

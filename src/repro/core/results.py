@@ -69,11 +69,6 @@ class CoreResult:
         """Cycles spent stalled waiting for purge flushes (Figure 6 metric)."""
         return self.stats.value("core.flush_stall_cycles")
 
-    @property
-    def flush_stall_fraction(self) -> float:
-        """Flush stall cycles as a fraction of total execution time."""
-        return self.flush_stall_cycles / self.cycles if self.cycles else 0.0
-
 
 @dataclass
 class WorkloadRun:

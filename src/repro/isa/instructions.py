@@ -54,11 +54,6 @@ class PrivilegeMode(Enum):
     SUPERVISOR = 1
     MACHINE = 3
 
-    @property
-    def is_machine(self) -> bool:
-        """True for machine mode (the security monitor's privilege level)."""
-        return self is PrivilegeMode.MACHINE
-
 
 class TrapCause(Enum):
     """Causes of traps the OS / security monitor model distinguishes."""

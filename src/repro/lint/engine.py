@@ -70,13 +70,6 @@ class LintContext:
 
     modules: List[SourceModule]
 
-    def module_at(self, *suffixes: str) -> Optional[SourceModule]:
-        """The first module whose path ends with any of ``suffixes``."""
-        for module in self.modules:
-            if module.path_matches(*suffixes):
-                return module
-        return None
-
 
 class Rule:
     """Base class for lint rules.

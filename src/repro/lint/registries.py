@@ -15,12 +15,6 @@ entry's meaning would change with it.  This rule pins the contract:
   (:data:`OWNING_MODULES`); third-party extension modules registering
   their own entries are out of scope because only ``src/repro`` is
   linted in CI.
-
-It also guards the registry's *consumers*: the legacy ``Variant`` enum
-shims (:data:`LEGACY_SHIMS`) exist so old call sites, cached results,
-and public imports keep working — but new internal code must go through
-the mitigation registry (``parse_spec``/``config_for_spec``), so a call
-to a shim anywhere outside its owning compatibility module is a finding.
 """
 
 from __future__ import annotations
@@ -42,21 +36,6 @@ OWNING_MODULES: Dict[str, Tuple[str, ...]] = {
     "register_admission_policy": ("repro/fleet/admission.py",),
     "register_client_model": ("repro/fleet/clients.py",),
     "register_rule": ("repro/lint/",),
-}
-
-#: Legacy shim name -> (owning compatibility modules, modern replacement).
-#: The shims stay importable forever (cached cache keys and public API
-#: promises flow through them), but calls from new internal code belong
-#: on the mitigation-registry path.
-LEGACY_SHIMS: Dict[str, Tuple[Tuple[str, ...], str]] = {
-    "parse_variant": (
-        ("repro/core/variants.py",),
-        "repro.core.mitigations.parse_spec",
-    ),
-    "config_for_variant": (
-        ("repro/core/variants.py",),
-        "repro.core.mitigations.config_for_spec",
-    ),
 }
 
 
@@ -83,8 +62,7 @@ class RegistryHygieneRule(Rule):
     name = "registry-hygiene"
     description = (
         "register_* calls happen at import time, top-level, in the "
-        "registry's owning module; legacy variant shims are not called "
-        "from new internal code"
+        "registry's owning module"
     )
 
     def check(self, context: LintContext) -> Iterator[Finding]:
@@ -108,17 +86,6 @@ class RegistryHygieneRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = _registrar_name(node)
-            if name in LEGACY_SHIMS:
-                shim_owners, replacement = LEGACY_SHIMS[name]
-                if not _module_owns(module, shim_owners):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{name}() is a legacy variant shim: new internal "
-                        f"code must use {replacement} (the mitigation-"
-                        "registry path)",
-                    )
-                continue
             if name not in OWNING_MODULES:
                 continue
             owners = OWNING_MODULES[name]

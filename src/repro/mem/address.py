@@ -117,11 +117,6 @@ class AddressMap:
         return self.dram_bytes // self.num_regions
 
     @property
-    def region_bits(self) -> int:
-        """Number of bits in the DRAM-region ID."""
-        return _log2(self.num_regions)
-
-    @property
     def pages_per_region(self) -> int:
         """Number of 4 KB pages per DRAM region."""
         return self.region_bytes // self.page_bytes

@@ -66,13 +66,3 @@ class RoundRobinArbiter(PipelineEntryArbiter):
             if core == owner and fifo:
                 return index
         return None
-
-
-def average_entry_latency(num_cores: int) -> float:
-    """Average extra pipeline-entry latency added by the round-robin arbiter.
-
-    A message from a given core waits on average ``N / 2`` cycles for its
-    slot (Section 5.4.4); the ARB evaluation variant charges 8 cycles for
-    the 16-core configuration.
-    """
-    return num_cores / 2.0

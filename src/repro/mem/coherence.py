@@ -1,11 +1,12 @@
-"""MSI coherence messages and the LLC directory.
+"""MSI coherence states and the LLC directory.
 
 The LLC of RiscyOO uses an MSI directory-based coherence protocol and
 communicates with each core's L1 over a dedicated link of three FIFOs
 (Section 5.4.1): upgrade requests from the L1, downgrade responses from
 the L1, and upgrade responses / downgrade requests from the LLC.  The
-detailed LLC model (:mod:`repro.mem.llc_detail`) moves these message
-objects through its queues cycle by cycle.
+detailed LLC model (:mod:`repro.mem.llc_detail`) keeps its own request
+records in those queues and consults the :class:`Directory` here for
+which L1s hold a line and in what state.
 """
 
 from __future__ import annotations
@@ -21,67 +22,6 @@ class CoherenceState(Enum):
     INVALID = auto()
     SHARED = auto()
     MODIFIED = auto()
-
-
-class MessageKind(Enum):
-    """Kinds of messages that enter the LLC's cache-access pipeline."""
-
-    UPGRADE_REQUEST = auto()      # L1 asks for S or M permission
-    DOWNGRADE_RESPONSE = auto()   # L1 acknowledges a downgrade (maybe with data)
-    DRAM_RESPONSE = auto()        # DRAM returns data for an earlier miss
-
-
-@dataclass
-class UpgradeRequest:
-    """An L1 upgrade request (read for S, write for M)."""
-
-    core: int
-    line_address: int
-    want_modified: bool
-    issue_cycle: int
-    request_id: int = 0
-
-
-@dataclass
-class DowngradeResponse:
-    """An L1's acknowledgement of a downgrade request."""
-
-    core: int
-    line_address: int
-    dirty_data: bool
-    issue_cycle: int
-
-
-@dataclass
-class DramResponse:
-    """Data returned by the DRAM controller for an LLC miss."""
-
-    mshr_id: int
-    core: int
-    line_address: int
-    ready_cycle: int
-
-
-@dataclass
-class DowngradeRequest:
-    """LLC request asking an L1 to downgrade a line it holds."""
-
-    core: int
-    line_address: int
-    to_state: CoherenceState
-    issue_cycle: int
-
-
-@dataclass
-class UpgradeResponse:
-    """LLC response granting an L1's upgrade request."""
-
-    core: int
-    line_address: int
-    granted_state: CoherenceState
-    request_id: int
-    issue_cycle: int
-    complete_cycle: int = 0
 
 
 @dataclass

@@ -205,11 +205,6 @@ class DetailedLlc:
     # ------------------------------------------------------------------
     # MSHR helpers
 
-    def _mshr_occupancy(self, core: Optional[int] = None) -> int:
-        if core is None:
-            return len(self._mshrs)
-        return self._occupancy_by_core.get(core, 0)
-
     def _can_allocate_mshr(self, core: int) -> bool:
         if self.config.secure:
             return self._occupancy_by_core.get(core, 0) < self.config.mshrs_per_core

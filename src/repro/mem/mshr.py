@@ -21,7 +21,7 @@ the whole structure when one bank is full (Section 7.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.errors import ConfigurationError
 
@@ -104,10 +104,6 @@ class MshrFile:
         self._entries: Dict[int, MshrEntry] = {}
         self._next_id = 0
 
-    def capacity_for_core(self, core: int) -> int:
-        """Number of MSHR entries the given core may occupy."""
-        return self.config.entries_per_core
-
     def bank_of(self, set_index: int) -> int:
         """Bank a request to ``set_index`` must use (low-order index bits)."""
         return set_index % self.config.banks
@@ -154,14 +150,6 @@ class MshrFile:
     def release(self, entry_id: int) -> None:
         """Free the entry with the given ID."""
         self._entries.pop(entry_id, None)
-
-    def entries_for_core(self, core: int) -> List[MshrEntry]:
-        """All live entries belonging to ``core``."""
-        return [entry for entry in self._entries.values() if entry.core == core]
-
-    def live_entries(self) -> List[MshrEntry]:
-        """All live entries."""
-        return list(self._entries.values())
 
     def reset(self) -> None:
         """Drop all entries (between independent simulations)."""

@@ -41,19 +41,9 @@ class Mailbox:
         self.owner_id = owner_id
         self.capacity = capacity
         self._messages: List[MailboxMessage] = []
-        self._expected_sender: Optional[int] = None
-
-    def expect_sender(self, sender_id: Optional[int]) -> None:
-        """Restrict future deliveries to one sender (None accepts any)."""
-        self._expected_sender = sender_id
 
     def deliver(self, message: MailboxMessage) -> None:
         """Deliver a message (called only by the security monitor)."""
-        if self._expected_sender is not None and message.sender_id != self._expected_sender:
-            raise SecurityMonitorError(
-                f"mailbox of {self.owner_id} only accepts messages from "
-                f"{self._expected_sender}, not {message.sender_id}"
-            )
         if len(self._messages) >= self.capacity:
             raise SecurityMonitorError(f"mailbox of {self.owner_id} is full")
         self._messages.append(message)

@@ -20,10 +20,6 @@ from typing import List, Optional
 from repro.common.stats import StatsRegistry
 
 
-def _saturate(value: int, maximum: int) -> int:
-    return max(0, min(maximum, value))
-
-
 class TournamentPredictor:
     """Local + global + choice tournament predictor.
 
@@ -81,12 +77,6 @@ class TournamentPredictor:
 
     # ------------------------------------------------------------------
     # Prediction / update
-
-    def _local_index(self, pc: int) -> int:
-        return (pc >> 2) % self.local_history_entries
-
-    def _global_index(self) -> int:
-        return self._global_history & (self.global_entries - 1)
 
     def predict(self, pc: int) -> bool:
         """Predict the direction of the branch at ``pc``."""
@@ -201,8 +191,3 @@ class TournamentPredictor:
     def misprediction_count(self) -> int:
         """Total mispredictions recorded so far."""
         return self._stats.value("bp.mispredictions")
-
-    @property
-    def lookup_count(self) -> int:
-        """Total predictions recorded so far."""
-        return self._stats.value("bp.lookups")

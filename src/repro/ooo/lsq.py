@@ -32,12 +32,6 @@ class LoadStoreQueue:
         self._loads: List[LoadStoreEntry] = []
         self._stores: List[LoadStoreEntry] = []
 
-    def can_insert(self, is_store: bool) -> bool:
-        """True when the relevant queue has a free entry."""
-        if is_store:
-            return len(self._stores) < self.store_entries
-        return len(self._loads) < self.load_entries
-
     def insert(self, entry: LoadStoreEntry) -> None:
         """Insert an in-flight memory operation."""
         if entry.is_store:

@@ -40,13 +40,6 @@ class ReorderBuffer:
         self._entries.append(sequence)
         self._tail_pointer = (self._tail_pointer + 1) % self.capacity
 
-    def commit_oldest(self) -> Optional[int]:
-        """Commit and remove the oldest instruction."""
-        if not self._entries:
-            return None
-        self._head_pointer = (self._head_pointer + 1) % self.capacity
-        return self._entries.pop(0)
-
     def squash_all(self) -> int:
         """Squash every in-flight instruction (misprediction / trap / purge)."""
         squashed = len(self._entries)

@@ -3,8 +3,8 @@
 The OS owns scheduling and physical-resource allocation policy but none of
 the security: every enclave-affecting operation goes through the security
 monitor, which may refuse it.  :class:`UntrustedOS` models a well-behaved
-kernel (sequential physical page allocation, simple round-robin
-scheduling); :class:`MaliciousOS` adds the hostile behaviours the threat
+kernel that claims its own DRAM regions and launches enclaves through the
+monitor; :class:`MaliciousOS` adds the hostile behaviours the threat
 model (Section 2.3) allows — attempting to grab enclave memory, to map
 another domain's regions, to schedule over a running enclave, or to spy on
 mailbox traffic — which the tests use to show the monitor holds the line.
@@ -12,22 +12,12 @@ mailbox traffic — which the tests use to show the monitor holds the line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.common.errors import SecurityMonitorError
 from repro.monitor.enclave import Enclave
 from repro.monitor.security_monitor import OS_DOMAIN_ID, SecurityMonitor
 from repro.os_model.machine import Machine
-
-
-@dataclass
-class OsProcess:
-    """An ordinary (non-enclave) process managed entirely by the OS."""
-
-    pid: int
-    name: str
-    pages: List[int] = field(default_factory=list)
 
 
 class UntrustedOS:
@@ -46,28 +36,7 @@ class UntrustedOS:
         # domain (its DRAM-region bitvector does not include enclave or
         # monitor regions).
         machine.core(0).install_domain(self.domain)
-        self._next_free_page = address_map.region_base(min(os_regions))
-        self._processes: Dict[int, OsProcess] = {}
-        self._next_pid = 100
         self.enclaves: Dict[int, Enclave] = {}
-
-    # ------------------------------------------------------------------
-    # Ordinary process management
-
-    def allocate_pages(self, count: int, page_bytes: int = 4096) -> List[int]:
-        """Allocate physical pages sequentially (the Section 7.2 pattern)."""
-        pages = []
-        for _ in range(count):
-            pages.append(self._next_free_page)
-            self._next_free_page += page_bytes
-        return pages
-
-    def spawn_process(self, name: str, pages: int = 16) -> OsProcess:
-        """Create an ordinary process with sequentially allocated memory."""
-        process = OsProcess(pid=self._next_pid, name=name, pages=self.allocate_pages(pages))
-        self._next_pid += 1
-        self._processes[process.pid] = process
-        return process
 
     # ------------------------------------------------------------------
     # Enclave management (always via the monitor)
@@ -89,11 +58,6 @@ class UntrustedOS:
         self.monitor.schedule_enclave(enclave, core_id)
         self.enclaves[enclave.enclave_id] = enclave
         return enclave
-
-    def stop_enclave(self, enclave: Enclave) -> None:
-        """De-schedule and destroy an enclave."""
-        self.monitor.destroy_enclave(enclave)
-        self.enclaves.pop(enclave.enclave_id, None)
 
     def os_domain_id(self) -> int:
         """Domain id of the OS (for mailbox addressing)."""

@@ -133,13 +133,6 @@ class Machine:
         """The core complex with the given id."""
         return self.cores[core_id]
 
-    def domains_on_cores(self) -> Dict[int, Optional[int]]:
-        """Mapping core id -> domain id currently installed (None if idle)."""
-        return {
-            core.core_id: (core.current_domain.domain_id if core.current_domain else None)
-            for core in self.cores
-        }
-
     def purge_audit(self) -> Dict[int, Dict[str, int]]:
         """Per-core purge accounting: executions and accumulated stalls.
 

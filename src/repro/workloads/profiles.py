@@ -116,11 +116,6 @@ class WorkloadProfile:
             raise ConfigurationError("far reuse window exceeds the data footprint")
 
     @property
-    def hard_branch_fraction(self) -> float:
-        """Fraction of hard, data-dependent branches."""
-        return max(0.0, 1.0 - self.easy_branch_fraction - self.biased_branch_fraction)
-
-    @property
     def memory_fraction(self) -> float:
         """Fraction of instructions that access memory."""
         return self.instruction_mix.get("load", 0.0) + self.instruction_mix.get("store", 0.0)
@@ -129,12 +124,6 @@ class WorkloadProfile:
     def branch_fraction(self) -> float:
         """Fraction of instructions that are branches."""
         return self.instruction_mix.get("branch", 0.0)
-
-    @property
-    def expected_llc_accesses_per_kilo_instruction(self) -> float:
-        """Rough expected L1-miss (LLC access) rate implied by the mix."""
-        miss_fraction = self.reuse_llc_fraction + self.reuse_far_fraction + self.new_line_fraction
-        return 1000.0 * self.memory_fraction * miss_fraction
 
     @property
     def expected_llc_misses_per_kilo_instruction(self) -> float:

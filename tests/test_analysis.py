@@ -11,7 +11,6 @@ from repro.analysis.harness import (
     runtime_overhead_metric,
 )
 from repro.analysis.report import format_comparison_table, format_series_table, geometric_mean
-from repro.core.variants import Variant
 
 
 @pytest.fixture(autouse=True)
@@ -26,16 +25,16 @@ SMALL = EvaluationSettings(instructions=3000)
 
 class TestHarness:
     def test_cached_run_returns_same_object(self):
-        first = cached_run(Variant.BASE, "hmmer", SMALL)
-        second = cached_run(Variant.BASE, "hmmer", SMALL)
+        first = cached_run("BASE", "hmmer", SMALL)
+        second = cached_run("BASE", "hmmer", SMALL)
         assert first is second
 
     def test_overhead_percent_is_positive_for_secured_variant(self):
-        assert overhead_percent(Variant.ARB, "libquantum", SMALL) > 0
+        assert overhead_percent("ARB", "libquantum", SMALL) > 0
 
     def test_run_figure_series_includes_average(self):
         series = run_figure_series(
-            Variant.ARB, runtime_overhead_metric, SMALL, benchmarks=["hmmer", "libquantum"]
+            "ARB", runtime_overhead_metric, SMALL, benchmarks=["hmmer", "libquantum"]
         )
         assert set(series) == {"hmmer", "libquantum", "average"}
         assert series["average"] == pytest.approx(
@@ -44,19 +43,19 @@ class TestHarness:
 
     def test_run_figure_series_is_insertion_ordered(self):
         series = run_figure_series(
-            Variant.ARB, runtime_overhead_metric, SMALL, benchmarks=["libquantum", "hmmer"]
+            "ARB", runtime_overhead_metric, SMALL, benchmarks=["libquantum", "hmmer"]
         )
         assert list(series) == ["libquantum", "hmmer", "average"]
 
     def test_run_figure_series_rejects_reserved_benchmark_name(self):
         with pytest.raises(ValueError, match="average"):
             run_figure_series(
-                Variant.ARB, runtime_overhead_metric, SMALL, benchmarks=["hmmer", "average"]
+                "ARB", runtime_overhead_metric, SMALL, benchmarks=["hmmer", "average"]
             )
 
     def test_run_figure_series_rejects_empty_benchmark_list(self):
         with pytest.raises(ValueError, match="empty"):
-            run_figure_series(Variant.ARB, runtime_overhead_metric, SMALL, benchmarks=[])
+            run_figure_series("ARB", runtime_overhead_metric, SMALL, benchmarks=[])
 
     def test_settings_from_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_INSTRUCTIONS", "1234")

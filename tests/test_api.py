@@ -17,12 +17,12 @@ from repro.attacks.placement import Placement, default_placement
 from repro.attacks.scenarios import build_scenario_machine
 from repro.common.errors import ConfigurationError
 from repro.core.config import MI6Config
-from repro.core.variants import Variant, config_for_variant
+from repro.core.mitigations import config_for_spec
 from repro.os_model.machine import Machine
 
 SMALL = dict(instructions=2500)
-BASE = config_for_variant(Variant.BASE)
-MI6 = config_for_variant(Variant.F_P_M_A)
+BASE = config_for_spec("BASE")
+MI6 = config_for_spec("F+P+M+A")
 
 
 def session():
@@ -43,7 +43,7 @@ class TestWorkloadRequests:
 
     def test_enum_and_spec_share_cache_entries(self):
         s = session()
-        cold = s.workload(Variant.F_P_M_A, "hmmer", **SMALL)
+        cold = s.workload("F+P+M+A", "hmmer", **SMALL)
         warm = s.workload("flush+part+miss+arb", "hmmer", **SMALL)
         assert warm.provenance.origin == "warm"
         assert warm.provenance.cache_key == cold.provenance.cache_key
@@ -164,7 +164,7 @@ class TestScenarioRequests:
 
     def test_property1_holds_on_larger_machines(self):
         s = session()
-        result = s.attack(variants=[Variant.BASE, Variant.F_P_M_A], num_cores=4)
+        result = s.attack(variants=["BASE", "F+P+M+A"], num_cores=4)
         for entry in result:
             scenario, variant, _seed = entry.key
             if variant == "BASE":

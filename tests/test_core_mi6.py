@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.analysis.engine import PAPER_VARIANTS
 from repro.common.errors import ConfigurationError, ProtectionFault
 from repro.core.config import MI6Config
 from repro.core.isolation import llc_sets_disjoint, timing_independence_report, verify_purged_state
+from repro.core.mitigations import config_for_spec, parse_spec
 from repro.core.processor import MI6Processor
 from repro.core.protection import ProtectionDomain, RegionBitvector
-from repro.core.variants import Variant, all_variants, config_for_variant, variant_description
 from repro.mem.address import AddressMap, IndexFunction
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.spec_cint2006 import profile_for
@@ -62,10 +63,11 @@ class TestProtectionDomain:
 
 class TestVariants:
     def test_all_seven_variants_exist(self):
-        assert len(all_variants()) == 7
+        assert len(PAPER_VARIANTS) == 7
+        assert [config_for_spec(variant).name for variant in PAPER_VARIANTS] == list(PAPER_VARIANTS)
 
     def test_fpma_combines_four_mechanisms(self):
-        config = config_for_variant(Variant.F_P_M_A)
+        config = config_for_spec("F+P+M+A")
         assert config.flush_on_context_switch
         assert config.set_partition_llc
         assert config.partition_mshrs
@@ -73,31 +75,31 @@ class TestVariants:
         assert not config.nonspec_memory
 
     def test_effective_llc_config_reflects_switches(self):
-        base = config_for_variant(Variant.BASE).effective_llc_config()
-        arb = config_for_variant(Variant.ARB).effective_llc_config()
-        part = config_for_variant(Variant.PART).effective_llc_config()
-        miss = config_for_variant(Variant.MISS).effective_llc_config()
+        base = config_for_spec("BASE").effective_llc_config()
+        arb = config_for_spec("ARB").effective_llc_config()
+        part = config_for_spec("PART").effective_llc_config()
+        miss = config_for_spec("MISS").effective_llc_config()
         assert base.extra_pipeline_latency == 0
         assert arb.extra_pipeline_latency == 8          # 16 cores / 2
         assert part.index_function is IndexFunction.SET_PARTITIONED
         assert miss.mshr.total_entries == 12 and miss.mshr.banks == 4
 
     def test_every_variant_has_a_description(self):
-        for variant in all_variants():
-            assert variant_description(variant)
+        for variant in PAPER_VARIANTS:
+            assert parse_spec(variant).describe()
 
     def test_describe_renders_figure4_table(self):
-        text = config_for_variant(Variant.BASE).describe()
+        text = config_for_spec("BASE").describe()
         assert "80-entry ROB" in text
         assert "120-cycle latency" in text
 
 
 class TestPurge:
     def build_processor(self):
-        return MI6Processor(config_for_variant(Variant.FLUSH))
+        return MI6Processor(config_for_spec("FLUSH"))
 
     def test_purge_scrubs_and_matches_pristine_observable_state(self):
-        pristine = MI6Processor(config_for_variant(Variant.FLUSH)).purge_unit.observable_state()
+        pristine = MI6Processor(config_for_spec("FLUSH")).purge_unit.observable_state()
         processor = self.build_processor()
         processor.run_workload("hmmer", instructions=3000, warm_up=False)
         assert processor.hierarchy.l1d.cache.valid_line_count() > 0
@@ -134,19 +136,19 @@ class TestIsolationCheckers:
 
 class TestMI6Processor:
     def test_run_produces_consistent_result(self):
-        processor = MI6Processor(config_for_variant(Variant.BASE))
+        processor = MI6Processor(config_for_spec("BASE"))
         run = processor.run_workload("hmmer", instructions=4000)
         assert run.instructions == 4000
         assert run.cycles > 0
         assert run.result.ipc > 0
 
     def test_runs_are_deterministic(self):
-        first = MI6Processor(config_for_variant(Variant.BASE)).run_workload("bzip2", instructions=3000)
-        second = MI6Processor(config_for_variant(Variant.BASE)).run_workload("bzip2", instructions=3000)
+        first = MI6Processor(config_for_spec("BASE")).run_workload("bzip2", instructions=3000)
+        second = MI6Processor(config_for_spec("BASE")).run_workload("bzip2", instructions=3000)
         assert first.cycles == second.cycles
 
     def test_workload_domain_pages_stay_inside_regions(self):
-        processor = MI6Processor(config_for_variant(Variant.BASE))
+        processor = MI6Processor(config_for_spec("BASE"))
         workload = SyntheticWorkload(profile_for("hmmer"))
         domain = processor.build_workload_domain(workload)
         address_map = processor.config.address_map
@@ -155,29 +157,29 @@ class TestMI6Processor:
             assert region in domain.regions
 
     def test_accesses_outside_domain_are_blocked(self):
-        processor = MI6Processor(config_for_variant(Variant.F_P_M_A))
+        processor = MI6Processor(config_for_spec("F+P+M+A"))
         workload = SyntheticWorkload(profile_for("hmmer"))
         processor.install_domain(processor.build_workload_domain(workload))
         outside = processor.config.address_map.region_base(60)
         assert processor.region_bitvector.is_allowed(outside) is False
 
     def test_part_variant_increases_gcc_llc_misses(self):
-        base = MI6Processor(config_for_variant(Variant.BASE)).run_workload("gcc", instructions=6000)
-        part = MI6Processor(config_for_variant(Variant.PART)).run_workload("gcc", instructions=6000)
+        base = MI6Processor(config_for_spec("BASE")).run_workload("gcc", instructions=6000)
+        part = MI6Processor(config_for_spec("PART")).run_workload("gcc", instructions=6000)
         assert part.result.llc_mpki > base.result.llc_mpki
 
     def test_flush_variant_increases_branch_mispredictions(self):
         short_traps = MI6Config(trap_interval_instructions=2000)
-        base = MI6Processor(config_for_variant(Variant.BASE, short_traps)).run_workload(
+        base = MI6Processor(config_for_spec("BASE", short_traps)).run_workload(
             "astar", instructions=8000
         )
-        flush = MI6Processor(config_for_variant(Variant.FLUSH, short_traps)).run_workload(
+        flush = MI6Processor(config_for_spec("FLUSH", short_traps)).run_workload(
             "astar", instructions=8000
         )
         assert flush.result.branch_mpki > base.result.branch_mpki
         assert flush.result.flush_stall_cycles > 0
 
     def test_fpma_variant_costs_more_than_base(self):
-        base = MI6Processor(config_for_variant(Variant.BASE)).run_workload("xalancbmk", instructions=6000)
-        secured = MI6Processor(config_for_variant(Variant.F_P_M_A)).run_workload("xalancbmk", instructions=6000)
+        base = MI6Processor(config_for_spec("BASE")).run_workload("xalancbmk", instructions=6000)
+        secured = MI6Processor(config_for_spec("F+P+M+A")).run_workload("xalancbmk", instructions=6000)
         assert secured.overhead_vs(base) > 0

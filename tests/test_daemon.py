@@ -16,8 +16,10 @@ import threading
 
 import pytest
 
+from repro.analysis.engine import EvaluationSettings
 from repro.analysis.store import ResultStore
-from repro.api import Session, SweepRequest, WorkloadRequest, result_to_wire
+from repro.api import Session, SweepRequest, WorkloadRequest, result_to_wire, set_default_session
+from repro.cli import _build_session, _settings, build_parser
 from repro.cli import main as cli_main
 from repro.daemon import DaemonClient, DaemonError, JobRegistry, ReproDaemonServer
 from repro.daemon.server import DaemonRequestHandler
@@ -236,6 +238,24 @@ class TestCliRemote:
         )
         assert code == 1
         assert "cannot reach daemon" in capsys.readouterr().err
+
+    def test_only_the_shared_run_length_flag_sets_the_session_run_length(self, monkeypatch):
+        # On serve and fleet, --instructions is the per-request serving
+        # budget: a daemon started with it must keep the environment's
+        # run length for the requests POSTed without one.
+        monkeypatch.setenv("REPRO_BENCH_INSTRUCTIONS", "1234")
+        monkeypatch.setenv("REPRO_BENCH_SEED", "7")
+        environment = EvaluationSettings(instructions=1234, seed=7)
+        parse = build_parser().parse_args
+        try:
+            daemon_args = parse(["serve", "--daemon", "--no-cache", "--instructions", "500"])
+            assert _build_session(daemon_args).settings == environment
+        finally:
+            set_default_session(None)
+        assert _settings(parse(["fleet", "--instructions", "500"])) == environment
+        for argv in (["sweep"], ["figure", "5"]):
+            settings = _settings(parse([*argv, "--instructions", "500", "--seed", "3"]))
+            assert settings == EvaluationSettings(instructions=500, seed=3)
 
     def test_local_sweep_rejects_non_positive_instructions(self, capsys):
         for instructions in ("0", "-5"):

@@ -14,6 +14,7 @@ from repro.analysis.engine import (
     ExperimentSpec,
     FleetRunRequest,
     FleetShardRequest,
+    PAPER_VARIANTS,
     ParallelRunner,
     RunRequest,
     ScenarioRequest,
@@ -35,7 +36,6 @@ from repro.core.serialization import (
     run_from_dict,
     run_to_dict,
 )
-from repro.core.variants import Variant, all_variants, config_for_variant, parse_variant
 
 SMALL = EvaluationSettings(instructions=2500)
 
@@ -47,26 +47,26 @@ def runs_equal(first, second) -> bool:
 
 class TestSerialization:
     def test_config_round_trips_for_every_variant(self):
-        for variant in all_variants():
-            config = config_for_variant(variant)
+        for variant in PAPER_VARIANTS:
+            config = config_for_spec(variant)
             assert config_from_dict(config_to_dict(config)) == config
 
     def test_config_dict_is_json_compatible(self):
-        encoded = json.dumps(config_to_dict(config_for_variant(Variant.F_P_M_A)))
-        assert config_from_dict(json.loads(encoded)) == config_for_variant(Variant.F_P_M_A)
+        encoded = json.dumps(config_to_dict(config_for_spec("F+P+M+A")))
+        assert config_from_dict(json.loads(encoded)) == config_for_spec("F+P+M+A")
 
     def test_digest_is_stable_and_content_sensitive(self):
-        first = config_for_variant(Variant.PART)
-        second = config_for_variant(Variant.PART)
+        first = config_for_spec("PART")
+        second = config_for_spec("PART")
         assert config_digest(first) == config_digest(second)
-        digests = {config_digest(config_for_variant(v)) for v in all_variants()}
-        assert len(digests) == len(all_variants())
+        digests = {config_digest(config_for_spec(v)) for v in PAPER_VARIANTS}
+        assert len(digests) == len(PAPER_VARIANTS)
         tweaked = MI6Config(trap_interval_instructions=12_345)
         assert config_digest(tweaked) != config_digest(MI6Config())
 
     def test_run_round_trips_through_json(self):
         run = execute_request(
-            request_for(Variant.FLUSH, "hmmer", EvaluationSettings(instructions=2000))
+            request_for("FLUSH", "hmmer", EvaluationSettings(instructions=2000))
         )
         restored = run_from_dict(json.loads(json.dumps(run_to_dict(run))))
         assert restored.benchmark == run.benchmark
@@ -131,17 +131,10 @@ class TestSerialization:
             name for owner in CACHE_KEY_EXCLUSIONS.values() for name in owner
         } == {"service_cycles"}
 
-    def test_parse_variant_accepts_both_spellings(self):
-        assert parse_variant("F+P+M+A") is Variant.F_P_M_A
-        assert parse_variant("f_p_m_a") is Variant.F_P_M_A
-        assert parse_variant("base") is Variant.BASE
-        with pytest.raises(ValueError):
-            parse_variant("TURBO")
-
 
 class TestResultStore:
     def test_disk_round_trip(self, tmp_path):
-        request = request_for(Variant.BASE, "hmmer", SMALL)
+        request = request_for("BASE", "hmmer", SMALL)
         run = execute_request(request)
         store = ResultStore(tmp_path / "cache")
         store.put(request.cache_key(), run)
@@ -157,7 +150,7 @@ class TestResultStore:
 
     def test_invalidates_on_config_change(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        request = request_for(Variant.BASE, "hmmer", SMALL)
+        request = request_for("BASE", "hmmer", SMALL)
         store.put(request.cache_key(), execute_request(request))
 
         changed = RunRequest(
@@ -171,7 +164,7 @@ class TestResultStore:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        request = request_for(Variant.BASE, "hmmer", SMALL)
+        request = request_for("BASE", "hmmer", SMALL)
         key = request.cache_key()
         store.put(key, execute_request(request))
         path = store._path_for(key)
@@ -222,7 +215,7 @@ class TestResultStore:
 
     def test_memory_only_store_never_touches_disk(self):
         store = ResultStore.in_memory()
-        request = request_for(Variant.BASE, "hmmer", SMALL)
+        request = request_for("BASE", "hmmer", SMALL)
         run = execute_request(request)
         store.put(request.cache_key(), run)
         assert store.get(request.cache_key()) is run
@@ -231,7 +224,7 @@ class TestResultStore:
 
 class TestParallelRunner:
     SPEC = ExperimentSpec(
-        variants=(Variant.BASE, Variant.ARB, Variant.NONSPEC),
+        variants=("BASE", "ARB", "NONSPEC"),
         benchmarks=("hmmer", "libquantum"),
         instructions=2500,
     )
@@ -260,7 +253,7 @@ class TestParallelRunner:
 
     def test_duplicate_requests_simulate_once(self):
         runner = ParallelRunner(ResultStore.in_memory())
-        request = request_for(Variant.BASE, "hmmer", SMALL)
+        request = request_for("BASE", "hmmer", SMALL)
         first, second = runner.run([request, request])
         assert first is second
         assert runner.executed_runs == 1
@@ -280,12 +273,12 @@ class TestParallelRunner:
         result = ExperimentResult(
             requests=requests, runs=ParallelRunner(ResultStore.in_memory()).run(requests)
         )
-        run = result.run_for(Variant.ARB, "libquantum")
+        run = result.run_for("ARB", "libquantum")
         assert run.config_name == "ARB"
         assert run.benchmark == "libquantum"
-        assert result.overhead_percent(Variant.ARB, "libquantum") > 0
+        assert result.overhead_percent("ARB", "libquantum") > 0
         # NONSPEC committed fewer instructions: CPI-based comparison.
-        assert result.overhead_percent(Variant.NONSPEC, "hmmer") != 0
+        assert result.overhead_percent("NONSPEC", "hmmer") != 0
 
 
 class TestSpec:
@@ -334,7 +327,7 @@ class TestSpec:
 
     def test_requests_expand_in_deterministic_order(self):
         spec = ExperimentSpec(
-            variants=(Variant.BASE, Variant.ARB),
+            variants=("BASE", "ARB"),
             benchmarks=("gcc", "mcf"),
             seeds=(1, 2),
             instructions=2500,

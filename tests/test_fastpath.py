@@ -31,19 +31,18 @@ from repro.attacks.coschedule import CoScheduledExecutor, MemOp
 from repro.attacks.placement import ATTACKER_REGIONS, VICTIM_REGIONS, default_placement
 from repro.attacks.scenarios import build_scenario_machine, run_scenario, scenario_names
 from repro.common.fastpath import SLOW_PATH_ENV_VAR, slow_path_enabled
-from repro.core.mitigations import config_for_spec
+from repro.core.mitigations import config_for_spec, parse_spec
 from repro.core.processor import MI6Processor
 from repro.core.serialization import config_digest, run_to_dict
-from repro.core.variants import Variant, all_variants, config_for_variant, parse_variant
 from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
 from repro.workloads.spec_cint2006 import profile_for
 
 SETTINGS = EvaluationSettings(instructions=2_000, seed=2019)
 
-#: Every paper variant plus two composed mitigation specs (ISSUE 4).
-EQUIVALENCE_SPECS = [variant.name for variant in all_variants()] + [
-    "FLUSH+MISS",
-    "PART+ARB",
+#: Every paper variant (F+P+M+A in its underscore spelling) plus two
+#: composed mitigation specs.
+EQUIVALENCE_SPECS = [
+    "BASE", "FLUSH", "PART", "MISS", "ARB", "NONSPEC", "F_P_M_A", "FLUSH+MISS", "PART+ARB"
 ]
 
 #: The five composable mitigations; bit i of a lattice point selects
@@ -110,7 +109,7 @@ class TestSlowPathSwitch:
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("spec", EQUIVALENCE_SPECS)
     def test_fast_equals_slow(self, spec, monkeypatch):
-        request = request_for(parse_variant(spec), "hmmer", SETTINGS)
+        request = request_for(parse_spec(spec), "hmmer", SETTINGS)
         fast_key, fast_run = _execute(request, monkeypatch, slow=False)
         slow_key, slow_run = _execute(request, monkeypatch, slow=True)
         # Cache keys hash configuration + workload parameters; the path
@@ -121,7 +120,7 @@ class TestWorkloadEquivalence:
         assert fast_run == slow_run
 
     def test_config_digest_ignores_path_switch(self, monkeypatch):
-        config = config_for_variant(Variant.F_P_M_A)
+        config = config_for_spec("F+P+M+A")
         monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
         fast_digest = config_digest(config)
         monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
@@ -129,7 +128,7 @@ class TestWorkloadEquivalence:
 
     def test_multiple_benchmarks_one_variant(self, monkeypatch):
         for benchmark in ("libquantum", "mcf"):
-            request = request_for(Variant.BASE, benchmark, SETTINGS)
+            request = request_for("BASE", benchmark, SETTINGS)
             fast_key, fast_run = _execute(request, monkeypatch, slow=False)
             slow_key, slow_run = _execute(request, monkeypatch, slow=True)
             assert fast_key == slow_key
@@ -147,7 +146,7 @@ class TestLatticeEquivalence:
 
     @pytest.mark.parametrize("spec", LATTICE_SPECS)
     def test_lattice_point_fast_equals_slow(self, spec, monkeypatch):
-        request = request_for(parse_variant(spec), "hmmer", SETTINGS)
+        request = request_for(parse_spec(spec), "hmmer", SETTINGS)
         fast_key, fast_run = _execute(request, monkeypatch, slow=False)
         slow_key, slow_run = _execute(request, monkeypatch, slow=True)
         assert fast_key == slow_key
@@ -211,7 +210,7 @@ class TestMidRunPurgeEquivalence:
     @pytest.mark.parametrize("spec", ["FLUSH", "F+P+M+A"])
     def test_purging_run_fast_equals_slow(self, spec, profile, monkeypatch):
         request = _with_config(
-            request_for(parse_variant(spec), profile, SETTINGS),
+            request_for(parse_spec(spec), profile, SETTINGS),
             trap_interval_instructions=MID_RUN_TRAP_INTERVAL,
         )
         fast_key, fast_run = _execute(request, monkeypatch, slow=False)
@@ -301,7 +300,7 @@ class TestCoreWidthEquivalence:
     )
     @pytest.mark.parametrize("spec", ["BASE", "F+P+M+A"])
     def test_width_fast_equals_slow(self, spec, widths, monkeypatch):
-        request = request_for(parse_variant(spec), "hmmer", SETTINGS)
+        request = request_for(parse_spec(spec), "hmmer", SETTINGS)
         request = _with_config(request, core=replace(request.config.core, **widths))
         fast_key, fast_run = _execute(request, monkeypatch, slow=False)
         slow_key, slow_run = _execute(request, monkeypatch, slow=True)
@@ -311,7 +310,7 @@ class TestCoreWidthEquivalence:
 
 class TestScenarioEquivalence:
     def test_prime_probe_outcome_identical(self, monkeypatch):
-        config = config_for_variant(Variant.BASE)
+        config = config_for_spec("BASE")
         monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
         fast = run_scenario("prime_probe", config, 2019, num_cores=2).to_dict()
         monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
@@ -323,7 +322,7 @@ class TestScenarioEquivalence:
         # The co-scheduled scenarios drive the detailed LLC arbiter,
         # whose event-batched loop skips quiescent cycles on the fast
         # path; outcomes (leakage, cycles, details) must not notice.
-        config = config_for_variant(Variant.F_P_M_A)
+        config = config_for_spec("F+P+M+A")
         monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
         fast = run_scenario(name, config, 2019).to_dict()
         monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
@@ -444,7 +443,7 @@ class TestServeEquivalence:
         # resolution all ride on the fast path.
         request = ServiceRunRequest(
             policy="fifo",
-            config=evaluation_config(parse_variant("F+P+M+A"), 1_000),
+            config=evaluation_config(parse_spec("F+P+M+A"), 1_000),
             seed=2019,
             num_cores=2,
             num_tenants=4,
@@ -467,7 +466,7 @@ class TestServeEquivalence:
         # reference walk both run under the fleet loop here.
         request = FleetShardRequest(
             policy="affinity",
-            config=evaluation_config(parse_variant("F+P+M+A"), 1_000),
+            config=evaluation_config(parse_spec("F+P+M+A"), 1_000),
             seed=2019,
             shard_index=0,
             tenants=(0, 1, 2),

@@ -109,18 +109,14 @@ class TestCacheKeyRule:
 
 
 class TestRegistryHygieneRule:
-    def test_bad_fixture_flags_conditional_lazy_foreign_and_shims(self):
+    def test_bad_fixture_flags_conditional_lazy_and_foreign(self):
         report = lint_fixture("registry_bad", rules=["registry-hygiene"])
         found = messages(report)
-        assert len(found) == 5
+        assert len(found) == 3
         top_level = [m for m in found if "unconditional top-level" in m]
         foreign = [m for m in found if "outside its owning module" in m]
-        shims = [m for m in found if "legacy variant shim" in m]
         assert len(top_level) == 2  # conditional + lazy, both in the owner
         assert len(foreign) == 1
-        assert len(shims) == 2  # parse_variant + config_for_variant calls
-        assert any("parse_spec" in m for m in shims)
-        assert any("config_for_spec" in m for m in shims)
 
     def test_good_fixture_is_clean(self):
         report = lint_fixture("registry_good", rules=["registry-hygiene"])

@@ -1,10 +1,8 @@
-"""Composable mitigation registry: legacy equivalence and the 2^5 lattice.
+"""Composable mitigation registry: the paper's spellings and the 2^5 lattice.
 
-The hard requirement this file pins down: for each of the paper's seven
-variants, the *composed* mitigation path produces a machine configuration
-that is field-for-field identical to the legacy enum path — and therefore
-hashes to the identical content-addressed cache key, so every previously
-stored result stays reachable.
+The seven paper variants are spec strings over the registry; the cache
+keys their configurations hash to are pinned by
+``tests/test_golden_jobs.py``.
 """
 
 import pytest
@@ -27,57 +25,24 @@ from repro.core.mitigations import (
     spec_name,
 )
 from repro.core.serialization import config_digest
-from repro.core.variants import (
-    Variant,
-    all_variants,
-    config_for_variant,
-    parse_variant,
-    variant_description,
-)
 
 SMALL = EvaluationSettings(instructions=2500)
 
-#: The composed spelling of each legacy enum variant.
-LEGACY_SPECS = {
-    Variant.BASE: "BASE",
-    Variant.FLUSH: "FLUSH",
-    Variant.PART: "PART",
-    Variant.MISS: "MISS",
-    Variant.ARB: "ARB",
-    Variant.NONSPEC: "NONSPEC",
-    Variant.F_P_M_A: "FLUSH+PART+MISS+ARB",
-}
 
-
-class TestLegacyEquivalence:
-    @pytest.mark.parametrize("variant", all_variants())
-    def test_composed_config_is_field_identical(self, variant):
-        composed = config_for_spec(LEGACY_SPECS[variant])
-        legacy = config_for_variant(variant)
-        assert composed == legacy  # dataclass equality covers every field
-
-    @pytest.mark.parametrize("variant", all_variants())
-    def test_composed_config_digest_matches(self, variant):
-        assert config_digest(config_for_spec(LEGACY_SPECS[variant])) == config_digest(
-            config_for_variant(variant)
-        )
-
-    @pytest.mark.parametrize("variant", all_variants())
-    def test_run_cache_keys_match(self, variant):
-        """Enum and composed requests address the same store entries."""
-        legacy = request_for(variant, "hmmer", SMALL)
-        composed = request_for(LEGACY_SPECS[variant], "hmmer", SMALL)
-        assert composed.cache_key() == legacy.cache_key()
-
+class TestPaperVariants:
     def test_f_p_m_a_canonical_name_is_the_paper_spelling(self):
         assert parse_spec("FLUSH+PART+MISS+ARB").name == "F+P+M+A"
         assert config_for_spec("FLUSH+PART+MISS+ARB").name == "F+P+M+A"
 
+    def test_spellings_of_one_variant_share_its_cache_key(self):
+        canonical = request_for("F+P+M+A", "hmmer", SMALL)
+        for spelling in ("FLUSH+PART+MISS+ARB", "f_p_m_a", parse_spec("arb+miss+part+flush")):
+            assert request_for(spelling, "hmmer", SMALL).cache_key() == canonical.cache_key()
+
     def test_nonspec_truncation_follows_membership(self):
-        assert instructions_for_variant(Variant.NONSPEC, 10_000) == 5_000
         assert instructions_for_variant("NONSPEC", 10_000) == 5_000
         assert instructions_for_variant("FLUSH+NONSPEC", 10_000) == 5_000
-        assert instructions_for_variant(Variant.F_P_M_A, 10_000) == 10_000
+        assert instructions_for_variant("F+P+M+A", 10_000) == 10_000
         assert instructions_for_variant("FLUSH+MISS", 10_000) == 10_000
 
 
@@ -124,17 +89,6 @@ class TestComposition:
 
 
 class TestParsing:
-    def test_parse_variant_returns_enum_for_the_paper_seven(self):
-        assert parse_variant("F+P+M+A") is Variant.F_P_M_A
-        assert parse_variant("flush+part+miss+arb") is Variant.F_P_M_A
-        assert parse_variant("base") is Variant.BASE
-        assert parse_variant("NONSPEC") is Variant.NONSPEC
-
-    def test_parse_variant_returns_sets_for_new_combos(self):
-        combo = parse_variant("FLUSH+MISS")
-        assert isinstance(combo, MitigationSet)
-        assert combo.name == "FLUSH+MISS"
-
     def test_unknown_mitigation_error_names_the_valid_vocabulary(self):
         with pytest.raises(ValueError) as excinfo:
             parse_spec("FLUSH+TURBO")
@@ -144,7 +98,7 @@ class TestParsing:
         assert "FLUSH, PART, MISS, ARB, NONSPEC" in message
         assert "BASE" in message and "F+P+M+A" in message
         with pytest.raises(ValueError):
-            parse_variant("TURBO")
+            parse_spec("TURBO")
 
     def test_malformed_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -155,12 +109,12 @@ class TestParsing:
             parse_spec("+FLUSH")
 
     def test_as_spec_coerces_every_variant_like(self):
-        assert as_spec(Variant.F_P_M_A).name == "F+P+M+A"
+        assert as_spec("f+p+m+a").name == "F+P+M+A"
         assert as_spec("miss+flush").name == "FLUSH+MISS"
         assert as_spec(MitigationSet.of("ARB")).name == "ARB"
         with pytest.raises(TypeError):
             as_spec(42)
-        assert spec_name(Variant.BASE) == "BASE"
+        assert spec_name("base") == "BASE"
 
     def test_membership_and_iteration(self):
         spec = parse_spec("FLUSH+MISS")
@@ -197,6 +151,6 @@ class TestRegistry:
         assert compositions["F+P+M+A"] == ("FLUSH", "PART", "MISS", "ARB")
 
     def test_descriptions_cover_combos(self):
-        assert "flush" in variant_description(Variant.FLUSH)
-        text = variant_description("FLUSH+MISS")
+        assert "flush" in parse_spec("FLUSH").describe()
+        text = parse_spec("FLUSH+MISS").describe()
         assert "flush" in text and "MSHR" in text

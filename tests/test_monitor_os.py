@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import SecurityMonitorError
 from repro.core.mitigations import config_for_spec
-from repro.core.variants import Variant, config_for_variant
 from repro.monitor.enclave import EnclaveState
 from repro.monitor.measurement import attest, measure_pages
 from repro.monitor.security_monitor import SecurityMonitor
@@ -15,7 +14,7 @@ from repro.service.simulation import _TenantMachine
 
 @pytest.fixture()
 def platform():
-    machine = Machine(config_for_variant(Variant.F_P_M_A), num_cores=2)
+    machine = Machine(config_for_spec("F+P+M+A"), num_cores=2)
     monitor = SecurityMonitor(machine)
     operating_system = UntrustedOS(machine, monitor)
     return machine, monitor, operating_system
@@ -97,7 +96,7 @@ class TestCommunicationPrimitives:
 class TestMaliciousOs:
     @pytest.fixture()
     def hostile_platform(self):
-        machine = Machine(config_for_variant(Variant.F_P_M_A), num_cores=3)
+        machine = Machine(config_for_spec("F+P+M+A"), num_cores=3)
         monitor = SecurityMonitor(machine)
         operating_system = MaliciousOS(machine, monitor)
         victim = operating_system.launch_enclave({2, 3}, {0x1000: b"secret"}, core_id=1)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis.engine import (
     JOB_KINDS,
+    PAPER_VARIANTS,
     WARM_KEY_EXCLUSIONS,
     EvaluationSettings,
     ParallelRunner,
@@ -32,7 +33,6 @@ from repro.common.fastpath import SLOW_PATH_ENV_VAR
 from repro.core.config import MI6Config
 from repro.core.processor import MI6Processor
 from repro.core.serialization import run_to_dict
-from repro.core.variants import all_variants
 from repro.mem.dram import DramConfig
 from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
 from repro.workloads.spec_cint2006 import profile_for
@@ -112,7 +112,7 @@ class TestSharingChangesNothing:
         # At 2,400 instructions NONSPEC runs its 2,000 floor: a prefix of
         # the group's stream.
         settings = EvaluationSettings(instructions=2_400, seed=7)
-        requests = [request_for(variant, "gobmk", settings) for variant in all_variants()]
+        requests = [request_for(variant, "gobmk", settings) for variant in PAPER_VARIANTS]
         assert {request.instructions for request in requests} == {2_000, 2_400}
         serial = batch_documents(requests, jobs=1)
         assert batch_documents(requests, jobs=2) == serial
@@ -224,5 +224,5 @@ class TestMachinesFreeByReferenceCounting:
         assert gc.collect() == 0
 
     def test_seven_variant_group_leaves_no_cyclic_garbage(self):
-        execute_run_group([request_for(variant, "hmmer", SETTINGS) for variant in all_variants()])
+        execute_run_group([request_for(variant, "hmmer", SETTINGS) for variant in PAPER_VARIANTS])
         assert gc.collect() == 0

@@ -28,11 +28,11 @@ from repro.attacks.scenarios import (
     run_scenario,
     scenario_names,
 )
-from repro.core.variants import Variant, config_for_variant
+from repro.core.mitigations import config_for_spec
 from repro.mem.arbiter import RoundRobinArbiter, TwoLevelMuxArbiter
 
-BASE = config_for_variant(Variant.BASE)
-MI6 = config_for_variant(Variant.F_P_M_A)
+BASE = config_for_spec("BASE")
+MI6 = config_for_spec("F+P+M+A")
 
 
 class TestCoScheduledExecutor:
@@ -79,8 +79,8 @@ class TestCoScheduledExecutor:
         # A partial LLC defence leaves the other coupling open, so
         # MISS-only and ARB-only conservatively get the baseline
         # organisation (the detailed model is Figure 2 xor Figure 3).
-        assert not detailed_config_for(config_for_variant(Variant.MISS)).secure
-        assert not detailed_config_for(config_for_variant(Variant.ARB)).secure
+        assert not detailed_config_for(config_for_spec("MISS")).secure
+        assert not detailed_config_for(config_for_spec("ARB")).secure
         baseline = CoScheduledExecutor(build_scenario_machine(BASE))
         secure = CoScheduledExecutor(build_scenario_machine(MI6))
         assert isinstance(baseline.detailed._arbiter, TwoLevelMuxArbiter)
@@ -112,8 +112,8 @@ class TestScenarioProperty1:
         assert outcome.leaked_bits == 0
 
     def test_each_defence_closes_its_own_channel(self):
-        part = config_for_variant(Variant.PART)
-        flush = config_for_variant(Variant.FLUSH)
+        part = config_for_spec("PART")
+        flush = config_for_spec("FLUSH")
         # Set partitioning closes prime+probe but not the predictor residue.
         assert not run_scenario("prime_probe", part, 7).leaked
         assert run_scenario("branch_residue", part, 7).leaked
@@ -122,8 +122,8 @@ class TestScenarioProperty1:
         assert run_scenario("prime_probe", flush, 7).leaked
         # The covert channel needs BOTH LLC defences: either one alone
         # leaves the channel open (shared MSHR pool or unfair mux).
-        assert run_scenario("contention", config_for_variant(Variant.MISS), 7).leaked
-        assert run_scenario("contention", config_for_variant(Variant.ARB), 7).leaked
+        assert run_scenario("contention", config_for_spec("MISS"), 7).leaked
+        assert run_scenario("contention", config_for_spec("ARB"), 7).leaked
 
     def test_scenarios_are_deterministic(self):
         first = run_scenario("contention", BASE, seed=42)
@@ -212,7 +212,7 @@ class TestScenarioEngine:
             ScenarioSpec(num_cores=1)
         spec = ScenarioSpec()
         assert spec.scenarios == tuple(scenario_names())
-        assert spec.variants == (Variant.BASE, Variant.F_P_M_A)
+        assert spec.variants == ("BASE", "F+P+M+A")
         assert spec.seeds == (2019,)
 
     def test_security_table_reports_leak_on_base_only(self):

@@ -5,7 +5,7 @@ all stand on two promises tested here:
 
 * every request kind round-trips through ``to_wire`` /
   ``request_from_wire`` exactly (canonical spellings) or
-  cache-key-identically (enum/``MitigationSet`` variant spellings,
+  cache-key-identically (other variant spellings and ``MitigationSet`` values,
   which canonicalise to spec strings on encode);
 * decoding is strict — unknown kinds, unknown fields, extra top-level
   keys, and version skew are loud :class:`WireError`\\ s, never silent
@@ -32,8 +32,8 @@ from repro.api import (
     result_to_wire,
 )
 from repro.core.config import MI6Config
+from repro.core.mitigations import parse_spec
 from repro.core.serialization import run_to_dict
-from repro.core.variants import Variant
 
 #: One canonically spelled instance of each kind, with non-default
 #: values on representative fields so the round trip is not vacuous.
@@ -77,13 +77,13 @@ class TestRequestRoundTrip:
             request_from_wire(recovered).to_wire(), sort_keys=True
         ) == json.dumps(document, sort_keys=True)
 
-    def test_enum_variants_canonicalise_to_spec_strings(self):
-        request = SweepRequest(variants=(Variant.BASE, Variant.F_P_M_A))
+    def test_variant_spellings_canonicalise_to_spec_strings(self):
+        request = SweepRequest(variants=(parse_spec("base"), "flush+part+miss+arb"))
         document = request.to_wire()
         assert document["fields"]["variants"] == ["BASE", "F+P+M+A"]
         decoded = request_from_wire(document)
         assert decoded.variants == ("BASE", "F+P+M+A")
-        # Equivalent, not ``==``: the enum spelling became the canonical
+        # Equivalent, not ``==``: each spelling became the canonical
         # string, and both expand to the same fully-specified engine
         # requests (hence the same cache keys).
         settings = EvaluationSettings(instructions=2000, seed=1)
