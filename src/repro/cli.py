@@ -95,7 +95,7 @@ from repro.common.defaults import DEFAULT_HOST, DEFAULT_PORT
 from repro.common.errors import ConfigurationError
 from repro.common.log import LOG_LEVELS, configure_logging
 from repro.core.mitigations import known_compositions, known_mitigations
-from repro.core.serialization import field_types
+from repro.core.serialization import field_types, optional_inner
 from repro.lint.cli import add_lint_arguments, command_lint
 from repro.obs.trace import Tracer, tracing
 from repro.workloads.spec_cint2006 import benchmark_names
@@ -579,9 +579,7 @@ def _add_request_arguments(parser: argparse.ArgumentParser, request_type: Any) -
         flag = options.pop("flag", None)
         if flag is None:
             continue
-        annotation = annotations[field.name]
-        if get_origin(annotation) is Union:
-            (annotation,) = [arg for arg in get_args(annotation) if arg is not type(None)]
+        annotation = optional_inner(annotations[field.name])
         if get_origin(annotation) is abc.Sequence:
             options.setdefault("nargs", "+")
             (annotation,) = get_args(annotation)

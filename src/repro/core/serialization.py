@@ -299,7 +299,7 @@ class OutcomeDocument:
         return cls(**arguments)  # type: ignore[call-arg]
 
 
-def _optional_inner(annotation: Any) -> Any:
+def optional_inner(annotation: Any) -> Any:
     """``X`` for ``Optional[X]``; any other annotation unchanged."""
     if get_origin(annotation) is Union:
         members = [arg for arg in get_args(annotation) if arg is not type(None)]
@@ -315,7 +315,7 @@ def encode_field(annotation: Any, value: Any) -> Any:
     become arrays, and configurations become :func:`config_to_dict`
     documents.
     """
-    annotation = _optional_inner(annotation)
+    annotation = optional_inner(annotation)
     if value is not None and annotation == VariantLike:
         return spec_name(value)
     if value is not None and get_origin(annotation) is abc.Sequence:
@@ -333,7 +333,7 @@ def decode_field(annotation: Any, value: Any) -> Any:
     strings naming registered mitigations.  Raises :class:`TypeError` on
     a mismatch and :class:`ValueError` for an unknown variant spec.
     """
-    inner = _optional_inner(annotation)
+    inner = optional_inner(annotation)
     if value is None and inner is not annotation:
         return None
     if inner == VariantLike:
