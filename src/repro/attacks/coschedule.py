@@ -18,7 +18,9 @@ The division of labour between the two LLC models:
   DRAM-region protection check — comes from the machine's shared
   :class:`~repro.mem.llc.LastLevelCache`, reached through each core's own
   :class:`~repro.mem.hierarchy.MemoryHierarchy` (so L1 filtering and the
-  MI6 region bitvector behave exactly as in the perf runs);
+  MI6 region bitvector behave exactly as in the perf runs), whose
+  :meth:`~repro.mem.hierarchy.MemoryHierarchy.data_access_parts`
+  returns the five fields the executor keeps as a plain tuple;
 * **cycle-level timing** — pipeline-entry arbitration, MSHR occupancy
   and backpressure, UQ/DQ queueing, DRAM latency — comes from the
   detailed pipeline, which receives one
@@ -29,17 +31,26 @@ A scenario drives the executor in *phases* (prime, victim, probe, or a
 single co-resident phase): machine state and the detailed pipeline's
 clock persist across phases, so later phases observe everything earlier
 phases did to the shared cache.
+
+The fast path pays per event, not per cycle: each party caches the
+cycle its next op issues at and its earliest local completion, the
+clock jumps to the earliest cached cycle or detailed-LLC event, and
+only the parties something is due for issue or are collected (see
+:meth:`CoScheduledExecutor.run_phase`).  Ops and completion records
+are named tuples.  ``REPRO_SLOW_PATH=1`` keeps the per-cycle reference
+loop, the oracle that ``tests/test_differential.py`` compares it with.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.fastpath import slow_path_enabled
 from repro.core.config import MI6Config
-from repro.mem.hierarchy import HierarchyAccess
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.llc_detail import DetailedLlc, DetailedLlcConfig, LlcRequest
 from repro.os_model.machine import Machine
 
@@ -49,8 +60,7 @@ from repro.os_model.machine import Machine
 DEFAULT_MAX_OUTSTANDING = 8
 
 
-@dataclass(frozen=True)
-class MemOp:
+class MemOp(NamedTuple):
     """One memory access of a party's stream.
 
     Attributes:
@@ -73,8 +83,7 @@ class MemOp:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class CompletedAccess:
+class CompletedAccess(NamedTuple):
     """Timing and functional outcome of one completed :class:`MemOp`.
 
     ``latency`` is what the issuing party can measure; everything else is
@@ -128,25 +137,42 @@ def detailed_config_for(config: MI6Config, *, num_cores: int = 2) -> DetailedLlc
     )
 
 
-@dataclass
-class _CoreState:
-    """Issue cursor and in-flight bookkeeping for one party."""
+#: A cached cycle of :class:`_CoreState` while nothing is due.
+_NEVER = sys.maxsize
 
+
+@dataclass(slots=True)
+class _CoreState:
+    """Issue cursor, cached event cycles and in-flight bookkeeping for one party."""
+
+    core_id: int
     ops: List[MemOp]
     cap: int
-    phase_start: int = 0
+    hierarchy: MemoryHierarchy
+    sink: List[CompletedAccess]
+    phase_start: int
     next_index: int = 0
     last_issue_cycle: int = -1
+    # The cycle the next op issues at (the last issue, or the phase
+    # start, plus its gap), or _NEVER while the in-flight cap is full or
+    # the stream is done.  Recomputed only when the party issues or a
+    # collection frees a slot.
+    issue_at: int = _NEVER
     # In-flight entries: (op index, op, functional outcome, issue cycle,
     # llc request or local completion cycle).
     in_flight: List[tuple] = field(default_factory=list)
     # Earliest completion cycle among the in-flight local entries (L1
-    # hits and suppressed accesses), or None when there are none.
-    local_due: Optional[int] = None
+    # hits and suppressed accesses), or _NEVER when there are none.
+    local_due: int = _NEVER
 
-
-#: One party of a phase: core id, its state, and its completion sink.
-_Party = Tuple[int, _CoreState, List[CompletedAccess]]
+    def rearm(self) -> None:
+        """Cache the next op's issue cycle, if the cap leaves room for it."""
+        if self.next_index < len(self.ops) and len(self.in_flight) < self.cap:
+            last_issue = self.last_issue_cycle
+            base = last_issue if last_issue >= 0 else self.phase_start
+            self.issue_at = base + self.ops[self.next_index].issue_gap
+        else:
+            self.issue_at = _NEVER
 
 
 class CoScheduledExecutor:
@@ -189,15 +215,6 @@ class CoScheduledExecutor:
         return self.detailed.cycle
 
     # ------------------------------------------------------------------
-    # Functional resolution
-
-    def _functional_access(self, core_id: int, op: MemOp) -> HierarchyAccess:
-        hierarchy = self.machine.core(core_id).hierarchy
-        if op.l1_bypass:
-            return hierarchy.llc_probe_access(op.address, is_write=op.is_write)
-        return hierarchy.data_access(op.address, is_write=op.is_write)
-
-    # ------------------------------------------------------------------
     # Driving
 
     def run_phase(
@@ -213,14 +230,19 @@ class CoScheduledExecutor:
         core's in-flight cap, and a count of the ops not yet collected,
         which ends the phase when it reaches zero.
 
-        On the fast path a core is collected after a step only when a
-        completion can be waiting: the detailed LLC answered a request
-        in that step (:attr:`DetailedLlc.completed` grew), or the core's
-        earliest local completion (an L1 hit or a suppressed access,
-        noted as it issues) is due.  A core skipped otherwise holds
-        nothing to collect, so the completion records and their order
-        are the reference loop's; under ``REPRO_SLOW_PATH=1`` that loop
-        collects every core after every cycle and stays the oracle.
+        The fast path does work only when an event is due.  Each party
+        caches its next issue cycle (:attr:`_CoreState.issue_at`: the
+        last issue, or the phase start, plus the next op's gap) and its
+        earliest local completion (an L1 hit or a suppressed access).
+        The clock jumps to the earliest of those and the detailed LLC's
+        next event; a party issues only when its cached cycle is due,
+        and is collected after a step only when the detailed LLC
+        answered one of its requests in that step or its earliest local
+        completion is due.  Under ``REPRO_SLOW_PATH=1`` the reference
+        loop steps every cycle, applies the issue-gap rule to every
+        party in every cycle (:meth:`_issue_ready_ops`) and collects
+        every party after every step; it is the oracle for the cached
+        cycles.
 
         Args:
             traces: Mapping core id -> that party's access stream.  Cores
@@ -239,150 +261,159 @@ class CoScheduledExecutor:
         phase_start = detailed.cycle
         max_outstanding = self._max_outstanding
         results: Dict[int, List[CompletedAccess]] = {core_id: [] for core_id in traces}
-        cores: List[_Party] = []
+        parties: List[_CoreState] = []
         remaining = 0
         for core_id in sorted(traces):
             if isinstance(max_outstanding, int):
                 cap = max_outstanding
             else:
                 cap = max_outstanding.get(core_id, DEFAULT_MAX_OUTSTANDING)
-            state = _CoreState(ops=list(traces[core_id]), cap=cap, phase_start=phase_start)
-            cores.append((core_id, state, results[core_id]))
+            state = _CoreState(
+                core_id=core_id,
+                ops=list(traces[core_id]),
+                cap=cap,
+                hierarchy=self.machine.core(core_id).hierarchy,
+                sink=results[core_id],
+                phase_start=phase_start,
+            )
+            state.rearm()
+            parties.append(state)
             remaining += len(state.ops)
         deadline = phase_start + max_cycles
         llc_completed = detailed.completed
-        # Event-batched driving: jump the shared clock over gaps where the
-        # detailed pipeline is idle or only MSHR-parked, no local
-        # completion is due, and no party may issue (issue-gap spacing).
-        # The skipped cycles only add MSHR stall cycles in the per-cycle
-        # reference loop, which advance_to charges in closed form; that
-        # loop stays reachable under REPRO_SLOW_PATH=1 as the
-        # bit-identity oracle.
-        batched = not slow_path_enabled()
+        slow = slow_path_enabled()
         while remaining:
-            if detailed.cycle >= deadline:
-                in_flight = sum(len(state.in_flight) for _core_id, state, _sink in cores)
+            cycle = detailed.cycle
+            if cycle >= deadline:
+                in_flight = sum(len(state.in_flight) for state in parties)
                 raise RuntimeError(
                     f"co-scheduled phase exceeded {max_cycles} cycles ({in_flight} in flight)"
                 )
-            if batched:
-                target = self._next_interesting_cycle(cores)
-                if target is not None and target > detailed.cycle:
+            if slow:
+                for state in parties:
+                    self._issue_ready_ops(state, cycle)
+                detailed.step()
+                for state in parties:
+                    remaining -= self._collect_completions(state, cycle + 1)
+                continue
+            # Jump over cycles where nothing is due.  A local completion
+            # due at P is collected after the step of cycle P - 1.  The
+            # skipped cycles only add MSHR stall cycles in the reference
+            # loop, which advance_to charges in closed form.
+            event = detailed.next_event_cycle()
+            if event is None or event > cycle:
+                target = _NEVER if event is None else event
+                for state in parties:
+                    if state.issue_at < target:
+                        target = state.issue_at
+                    if state.local_due <= target:
+                        target = state.local_due - 1
+                if target > cycle:
                     detailed.advance_to(min(target, deadline))
-                    if detailed.cycle >= deadline:
+                    cycle = detailed.cycle
+                    if cycle >= deadline:
                         continue
-            cycle = detailed.cycle
-            for core_id, state, _sink in cores:
-                self._issue_ready_ops(core_id, state, cycle)
-            answered_before = len(llc_completed)
+            for state in parties:
+                while state.issue_at <= cycle:
+                    self._issue(state, cycle)
+            answered = len(llc_completed)
             detailed.step()
-            collect_all = not batched or len(llc_completed) != answered_before
-            cycle = detailed.cycle
-            for core_id, state, sink in cores:
-                if collect_all or (state.local_due is not None and state.local_due <= cycle):
-                    remaining -= self._collect_completions(core_id, state, sink)
+            cycle += 1
+            if len(llc_completed) != answered:
+                cores = {request.core for request in llc_completed[answered:]}
+                for state in parties:
+                    if state.core_id in cores or state.local_due <= cycle:
+                        remaining -= self._collect_completions(state, cycle)
+            else:
+                for state in parties:
+                    if state.local_due <= cycle:
+                        remaining -= self._collect_completions(state, cycle)
         return results
 
-    def _next_interesting_cycle(self, cores: List[_Party]) -> Optional[int]:
-        """Earliest pre-step cycle at which issuing, stepping, or collecting acts.
+    def _issue_ready_ops(self, state: _CoreState, cycle: int) -> None:
+        """Issue each next op of ``state`` whose issue gap has run out by ``cycle``.
 
-        Detailed-LLC events act in the step of the cycle they report.  A
-        locally completing access (L1 hit / suppressed) with completion
-        cycle ``P`` is collected after the step of cycle ``P - 1`` — and
-        only then frees its slot in the in-flight cap — so each core's
-        earliest one contributes ``P - 1``.  An issuable op contributes
-        its earliest issue cycle.
+        The reference rule, applied to every party in every cycle under
+        ``REPRO_SLOW_PATH=1``; the fast path trusts the cached
+        :attr:`_CoreState.issue_at` instead.
         """
-        best = self.detailed.next_event_cycle()
-        for _core_id, state, _sink in cores:
-            local_due = state.local_due
-            if local_due is not None and (best is None or local_due - 1 < best):
-                best = local_due - 1
-            if state.next_index < len(state.ops) and len(state.in_flight) < state.cap:
-                op = state.ops[state.next_index]
-                gap_base = (
-                    state.last_issue_cycle
-                    if state.last_issue_cycle >= 0
-                    else state.phase_start
-                )
-                due = gap_base + op.issue_gap
-                if best is None or due < best:
-                    best = due
-        if best is not None and best < self.detailed.cycle:
-            best = self.detailed.cycle
-        return best
-
-    def _issue_ready_ops(self, core_id: int, state: _CoreState, cycle: int) -> None:
-        cap = state.cap
-        while state.next_index < len(state.ops) and len(state.in_flight) < cap:
-            op = state.ops[state.next_index]
+        while state.next_index < len(state.ops) and len(state.in_flight) < state.cap:
             gap_base = (
                 state.last_issue_cycle if state.last_issue_cycle >= 0 else state.phase_start
             )
-            if cycle < gap_base + op.issue_gap:
+            if cycle < gap_base + state.ops[state.next_index].issue_gap:
                 break
-            index = state.next_index
-            state.next_index += 1
-            state.last_issue_cycle = cycle
-            outcome = self._functional_access(core_id, op)
-            if outcome.blocked_by_protection or not outcome.llc_accessed:
-                # Suppressed accesses and L1 hits never reach the shared
-                # LLC: they complete locally after a fixed private delay.
-                local_delay = 1 if outcome.blocked_by_protection else max(1, outcome.latency)
-                due = cycle + local_delay
-                state.in_flight.append((index, op, outcome, cycle, due))
-                if state.local_due is None or due < state.local_due:
-                    state.local_due = due
-                continue
+            self._issue(state, cycle)
+
+    def _issue(self, state: _CoreState, cycle: int) -> None:
+        """Issue ``state``'s next op at ``cycle`` and cache the following op's cycle."""
+        index = state.next_index
+        op = state.ops[index]
+        state.next_index = index + 1
+        state.last_issue_cycle = cycle
+        outcome = state.hierarchy.data_access_parts(
+            op.address, is_write=op.is_write, l1_bypass=op.l1_bypass
+        )
+        latency, _l1_hit, llc_accessed, llc_hit, blocked = outcome
+        if llc_accessed:
             request = LlcRequest(
-                core=core_id,
+                core=state.core_id,
                 line_address=op.address // self.detailed.config.line_bytes,
                 want_modified=op.is_write,
                 issue_cycle=cycle,
                 request_id=self._next_request_id,
-                hit_override=outcome.llc_hit,
+                hit_override=llc_hit,
             )
             self._next_request_id += 1
             self.detailed.inject_request(request)
             state.in_flight.append((index, op, outcome, cycle, request))
+        else:
+            # Suppressed accesses and L1 hits never reach the shared LLC:
+            # they complete locally after a fixed private delay.
+            due = cycle + (1 if blocked else max(1, latency))
+            state.in_flight.append((index, op, outcome, cycle, due))
+            if due < state.local_due:
+                state.local_due = due
+        state.rearm()
 
-    def _collect_completions(
-        self, core_id: int, state: _CoreState, sink: List[CompletedAccess]
-    ) -> int:
-        """Record ``core_id``'s finished accesses; returns how many."""
-        cycle = self.detailed.cycle
+    def _collect_completions(self, state: _CoreState, cycle: int) -> int:
+        """Record ``state``'s accesses finished by ``cycle``; returns how many."""
         still_pending: List[tuple] = []
-        local_due: Optional[int] = None
+        local_due = _NEVER
         for entry in state.in_flight:
             index, op, outcome, issue, pending = entry
-            if isinstance(pending, LlcRequest):
-                if pending.complete_cycle is None:
-                    still_pending.append(entry)
-                    continue
-                complete = pending.complete_cycle
-            else:
+            if type(pending) is int:
                 if pending > cycle:
                     still_pending.append(entry)
-                    if local_due is None or pending < local_due:
+                    if pending < local_due:
                         local_due = pending
                     continue
                 complete = pending
+            else:
+                complete = pending.complete_cycle
+                if complete is None:
+                    still_pending.append(entry)
+                    continue
+            _latency, l1_hit, _llc_accessed, llc_hit, blocked = outcome
             record = CompletedAccess(
-                core_id=core_id,
+                core_id=state.core_id,
                 index=index,
                 address=op.address,
                 issue_cycle=issue,
                 complete_cycle=complete,
-                l1_hit=outcome.l1_hit and not outcome.llc_accessed,
-                llc_hit=outcome.llc_hit,
-                blocked=outcome.blocked_by_protection,
+                l1_hit=l1_hit,
+                llc_hit=llc_hit,
+                blocked=blocked,
                 label=op.label,
             )
-            sink.append(record)
+            state.sink.append(record)
             self.completed.append(record)
         collected = len(state.in_flight) - len(still_pending)
         state.in_flight = still_pending
         state.local_due = local_due
+        if collected and state.issue_at == _NEVER:
+            # A freed slot re-arms an issue cut off by the cap.
+            state.rearm()
         return collected
 
     # ------------------------------------------------------------------

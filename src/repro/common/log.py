@@ -23,6 +23,19 @@ LOG_FORMAT = "%(asctime)s %(levelname)-8s %(name)s %(message)s"
 _HANDLER: Optional[logging.Handler] = None
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to the ``sys.stderr`` current at emit time.
+
+    As ``logging.lastResort`` does: a handler bound to the ``sys.stderr``
+    of its first call would keep writing to a stream a caller swapped in
+    only around that call (``contextlib.redirect_stderr``).
+    """
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.stream = sys.stderr
+        super().emit(record)
+
+
 def configure_logging(
     level: str = "warning", *, stream: Optional[IO[str]] = None
 ) -> int:
@@ -30,8 +43,9 @@ def configure_logging(
 
     Args:
         level: One of :data:`LOG_LEVELS` (case-insensitive).
-        stream: Output stream; defaults to ``sys.stderr``.  Only honoured
-            on the first call (the installing one).
+        stream: Output stream; by default each record goes to the
+            ``sys.stderr`` current when it is written.  Only honoured on
+            the first call (the installing one).
 
     Returns:
         The numeric level that was applied.
@@ -45,7 +59,9 @@ def configure_logging(
     numeric = getattr(logging, name.upper())
     root = logging.getLogger()
     if _HANDLER is None:
-        handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+        handler: logging.Handler = (
+            logging.StreamHandler(stream) if stream is not None else _StderrHandler()
+        )
         handler.setFormatter(logging.Formatter(LOG_FORMAT))
         root.addHandler(handler)
         _HANDLER = handler

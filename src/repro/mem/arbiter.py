@@ -15,19 +15,24 @@ core's activity — the key to strong timing independence at this port.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple, TypeVar
+
+#: One message queue as the LLC presents it to the arbiter.
+QueueT = TypeVar("QueueT")
 
 
 class PipelineEntryArbiter(ABC):
-    """Chooses which (core, message-queue) pair enters the pipeline this cycle."""
+    """Decides which message queues may use the pipeline-entry slot in each cycle."""
 
     @abstractmethod
-    def select(self, cycle: int, queues: Sequence[Tuple[int, List]]) -> Optional[int]:
-        """Return the index into ``queues`` to dequeue from, or None.
+    def entry_groups(self, queues: Sequence[Tuple[int, QueueT]]) -> List[List[QueueT]]:
+        """Group the LLC's queues by who owns the entry slot.
 
-        ``queues`` is a sequence of ``(core_id, fifo)`` pairs; a fifo is a
-        list whose head is element 0.  Implementations must not modify the
-        queues.
+        ``queues`` is a sequence of ``(core_id, queue)`` pairs in the
+        LLC's priority order.  In cycle ``T`` the slot belongs to group
+        ``T mod len(groups)``, and the first non-empty queue of that
+        group, in the order returned, enters the pipeline.  The LLC
+        builds the groups once: the queues are mutated in place.
         """
 
 
@@ -41,11 +46,9 @@ class TwoLevelMuxArbiter(PipelineEntryArbiter):
     traffic — the minor leak MI6 closes.
     """
 
-    def select(self, cycle: int, queues: Sequence[Tuple[int, List]]) -> Optional[int]:
-        for index, (_core, fifo) in enumerate(queues):
-            if fifo:
-                return index
-        return None
+    def entry_groups(self, queues: Sequence[Tuple[int, QueueT]]) -> List[List[QueueT]]:
+        # One group owns every cycle: the first non-empty queue wins.
+        return [[queue for _core, queue in queues]]
 
 
 class RoundRobinArbiter(PipelineEntryArbiter):
@@ -60,9 +63,9 @@ class RoundRobinArbiter(PipelineEntryArbiter):
     def __init__(self, num_cores: int) -> None:
         self.num_cores = num_cores
 
-    def select(self, cycle: int, queues: Sequence[Tuple[int, List]]) -> Optional[int]:
-        owner = cycle % self.num_cores
-        for index, (core, fifo) in enumerate(queues):
-            if core == owner and fifo:
-                return index
-        return None
+    def entry_groups(self, queues: Sequence[Tuple[int, QueueT]]) -> List[List[QueueT]]:
+        # Group ``owner`` holds core ``owner``'s queues, so in cycle T
+        # only core ``T % num_cores`` is looked at.
+        return [
+            [queue for core, queue in queues if core == owner] for owner in range(self.num_cores)
+        ]

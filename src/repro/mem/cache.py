@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.common.fastpath import slow_path_enabled
 from repro.common.stats import StatsRegistry
@@ -205,7 +205,7 @@ class SetAssociativeCache:
         self._valid_counts: List[int] = []
         self._ways = geometry.ways
         self._ways_bits = geometry.ways.bit_length()
-        self._lru_stacks: Optional[List[bytearray]] = None
+        self._lru_stacks: Optional[List[Union[bytes, bytearray]]] = None
         self._self_cleaning = policy_type is SelfCleaningLruPolicy
         self._randbelow: Optional[Callable[[int], int]] = None
         self._victim_getrandbits: Optional[Callable[[int], int]] = None
@@ -418,6 +418,8 @@ class SetAssociativeCache:
             if stacks is not None:
                 stack = stacks[set_index]
                 if stack[0] != way:
+                    if not isinstance(stack, bytearray):
+                        stack = stacks[set_index] = bytearray(stack)
                     stack.remove(way)
                     stack.insert(0, way)
             slot = set_index * ways + way
@@ -484,6 +486,8 @@ class SetAssociativeCache:
         if stacks is not None:
             stack = stacks[set_index]
             if stack[0] != victim_way:
+                if not isinstance(stack, bytearray):
+                    stack = stacks[set_index] = bytearray(stack)
                 stack.remove(victim_way)
                 stack.insert(0, victim_way)
         return (False, set_index, victim_way, evicted_tag, evicted_dirty, evicted_owner)
@@ -531,6 +535,8 @@ class SetAssociativeCache:
             if stacks is not None:
                 stack = stacks[set_index]
                 if stack[0] != way:
+                    if not isinstance(stack, bytearray):
+                        stack = stacks[set_index] = bytearray(stack)
                     stack.remove(way)
                     stack.insert(0, way)
             slot = set_index * ways + way
@@ -588,6 +594,8 @@ class SetAssociativeCache:
         if stacks is not None:
             stack = stacks[set_index]
             if stack[0] != victim_way:
+                if not isinstance(stack, bytearray):
+                    stack = stacks[set_index] = bytearray(stack)
                 stack.remove(victim_way)
                 stack.insert(0, victim_way)
         return False
@@ -826,9 +834,13 @@ class _SlabCache(SetAssociativeCache):
         self._slab_owners = list(owners)
         self._tag_maps = [dict(tag_map) if tag_map else _NO_TAGS for tag_map in tag_maps]
         self._valid_counts = list(valid_counts)
-        if self._lru_stacks is not None:
-            # In place: the policy and this cache share the container.
-            self._lru_stacks[:] = map(bytearray, stacks)
         policy = self._policy
-        if isinstance(policy, PseudoRandomPolicy):
+        if isinstance(policy, LruPolicy):
+            # In place: the policy and this cache share the container.  A
+            # stack in the initial order stays the policy's shared one.
+            initial = policy._initial_stack
+            policy._stacks[:] = [
+                initial if stack == initial else bytearray(stack) for stack in stacks
+            ]
+        elif isinstance(policy, PseudoRandomPolicy):
             policy._rng.setstate(rng_state)

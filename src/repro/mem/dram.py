@@ -15,8 +15,9 @@ constant-latency design avoids.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.common.stats import StatsRegistry
 
@@ -42,8 +43,7 @@ class DramConfig:
     row_hit_latency_cycles: int = 60
 
 
-@dataclass
-class DramRequest:
+class DramRequest(NamedTuple):
     """One request accepted by the DRAM controller."""
 
     core: int
@@ -59,7 +59,8 @@ class DramController:
     def __init__(self, config: Optional[DramConfig] = None, stats: Optional[StatsRegistry] = None) -> None:
         self.config = config or DramConfig()
         self._stats = stats or StatsRegistry()
-        self._in_flight: List[DramRequest] = []
+        # Completion cycles of the requests in flight, as a min-heap.
+        self._in_flight: List[int] = []
         self._last_bank_row: Dict[int, int] = {}
 
     @property
@@ -82,7 +83,9 @@ class DramController:
         return line_address % self.config.num_banks
 
     def _retire_completed(self, now: int) -> None:
-        self._in_flight = [request for request in self._in_flight if request.complete_cycle > now]
+        in_flight = self._in_flight
+        while in_flight and in_flight[0] <= now:
+            heapq.heappop(in_flight)
 
     def occupancy(self, now: int) -> int:
         """Number of requests still in flight at cycle ``now``."""
@@ -98,7 +101,7 @@ class DramController:
         self._retire_completed(now)
         if len(self._in_flight) < self.config.max_outstanding:
             return now
-        return min(request.complete_cycle for request in self._in_flight)
+        return self._in_flight[0]
 
     def submit(self, core: int, line_address: int, is_write: bool, now: int) -> DramRequest:
         """Accept a request at (or after) cycle ``now`` and return it.
@@ -115,7 +118,7 @@ class DramController:
             accept_cycle=accept,
             complete_cycle=accept + latency,
         )
-        self._in_flight.append(request)
+        heapq.heappush(self._in_flight, request.complete_cycle)
         self._stats.counter("dram.requests").increment()
         if is_write:
             self._stats.counter("dram.writes").increment()

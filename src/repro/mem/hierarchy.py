@@ -17,7 +17,9 @@ Two access surfaces are exposed:
 * the timing methods (:meth:`MemoryHierarchy.data_access_timing`,
   :meth:`MemoryHierarchy.fetch_access_timing`) perform *identical* state
   and statistics updates but return only the scalars the fast core loop
-  consumes, skipping the per-access record construction.
+  consumes, skipping the per-access record construction;
+  :meth:`MemoryHierarchy.data_access_parts` does the same for the
+  co-scheduled attack executor.
 
 Warm-up discards every latency, so the fast kernel primes through the
 fused warm-up lanes (:meth:`MemoryHierarchy.prime_data_timing`,
@@ -234,6 +236,13 @@ class MemoryHierarchy:
             )
         counter.value += 1
 
+    def _count_page_fault(self) -> None:
+        """Count a data access whose translation faulted."""
+        counter = self._c_page_faults
+        if counter is None:
+            counter = self._c_page_faults = self._stats.counter("mem.page_faults")
+        counter.value += 1
+
     def _count_blocked_fetch(self) -> None:
         """Count an instruction fetch the DRAM-region check suppressed."""
         counter = self._c_blocked_fetches
@@ -304,10 +313,7 @@ class MemoryHierarchy:
         """
         physical, extra, _walk, fault = self._translate(virtual_address, self.dtlb)
         if fault:
-            counter = self._c_page_faults
-            if counter is None:
-                counter = self._c_page_faults = self._stats.counter("mem.page_faults")
-            counter.value += 1
+            self._count_page_fault()
             return (extra, False, 0)
         latency, llc_parts, _blocked = self._physical_data_timing(physical, is_write=is_write)
         if llc_parts is None or llc_parts[0]:
@@ -378,7 +384,8 @@ class MemoryHierarchy:
         * on an L1 miss the LRU LLC slab access is applied in place, its
           set index computed inline: a mask under the baseline index
           function, and the DRAM-region bits shifted in under set
-          partitioning.
+          partitioning.  A set still on the policy's shared initial
+          recency stack gets a copy of its own before it is reordered.
 
         Every other case takes the full accessor, as the core's fused
         lanes do.  A TLB miss, a page fault or an entry of another
@@ -604,6 +611,8 @@ class MemoryHierarchy:
                             llc_owners[slot] = owner
                             llc_map[line] = llc_way
                         if stack[0] != llc_way:
+                            if not isinstance(stack, bytearray):
+                                stack = llc_stacks[llc_set] = bytearray(stack)
                             stack.remove(llc_way)
                             stack.insert(0, llc_way)
                         continue
@@ -638,10 +647,7 @@ class MemoryHierarchy:
         """Perform a load or store through the data-side hierarchy."""
         physical, extra, walk_accesses, fault = self._translate(virtual_address, self.dtlb)
         if fault:
-            counter = self._c_page_faults
-            if counter is None:
-                counter = self._c_page_faults = self._stats.counter("mem.page_faults")
-            counter.value += 1
+            self._count_page_fault()
             return HierarchyAccess(latency=extra, tlb_walk_accesses=walk_accesses, page_fault=True)
         latency, llc_parts, blocked = self._physical_data_timing(physical, is_write=is_write)
         if blocked:
@@ -667,33 +673,41 @@ class MemoryHierarchy:
             tlb_walk_accesses=walk_accesses,
         )
 
-    def llc_probe_access(self, physical_address: int, *, is_write: bool = False) -> HierarchyAccess:
-        """Access the shared LLC directly, bypassing the private L1.
+    def data_access_parts(
+        self, address: int, *, is_write: bool = False, l1_bypass: bool = False
+    ) -> tuple:
+        """``(latency, l1_hit, llc_accessed, llc_hit, blocked)`` of one data access.
 
-        This models the flush+access idiom attack code relies on (a
-        ``clflush``-ed or uncached load): the line is looked up in — and
-        on a miss installed into — the shared LLC without ever being
-        served from or allocated in the core's L1D, so the measured
-        latency reflects LLC state alone.  The DRAM-region protection
-        check still applies: MI6 suppresses disallowed probes exactly
-        like ordinary accesses (Section 5.3).
+        Without ``l1_bypass`` this is :meth:`data_access` of a virtual
+        ``address``: the same state and statistics effects and the same
+        five fields, without building the :class:`HierarchyAccess` (the
+        co-scheduled executor keeps only these).
+
+        With ``l1_bypass`` it accesses the shared LLC directly at a
+        physical ``address``, modelling the flush+access idiom attack
+        code relies on (a ``clflush``-ed or uncached load): the line is
+        looked up in, and on a miss installed into, the shared LLC
+        without ever being served from or allocated in the core's L1D,
+        so the latency reflects LLC state alone.  The DRAM-region check
+        still applies: MI6 suppresses disallowed probes exactly like
+        ordinary accesses (Section 5.3).
         """
-        if not self._check_region(physical_address):
-            self._count_blocked_access()
-            return HierarchyAccess(latency=0, blocked_by_protection=True)
-        outcome = self.llc.access(
-            physical_address, is_write=is_write, core=self.core_id, owner=self.owner
-        )
-        return HierarchyAccess(
-            latency=self.l1d.hit_latency + outcome.latency,
-            physical_address=physical_address,
-            l1_hit=False,
-            llc_accessed=True,
-            llc_hit=outcome.hit,
-            llc_set=outcome.set_index,
-            llc_bank=outcome.bank,
-            llc_writeback=outcome.writeback,
-        )
+        if l1_bypass:
+            if not self._check_region(address):
+                self._count_blocked_access()
+                return (0, True, False, False, True)
+            llc_parts = self.llc.access_parts(address, is_write, self.core_id, self.owner)
+            return (self.l1d.hit_latency + llc_parts[1], False, True, llc_parts[0], False)
+        physical, extra, _walk, fault = self._translate(address, self.dtlb)
+        if fault:
+            self._count_page_fault()
+            return (extra, True, False, False, False)
+        latency, llc_parts, blocked = self._physical_data_timing(physical, is_write=is_write)
+        if blocked:
+            return (extra, True, False, False, True)
+        if llc_parts is None:
+            return (latency + extra, True, False, False, False)
+        return (latency + extra, False, True, llc_parts[0], False)
 
     def fetch_access_timing(self, virtual_address: int) -> tuple:
         """Timing of an instruction fetch: ``(latency, l1_hit)``.

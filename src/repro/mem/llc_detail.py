@@ -22,16 +22,18 @@ isolation tests compare across interference scenarios.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.fastpath import slow_path_enabled
-from repro.common.stats import StatsRegistry
+from repro.common.stats import Counter, StatsRegistry
 from repro.mem.arbiter import PipelineEntryArbiter, RoundRobinArbiter, TwoLevelMuxArbiter
 from repro.mem.coherence import Directory
 from repro.mem.dram import DramConfig, DramController
+from repro.mem.replacement import LruPolicy
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class DetailedLlcConfig:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class LlcRequest:
     """One L1 upgrade request injected into the simulation.
 
@@ -108,31 +110,42 @@ class LlcRequest:
         return self.complete_cycle - self.issue_cycle
 
 
-@dataclass
+#: Downgrade set of every MSHR that needs no downgrade; never written.
+_NO_DOWNGRADES: Set[int] = set()
+
+#: ``DetailedLlc._dram_ready`` while no MSHR waits on DRAM.
+_NEVER = sys.maxsize
+
+
 class _Mshr:
     """Internal MSHR entry of the detailed model."""
 
-    mshr_id: int
-    request: LlcRequest
-    state: str = "new"            # new -> wait_downgrade -> wait_dram -> respond
-    needs_writeback: bool = False
-    retry: bool = False
-    pending_downgrades: set = field(default_factory=set)
-    downgrades_to_send: set = field(default_factory=set)
-    dram_ready_cycle: Optional[int] = None
-    dram_delivered: bool = False
+    __slots__ = (
+        "mshr_id", "request", "state", "needs_writeback", "retry",
+        "pending_downgrades", "downgrades_to_send", "dram_ready_cycle",
+    )
 
-
-@dataclass
-class _TagLine:
-    valid: bool = False
-    line_address: int = 0
-    dirty: bool = False
-    locked_by: Optional[int] = None   # MSHR id that reserved the slot
+    def __init__(self, mshr_id: int, request: LlcRequest) -> None:
+        self.mshr_id = mshr_id
+        self.request = request
+        self.state = "new"            # new -> wait_downgrade -> wait_dram -> respond
+        self.needs_writeback = False
+        self.retry = False
+        self.pending_downgrades = _NO_DOWNGRADES
+        self.downgrades_to_send = _NO_DOWNGRADES
+        self.dram_ready_cycle = 0
 
 
 class DetailedLlc:
-    """Cycle-stepped LLC with explicit queues, MSHRs and arbitration."""
+    """Cycle-stepped LLC with explicit queues, MSHRs and arbitration.
+
+    The tag array is three flat slabs indexed ``set * ways + way``: the
+    line address a way holds (``None`` when invalid), its dirty bit, and
+    the MSHR that locked the way for its fill.  Recency is an
+    :class:`~repro.mem.replacement.LruPolicy`, whose sets share one
+    initial stack until first reordered, so building the model allocates
+    no per-line or per-set objects.
+    """
 
     def __init__(self, config: DetailedLlcConfig, stats: Optional[StatsRegistry] = None) -> None:
         self.config = config
@@ -147,48 +160,65 @@ class DetailedLlc:
             )
         )
         # Tag array.
-        self._sets: List[List[_TagLine]] = [
-            [_TagLine() for _ in range(config.ways)] for _ in range(config.num_sets)
-        ]
-        self._lru: List[List[int]] = [list(range(config.ways)) for _ in range(config.num_sets)]
+        slots = config.num_sets * config.ways
+        self._tags: List[Optional[int]] = [None] * slots
+        self._dirty: List[bool] = [False] * slots
+        self._locks: List[Optional[int]] = [None] * slots
+        self._lru = LruPolicy(config.num_sets, config.ways)
+        self._partitioned = config.secure and config.set_partitioned
         # Input queues per core: upgrade requests, downgrade responses,
         # DRAM responses (per-core in secure mode), retries (secure mode).
         cores = range(config.num_cores)
-        self._upgrade_in: Dict[int, List[LlcRequest]] = {core: [] for core in cores}
-        self._downgrade_resp_in: Dict[int, List[Tuple[int, int]]] = {core: [] for core in cores}
-        self._dram_resp_in: Dict[int, List[int]] = {core: [] for core in cores}
-        self._retry_in: Dict[int, List[int]] = {core: [] for core in cores}
+        self._upgrade_in: List[List[LlcRequest]] = [[] for _ in cores]
+        self._downgrade_resp_in: List[List[Tuple[int, int]]] = [[] for _ in cores]
+        self._dram_resp_in: List[List[int]] = [[] for _ in cores]
+        self._retry_in: List[List[int]] = [[] for _ in cores]
         self._shared_dram_resp_in: List[int] = []
-        # The cache-access pipeline: (exit_cycle, kind, payload).
+        # The cache-access pipeline: (exit_cycle, handler, payload).
         self._pipeline: deque = deque()
         # MSHRs.  Per-core occupancy is tracked incrementally so the
         # allocation check does not scan the MSHR file every message.
         self._mshrs: Dict[int, _Mshr] = {}
         self._next_mshr_id = 0
-        self._occupancy_by_core: Dict[int, int] = {core: 0 for core in cores}
-        # MSHRs waiting on a DRAM response, kept aside so the per-cycle
-        # delivery scan touches only them instead of the whole file.
+        self._occupancy_by_core: List[int] = [0] * config.num_cores
+        # MSHRs waiting on a DRAM response, kept aside so the delivery
+        # scan touches only them, and the earliest cycle one is ready.
         self._dram_waiting: List[_Mshr] = []
+        self._dram_ready = _NEVER
         # Count of downgrade requests still to be sent, across all MSHRs;
         # lets the per-cycle downgrade logic exit without scanning.
         self._downgrades_unsent = 0
-        # UQ / DQ.
-        self._uq: Dict[int, deque] = {core: deque() for core in cores}
+        # UQ / DQ, and the count of responses waiting in the UQs.
+        self._uq: List[deque] = [deque() for _ in cores]
         self._shared_uq: deque = deque()
+        self._uq_count = 0
         self._dq: deque = deque()
         self._dq_blocked_until = 0
         # Downgrade requests scheduled to be answered by remote L1s.
         self._pending_l1_answers: List[Tuple[int, int, int]] = []  # (cycle, core, line)
-        # Arbiter.
+        # Arbiter.  The entry queues are grouped once by slot owner; each
+        # is tagged with the handler its messages take at the pipeline
+        # exit.
         self._arbiter: PipelineEntryArbiter
         if config.secure:
             self._arbiter = RoundRobinArbiter(config.num_cores)
         else:
             self._arbiter = TwoLevelMuxArbiter()
-        # The queue structure visible to the arbiter never changes (the
-        # fifos are mutated in place), so it is built once here instead of
-        # being reassembled every cycle.
-        self._entry_queue_structure = self._build_entry_queues()
+        self._entry_groups = self._arbiter.entry_groups(self._tagged_entry_queues())
+        # Every entry queue but the upgrade queues: a message there is due.
+        self._message_queues = tuple(
+            fifo
+            for group in self._entry_groups
+            for handler, fifo in group
+            if handler is not DetailedLlc._process_upgrade
+        )
+        # Counter handles, bound on first use so the registration order
+        # does not change.
+        self._c_pipeline_entries: Optional[Counter] = None
+        self._c_mshr_stalls: Optional[Counter] = None
+        self._c_hits: Optional[Counter] = None
+        self._c_misses: Optional[Counter] = None
+        self._c_responses: Optional[Counter] = None
         # Completed requests.
         self.completed: List[LlcRequest] = []
 
@@ -196,18 +226,19 @@ class DetailedLlc:
     # Address helpers
 
     def _set_index(self, line_address: int) -> int:
-        if self.config.secure and self.config.set_partitioned:
-            region = (line_address * self.config.line_bytes) // self.config.region_bytes
-            low_bits = self.config.num_sets // 4 if self.config.num_sets >= 4 else 1
-            return ((region % 4) * low_bits + line_address % low_bits) % self.config.num_sets
-        return line_address % self.config.num_sets
+        config = self.config
+        if self._partitioned:
+            region = (line_address * config.line_bytes) // config.region_bytes
+            low_bits = config.num_sets // 4 if config.num_sets >= 4 else 1
+            return ((region % 4) * low_bits + line_address % low_bits) % config.num_sets
+        return line_address % config.num_sets
 
     # ------------------------------------------------------------------
     # MSHR helpers
 
     def _can_allocate_mshr(self, core: int) -> bool:
         if self.config.secure:
-            return self._occupancy_by_core.get(core, 0) < self.config.mshrs_per_core
+            return self._occupancy_by_core[core] < self.config.mshrs_per_core
         return len(self._mshrs) < self.config.total_mshrs
 
     def _parked(self, core: int) -> bool:
@@ -215,12 +246,17 @@ class DetailedLlc:
         return bool(self._upgrade_in[core]) and not self._can_allocate_mshr(core)
 
     def _allocate_mshr(self, request: LlcRequest) -> _Mshr:
-        mshr = _Mshr(mshr_id=self._next_mshr_id, request=request)
+        mshr = _Mshr(self._next_mshr_id, request)
         self._mshrs[mshr.mshr_id] = mshr
         self._next_mshr_id += 1
-        core = request.core
-        self._occupancy_by_core[core] = self._occupancy_by_core.get(core, 0) + 1
+        self._occupancy_by_core[request.core] += 1
         return mshr
+
+    def _count_mshr_stalls(self, cycles: int) -> None:
+        counter = self._c_mshr_stalls
+        if counter is None:
+            counter = self._c_mshr_stalls = self.stats.counter("llc_detail.mshr_stall_cycles")
+        counter.value += cycles
 
     # ------------------------------------------------------------------
     # Public driving interface
@@ -232,29 +268,35 @@ class DetailedLlc:
     def step(self) -> None:
         """Advance the LLC by one cycle.
 
-        A phase whose trigger is empty is not called: pending L1
-        answers, DRAM-waiting MSHRs, unsent downgrades, the DQ and the
-        pipeline are each tested here first.  Each of those phases
-        returns at once on that same test, so skipping the call changes
-        nothing; both kernels run this step.
+        A phase is called only when it has work due, tested on a field:
+        pending L1 answers, the earliest DRAM-ready cycle, the count of
+        UQ entries, unsent downgrades, an unblocked DQ, and the pipeline
+        head's exit cycle.  A phase with nothing due would change
+        nothing, so skipping it is exact; both kernels run this step.
+        Pipeline entry is offered every cycle, to the queues of the slot
+        owner the arbiter's groups name.
         """
+        cycle = self.cycle
         if self._pending_l1_answers:
             self._deliver_due_l1_answers()
-        if self._dram_waiting:
+        if self._dram_ready <= cycle:
             self._deliver_due_dram_responses()
-        self._dequeue_uq()
+        if self._uq_count:
+            self._dequeue_uq()
         if self._downgrades_unsent:
             self._run_downgrade_logic()
-        if self._dq:
+        if self._dq and self._dq_blocked_until <= cycle:
             self._dequeue_dq()
-        if self._pipeline:
-            self._process_pipeline_exit()
+        pipeline = self._pipeline
+        if pipeline and pipeline[0][0] <= cycle:
+            _exit_cycle, handler, payload = pipeline.popleft()
+            handler(self, payload)
         self._arbitrate_pipeline_entry()
-        self.cycle += 1
+        self.cycle = cycle + 1
 
     def outstanding(self) -> int:
         """Number of requests injected but not yet completed."""
-        queued = sum(len(queue) for queue in self._upgrade_in.values())
+        queued = sum(len(queue) for queue in self._upgrade_in)
         return queued + len(self._mshrs)
 
     def next_event_cycle(self) -> Optional[int]:
@@ -267,7 +309,10 @@ class DetailedLlc:
         mutates nothing but the clock, so drivers may jump straight to
         the returned cycle (:meth:`advance_to`) with bit-identical state
         and statistics.  Returns ``None`` when the LLC is fully quiescent
-        and only new injections can wake it.
+        and only new injections can wake it.  The UQ count and the
+        earliest DRAM-ready cycle are read from fields that :meth:`step`
+        keeps; only the entry queues and the pending L1 answers are
+        looked at.
 
         An upgrade queue whose head cannot allocate an MSHR is *parked*
         and is not an event: the arbiter keeps offering it entry slots,
@@ -282,33 +327,22 @@ class DetailedLlc:
         per-cycle while such a message waits.
         """
         cycle = self.cycle
-        if self._downgrades_unsent or self._shared_uq:
+        if self._downgrades_unsent or self._uq_count or any(self._message_queues):
             return cycle
-        for queue in self._uq.values():
-            if queue:
+        for core, fifo in enumerate(self._upgrade_in):
+            if fifo and self._can_allocate_mshr(core):
                 return cycle
-        for core, fifo in self._entry_queue_structure:
-            if fifo and not (fifo is self._upgrade_in.get(core) and self._parked(core)):
-                return cycle
-        if self._shared_dram_resp_in:
-            return cycle
-        best: Optional[int] = None
+        best = self._dram_ready
         if self._dq:
-            best = self._dq_blocked_until if self._dq_blocked_until > cycle else cycle
-        if self._pipeline:
-            head_exit = self._pipeline[0][0]
-            if best is None or head_exit < best:
-                best = head_exit
-        for mshr in self._dram_waiting:
-            ready = mshr.dram_ready_cycle
-            if best is None or ready < best:
-                best = ready
+            best = min(best, max(self._dq_blocked_until, cycle))
+        if self._pipeline and self._pipeline[0][0] < best:
+            best = self._pipeline[0][0]
         for due, _core, _line in self._pending_l1_answers:
-            if best is None or due < best:
+            if due < best:
                 best = due
-        if best is not None and best < cycle:
-            best = cycle
-        return best
+        if best == _NEVER:
+            return None
+        return best if best > cycle else cycle
 
     def advance_to(self, cycle: int) -> None:
         """Jump the clock forward over a provably idle gap.
@@ -325,7 +359,9 @@ class DetailedLlc:
         if cycle <= start:
             return
         self.cycle = cycle
-        parked = [core for core in self._upgrade_in if self._parked(core)]
+        if not any(self._upgrade_in):
+            return
+        parked = [core for core in range(self.config.num_cores) if self._parked(core)]
         if not parked:
             return
         if self.config.secure:
@@ -337,15 +373,13 @@ class DetailedLlc:
         else:
             stalled = cycle - start
         if stalled:
-            self.stats.counter("llc_detail.mshr_stall_cycles").increment(stalled)
+            self._count_mshr_stalls(stalled)
 
     # ------------------------------------------------------------------
     # Per-cycle phases
 
     def _deliver_due_l1_answers(self) -> None:
         pending = self._pending_l1_answers
-        if not pending:
-            return
         cycle = self.cycle
         due = [item for item in pending if item[0] <= cycle]
         if not due:
@@ -360,17 +394,15 @@ class DetailedLlc:
         # MSHRs actually waiting on DRAM are scanned; same-cycle
         # deliveries happen in MSHR-id order, matching a scan of the whole
         # file in allocation order.
-        waiting = self._dram_waiting
-        if not waiting:
-            return
         cycle = self.cycle
-        due = [mshr for mshr in waiting if mshr.dram_ready_cycle <= cycle]
-        if not due:
-            return
-        self._dram_waiting = [mshr for mshr in waiting if mshr.dram_ready_cycle > cycle]
+        due: List[_Mshr] = []
+        waiting: List[_Mshr] = []
+        for mshr in self._dram_waiting:
+            (due if mshr.dram_ready_cycle <= cycle else waiting).append(mshr)
+        self._dram_waiting = waiting
+        self._dram_ready = min((mshr.dram_ready_cycle for mshr in waiting), default=_NEVER)
         due.sort(key=lambda mshr: mshr.mshr_id)
         for mshr in due:
-            mshr.dram_delivered = True
             if self.config.secure:
                 self._dram_resp_in[mshr.request.core].append(mshr.mshr_id)
             else:
@@ -380,31 +412,34 @@ class DetailedLlc:
         """Park an MSHR until its DRAM read returns."""
         mshr.state = "wait_dram"
         mshr.dram_ready_cycle = ready_cycle
-        mshr.dram_delivered = False
         self._dram_waiting.append(mshr)
+        if ready_cycle < self._dram_ready:
+            self._dram_ready = ready_cycle
 
     def _dequeue_uq(self) -> None:
         if self.config.secure:
-            for core in range(self.config.num_cores):
-                queue = self._uq[core]
+            for queue in self._uq:
                 if queue:
+                    self._uq_count -= 1
                     self._respond(queue.popleft())
         else:
-            if self._shared_uq:
-                self._respond(self._shared_uq.popleft())
+            self._uq_count -= 1
+            self._respond(self._shared_uq.popleft())
 
     def _respond(self, mshr_id: int) -> None:
         mshr = self._mshrs.pop(mshr_id, None)
         if mshr is None:
             return
-        self._occupancy_by_core[mshr.request.core] -= 1
-        mshr.request.complete_cycle = self.cycle
-        self.completed.append(mshr.request)
-        self.stats.counter("llc_detail.responses").increment()
+        request = mshr.request
+        self._occupancy_by_core[request.core] -= 1
+        request.complete_cycle = self.cycle
+        self.completed.append(request)
+        counter = self._c_responses
+        if counter is None:
+            counter = self._c_responses = self.stats.counter("llc_detail.responses")
+        counter.value += 1
 
     def _run_downgrade_logic(self) -> None:
-        if not self._downgrades_unsent:
-            return
         if self.config.secure:
             # One duplicated Downgrade-L1 logic per MSHR partition: each
             # core's partition can send one downgrade request per cycle.
@@ -431,10 +466,6 @@ class DetailedLlc:
         self.stats.counter("llc_detail.downgrade_requests").increment()
 
     def _dequeue_dq(self) -> None:
-        if self._dq_blocked_until > self.cycle:
-            return
-        if not self._dq:
-            return
         mshr_id = self._dq[0]
         mshr = self._mshrs.get(mshr_id)
         if mshr is None:
@@ -444,60 +475,37 @@ class DetailedLlc:
             self.stats.counter("llc_detail.dram_backpressure_cycles").increment()
             return
         self._dq.popleft()
+        request = mshr.request
         if self.config.secure:
             # Retry-bit organisation: each dequeue sends exactly one DRAM
             # request and takes exactly one cycle.
             if mshr.retry and mshr.needs_writeback:
-                self.dram.submit(mshr.request.core, mshr.request.line_address, True, self.cycle)
+                self.dram.submit(request.core, request.line_address, True, self.cycle)
                 mshr.needs_writeback = False
                 # The MSHR re-enters the pipeline as a pure miss through
                 # its own core's retry queue.
-                self._retry_in[mshr.request.core].append(mshr.mshr_id)
+                self._retry_in[request.core].append(mshr.mshr_id)
             else:
-                request = self.dram.submit(
-                    mshr.request.core, mshr.request.line_address, False, self.cycle
-                )
-                self._dram_wait(mshr, request.complete_cycle)
+                read = self.dram.submit(request.core, request.line_address, False, self.cycle)
+                self._dram_wait(mshr, read.complete_cycle)
         else:
             # Baseline: an entry completing a replacement sends both the
             # writeback and the read, blocking the dequeue port an extra
             # cycle (the DQ minor leak of Section 5.4.2).
             if mshr.needs_writeback:
-                self.dram.submit(mshr.request.core, mshr.request.line_address, True, self.cycle)
+                self.dram.submit(request.core, request.line_address, True, self.cycle)
                 mshr.needs_writeback = False
                 self._dq_blocked_until = self.cycle + 2
-            request = self.dram.submit(
-                mshr.request.core, mshr.request.line_address, False, self.cycle
-            )
-            self._dram_wait(mshr, request.complete_cycle)
+            read = self.dram.submit(request.core, request.line_address, False, self.cycle)
+            self._dram_wait(mshr, read.complete_cycle)
 
-    def _process_pipeline_exit(self) -> None:
-        if not self._pipeline:
-            return
-        exit_cycle, kind, payload = self._pipeline[0]
-        if exit_cycle > self.cycle:
-            return
-        self._pipeline.popleft()
-        if kind == "upgrade":
-            self._process_upgrade(payload)               # type: ignore[arg-type]
-        elif kind == "retry":
-            self._process_retry(payload)                 # type: ignore[arg-type]
-        elif kind == "dram_resp":
-            self._process_dram_response(payload)         # type: ignore[arg-type]
-        elif kind == "downgrade_resp":
-            self._process_downgrade_response(payload)    # type: ignore[arg-type]
-
-    def _tag_lookup(self, line_address: int) -> Optional[int]:
-        set_index = self._set_index(line_address)
-        for way, line in enumerate(self._sets[set_index]):
-            if line.valid and line.line_address == line_address:
+    def _tag_lookup(self, set_index: int, line_address: int) -> Optional[int]:
+        base = set_index * self.config.ways
+        tags = self._tags
+        for way in range(self.config.ways):
+            if tags[base + way] == line_address:
                 return way
         return None
-
-    def _touch(self, set_index: int, way: int) -> None:
-        order = self._lru[set_index]
-        order.remove(way)
-        order.insert(0, way)
 
     def _process_upgrade(self, mshr_id: int) -> None:
         mshr = self._mshrs[mshr_id]
@@ -509,7 +517,7 @@ class DetailedLlc:
             mshr.state = "wait_downgrade"
             mshr.pending_downgrades = set(downgrades)
             mshr.downgrades_to_send = set(downgrades)
-            self._downgrades_unsent += len(mshr.downgrades_to_send)
+            self._downgrades_unsent += len(downgrades)
             return
         self._resolve_tag_access(mshr)
 
@@ -529,12 +537,11 @@ class DetailedLlc:
         request = mshr.request
         set_index = self._set_index(request.line_address)
         way = self._fill_way(set_index, mshr.mshr_id)
-        line = self._sets[set_index][way]
-        line.valid = True
-        line.line_address = request.line_address
-        line.dirty = request.want_modified
-        line.locked_by = None
-        self._touch(set_index, way)
+        slot = set_index * self.config.ways + way
+        self._tags[slot] = request.line_address
+        self._dirty[slot] = request.want_modified
+        self._locks[slot] = None
+        self._lru.touch(set_index, way)
         self.directory.grant(request.core, request.line_address, request.want_modified)
         self._enqueue_uq(mshr)
 
@@ -549,51 +556,64 @@ class DetailedLlc:
                 break
 
     def _fill_way(self, set_index: int, mshr_id: int) -> int:
-        for way, line in enumerate(self._sets[set_index]):
-            if line.locked_by == mshr_id:
+        ways = self.config.ways
+        base = set_index * ways
+        locks = self._locks
+        for way in range(ways):
+            if locks[base + way] == mshr_id:
                 return way
-        for way, line in enumerate(self._sets[set_index]):
-            if not line.valid and line.locked_by is None:
+        for way in range(ways):
+            if self._tags[base + way] is None and locks[base + way] is None:
                 return way
-        return self._lru[set_index][-1]
+        return self._lru.victim(set_index, [True] * ways)
 
     def _resolve_tag_access(self, mshr: _Mshr) -> None:
         request = mshr.request
-        way = self._tag_lookup(request.line_address)
         set_index = self._set_index(request.line_address)
+        way = self._tag_lookup(set_index, request.line_address)
         hit = way is not None if request.hit_override is None else request.hit_override
         if hit:
             if way is not None:
-                self._touch(set_index, way)
+                self._lru.touch(set_index, way)
             self.directory.grant(request.core, request.line_address, request.want_modified)
-            self.stats.counter("llc_detail.hits").increment()
+            counter = self._c_hits
+            if counter is None:
+                counter = self._c_hits = self.stats.counter("llc_detail.hits")
+            counter.value += 1
             self._enqueue_uq(mshr)
             return
-        self.stats.counter("llc_detail.misses").increment()
+        counter = self._c_misses
+        if counter is None:
+            counter = self._c_misses = self.stats.counter("llc_detail.misses")
+        counter.value += 1
         # Choose a victim: prefer an unlocked invalid way, else LRU unlocked.
+        base = set_index * self.config.ways
+        tags, locks = self._tags, self._locks
         victim_way = None
-        for candidate in range(self.config.ways):
-            line = self._sets[set_index][candidate]
-            if not line.valid and line.locked_by is None:
-                victim_way = candidate
+        for way in range(self.config.ways):
+            if tags[base + way] is None and locks[base + way] is None:
+                victim_way = way
                 break
-        if victim_way is None:
-            for candidate in reversed(self._lru[set_index]):
-                if self._sets[set_index][candidate].locked_by is None:
-                    victim_way = candidate
+        else:
+            for way in reversed(self._lru.recency_order(set_index)):
+                if locks[base + way] is None:
+                    victim_way = way
                     break
         if victim_way is None:
             # Every way is locked by an in-flight fill; retry next cycle by
             # re-entering through the core's retry path.
             self._retry_in[request.core].append(mshr.mshr_id)
             return
-        victim = self._sets[set_index][victim_way]
-        needs_writeback = victim.valid and victim.dirty
-        if victim.valid:
-            self.directory.entry(victim.line_address).owners.clear()
-        self._sets[set_index][victim_way] = _TagLine(valid=False, locked_by=mshr.mshr_id)
-        mshr.needs_writeback = needs_writeback
-        if self.config.secure and needs_writeback:
+        slot = base + victim_way
+        victim_line = tags[slot]
+        mshr.needs_writeback = victim_line is not None and self._dirty[slot]
+        if victim_line is not None:
+            self.directory.entry(victim_line).owners.clear()
+        # Reset the victim way in place, locked for this MSHR's fill.
+        tags[slot] = None
+        self._dirty[slot] = False
+        locks[slot] = mshr.mshr_id
+        if self.config.secure and mshr.needs_writeback:
             mshr.retry = True
         self._dq.append(mshr.mshr_id)
 
@@ -603,29 +623,32 @@ class DetailedLlc:
             self._uq[mshr.request.core].append(mshr.mshr_id)
         else:
             self._shared_uq.append(mshr.mshr_id)
+        self._uq_count += 1
 
     # ------------------------------------------------------------------
     # Pipeline entry
 
-    def _entry_queues(self) -> List[Tuple[int, List]]:
-        """Queues visible to the arbiter, in deterministic order.
+    def _tagged_entry_queues(self) -> List[Tuple[int, Tuple[Callable, list]]]:
+        """``(core, (handler, fifo))`` for every entry queue, in priority order.
 
-        The structure is built once at construction (the fifos themselves
-        are mutated in place every cycle); see ``_entry_queue_structure``.
+        ``handler`` is the method a message from the queue runs at the
+        pipeline exit; core ``-1`` is the baseline's shared DRAM
+        response queue.
         """
-        return self._entry_queue_structure
-
-    def _build_entry_queues(self) -> List[Tuple[int, List]]:
-        queues: List[Tuple[int, List]] = []
+        queues: List[Tuple[int, Tuple[Callable, list]]] = []
+        downgrade = DetailedLlc._process_downgrade_response
+        dram = DetailedLlc._process_dram_response
+        retry = DetailedLlc._process_retry
+        upgrade = DetailedLlc._process_upgrade
         if self.config.secure:
             # Per-core merge: each core presents one logical queue; we
             # expose the core's sub-queues in a fixed priority order
             # (downgrade responses, DRAM responses, retries, upgrades).
             for core in range(self.config.num_cores):
-                queues.append((core, self._downgrade_resp_in[core]))
-                queues.append((core, self._dram_resp_in[core]))
-                queues.append((core, self._retry_in[core]))
-                queues.append((core, self._upgrade_in[core]))
+                queues.append((core, (downgrade, self._downgrade_resp_in[core])))
+                queues.append((core, (dram, self._dram_resp_in[core])))
+                queues.append((core, (retry, self._retry_in[core])))
+                queues.append((core, (upgrade, self._upgrade_in[core])))
         else:
             # Type-major merge: all downgrade responses, then DRAM
             # responses, then upgrade requests.  The per-type merge uses an
@@ -633,43 +656,35 @@ class DetailedLlc:
             # is exactly the kind of unfair arbitration Section 5.4.2 calls
             # out as a minor timing leak.
             for core in range(self.config.num_cores):
-                queues.append((core, self._downgrade_resp_in[core]))
-            queues.append((-1, self._shared_dram_resp_in))
+                queues.append((core, (downgrade, self._downgrade_resp_in[core])))
+            queues.append((-1, (dram, self._shared_dram_resp_in)))
             for core in reversed(range(self.config.num_cores)):
-                queues.append((core, self._retry_in[core]))
-                queues.append((core, self._upgrade_in[core]))
+                queues.append((core, (retry, self._retry_in[core])))
+                queues.append((core, (upgrade, self._upgrade_in[core])))
         return queues
 
     def _arbitrate_pipeline_entry(self) -> None:
-        queues = self._entry_queues()
-        selected = self._arbiter.select(self.cycle, queues)
-        if selected is None:
+        cycle = self.cycle
+        groups = self._entry_groups
+        for handler, fifo in groups[cycle % len(groups)]:
+            if fifo:
+                break
+        else:
             return
-        core, fifo = queues[selected]
-        if not fifo:
-            return
-        head = fifo[0]
-        kind, payload = self._classify_entry(core, fifo, head)
-        if kind is None:
-            return
+        payload = fifo[0]
+        if handler is DetailedLlc._process_upgrade:
+            # An upgrade request must reserve an MSHR before entering the
+            # pipeline.
+            if not self._can_allocate_mshr(payload.core):
+                self._count_mshr_stalls(1)
+                return
+            payload = self._allocate_mshr(payload).mshr_id
         fifo.pop(0)
-        self._pipeline.append((self.cycle + self.config.pipeline_depth, kind, payload))
-        self.stats.counter("llc_detail.pipeline_entries").increment()
-
-    def _classify_entry(self, core: int, fifo: List, head) -> Tuple[Optional[str], object]:
-        if fifo is self._shared_dram_resp_in or (core >= 0 and fifo is self._dram_resp_in.get(core)):
-            return "dram_resp", head
-        if core >= 0 and fifo is self._retry_in.get(core):
-            return "retry", head
-        if core >= 0 and fifo is self._downgrade_resp_in.get(core):
-            return "downgrade_resp", head
-        # Upgrade request: must reserve an MSHR before entering the pipeline.
-        request: LlcRequest = head
-        if not self._can_allocate_mshr(request.core):
-            self.stats.counter("llc_detail.mshr_stall_cycles").increment()
-            return None, None
-        mshr = self._allocate_mshr(request)
-        return "upgrade", mshr.mshr_id
+        self._pipeline.append((cycle + self.config.pipeline_depth, handler, payload))
+        counter = self._c_pipeline_entries
+        if counter is None:
+            counter = self._c_pipeline_entries = self.stats.counter("llc_detail.pipeline_entries")
+        counter.value += 1
 
 
 class LlcTrafficSimulator:

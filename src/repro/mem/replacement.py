@@ -9,13 +9,18 @@ properties for the purge analysis (Section 6.1):
   *self-cleaning*: once a set is emptied, refills happen in a fixed order,
   so priming the structure scrubs the replacement state;
 * a plain LRU policy is provided for experiments that want one.
+
+The LRU policies' recency stacks are built on first touch: every set
+shares one immutable initial stack until a touch reorders it (see
+:class:`LruPolicy`), so the shared LLC's 1,024-set policy costs one list
+to build and to reset.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import repeat
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
@@ -96,10 +101,17 @@ class LruPolicy(ReplacementPolicy):
     program-dependent ordering even after all lines are invalidated unless
     the stack is also cleared, which :meth:`reset` does.
 
-    Each stack is a ``bytearray`` of way numbers, most recent first: way
+    Each stack is a byte string of way numbers, most recent first: way
     numbers fit a byte, so a policy over more than 256 ways is rejected,
     and the 1,024 stacks of an LLC are objects the cyclic garbage
-    collector does not track.
+    collector does not track.  Every set starts on one shared, immutable
+    ``bytes`` stack in the initial order and gets a ``bytearray`` of its
+    own on the first touch that reorders it; :meth:`reset` and
+    :meth:`SelfCleaningLruPolicy.note_set_empty` put the shared stack
+    back.  So a policy that most sets never touch allocates one list,
+    and every site that mutates a stack in place (here and in the slab
+    cache's and the warm-up lane's LRU access) copies the shared one
+    first.
     """
 
     def __init__(self, num_sets: int, ways: int) -> None:
@@ -107,11 +119,14 @@ class LruPolicy(ReplacementPolicy):
             raise ConfigurationError(f"an LRU policy orders at most 256 ways, got {ways}")
         self._num_sets = num_sets
         self._initial_stack = bytes(range(ways))
-        self._stacks: List[bytearray] = self._fresh_stacks()
+        self._stacks: List[Union[bytes, bytearray]] = [self._initial_stack] * num_sets
 
-    def _fresh_stacks(self) -> List[bytearray]:
-        """One copy of the initial recency stack per set."""
-        return list(map(bytearray, repeat(self._initial_stack, self._num_sets)))
+    def _own_stack(self, set_index: int) -> bytearray:
+        """``set_index``'s stack, copied out of the shared initial one first."""
+        stack = self._stacks[set_index]
+        if not isinstance(stack, bytearray):
+            stack = self._stacks[set_index] = bytearray(stack)
+        return stack
 
     def victim(self, set_index: int, valid: List[bool]) -> int:
         invalid_way = _first_invalid(valid)
@@ -120,20 +135,22 @@ class LruPolicy(ReplacementPolicy):
         return self._stacks[set_index][-1]
 
     def touch(self, set_index: int, way: int) -> None:
-        stack = self._stacks[set_index]
-        stack.remove(way)
-        stack.insert(0, way)
+        if self._stacks[set_index][0] != way:
+            stack = self._own_stack(set_index)
+            stack.remove(way)
+            stack.insert(0, way)
 
     def invalidate(self, set_index: int, way: int) -> None:
-        stack = self._stacks[set_index]
-        stack.remove(way)
-        stack.append(way)
+        if self._stacks[set_index][-1] != way:
+            stack = self._own_stack(set_index)
+            stack.remove(way)
+            stack.append(way)
 
     def reset(self) -> None:
         # Reset in place: the slab-backed cache fast path binds the outer
         # stack list once at construction, so the container object must
         # survive a purge.
-        self._stacks[:] = self._fresh_stacks()
+        self._stacks[:] = repeat(self._initial_stack, self._num_sets)
 
     def recency_order(self, set_index: int) -> List[int]:
         """Most- to least-recently-used way order (exposed for tests)."""
@@ -152,4 +169,4 @@ class SelfCleaningLruPolicy(LruPolicy):
 
     def note_set_empty(self, set_index: int) -> None:
         """Restore the canonical fill order for an empty set."""
-        self._stacks[set_index] = bytearray(self._initial_stack)
+        self._stacks[set_index] = self._initial_stack

@@ -12,3 +12,16 @@ temporary directories in ``tests/test_engine.py``.
 import os
 
 os.environ["REPRO_CACHE"] = "off"
+
+
+def pytest_addoption(parser):
+    """``--differential-seed``: run the wide differential budget at this seed.
+
+    ``tests/test_differential.py`` skips its CI-sized variant unless the
+    option is given; CI passes the commit hash.
+    """
+    parser.addoption(
+        "--differential-seed",
+        default=None,
+        help="hex seed for the wide differential-fuzzing budget (skipped without it)",
+    )

@@ -9,6 +9,8 @@ registration, Prometheus text shape) and the daemon's ``/v1/metrics``
 surface for agreement with ``/v1/health``.
 """
 
+import contextlib
+import io
 import json
 import logging
 import threading
@@ -412,6 +414,15 @@ class TestLogging:
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError, match="unknown log level"):
             configure_logging("chatty")
+
+    def test_records_go_to_the_stderr_current_when_they_are_written(self):
+        first, second = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(first):
+            configure_logging("warning")
+        with contextlib.redirect_stderr(second):
+            logging.getLogger("repro.test").warning("under the second redirect")
+        assert "under the second redirect" in second.getvalue()
+        assert "under the second redirect" not in first.getvalue()
 
     def test_repeat_calls_do_not_stack_handlers(self):
         configure_logging("info")
