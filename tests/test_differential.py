@@ -177,7 +177,7 @@ class TestCoScheduledPhases:
         )(given(case=phase_cases())(check_kernels_agree))
         seed(int(commit_seed, 16))(wide)()
 
-    def test_the_reference_bound_is_reached_by_nothing_generated(self):
+    def test_the_largest_generated_case_fits_the_cycle_bound(self):
         # The bound must stay a safety net: the largest case the strategy
         # draws (4 cores, 30 misses each, cap 1, gaps of 40) fits in it.
         case = {
