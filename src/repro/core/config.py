@@ -26,7 +26,8 @@ class CoreConfig:
     Attributes:
         fetch_width: Instructions fetched/renamed per cycle.
         commit_width: Instructions committed per cycle.
-        rob_entries: Reorder-buffer capacity.
+        rob_entries: Reorder-buffer capacity; at least 1 and at least
+            ``commit_width``.
         frontend_depth: Cycles from fetch to dispatch.
         load_queue_entries / store_queue_entries / store_buffer_entries:
             Load-store unit capacities.
@@ -62,6 +63,12 @@ class CoreConfig:
     trap_redirect_penalty: int = 10
     flush_on_trap: bool = False
     nonspec_memory: bool = False
+
+    def __post_init__(self) -> None:
+        # The commit-width rule reads the commit cycle commit_width
+        # instructions back from the ROB's ring of commit cycles.
+        if self.rob_entries < max(1, self.commit_width):
+            raise ConfigurationError("rob_entries must be at least 1 and at least commit_width")
 
 
 @dataclass(frozen=True)

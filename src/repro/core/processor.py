@@ -17,6 +17,7 @@ is about timing.
 from __future__ import annotations
 
 import weakref
+from itertools import count
 from typing import Callable, Optional, Tuple, Union
 
 from repro.common.fastpath import slow_path_enabled
@@ -133,10 +134,8 @@ class MI6Processor:
         table.root_physical_address = base_physical
         # Reserve the first pages for the page table itself, then map the
         # workload's virtual pages to consecutive physical pages.
-        next_physical = base_physical + table.page_bytes * 8
-        for virtual_page in workload.virtual_pages(table.page_bytes):
-            table.mappings[virtual_page] = next_physical // table.page_bytes
-            next_physical += table.page_bytes
+        first_frame = (base_physical + table.page_bytes * 8) // table.page_bytes
+        table.mappings = dict(zip(workload.virtual_pages(table.page_bytes), count(first_frame)))
         domain.page_table = table
         return domain
 

@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
-from repro.common.stats import StatsRegistry
+from repro.common.stats import Counter, StatsRegistry
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,10 @@ class DramController:
         # Completion cycles of the requests in flight, as a min-heap.
         self._in_flight: List[int] = []
         self._last_bank_row: Dict[int, int] = {}
+        # Counter handles, bound on first use.
+        self._c_requests: Optional[Counter] = None
+        self._c_reads: Optional[Counter] = None
+        self._c_writes: Optional[Counter] = None
 
     @property
     def stats(self) -> StatsRegistry:
@@ -119,11 +123,19 @@ class DramController:
             complete_cycle=accept + latency,
         )
         heapq.heappush(self._in_flight, request.complete_cycle)
-        self._stats.counter("dram.requests").increment()
+        counter = self._c_requests
+        if counter is None:
+            counter = self._c_requests = self._stats.counter("dram.requests")
+        counter.value += 1
         if is_write:
-            self._stats.counter("dram.writes").increment()
+            counter = self._c_writes
+            if counter is None:
+                counter = self._c_writes = self._stats.counter("dram.writes")
         else:
-            self._stats.counter("dram.reads").increment()
+            counter = self._c_reads
+            if counter is None:
+                counter = self._c_reads = self._stats.counter("dram.reads")
+        counter.value += 1
         if accept > now:
             self._stats.counter("dram.backpressure_cycles").increment(accept - now)
         return request

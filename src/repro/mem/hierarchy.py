@@ -25,7 +25,10 @@ Warm-up discards every latency, so the fast kernel primes through the
 fused warm-up lanes (:meth:`MemoryHierarchy.prime_data_timing`,
 :meth:`MemoryHierarchy.prime_fetch_timing`): one loop per side that
 applies the TLB, L1 and LLC effects of each address in place, with the
-timing methods' state and statistics.
+timing methods' state and statistics.  It tallies the counts it applies
+and adds them when it ends, deriving its evictions from its misses and
+the lines the caches hold, and hands an access to the accessors only
+where the path it takes needs a counter not registered yet.
 """
 
 from __future__ import annotations
@@ -339,26 +342,46 @@ class MemoryHierarchy:
         """
         self._prime_lane(addresses, data_side=False)
 
-    def _prime_handles(self, tlb: Tlb, l1: SetAssociativeCache, data_side: bool) -> tuple:
-        """The counter handles :meth:`_prime_lane` needs, as the structures hold them.
+    def _prime_ready(self, tlb: Tlb, l1: SetAssociativeCache, data_side: bool) -> tuple:
+        """Which paths :meth:`_prime_lane` may apply in place, as the counters stand.
 
-        A handle is ``None`` until its counter is registered.
+        A path runs in place only once its structure holds every counter
+        it bumps; until then an accessor takes it and registers them.
+        ``(tlb_hit, l1_hit, l1_fill, l1_evict, llc_hit, llc_fill,
+        llc_evict, llc_dirty_evict)``: on the data side an L1 miss also
+        bumps ``data.llc_access``, and a dirty LLC victim bumps the LLC's
+        two writeback counters on top of an eviction's.
         """
         llc_cache = self.llc.cache
+        side = not data_side or self._c_data_llc_access is not None
+        llc_evict = llc_cache._c_eviction is not None
         return (
-            tlb._c_access,
-            tlb._c_hit,
-            l1._c_access,
-            l1._c_hit,
-            l1._c_miss,
-            l1._c_eviction,
-            llc_cache._c_access,
-            llc_cache._c_hit,
-            llc_cache._c_miss,
-            llc_cache._c_eviction,
-            llc_cache._c_writeback,
-            self.llc._c_replacement_writeback,
-            self._c_data_llc_access if data_side else None,
+            tlb._c_hit is not None,
+            l1._c_hit is not None,
+            side and l1._c_miss is not None,
+            side and l1._c_eviction is not None,
+            llc_cache._c_hit is not None,
+            llc_cache._c_miss is not None,
+            llc_evict,
+            llc_evict
+            and llc_cache._c_writeback is not None
+            and self.llc._c_replacement_writeback is not None,
+        )
+
+    @staticmethod
+    def _eviction_balance(cache: SetAssociativeCache) -> int:
+        """``cache``'s counted misses minus its counted evictions minus the lines it holds.
+
+        Every miss that allocates fills a free way or evicts a line, so
+        the balance holds still while nothing invalidates a line.  The
+        warm-up lane counts only its misses: the evictions that bring
+        the balance back are its own.
+        """
+        stats = cache._stats
+        return (
+            stats.value(f"{cache.name}.miss")
+            - stats.value(f"{cache.name}.eviction")
+            - sum(cache._valid_counts)
         )
 
     def _prime_lane(self, addresses: Iterable[int], data_side: bool) -> None:
@@ -382,26 +405,32 @@ class MemoryHierarchy:
           its victim with the pseudo-random policy's ``getrandbits``
           rejection loop, as :meth:`SetAssociativeCache._probe_slab` does;
         * on an L1 miss the LRU LLC slab access is applied in place, its
-          set index computed inline: a mask under the baseline index
-          function, and the DRAM-region bits shifted in under set
-          partitioning.  A set still on the policy's shared initial
-          recency stack gets a copy of its own before it is reordered.
+          set index computed inline: the masked line address, or-ed
+          under set partitioning with the front page's DRAM-region bits,
+          taken once per page.  A set still on the policy's shared
+          initial recency stack gets a copy of its own before it is
+          reordered.
 
-        Every other case takes the full accessor, as the core's fused
-        lanes do.  A TLB miss, a page fault or an entry of another
-        address space takes :meth:`data_access_timing` /
-        :meth:`fetch_access_timing`.  An access that needs a counter its
-        structure does not hold yet, or an address outside DRAM under
-        set partitioning (whose index function raises), takes
-        :meth:`_physical_data_timing` / :meth:`_physical_fetch_timing`
-        before the L1 or the LLC changes.  So every counter is registered
-        where the accessors register it.  The one exception is the L1
-        victim's writeback counter: the victim is known only after its
-        draw, so a dirty victim registers it in place.  The loop tallies
-        the hits, misses and evictions it applies and adds them to the
-        counters when it ends, or when an accessor raises.  Without a
-        page table, or with the reference cache layout, every address
-        takes the full accessor.
+        Every other case takes an accessor, as the core's fused lanes
+        do.  A TLB miss, a page fault or an entry of another address
+        space takes :meth:`data_access_timing` /
+        :meth:`fetch_access_timing`.  Each path checks only the counters
+        it bumps (:meth:`_prime_ready`).  One its structure does not
+        hold yet, or an address outside DRAM under set partitioning
+        (whose index function raises), takes :meth:`_physical_data_timing`
+        / :meth:`_physical_fetch_timing` before the L1 changes; an LLC
+        counter found missing after the L1 fill takes
+        :meth:`LastLevelCache.access_parts` for the LLC part.  So every
+        counter is registered where the accessors register it.  The one
+        exception is the L1 victim's writeback counter: the victim is
+        known only after its draw, so a dirty victim registers it in
+        place.  The loop tallies its TLB hits (every address no accessor
+        took), its L1 hits, and its LLC hits and misses, and adds them
+        to the counters when it ends, or when an accessor raises; its L1
+        misses are its LLC accesses.  Its evictions are its misses minus
+        its fills, taken at the end from :meth:`_eviction_balance`.
+        Without a page table, or with the reference cache layout, every
+        address takes the full accessor.
         """
         if data_side:
             tlb, l1 = self.dtlb, self.l1d.cache
@@ -414,7 +443,8 @@ class MemoryHierarchy:
             physical_timing = self._physical_fetch_timing
             count_blocked = self._count_blocked_fetch
         page_table = self.page_table
-        llc_cache = self.llc.cache
+        llc = self.llc
+        llc_cache = llc.cache
         if (
             page_table is None
             or page_table.page_bytes != tlb.page_bytes
@@ -433,28 +463,30 @@ class MemoryHierarchy:
         mappings_get = page_table.mappings.get
         region_allowed = self.region_allowed
         owner = self.owner
+        core_id = self.core_id
         l1_shift = l1._fast_offset_bits
         l1_set_mask = l1._fast_set_mask
         l1_ways = l1._ways
         l1_ways_bits = l1._ways_bits
         l1_getrandbits = l1._victim_getrandbits
-        indexer = self.llc.indexer
+        indexer = llc.indexer
         llc_shift = indexer._offset_bits
         llc_baseline = indexer._baseline
-        llc_set_mask = indexer._set_mask
         llc_region_bytes = indexer._region_bytes
         llc_region_mask = indexer._region_mask
         llc_low_bits = indexer._low_bits
-        llc_low_mask = indexer._low_mask
         llc_dram_bytes = indexer._dram_bytes
+        # The LLC set of a line is its page's region bits (none under the
+        # baseline index, -1 for a page outside DRAM under set
+        # partitioning) or-ed with its masked line address.
+        llc_line_mask = indexer._set_mask if llc_baseline else indexer._low_mask
         llc_ways = llc_cache._ways
         llc_stacks = llc_cache._lru_stacks
+        llc_access_parts = llc.access_parts
         (
-            c_tlb_access, c_tlb_hit,
-            c_l1_access, c_l1_hit, c_l1_miss, c_l1_eviction,
-            c_llc_access, c_llc_hit, c_llc_miss, c_llc_eviction, c_llc_writeback,
-            c_replacement_writeback, c_side,
-        ) = self._prime_handles(tlb, l1, data_side)
+            tlb_ready, l1_hit_ready, l1_fill_ready, l1_evict_ready,
+            llc_hit_ready, llc_fill_ready, llc_evict_ready, llc_dirty_ready,
+        ) = self._prime_ready(tlb, l1, data_side)
         # A flush or a warm-state load replaces the slab lists; nothing
         # in this loop does.
         l1_tags = l1._slab_tags
@@ -467,97 +499,76 @@ class MemoryHierarchy:
         llc_owners = llc_cache._slab_owners
         llc_tag_maps = llc_cache._tag_maps
         llc_valid_counts = llc_cache._valid_counts
+        l1_balance = self._eviction_balance(l1)
+        llc_balance = self._eviction_balance(llc_cache)
         # The page of the last access this loop translated itself: at
-        # the front of its TLB set, mapped at ``front_base``, allowed.
+        # the front of its TLB set, mapped ``front_delta`` bytes from its
+        # virtual address, allowed, its LLC region bits ``llc_region``.
         front = None
-        front_base = 0
+        front_delta = llc_region = 0
         # What the loop applies in place is tallied here and added to the
-        # counters when it ends; the accessors bump them directly.
-        tlb_hits = l1_hits = l1_misses = l1_evictions = llc_hits = llc_misses = llc_evictions = 0
+        # counters when it ends; the accessors bump them directly.  Every
+        # address the full accessor does not take hits the TLB, and every
+        # L1 miss applied in place accesses the LLC.
+        seen = full_accesses = l1_hits = llc_hits = llc_misses = llc_accessor_calls = 0
         try:
-            for virtual_address in addresses:
+            for seen, virtual_address in enumerate(addresses, 1):
                 vpn = virtual_address // page_bytes
                 if vpn != front:
                     entries = tlb_sets[vpn % tlb_num_sets]
                     ppn = (
                         mappings_get(vpn)
-                        if c_tlb_hit is not None and vpn in entries and asid_get(vpn, 0) == 0
+                        if tlb_ready and vpn in entries and asid_get(vpn, 0) == 0
                         else None
                     )
                     if ppn is None:
+                        full_accesses += 1
                         access_timing(virtual_address)
                         front = None
                         (
-                            c_tlb_access, c_tlb_hit,
-                            c_l1_access, c_l1_hit, c_l1_miss, c_l1_eviction,
-                            c_llc_access, c_llc_hit, c_llc_miss, c_llc_eviction, c_llc_writeback,
-                            c_replacement_writeback, c_side,
-                        ) = self._prime_handles(tlb, l1, data_side)
+                            tlb_ready, l1_hit_ready, l1_fill_ready, l1_evict_ready,
+                            llc_hit_ready, llc_fill_ready, llc_evict_ready, llc_dirty_ready,
+                        ) = self._prime_ready(tlb, l1, data_side)
                         continue
-                    tlb_hits += 1
                     if entries[0] != vpn:
                         entries.remove(vpn)
                         entries.insert(0, vpn)
-                    front_base = ppn * page_bytes
-                    physical = front_base + virtual_address % page_bytes
+                    front_delta = (ppn - vpn) * page_bytes
+                    physical = virtual_address + front_delta
                     if region_allowed is not None and not region_allowed(physical):
                         count_blocked()
                         front = None
                         continue
                     front = vpn
+                    frame_base = ppn * page_bytes
+                    if llc_baseline:
+                        llc_region = 0
+                    elif 0 <= frame_base < llc_dram_bytes:
+                        llc_region = (
+                            (frame_base // llc_region_bytes) & llc_region_mask
+                        ) << llc_low_bits
+                    else:
+                        llc_region = -1
                 else:
-                    tlb_hits += 1
-                    physical = front_base + virtual_address % page_bytes
+                    physical = virtual_address + front_delta
 
                 tag = physical >> l1_shift
                 set_index = tag & l1_set_mask
                 tag_map = l1_tag_maps[set_index]
                 way = tag_map.get(tag)
                 if way is not None:
-                    if c_l1_hit is not None:
+                    if l1_hit_ready:
                         l1_hits += 1
                         if owner is not None:
                             l1_owners[set_index * l1_ways + way] = owner
                         continue
+                    physical_timing(physical)
                 else:
-                    # Decide the whole miss before anything changes: the
-                    # LLC set, its hit or victim, and the counters they
-                    # bump.  A structure registers its access counter
-                    # before its hit or miss counter, and its miss counter
-                    # before its eviction counter, so holding the last
-                    # one a path bumps means holding them all.
                     line = physical >> llc_shift
-                    if llc_baseline:
-                        llc_set = line & llc_set_mask
-                    elif 0 <= physical < llc_dram_bytes:
-                        llc_set = (
-                            ((physical // llc_region_bytes) & llc_region_mask) << llc_low_bits
-                        ) | (line & llc_low_mask)
-                    else:
-                        llc_set = -1
+                    llc_set = llc_region | (line & llc_line_mask)
                     l1_valid = l1_valid_counts[set_index]
-                    ready = (
-                        llc_set >= 0
-                        and (c_l1_miss if l1_valid < l1_ways else c_l1_eviction) is not None
-                        and (c_side is not None or not data_side)
-                    )
-                    if ready:
-                        llc_map = llc_tag_maps[llc_set]
-                        llc_way = llc_map.get(line)
-                        llc_valid = llc_valid_counts[llc_set]
-                        if llc_way is not None:
-                            ready = c_llc_hit is not None
-                        elif llc_valid < llc_ways:
-                            ready = c_llc_miss is not None
-                        else:
-                            llc_slot = llc_set * llc_ways + llc_stacks[llc_set][-1]
-                            ready = c_llc_eviction is not None and (
-                                not llc_dirty[llc_slot]
-                                or (c_llc_writeback is not None and c_replacement_writeback is not None)
-                            )
-                    if ready:
+                    if llc_set >= 0 and (l1_fill_ready if l1_valid < l1_ways else l1_evict_ready):
                         # The L1 fill (SetAssociativeCache._probe_slab).
-                        l1_misses += 1
                         base = set_index * l1_ways
                         if l1_valid < l1_ways:
                             if not l1_valid and tag_map is _NO_TAGS:
@@ -570,7 +581,6 @@ class MemoryHierarchy:
                                 way = l1_getrandbits(l1_ways_bits)
                             slot = base + way
                             del tag_map[l1_tags[slot]]
-                            l1_evictions += 1
                             if l1_dirty[slot]:
                                 counter = l1._c_writeback
                                 if counter is None:
@@ -583,65 +593,83 @@ class MemoryHierarchy:
                         l1_owners[slot] = owner
                         tag_map[tag] = slot - base
                         # The LLC access (SetAssociativeCache._access_parts_slab
-                        # under LastLevelCache.access_parts).
+                        # under LastLevelCache.access_parts); ``ready`` is
+                        # whether the LLC holds the counters of its path.
+                        llc_map = llc_tag_maps[llc_set]
+                        llc_way = llc_map.get(line)
                         stack = llc_stacks[llc_set]
                         if llc_way is not None:
-                            llc_hits += 1
-                            if owner is not None:
-                                llc_owners[llc_set * llc_ways + llc_way] = owner
+                            ready = llc_hit_ready
+                            if ready:
+                                llc_hits += 1
+                                if owner is not None:
+                                    llc_owners[llc_set * llc_ways + llc_way] = owner
                         else:
-                            llc_misses += 1
+                            base = llc_set * llc_ways
+                            llc_valid = llc_valid_counts[llc_set]
                             if llc_valid < llc_ways:
-                                if not llc_valid and llc_map is _NO_TAGS:
-                                    llc_map = llc_tag_maps[llc_set] = {}
-                                base = llc_set * llc_ways
-                                slot = llc_tags.index(None, base, base + llc_ways)
-                                llc_way = slot - base
-                                llc_valid_counts[llc_set] = llc_valid + 1
+                                ready = llc_fill_ready
+                                if ready:
+                                    if not llc_valid and llc_map is _NO_TAGS:
+                                        llc_map = llc_tag_maps[llc_set] = {}
+                                    slot = llc_tags.index(None, base, base + llc_ways)
+                                    llc_valid_counts[llc_set] = llc_valid + 1
                             else:
-                                slot = llc_slot
-                                llc_way = stack[-1]
-                                del llc_map[llc_tags[slot]]
-                                llc_evictions += 1
-                                if llc_dirty[slot]:
-                                    c_llc_writeback.value += 1
-                                    c_replacement_writeback.value += 1
-                            llc_tags[slot] = line
-                            llc_dirty[slot] = False
-                            llc_owners[slot] = owner
-                            llc_map[line] = llc_way
-                        if stack[0] != llc_way:
-                            if not isinstance(stack, bytearray):
-                                stack = llc_stacks[llc_set] = bytearray(stack)
-                            stack.remove(llc_way)
-                            stack.insert(0, llc_way)
-                        continue
-                # A counter the structures do not hold yet, or an index
-                # function that raises: the full accessor after translation.
-                physical_timing(physical)
+                                slot = base + stack[-1]
+                                victim_dirty = llc_dirty[slot]
+                                ready = llc_dirty_ready if victim_dirty else llc_evict_ready
+                                if ready:
+                                    del llc_map[llc_tags[slot]]
+                                    if victim_dirty:
+                                        llc_cache._c_writeback.value += 1
+                                        llc._c_replacement_writeback.value += 1
+                            if ready:
+                                llc_misses += 1
+                                llc_way = slot - base
+                                llc_tags[slot] = line
+                                llc_dirty[slot] = False
+                                llc_owners[slot] = owner
+                                llc_map[line] = llc_way
+                        if ready:
+                            if stack[0] != llc_way:
+                                if not isinstance(stack, bytearray):
+                                    stack = llc_stacks[llc_set] = bytearray(stack)
+                                stack.remove(llc_way)
+                                stack.insert(0, llc_way)
+                            continue
+                        # An LLC counter not registered yet: the LLC part
+                        # through its accessor.
+                        llc_accessor_calls += 1
+                        llc_access_parts(physical, False, core_id, owner)
+                    else:
+                        physical_timing(physical)
+                # A counter the structures did not hold yet, or an index
+                # function that raises, took an accessor after translation.
                 (
-                    c_tlb_access, c_tlb_hit,
-                    c_l1_access, c_l1_hit, c_l1_miss, c_l1_eviction,
-                    c_llc_access, c_llc_hit, c_llc_miss, c_llc_eviction, c_llc_writeback,
-                    c_replacement_writeback, c_side,
-                ) = self._prime_handles(tlb, l1, data_side)
+                    tlb_ready, l1_hit_ready, l1_fill_ready, l1_evict_ready,
+                    llc_hit_ready, llc_fill_ready, llc_evict_ready, llc_dirty_ready,
+                ) = self._prime_ready(tlb, l1, data_side)
         finally:
-            llc_accesses = llc_hits + llc_misses
-            for counter, count in (
-                (c_tlb_access, tlb_hits),
-                (c_tlb_hit, tlb_hits),
-                (c_l1_access, l1_hits + l1_misses),
-                (c_l1_hit, l1_hits),
-                (c_l1_miss, l1_misses),
-                (c_l1_eviction, l1_evictions),
-                (c_llc_access, llc_accesses),
-                (c_llc_hit, llc_hits),
-                (c_llc_miss, llc_misses),
-                (c_llc_eviction, llc_evictions),
-                (c_side, llc_accesses if data_side else 0),
+            tlb_hits = seen - full_accesses
+            if tlb_hits:
+                tlb._c_access.value += tlb_hits
+                tlb._c_hit.value += tlb_hits
+            l1_misses = llc_hits + llc_misses + llc_accessor_calls
+            for cache, hits, misses, balance in (
+                (l1, l1_hits, l1_misses, l1_balance),
+                (llc_cache, llc_hits, llc_misses, llc_balance),
             ):
-                if count:
-                    counter.value += count
+                if hits or misses:
+                    cache._c_access.value += hits + misses
+                if hits:
+                    cache._c_hit.value += hits
+                if misses:
+                    cache._c_miss.value += misses
+                    evictions = self._eviction_balance(cache) - balance
+                    if evictions:
+                        cache._c_eviction.value += evictions
+            if data_side and l1_misses:
+                self._c_data_llc_access.value += l1_misses
 
     def data_access(self, virtual_address: int, *, is_write: bool = False) -> HierarchyAccess:
         """Perform a load or store through the data-side hierarchy."""

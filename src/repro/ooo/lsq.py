@@ -73,31 +73,6 @@ class LoadStoreQueue:
         return self.snapshot()
 
 
-class MissSlots:
-    """Slot-backed outstanding-miss tracker (fast-path MSHR wait state).
-
-    The reference loop models MSHR availability with a list of
-    ``(completion_cycle, bank)`` tuples it rebuilds on every miss.  This
-    keeps the same information in two preallocated parallel lists plus a
-    live-entry count: expiring completed misses is an in-place compaction
-    of the first ``count`` slots and recording a new miss is two indexed
-    writes (appending only when the high-water mark grows).  The fast core
-    loop binds ``completions``/``banks`` locally and keeps ``count`` in a
-    local, writing it back when the run ends.
-    """
-
-    __slots__ = ("completions", "banks", "count")
-
-    def __init__(self, capacity: int = 16) -> None:
-        self.completions: List[int] = [0] * capacity
-        self.banks: List[int] = [0] * capacity
-        self.count = 0
-
-    def outstanding(self) -> List[tuple]:
-        """Live ``(completion_cycle, bank)`` entries (inspection helper)."""
-        return [(self.completions[i], self.banks[i]) for i in range(self.count)]
-
-
 class StoreBuffer:
     """Small post-commit store buffer (4 entries of 64 bytes)."""
 

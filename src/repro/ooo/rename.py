@@ -55,29 +55,6 @@ class RenameTable:
         return (len(self._map),)
 
 
-class ReadyFile:
-    """Flat per-architectural-register ready-cycle array (fast-path state).
-
-    The fast core loop needs, per instruction, the cycle at which each
-    source register's value becomes available.  The reference loop keeps a
-    ``Dict[int, int]``; this is the array-backed equivalent — registers
-    the loop has never written read as 0, matching ``dict.get(reg, 0)``.
-    The list grows on demand if a stream names a register beyond
-    ``ARCH_REGISTER_COUNT`` so out-of-contract streams still behave like
-    the dict.  The loop binds ``cycles`` locally and indexes it directly.
-    """
-
-    __slots__ = ("cycles",)
-
-    def __init__(self, registers: int = ARCH_REGISTER_COUNT) -> None:
-        self.cycles: List[int] = [0] * registers
-
-    def ready_cycle(self, register: int) -> int:
-        """Cycle the register's value is ready (0 if never written)."""
-        cycles = self.cycles
-        return cycles[register] if register < len(cycles) else 0
-
-
 class FreeList:
     """Free list of physical registers.
 

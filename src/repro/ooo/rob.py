@@ -10,7 +10,7 @@ regardless of the pointer value).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 class ReorderBuffer:
@@ -56,45 +56,6 @@ class ReorderBuffer:
     def observable_projection(self) -> tuple:
         """Software-observable view: only the in-flight instructions."""
         return tuple(self._entries)
-
-
-class CommitRing:
-    """Preallocated ring of commit cycles (fast-path ROB occupancy state).
-
-    The fast core loop tracks the commit cycles of the last ``capacity``
-    instructions to model ROB occupancy (an instruction cannot dispatch
-    before the instruction ``capacity`` older commits) and the commit-width
-    rule.  A ``deque(maxlen=capacity)`` allocates and shifts on every
-    append; this ring is a flat preallocated list with a manual wrap
-    index, so the oldest in-flight commit cycle is one indexed read and an
-    append is one indexed write.  When the ring has wrapped at least once,
-    ``cycles[index]`` is the oldest recorded cycle (the slot about to be
-    overwritten).  The loop binds ``cycles`` locally and keeps
-    ``index``/``filled`` in locals, writing them back when the run ends.
-    """
-
-    __slots__ = ("capacity", "cycles", "index", "filled")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.cycles: List[int] = [0] * capacity
-        self.index = 0
-        self.filled = 0
-
-    def push(self, cycle: int) -> None:
-        """Record a commit cycle, overwriting the oldest when full."""
-        self.cycles[self.index] = cycle
-        self.index += 1
-        if self.index == self.capacity:
-            self.index = 0
-        if self.filled < self.capacity:
-            self.filled += 1
-
-    def oldest(self) -> Optional[int]:
-        """Oldest recorded commit cycle, or None until the ring is full."""
-        if self.filled < self.capacity:
-            return None
-        return self.cycles[self.index]
 
 
 class IssueQueue:

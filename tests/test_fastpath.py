@@ -18,6 +18,7 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.engine import (
+    PAPER_VARIANTS,
     EvaluationSettings,
     FleetShardRequest,
     ServiceRunRequest,
@@ -34,6 +35,7 @@ from repro.common.fastpath import SLOW_PATH_ENV_VAR, slow_path_enabled
 from repro.core.mitigations import config_for_spec, parse_spec
 from repro.core.processor import MI6Processor
 from repro.core.serialization import config_digest, run_to_dict
+from repro.isa.instructions import TrapCause, syscall
 from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
 from repro.workloads.spec_cint2006 import profile_for
 
@@ -288,10 +290,62 @@ class TestMidRunPurgeEquivalence:
         assert fast == slow
         assert _run_digest(fast[0]) == MID_RUN_DIGESTS[f"context-switch/{spec}"]
 
+    @staticmethod
+    def region_toggling_run(monkeypatch, *, slow):
+        """A BASE run whose trap hook revokes the workload's region, then grants it.
+
+        Nothing purges, so the L1s still hold the region's lines while
+        it is revoked, and every access to them must be blocked.
+        """
+        with _kernel(monkeypatch, slow=slow):
+            config = replace(
+                config_for_spec("BASE"), trap_interval_instructions=MID_RUN_TRAP_INTERVAL
+            )
+            processor = MI6Processor(config, seed=2019)
+            workload = PreparedWorkload(SyntheticWorkload(profile_for("gcc"), seed=2019), 1_800)
+            processor.load_workload(workload)
+            bitvector = processor.region_bitvector
+            region = min(bitvector.allowed_regions())
+            traps = []
+
+            def toggle_region(cause):
+                traps.append(cause)
+                if len(traps) % 2:
+                    bitvector.revoke(region)
+                else:
+                    bitvector.grant(region)
+
+            processor.core.add_trap_hook(toggle_region)
+            return run_to_dict(processor.run_loaded(workload, 1_800))
+
+    def test_region_revoked_without_purge_fast_equals_slow(self, monkeypatch):
+        # The fast loop memoizes allowing region verdicts per page; a
+        # memo kept across the trap would let the revoked lines hit.
+        fast = self.region_toggling_run(monkeypatch, slow=False)
+        slow = self.region_toggling_run(monkeypatch, slow=True)
+        counters = fast["result"]["counters"]
+        assert counters["core.traps"] == 3
+        assert counters["protection.blocked_accesses"] > 0
+        assert counters["protection.blocked_fetches"] > 0
+        assert fast == slow
+
 
 #: Core widths off the 2/1/1 default: the fast loop picks the issue
-#: slot without a loop for one or two pipelines of a unit type.
-CORE_WIDTHS = [{"alu_units": 1}, {"alu_units": 3}, {"mem_units": 2}, {"fp_units": 2}]
+#: slot without a loop for one or two pipelines of a unit type.  Commit
+#: widths and ROB sizes off 2/80 move the commit-width window, which the
+#: fast loop reads from the ROB's ring of commit cycles, up to the whole
+#: ring.
+CORE_WIDTHS = [
+    {"alu_units": 1},
+    {"alu_units": 3},
+    {"mem_units": 2},
+    {"fp_units": 2},
+    {"commit_width": 1},
+    {"commit_width": 3},
+    {"rob_entries": 4},
+    {"rob_entries": 8},
+    {"commit_width": 4, "rob_entries": 4},
+]
 
 
 class TestCoreWidthEquivalence:
@@ -306,6 +360,72 @@ class TestCoreWidthEquivalence:
         slow_key, slow_run = _execute(request, monkeypatch, slow=True)
         assert fast_key == slow_key
         assert fast_run == slow_run
+
+
+class TestTrapCounterSnapshots:
+    """A trap hook sees the counters the reference kernel shows it.
+
+    The fast loop tallies per-instruction counts in locals and adds them
+    before each trap callback, and its timer trap is a countdown that
+    every trap restarts.  Snapshots of every counter taken by a trap
+    hook pin where the tallies are added and where the countdown
+    restarts.
+    """
+
+    @staticmethod
+    def trap_snapshots(request, monkeypatch, *, slow, syscalls_at=()):
+        """``(cause, counters)`` at each trap, the cycles and the final counters.
+
+        The instructions at ``syscalls_at`` become SYSCALLs, which trap.
+        """
+        with _kernel(monkeypatch, slow=slow):
+            processor = MI6Processor(request.config, seed=request.seed)
+            workload = PreparedWorkload(
+                SyntheticWorkload(profile_for(request.benchmark), seed=request.seed),
+                request.instructions,
+            )
+            processor.load_workload(workload)
+            stream = list(workload.instructions(request.instructions))
+            for index in syscalls_at:
+                stream[index] = syscall(pc=stream[index].pc)
+            snapshots = []
+            processor.core.add_trap_hook(
+                lambda cause: snapshots.append((cause, processor.stats.counters()))
+            )
+            result = processor.core.run(stream)
+            return snapshots, result.cycles, processor.stats.counters()
+
+    @pytest.mark.parametrize("spec", PAPER_VARIANTS)
+    def test_paper_variant_trap_snapshots(self, spec, monkeypatch):
+        request = _with_config(
+            request_for(parse_spec(spec), "hmmer", SETTINGS),
+            trap_interval_instructions=MID_RUN_TRAP_INTERVAL,
+        )
+        fast = self.trap_snapshots(request, monkeypatch, slow=False)
+        slow = self.trap_snapshots(request, monkeypatch, slow=True)
+        assert len(fast[0]) == request.instructions // MID_RUN_TRAP_INTERVAL
+        assert fast == slow
+
+    def test_syscall_traps_restart_the_timer_countdown(self, monkeypatch):
+        request = _with_config(
+            request_for(parse_spec("F+P+M+A"), "hmmer", EvaluationSettings(2_200, 2019)),
+            trap_interval_instructions=MID_RUN_TRAP_INTERVAL,
+        )
+        # The third SYSCALL falls where the countdown would raise a timer
+        # trap, and the fourth right behind it.
+        syscalls_at = (230, 480, 980, 981, 1600)
+        fast = self.trap_snapshots(request, monkeypatch, slow=False, syscalls_at=syscalls_at)
+        slow = self.trap_snapshots(request, monkeypatch, slow=True, syscalls_at=syscalls_at)
+        assert [(cause, counters["core.instructions"]) for cause, counters in fast[0]] == [
+            (TrapCause.SYSCALL, 231),
+            (TrapCause.SYSCALL, 481),
+            (TrapCause.SYSCALL, 981),
+            (TrapCause.SYSCALL, 982),
+            (TrapCause.TIMER_INTERRUPT, 1482),
+            (TrapCause.SYSCALL, 1601),
+            (TrapCause.TIMER_INTERRUPT, 2101),
+        ]
+        assert fast == slow
 
 
 class TestScenarioEquivalence:

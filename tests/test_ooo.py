@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
 from repro.isa.instructions import alu, branch, load, store, syscall
@@ -236,3 +237,16 @@ class TestCommitWidth:
         # The old hardcoded 2-back window let a commit_width=1 core retire
         # two instructions per cycle; the honoured width forbids that.
         assert self._cycles_for(1) >= self.COUNT
+
+    @pytest.mark.parametrize("rob_entries, commit_width", [(4, 5), (0, 1), (0, 0), (1, 2)])
+    def test_rob_narrower_than_commit_is_rejected(self, rob_entries, commit_width):
+        # The fast kernel reads the commit-width window from the ROB's
+        # ring of commit cycles, so the ROB must hold at least that many.
+        with pytest.raises(ConfigurationError, match="rob_entries"):
+            CoreConfig(rob_entries=rob_entries, commit_width=commit_width)
+
+    @pytest.mark.parametrize("rob_entries, commit_width", [(4, 4), (1, 1), (1, 0)])
+    def test_rob_as_wide_as_commit_is_accepted(self, rob_entries, commit_width):
+        config = CoreConfig(rob_entries=rob_entries, commit_width=commit_width)
+        stream = [alu(dst=(index % 16) + 1) for index in range(self.COUNT)]
+        assert build_core(config).run(stream).instructions == self.COUNT
