@@ -30,7 +30,10 @@ class CoreConfig:
             ``commit_width``.
         frontend_depth: Cycles from fetch to dispatch.
         load_queue_entries / store_queue_entries / store_buffer_entries:
-            Load-store unit capacities.
+            Load-store unit capacities of Figure 4.  No kernel bounds
+            load-queue, store-queue or store-buffer occupancy: these
+            fields are printed by :meth:`MI6Config.describe` and hashed
+            into cache keys, but no timing reads them.
         alu_units / mem_units / fp_units: Execution pipelines.
         mul_div_latency / fp_latency: Long-operation latencies.
         mispredict_penalty: Redirect cycles after a resolved misprediction

@@ -5,9 +5,10 @@ program-dependent state so that nothing survives a protection-domain
 switch (Section 6.1):
 
 * in-flight instruction bookkeeping (ROB, issue queues, rename table,
-  free list, load-store queue, store buffer) — squashed/drained to an
-  "empty pipeline" state whose residual differences are not observable by
-  software;
+  load-store queue, store buffer).  The timing model holds ROB
+  occupancy, register readiness and outstanding misses in each kernel's
+  locals, and a trap restarts fetch only after the trapping instruction
+  commits, so the purge has no pipeline object to squash;
 * branch predictor, BTB and return-address stack — reset to their initial
   public state;
 * L1 instruction and data caches, L1/L2 TLBs and the translation cache —
@@ -80,17 +81,8 @@ class PurgeUnit:
         Matches the ``purge_callback`` signature of
         :class:`repro.ooo.core.OutOfOrderCore`.
         """
-        core = self.core
-        # In-flight instruction bookkeeping.
-        core.rob.squash_all()
-        for queue in core.issue_queues.values():
-            queue.squash_all()
-        core.lsq.squash_all()
-        core.store_buffer.drain_all()
-        core.rename_table.reset()
-        core.free_list.reset()
         # Prediction structures, then core-private memory structures.
-        core.frontend.flush_predictors()
+        self.core.frontend.flush_predictors()
         self.hierarchy.flush_core_private_state()
 
         stall = self._stall_cycles
@@ -110,28 +102,20 @@ class PurgeUnit:
     def observable_state(self) -> Dict[str, tuple]:
         """Software-observable projection of every purged structure.
 
-        The purge need not canonicalise states that software cannot
-        distinguish (e.g. permutations of a complete free list, or the
-        head/tail pointer value of an empty circular issue queue); the
-        audit therefore compares these projections rather than the raw
-        snapshots.
+        The prediction structures are compared whole; a cache or TLB only
+        by how many lines or entries it holds, since the purge need not
+        canonicalise what software cannot distinguish (such as the L1
+        replacement RNG's position).
         """
-        core = self.core
-        projection: Dict[str, tuple] = {
-            "rob": core.rob.observable_projection(),
-            "lsq": core.lsq.observable_projection(),
-            "store_buffer": core.store_buffer.observable_projection(),
-            "rename_table": core.rename_table.observable_projection(),
-            "free_list": core.free_list.observable_projection(),
-            "predictor": core.frontend.predictor.snapshot(),
-            "btb": core.frontend.btb.snapshot(),
-            "ras": core.frontend.ras.snapshot(),
+        frontend = self.core.frontend
+        hierarchy = self.hierarchy
+        return {
+            "predictor": frontend.predictor.snapshot(),
+            "btb": frontend.btb.snapshot(),
+            "ras": frontend.ras.snapshot(),
+            "l1i_valid_lines": (hierarchy.l1i.cache.valid_line_count(),),
+            "l1d_valid_lines": (hierarchy.l1d.cache.valid_line_count(),),
+            "itlb_entries": (hierarchy.itlb.resident_entries(),),
+            "dtlb_entries": (hierarchy.dtlb.resident_entries(),),
+            "l2tlb_entries": (hierarchy.l2tlb.resident_entries(),),
         }
-        for name, queue in core.issue_queues.items():
-            projection[f"issue_queue.{name}"] = queue.observable_projection()
-        projection["l1i_valid_lines"] = (self.hierarchy.l1i.cache.valid_line_count(),)
-        projection["l1d_valid_lines"] = (self.hierarchy.l1d.cache.valid_line_count(),)
-        projection["itlb_entries"] = (self.hierarchy.itlb.resident_entries(),)
-        projection["dtlb_entries"] = (self.hierarchy.dtlb.resident_entries(),)
-        projection["l2tlb_entries"] = (self.hierarchy.l2tlb.resident_entries(),)
-        return projection

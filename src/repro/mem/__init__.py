@@ -10,10 +10,11 @@ depends on:
   (:mod:`repro.mem.cache`, :mod:`repro.mem.replacement`);
 * L1 instruction/data caches and the L1/L2 TLBs plus translation cache
   (:mod:`repro.mem.l1`, :mod:`repro.mem.tlb`);
-* the page-table walker (:mod:`repro.mem.page_table`);
-* the shared last-level cache with MSHRs (:mod:`repro.mem.llc`,
-  :mod:`repro.mem.mshr`) and the constant-latency DRAM controller
-  (:mod:`repro.mem.dram`);
+* per-domain page tables (:mod:`repro.mem.page_table`), walked by the
+  memory hierarchy (:mod:`repro.mem.hierarchy`);
+* the shared last-level cache and its MSHR organisation
+  (:mod:`repro.mem.llc`, :mod:`repro.mem.mshr`) and the constant-latency
+  DRAM controller (:mod:`repro.mem.dram`);
 * the *detailed* message-level LLC model of the paper's Figures 2 and 3
   (:mod:`repro.mem.llc_detail`, :mod:`repro.mem.arbiter`,
   :mod:`repro.mem.coherence`) used to demonstrate strong timing
@@ -31,8 +32,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.mem.hierarchy": ("HierarchyAccess", "MemoryHierarchy"),
         "repro.mem.l1": ("L1Cache",),
         "repro.mem.llc": ("LastLevelCache",),
-        "repro.mem.mshr": ("MshrFile",),
-        "repro.mem.page_table": ("PageTable", "PageTableWalker"),
+        "repro.mem.page_table": ("PageTable",),
         "repro.mem.replacement": (
             "LruPolicy",
             "PseudoRandomPolicy",

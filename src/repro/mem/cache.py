@@ -43,9 +43,10 @@ Two storage layouts back the same public API:
 
 The memory hierarchy's warm-up lanes
 (:meth:`repro.mem.hierarchy.MemoryHierarchy.prime_data_timing` and
-``prime_fetch_timing``) apply the slab probe, fill and LRU access to
-the L1 and LLC slabs in place; ``tests/test_warmup_lanes.py`` checks
-that they leave the slabs as these methods do.
+``prime_fetch_timing``) apply the slab lookup, fill and LRU update of
+:meth:`SetAssociativeCache.access_parts` to the L1 and LLC slabs in
+place; ``tests/test_warmup_lanes.py`` checks that they leave the slabs
+as these methods do.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ class SetAssociativeCache:
         Returns ``(hit, set_index, way, evicted_tag, evicted_dirty,
         evicted_owner)`` — the same information as :meth:`access` without
         constructing an :class:`AccessResult`.  This is the hot entry
-        point used by the L1 and LLC wrappers.
+        point used by the L1 and LLC wrappers and the memory hierarchy.
         """
         set_index = self._index_for(physical_address)
         tag = self._tag_for(physical_address)
@@ -356,21 +357,6 @@ class SetAssociativeCache:
             evicted_dirty=evicted_dirty,
             evicted_owner=evicted_owner,
         )
-
-    def probe(
-        self,
-        physical_address: int,
-        is_write: bool = False,
-        owner: Optional[int] = None,
-    ) -> bool:
-        """Allocating access that reports only hit/miss.
-
-        State and statistics effects are identical to
-        :meth:`access_parts` with ``allocate=True``; the timing-only
-        callers in the memory hierarchy discard everything but the hit
-        flag, so this entry point skips assembling the parts tuple.
-        """
-        return self.access_parts(physical_address, is_write=is_write, owner=owner)[0]
 
     # ------------------------------------------------------------------
     # Slab (flat-array) fast path.  Same observable behaviour as the
@@ -491,114 +477,6 @@ class SetAssociativeCache:
                 stack.remove(victim_way)
                 stack.insert(0, victim_way)
         return (False, set_index, victim_way, evicted_tag, evicted_dirty, evicted_owner)
-
-    # repro: allow[fastpath-parity]: the reference probe() delegates to access_parts(),
-    # which registers these same counters — the equivalence suite compares the full sets.
-    def _probe_slab(
-        self,
-        physical_address: int,
-        is_write: bool = False,
-        owner: Optional[int] = None,
-    ) -> bool:
-        """Slab twin of :meth:`probe`: full allocate-on-miss effects, bool result.
-
-        Mirrors :meth:`_access_parts_slab` line for line (same counters,
-        same LRU/RNG transitions) minus the parts-tuple assembly and the
-        evicted-owner read that only the record-producing callers need.
-        """
-        fast_offset_bits = self._fast_offset_bits
-        if fast_offset_bits is not None:
-            tag = physical_address >> fast_offset_bits
-            set_index = tag & self._fast_set_mask
-        else:
-            set_index = self._index_for(physical_address)
-            tag_shift = self._tag_shift
-            tag = (
-                physical_address >> tag_shift
-                if tag_shift is not None
-                else self._tag_for(physical_address)
-            )
-        counter = self._c_access
-        if counter is None:
-            counter = self._c_access = self._stats.counter(f"{self.name}.access")
-        counter.value += 1
-
-        ways = self._ways
-        tag_map = self._tag_maps[set_index]
-        way = tag_map.get(tag)
-        if way is not None:
-            counter = self._c_hit
-            if counter is None:
-                counter = self._c_hit = self._stats.counter(f"{self.name}.hit")
-            counter.value += 1
-            stacks = self._lru_stacks
-            if stacks is not None:
-                stack = stacks[set_index]
-                if stack[0] != way:
-                    if not isinstance(stack, bytearray):
-                        stack = stacks[set_index] = bytearray(stack)
-                    stack.remove(way)
-                    stack.insert(0, way)
-            slot = set_index * ways + way
-            if is_write:
-                self._slab_dirty[slot] = True
-            if owner is not None:
-                self._slab_owners[slot] = owner
-            return True
-
-        counter = self._c_miss
-        if counter is None:
-            counter = self._c_miss = self._stats.counter(f"{self.name}.miss")
-        counter.value += 1
-
-        tags = self._slab_tags
-        base = set_index * ways
-        valid_count = self._valid_counts[set_index]
-        if valid_count < ways:
-            if not valid_count and tag_map is _NO_TAGS:
-                tag_map = self._tag_maps[set_index] = {}
-            slot = tags.index(None, base, base + ways)
-            victim_way = slot - base
-            self._valid_counts[set_index] = valid_count + 1
-        else:
-            stacks = self._lru_stacks
-            if stacks is not None:
-                victim_way = stacks[set_index][-1]
-            elif self._randbelow is not None:
-                getrandbits = self._victim_getrandbits
-                ways_bits = self._ways_bits
-                victim_way = getrandbits(ways_bits)
-                while victim_way >= ways:
-                    victim_way = getrandbits(ways_bits)
-            else:
-                victim_way = self._policy.victim(set_index, [True] * ways)
-            slot = base + victim_way
-            del tag_map[tags[slot]]
-            counter = self._c_eviction
-            if counter is None:
-                counter = self._c_eviction = self._stats.counter(f"{self.name}.eviction")
-            counter.value += 1
-            if self._slab_dirty[slot]:
-                counter = self._c_writeback
-                if counter is None:
-                    counter = self._c_writeback = self._stats.counter(
-                        f"{self.name}.writeback"
-                    )
-                counter.value += 1
-
-        tags[slot] = tag
-        self._slab_dirty[slot] = is_write
-        self._slab_owners[slot] = owner
-        tag_map[tag] = victim_way
-        stacks = self._lru_stacks
-        if stacks is not None:
-            stack = stacks[set_index]
-            if stack[0] != victim_way:
-                if not isinstance(stack, bytearray):
-                    stack = stacks[set_index] = bytearray(stack)
-                stack.remove(victim_way)
-                stack.insert(0, victim_way)
-        return False
 
     def _invalidate_address_slab(self, physical_address: int) -> bool:
         set_index = self._index_for(physical_address)
@@ -803,7 +681,6 @@ class _SlabCache(SetAssociativeCache):
     _uses_slabs = True
 
     access_parts = SetAssociativeCache._access_parts_slab  # type: ignore[assignment]
-    probe = SetAssociativeCache._probe_slab  # type: ignore[assignment]
     lookup = SetAssociativeCache._lookup_slab  # type: ignore[assignment]
     invalidate_address = SetAssociativeCache._invalidate_address_slab  # type: ignore[assignment]
     invalidate_tag_range = SetAssociativeCache._invalidate_tag_range_slab  # type: ignore[assignment]

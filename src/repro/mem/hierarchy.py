@@ -129,8 +129,7 @@ class MemoryHierarchy:
         # Hot-path handles: the L1 tag arrays' access entry points bound
         # once, and lazily cached counters.
         self._l1i_access_parts = self.l1i.cache.access_parts
-        self._l1d_probe = self.l1d.cache.probe
-        self._l1i_probe = self.l1i.cache.probe
+        self._l1d_access_parts = self.l1d.cache.access_parts
         self._dram_bytes = address_map.dram_bytes
         self._c_blocked_accesses: Optional[object] = None
         self._c_blocked_fetches: Optional[object] = None
@@ -270,7 +269,7 @@ class MemoryHierarchy:
         if self.region_allowed is not None and not self.region_allowed(physical_address):
             self._count_blocked_access()
             return (0, None, True)
-        if self._l1d_probe(physical_address, is_write, self.owner):
+        if self._l1d_access_parts(physical_address, is_write, self.owner)[0]:
             return (self.l1d.hit_latency, None, False)
         llc_parts = self.llc.access_parts(
             physical_address, is_write=is_write, core=self.core_id, owner=self.owner
@@ -298,7 +297,7 @@ class MemoryHierarchy:
             self._count_blocked_fetch()
             return (0, True)
         hit_latency = self.l1i.hit_latency
-        if self._l1i_probe(physical_address, False, self.owner):
+        if self._l1i_access_parts(physical_address, False, self.owner)[0]:
             return (hit_latency, True)
         llc_parts = self.llc.access_parts(physical_address, core=self.core_id, owner=self.owner)
         return (hit_latency + llc_parts[1], False)
@@ -401,9 +400,10 @@ class MemoryHierarchy:
           counted by the check and by :meth:`_count_blocked_access` /
           :meth:`_count_blocked_fetch`, once per access, as in the
           accessors;
-        * the L1 slab is probed and filled in place, a full set drawing
+        * the L1 slab is looked up and filled in place, a full set drawing
           its victim with the pseudo-random policy's ``getrandbits``
-          rejection loop, as :meth:`SetAssociativeCache._probe_slab` does;
+          rejection loop, as :meth:`SetAssociativeCache._access_parts_slab`
+          does;
         * on an L1 miss the LRU LLC slab access is applied in place, its
           set index computed inline: the masked line address, or-ed
           under set partitioning with the front page's DRAM-region bits,
@@ -568,7 +568,7 @@ class MemoryHierarchy:
                     llc_set = llc_region | (line & llc_line_mask)
                     l1_valid = l1_valid_counts[set_index]
                     if llc_set >= 0 and (l1_fill_ready if l1_valid < l1_ways else l1_evict_ready):
-                        # The L1 fill (SetAssociativeCache._probe_slab).
+                        # The L1 fill (SetAssociativeCache._access_parts_slab).
                         base = set_index * l1_ways
                         if l1_valid < l1_ways:
                             if not l1_valid and tag_map is _NO_TAGS:

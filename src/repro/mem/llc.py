@@ -5,9 +5,9 @@ captures the properties the evaluation depends on:
 
 * the tag array, indexed either with the baseline function or the MI6
   set-partitioned function (Figures 8 and 9),
-* the MSHR file organisation (shared / partitioned / banked) used to
-  bound memory-level parallelism and model bank-conflict stalls
-  (Figure 10),
+* the MSHR organisation (shared / partitioned / banked) whose bank a
+  miss reports, which the core timing model uses to bound memory-level
+  parallelism and model bank-conflict stalls (Figure 10),
 * an extra pipeline-entry latency that models the round-robin arbiter of
   the MI6 LLC (Figure 11, ``N/2`` cycles for an ``N``-core machine).
 
@@ -28,7 +28,6 @@ from repro.core.config import LlcConfig
 from repro.mem.address import AddressMap, IndexFunction, LlcIndexer
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.dram import DramController
-from repro.mem.mshr import MshrFile
 from repro.mem.replacement import LruPolicy
 
 
@@ -68,7 +67,7 @@ class LastLevelCache:
         rng: Optional[DeterministicRng] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
-        """Build the tag array, its index function and the MSHR file.
+        """Build the tag array and its index function.
 
         The tag array is an LRU :class:`SetAssociativeCache` whose tags
         are line addresses.  Under the baseline index function its set
@@ -108,7 +107,6 @@ class LastLevelCache:
             ),
             stats=self._stats,
         )
-        self._mshrs = MshrFile(config.mshr)
         # Hot-path constants and lazily cached counter handles.  The tag
         # array's access entry point is bound once (in the fast kernel it
         # is the slab-backed implementation installed at construction).
@@ -127,11 +125,6 @@ class LastLevelCache:
     def cache(self) -> SetAssociativeCache:
         """Underlying tag-array model."""
         return self._cache
-
-    @property
-    def mshrs(self) -> MshrFile:
-        """MSHR file model."""
-        return self._mshrs
 
     @property
     def indexer(self) -> LlcIndexer:

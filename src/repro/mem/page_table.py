@@ -1,11 +1,12 @@
-"""Page tables and the hardware page-table walker.
+"""Page tables.
 
 Each protection domain in MI6 has its own page table (Section 5.3: the
 enclave does not share a virtual address space with untrusted software,
 and the untrusted OS runs on an identity page table installed by the
-security monitor).  The walker model charges memory accesses for each
-level of the walk that is not short-circuited by the translation cache,
-and — crucially for MI6 — every physical address it touches is subject to
+security monitor).  The hardware walk over a table is
+:meth:`repro.mem.hierarchy.MemoryHierarchy._translate_miss_tail`: it
+charges one memory access for each level the translation cache does not
+short-circuit, and — crucially for MI6 — sends every one of them through
 the DRAM-region access check, because speculative page-table walks are
 part of a program's physical-address footprint.
 """
@@ -14,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
-
-from repro.common.errors import ProtectionFault
 
 
 @dataclass
@@ -104,63 +103,3 @@ class PageTable:
     def mapped_physical_pages(self) -> set:
         """Set of physical page numbers this table maps."""
         return set(self.mappings.values())
-
-
-@dataclass(frozen=True)
-class WalkResult:
-    """Outcome of a page-table walk.
-
-    Attributes:
-        physical_address: Translated physical address, or None on a fault.
-        memory_accesses: Number of page-table memory accesses performed.
-        faulted: True if the walk ended in a page fault.
-    """
-
-    physical_address: Optional[int]
-    memory_accesses: int
-    faulted: bool
-
-
-class PageTableWalker:
-    """Walks a :class:`PageTable`, charging memory accesses per level.
-
-    The walker does not model the contents of the page-table pages; it
-    charges ``walk_levels - skipped`` memory accesses, where ``skipped``
-    comes from the translation cache, and reports the physical addresses
-    of those accesses so the caller can (a) run them through the cache
-    hierarchy and (b) run them through the DRAM-region protection check.
-    """
-
-    def __init__(self, region_check=None) -> None:
-        self._region_check = region_check
-
-    def walk(
-        self,
-        table: PageTable,
-        virtual_address: int,
-        *,
-        levels_skipped: int = 0,
-    ) -> WalkResult:
-        """Translate ``virtual_address`` through ``table``.
-
-        Raises :class:`ProtectionFault` if the walk itself would touch a
-        physical address outside the allowed DRAM regions (the page-walk
-        check of Section 5.3).
-        """
-        accesses = max(0, table.walk_levels - levels_skipped)
-        for level in range(accesses):
-            # The walk reads one page-table entry per level; we model its
-            # physical address as an offset within the root table's page
-            # so the protection check sees a concrete address.
-            pte_address = table.root_physical_address + level * table.page_bytes
-            if self._region_check is not None:
-                self._region_check(pte_address)
-        physical = table.translate(virtual_address)
-        if physical is None:
-            return WalkResult(physical_address=None, memory_accesses=accesses, faulted=True)
-        if self._region_check is not None:
-            try:
-                self._region_check(physical)
-            except ProtectionFault:
-                raise
-        return WalkResult(physical_address=physical, memory_accesses=accesses, faulted=False)

@@ -49,15 +49,6 @@ class ReplacementPolicy(ABC):
     def reset(self) -> None:
         """Scrub all replacement state to its initial (public) value."""
 
-    def holds_program_state(self) -> bool:
-        """True if the policy retains program-dependent state after reset.
-
-        Used by the purge audit: a policy whose state survives a reset
-        (or whose reset is not indistinguishable from the initial state)
-        would require extra scrubbing.
-        """
-        return False
-
 
 def _first_invalid(valid: List[bool]) -> Optional[int]:
     for way, is_valid in enumerate(valid):

@@ -4,16 +4,18 @@ The model processes a dynamic instruction stream in program order and
 computes, for each instruction, the cycles at which it is fetched,
 dispatched, issued, completed and committed, subject to the structural
 constraints of Figure 4 (2-wide fetch/rename/commit, an 80-entry ROB,
-four execution pipelines, bounded load/store queues) and to the memory
-hierarchy model of :mod:`repro.mem`.  Branch mispredictions, cache and TLB
-misses, MSHR availability, and trap handling all feed back into the
-instruction timing, which is what the paper's evaluation measures.
+four execution pipelines) and to the memory hierarchy model of
+:mod:`repro.mem`.  Branch mispredictions, cache and TLB misses, MSHR
+availability, and trap handling all feed back into the instruction
+timing, which is what the paper's evaluation measures.
 
 It is a timing *approximation*, not an RTL simulator: instructions are
 processed one at a time with O(1) bookkeeping, which keeps full SPEC-like
 workload sweeps tractable in pure Python while preserving the effects the
-MI6 evaluation depends on (Sections 7.1-7.6).  Known simplifications are
-listed in DESIGN.md.
+MI6 evaluation depends on (Sections 7.1-7.6).  ROB occupancy, register
+readiness and outstanding LLC misses live in each kernel's locals; the
+load queue, store queue and store buffer are not bounded (their
+:class:`CoreConfig` sizes are reported, not simulated).
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ from repro.isa.instructions import ARCH_REGISTER_COUNT, Instruction, Instruction
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.ooo.frontend import FrontEnd
-from repro.ooo.lsq import LoadStoreQueue, StoreBuffer
-from repro.ooo.rename import FreeList, RenameTable
-from repro.ooo.rob import IssueQueue, ReorderBuffer
 
 
 #: The page mappings the fused lanes of :meth:`OutOfOrderCore._run_fast`
@@ -128,19 +127,6 @@ class OutOfOrderCore:
         self.stats = stats if stats is not None else hierarchy.stats
         self.purge_callback = purge_callback
         self.frontend = FrontEnd(hierarchy, fetch_width=self.config.fetch_width, stats=self.stats)
-        # Structural models kept for purge audits and unit tests; the hot
-        # timing loop uses scalar bookkeeping for speed.
-        self.rob = ReorderBuffer(self.config.rob_entries, self.config.commit_width)
-        self.issue_queues = {
-            "alu": IssueQueue(16),
-            "mem": IssueQueue(16),
-            "fp": IssueQueue(16),
-            "branch": IssueQueue(16),
-        }
-        self.lsq = LoadStoreQueue(self.config.load_queue_entries, self.config.store_queue_entries)
-        self.store_buffer = StoreBuffer(self.config.store_buffer_entries)
-        self.rename_table = RenameTable()
-        self.free_list = FreeList()
         self._trap_hooks: List[Callable[[TrapCause], None]] = []
 
     def add_trap_hook(self, hook: Callable[[TrapCause], None]) -> None:

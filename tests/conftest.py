@@ -11,7 +11,25 @@ temporary directories in ``tests/test_engine.py``.
 
 import os
 
+import pytest
+
+from repro.common.fastpath import SLOW_PATH_ENV_VAR
+
 os.environ["REPRO_CACHE"] = "off"
+
+
+@pytest.fixture(params=["fast", "slow"])
+def kernel(request, monkeypatch):
+    """Run the test on the fast kernel, then on the reference one.
+
+    Caches choose their layout when they are built, so build every
+    structure inside the test body.
+    """
+    if request.param == "slow":
+        monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
+    else:
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+    return request.param
 
 
 def pytest_addoption(parser):

@@ -1,4 +1,5 @@
-"""Entry points load no simulator code, and lazy imports change no registry.
+"""Entry points load no simulator code, lazy imports change no registry,
+and every name a package exports resolves.
 
 A warm ``repro sweep`` answers every cell from the result store, so the
 CLI, the API and the daemon modules must not import the cycle kernel,
@@ -160,3 +161,31 @@ def test_registries_do_not_depend_on_what_was_imported_first():
                     "serving policies", "fleet routers", "fleet admission policies",
                     "fleet client models"):
         assert f"\n{heading}" in document["list"]
+
+
+#: Reads every name each ``repro`` package lists in ``__all__``: the lazy
+#: export tables name modules and classes as strings, which no import
+#: checks until someone reads the name.
+_READ_EVERY_EXPORT = """
+import importlib, pkgutil, repro
+packages = [repro] + [
+    importlib.import_module(info.name)
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+]
+unresolved = []
+for package in packages:
+    for name in package.__all__:
+        try:
+            getattr(package, name)
+        except (AttributeError, ImportError) as error:
+            unresolved.append(f"{package.__name__}.{name}: {error!r}")
+print(json.dumps({"packages": [package.__name__ for package in packages], "unresolved": unresolved}))
+"""
+
+
+def test_every_package_export_resolves():
+    out, _ = _python(_READ_EVERY_EXPORT)
+    document = json.loads(out)
+    assert {"repro", "repro.mem", "repro.ooo", "repro.core"} <= set(document["packages"])
+    assert document["unresolved"] == []

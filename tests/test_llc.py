@@ -272,4 +272,4 @@ class TestDetailedLlcTimingIndependence:
 class TestLlcMshrInteraction:
     def test_banked_mshr_config_accepted(self):
         llc = build_llc(mshr=MshrConfig(total_entries=12, banks=4, stall_whole_file_on_full_bank=True))
-        assert llc.mshrs.config.entries_per_bank == 3
+        assert llc.config.mshr.entries_per_bank == 3

@@ -1,13 +1,18 @@
-"""Tests for TLBs, page tables, MSHRs, and the DRAM controller."""
+"""Tests for TLBs, page tables and walks, MSHRs, and the DRAM controller."""
 
 import random
 
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.common.rng import DeterministicRng
+from repro.common.stats import StatsRegistry
+from repro.mem.address import AddressMap
 from repro.mem.dram import DramConfig, DramController
-from repro.mem.mshr import MshrConfig, MshrFile
-from repro.mem.page_table import PageTable, PageTableWalker
+from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.llc import LastLevelCache, LlcConfig
+from repro.mem.mshr import MshrConfig
+from repro.mem.page_table import PageTable
 from repro.mem.tlb import TranslationCache, Tlb
 
 
@@ -116,20 +121,47 @@ class TestPageTable:
         identity = PageTable.identity(64 * 1024)
         assert list(identity.mappings.items()) == [(page, page) for page in range(16)]
 
-    def test_walker_charges_levels_and_honours_translation_cache_skips(self):
-        table = PageTable()
-        table.map_page(0x1000, 0x2000)
-        walker = PageTableWalker()
-        full = walker.walk(table, 0x1000)
-        short = walker.walk(table, 0x1000, levels_skipped=2)
-        assert full.memory_accesses == 3
-        assert short.memory_accesses == 1
-        assert full.physical_address == 0x2000
 
-    def test_walker_reports_page_fault(self):
-        walker = PageTableWalker()
-        result = walker.walk(PageTable(), 0xDEAD_0000)
-        assert result.faulted is True
+class TestPageWalk:
+    """The walk :class:`MemoryHierarchy` does on a TLB miss.
+
+    A full walk reads one entry per level of the table (3); the
+    translation cache keeps the upper levels of a finished walk, so a
+    page in the same 1 GiB region hits it at level 2 and reads one.
+    """
+
+    @staticmethod
+    def hierarchy():
+        stats = StatsRegistry()
+        address_map = AddressMap()
+        dram = DramController(stats=stats)
+        llc = LastLevelCache(LlcConfig(), address_map, dram, rng=DeterministicRng(0), stats=stats)
+        mem = MemoryHierarchy(0, llc, dram, address_map, rng=DeterministicRng(1), stats=stats)
+        mem.page_table = PageTable()
+        mem.page_table.map_page(0x4000_0000, 0x10_0000)
+        mem.page_table.map_page(0x4000_1000, 0x10_1000)
+        return mem
+
+    def test_first_walk_reads_every_level(self, kernel):
+        access = self.hierarchy().data_access(0x4000_0008)
+        assert access.tlb_walk_accesses == 3
+        assert access.physical_address == 0x10_0008 and not access.page_fault
+
+    def test_neighbouring_page_walks_from_the_translation_cache(self, kernel):
+        mem = self.hierarchy()
+        mem.data_access(0x4000_0008)
+        access = mem.data_access(0x4000_1010)
+        assert mem.stats.value("tcache.hit") == 1
+        assert access.tlb_walk_accesses == 1
+        assert access.physical_address == 0x10_1010
+
+    def test_unmapped_address_faults_after_a_full_walk(self, kernel):
+        mem = self.hierarchy()
+        mem.data_access(0x4000_0008)
+        access = mem.data_access(0x8000_0000)
+        assert access.page_fault and access.physical_address is None
+        assert access.tlb_walk_accesses == 3
+        assert mem.stats.value("mem.page_faults") == 1
 
 
 class TestMshrFile:
@@ -141,27 +173,6 @@ class TestMshrFile:
     def test_partitioned_capacity_per_core(self):
         config = MshrConfig(total_entries=12, partitioned=True, num_cores=4)
         assert config.entries_per_core == 3
-
-    def test_allocation_respects_partition(self):
-        mshrs = MshrFile(MshrConfig(total_entries=4, partitioned=True, num_cores=2))
-        for _ in range(2):
-            assert mshrs.can_allocate(core=0, set_index=0)
-            mshrs.allocate(core=0, line_address=0)
-        assert mshrs.can_allocate(core=0, set_index=0) is False
-        assert mshrs.can_allocate(core=1, set_index=0) is True
-
-    def test_bank_conflict_with_whole_file_stall(self):
-        config = MshrConfig(total_entries=4, banks=4, stall_whole_file_on_full_bank=True)
-        mshrs = MshrFile(config)
-        mshrs.allocate(core=0, line_address=0)  # bank 0 now full (1 entry per bank)
-        assert mshrs.can_allocate(core=0, set_index=4) is False  # other bank also refused
-
-    def test_release_frees_entry(self):
-        mshrs = MshrFile(MshrConfig(total_entries=1))
-        entry = mshrs.allocate(core=0, line_address=0)
-        assert mshrs.can_allocate(0, 0) is False
-        mshrs.release(entry.entry_id)
-        assert mshrs.can_allocate(0, 0) is True
 
 
 class TestDramController:

@@ -10,19 +10,19 @@ from repro.mem.address import AddressMap
 from repro.mem.dram import DramController
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.llc import LastLevelCache, LlcConfig
+from repro.mem.mshr import MshrConfig
 from repro.ooo.branch_predictor import TournamentPredictor
 from repro.ooo.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.ooo.core import CoreConfig, OutOfOrderCore
-from repro.ooo.lsq import LoadStoreEntry, LoadStoreQueue, StoreBuffer
-from repro.ooo.rename import FreeList, RenameTable
-from repro.ooo.rob import IssueQueue, ReorderBuffer
 
 
-def build_core(core_config=None):
+def build_core(core_config=None, llc_config=None):
     stats = StatsRegistry()
     address_map = AddressMap()
     dram = DramController(stats=stats)
-    llc = LastLevelCache(LlcConfig(), address_map, dram, rng=DeterministicRng(0), stats=stats)
+    llc = LastLevelCache(
+        llc_config or LlcConfig(), address_map, dram, rng=DeterministicRng(0), stats=stats
+    )
     hierarchy = MemoryHierarchy(0, llc, dram, address_map, rng=DeterministicRng(1), stats=stats)
     return OutOfOrderCore(hierarchy, core_config or CoreConfig(), stats=stats)
 
@@ -97,56 +97,6 @@ class TestFrontEndStructures:
         assert ras.pop() == 0x300
         assert ras.pop() == 0x200
         assert ras.pop() is None
-
-
-class TestPipelineStructures:
-    def test_rob_capacity_and_squash(self):
-        rob = ReorderBuffer(capacity=4)
-        for sequence in range(4):
-            rob.insert(sequence)
-        assert rob.is_full()
-        assert rob.squash_all() == 4
-        assert rob.is_empty()
-
-    def test_issue_queue_empty_states_indistinguishable(self):
-        queue_a, queue_b = IssueQueue(8), IssueQueue(8)
-        for sequence in range(5):
-            queue_b.insert(sequence)
-        queue_b.squash_all()
-        assert queue_a.observable_projection() == queue_b.observable_projection()
-        assert queue_a.snapshot() != queue_b.snapshot()   # raw pointers differ
-
-    def test_age_prioritised_queue_leaks_through_slot_assignment(self):
-        queue_a, queue_b = IssueQueue(8, age_prioritised=True), IssueQueue(8, age_prioritised=True)
-        queue_b.insert(0)
-        queue_b.insert(1)
-        queue_b.remove(0)
-        assert queue_a.observable_projection() != queue_b.observable_projection()
-
-    def test_free_list_permutations_observationally_equal(self):
-        list_a, list_b = FreeList(), FreeList()
-        list_b.reset(permute_with=DeterministicRng(5))
-        assert list_a.observable_projection() == list_b.observable_projection()
-        assert list_a.is_complete() and list_b.is_complete()
-
-    def test_rename_table_reset(self):
-        table = RenameTable()
-        table.remap(3, 77)
-        table.reset()
-        assert table.mapping(3) == 3
-
-    def test_lsq_and_store_buffer(self):
-        lsq = LoadStoreQueue(load_entries=2, store_entries=1)
-        lsq.insert(LoadStoreEntry(sequence=1, address=0x100, is_store=False, speculative=True))
-        lsq.insert(LoadStoreEntry(sequence=2, address=0x200, is_store=True))
-        assert lsq.occupancy() == 2
-        assert len(lsq.speculative_loads()) == 1
-        assert lsq.squash_all() == 2
-        buffer = StoreBuffer(entries=2)
-        buffer.push(1)
-        buffer.push(2)
-        assert buffer.push(3) == 1      # oldest drained on overflow
-        assert buffer.drain_all() == [2, 3]
 
 
 class TestCoreTiming:
@@ -250,3 +200,44 @@ class TestCommitWidth:
         config = CoreConfig(rob_entries=rob_entries, commit_width=commit_width)
         stream = [alu(dst=(index % 16) + 1) for index in range(self.COUNT)]
         assert build_core(config).run(stream).instructions == self.COUNT
+
+
+class TestMshrRules:
+    """The MSHR rules both kernels apply to a core's outstanding LLC misses.
+
+    Each load is independent and goes to a cold line of a bare-physical
+    core, so every one misses in the LLC and takes 138 cycles.  One load
+    issues per cycle, so a miss that must wait for the one three loads
+    older waits 138 - 3 = 135 cycles.  Lines stay off line 0, which the
+    fetch of pc 0 brings into the LLC.  The LLC has 1,024 sets, so line
+    ``n`` occupies MSHR bank ``n % banks``.
+    """
+
+    BANKED = MshrConfig(total_entries=12, banks=4)
+
+    @staticmethod
+    def mshr_wait(mshr, lines):
+        core = build_core(llc_config=LlcConfig(mshr=mshr))
+        stream = [load(dst=index + 1, vaddr=line * 64) for index, line in enumerate(lines)]
+        return core.run(stream).stats.value("core.mshr_wait_cycles")
+
+    def test_default_file_takes_four_misses_to_one_bank(self, kernel):
+        assert self.mshr_wait(MshrConfig(), [4, 8, 12, 16]) == 0
+
+    def test_fourth_miss_to_a_full_bank_waits(self, kernel):
+        assert self.mshr_wait(self.BANKED, [4, 8, 12, 16]) == 135
+
+    def test_misses_spread_over_banks_do_not_wait(self, kernel):
+        assert self.mshr_wait(self.BANKED, [4, 5, 6, 7]) == 0
+        assert self.mshr_wait(self.BANKED, [4, 8, 12, 5]) == 0
+
+    def test_full_bank_stalls_the_whole_file_when_configured(self, kernel):
+        # MISS's file: three misses fill bank 0, so a bank-1 miss waits too.
+        whole_file = MshrConfig(total_entries=12, banks=4, stall_whole_file_on_full_bank=True)
+        assert self.mshr_wait(whole_file, [4, 8, 12, 5]) == 135
+
+    def test_partitioned_file_holds_a_core_to_its_share(self, kernel):
+        # 12 entries over 4 cores: 3 each, so the 4th and 5th misses wait.
+        partitioned = MshrConfig(total_entries=12, partitioned=True, num_cores=4)
+        assert self.mshr_wait(partitioned, [4, 5, 6]) == 0
+        assert self.mshr_wait(partitioned, [4, 5, 6, 7, 9]) == 2 * 135
