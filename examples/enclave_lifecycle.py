@@ -53,6 +53,11 @@ def main() -> None:
     print(f"grab enclave regions -> {type(operating_system.try_grab_enclave_regions(enclave)).__name__}")
     print(f"grab monitor PAR     -> {type(operating_system.try_grab_monitor_region()).__name__}")
     print(f"inject page post-measurement -> {type(operating_system.try_load_page_after_measurement(enclave)).__name__}")
+    print(f"overflow memcopy buffer -> {type(operating_system.try_oversized_memcopy(enclave)).__name__}")
+    other = monitor.create_enclave({6, 7})
+    monitor.finalize_measurement(other)
+    print(f"schedule over a running enclave -> {type(operating_system.try_schedule_over_enclave(enclave, other)).__name__}")
+    monitor.destroy_enclave(other)
     print(f"probe enclave memory from OS core emitted an access: {operating_system.probe_enclave_memory(enclave)}")
 
     print()

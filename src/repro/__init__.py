@@ -3,9 +3,9 @@
 A from-scratch Python model of the MI6 system (Bourgeat et al., MICRO
 2019): the RiscyOO out-of-order core and memory hierarchy, the MI6
 isolation mechanisms (LLC set partitioning, MSHR partitioning and sizing,
-the strong-timing-independence LLC, the ``purge`` instruction, DRAM-region
-access checks, machine-mode speculation restrictions), a security monitor
-and untrusted OS implementing enclaves, synthetic SPEC CINT2006 workloads,
+the strong-timing-independence LLC, the ``purge`` instruction and the
+DRAM-region access checks), a security monitor and an untrusted OS
+implementing enclaves, synthetic SPEC CINT2006 workloads,
 attack models, and a benchmark harness reproducing Figures 4-13.
 
 Typical entry points — the Session API is the public front door:
@@ -27,7 +27,7 @@ from repro.common.lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__, __getattr__, __dir__ = lazy_exports(
+__all__, __getattr__ = lazy_exports(
     globals(),
     {
         "repro.analysis.engine": (

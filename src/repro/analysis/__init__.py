@@ -11,7 +11,7 @@ printed by the benchmark harness and recorded in EXPERIMENTS.md.
 
 from repro.common.lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(
+__all__, __getattr__ = lazy_exports(
     globals(),
     {
         "repro.analysis.engine": (
@@ -23,17 +23,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "execute_request",
             "request_for",
         ),
-        "repro.analysis.harness": (
-            "cached_run",
-            "clear_run_cache",
-            "overhead_percent",
-            "run_figure_series",
-        ),
-        "repro.analysis.report": (
-            "format_comparison_table",
-            "format_series_table",
-            "geometric_mean",
-        ),
+        "repro.analysis.harness": ("run_figure_series",),
+        "repro.analysis.report": ("format_series_table",),
         "repro.analysis.store": ("ResultStore",),
     },
 )

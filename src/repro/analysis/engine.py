@@ -942,21 +942,6 @@ def _merge_fleet(
     )
 
 
-def execute_fleet_request(request: FleetRunRequest) -> FleetOutcome:
-    """Run one fleet simulation serially (shards in index order).
-
-    The runner's :meth:`ParallelRunner.run` fans shards out over the
-    store and the process pool instead; this pure path exists for direct
-    callers and produces bit-identical results.
-    """
-    plan = request.shard_plan(resolve_service_cycles(request))
-    outcomes = [
-        execute_fleet_shard_request(shard_request)
-        for shard_request in plan.shard_requests
-    ]
-    return _merge_fleet(request, plan, outcomes)
-
-
 @dataclass(frozen=True)
 class FleetSpec:
     """A fleet sweep: variants × loads × seeds on a fixed fleet shape.
@@ -1138,7 +1123,8 @@ class JobKind:
         execute: Name of the module-level function running one request,
             or one group of requests for a kind with a ``group_key``.
             It is looked up at every call, so instrumentation can wrap
-            it in place.
+            it in place.  ``None`` for a fleet, which the runner lowers
+            onto shard requests and never executes whole.
         value: ``module:name`` of the type of the value one request
             produces, imported once, on first use (:attr:`value_type`), so
             answering a kind from the store loads no simulator.
@@ -1149,7 +1135,7 @@ class JobKind:
     """
 
     request_type: Type[EngineRequest]
-    execute: str
+    execute: Optional[str]
     value: str
     group_key: Optional[Callable[[Any], Hashable]] = None
     codec: Optional[Tuple[Callable[[Any], Dict[str, Any]], Callable[[Dict[str, Any]], Any]]] = None
@@ -1174,7 +1160,7 @@ class JobKind:
 
     def executor(self) -> Callable[[Any], Any]:
         """The execute function as this module binds it right now."""
-        return globals()[self.execute]
+        return globals()[self.execute]  # type: ignore[index]
 
     def execute_group(self, requests: Sequence[Any]) -> List[Any]:
         """Values of one group, in order (a group of one for ungrouped kinds)."""
@@ -1187,8 +1173,8 @@ class JobKind:
 #: Request kind -> how the engine runs it.  Runs persist in the store's
 #: run layer; every other kind persists in its document layer under the
 #: kind tag.  A fleet is the one expanding kind: the runner lowers it onto
-#: shard requests of its own (see :meth:`ParallelRunner.run`), and
-#: :func:`execute_fleet_request` is the serial path for direct callers.
+#: shard requests of its own (see :meth:`ParallelRunner.run`), so it
+#: names no execute function.
 JOB_KINDS: Dict[str, JobKind] = {
     job.request_type.kind: job
     for job in (
@@ -1208,7 +1194,7 @@ JOB_KINDS: Dict[str, JobKind] = {
         JobKind(
             FleetShardRequest, "execute_fleet_shard_request", "repro.fleet.simulation:ShardOutcome"
         ),
-        JobKind(FleetRunRequest, "execute_fleet_request", "repro.fleet.simulation:FleetOutcome"),
+        JobKind(FleetRunRequest, None, "repro.fleet.simulation:FleetOutcome"),
     )
 }
 

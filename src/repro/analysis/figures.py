@@ -25,9 +25,7 @@ from repro.analysis.harness import (
 )
 from repro.analysis.report import format_series_table
 from repro.analysis.store import ResultStore
-from repro.api.requests import ScenarioRequest
-from repro.api.session import coerce_session
-from repro.core.mitigations import VariantLike, config_for_spec
+from repro.core.mitigations import config_for_spec
 from repro.core.results import WorkloadRun
 from repro.obs.export import trace_spans
 from repro.workloads.characteristics import PAPER_REPORTED
@@ -187,8 +185,7 @@ def aggregate_leakage_rows(outcomes) -> Dict[str, Dict[str, str]]:
 
     Leaked/total bit counts are summed over seeds per (scenario,
     variant) cell; the result maps scenario name -> variant name ->
-    ``"leaked/total"``.  Used by :func:`security_leakage_table` and by
-    the CLI, which already holds the outcomes from its own sweep.
+    ``"leaked/total"``.  The ``attack`` subcommand's table.
     """
     tallies: Dict[str, Dict[str, list]] = {}
     for outcome in outcomes:
@@ -369,35 +366,3 @@ def latency_breakdown_table(
     :func:`repro.analysis.report.format_breakdown_table`.
     """
     return BREAKDOWN_TABLE_TITLE, latency_breakdown_rows(document, category=category)
-
-
-def security_leakage_table(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    scenarios: Optional[Tuple[str, ...]] = None,
-    variants: Optional[Tuple[VariantLike, ...]] = None,
-    seeds: Optional[Tuple[int, ...]] = None,
-    num_cores: int = 2,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> Tuple[str, Dict[str, Dict[str, str]]]:
-    """Section 6 security evaluation: leaked bits per scenario × variant.
-
-    Runs every co-scheduled attack scenario on every requested variant
-    (BASE vs F+P+M+A by default, arbitrary mitigation combinations
-    accepted) through the Session API — warm results come from the
-    session's store — and aggregates leaked/total bit counts over the
-    seeds.  Returns ``(title, rows)`` as consumed by
-    :func:`repro.analysis.report.format_security_table`.
-    """
-    settings = settings or EvaluationSettings.from_environment()
-    session = coerce_session(store, jobs)
-    result = session.run(
-        ScenarioRequest(
-            scenarios=scenarios,
-            variants=variants,
-            seeds=seeds if seeds is not None else (settings.seed,),
-            num_cores=num_cores,
-        )
-    )
-    return SECURITY_TABLE_TITLE, aggregate_leakage_rows(result.outcomes)

@@ -27,8 +27,8 @@ from repro.analysis.engine import (
     EvaluationSettings,
 )
 from repro.analysis.store import ResultStore
-from repro.api.requests import SweepRequest, WorkloadRequest
-from repro.api.session import coerce_session, default_session
+from repro.api.requests import SweepRequest
+from repro.api.session import coerce_session
 from repro.core.mitigations import VariantLike, spec_name
 from repro.core.results import WorkloadRun
 from repro.workloads.spec_cint2006 import benchmark_names
@@ -40,64 +40,11 @@ __all__ = [
     "SEED_ENV_VAR",
     "EvaluationSettings",
     "branch_mpki_metric",
-    "cached_run",
-    "clear_run_cache",
     "flush_stall_metric",
     "llc_mpki_metric",
-    "overhead_percent",
     "run_figure_series",
     "runtime_overhead_metric",
 ]
-
-
-def clear_run_cache(*, disk: bool = False) -> None:
-    """Discard cached runs (used by tests that change settings).
-
-    Clears the in-memory layer; pass ``disk=True`` to also delete the
-    on-disk entries.  Content-hashed keys mean stale disk entries can
-    never be returned for a changed configuration, so clearing disk is
-    only needed to reclaim space or force fresh simulations.
-    """
-    default_session().store.clear(disk=disk)
-
-
-def cached_run(
-    variant: VariantLike,
-    benchmark: str,
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    store: Optional[ResultStore] = None,
-) -> WorkloadRun:
-    """Run one benchmark on one variant, served from the result store."""
-    session = coerce_session(store)
-    settings = settings or session.settings
-    return session.run(
-        WorkloadRequest(
-            variant=variant,
-            benchmark=benchmark,
-            instructions=settings.instructions,
-            seed=settings.seed,
-        )
-    ).value
-
-
-def overhead_percent(
-    variant: VariantLike,
-    benchmark: str,
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    store: Optional[ResultStore] = None,
-) -> float:
-    """Increased runtime of ``variant`` over BASE for one benchmark (%).
-
-    Delegates to :func:`runtime_overhead_metric`, which falls back to a
-    per-instruction (CPI) comparison when the runs committed different
-    instruction counts (the NONSPEC truncation).
-    """
-    settings = settings or EvaluationSettings.from_environment()
-    base = cached_run("BASE", benchmark, settings, store=store)
-    secured = cached_run(variant, benchmark, settings, store=store)
-    return runtime_overhead_metric(base, secured)
 
 
 def run_figure_series(

@@ -2,16 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, Mapping, Optional
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values (0.0 for an empty input)."""
-    values = [value for value in values if value > 0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(value) for value in values) / len(values))
+from typing import Iterable, Mapping, Optional
 
 
 def format_series_table(
@@ -147,15 +138,4 @@ def format_breakdown_table(title: str, rows: Iterable[Mapping]) -> str:
             f"{row['p95']:>10.1f} {row['max']:>10.1f} "
             f"{100.0 * row['share']:>5.1f}%"
         )
-    return "\n".join(lines)
-
-
-def format_comparison_table(rows: Dict[str, tuple], title: str = "") -> str:
-    """Render rows of ``name -> (measured, paper)`` pairs."""
-    lines = []
-    if title:
-        lines.extend([title, "-" * len(title)])
-    lines.append(f"{'metric':<28} {'measured':>12} {'paper':>12}")
-    for name, (measured, paper) in rows.items():
-        lines.append(f"{name:<28} {measured:>12.2f} {paper:>12.2f}")
     return "\n".join(lines)

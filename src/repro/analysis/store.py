@@ -325,37 +325,5 @@ class ResultStore:
             "disk_entries": disk_entries,
         }
 
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (disk entries survive)."""
-        self._memory.clear()
-        self._payload_memory.clear()
-
-    def clear_disk(self) -> None:
-        """Delete every on-disk entry this store format owns."""
-        if self.directory is None or not self.directory.is_dir():
-            return
-        for path in self.directory.glob(f"*-v{SCHEMA_VERSION}-*.json"):
-            if path.name.startswith("."):
-                continue  # in-flight temp files from _write_json
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        for path in self.directory.glob(".lock-*"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def clear(self, *, disk: bool = False) -> None:
-        """Drop the memory layer, and the disk layer too if asked."""
-        self.clear_memory()
-        if disk:
-            self.clear_disk()
-
     def __len__(self) -> int:
         return len(self._memory)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = str(self.directory) if self.directory else "memory-only"
-        return f"ResultStore({where}, {len(self._memory)} in memory)"

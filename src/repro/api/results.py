@@ -32,7 +32,7 @@ from repro.api.requests import (
     WireError,
     request_from_wire,
 )
-from repro.core.mitigations import VariantLike, spec_name
+from repro.core.mitigations import VariantLike
 from repro.core.results import WorkloadRun
 
 if TYPE_CHECKING:
@@ -112,9 +112,6 @@ class Result:
         for entry in self.entries:
             self._index[entry.key] = entry
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -175,21 +172,6 @@ class Result:
         if self.sweep is None:
             raise ValueError("overhead_percent is only available on sweep results")
         return self.sweep.overhead_percent(variant, benchmark, seed)
-
-    def outcome_for(
-        self, scenario: str, variant: VariantLike, seed: Optional[int] = None
-    ) -> ScenarioOutcome:
-        """The outcome of one (scenario, variant, seed) matrix cell."""
-        if seed is None:
-            candidates = [
-                entry
-                for entry in self.entries
-                if entry.key[:2] == (scenario, spec_name(variant))
-            ]
-            if not candidates:
-                raise KeyError((scenario, spec_name(variant)))
-            return candidates[0].value
-        return self.entry(scenario, spec_name(variant), seed).value
 
     @property
     def outcomes(self) -> List[ScenarioOutcome]:

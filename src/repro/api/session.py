@@ -32,12 +32,11 @@ from repro.analysis.engine import (
     default_jobs,
 )
 from repro.analysis.store import ResultStore
-from repro.api.requests import Request, ScenarioRequest, SweepRequest, WorkloadRequest
+from repro.api.requests import Request, ScenarioRequest, WorkloadRequest
 from repro.api.results import Provenance, Result, ResultEntry
 from repro.core.mitigations import (
     Mitigation,
     VariantLike,
-    config_for_spec,
     known_compositions,
     known_mitigations,
 )
@@ -158,10 +157,6 @@ class Session:
         """Calibrated benchmark profile names, in paper order."""
         return benchmark_names()
 
-    def describe(self, variant: VariantLike) -> str:
-        """Figure-4-style summary of any mitigation combination."""
-        return config_for_spec(variant).describe()
-
     # ------------------------------------------------------------------
     # Execution
 
@@ -233,17 +228,6 @@ class Session:
         """Run one benchmark on one mitigation combination."""
         return self.run(WorkloadRequest(variant=variant, benchmark=benchmark, **fields))
 
-    def sweep(
-        self,
-        variants: Optional[Sequence[VariantLike]] = None,
-        benchmarks: Optional[Sequence[str]] = None,
-        **fields: Any,
-    ) -> Result:
-        """Run a variants × benchmarks × seeds sweep (full grid default)."""
-        return self.run(
-            SweepRequest(variants=variants, benchmarks=benchmarks, **fields)
-        )
-
     def attack(
         self,
         scenarios: Optional[Sequence[str]] = None,
@@ -253,12 +237,6 @@ class Session:
         """Run the co-scheduled security-scenario matrix."""
         return self.run(
             ScenarioRequest(scenarios=scenarios, variants=variants, **fields)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Session(store={self.store!r}, jobs={self.runner.jobs}, "
-            f"settings={self.settings})"
         )
 
 

@@ -419,23 +419,6 @@ class CoScheduledExecutor:
     # ------------------------------------------------------------------
     # Conveniences for sequential (time-sliced) scenarios
 
-    def idle(self, cycles: int) -> None:
-        """Let the pipeline drain for ``cycles`` with no new traffic."""
-        detailed = self.detailed
-        target = detailed.cycle + cycles
-        if slow_path_enabled():
-            while detailed.cycle < target:
-                detailed.step()
-            return
-        while detailed.cycle < target:
-            event = detailed.next_event_cycle()
-            if event is None or event >= target:
-                detailed.advance_to(target)
-                return
-            if event > detailed.cycle:
-                detailed.advance_to(event)
-            detailed.step()
-
 
 def latencies_by_label(
     accesses: List[CompletedAccess],

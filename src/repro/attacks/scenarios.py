@@ -574,25 +574,6 @@ def scenario_description(name: str) -> str:
     return _SCENARIO_DESCRIPTIONS[name]
 
 
-def register_scenario(
-    name: str, runner: ScenarioRunner, description: str
-) -> None:
-    """Register a new scenario runner under ``name``.
-
-    The runner must be a pure function of ``(config, seed)`` plus the
-    keyword-only ``num_cores``/``placement`` policy arguments, returning
-    a :class:`ScenarioOutcome` — the contract the engine's cache keys and
-    the parallel runner rely on.
-    """
-    key = name.strip()
-    if not key:
-        raise ConfigurationError("scenario name must be non-empty")
-    if key in _SCENARIOS:
-        raise ConfigurationError(f"scenario {name!r} already registered")
-    _SCENARIOS[key] = runner
-    _SCENARIO_DESCRIPTIONS[key] = description
-
-
 def run_scenario(
     name: str,
     config: MI6Config,

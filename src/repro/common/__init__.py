@@ -8,21 +8,16 @@ benchmark harness reads after a simulation.
 
 from repro.common.errors import (
     ConfigurationError,
-    IsolationViolation,
-    ProtectionFault,
     ReproError,
     SecurityMonitorError,
 )
 from repro.common.rng import DeterministicRng
-from repro.common.stats import Counter, Histogram, StatsRegistry
+from repro.common.stats import Counter, StatsRegistry
 
 __all__ = [
     "ConfigurationError",
     "Counter",
     "DeterministicRng",
-    "Histogram",
-    "IsolationViolation",
-    "ProtectionFault",
     "ReproError",
     "SecurityMonitorError",
     "StatsRegistry",

@@ -21,24 +21,6 @@ class ConfigurationError(ReproError):
     """
 
 
-class ProtectionFault(ReproError):
-    """A memory access violated the DRAM-region protection bitvector.
-
-    This corresponds to the exception the MI6 hardware raises when an
-    access outside the allocated DRAM regions becomes non-speculative
-    (Section 5.3).
-    """
-
-    def __init__(self, physical_address: int, region: int, message: str = "") -> None:
-        detail = message or (
-            f"access to physical address {physical_address:#x} in DRAM region "
-            f"{region} is not permitted by the protection bitvector"
-        )
-        super().__init__(detail)
-        self.physical_address = physical_address
-        self.region = region
-
-
 class SecurityMonitorError(ReproError):
     """The security monitor refused an operation requested by software.
 
@@ -46,15 +28,4 @@ class SecurityMonitorError(ReproError):
     DRAM regions, scheduling an enclave on a core it does not own, ...);
     the monitor rejects these with this error rather than violating the
     isolation invariants.
-    """
-
-
-class IsolationViolation(ReproError):
-    """An isolation invariant was observably broken.
-
-    Raised by the isolation checkers in :mod:`repro.core.isolation` and by
-    the detailed LLC model's self-checks when timing or architectural
-    state leaks across protection domains.  Tests rely on this error to
-    demonstrate that the *baseline* configuration leaks while the MI6
-    configuration does not.
     """

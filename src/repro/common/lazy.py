@@ -8,7 +8,7 @@ built on :func:`lazy_exports` names each re-exported name once, beside
 the module that defines it, and imports that module the first time the
 name is read::
 
-    __all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    __all__, __getattr__ = lazy_exports(globals(), {
         "repro.core.config": ("MI6Config",),
         "repro.core.processor": ("MI6Processor",),
     })
@@ -26,8 +26,8 @@ from typing import Any, Callable, Dict, List, Mapping, MutableMapping, Sequence,
 
 def lazy_exports(
     namespace: MutableMapping[str, Any], table: Mapping[str, Sequence[str]]
-) -> Tuple[List[str], Callable[[str], Any], Callable[[], List[str]]]:
-    """The ``__all__``, ``__getattr__`` and ``__dir__`` of a lazily exporting package.
+) -> Tuple[List[str], Callable[[str], Any]]:
+    """The ``__all__`` and ``__getattr__`` of a lazily exporting package.
 
     Args:
         namespace: The package's ``globals()``; each name is cached there
@@ -51,7 +51,4 @@ def lazy_exports(
         namespace[name] = value
         return value
 
-    def __dir__() -> List[str]:
-        return sorted(set(namespace) | set(homes))
-
-    return sorted(homes), __getattr__, __dir__
+    return sorted(homes), __getattr__

@@ -50,11 +50,6 @@ class DeterministicRng:
         self._seed = seed
         self._random = random.Random(seed)
 
-    @property
-    def seed(self) -> int:
-        """Seed this generator was created with."""
-        return self._seed
-
     def fork(self, *components: int | str) -> DeterministicRng:
         """Create an independent child generator.
 
@@ -79,23 +74,14 @@ class DeterministicRng:
             return True
         return self._random.random() < probability
 
-    def choice(self, items: Sequence[T]) -> T:
-        """Pick one element of ``items`` uniformly."""
-        return self._random.choice(items)
-
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        """Pick one element of ``items`` with the given relative weights."""
-        return self._random.choices(items, weights=weights, k=1)[0]
-
     def weighted_picker(self, items: Sequence[T], weights: Sequence[float]) -> Callable[[], T]:
-        """A zero-argument callable equivalent to repeated :meth:`weighted_choice`.
+        """A zero-argument callable that picks one of ``items`` by relative weight.
 
         Precomputes the cumulative weights once and replicates
-        ``random.choices`` draw-for-draw (one ``random()`` call per pick,
-        same bisection), so a stream produced through the picker is
-        bit-identical to one produced through :meth:`weighted_choice` —
-        just without rebuilding the cumulative table on every call.  The
-        workload generator uses this on its per-instruction mix draw.
+        ``random.choices(items, weights=weights, k=1)[0]`` draw-for-draw
+        (one ``random()`` call per pick, same bisection), without
+        rebuilding the cumulative table on every call.  The workload
+        generator uses this on its per-instruction mix draw.
         """
         population = list(items)
         cum_weights = list(accumulate(weights))
@@ -127,10 +113,6 @@ class DeterministicRng:
             if value > mean * 20:
                 break
         return value
-
-    def shuffle(self, items: list) -> None:
-        """Shuffle ``items`` in place."""
-        self._random.shuffle(items)
 
     def getstate(self) -> Tuple[Any, ...]:
         """This generator's position in its stream (see :meth:`setstate`)."""

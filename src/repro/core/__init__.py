@@ -6,8 +6,8 @@ This package layers the MI6 mechanisms on top of the RiscyOO substrate:
   MI6 security switches, with the core's and the LLC's parameters;
 * :mod:`repro.core.protection` — protection domains and the per-core
   DRAM-region access bitvector (Section 5.3);
-* :mod:`repro.core.purge` — the ``purge`` instruction: what it scrubs, how
-  long it stalls, and the indistinguishability audit (Section 6.1);
+* :mod:`repro.core.purge` — the ``purge`` instruction: what it scrubs and
+  how long it stalls (Section 6.1);
 * :mod:`repro.core.mitigations` — the composable mitigation registry:
   each defence is a registered config transform, arbitrary combinations
   (``FLUSH+MISS``) are first-class, and the paper's named variants are
@@ -22,13 +22,13 @@ This package layers the MI6 mechanisms on top of the RiscyOO substrate:
   the simulator;
 * :mod:`repro.core.serialization` — stable dict/JSON round-trips for
   configurations and results, plus the content-hash cache keys;
-* :mod:`repro.core.isolation` — checkers used by tests and examples to
-  demonstrate Property 1 (strong isolation).
+* :mod:`repro.core.isolation` — the detailed LLC's timing-independence
+  check that ``examples/side_channel_lab.py`` prints.
 """
 
 from repro.common.lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(
+__all__, __getattr__ = lazy_exports(
     globals(),
     {
         "repro.core.config": ("MI6Config",),
@@ -45,17 +45,12 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "register_mitigation",
             "spec_name",
         ),
-        "repro.core.isolation": (
-            "llc_sets_disjoint",
-            "timing_independence_report",
-            "verify_purged_state",
-        ),
+        "repro.core.isolation": ("timing_independence_report",),
         "repro.core.processor": ("MI6Processor",),
         "repro.core.protection": ("ProtectionDomain", "RegionBitvector"),
         "repro.core.purge": ("PurgeUnit",),
         "repro.core.results": ("WorkloadRun",),
         "repro.core.serialization": (
-            "config_digest",
             "config_from_dict",
             "config_to_dict",
             "run_cache_key",

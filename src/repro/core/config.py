@@ -118,7 +118,9 @@ class MI6Config:
         llc_arbiter: ARB — charge the round-robin arbiter's entry latency.
         nonspec_memory: NONSPEC — memory instructions wait for an empty ROB.
         machine_mode_fetch_restricted: Restrict machine-mode instruction
-            fetch to the security monitor's text (Section 6.2).
+            fetch to the security monitor's text (Section 6.2).  No
+            kernel enforces it: no run fetches in machine mode.  It stays
+            because every cache key hashes it (ROADMAP item 7).
         trap_interval_instructions: Timer-trap period used in evaluation
             runs (scaled with run length; see EXPERIMENTS.md).
         regions_per_enclave: DRAM regions allocated to the protection

@@ -1,59 +1,18 @@
-"""Isolation checkers.
+"""Strong timing independence, checked on the detailed LLC (Section 5).
 
-These helpers turn the paper's isolation arguments (Sections 5 and 6.3)
-into executable checks used by the test suite and examples:
-
-* :func:`llc_sets_disjoint` — architectural/set isolation: two protection
-  domains with disjoint DRAM regions map to disjoint LLC sets under the
-  MI6 index function (and generally do not under the baseline function);
-* :func:`timing_independence_report` — strong timing independence: a
-  victim core's per-request LLC latencies are unchanged by any attacker
-  traffic when the MI6 LLC organisation is used;
-* :func:`verify_purged_state` — transition isolation: after a purge, the
-  software-observable state of every core-private structure equals that
-  of a never-used core.
+:func:`timing_independence_report` runs a victim core's LLC requests
+with and without attacker traffic and compares their latencies: under
+the MI6 LLC organisation they are unchanged by anything the attacker
+does.  ``examples/side_channel_lab.py`` prints it.  ROADMAP item 4 moves
+this check onto the relational runner and then deletes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import List, Tuple
 
-from repro.core.purge import PurgeUnit
-from repro.mem.address import AddressMap, CacheGeometry, IndexFunction, LlcIndexer
 from repro.mem.llc_detail import DetailedLlcConfig, LlcTrafficSimulator, request_latencies
-
-
-def llc_sets_disjoint(
-    regions_a: Iterable[int],
-    regions_b: Iterable[int],
-    *,
-    address_map: AddressMap | None = None,
-    geometry: CacheGeometry | None = None,
-    index_function: IndexFunction = IndexFunction.SET_PARTITIONED,
-    region_index_bits: int = 6,
-    samples_per_region: int = 64,
-) -> bool:
-    """Check that two groups of DRAM regions use disjoint LLC sets.
-
-    With ``region_index_bits`` equal to the full region-ID width, the MI6
-    index function guarantees disjointness for any two disjoint region
-    sets; the baseline index function does not.
-    """
-    address_map = address_map or AddressMap()
-    geometry = geometry or CacheGeometry(size_bytes=1024 * 1024, ways=16, line_bytes=64)
-    indexer = LlcIndexer(geometry, address_map, index_function, region_index_bits)
-
-    def sets_of(regions: Iterable[int]) -> set:
-        sets: set = set()
-        for region in regions:
-            base = address_map.region_base(region)
-            step = max(geometry.line_bytes, address_map.region_bytes // samples_per_region)
-            for offset in range(0, address_map.region_bytes, step):
-                sets.add(indexer.set_index(base + offset))
-        return sets
-
-    return not (sets_of(regions_a) & sets_of(regions_b))
 
 
 @dataclass(frozen=True)
@@ -116,18 +75,3 @@ def timing_independence_report(
         victim_latencies_contended=latencies_contended,
         max_difference=max_difference,
     )
-
-
-def verify_purged_state(purge_unit: PurgeUnit, pristine_projection: Dict[str, tuple]) -> List[str]:
-    """Compare the post-purge observable state against a pristine core.
-
-    Returns the list of structure names whose software-observable
-    projection differs from the pristine reference — an empty list means
-    the purge achieved indistinguishability (Section 6.1).
-    """
-    current = purge_unit.observable_state()
-    mismatches = []
-    for name, reference_value in pristine_projection.items():
-        if current.get(name) != reference_value:
-            mismatches.append(name)
-    return mismatches

@@ -166,11 +166,6 @@ class MitigationSet:
         if canonical != self.mitigations:
             object.__setattr__(self, "mitigations", canonical)
 
-    @classmethod
-    def of(cls, *names: str) -> MitigationSet:
-        """Set containing the given mitigations (names or aliases)."""
-        return cls(_canonical_members(names))
-
     @property
     def name(self) -> str:
         """Canonical display name (also the config/cache-key name).
@@ -185,21 +180,6 @@ class MitigationSet:
 
     def __contains__(self, item: str) -> bool:
         return item.strip().upper() in self.mitigations
-
-    def __iter__(self):
-        return iter(self.mitigations)
-
-    def __len__(self) -> int:
-        return len(self.mitigations)
-
-    def __str__(self) -> str:  # pragma: no cover - display helper
-        return self.name
-
-    def describe(self) -> str:
-        """One-line description composed from the member mitigations."""
-        if not self.mitigations:
-            return "insecure baseline RiscyOO processor"
-        return "; ".join(_MITIGATIONS[name].description for name in self.mitigations)
 
     def apply(self, base: Optional[MI6Config] = None) -> MI6Config:
         """Build the machine configuration for this combination.

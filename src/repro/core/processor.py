@@ -33,8 +33,6 @@ from repro.mem.llc import LastLevelCache
 from repro.mem.page_table import PageTable
 from repro.ooo.core import OutOfOrderCore
 from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
-from repro.workloads.profiles import WorkloadProfile
-from repro.workloads.spec_cint2006 import profile_for
 
 #: What a machine runs: a live generator, or one built once and shared.
 Workload = Union[SyntheticWorkload, PreparedWorkload]
@@ -91,8 +89,8 @@ class MI6Processor:
             self.core.purge_callback = _weak_call(self.purge_unit.execute)
         self.region_bitvector = RegionBitvector(config.address_map, stats=self.stats)
         self._domain: Optional[ProtectionDomain] = None
-        # Counter and histogram names the last warm-up registered.
-        self._warm_registered: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
+        # Counter names the last warm-up registered.
+        self._warm_registered: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------------
     # Protection-domain setup
@@ -157,7 +155,7 @@ class MI6Processor:
         (identical state/statistics effects, no per-access records).  The
         ``REPRO_SLOW_PATH`` escape hatch keeps the original accessors.
         """
-        counters, histograms = self.stats.registered()
+        counters = self.stats.registered()
         if slow_path_enabled():
             for virtual_address in workload.warmup_addresses():
                 self.hierarchy.data_access(virtual_address)
@@ -168,12 +166,8 @@ class MI6Processor:
             self.hierarchy.prime_fetch_timing(workload.warmup_code_addresses())
         self.stats.reset()
         # Registration order is insertion order: what warm-up added is
-        # the tail of each name list.
-        after_counters, after_histograms = self.stats.registered()
-        self._warm_registered = (
-            after_counters[len(counters):],
-            after_histograms[len(histograms):],
-        )
+        # the tail of the name list.
+        self._warm_registered = self.stats.registered()[len(counters):]
 
     def capture_warm_state(self) -> WarmState:
         """Copy of this machine's warmed hierarchy (fast kernel only).
@@ -184,8 +178,7 @@ class MI6Processor:
         """
         if self._warm_registered is None:
             raise RuntimeError("only a machine that has warmed up has a warm state")
-        counters, histograms = self._warm_registered
-        return WarmState(self.hierarchy.capture_warm_state(), counters, histograms)
+        return WarmState(self.hierarchy.capture_warm_state(), self._warm_registered)
 
     def load_warm_state(self, state: WarmState) -> None:
         """Stand in for :meth:`warm_up` by copying a warmed machine's state.
@@ -194,9 +187,9 @@ class MI6Processor:
         the same warm class that warmed up on the same workload.
         """
         self.hierarchy.load_warm_state(state.hierarchy)
-        self.stats.register(state.counters, state.histograms)
+        self.stats.register(state.counters)
         self.stats.reset()
-        self._warm_registered = (state.counters, state.histograms)
+        self._warm_registered = state.counters
 
     def load_workload(
         self,
@@ -227,24 +220,3 @@ class MI6Processor:
             instructions=result.instructions,
             result=result,
         )
-
-    def run_workload(
-        self,
-        benchmark: Union[str, WorkloadProfile],
-        *,
-        instructions: int = 50_000,
-        seed: Optional[int] = None,
-        warm_up: bool = True,
-    ) -> WorkloadRun:
-        """Run a benchmark profile to completion and return its timing.
-
-        The single-machine case of the engine's run groups: prepare the
-        workload, load it, run it.
-        """
-        profile = profile_for(benchmark) if isinstance(benchmark, str) else benchmark
-        workload = PreparedWorkload(
-            SyntheticWorkload(profile, seed=seed if seed is not None else self.seed),
-            instructions,
-        )
-        self.load_workload(workload, warm_up=warm_up)
-        return self.run_loaded(workload, instructions)

@@ -4,9 +4,9 @@ Section 5.3: each MI6 core has a machine-mode-modifiable bitvector with a
 bit per DRAM region.  Every physical access — demand or speculative,
 instruction fetch, data access, or page-table walk — is checked against
 the bitvector; accesses outside the allowed regions are simply not emitted
-to the memory system, and raise an exception only if they become
-non-speculative.  This is what confines even mis-speculated accesses to
-the protection domain's own cache sets.
+to the memory system (the hardware raises an exception only if they
+become non-speculative; the kernels count them).  This is what confines
+even mis-speculated accesses to the protection domain's own cache sets.
 
 A :class:`ProtectionDomain` groups the resources the security monitor
 assigns to one isolated party: a set of DRAM regions, a set of cores, and
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
-from repro.common.errors import ConfigurationError, ProtectionFault
+from repro.common.errors import ConfigurationError
 from repro.common.stats import StatsRegistry
 from repro.mem.address import AddressMap
 from repro.mem.page_table import PageTable
@@ -38,20 +38,11 @@ class RegionBitvector:
         self._c_out_of_dram: Optional[object] = None
         self._c_denied: Optional[object] = None
 
-    @property
-    def value(self) -> int:
-        """Raw bitvector value (bit ``i`` set means region ``i`` accessible)."""
-        return self._bits
-
     def grant(self, region: int) -> None:
         """Allow access to one DRAM region."""
         if not 0 <= region < self.address_map.num_regions:
             raise ConfigurationError(f"region {region} out of range")
         self._bits |= 1 << region
-
-    def revoke(self, region: int) -> None:
-        """Remove access to one DRAM region."""
-        self._bits &= ~(1 << region)
 
     def set_regions(self, regions: Set[int]) -> None:
         """Replace the bitvector with exactly the given regions."""
@@ -88,16 +79,6 @@ class RegionBitvector:
         counter.value += 1
         return False
 
-    def check_or_fault(self, physical_address: int) -> None:
-        """Raise :class:`ProtectionFault` for a non-speculative violation."""
-        if not self.is_allowed(physical_address):
-            region = (
-                self.address_map.region_of(physical_address)
-                if self.address_map.contains(physical_address)
-                else -1
-            )
-            raise ProtectionFault(physical_address, region)
-
 
 @dataclass
 class ProtectionDomain:
@@ -120,10 +101,6 @@ class ProtectionDomain:
     page_table: Optional[PageTable] = None
     is_enclave: bool = False
     is_monitor: bool = False
-
-    def overlaps(self, other: ProtectionDomain) -> bool:
-        """True if the two domains share any DRAM region or core."""
-        return bool(self.regions & other.regions) or bool(self.cores & other.cores)
 
     def owns_address(self, physical_address: int, address_map: AddressMap) -> bool:
         """True if the physical address lies in one of the domain's regions."""

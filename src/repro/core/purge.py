@@ -30,7 +30,7 @@ when physical memory changes owner
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.common.stats import StatsRegistry
 from repro.mem.hierarchy import MemoryHierarchy
@@ -63,18 +63,6 @@ class PurgeUnit:
 
     # ------------------------------------------------------------------
 
-    def stall_cycles(self) -> int:
-        """Cycles the purge stalls the core (data independent).
-
-        All structures are flushed in parallel; the duration is the
-        maximum of the individual flush times (Section 7.1): 512 cycles
-        for each L1 (one line per cycle), 256 cycles for the L2 TLB (one
-        set of 4 entries per cycle), 512 cycles for the largest predictor
-        table (8 entries per cycle), one cycle for the fully associative
-        L1 TLBs.
-        """
-        return self._stall_cycles
-
     def execute(self) -> int:
         """Scrub all core-private state; returns the stall cycles.
 
@@ -95,27 +83,3 @@ class PurgeUnit:
             counter = self._c_stall_cycles = self.stats.counter("purge.stall_cycles")
         counter.value += stall
         return stall
-
-    # ------------------------------------------------------------------
-    # Indistinguishability audit (Section 6.1)
-
-    def observable_state(self) -> Dict[str, tuple]:
-        """Software-observable projection of every purged structure.
-
-        The prediction structures are compared whole; a cache or TLB only
-        by how many lines or entries it holds, since the purge need not
-        canonicalise what software cannot distinguish (such as the L1
-        replacement RNG's position).
-        """
-        frontend = self.core.frontend
-        hierarchy = self.hierarchy
-        return {
-            "predictor": frontend.predictor.snapshot(),
-            "btb": frontend.btb.snapshot(),
-            "ras": frontend.ras.snapshot(),
-            "l1i_valid_lines": (hierarchy.l1i.cache.valid_line_count(),),
-            "l1d_valid_lines": (hierarchy.l1d.cache.valid_line_count(),),
-            "itlb_entries": (hierarchy.itlb.resident_entries(),),
-            "dtlb_entries": (hierarchy.dtlb.resident_entries(),),
-            "l2tlb_entries": (hierarchy.l2tlb.resident_entries(),),
-        }

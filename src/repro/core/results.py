@@ -34,11 +34,6 @@ class CoreResult:
     stats: StatsRegistry
 
     @property
-    def ipc(self) -> float:
-        """Committed instructions per cycle."""
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
     def cpi(self) -> float:
         """Cycles per committed instruction."""
         return self.cycles / self.instructions if self.instructions else 0.0
@@ -109,9 +104,7 @@ class WarmState:
             loading the state registers them too, at zero as the
             post-warm-up reset leaves them, so it reports the same
             counter set as a machine that warmed itself.
-        histograms: Likewise for histograms.
     """
 
     hierarchy: tuple
     counters: Tuple[str, ...]
-    histograms: Tuple[str, ...]

@@ -140,11 +140,6 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
-def config_digest(config: MI6Config) -> str:
-    """Content hash identifying a machine configuration."""
-    return _digest({"schema": SCHEMA_VERSION, "config": config_to_dict(config)})
-
-
 def run_cache_key(
     config: MI6Config,
     benchmark: str,
@@ -365,19 +360,16 @@ def decode_field(annotation: Any, value: Any) -> Any:
 
 
 def result_to_dict(result: CoreResult) -> Dict[str, Any]:
-    """Encode a :class:`CoreResult` (cycles, counters, histograms)."""
-    histograms = {}
-    for name, histogram in sorted(result.stats.histograms().items()):
-        histograms[name] = {
-            "buckets": {str(value): count for value, count in sorted(histogram.buckets.items())},
-            "total_samples": histogram.total_samples,
-            "total_value": histogram.total_value,
-        }
+    """Encode a :class:`CoreResult` (cycles and counters).
+
+    ``histograms`` is always empty: no structure records one.  The key
+    stays because every stored run document and cache digest has it.
+    """
     return {
         "cycles": result.cycles,
         "instructions": result.instructions,
         "counters": dict(result.stats.counters()),
-        "histograms": histograms,
+        "histograms": {},
     }
 
 
@@ -386,13 +378,6 @@ def result_from_dict(data: Dict[str, Any]) -> CoreResult:
     registry = StatsRegistry()
     for name, value in data.get("counters", {}).items():
         registry.counter(name).increment(value)
-    for name, histogram_data in data.get("histograms", {}).items():
-        histogram = registry.histogram(name)
-        histogram.buckets = {
-            int(value): count for value, count in histogram_data["buckets"].items()
-        }
-        histogram.total_samples = histogram_data["total_samples"]
-        histogram.total_value = histogram_data["total_value"]
     return CoreResult(
         cycles=data["cycles"], instructions=data["instructions"], stats=registry
     )

@@ -41,9 +41,6 @@ class DaemonClient:
         self.base_url = address.rstrip("/")
         self.timeout = timeout
 
-    def __repr__(self) -> str:
-        return f"DaemonClient({self.base_url!r})"
-
     # ------------------------------------------------------------------
     # Transport
 

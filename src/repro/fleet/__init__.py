@@ -16,7 +16,7 @@ caches and the CLI reports.
 
 from repro.common.lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(
+__all__, __getattr__ = lazy_exports(
     globals(),
     {
         "repro.common.defaults": (

@@ -8,36 +8,6 @@ identity and outcome, and the privilege-changing events (syscalls,
 interrupts, and the MI6 ``purge`` instruction).
 """
 
-from repro.isa.instructions import (
-    Instruction,
-    InstructionKind,
-    MemoryAccessType,
-    PrivilegeMode,
-    TrapCause,
-    alu,
-    branch,
-    csr,
-    fp_op,
-    load,
-    mul_div,
-    purge,
-    store,
-    syscall,
-)
+from repro.isa.instructions import Instruction, InstructionKind, TrapCause
 
-__all__ = [
-    "Instruction",
-    "InstructionKind",
-    "MemoryAccessType",
-    "PrivilegeMode",
-    "TrapCause",
-    "alu",
-    "branch",
-    "csr",
-    "fp_op",
-    "load",
-    "mul_div",
-    "purge",
-    "store",
-    "syscall",
-]
+__all__ = ["Instruction", "InstructionKind", "TrapCause"]

@@ -1,4 +1,4 @@
-"""Instruction kinds, privilege modes, and the abstract instruction record.
+"""Instruction kinds, trap causes, and the abstract instruction record.
 
 The out-of-order timing model (:mod:`repro.ooo.core`) consumes a stream of
 :class:`Instruction` objects produced either by the synthetic workload
@@ -30,29 +30,6 @@ class InstructionKind(Enum):
     FENCE = auto()        # memory fence (serialising)
     PURGE = auto()        # the MI6 purge instruction (machine mode only)
     NOP = auto()
-
-
-class MemoryAccessType(Enum):
-    """Why a physical address is being touched.
-
-    Section 5 of the paper is explicit that the *set of physical addresses
-    accessed by a program* includes speculative instruction fetches,
-    speculative loads, and speculative page-table walks; the protection
-    checker therefore needs to know the access class.
-    """
-
-    INSTRUCTION_FETCH = auto()
-    DATA_LOAD = auto()
-    DATA_STORE = auto()
-    PAGE_TABLE_WALK = auto()
-
-
-class PrivilegeMode(Enum):
-    """RISC-V privilege modes relevant to MI6."""
-
-    USER = 0
-    SUPERVISOR = 1
-    MACHINE = 3
 
 
 class TrapCause(Enum):
@@ -88,8 +65,7 @@ class Instruction(NamedTuple):
         sequence: Dynamic sequence number within its stream (set by the
             generator; informational).
         pc: Virtual address of the instruction itself.  Used for
-            instruction-cache accesses, BTB indexing and the machine-mode
-            fetch-range check.
+            instruction-cache accesses and BTB indexing.
         dst: Destination architectural register, or ``NO_REGISTER``.
         srcs: Source architectural registers (dependencies).
         vaddr: Virtual address of the data access for loads and stores.
@@ -99,8 +75,6 @@ class Instruction(NamedTuple):
         taken: Actual outcome of the branch.
         target: Branch / jump target address.
         trap: Trap raised at commit, if any (e.g. SYSCALL).
-        is_wrong_path_seed: Marks an instruction after which the front end
-            would fetch wrong-path instructions if the branch mispredicts.
     """
 
     kind: InstructionKind
@@ -138,112 +112,3 @@ class Instruction(NamedTuple):
             InstructionKind.SYSCALL,
             InstructionKind.PURGE,
         )
-
-
-def _normalise_sources(srcs: Tuple[int, ...] | list | None) -> Tuple[int, ...]:
-    if not srcs:
-        return ()
-    return tuple(register for register in srcs if register != NO_REGISTER)
-
-
-def alu(dst: int, srcs: Tuple[int, ...] = (), *, pc: int = 0, sequence: int = 0) -> Instruction:
-    """Build a single-cycle integer ALU instruction."""
-    return Instruction(
-        kind=InstructionKind.ALU, dst=dst, srcs=_normalise_sources(srcs), pc=pc, sequence=sequence
-    )
-
-
-def mul_div(dst: int, srcs: Tuple[int, ...] = (), *, pc: int = 0, sequence: int = 0) -> Instruction:
-    """Build a long-latency integer multiply/divide instruction."""
-    return Instruction(
-        kind=InstructionKind.MUL_DIV,
-        dst=dst,
-        srcs=_normalise_sources(srcs),
-        pc=pc,
-        sequence=sequence,
-    )
-
-
-def fp_op(dst: int, srcs: Tuple[int, ...] = (), *, pc: int = 0, sequence: int = 0) -> Instruction:
-    """Build a floating-point instruction."""
-    return Instruction(
-        kind=InstructionKind.FP, dst=dst, srcs=_normalise_sources(srcs), pc=pc, sequence=sequence
-    )
-
-
-def load(
-    dst: int,
-    vaddr: int,
-    srcs: Tuple[int, ...] = (),
-    *,
-    size: int = 8,
-    pc: int = 0,
-    sequence: int = 0,
-) -> Instruction:
-    """Build a load from ``vaddr``."""
-    return Instruction(
-        kind=InstructionKind.LOAD,
-        dst=dst,
-        srcs=_normalise_sources(srcs),
-        vaddr=vaddr,
-        size=size,
-        pc=pc,
-        sequence=sequence,
-    )
-
-
-def store(
-    vaddr: int,
-    srcs: Tuple[int, ...] = (),
-    *,
-    size: int = 8,
-    pc: int = 0,
-    sequence: int = 0,
-) -> Instruction:
-    """Build a store to ``vaddr``."""
-    return Instruction(
-        kind=InstructionKind.STORE,
-        srcs=_normalise_sources(srcs),
-        vaddr=vaddr,
-        size=size,
-        pc=pc,
-        sequence=sequence,
-    )
-
-
-def branch(
-    branch_id: int,
-    taken: bool,
-    *,
-    target: Optional[int] = None,
-    srcs: Tuple[int, ...] = (),
-    pc: int = 0,
-    sequence: int = 0,
-) -> Instruction:
-    """Build a conditional branch with a known outcome."""
-    return Instruction(
-        kind=InstructionKind.BRANCH,
-        srcs=_normalise_sources(srcs),
-        branch_id=branch_id,
-        taken=taken,
-        target=target,
-        pc=pc,
-        sequence=sequence,
-    )
-
-
-def syscall(*, pc: int = 0, sequence: int = 0) -> Instruction:
-    """Build an environment call that traps to the OS at commit."""
-    return Instruction(
-        kind=InstructionKind.SYSCALL, trap=TrapCause.SYSCALL, pc=pc, sequence=sequence
-    )
-
-
-def csr(dst: int = NO_REGISTER, *, pc: int = 0, sequence: int = 0) -> Instruction:
-    """Build a serialising CSR access."""
-    return Instruction(kind=InstructionKind.CSR, dst=dst, pc=pc, sequence=sequence)
-
-
-def purge(*, pc: int = 0, sequence: int = 0) -> Instruction:
-    """Build the MI6 ``purge`` instruction (Section 6.1)."""
-    return Instruction(kind=InstructionKind.PURGE, pc=pc, sequence=sequence)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from repro.common.lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(
+__all__, __getattr__ = lazy_exports(
     globals(),
     {
         "repro.lint.cli": ("add_lint_arguments", "command_lint"),

@@ -11,7 +11,7 @@ This rule forbids the two ways that contract silently breaks:
 * **wall-clock reads inside simulated-cycle code** — the packages that
   emit simulated-cycle spans (``service``, ``fleet``) must express all
   time as event-loop cycle counts.  Importing ``wall_time``/``wall_span``
-  there, or passing a wall-read into a ``sim_span``/``sim_event`` call,
+  there, or passing a wall-read into a ``sim_span`` call,
   mixes the two clock domains and diverges traced from untraced runs.
 
 ``repro/obs/`` itself is exempt (it owns the wall clock), and the
@@ -46,7 +46,7 @@ WALL_NAMES = frozenset(
 )
 
 #: Simulated-cycle span emitters whose arguments are checked.
-_SIM_EMITTERS = frozenset({"sim_span", "sim_event"})
+_SIM_EMITTERS = frozenset({"sim_span"})
 
 
 def _is_obs_import(module: SourceModule, name: str) -> bool:

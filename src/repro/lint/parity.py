@@ -13,7 +13,7 @@ comparison meaningful in every module importing
   ``*_slab`` lane its un-suffixed public twin) defined in the same
   class or module scope, and the twin must be reachable — referenced by
   a dispatcher, or the public default the fast lane overrides;
-* counter/histogram names registered on a fast lane must be a subset of
+* counter names registered on a fast lane must be a subset of
   its reference twin's, so the statistics a fast run reports can never
   include a counter the oracle path cannot produce (f-string names are
   compared with their interpolations normalised to ``{}``).
@@ -101,13 +101,13 @@ def _twin_candidates(name: str) -> List[str]:
 
 
 def _counter_names(function: ast.FunctionDef) -> Set[str]:
-    """Normalised counter/histogram name literals registered in a lane."""
+    """Normalised counter name literals registered in a lane."""
     names: Set[str] = set()
     for node in ast.walk(function):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("counter", "histogram")
+            and node.func.attr == "counter"
             and node.args
         ):
             literal = _normalise_literal(node.args[0])

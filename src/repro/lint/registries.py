@@ -28,7 +28,6 @@ from repro.lint.findings import Finding
 #: Registrar name -> path suffixes of the modules allowed to call it.
 OWNING_MODULES: Dict[str, Tuple[str, ...]] = {
     "register_policy": ("repro/service/schedulers.py",),
-    "register_scenario": ("repro/attacks/scenarios.py",),
     "register_mitigation": ("repro/core/mitigations.py",),
     "register_composition": ("repro/core/mitigations.py",),
     "register_arrival_profile": ("repro/service/arrivals.py",),

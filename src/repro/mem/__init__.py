@@ -23,22 +23,17 @@ depends on:
 
 from repro.common.lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(
+__all__, __getattr__ = lazy_exports(
     globals(),
     {
-        "repro.mem.address": ("AddressMap", "CacheGeometry", "IndexFunction", "dram_region_of"),
-        "repro.mem.cache": ("AccessResult", "SetAssociativeCache"),
+        "repro.mem.address": ("AddressMap", "CacheGeometry", "IndexFunction"),
+        "repro.mem.cache": ("SetAssociativeCache",),
         "repro.mem.dram": ("DramController",),
         "repro.mem.hierarchy": ("HierarchyAccess", "MemoryHierarchy"),
         "repro.mem.l1": ("L1Cache",),
         "repro.mem.llc": ("LastLevelCache",),
         "repro.mem.page_table": ("PageTable",),
-        "repro.mem.replacement": (
-            "LruPolicy",
-            "PseudoRandomPolicy",
-            "ReplacementPolicy",
-            "SelfCleaningLruPolicy",
-        ),
+        "repro.mem.replacement": ("LruPolicy", "PseudoRandomPolicy", "ReplacementPolicy"),
         "repro.mem.tlb": ("TranslationCache", "Tlb"),
     },
 )

@@ -71,10 +71,6 @@ class CacheGeometry:
         """Number of set-index bits."""
         return self._index_bits
 
-    def line_address(self, address: int) -> int:
-        """Cache-line address (the physical address without the offset)."""
-        return address >> self._offset_bits
-
 
 class IndexFunction(Enum):
     """How the LLC maps a line address to a set index."""
@@ -140,11 +136,6 @@ class AddressMap:
         return 0 <= physical_address < self.dram_bytes
 
 
-def dram_region_of(physical_address: int, address_map: AddressMap) -> int:
-    """Convenience wrapper mirroring the hardware DRAM-region extraction."""
-    return address_map.region_of(physical_address)
-
-
 class LlcIndexer:
     """Computes LLC set indices under the baseline or MI6 index function.
 
@@ -170,8 +161,6 @@ class LlcIndexer:
             raise ConfigurationError("region_index_bits must fit within the cache index")
         self._geometry = geometry
         self._address_map = address_map
-        self._index_function = index_function
-        self._region_index_bits = region_index_bits
         # Precomputed shifts and masks: set_index is called on every LLC
         # access, so the decomposition must not re-derive anything.
         self._offset_bits = geometry.offset_bits
@@ -183,11 +172,6 @@ class LlcIndexer:
         self._region_bytes = address_map.region_bytes
         self._dram_bytes = address_map.dram_bytes
         self._line_period = geometry.num_sets if self._baseline else 1 << self._low_bits
-
-    @property
-    def index_function(self) -> IndexFunction:
-        """Which index function this indexer implements."""
-        return self._index_function
 
     @property
     def geometry(self) -> CacheGeometry:
@@ -217,7 +201,3 @@ class LlcIndexer:
             self._address_map.region_of(physical_address)
         region_part = (physical_address // self._region_bytes) & self._region_mask
         return (region_part << self._low_bits) | (line & self._low_mask)
-
-    def tag(self, physical_address: int) -> int:
-        """Tag stored for a physical address (everything above the line offset)."""
-        return physical_address >> self._offset_bits

@@ -1,12 +1,12 @@
 """Generic set-associative cache model.
 
-The same structural model backs the L1 instruction/data caches, the L2
-TLB, and the functional view of the shared LLC.  It tracks tags, dirty
-bits, and an owner label per line.  The owner label (core ID or protection
-domain ID) is not something real hardware stores; it exists so the
-isolation checkers and the attack models can ask "whose line did this
-access evict?" — exactly the information a prime+probe attacker recovers
-through timing.
+The same structural model backs the L1 instruction/data caches and the
+tag array of the shared LLC.  It tracks tags, dirty bits, and an owner
+label per line: the protection domain that filled or last touched it,
+which real hardware does not store.  :meth:`SetAssociativeCache.access_parts`
+reports the owner of a line it evicts, but nothing a user runs reads the
+label back; the tests' layout-independent line projection
+(``tests/helpers.py``) compares it between the kernels.
 
 This module sits on the simulator's hottest path (every instruction fetch
 and data access lands here), so the access machinery avoids per-access
@@ -14,11 +14,11 @@ allocations: counter handles are cached after first use (registration
 stays lazy, so the set of counters a run reports is unchanged), the
 index/tag decomposition is a precomputed shift-and-mask whenever the
 default index and tag functions are in use (the L1s, and the LLC under
-the baseline index function), and the internal
-:meth:`SetAssociativeCache.access_parts` returns plain values that the L1
-and LLC wrappers consume without building an :class:`AccessResult`.
+the baseline index function), and :meth:`SetAssociativeCache.access_parts`
+returns a plain tuple.
 
-Two storage layouts back the same public API:
+Two storage layouts back the same entry points (``access_parts``,
+``invalidate_tag_range`` and ``flush_all``):
 
 * the reference layout — one :class:`CacheLine` object per line — is
   used when ``REPRO_SLOW_PATH=1`` selects the reference kernel;
@@ -32,8 +32,8 @@ Two storage layouts back the same public API:
   (since construction or the last flush) points at one shared, never
   written empty map, and gets a dict of its own on its first fill, so
   building or flushing a 1,024-set LLC allocates one list, not 1,024
-  dicts.  Lookups and invalidations only read an unfilled set's map;
-  warm-state capture and load keep the shared map for empty sets.
+  dicts.  A region scrub skips unfilled sets; warm-state capture and
+  load keep the shared map for empty sets.
   Replacement decisions consume the
   policy objects' own state (the LRU recency stacks, the pseudo-random
   RNG draw sequence) so every policy-visible effect — including which
@@ -62,7 +62,6 @@ from repro.mem.replacement import (
     LruPolicy,
     PseudoRandomPolicy,
     ReplacementPolicy,
-    SelfCleaningLruPolicy,
 )
 
 
@@ -78,27 +77,6 @@ class CacheLine:
     tag: int = 0
     dirty: bool = False
     owner: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of a cache access.
-
-    Attributes:
-        hit: Whether the access hit.
-        evicted_tag: Tag of the line that was evicted to make room, if any.
-        evicted_dirty: Whether the evicted line was dirty (needs writeback).
-        evicted_owner: Owner label of the evicted line, if any.
-        set_index: The set that was accessed.
-        way: The way that now holds the line.
-    """
-
-    hit: bool
-    set_index: int
-    way: int
-    evicted_tag: Optional[int] = None
-    evicted_dirty: bool = False
-    evicted_owner: Optional[int] = None
 
 
 class SetAssociativeCache:
@@ -145,11 +123,7 @@ class SetAssociativeCache:
         if (
             cls is SetAssociativeCache
             and not slow_path_enabled()
-            and (
-                policy_type is PseudoRandomPolicy
-                or policy_type is LruPolicy
-                or policy_type is SelfCleaningLruPolicy
-            )
+            and (policy_type is PseudoRandomPolicy or policy_type is LruPolicy)
         ):
             cls = _SlabCache
         return super().__new__(cls)
@@ -207,7 +181,6 @@ class SetAssociativeCache:
         self._ways = geometry.ways
         self._ways_bits = geometry.ways.bit_length()
         self._lru_stacks: Optional[List[Union[bytes, bytearray]]] = None
-        self._self_cleaning = policy_type is SelfCleaningLruPolicy
         self._randbelow: Optional[Callable[[int], int]] = None
         self._victim_getrandbits: Optional[Callable[[int], int]] = None
         if self._uses_slabs:
@@ -242,30 +215,6 @@ class SetAssociativeCache:
                 for _ in range(geometry.num_sets)
             ]
 
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry used by this cache."""
-        return self._stats
-
-    @property
-    def policy(self) -> ReplacementPolicy:
-        """Replacement policy instance."""
-        return self._policy
-
-    def set_index(self, physical_address: int) -> int:
-        """Set index a physical address maps to."""
-        return self._index_for(physical_address)
-
-    def lookup(self, physical_address: int) -> bool:
-        """Probe the cache without modifying any state.
-
-        Returns True on a hit.  Used by attack models (probing) and by the
-        isolation checker.
-        """
-        set_index = self._index_for(physical_address)
-        tag = self._tag_for(physical_address)
-        return any(line.valid and line.tag == tag for line in self._sets[set_index])
-
     def access_parts(
         self,
         physical_address: int,
@@ -276,9 +225,8 @@ class SetAssociativeCache:
         """Perform an access, allocating on a miss; return plain values.
 
         Returns ``(hit, set_index, way, evicted_tag, evicted_dirty,
-        evicted_owner)`` — the same information as :meth:`access` without
-        constructing an :class:`AccessResult`.  This is the hot entry
-        point used by the L1 and LLC wrappers and the memory hierarchy.
+        evicted_owner)``.  This is the entry point of the L1 and LLC
+        wrappers and the memory hierarchy.
         """
         set_index = self._index_for(physical_address)
         tag = self._tag_for(physical_address)
@@ -333,40 +281,11 @@ class SetAssociativeCache:
             self._touch(set_index, victim_way)
         return (False, set_index, victim_way, evicted_tag, evicted_dirty, evicted_owner)
 
-    def access(
-        self,
-        physical_address: int,
-        *,
-        is_write: bool = False,
-        owner: Optional[int] = None,
-        allocate: bool = True,
-    ) -> AccessResult:
-        """Perform an access, allocating on a miss.
-
-        Returns an :class:`AccessResult` describing the hit/miss and any
-        eviction the fill caused.
-        """
-        hit, set_index, way, evicted_tag, evicted_dirty, evicted_owner = self.access_parts(
-            physical_address, is_write=is_write, owner=owner, allocate=allocate
-        )
-        return AccessResult(
-            hit=hit,
-            set_index=set_index,
-            way=way,
-            evicted_tag=evicted_tag,
-            evicted_dirty=evicted_dirty,
-            evicted_owner=evicted_owner,
-        )
-
     # ------------------------------------------------------------------
     # Slab (flat-array) fast path.  Same observable behaviour as the
     # reference methods above: identical counters, identical policy-state
     # transitions, identical RNG draw sequence.  They are the public
     # entry points of :class:`_SlabCache` (fast kernel only).
-
-    def _lookup_slab(self, physical_address: int) -> bool:
-        tag = self._tag_for(physical_address)
-        return tag in self._tag_maps[self._index_for(physical_address)]
 
     def _access_parts_slab(
         self,
@@ -478,25 +397,6 @@ class SetAssociativeCache:
                 stack.insert(0, victim_way)
         return (False, set_index, victim_way, evicted_tag, evicted_dirty, evicted_owner)
 
-    def _invalidate_address_slab(self, physical_address: int) -> bool:
-        set_index = self._index_for(physical_address)
-        tag = self._tag_for(physical_address)
-        tag_map = self._tag_maps[set_index]
-        way = tag_map.get(tag)
-        if way is None:
-            return False
-        del tag_map[tag]
-        slot = set_index * self._ways + way
-        self._slab_tags[slot] = None
-        self._slab_dirty[slot] = False
-        self._slab_owners[slot] = None
-        remaining = self._valid_counts[set_index] - 1
-        self._valid_counts[set_index] = remaining
-        self._policy.invalidate(set_index, way)
-        if self._self_cleaning and remaining == 0:
-            self._policy.note_set_empty(set_index)
-        return True
-
     def _invalidate_tag_range_slab(self, low_tag: int, high_tag: int) -> int:
         """Slab twin of :meth:`invalidate_tag_range`.
 
@@ -530,8 +430,6 @@ class SetAssociativeCache:
                 owners[slot] = None
                 remaining -= 1
                 invalidate(set_index, way)
-                if self._self_cleaning and remaining == 0:
-                    self._policy.note_set_empty(set_index)
             if remaining != count:
                 valid_counts[set_index] = remaining
                 invalidated += count - remaining
@@ -563,26 +461,13 @@ class SetAssociativeCache:
 
     # ------------------------------------------------------------------
 
-    def invalidate_address(self, physical_address: int) -> bool:
-        """Invalidate the line holding ``physical_address`` if present."""
-        set_index = self._index_for(physical_address)
-        tag = self._tag_for(physical_address)
-        lines = self._sets[set_index]
-        for way, line in enumerate(lines):
-            if line.valid and line.tag == tag:
-                lines[way] = CacheLine()
-                self._policy.invalidate(set_index, way)
-                self._note_if_set_empty(set_index)
-                return True
-        return False
-
     def invalidate_tag_range(self, low_tag: int, high_tag: int) -> int:
         """Invalidate every line whose tag lies in ``[low_tag, high_tag)``.
 
         Lines are visited set by set and way by way, ascending, and each
-        one is invalidated exactly as :meth:`invalidate_address` would,
-        so the replacement state afterwards is that of a line-by-line
-        scrub.  Returns the number of lines invalidated.
+        one's way is reported to the replacement policy as it goes, so
+        the replacement state afterwards is that of a line-by-line scrub.
+        Returns the number of lines invalidated.
         """
         invalidated = 0
         for set_index, lines in enumerate(self._sets):
@@ -590,7 +475,6 @@ class SetAssociativeCache:
                 if line.valid and low_tag <= line.tag < high_tag:
                     lines[way] = CacheLine()
                     self._policy.invalidate(set_index, way)
-                    self._note_if_set_empty(set_index)
                     invalidated += 1
         return invalidated
 
@@ -611,63 +495,6 @@ class SetAssociativeCache:
         self._stats.counter(f"{self.name}.flush_lines").increment(flushed)
         return flushed
 
-    def valid_line_count(self) -> int:
-        """Number of valid lines currently held."""
-        if self._sets is None:
-            return sum(self._valid_counts)
-        return sum(1 for lines in self._sets for line in lines if line.valid)
-
-    def occupancy_by_owner(self) -> dict:
-        """Number of valid lines per owner label (isolation diagnostics)."""
-        occupancy: dict = {}
-        if self._sets is None:
-            owners = self._slab_owners
-            for slot, tag in enumerate(self._slab_tags):
-                if tag is not None:
-                    owner = owners[slot]
-                    occupancy[owner] = occupancy.get(owner, 0) + 1
-            return occupancy
-        for lines in self._sets:
-            for line in lines:
-                if line.valid:
-                    occupancy[line.owner] = occupancy.get(line.owner, 0) + 1
-        return occupancy
-
-    def set_contents(self, set_index: int) -> List[CacheLine]:
-        """Copy of the lines in one set (tests and attack models)."""
-        if self._sets is None:
-            base = set_index * self._ways
-            return [
-                CacheLine(
-                    self._slab_tags[slot] is not None,
-                    self._slab_tags[slot] if self._slab_tags[slot] is not None else 0,
-                    self._slab_dirty[slot],
-                    self._slab_owners[slot],
-                )
-                for slot in range(base, base + self._ways)
-            ]
-        return [CacheLine(line.valid, line.tag, line.dirty, line.owner) for line in self._sets[set_index]]
-
-    def _note_if_set_empty(self, set_index: int) -> None:
-        if isinstance(self._policy, SelfCleaningLruPolicy):
-            if not any(line.valid for line in self._sets[set_index]):
-                self._policy.note_set_empty(set_index)
-
-    @property
-    def miss_count(self) -> int:
-        """Total misses recorded so far."""
-        return self._stats.value(f"{self.name}.miss")
-
-    @property
-    def hit_count(self) -> int:
-        """Total hits recorded so far."""
-        return self._stats.value(f"{self.name}.hit")
-
-    @property
-    def access_count(self) -> int:
-        """Total accesses recorded so far."""
-        return self._stats.value(f"{self.name}.access")
-
 
 class _SlabCache(SetAssociativeCache):
     """The slab layout: the ``*_slab`` lanes as public entry points.
@@ -681,8 +508,6 @@ class _SlabCache(SetAssociativeCache):
     _uses_slabs = True
 
     access_parts = SetAssociativeCache._access_parts_slab  # type: ignore[assignment]
-    lookup = SetAssociativeCache._lookup_slab  # type: ignore[assignment]
-    invalidate_address = SetAssociativeCache._invalidate_address_slab  # type: ignore[assignment]
     invalidate_tag_range = SetAssociativeCache._invalidate_tag_range_slab  # type: ignore[assignment]
     flush_all = SetAssociativeCache._flush_all_slab  # type: ignore[assignment]
 

@@ -6,11 +6,12 @@ requests (24).  Section 5.2 explains why MI6 requires either this constant
 latency or a protection-domain-aware scheduler: a reordering controller
 lets one domain's bank locality change another domain's request timing.
 
-The model exposes two interfaces: a scalar ``latency`` used by the
-approximate core timing model, and a request queue with completion times
-used by the detailed LLC model.  An optional bank-reordering mode is
-provided so tests and examples can demonstrate the timing leak the
-constant-latency design avoids.
+The approximate core timing model reads the fixed latency from
+``DramConfig.latency_cycles``; the detailed LLC model submits requests
+to the controller's queue and reads their completion times.  The
+bank-reordering mode (``constant_latency=False``) that would show the
+timing leak the constant-latency design avoids is built by no run; it
+waits on ROADMAP item 7 with the other modelled features no run builds.
 """
 
 from __future__ import annotations
@@ -66,16 +67,6 @@ class DramController:
         self._c_requests: Optional[Counter] = None
         self._c_reads: Optional[Counter] = None
         self._c_writes: Optional[Counter] = None
-
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry used by this controller."""
-        return self._stats
-
-    @property
-    def latency(self) -> int:
-        """Constant access latency in cycles."""
-        return self.config.latency_cycles
 
     @property
     def max_outstanding(self) -> int:
@@ -155,8 +146,3 @@ class DramController:
             self._stats.counter("dram.row_hits").increment()
             return self.config.row_hit_latency_cycles
         return self.config.latency_cycles
-
-    def reset(self) -> None:
-        """Drop all in-flight requests and row-buffer state."""
-        self._in_flight.clear()
-        self._last_bank_row.clear()

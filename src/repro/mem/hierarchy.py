@@ -138,11 +138,6 @@ class MemoryHierarchy:
         self._c_data_llc_access: Optional[object] = None
         self._c_ptw_llc_access: Optional[object] = None
 
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry used by this hierarchy."""
-        return self._stats
-
     # ------------------------------------------------------------------
     # Translation
 

@@ -1,7 +1,8 @@
 """Private L1 instruction and data caches.
 
-RiscyOO's L1 caches (Figure 4) are 32 KB, 8-way associative, 64 B lines,
-with up to 8 outstanding requests each.  They are core private, coherent
+RiscyOO's L1 caches (Figure 4) are 32 KB, 8-way associative, 64 B lines.
+(Figure 4 also gives each 8 outstanding requests; no kernel bounds
+them.)  They are core private, coherent
 with the inclusive LLC, and time-shared between the programs scheduled on
 the core — which is why the purge instruction must flush them
 (Section 6.1).  Flushing proceeds one line per cycle because the MSI
@@ -16,7 +17,7 @@ from typing import Optional
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
 from repro.mem.address import CacheGeometry
-from repro.mem.cache import AccessResult, SetAssociativeCache
+from repro.mem.cache import SetAssociativeCache
 from repro.mem.replacement import PseudoRandomPolicy
 
 
@@ -27,7 +28,6 @@ class L1Cache:
         name: Statistics prefix (``"l1i"`` / ``"l1d"``).
         geometry: Cache geometry (defaults to the Figure 4 configuration).
         hit_latency: Load-to-use latency on a hit, in cycles.
-        max_requests: Maximum outstanding misses (Figure 4: 8).
         rng: Random source for the pseudo-random replacement policy.
         stats: Statistics registry.
     """
@@ -41,30 +41,22 @@ class L1Cache:
         geometry: Optional[CacheGeometry] = None,
         *,
         hit_latency: int = 2,
-        max_requests: int = 8,
         rng: Optional[DeterministicRng] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
         self.name = name
         self.geometry = geometry or CacheGeometry(size_bytes=32 * 1024, ways=8, line_bytes=64)
         self.hit_latency = hit_latency
-        self.max_requests = max_requests
-        self._stats = stats or StatsRegistry()
         policy_rng = (rng or DeterministicRng(0)).fork(name, "replacement")
         self._cache = SetAssociativeCache(
             name=name,
             geometry=self.geometry,
             policy=PseudoRandomPolicy(policy_rng),
-            stats=self._stats,
+            stats=stats,
         )
         # Hot handle for the hierarchy: the tag array's access entry
         # point (the slab-backed implementation in the fast kernel).
         self.access_parts = self._cache.access_parts
-
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry used by this cache."""
-        return self._stats
 
     @property
     def cache(self) -> SetAssociativeCache:
@@ -75,14 +67,6 @@ class L1Cache:
     def num_lines(self) -> int:
         """Total number of cache lines (512 for the Figure 4 geometry)."""
         return self.geometry.num_sets * self.geometry.ways
-
-    def access(self, physical_address: int, *, is_write: bool = False, owner: Optional[int] = None) -> AccessResult:
-        """Access the cache, allocating on a miss."""
-        return self._cache.access(physical_address, is_write=is_write, owner=owner)
-
-    def lookup(self, physical_address: int) -> bool:
-        """Probe without modifying state (attack models)."""
-        return self._cache.lookup(physical_address)
 
     def flush_all(self) -> int:
         """Invalidate every line; returns the number of valid lines flushed."""
@@ -97,13 +81,3 @@ class L1Cache:
         data-independent duration).
         """
         return self.num_lines // self.FLUSH_LINES_PER_CYCLE
-
-    @property
-    def miss_count(self) -> int:
-        """Total misses recorded so far."""
-        return self._cache.miss_count
-
-    @property
-    def access_count(self) -> int:
-        """Total accesses recorded so far."""
-        return self._cache.access_count

@@ -11,15 +11,18 @@ captures the properties the evaluation depends on:
 * an extra pipeline-entry latency that models the round-robin arbiter of
   the MI6 LLC (Figure 11, ``N/2`` cycles for an ``N``-core machine).
 
+The memory hierarchy reaches it through :meth:`LastLevelCache.access_parts`
+(and the warm-up lane, which applies the same effects in place); the
+monitor scrubs a region's lines with :meth:`LastLevelCache.scrub_region_sets`.
+
 The message-level microarchitecture of the LLC (UQ/DQ FIFOs, Downgrade-L1
 logic, retry bit, per-core entry muxes) lives in
-:mod:`repro.mem.llc_detail` and is used for the strong-timing-independence
-demonstrations rather than for the SPEC-style overhead runs.
+:mod:`repro.mem.llc_detail` and is used by the co-scheduled attack
+scenarios rather than by the SPEC-style overhead runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.rng import DeterministicRng
@@ -29,30 +32,6 @@ from repro.mem.address import AddressMap, IndexFunction, LlcIndexer
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.dram import DramController
 from repro.mem.replacement import LruPolicy
-
-
-@dataclass(frozen=True)
-class LlcAccessOutcome:
-    """Result of one LLC access by the timing model.
-
-    Attributes:
-        hit: True if the line was resident.
-        latency: Cycles from the L1 miss reaching the LLC to data return,
-            excluding any MSHR-availability waiting (the core model adds
-            that because it depends on what else is in flight).
-        set_index: LLC set accessed.
-        bank: MSHR bank the request would occupy on a miss.
-        writeback: True if the fill evicted a dirty line (two DRAM
-            requests instead of one).
-        evicted_owner: Owner label of the evicted line, if any.
-    """
-
-    hit: bool
-    latency: int
-    set_index: int
-    bank: int
-    writeback: bool = False
-    evicted_owner: Optional[int] = None
 
 
 class LastLevelCache:
@@ -117,11 +96,6 @@ class LastLevelCache:
         self._c_replacement_writeback: Optional[object] = None
 
     @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry used by this cache."""
-        return self._stats
-
-    @property
     def cache(self) -> SetAssociativeCache:
         """Underlying tag-array model."""
         return self._cache
@@ -145,9 +119,10 @@ class LastLevelCache:
         """Access the LLC; return plain ``(hit, latency, set_index, bank,
         writeback, evicted_owner)`` values.
 
-        Hot entry point used by the memory hierarchy: identical state and
-        statistics effects to :meth:`access` without constructing an
-        :class:`LlcAccessOutcome`.
+        The latency includes the arbiter's extra pipeline-entry latency
+        and the DRAM latency on a miss, but not MSHR-availability stalls:
+        the core timing model accounts for those because they depend on
+        the misses already outstanding.
         """
         hit, set_index, _way, _tag, evicted_dirty, evicted_owner = self._cache_access_parts(
             physical_address, is_write, owner
@@ -165,37 +140,6 @@ class LastLevelCache:
                 )
             counter.value += 1
         return (False, latency, set_index, bank, evicted_dirty, evicted_owner)
-
-    def access(
-        self,
-        physical_address: int,
-        *,
-        is_write: bool = False,
-        core: int = 0,
-        owner: Optional[int] = None,
-    ) -> LlcAccessOutcome:
-        """Access the LLC and return the hit/miss outcome and base latency.
-
-        The latency includes the arbiter's extra pipeline-entry latency and
-        the DRAM latency on a miss, but not MSHR-availability stalls: the
-        core timing model accounts for those because they depend on the
-        set of misses already outstanding.
-        """
-        hit, latency, set_index, bank, writeback, evicted_owner = self.access_parts(
-            physical_address, is_write=is_write, core=core, owner=owner
-        )
-        return LlcAccessOutcome(
-            hit=hit,
-            latency=latency,
-            set_index=set_index,
-            bank=bank,
-            writeback=writeback,
-            evicted_owner=evicted_owner,
-        )
-
-    def lookup(self, physical_address: int) -> bool:
-        """Probe the tag array without modifying state (attack models)."""
-        return self._cache.lookup(physical_address)
 
     def scrub_region_sets(self, region: int) -> int:
         """Invalidate every line whose address belongs to ``region``.
@@ -217,13 +161,3 @@ class LastLevelCache:
         scrubbed = self._cache.invalidate_tag_range(low_tag, high_tag)
         self._stats.counter("llc.region_scrub_lines").increment(scrubbed)
         return scrubbed
-
-    @property
-    def miss_count(self) -> int:
-        """Total misses recorded so far."""
-        return self._cache.miss_count
-
-    @property
-    def access_count(self) -> int:
-        """Total accesses recorded so far."""
-        return self._cache.access_count

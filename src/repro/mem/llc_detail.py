@@ -294,11 +294,6 @@ class DetailedLlc:
         self._arbitrate_pipeline_entry()
         self.cycle = cycle + 1
 
-    def outstanding(self) -> int:
-        """Number of requests injected but not yet completed."""
-        queued = sum(len(queue) for queue in self._upgrade_in)
-        return queued + len(self._mshrs)
-
     def next_event_cycle(self) -> Optional[int]:
         """Earliest cycle (>= the current one) at which ``step`` can do work.
 

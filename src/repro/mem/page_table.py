@@ -25,7 +25,7 @@ class PageTable:
     inserted: ``mappings`` is built from them the first time anything
     reads it, with the same keys, values and insertion order as inserting
     each range when it was mapped.  Every reader and writer of the table
-    (:meth:`map_page`, :meth:`unmap_page`, :meth:`translate`, the memory
+    (:meth:`map_page`, :meth:`translate`, the memory
     hierarchy and the core's fused lanes) goes through that read, so a
     table nothing translates through, like the OS table of a serving
     machine, never builds its dict.
@@ -77,29 +77,9 @@ class PageTable:
             state["_identity_ranges"] = []
         state["_identity_ranges"].append((first_page, num_pages))
 
-    def unmap_page(self, virtual_address: int) -> None:
-        """Remove the mapping for the page containing ``virtual_address``."""
-        self.mappings.pop(virtual_address // self.page_bytes, None)
-
     def translate(self, virtual_address: int) -> Optional[int]:
         """Translate a virtual address, or None if unmapped (page fault)."""
         ppn = self.mappings.get(virtual_address // self.page_bytes)
         if ppn is None:
             return None
         return ppn * self.page_bytes + (virtual_address % self.page_bytes)
-
-    @classmethod
-    def identity(cls, size_bytes: int, page_bytes: int = 4096, asid: int = 0) -> PageTable:
-        """Identity page table covering ``size_bytes`` of physical memory.
-
-        The untrusted OS uses such a table (Section 6.2) so that it can
-        address physical memory transparently while still executing with
-        virtual memory on.
-        """
-        table = cls(asid=asid, page_bytes=page_bytes)
-        table.map_identity_pages(0, size_bytes // page_bytes)
-        return table
-
-    def mapped_physical_pages(self) -> set:
-        """Set of physical page numbers this table maps."""
-        return set(self.mappings.values())

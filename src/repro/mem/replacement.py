@@ -1,16 +1,13 @@
 """Cache replacement policies.
 
-Three policies are modelled because the paper relies on their specific
-properties for the purge analysis (Section 6.1):
+Two policies are modelled:
 
 * RiscyOO's L1 caches use a *pseudo-random* replacement policy with no
-  replacement state, so scrubbing the tags is enough;
-* the TLBs and translation caches use an LRU policy that is
-  *self-cleaning*: once a set is emptied, refills happen in a fixed order,
-  so priming the structure scrubs the replacement state;
-* a plain LRU policy is provided for experiments that want one.
+  replacement state, so the purge need only scrub the tags (Section 6.1);
+* the shared LLC, and the detailed LLC's tag array, keep a plain LRU
+  recency order.
 
-The LRU policies' recency stacks are built on first touch: every set
+The LRU policy's recency stacks are built on first touch: every set
 shares one immutable initial stack until a touch reorders it (see
 :class:`LruPolicy`), so the shared LLC's 1,024-set policy costs one list
 to build and to reset.
@@ -97,12 +94,11 @@ class LruPolicy(ReplacementPolicy):
     and the 1,024 stacks of an LLC are objects the cyclic garbage
     collector does not track.  Every set starts on one shared, immutable
     ``bytes`` stack in the initial order and gets a ``bytearray`` of its
-    own on the first touch that reorders it; :meth:`reset` and
-    :meth:`SelfCleaningLruPolicy.note_set_empty` put the shared stack
-    back.  So a policy that most sets never touch allocates one list,
-    and every site that mutates a stack in place (here and in the slab
-    cache's and the warm-up lane's LRU access) copies the shared one
-    first.
+    own on the first touch that reorders it; :meth:`reset` puts the
+    shared stack back.  So a policy that most sets never touch allocates
+    one list, and every site that mutates a stack in place (here and in
+    the slab cache's and the warm-up lane's LRU access) copies the
+    shared one first.
     """
 
     def __init__(self, num_sets: int, ways: int) -> None:
@@ -144,20 +140,5 @@ class LruPolicy(ReplacementPolicy):
         self._stacks[:] = repeat(self._initial_stack, self._num_sets)
 
     def recency_order(self, set_index: int) -> List[int]:
-        """Most- to least-recently-used way order (exposed for tests)."""
+        """Most- to least-recently-used way order."""
         return list(self._stacks[set_index])
-
-
-class SelfCleaningLruPolicy(LruPolicy):
-    """LRU policy with the self-cleaning fill property of RiscyOO's TLBs.
-
-    Section 6.1: "when no line's data is present in a set, new lines are
-    filled in a pre-defined order; the act of filling an LRU cache to
-    prime it for eviction scrubs private information in the replacement
-    state."  We model this by resetting a set's recency stack to the
-    canonical order whenever its last valid line is invalidated.
-    """
-
-    def note_set_empty(self, set_index: int) -> None:
-        """Restore the canonical fill order for an empty set."""
-        self._stacks[set_index] = self._initial_stack

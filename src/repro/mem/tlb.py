@@ -61,21 +61,11 @@ class Tlb:
         self._c_miss: Optional[object] = None
         self._c_flush_entries: Optional[object] = None
 
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry used by this TLB."""
-        return self._stats
-
     def _vpn(self, virtual_address: int) -> int:
         return virtual_address // self.page_bytes
 
     def _set_of(self, vpn: int) -> int:
         return vpn % self.num_sets
-
-    def lookup(self, virtual_address: int) -> bool:
-        """Probe without refilling; True on a hit."""
-        vpn = self._vpn(virtual_address)
-        return vpn in self._sets[self._set_of(vpn)]
 
     def access(self, virtual_address: int, asid: int = 0) -> bool:
         """Translate ``virtual_address``; refill on a miss.  True on a hit."""
@@ -151,20 +141,6 @@ class Tlb:
         self._sets = [list(entries) if entries else () for entries in sets]
         self._asid_of = dict(asid_of)
 
-    def resident_entries(self) -> int:
-        """Number of translations currently resident.
-
-        Every resident VPN has exactly one ASID entry (a VPN maps to one
-        set and appears there at most once), so this is the ASID map's
-        size.
-        """
-        return len(self._asid_of)
-
-    @property
-    def miss_count(self) -> int:
-        """Total misses recorded so far."""
-        return self._stats.value(f"{self.name}.miss")
-
 
 class TranslationCache:
     """Cache of intermediate page-table-walk steps.
@@ -191,11 +167,6 @@ class TranslationCache:
         self._c_hit: Optional[object] = None
         self._c_miss: Optional[object] = None
         self._c_flush_entries: Optional[object] = None
-
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry used by this translation cache."""
-        return self._stats
 
     def deepest_hit_level(self, virtual_address: int, page_bytes: int = 4096) -> int:
         """Deepest walk level whose intermediate entry is cached.

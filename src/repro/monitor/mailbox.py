@@ -54,10 +54,6 @@ class Mailbox:
             return None
         return self._messages.pop(0)
 
-    def pending(self) -> int:
-        """Number of undelivered messages."""
-        return len(self._messages)
-
 
 class MailboxDirectory:
     """All mailboxes in the system, keyed by owner id."""

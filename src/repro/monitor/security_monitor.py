@@ -16,8 +16,9 @@ untrusted OS, enforcing the invariants of Section 6.2:
 * all cross-domain communication goes through the monitor's mailbox and
   privileged-memcopy primitives, never through shared memory;
 * while executing, the monitor restricts its own instruction fetch to its
-  text and disables speculation (modelled via the machine-mode fetch range
-  and the NONSPEC execution mode of the core model).
+  text and disables speculation.  No run simulates the monitor's own
+  instructions, so the model charges neither (no kernel reads
+  ``MI6Config.machine_mode_fetch_restricted``).
 """
 
 from __future__ import annotations

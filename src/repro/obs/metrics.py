@@ -90,17 +90,12 @@ class Counter:
 
 
 class Gauge:
-    """A settable value, or a live callback read at collection time."""
+    """A live callback read at collection time (0 until one is set)."""
 
-    __slots__ = ("_value", "_function")
+    __slots__ = ("_function",)
 
     def __init__(self) -> None:
-        self._value = 0.0
         self._function: Optional[Callable[[], float]] = None
-
-    def set(self, value: float) -> None:
-        self._function = None
-        self._value = value
 
     def set_function(self, function: Callable[[], float]) -> None:
         """Source the value from ``function()`` at every collection."""
@@ -110,7 +105,7 @@ class Gauge:
     def value(self) -> float:
         if self._function is not None:
             return float(self._function())
-        return self._value
+        return 0.0
 
 
 class Histogram:
@@ -191,9 +186,6 @@ class MetricFamily:
 
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().inc(amount)
-
-    def set(self, value: float) -> None:
-        self._default_child().set(value)
 
     def set_function(self, function: Callable[[], float]) -> None:
         self._default_child().set_function(function)

@@ -139,10 +139,6 @@ class Tracer:
         with self._lock:
             self._spans.append(span)
 
-    def sim_event(self, name: str, track: str, at: int, **args: Any) -> None:
-        """Record an instant event at simulated cycle ``at``."""
-        self.sim_span(name, track, at, at, **args)
-
     def wall_span(
         self, name: str, track: str, start: float, end: float, **args: Any
     ) -> None:

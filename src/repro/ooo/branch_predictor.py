@@ -70,11 +70,6 @@ class TournamentPredictor:
         self._c_lookups: Optional[object] = None
         self._c_mispredictions: Optional[object] = None
 
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry used by this predictor."""
-        return self._stats
-
     # ------------------------------------------------------------------
     # Prediction / update
 
@@ -176,18 +171,3 @@ class TournamentPredictor:
             len(self._local_counters), len(self._global_counters), len(self._choice_counters)
         )
         return largest_table // self.FLUSH_ENTRIES_PER_CYCLE
-
-    def snapshot(self) -> tuple:
-        """Hashable snapshot of all predictor state (for purge audits)."""
-        return (
-            tuple(self._local_history),
-            tuple(self._local_counters),
-            tuple(self._global_counters),
-            tuple(self._choice_counters),
-            self._global_history,
-        )
-
-    @property
-    def misprediction_count(self) -> int:
-        """Total mispredictions recorded so far."""
-        return self._stats.value("bp.mispredictions")

@@ -57,14 +57,6 @@ class BranchTargetBuffer:
         self._targets = [0] * self.entries
         self._stats.counter("btb.flushes").increment()
 
-    def resident_entries(self) -> int:
-        """Number of valid entries."""
-        return sum(1 for tag in self._tags if tag is not None)
-
-    def snapshot(self) -> tuple:
-        """Hashable snapshot of all BTB state (for purge audits)."""
-        return (tuple(self._tags), tuple(self._targets))
-
 
 class ReturnAddressStack:
     """Fixed-depth return-address stack."""
@@ -92,10 +84,3 @@ class ReturnAddressStack:
         """Scrub the stack (purge)."""
         self._stack.clear()
         self._stats.counter("ras.flushes").increment()
-
-    def snapshot(self) -> tuple:
-        """Hashable snapshot of the stack contents (for purge audits)."""
-        return tuple(self._stack)
-
-    def __len__(self) -> int:
-        return len(self._stack)

@@ -119,19 +119,16 @@ class OutOfOrderCore:
         hierarchy: MemoryHierarchy,
         config: Optional[CoreConfig] = None,
         *,
-        stats: Optional[StatsRegistry] = None,
+        stats: StatsRegistry,
         purge_callback: Optional[Callable[[], int]] = None,
     ) -> None:
         self.config = config or CoreConfig()
         self.hierarchy = hierarchy
-        self.stats = stats if stats is not None else hierarchy.stats
+        self.stats = stats
         self.purge_callback = purge_callback
         self.frontend = FrontEnd(hierarchy, fetch_width=self.config.fetch_width, stats=self.stats)
-        self._trap_hooks: List[Callable[[TrapCause], None]] = []
-
-    def add_trap_hook(self, hook: Callable[[TrapCause], None]) -> None:
-        """Register a callback invoked (functionally) on every trap."""
-        self._trap_hooks.append(hook)
+        #: Callbacks invoked (functionally) with the cause of every trap.
+        self.trap_hooks: List[Callable[[TrapCause], None]] = []
 
     # ------------------------------------------------------------------
 
@@ -304,7 +301,7 @@ class OutOfOrderCore:
                 counter_traps.increment()
                 if trap_cause is TrapCause.SYSCALL:
                     counter_syscalls.increment()
-                for hook in self._trap_hooks:
+                for hook in self.trap_hooks:
                     hook(trap_cause)
                 penalty = config.trap_redirect_penalty + config.trap_handler_cycles
                 if config.flush_on_trap and self.purge_callback is not None:
@@ -434,8 +431,7 @@ class OutOfOrderCore:
         callback, which clears the fetch line via ``flush_predictors``)
         and when the run ends.  The hierarchy context, the region memo
         and the L1 and BTB lists come from :meth:`_lane_context`, read
-        again after those callbacks.  ``fetch_range`` is bound once:
-        nothing changes it mid-run.
+        again after those callbacks.
         """
         config = self.config
         stats = self.stats
@@ -448,7 +444,6 @@ class OutOfOrderCore:
         ras_push = frontend.ras.push
         ras_pop = frontend.ras.pop
         fetch_width = frontend.fetch_width
-        fetch_range = frontend.fetch_range
         line_bytes = frontend._line_bytes
         l1i_hit_latency = frontend._l1i_hit_latency
         btb_miss_bubble = frontend.BTB_MISS_BUBBLE
@@ -502,7 +497,7 @@ class OutOfOrderCore:
         trap_interval = config.trap_interval_instructions
         trap_base_penalty = config.trap_redirect_penalty + config.trap_handler_cycles
         flush_on_trap = config.flush_on_trap
-        trap_hooks = self._trap_hooks
+        trap_hooks = self.trap_hooks
 
         STORE = InstructionKind.STORE
         BRANCH = InstructionKind.BRANCH
@@ -548,7 +543,6 @@ class OutOfOrderCore:
         counter_mshr_wait = stats.counter("core.mshr_wait_cycles")
         counter_mispredict_redirects = stats.counter("core.mispredict_redirects")
         stats.counter("frontend.fetched")
-        counter_range_violations = None
         counter_ras_mispredicts = None
         counter_branch_mispredicts = None
         counter_target_mispredicts = None
@@ -571,14 +565,6 @@ class OutOfOrderCore:
                 if fe_slots >= fetch_width:
                     fe_cycle += 1
                     fe_slots = 0
-                if fetch_range is not None:
-                    range_low, range_high = fetch_range
-                    if not (range_low <= pc < range_high):
-                        if counter_range_violations is None:
-                            counter_range_violations = stats.counter(
-                                "frontend.fetch_range_violations"
-                            )
-                        counter_range_violations.value += 1
                 line = pc // line_bytes
                 if line != fe_line:
                     fe_line = line

@@ -62,19 +62,10 @@ class FrontEnd:
         self._current_cycle = 0
         self._slots_used = 0
         self._last_fetch_line: Optional[int] = None
-        # Machine-mode fetch restriction (Section 6.2): when set, fetches
-        # outside [lo, hi) are refused and the restriction violation is
-        # counted instead of being emitted to the memory system.
-        self.fetch_range: Optional[tuple] = None
         # Hot-path constants for the fast core loop, which inlines
         # fetch and control resolution.
         self._line_bytes = hierarchy.l1i.geometry.line_bytes
         self._l1i_hit_latency = hierarchy.l1i.hit_latency
-
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry used by the front end."""
-        return self._stats
 
     def redirect(self, cycle: int) -> None:
         """Squash the fetch stream and resume fetching at ``cycle``."""
@@ -91,12 +82,6 @@ class FrontEnd:
         if self._slots_used >= self.fetch_width:
             self._current_cycle += 1
             self._slots_used = 0
-
-        # Machine-mode fetch-range check.
-        if self.fetch_range is not None:
-            low, high = self.fetch_range
-            if not (low <= instruction.pc < high):
-                self._stats.counter("frontend.fetch_range_violations").increment()
 
         icache_miss = False
         line = instruction.pc // self.hierarchy.l1i.geometry.line_bytes

@@ -46,7 +46,6 @@ class CoreComplex:
     purge_count: int = 0
     purge_stall_cycles: int = 0
     enforce_protection: bool = True
-    machine_mode_fetch_range: Optional[tuple] = None
 
     def install_domain(self, domain: Optional[ProtectionDomain]) -> None:
         """Install (or clear) the protection domain running on this core."""

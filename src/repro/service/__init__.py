@@ -32,7 +32,7 @@ simulation.
 
 from repro.common.lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(
+__all__, __getattr__ = lazy_exports(
     globals(),
     {
         "repro.common.defaults": (
@@ -45,7 +45,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "LOAD_PROFILES",
             "Arrival",
             "generate_arrivals",
-            "profile_description",
             "profile_names",
             "register_arrival_profile",
         ),

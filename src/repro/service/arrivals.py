@@ -72,12 +72,9 @@ def exponential_gap(rng: DeterministicRng, mean_gap: float) -> int:
 ArrivalGenerator = Callable[[DeterministicRng, int, int, int], List[Arrival]]
 
 _PROFILES: Dict[str, ArrivalGenerator] = {}
-_PROFILE_DESCRIPTIONS: Dict[str, str] = {}
 
 
-def register_arrival_profile(
-    name: str, generator: ArrivalGenerator, description: str
-) -> None:
+def register_arrival_profile(name: str, generator: ArrivalGenerator) -> None:
     """Register an arrival profile under ``name``.
 
     The generator must be a pure function of its arguments (all
@@ -90,17 +87,11 @@ def register_arrival_profile(
     if key in _PROFILES:
         raise ConfigurationError(f"arrival profile {name!r} already registered")
     _PROFILES[key] = generator
-    _PROFILE_DESCRIPTIONS[key] = description
 
 
 def profile_names() -> List[str]:
     """All registered profile names, in presentation order."""
     return list(_PROFILES)
-
-
-def profile_description(name: str) -> str:
-    """One-line description of a registered profile."""
-    return _PROFILE_DESCRIPTIONS[name]
 
 
 def generate_arrivals(
@@ -206,21 +197,12 @@ def _diurnal(
     return arrivals
 
 
-register_arrival_profile(
-    "poisson",
-    _poisson,
-    "memoryless arrivals, tenants drawn uniformly (open-loop baseline)",
-)
-register_arrival_profile(
-    "bursty",
-    _bursty,
-    f"on/off bursts of {BURST_LENGTH} in which one tenant dominates each burst",
-)
-register_arrival_profile(
-    "diurnal",
-    _diurnal,
-    "slow sinusoidal rate swing across the run (a compressed day)",
-)
+# Memoryless arrivals, tenants drawn uniformly (the open-loop baseline).
+register_arrival_profile("poisson", _poisson)
+# On/off bursts of BURST_LENGTH in which one tenant dominates each burst.
+register_arrival_profile("bursty", _bursty)
+# A slow sinusoidal rate swing across the run (a compressed day).
+register_arrival_profile("diurnal", _diurnal)
 
 #: Shipped load-profile names, in registration order.
 LOAD_PROFILES = tuple(_PROFILES)

@@ -181,12 +181,6 @@ class ServiceOutcome(OutcomeDocument):
     per_core: List[Dict[str, int]] = field(default_factory=list)
     details: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def purge_share(self) -> float:
-        """Charged purge cycles as a fraction of fleet busy time."""
-        busy = sum(row["busy_cycles"] for row in self.per_core)
-        return self.charged_purge_cycles / busy if busy else 0.0
-
 
 @dataclass(eq=False)
 class _Pending:

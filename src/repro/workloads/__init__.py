@@ -17,7 +17,7 @@ from the mechanisms rather than from the calibration.
 
 from repro.common.lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(
+__all__, __getattr__ = lazy_exports(
     globals(),
     {
         "repro.workloads.characteristics": ("PAPER_REPORTED", "PaperFigures"),

@@ -114,18 +114,3 @@ class WorkloadProfile:
             raise ConfigurationError("reuse windows must be ordered l1 <= llc <= far")
         if self.far_window_lines * 64 > self.total_footprint_bytes:
             raise ConfigurationError("far reuse window exceeds the data footprint")
-
-    @property
-    def memory_fraction(self) -> float:
-        """Fraction of instructions that access memory."""
-        return self.instruction_mix.get("load", 0.0) + self.instruction_mix.get("store", 0.0)
-
-    @property
-    def branch_fraction(self) -> float:
-        """Fraction of instructions that are branches."""
-        return self.instruction_mix.get("branch", 0.0)
-
-    @property
-    def expected_llc_misses_per_kilo_instruction(self) -> float:
-        """Rough expected LLC miss rate implied by the mix (baseline index)."""
-        return 1000.0 * self.memory_fraction * self.new_line_fraction

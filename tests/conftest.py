@@ -33,13 +33,19 @@ def kernel(request, monkeypatch):
 
 
 def pytest_addoption(parser):
-    """``--differential-seed``: run the wide differential budget at this seed.
+    """The options of the CI-only checks, which tier-1 skips.
 
-    ``tests/test_differential.py`` skips its CI-sized variant unless the
-    option is given; CI passes the commit hash.
+    ``--differential-seed``: ``tests/test_differential.py`` runs its
+    CI-sized variant at this seed; CI passes the commit hash.
+    ``--reach``: ``tests/test_reach.py`` runs its entry-point slice.
     """
     parser.addoption(
         "--differential-seed",
         default=None,
         help="hex seed for the wide differential-fuzzing budget (skipped without it)",
+    )
+    parser.addoption(
+        "--reach",
+        action="store_true",
+        help="run the entry-point reach check (tests/test_reach.py; skipped without it)",
     )

@@ -4,33 +4,35 @@ import pytest
 
 from repro.analysis.harness import (
     EvaluationSettings,
-    cached_run,
-    clear_run_cache,
-    overhead_percent,
     run_figure_series,
     runtime_overhead_metric,
 )
-from repro.analysis.report import format_comparison_table, format_series_table, geometric_mean
+from repro.analysis.report import format_series_table
+from repro.analysis.store import ResultStore
+from repro.api import Session, SweepRequest, WorkloadRequest, set_default_session
 
 
 @pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_run_cache()
+def _fresh_session():
+    set_default_session(Session(ResultStore.in_memory()))
     yield
-    clear_run_cache()
+    set_default_session(Session(ResultStore.in_memory()))
 
 
 SMALL = EvaluationSettings(instructions=3000)
 
 
 class TestHarness:
-    def test_cached_run_returns_same_object(self):
-        first = cached_run("BASE", "hmmer", SMALL)
-        second = cached_run("BASE", "hmmer", SMALL)
-        assert first is second
+    def test_repeated_run_returns_same_object(self):
+        session = Session(ResultStore.in_memory())
+        request = WorkloadRequest(variant="BASE", benchmark="hmmer", instructions=3000, seed=2019)
+        assert session.run(request).value is session.run(request).value
 
-    def test_overhead_percent_is_positive_for_secured_variant(self):
-        assert overhead_percent("ARB", "libquantum", SMALL) > 0
+    def test_overhead_is_positive_for_secured_variant(self):
+        result = Session(ResultStore.in_memory()).run(
+            SweepRequest(variants=("BASE", "ARB"), benchmarks=("libquantum",), instructions=3000)
+        )
+        assert result.overhead_percent("ARB", "libquantum", 2019) > 0
 
     def test_run_figure_series_includes_average(self):
         series = run_figure_series(
@@ -70,16 +72,8 @@ class TestHarness:
 
 
 class TestReport:
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
-
     def test_series_table_contains_rows_and_paper_column(self):
         text = format_series_table(
             "Figure X", {"gcc": 10.0, "average": 10.0}, {"gcc": 21.6}, unit="%"
         )
         assert "Figure X" in text and "gcc" in text and "21.60" in text
-
-    def test_comparison_table(self):
-        text = format_comparison_table({"average overhead": (15.0, 16.4)}, title="Summary")
-        assert "average overhead" in text and "16.40" in text

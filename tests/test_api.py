@@ -17,7 +17,7 @@ from repro.attacks.placement import Placement, default_placement
 from repro.attacks.scenarios import build_scenario_machine
 from repro.common.errors import ConfigurationError
 from repro.core.config import MI6Config
-from repro.core.mitigations import config_for_spec
+from repro.core.mitigations import config_for_spec, spec_name
 from repro.os_model.machine import Machine
 
 SMALL = dict(instructions=2500)
@@ -86,9 +86,9 @@ class TestSweepRequests:
         # silently truncated the result envelope and attached cold
         # requests' cache keys to warm entries.
         s = session()
-        s.sweep(variants=["BASE"], benchmarks=["hmmer"], **SMALL)
-        mixed = s.sweep(
-            variants=["BASE", "ARB"], benchmarks=["hmmer", "mcf"], **SMALL
+        s.run(SweepRequest(variants=["BASE"], benchmarks=["hmmer"], **SMALL))
+        mixed = s.run(
+            SweepRequest(variants=["BASE", "ARB"], benchmarks=["hmmer", "mcf"], **SMALL)
         )
         assert len(mixed.entries) == 4
         assert mixed.warm_count == 1 and mixed.cold_count == 3
@@ -98,10 +98,10 @@ class TestSweepRequests:
 
     def test_envelope_and_accessors(self):
         s = session()
-        result = s.sweep(
-            variants=["BASE", "FLUSH+MISS"], benchmarks=["hmmer"], **SMALL
+        result = s.run(
+            SweepRequest(variants=["BASE", "FLUSH+MISS"], benchmarks=["hmmer"], **SMALL)
         )
-        assert len(result) == 2
+        assert len(result.entries) == 2
         assert [entry.key for entry in result] == [
             ("BASE", "hmmer", 2019),
             ("FLUSH+MISS", "hmmer", 2019),
@@ -118,7 +118,7 @@ class TestSweepRequests:
     def test_sweep_reuses_workload_entries(self):
         s = session()
         s.workload("FLUSH+MISS", "hmmer", **SMALL)
-        result = s.sweep(variants=["FLUSH+MISS"], benchmarks=["hmmer"], **SMALL)
+        result = s.run(SweepRequest(variants=["FLUSH+MISS"], benchmarks=["hmmer"], **SMALL))
         assert result.warm_count == 1
 
     def test_figure_series_accepts_combos(self):
@@ -145,8 +145,8 @@ class TestScenarioRequests:
             ("branch_residue", "BASE", 2019),
             ("branch_residue", "FLUSH+PART", 2019),
         ]
-        open_outcome = result.outcome_for("branch_residue", "BASE")
-        closed = result.outcome_for("branch_residue", "flush+part")
+        open_outcome = result.entry("branch_residue", "BASE", 2019).value
+        closed = result.entry("branch_residue", spec_name("flush+part"), 2019).value
         assert open_outcome.leaked and not closed.leaked
         assert open_outcome.num_cores == 4
         warm = s.attack(
@@ -248,7 +248,7 @@ class TestSeedPlumbing:
         # were hardwired to the same constant for every scenario seed).
         def draws(seed):
             machine = Machine(BASE, seed=seed)
-            rng = machine.cores[0].hierarchy.l1d.cache.policy._rng
+            rng = machine.cores[0].hierarchy.l1d.cache._policy._rng
             return tuple(rng.integer(0, 1_000_000) for _ in range(4))
 
         assert draws(1) != draws(2)

@@ -4,6 +4,7 @@ import gc
 import random
 
 import pytest
+from helpers import cache_lines, holds, owners, valid_lines
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
@@ -15,87 +16,89 @@ from repro.mem.address import AddressMap, CacheGeometry
 from repro.mem.cache import _NO_TAGS, SetAssociativeCache
 from repro.mem.dram import DramController
 from repro.mem.llc import LastLevelCache, LlcConfig
-from repro.mem.replacement import LruPolicy, PseudoRandomPolicy, SelfCleaningLruPolicy
+from repro.mem.replacement import LruPolicy, PseudoRandomPolicy
 from repro.service.simulation import _TenantMachine
 
 
-def small_cache(policy=None, ways=4, sets=8):
+def small_cache(policy=None, ways=4, sets=8, stats=None):
     geometry = CacheGeometry(size_bytes=ways * sets * 64, ways=ways, line_bytes=64)
     policy = policy or LruPolicy(geometry.num_sets, geometry.ways)
-    return SetAssociativeCache("test", geometry, policy)
+    return SetAssociativeCache("test", geometry, policy, stats=stats)
 
 
 class TestSetAssociativeCache:
-    def test_miss_then_hit(self):
-        cache = small_cache()
-        assert cache.access(0x1000).hit is False
-        assert cache.access(0x1000).hit is True
-        assert cache.miss_count == 1
-        assert cache.hit_count == 1
+    """``access_parts`` returns ``(hit, set, way, evicted tag, evicted dirty, evicted owner)``."""
 
-    def test_eviction_reports_victim(self):
+    def test_miss_then_hit(self, kernel):
+        stats = StatsRegistry()
+        cache = small_cache(stats=stats)
+        assert cache.access_parts(0x1000)[0] is False
+        assert cache.access_parts(0x1000)[0] is True
+        assert stats.value("test.miss") == 1
+        assert stats.value("test.hit") == 1
+
+    def test_eviction_reports_victim(self, kernel):
         cache = small_cache(ways=2, sets=1)
-        cache.access(0 * 64, owner=1)
-        cache.access(1 * 64, owner=1)
-        result = cache.access(2 * 64, owner=2)
-        assert result.hit is False
-        assert result.evicted_tag is not None
-        assert result.evicted_owner == 1
+        cache.access_parts(0 * 64, owner=1)
+        cache.access_parts(1 * 64, owner=1)
+        hit, _set, _way, evicted_tag, _dirty, evicted_owner = cache.access_parts(2 * 64, owner=2)
+        assert hit is False
+        assert evicted_tag is not None
+        assert evicted_owner == 1
 
-    def test_dirty_eviction_flagged_as_writeback(self):
+    def test_dirty_eviction_flagged_as_writeback(self, kernel):
         cache = small_cache(ways=1, sets=1)
-        cache.access(0, is_write=True)
-        result = cache.access(64)
-        assert result.evicted_dirty is True
+        cache.access_parts(0, is_write=True)
+        assert cache.access_parts(64)[4] is True
 
-    def test_flush_all_clears_every_line(self):
+    def test_flush_all_clears_every_line(self, kernel):
         cache = small_cache()
         for index in range(16):
-            cache.access(index * 64)
+            cache.access_parts(index * 64)
         flushed = cache.flush_all()
         assert flushed == 16
-        assert cache.valid_line_count() == 0
-        assert not cache.lookup(0)
+        assert valid_lines(cache) == 0
+        assert not holds(cache, 0)
 
-    def test_owner_occupancy_tracking(self):
+    def test_owner_occupancy_tracking(self, kernel):
         cache = small_cache()
-        cache.access(0x0000, owner=1)
-        cache.access(0x4000, owner=2)
-        occupancy = cache.occupancy_by_owner()
+        cache.access_parts(0x0000, owner=1)
+        cache.access_parts(0x4000, owner=2)
+        occupancy = owners(cache)
         assert occupancy[1] == 1 and occupancy[2] == 1
 
-    def test_lookup_does_not_allocate(self):
+    def test_miss_without_allocation_leaves_the_cache_empty(self, kernel):
         cache = small_cache()
-        assert cache.lookup(0x2000) is False
-        assert cache.valid_line_count() == 0
+        assert cache.access_parts(0x2000, allocate=False)[:3] == (False, 0, -1)
+        assert valid_lines(cache) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(addresses=st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=120))
     def test_capacity_never_exceeded(self, addresses):
         cache = small_cache(ways=4, sets=8)
         for address in addresses:
-            cache.access(address)
-        assert cache.valid_line_count() <= 32
+            cache.access_parts(address)
+        assert valid_lines(cache) <= 32
 
     @settings(max_examples=40, deadline=None)
     @given(addresses=st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=60))
     def test_most_recent_access_always_resident(self, addresses):
         cache = small_cache(ways=4, sets=8)
         for address in addresses:
-            cache.access(address)
-            assert cache.lookup(address)
+            cache.access_parts(address)
+            assert holds(cache, address)
 
 
 class TestReplacementPolicies:
-    def test_lru_evicts_least_recent(self):
+    def test_lru_evicts_least_recent(self, kernel):
         policy = LruPolicy(num_sets=1, ways=2)
         cache = SetAssociativeCache("lru", CacheGeometry(2 * 64, 2, 64), policy)
-        cache.access(0 * 64)
-        cache.access(1 * 64)
-        cache.access(0 * 64)             # 1*64 is now least recently used
-        cache.access(2 * 64)             # evicts 1*64
-        assert cache.lookup(0 * 64)
-        assert not cache.lookup(1 * 64)
+        cache.access_parts(0 * 64)
+        cache.access_parts(1 * 64)
+        cache.access_parts(0 * 64)       # 1*64 is now least recently used
+        cache.access_parts(2 * 64)       # evicts 1*64
+        assert holds(cache, 0 * 64)
+        assert not holds(cache, 1 * 64)
 
     def test_pseudo_random_prefers_invalid_ways(self):
         policy = PseudoRandomPolicy(DeterministicRng(9))
@@ -111,31 +114,24 @@ class TestReplacementPolicies:
             scrubbed.reset()
             assert scrubbed.victim(0, full) == kept.victim(0, full)
 
-    def test_self_cleaning_lru_restores_canonical_order(self):
-        policy = SelfCleaningLruPolicy(num_sets=1, ways=4)
-        policy.touch(0, 2)
-        policy.touch(0, 3)
-        policy.note_set_empty(0)
-        assert policy.recency_order(0) == [0, 1, 2, 3]
 
-
-def l1_like_cache():
+def l1_like_cache(stats=None):
     """Pseudo-random replacement, as RiscyOO's L1s: 4 ways x 8 sets."""
     geometry = CacheGeometry(size_bytes=4 * 8 * 64, ways=4, line_bytes=64)
-    return SetAssociativeCache("l1t", geometry, PseudoRandomPolicy(DeterministicRng(5)))
+    return SetAssociativeCache("l1t", geometry, PseudoRandomPolicy(DeterministicRng(5)), stats=stats)
 
 
 def fill_every_way(cache, owner=None):
     """One write per line slot: no eviction, so no RNG draw."""
     addresses = [line * 64 for line in range(cache.geometry.num_sets * cache.geometry.ways)]
     for address in addresses:
-        cache.access(address, is_write=True, owner=owner)
+        cache.access_parts(address, is_write=True, owner=owner)
     return addresses
 
 
 def invalidate_every_owned_line(cache):
-    for address in fill_every_way(cache, owner=3):
-        assert cache.invalidate_address(address)
+    addresses = fill_every_way(cache, owner=3)
+    assert cache.invalidate_tag_range(0, len(addresses)) == len(addresses)
 
 
 class TestFlushOfEmptyCache:
@@ -147,21 +143,21 @@ class TestFlushOfEmptyCache:
         ids=["fresh", "all-invalidated", "resident"],
     )
     def test_flush_leaves_a_fresh_cache(self, prepare, flushed, kernel):
-        cache, fresh = l1_like_cache(), l1_like_cache()
+        stats = StatsRegistry()
+        cache, fresh = l1_like_cache(stats), l1_like_cache()
         assert cache._uses_slabs == (kernel == "fast")
         prepare(cache)
         assert cache.flush_all() == flushed
         assert cache.flush_all() == 0
-        assert cache.stats.value("l1t.flush_lines") == flushed
-        assert "l1t.flush_lines" in cache.stats.registered()[0]
-        sets = range(cache.geometry.num_sets)
-        assert [cache.set_contents(i) for i in sets] == [fresh.set_contents(i) for i in sets]
+        assert stats.value("l1t.flush_lines") == flushed
+        assert "l1t.flush_lines" in stats.registered()
+        assert cache_lines(cache) == cache_lines(fresh)
         # Five lines into set 0: four fill the invalid ways in order, the
         # fifth draws its victim from the replacement RNG.
         for line in range(5):
             address = line * 8 * 64
-            assert cache.access(address, owner=4) == fresh.access(address, owner=4)
-        assert cache.set_contents(0) == fresh.set_contents(0)
+            assert cache.access_parts(address, owner=4) == fresh.access_parts(address, owner=4)
+        assert cache_lines(cache) == cache_lines(fresh)
 
     def test_region_scrub_of_an_empty_llc(self, kernel):
         stats = StatsRegistry()
@@ -169,7 +165,7 @@ class TestFlushOfEmptyCache:
             LlcConfig(), AddressMap(), DramController(stats=stats), rng=DeterministicRng(0), stats=stats
         )
         assert llc.scrub_region_sets(3) == 0
-        assert "llc.region_scrub_lines" in stats.registered()[0]
+        assert "llc.region_scrub_lines" in stats.registered()
 
     def test_lru_stacks_start_and_reset_as_distinct_initial_orders(self):
         policy = LruPolicy(num_sets=16, ways=4)
@@ -201,9 +197,8 @@ class TestTagMapsOnFirstFill:
         assert not _NO_TAGS
         maps = cache._tag_maps
         assert {index for index, tag_map in enumerate(maps) if tag_map is not _NO_TAGS} == owning
-        sets = range(cache.geometry.num_sets)
-        contents = [cache.set_contents(index) for index in sets]
-        assert contents == [reference.set_contents(index) for index in sets]
+        contents = cache_lines(cache)
+        assert contents == cache_lines(reference)
         for tag_map, lines in zip(maps, contents):
             assert tag_map == {line.tag: way for way, line in enumerate(lines) if line.valid}
 
@@ -216,17 +211,17 @@ class TestTagMapsOnFirstFill:
         assert all(tag_map is _NO_TAGS for tag_map in cache._tag_maps)
         self.check(cache, reference, set())
         both = (cache, reference)
-        for target in both:  # fills: set 1 through access, set 4 through access_parts
-            target.access(line_in_set(1, 0), owner=1)
-            target.access(line_in_set(1, 1), is_write=True, owner=1)
+        for target in both:  # fills: sets 1 and 4
+            target.access_parts(line_in_set(1, 0), owner=1)
+            target.access_parts(line_in_set(1, 1), is_write=True, owner=1)
             assert not target.access_parts(line_in_set(4, 0), owner=2)[0]
         self.check(cache, reference, {1, 4})
         for target in both:  # an eviction from the full set 1
-            assert target.access(line_in_set(1, 2), owner=3).evicted_tag == 1
+            assert target.access_parts(line_in_set(1, 2), owner=3)[3] == 1
         self.check(cache, reference, {1, 4})
         for target in both:  # set 4 empties and keeps its map; set 6 was never filled
-            assert target.invalidate_address(line_in_set(4, 0))
-            assert not target.invalidate_address(line_in_set(6, 0))
+            assert target.invalidate_tag_range(4, 5) == 1
+            assert target.invalidate_tag_range(6, 7) == 0
         self.check(cache, reference, {1, 4})
         for target in both:  # a region scrub over tags 9..16: set 1's tag 9
             assert target.invalidate_tag_range(9, 17) == 1
@@ -235,7 +230,7 @@ class TestTagMapsOnFirstFill:
         copy.load_warm_state(cache.capture_warm_state())
         self.check(copy, reference, {1})  # the emptied set 4 is back on the shared map
         for target in (cache, copy, reference):
-            target.access(line_in_set(4, 1), owner=5)
+            target.access_parts(line_in_set(4, 1), owner=5)
         self.check(cache, reference, {1, 4})
         self.check(copy, reference, {1, 4})
         for target in both:
@@ -268,18 +263,12 @@ class _ListLru:
     def reset(self):
         self.stacks = [list(range(self.ways)) for _ in self.stacks]
 
-    def note_set_empty(self, set_index):
-        self.stacks[set_index] = list(range(self.ways))
-
 
 class TestPerSetStateOffTheGc:
-    @pytest.mark.parametrize("policy_type", [LruPolicy, SelfCleaningLruPolicy])
-    def test_stacks_follow_a_list_reference(self, policy_type):
+    def test_stacks_follow_a_list_reference(self):
         num_sets, ways = 4, 16
-        policy, reference = policy_type(num_sets, ways), _ListLru(num_sets, ways)
+        policy, reference = LruPolicy(num_sets, ways), _ListLru(num_sets, ways)
         weights = {"touch": 45, "invalidate": 25, "victim": 25, "reset": 1}
-        if policy_type is SelfCleaningLruPolicy:
-            weights["note_set_empty"] = 4
         rng = random.Random(2019)
         for operation in rng.choices(list(weights), list(weights.values()), k=3000):
             set_index = rng.randrange(num_sets)
@@ -289,9 +278,6 @@ class TestPerSetStateOffTheGc:
             elif operation == "reset":
                 policy.reset()
                 reference.reset()
-            elif operation == "note_set_empty":
-                policy.note_set_empty(set_index)
-                reference.note_set_empty(set_index)
             else:
                 way = rng.randrange(ways)
                 getattr(policy, operation)(set_index, way)
@@ -326,6 +312,6 @@ class TestPerSetStateOffTheGc:
         # generation's threshold, tracked or not: a tag-map dict per LLC
         # set would add 1,024.
         assert allocated < 400
-        stacks = host.machine.llc.cache.policy._stacks
+        stacks = host.machine.llc.cache._policy._stacks
         assert len(stacks) == 1024
         assert not any(gc.is_tracked(stack) for stack in stacks)

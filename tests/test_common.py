@@ -1,8 +1,6 @@
-"""Tests for the shared infrastructure (RNG, stats, errors)."""
+"""Tests for the shared infrastructure (RNG and stats)."""
 
-import pytest
-
-from repro.common import DeterministicRng, ProtectionFault, StatsRegistry
+from repro.common import DeterministicRng, StatsRegistry
 from repro.common.rng import derive_seed
 
 
@@ -48,37 +46,9 @@ class TestStatsRegistry:
         assert stats.value("l1d.miss") == 5
         assert stats.value("does.not.exist") == 0
 
-    def test_histogram_statistics(self):
-        stats = StatsRegistry()
-        histogram = stats.histogram("latency")
-        for value in (10, 20, 20, 30):
-            histogram.record(value)
-        assert histogram.mean == pytest.approx(20.0)
-        assert histogram.maximum == 30
-        assert histogram.minimum == 10
-        assert histogram.total_samples == 4
-
     def test_reset_clears_everything(self):
         stats = StatsRegistry()
         stats.counter("a").increment(3)
-        stats.histogram("h").record(5)
+        stats.counter("b").increment(1)
         stats.reset()
-        assert stats.value("a") == 0
-        assert stats.histogram("h").total_samples == 0
-
-    def test_merged_with_sums_counters(self):
-        first, second = StatsRegistry(), StatsRegistry()
-        first.counter("x").increment(2)
-        second.counter("x").increment(3)
-        second.counter("y").increment(1)
-        merged = first.merged_with(second)
-        assert merged.value("x") == 5
-        assert merged.value("y") == 1
-
-
-class TestErrors:
-    def test_protection_fault_carries_address_and_region(self):
-        fault = ProtectionFault(0x1000, 3)
-        assert fault.physical_address == 0x1000
-        assert fault.region == 3
-        assert "region" in str(fault)
+        assert stats.counters() == {"a": 0, "b": 0}

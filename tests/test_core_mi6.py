@@ -1,17 +1,31 @@
 """Tests for the MI6 layer: protection, purge, variants, processor, isolation."""
 
 import pytest
+from helpers import llc_sets_disjoint, purge_observable_state, valid_lines, verify_purged_state
 
-from repro.analysis.engine import PAPER_VARIANTS
-from repro.common.errors import ConfigurationError, ProtectionFault
+from repro.analysis.engine import PAPER_VARIANTS, RunRequest, execute_request
+from repro.common.errors import ConfigurationError
 from repro.core.config import MI6Config
-from repro.core.isolation import llc_sets_disjoint, timing_independence_report, verify_purged_state
-from repro.core.mitigations import config_for_spec, parse_spec
+from repro.core.isolation import timing_independence_report
+from repro.core.mitigations import config_for_spec
 from repro.core.processor import MI6Processor
 from repro.core.protection import ProtectionDomain, RegionBitvector
 from repro.mem.address import AddressMap, IndexFunction
-from repro.workloads.generator import SyntheticWorkload
+from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
 from repro.workloads.spec_cint2006 import profile_for
+
+
+def run(spec, benchmark, instructions, base=None):
+    """One evaluation run through the engine, as ``repro sweep`` runs it."""
+    config = config_for_spec(spec) if base is None else config_for_spec(spec, base)
+    return execute_request(RunRequest(config, benchmark, instructions))
+
+
+def run_on(processor, benchmark, instructions):
+    """Run ``benchmark`` on ``processor`` without warm-up, keeping the machine."""
+    workload = PreparedWorkload(SyntheticWorkload(profile_for(benchmark), seed=processor.seed), instructions)
+    processor.load_workload(workload, warm_up=False)
+    return processor.run_loaded(workload, instructions)
 
 
 class TestRegionBitvector:
@@ -19,15 +33,11 @@ class TestRegionBitvector:
         self.address_map = AddressMap()
         self.bitvector = RegionBitvector(self.address_map)
 
-    def test_grant_and_revoke(self):
+    def test_grant_and_replace(self):
         self.bitvector.grant(3)
         assert self.bitvector.is_allowed(self.address_map.region_base(3))
-        self.bitvector.revoke(3)
+        self.bitvector.set_regions({4})
         assert not self.bitvector.is_allowed(self.address_map.region_base(3))
-
-    def test_check_or_fault_raises(self):
-        with pytest.raises(ProtectionFault):
-            self.bitvector.check_or_fault(self.address_map.region_base(5))
 
     def test_set_regions_replaces(self):
         self.bitvector.set_regions({1, 2})
@@ -44,13 +54,6 @@ class TestRegionBitvector:
 
 
 class TestProtectionDomain:
-    def test_overlap_detection(self):
-        domain_a = ProtectionDomain(1, "a", regions={1, 2}, cores={0})
-        domain_b = ProtectionDomain(2, "b", regions={3}, cores={1})
-        domain_c = ProtectionDomain(3, "c", regions={2}, cores={2})
-        assert not domain_a.overlaps(domain_b)
-        assert domain_a.overlaps(domain_c)
-
     def test_identity_table_covers_only_owned_regions(self):
         address_map = AddressMap(dram_bytes=64 * 1024 * 1024, num_regions=4)
         domain = ProtectionDomain(1, "os", regions={2})
@@ -86,7 +89,7 @@ class TestVariants:
 
     def test_every_variant_has_a_description(self):
         for variant in PAPER_VARIANTS:
-            assert parse_spec(variant).describe()
+            assert config_for_spec(variant).describe()
 
     def test_describe_renders_figure4_table(self):
         text = config_for_spec("BASE").describe()
@@ -99,19 +102,18 @@ class TestPurge:
         return MI6Processor(config_for_spec("FLUSH"))
 
     def test_purge_scrubs_and_matches_pristine_observable_state(self):
-        pristine = MI6Processor(config_for_spec("FLUSH")).purge_unit.observable_state()
+        pristine = purge_observable_state(self.build_processor())
         processor = self.build_processor()
-        processor.run_workload("hmmer", instructions=3000, warm_up=False)
-        assert processor.hierarchy.l1d.cache.valid_line_count() > 0
+        run_on(processor, "hmmer", 3000)
+        assert valid_lines(processor.hierarchy.l1d.cache) > 0
         processor.purge_unit.execute()
-        mismatches = verify_purged_state(processor.purge_unit, pristine)
-        assert mismatches == []
+        assert verify_purged_state(processor, pristine) == []
 
     def test_purge_stall_is_512_cycles_and_data_independent(self):
         processor = self.build_processor()
-        empty_stall = processor.purge_unit.stall_cycles()
-        processor.run_workload("hmmer", instructions=2000, warm_up=False)
-        assert processor.purge_unit.stall_cycles() == empty_stall == 512
+        empty_stall = processor.purge_unit.execute()
+        run_on(processor, "hmmer", 2000)
+        assert processor.purge_unit.execute() == empty_stall == 512
 
     def test_purge_counts_in_stats(self):
         processor = self.build_processor()
@@ -136,23 +138,20 @@ class TestIsolationCheckers:
 
 class TestMI6Processor:
     def test_run_produces_consistent_result(self):
-        processor = MI6Processor(config_for_spec("BASE"))
-        run = processor.run_workload("hmmer", instructions=4000)
-        assert run.instructions == 4000
-        assert run.cycles > 0
-        assert run.result.ipc > 0
+        result = run("BASE", "hmmer", 4000)
+        assert result.instructions == 4000
+        assert result.cycles > 0
+        assert result.result.cpi > 0
 
     def test_runs_are_deterministic(self):
-        first = MI6Processor(config_for_spec("BASE")).run_workload("bzip2", instructions=3000)
-        second = MI6Processor(config_for_spec("BASE")).run_workload("bzip2", instructions=3000)
-        assert first.cycles == second.cycles
+        assert run("BASE", "bzip2", 3000).cycles == run("BASE", "bzip2", 3000).cycles
 
     def test_workload_domain_pages_stay_inside_regions(self):
         processor = MI6Processor(config_for_spec("BASE"))
         workload = SyntheticWorkload(profile_for("hmmer"))
         domain = processor.build_workload_domain(workload)
         address_map = processor.config.address_map
-        for physical_page in domain.page_table.mapped_physical_pages():
+        for physical_page in set(domain.page_table.mappings.values()):
             region = address_map.region_of(physical_page * 4096)
             assert region in domain.regions
 
@@ -164,22 +163,18 @@ class TestMI6Processor:
         assert processor.region_bitvector.is_allowed(outside) is False
 
     def test_part_variant_increases_gcc_llc_misses(self):
-        base = MI6Processor(config_for_spec("BASE")).run_workload("gcc", instructions=6000)
-        part = MI6Processor(config_for_spec("PART")).run_workload("gcc", instructions=6000)
+        base = run("BASE", "gcc", 6000)
+        part = run("PART", "gcc", 6000)
         assert part.result.llc_mpki > base.result.llc_mpki
 
     def test_flush_variant_increases_branch_mispredictions(self):
         short_traps = MI6Config(trap_interval_instructions=2000)
-        base = MI6Processor(config_for_spec("BASE", short_traps)).run_workload(
-            "astar", instructions=8000
-        )
-        flush = MI6Processor(config_for_spec("FLUSH", short_traps)).run_workload(
-            "astar", instructions=8000
-        )
+        base = run("BASE", "astar", 8000, short_traps)
+        flush = run("FLUSH", "astar", 8000, short_traps)
         assert flush.result.branch_mpki > base.result.branch_mpki
         assert flush.result.flush_stall_cycles > 0
 
     def test_fpma_variant_costs_more_than_base(self):
-        base = MI6Processor(config_for_spec("BASE")).run_workload("xalancbmk", instructions=6000)
-        secured = MI6Processor(config_for_spec("F+P+M+A")).run_workload("xalancbmk", instructions=6000)
+        base = run("BASE", "xalancbmk", 6000)
+        secured = run("F+P+M+A", "xalancbmk", 6000)
         assert secured.overhead_vs(base) > 0

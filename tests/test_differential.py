@@ -32,6 +32,7 @@ from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
+from helpers import idle
 
 from repro.attacks.coschedule import CoScheduledExecutor, MemOp
 from repro.attacks.placement import ATTACKER_REGIONS, VICTIM_REGIONS, default_placement
@@ -128,7 +129,7 @@ def run_case(case):
                 },
                 max_cycles=MAX_CYCLES,
             )
-        executor.idle(case["idle"])
+        idle(executor, case["idle"])
     except RuntimeError as error:
         return ("raised", str(error), executor.completed)
     return executor.completed, executor.cycle, machine.stats.counters()

@@ -30,9 +30,9 @@ from repro.core.config import MI6Config
 from repro.core.mitigations import config_for_spec, known_compositions, known_mitigations
 from repro.core.serialization import (
     canonical_json,
-    config_digest,
     config_from_dict,
     config_to_dict,
+    run_cache_key,
     run_from_dict,
     run_to_dict,
 )
@@ -43,6 +43,11 @@ SMALL = EvaluationSettings(instructions=2500)
 def runs_equal(first, second) -> bool:
     """Bit-identical comparison of two workload runs."""
     return run_to_dict(first) == run_to_dict(second)
+
+
+def config_key(config):
+    """The cache key of a gcc run on ``config``: a digest of its whole document."""
+    return run_cache_key(config, "gcc", 2000, 2019)
 
 
 class TestSerialization:
@@ -58,11 +63,11 @@ class TestSerialization:
     def test_digest_is_stable_and_content_sensitive(self):
         first = config_for_spec("PART")
         second = config_for_spec("PART")
-        assert config_digest(first) == config_digest(second)
-        digests = {config_digest(config_for_spec(v)) for v in PAPER_VARIANTS}
+        assert config_key(first) == config_key(second)
+        digests = {config_key(config_for_spec(v)) for v in PAPER_VARIANTS}
         assert len(digests) == len(PAPER_VARIANTS)
         tweaked = MI6Config(trap_interval_instructions=12_345)
-        assert config_digest(tweaked) != config_digest(MI6Config())
+        assert config_key(tweaked) != config_key(MI6Config())
 
     def test_run_round_trips_through_json(self):
         run = execute_request(
@@ -377,7 +382,7 @@ class TestConfigDocumentMemo:
         assert canonical == spelled and hash(canonical) == hash(spelled)
         for config in (canonical, spelled, canonical, spelled):
             assert _encodes(config_to_dict(config), config)
-        assert config_digest(canonical) != config_digest(spelled)
+        assert config_key(canonical) != config_key(spelled)
 
     def test_memo_is_bounded(self):
         assert serialization._config_document.cache_info().maxsize is not None

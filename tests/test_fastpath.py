@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
+from helpers import alu, cache_lines, idle, owners, syscall
 
 from repro.analysis.engine import (
     PAPER_VARIANTS,
@@ -34,8 +35,8 @@ from repro.attacks.scenarios import build_scenario_machine, run_scenario, scenar
 from repro.common.fastpath import SLOW_PATH_ENV_VAR, slow_path_enabled
 from repro.core.mitigations import config_for_spec, parse_spec
 from repro.core.processor import MI6Processor
-from repro.core.serialization import config_digest, run_to_dict
-from repro.isa.instructions import TrapCause, syscall
+from repro.core.serialization import run_cache_key, run_to_dict
+from repro.isa.instructions import Instruction, InstructionKind, TrapCause
 from repro.workloads.generator import PreparedWorkload, SyntheticWorkload
 from repro.workloads.spec_cint2006 import profile_for
 
@@ -121,12 +122,12 @@ class TestWorkloadEquivalence:
         # cycles, instructions, every counter, every histogram bucket.
         assert fast_run == slow_run
 
-    def test_config_digest_ignores_path_switch(self, monkeypatch):
+    def test_cache_key_ignores_path_switch(self, monkeypatch):
         config = config_for_spec("F+P+M+A")
         monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
-        fast_digest = config_digest(config)
+        fast_key = run_cache_key(config, "gcc", 2000, 2019)
         monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
-        assert config_digest(config) == fast_digest
+        assert run_cache_key(config, "gcc", 2000, 2019) == fast_key
 
     def test_multiple_benchmarks_one_variant(self, monkeypatch):
         for benchmark in ("libquantum", "mcf"):
@@ -259,24 +260,21 @@ class TestMidRunPurgeEquivalence:
                         mappings={page: frame + 4096 for page, frame in page_table.mappings.items()},
                     )
                 else:
-                    bitvector.revoke(region)
+                    bitvector.set_regions(bitvector.allowed_regions() - {region})
                     if len(traps) == 1:
                         processor.purge_unit.execute()
                     else:
                         region_allowed = None
                 hierarchy.install_context(page_table, region_allowed, 100 + len(traps))
 
-            processor.core.add_trap_hook(switch_context)
+            processor.core.trap_hooks.append(switch_context)
             run = run_to_dict(processor.run_loaded(workload, 1_800))
-            l1_contents = [
-                [cache.set_contents(index) for index in range(cache.geometry.num_sets)]
-                for cache in (hierarchy.l1i.cache, hierarchy.l1d.cache)
-            ]
+            btb = processor.core.frontend.btb
             return (
                 run,
-                l1_contents,
-                processor.llc.cache.occupancy_by_owner(),
-                processor.core.frontend.btb.snapshot(),
+                [cache_lines(hierarchy.l1i.cache), cache_lines(hierarchy.l1d.cache)],
+                owners(processor.llc.cache),
+                (btb._tags, btb._targets),
             )
 
     @pytest.mark.parametrize("spec", ["BASE", "FLUSH"])
@@ -311,11 +309,11 @@ class TestMidRunPurgeEquivalence:
             def toggle_region(cause):
                 traps.append(cause)
                 if len(traps) % 2:
-                    bitvector.revoke(region)
+                    bitvector.set_regions(bitvector.allowed_regions() - {region})
                 else:
                     bitvector.grant(region)
 
-            processor.core.add_trap_hook(toggle_region)
+            processor.core.trap_hooks.append(toggle_region)
             return run_to_dict(processor.run_loaded(workload, 1_800))
 
     def test_region_revoked_without_purge_fast_equals_slow(self, monkeypatch):
@@ -389,7 +387,7 @@ class TestTrapCounterSnapshots:
             for index in syscalls_at:
                 stream[index] = syscall(pc=stream[index].pc)
             snapshots = []
-            processor.core.add_trap_hook(
+            processor.core.trap_hooks.append(
                 lambda cause: snapshots.append((cause, processor.stats.counters()))
             )
             result = processor.core.run(stream)
@@ -426,6 +424,66 @@ class TestTrapCounterSnapshots:
             (TrapCause.TIMER_INTERRUPT, 2101),
         ]
         assert fast == slow
+
+
+def control_and_serialising_stream():
+    """Calls nested deeper than the RAS, then every serialising kind and NOPs.
+
+    The workload generator emits none of JUMP, RETURN, CSR, FENCE, PURGE
+    or NOP, so no run sends them through a kernel.  Each round calls 12
+    levels deep (the RAS holds 8, so the 4 outermost returns underflow),
+    returns, then issues each serialising kind; the SYSCALL traps, so a
+    FLUSH machine purges.  Four rounds let the BTB learn the targets,
+    and three calls left open end the run with a non-empty RAS.
+    """
+    kinds = InstructionKind
+
+    def call(pc, branch_id):
+        return Instruction(kinds.JUMP, pc=pc, branch_id=branch_id, target=pc + 0x100)
+
+    stream = []
+    for round_index in range(4):
+        returns = []
+        for level in range(12):
+            call_pc = 0x10_000 + level * 0x100
+            stream.append(call(call_pc, level))
+            stream.append(alu(dst=level % 8 + 1, srcs=(level % 8,), pc=call_pc + 0x100))
+            returns.append(call_pc + 4)
+        for level, return_address in enumerate(reversed(returns)):
+            stream.append(Instruction(kinds.RETURN, pc=0x20_000 + level * 0x40, target=return_address))
+            stream.append(Instruction(kinds.NOP, pc=return_address))
+        base = 0x30_000 + round_index * 0x40
+        stream.append(Instruction(kinds.CSR, pc=base, dst=9))
+        stream.append(Instruction(kinds.FENCE, pc=base + 4))
+        stream.append(Instruction(kinds.PURGE, pc=base + 8))
+        stream.append(syscall(pc=base + 12))
+        stream.extend(Instruction(kinds.NOP, pc=base + 16 + 4 * index) for index in range(4))
+    # Three calls left open, so the run ends with return addresses on the RAS.
+    stream.extend(call(0x40_000 + level * 0x100, 20 + level) for level in range(3))
+    return stream
+
+
+class TestControlAndSerialisingKinds:
+    """Both kernels run the instruction kinds no workload emits to the same numbers.
+
+    Pinned per spec (cycles, the RAS left behind and the sha256 of every
+    counter), so the fast and the reference kernel must each reach them.
+    """
+
+    OPEN_CALLS = [0x40_004, 0x40_104, 0x40_204]
+    EXPECTED = {
+        "BASE": (6_739, OPEN_CALLS, "7b08ae4daa5d0020ca5af8ef9069a14b3fc5f8509732b84c0d2bf01c22b11601"),
+        "F+P+M+A": (12_987, OPEN_CALLS, "a8cf2d530417431744e111118789803333166facd43cde4243a3fedee507241f"),
+    }
+
+    @pytest.mark.parametrize("spec", ["BASE", "F+P+M+A"])
+    def test_kinds_no_workload_emits(self, spec, kernel):
+        processor = MI6Processor(config_for_spec(spec))
+        result = processor.core.run(control_and_serialising_stream())
+        counters = result.stats.counters()
+        assert counters["ras.underflows"] == 4 * 4
+        digest = hashlib.sha256(json.dumps(counters, sort_keys=True).encode()).hexdigest()
+        assert (result.cycles, processor.core.frontend.ras._stack, digest) == self.EXPECTED[spec]
 
 
 class TestScenarioEquivalence:
@@ -474,7 +532,7 @@ class TestCoScheduledCounterEquivalence:
                 ],
             }
         )
-        executor.idle(333)
+        idle(executor, 333)
         return machine.stats.counters(), executor.cycle, executor.completed
 
     @pytest.mark.parametrize("spec", ["BASE", "MISS", "ARB", "F+P+M+A"])
@@ -536,7 +594,7 @@ class TestCoScheduledCompletionEquivalence:
                 ],
             }
         )
-        executor.idle(200)
+        idle(executor, 200)
         return executor.completed, executor.cycle, machine.stats.counters()
 
     @pytest.mark.parametrize("spec", ["BASE", "F+P+M+A"])

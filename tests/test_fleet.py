@@ -9,8 +9,8 @@ from repro.analysis.engine import (
     FleetRunRequest,
     FleetShardRequest,
     FleetSpec,
+    ParallelRunner,
     evaluation_config,
-    execute_fleet_request,
     resolve_service_cycles,
 )
 from repro.analysis.figures import (
@@ -82,6 +82,11 @@ def small_request(spec="F+P+M+A", seed=7, policy="affinity", **overrides):
         seed=seed,
         **fields,
     )
+
+
+def run_fleet(request):
+    """One fleet through the runner, which lowers it onto shards and merges them."""
+    return ParallelRunner(ResultStore.in_memory(), jobs=1).run([request])[0]
 
 
 def priced(request):
@@ -409,16 +414,16 @@ class TestEngineRequests:
             needed = {benchmarks[tenant] for tenant in shard_request.tenants}
             assert set(dict(shard_request.service_cycles)) == needed
 
-    def test_execute_fleet_request_is_deterministic(self):
+    def test_fleet_run_is_deterministic(self):
         request = priced(small_request())
-        first = execute_fleet_request(request)
-        second = execute_fleet_request(request)
+        first = run_fleet(request)
+        second = run_fleet(request)
         assert first.to_dict() == second.to_dict()
         assert FleetOutcome.from_dict(json.loads(json.dumps(first.to_dict()))) == first
 
     def test_merge_accounts_for_every_shard_and_request(self):
         request = priced(small_request(num_shards=3))
-        outcome = execute_fleet_request(request)
+        outcome = run_fleet(request)
         assert outcome.offered == SMALL["num_requests"]
         assert len(outcome.per_shard) == 3
         assert outcome.completed == sum(

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from helpers import cache_lines, holds
 
 from repro.common.fastpath import SLOW_PATH_ENV_VAR
 from repro.common.rng import DeterministicRng
+from repro.common.stats import StatsRegistry
 from repro.mem.address import AddressMap, IndexFunction
 from repro.mem.dram import DramController
 from repro.mem.llc import LastLevelCache, LlcConfig
@@ -13,25 +15,25 @@ from repro.mem.llc_detail import DetailedLlcConfig, LlcTrafficSimulator, request
 from repro.mem.mshr import MshrConfig
 
 
-def build_llc(**overrides):
+def build_llc(stats=None, **overrides):
     config = LlcConfig(**overrides)
-    return LastLevelCache(config, AddressMap(), DramController(), rng=DeterministicRng(0))
+    return LastLevelCache(config, AddressMap(), DramController(), rng=DeterministicRng(0), stats=stats)
 
 
 class TestFunctionalLlc:
     def test_hit_and_miss_latency(self):
         llc = build_llc(hit_latency=16)
-        miss = llc.access(0x1000)
-        hit = llc.access(0x1000)
-        assert miss.hit is False and miss.latency == 16 + 120
-        assert hit.hit is True and hit.latency == 16
+        miss = llc.access_parts(0x1000)
+        hit = llc.access_parts(0x1000)
+        assert miss[:2] == (False, 16 + 120)
+        assert hit[:2] == (True, 16)
 
     def test_arbiter_latency_added_to_every_access(self):
         llc = build_llc(extra_pipeline_latency=8)
-        miss = llc.access(0x2000)
-        hit = llc.access(0x2000)
-        assert miss.latency == 16 + 8 + 120
-        assert hit.latency == 16 + 8
+        miss = llc.access_parts(0x2000)
+        hit = llc.access_parts(0x2000)
+        assert miss[1] == 16 + 8 + 120
+        assert hit[1] == 16 + 8
 
     def test_partitioned_index_groups_by_region(self):
         llc = build_llc(index_function=IndexFunction.SET_PARTITIONED, region_index_bits=2)
@@ -44,21 +46,23 @@ class TestFunctionalLlc:
         address_map = AddressMap()
         region1_address = address_map.region_base(1)
         region2_address = address_map.region_base(2)
-        llc.access(region1_address, owner=1)
-        llc.access(region2_address, owner=2)
+        llc.access_parts(region1_address, owner=1)
+        llc.access_parts(region2_address, owner=2)
         scrubbed = llc.scrub_region_sets(1)
         assert scrubbed == 1
-        assert not llc.lookup(region1_address)
-        assert llc.lookup(region2_address)
+        assert not holds(llc.cache, region1_address)
+        assert holds(llc.cache, region2_address)
 
     def test_writeback_detected_on_dirty_eviction(self):
         llc = build_llc()
         # Fill one set completely with dirty lines, then overflow it.
         base = 0
         for way in range(llc.config.geometry.ways):
-            llc.access(base + way * llc.config.geometry.num_sets * 64, is_write=True)
-        outcome = llc.access(base + 16 * llc.config.geometry.num_sets * 64)
-        assert outcome.writeback is True
+            llc.access_parts(base + way * llc.config.geometry.num_sets * 64, is_write=True)
+        hit, _latency, _set, _bank, writeback, _owner = llc.access_parts(
+            base + 16 * llc.config.geometry.num_sets * 64
+        )
+        assert not hit and writeback is True
 
 
 #: Regions filled before a scrub.  1, 5 and 9 share their low two bits,
@@ -91,7 +95,8 @@ def _scrub_snapshot(index_function, monkeypatch, *, slow):
     else:
         monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
     try:
-        llc = build_llc(index_function=index_function, region_index_bits=2)
+        stats = StatsRegistry()
+        llc = build_llc(stats, index_function=index_function, region_index_bits=2)
     finally:
         monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
     cache = llc.cache
@@ -108,17 +113,17 @@ def _scrub_snapshot(index_function, monkeypatch, *, slow):
     for _ in range(1_500):
         address = rng.choice(pool)
         region = address_map.region_of(address)
-        llc.access(address, is_write=rng.random() < 0.3, owner=region)
+        llc.access_parts(address, is_write=rng.random() < 0.3, owner=region)
     # A line on each side of both region bounds, so that an off-by-one
     # tag range shows.
     low = address_map.region_base(SCRUBBED_REGION)
     high = low + address_map.region_bytes
     for address in (low - 64, low, high - 64, high):
-        llc.access(address, owner=address_map.region_of(address))
-    before = [cache.set_contents(set_index) for set_index in range(num_sets)]
+        llc.access_parts(address, owner=address_map.region_of(address))
+    before = cache_lines(cache)
     scrubbed = llc.scrub_region_sets(SCRUBBED_REGION)
-    after = [cache.set_contents(set_index) for set_index in range(num_sets)]
-    recency = [cache.policy.recency_order(set_index) for set_index in range(num_sets)]
+    after = cache_lines(cache)
+    recency = [cache._policy.recency_order(set_index) for set_index in range(num_sets)]
 
     def in_scrubbed_region(line):
         return line.valid and address_map.region_of(line.tag << 6) == SCRUBBED_REGION
@@ -134,14 +139,11 @@ def _scrub_snapshot(index_function, monkeypatch, *, slow):
     overflow = _region_lines(llc, SCRUBBED_REGION, target, cache.geometry.ways + 4, resident)
     victims = []
     for address in overflow:
-        result = cache.access(address, owner=SCRUBBED_REGION)
-        victims.append(
-            (result.way, result.evicted_tag, result.evicted_dirty, result.evicted_owner)
-        )
+        victims.append(cache.access_parts(address, owner=SCRUBBED_REGION)[2:])
     return {
         "before": before,
         "scrubbed": scrubbed,
-        "counter": llc.stats.value("llc.region_scrub_lines"),
+        "counter": stats.value("llc.region_scrub_lines"),
         "after": after,
         "recency": recency,
         "partly_scrubbed": partly_scrubbed,

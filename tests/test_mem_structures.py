@@ -16,6 +16,12 @@ from repro.mem.page_table import PageTable
 from repro.mem.tlb import TranslationCache, Tlb
 
 
+def resident(tlb, address):
+    """True if ``tlb`` holds the translation of ``address``'s page."""
+    vpn = address // tlb.page_bytes
+    return vpn in tlb._sets[vpn % tlb.num_sets]
+
+
 class TestTlb:
     def test_hit_after_fill(self):
         tlb = Tlb("dtlb", entries=32)
@@ -28,15 +34,15 @@ class TestTlb:
         tlb.access(0x1000)
         tlb.access(0x0000)        # refresh page 0
         tlb.access(0x2000)        # evicts page 1
-        assert tlb.lookup(0x0000) is True
-        assert tlb.lookup(0x1000) is False
+        assert resident(tlb, 0x0000)
+        assert not resident(tlb, 0x1000)
 
     def test_flush_discards_everything(self):
         tlb = Tlb("dtlb", entries=32)
         for page in range(8):
             tlb.access(page * 4096)
         assert tlb.flush_all() == 8
-        assert tlb.resident_entries() == 0
+        assert not tlb._asid_of and not any(tlb._sets)
 
     def test_set_associative_geometry(self):
         tlb = Tlb("l2tlb", entries=1024, ways=4)
@@ -46,19 +52,20 @@ class TestTlb:
         # Fills cross ASIDs (an ASID change on a resident page re-fills
         # it) and overflow sets (LRU evictions drop ASID entries too);
         # the flush must still report exactly what the sets held.
-        tlb = Tlb("l2tlb", entries=64, ways=4)
+        stats = StatsRegistry()
+        tlb = Tlb("l2tlb", entries=64, ways=4, stats=stats)
         rng = random.Random(2019)
         for _ in range(3):
             for _ in range(400):
                 tlb.access(rng.randrange(256) * 4096, asid=rng.randrange(3))
             resident = sum(len(entries) for entries in tlb._sets)
             assert 0 < resident <= tlb.entries
-            assert tlb.resident_entries() == resident
-            before = tlb.stats.value("l2tlb.flush_entries")
+            assert len(tlb._asid_of) == resident
+            before = stats.value("l2tlb.flush_entries")
             assert tlb.flush_all() == resident
-            assert tlb.stats.value("l2tlb.flush_entries") == before + resident
+            assert stats.value("l2tlb.flush_entries") == before + resident
             assert all(not entries for entries in tlb._sets)
-            assert tlb.resident_entries() == 0
+            assert not tlb._asid_of
 
     def test_a_set_holds_a_list_only_while_it_holds_entries(self):
         def filled_sets(tlb):
@@ -72,15 +79,16 @@ class TestTlb:
         copy = Tlb("l2tlb", entries=1024, ways=4)
         copy.load_warm_state(tlb.capture_warm_state())
         assert filled_sets(copy) == [5]
-        assert copy.lookup(5 * 4096) and copy.lookup(261 * 4096)
+        assert resident(copy, 5 * 4096) and resident(copy, 261 * 4096)
         assert tlb.flush_all() == 2
         assert filled_sets(tlb) == []
         assert tlb.access(5 * 4096) is False
 
     def test_flush_of_empty_tlb_registers_the_counter(self):
-        tlb = Tlb("itlb", entries=32)
+        stats = StatsRegistry()
+        tlb = Tlb("itlb", entries=32, stats=stats)
         assert tlb.flush_all() == 0
-        assert tlb.stats.counters() == {"itlb.flush_entries": 0}
+        assert stats.counters() == {"itlb.flush_entries": 0}
 
 
 class TestTranslationCache:
@@ -104,10 +112,6 @@ class TestPageTable:
         assert table.translate(0x4000_0123) == 0x10_0123
         assert table.translate(0x5000_0000) is None
 
-    def test_identity_table(self):
-        table = PageTable.identity(64 * 1024)
-        assert table.translate(0x3123) == 0x3123
-
     def test_bulk_identity_map_matches_page_by_page_mapping(self):
         # Same mappings, same insertion order as mapping each page in turn.
         for first_page, num_pages in ((0, 16), (8192, 300)):
@@ -118,8 +122,7 @@ class TestPageTable:
             table = PageTable()
             table.map_identity_pages(first_page, num_pages)
             assert list(table.mappings.items()) == list(reference.mappings.items())
-        identity = PageTable.identity(64 * 1024)
-        assert list(identity.mappings.items()) == [(page, page) for page in range(16)]
+            assert table.translate(first_page * 4096 + 0x123) == first_page * 4096 + 0x123
 
 
 class TestPageWalk:
@@ -140,28 +143,28 @@ class TestPageWalk:
         mem.page_table = PageTable()
         mem.page_table.map_page(0x4000_0000, 0x10_0000)
         mem.page_table.map_page(0x4000_1000, 0x10_1000)
-        return mem
+        return mem, stats
 
     def test_first_walk_reads_every_level(self, kernel):
-        access = self.hierarchy().data_access(0x4000_0008)
+        access = self.hierarchy()[0].data_access(0x4000_0008)
         assert access.tlb_walk_accesses == 3
         assert access.physical_address == 0x10_0008 and not access.page_fault
 
     def test_neighbouring_page_walks_from_the_translation_cache(self, kernel):
-        mem = self.hierarchy()
+        mem, stats = self.hierarchy()
         mem.data_access(0x4000_0008)
         access = mem.data_access(0x4000_1010)
-        assert mem.stats.value("tcache.hit") == 1
+        assert stats.value("tcache.hit") == 1
         assert access.tlb_walk_accesses == 1
         assert access.physical_address == 0x10_1010
 
     def test_unmapped_address_faults_after_a_full_walk(self, kernel):
-        mem = self.hierarchy()
+        mem, stats = self.hierarchy()
         mem.data_access(0x4000_0008)
         access = mem.data_access(0x8000_0000)
         assert access.page_fault and access.physical_address is None
         assert access.tlb_walk_accesses == 3
-        assert mem.stats.value("mem.page_faults") == 1
+        assert stats.value("mem.page_faults") == 1
 
 
 class TestMshrFile:

@@ -239,14 +239,6 @@ class TestLazyIdentityTable:
         assert table.translate(machine.address_map.region_base(1)) is None
         assert list(table.mappings.items()) == list(eager.items())
 
-    def test_unmap_before_the_first_read_removes_an_identity_page(self, os_platform):
-        _, table, eager = os_platform
-        page = list(eager)[len(eager) // 2]
-        table.unmap_page(page * table.page_bytes)
-        del eager[page]
-        assert table.translate(page * table.page_bytes) is None
-        assert list(table.mappings.items()) == list(eager.items())
-
     def test_map_before_the_first_read_keeps_the_eager_order(self, os_platform):
         machine, table, eager = os_platform
         remapped = next(iter(eager))

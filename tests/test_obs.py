@@ -119,7 +119,7 @@ class TestExport:
         tracer = Tracer()
         tracer.sim_span("execute", "core-0", 10, 30, tenant=1)
         tracer.sim_span("queue", "queue", 0, 10, tenant=1)
-        tracer.sim_event("complete", "core-0", 30, tenant=1)
+        tracer.sim_span("complete", "core-0", 30, 30, tenant=1)
         return tracer
 
     def test_document_validates_and_is_deterministic(self):
@@ -174,7 +174,7 @@ class TestMetrics:
     def test_counter_gauge_histogram_render(self):
         registry = MetricsRegistry()
         registry.counter("repro_c_total", "a counter").inc(3)
-        registry.gauge("repro_g", "a gauge").set(1.5)
+        registry.gauge("repro_g", "a gauge").set_function(lambda: 1.5)
         registry.histogram("repro_h", "a histogram", buckets=(1.0, 10.0)).observe(2.0)
         text = registry.render_prometheus()
         assert "# TYPE repro_c_total counter" in text

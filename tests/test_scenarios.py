@@ -18,8 +18,9 @@ from repro.analysis.engine import (
     ScenarioSpec,
     execute_scenario_request,
 )
-from repro.analysis.figures import security_leakage_table
+from repro.analysis.figures import aggregate_leakage_rows
 from repro.analysis.store import ResultStore
+from repro.api import Session
 from repro.attacks.coschedule import CoScheduledExecutor, MemOp, detailed_config_for
 from repro.attacks.placement import DEFAULT_ATTACKER_CORE
 from repro.attacks.scenarios import (
@@ -216,11 +217,8 @@ class TestScenarioEngine:
         assert spec.seeds == (2019,)
 
     def test_security_table_reports_leak_on_base_only(self):
-        title, rows = security_leakage_table(
-            scenarios=("branch_residue",), store=ResultStore.in_memory()
-        )
-        assert "leaked bits" in title
-        cells = rows["branch_residue"]
+        result = Session(ResultStore.in_memory()).attack(scenarios=("branch_residue",))
+        cells = aggregate_leakage_rows(result.outcomes)["branch_residue"]
         base_leaked, base_total = map(int, cells["BASE"].split("/"))
         mi6_leaked, mi6_total = map(int, cells["F+P+M+A"].split("/"))
         assert base_leaked > 0

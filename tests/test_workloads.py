@@ -35,14 +35,16 @@ class TestProfiles:
                 new_line_fraction=0.5,
             )
 
-    def test_memory_and_branch_fraction_helpers(self):
-        gcc = profile_for("gcc")
-        assert 0.3 < gcc.memory_fraction < 0.5
-        assert 0.1 < gcc.branch_fraction < 0.25
+    def test_gcc_memory_and_branch_fractions(self):
+        mix = profile_for("gcc").instruction_mix
+        assert 0.3 < mix["load"] + mix["store"] < 0.5
+        assert 0.1 < mix["branch"] < 0.25
 
     def test_gcc_is_the_llc_heaviest_profile(self):
+        # The rough LLC miss rate a mix implies under the baseline index.
         expected = {
-            name: profile.expected_llc_misses_per_kilo_instruction
+            name: 1000.0 * (profile.instruction_mix["load"] + profile.instruction_mix["store"])
+            * profile.new_line_fraction
             for name, profile in SPEC_CINT2006.items()
         }
         assert max(expected, key=expected.get) == "gcc"
