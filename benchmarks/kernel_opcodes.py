@@ -11,8 +11,10 @@ of the core loop and per primed address of the warm-up lane.
 
 The counts repeat exactly for one interpreter and one tree, but they
 differ between Python versions, so compare two trees only under one
-interpreter.  This is a cost meter, not a gate.  Run from the
-repository root, against any tree's ``src``:
+interpreter.  CI's perf job runs this script on HEAD's and on the
+parent's ``src`` under one interpreter and fails when HEAD's
+``core_per_instruction`` or ``warmup_per_address`` is more than 3% above
+the parent's.  Run from the repository root, against any tree's ``src``:
 
     PYTHONPATH=src python benchmarks/kernel_opcodes.py
 

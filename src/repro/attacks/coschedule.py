@@ -14,13 +14,13 @@ through a :class:`~repro.mem.llc_detail.DetailedLlc`.
 
 The division of labour between the two LLC models:
 
-* **functional truth** — hits, misses, evictions, owner labels, and the
-  DRAM-region protection check — comes from the machine's shared
+* **functional truth** — hits, misses, evictions and the DRAM-region
+  protection check — comes from the machine's shared
   :class:`~repro.mem.llc.LastLevelCache`, reached through each core's own
   :class:`~repro.mem.hierarchy.MemoryHierarchy` (so L1 filtering and the
   MI6 region bitvector behave exactly as in the perf runs), whose
-  :meth:`~repro.mem.hierarchy.MemoryHierarchy.data_access_parts`
-  returns the five fields the executor keeps as a plain tuple;
+  :meth:`~repro.mem.hierarchy.MemoryHierarchy.data_access` returns the
+  plain tuple the executor keeps;
 * **cycle-level timing** — pipeline-entry arbitration, MSHR occupancy
   and backpressure, UQ/DQ queueing, DRAM latency — comes from the
   detailed pipeline, which receives one
@@ -351,11 +351,11 @@ class CoScheduledExecutor:
         op = state.ops[index]
         state.next_index = index + 1
         state.last_issue_cycle = cycle
-        outcome = state.hierarchy.data_access_parts(
+        outcome = state.hierarchy.data_access(
             op.address, is_write=op.is_write, l1_bypass=op.l1_bypass
         )
-        latency, _l1_hit, llc_accessed, llc_hit, blocked = outcome
-        if llc_accessed:
+        latency, llc_hit, _llc_bank, blocked = outcome
+        if llc_hit is not None:
             request = LlcRequest(
                 core=state.core_id,
                 line_address=op.address // self.detailed.config.line_bytes,
@@ -394,15 +394,15 @@ class CoScheduledExecutor:
                 if complete is None:
                     still_pending.append(entry)
                     continue
-            _latency, l1_hit, _llc_accessed, llc_hit, blocked = outcome
+            _latency, llc_hit, _llc_bank, blocked = outcome
             record = CompletedAccess(
                 core_id=state.core_id,
                 index=index,
                 address=op.address,
                 issue_cycle=issue,
                 complete_cycle=complete,
-                l1_hit=l1_hit,
-                llc_hit=llc_hit,
+                l1_hit=llc_hit is None,
+                llc_hit=llc_hit is True,
                 blocked=blocked,
                 label=op.label,
             )

@@ -142,7 +142,7 @@ def build_scenario_machine(
         complex_ = machine.core(core_id)
         complex_.region_bitvector.set_regions(set(regions))
         allowed = complex_.region_bitvector.is_allowed if enforce else None
-        complex_.hierarchy.install_context(None, allowed, core_id)
+        complex_.hierarchy.install_context(None, allowed)
     return machine
 
 

@@ -70,13 +70,11 @@ class MI6Processor:
             config.effective_llc_config(),
             config.address_map,
             self.dram,
-            rng=rng,
             stats=self.stats,
         )
         self.hierarchy = MemoryHierarchy(
             core_id=0,
             llc=self.llc,
-            dram=self.dram,
             address_map=config.address_map,
             rng=rng,
             stats=self.stats,
@@ -88,7 +86,6 @@ class MI6Processor:
         if config.flush_on_context_switch:
             self.core.purge_callback = _weak_call(self.purge_unit.execute)
         self.region_bitvector = RegionBitvector(config.address_map, stats=self.stats)
-        self._domain: Optional[ProtectionDomain] = None
         # Counter names the last warm-up registered.
         self._warm_registered: Optional[Tuple[str, ...]] = None
 
@@ -97,13 +94,8 @@ class MI6Processor:
 
     def install_domain(self, domain: ProtectionDomain) -> None:
         """Install a protection domain on the core (what the monitor does)."""
-        self._domain = domain
         self.region_bitvector.set_regions(domain.regions)
-        self.hierarchy.install_context(
-            page_table=domain.page_table,
-            region_allowed=self.region_bitvector.is_allowed,
-            owner=domain.domain_id,
-        )
+        self.hierarchy.install_context(domain.page_table, self.region_bitvector.is_allowed)
 
     def build_workload_domain(
         self, workload: Workload, *, domain_id: int = 1, first_region: int = 1
@@ -127,7 +119,7 @@ class MI6Processor:
             cores={0},
             is_enclave=True,
         )
-        table = PageTable(asid=domain_id)
+        table = PageTable()
         base_physical = address_map.region_base(first_region)
         table.root_physical_address = base_physical
         # Reserve the first pages for the page table itself, then map the
@@ -151,9 +143,9 @@ class MI6Processor:
 
         Warm-up is the simulator's fast-forward region: every latency it
         computes is discarded and every counter it bumps is reset below,
-        so the fast path primes through the hierarchy's timing accessors
-        (identical state/statistics effects, no per-access records).  The
-        ``REPRO_SLOW_PATH`` escape hatch keeps the original accessors.
+        so the fast path primes through the hierarchy's fused warm-up
+        lanes (the accessors' state and statistics effects, applied in
+        place).  The ``REPRO_SLOW_PATH`` escape hatch calls the accessors.
         """
         counters = self.stats.registered()
         if slow_path_enabled():

@@ -85,7 +85,7 @@ class ProtectionDomain:
     """A non-overlapping allocation of machine resources.
 
     Attributes:
-        domain_id: Unique identifier (also used as the cache owner label).
+        domain_id: Unique identifier.
         name: Human-readable name ("os", "enclave-0", "monitor", ...).
         regions: DRAM regions owned by the domain.
         cores: Cores currently assigned to the domain.
@@ -117,7 +117,7 @@ class ProtectionDomain:
         that installs the OS but never translates through its table
         never pays for it.
         """
-        table = PageTable(asid=self.domain_id)
+        table = PageTable()
         for region in sorted(self.regions):
             first_page = address_map.region_base(region) // table.page_bytes
             table.map_identity_pages(first_page, address_map.pages_per_region)

@@ -180,7 +180,7 @@ class FastpathParityRule(Rule):
                     "the REPRO_SLOW_PATH oracle alive",
                 )
                 continue
-            if not self._twin_reachable(module, lane, twin):
+            if not self._twin_reachable(module, twin):
                 yield self.finding(
                     module,
                     twin.node,
@@ -210,7 +210,7 @@ class FastpathParityRule(Rule):
         return None
 
     @staticmethod
-    def _twin_reachable(module: SourceModule, lane: _Lane, twin: _Lane) -> bool:
+    def _twin_reachable(module: SourceModule, twin: _Lane) -> bool:
         if not twin.name.startswith("_"):
             # The public default the fast lane overrides: reachable by
             # construction (the override itself happens behind the

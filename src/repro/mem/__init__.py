@@ -29,7 +29,7 @@ __all__, __getattr__ = lazy_exports(
         "repro.mem.address": ("AddressMap", "CacheGeometry", "IndexFunction"),
         "repro.mem.cache": ("SetAssociativeCache",),
         "repro.mem.dram": ("DramController",),
-        "repro.mem.hierarchy": ("HierarchyAccess", "MemoryHierarchy"),
+        "repro.mem.hierarchy": ("MemoryHierarchy",),
         "repro.mem.l1": ("L1Cache",),
         "repro.mem.llc": ("LastLevelCache",),
         "repro.mem.page_table": ("PageTable",),

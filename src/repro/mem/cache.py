@@ -1,20 +1,16 @@
 """Generic set-associative cache model.
 
 The same structural model backs the L1 instruction/data caches and the
-tag array of the shared LLC.  It tracks tags, dirty bits, and an owner
-label per line: the protection domain that filled or last touched it,
-which real hardware does not store.  :meth:`SetAssociativeCache.access_parts`
-reports the owner of a line it evicts, but nothing a user runs reads the
-label back; the tests' layout-independent line projection
-(``tests/helpers.py``) compares it between the kernels.
+tag array of the shared LLC.  It tracks a tag and a dirty bit per line;
+like MI6's hardware, it labels no line with a protection domain.
 
 This module sits on the simulator's hottest path (every instruction fetch
 and data access lands here), so the access machinery avoids per-access
 allocations: counter handles are cached after first use (registration
 stays lazy, so the set of counters a run reports is unchanged), the
 index/tag decomposition is a precomputed shift-and-mask whenever the
-default index and tag functions are in use (the L1s, and the LLC under
-the baseline index function), and :meth:`SetAssociativeCache.access_parts`
+default index function is in use (the L1s, and the LLC under the
+baseline index function), and :meth:`SetAssociativeCache.access_parts`
 returns a plain tuple.
 
 Two storage layouts back the same entry points (``access_parts``,
@@ -23,7 +19,7 @@ Two storage layouts back the same entry points (``access_parts``,
 * the reference layout — one :class:`CacheLine` object per line — is
   used when ``REPRO_SLOW_PATH=1`` selects the reference kernel;
 * the default fast path stores the tag array as flat parallel slabs
-  (``tags`` / ``dirty`` / ``owner`` lists indexed ``set * ways + way``)
+  (``tags`` / ``dirty`` lists indexed ``set * ways + way``)
   plus a per-set ``{tag: way}`` map and a per-set valid count, so a hit
   is one dict probe instead of a way scan and victim selection never
   builds a per-access ``valid`` list: a set with a free way fills the
@@ -76,7 +72,6 @@ class CacheLine:
     valid: bool = False
     tag: int = 0
     dirty: bool = False
-    owner: Optional[int] = None
 
 
 class SetAssociativeCache:
@@ -88,10 +83,9 @@ class SetAssociativeCache:
         policy: Replacement policy instance (owned by this cache).
         index_for: Maps a physical address to a set index.  Defaults to the
             low-order line-address bits; the LLC passes the MI6
-            set-partitioned index function here.
-        tag_for: Maps a physical address to the stored tag.  Defaults to
-            the full line address so that lines are unambiguous regardless
-            of the index function.
+            set-partitioned index function here.  The stored tag is the
+            full line address, so lines are unambiguous regardless of the
+            index function.
         stats: Statistics registry to record hits/misses/evictions into.
 
     The storage layout is chosen by class before ``__init__`` runs: in the
@@ -112,7 +106,6 @@ class SetAssociativeCache:
         geometry: CacheGeometry,
         policy: ReplacementPolicy,
         index_for: Optional[Callable[[int], int]] = None,
-        tag_for: Optional[Callable[[int], int]] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> SetAssociativeCache:
         # The slab layout requires a policy whose victim/touch behaviour
@@ -134,7 +127,6 @@ class SetAssociativeCache:
         geometry: CacheGeometry,
         policy: ReplacementPolicy,
         index_for: Optional[Callable[[int], int]] = None,
-        tag_for: Optional[Callable[[int], int]] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
         self.name = name
@@ -145,18 +137,13 @@ class SetAssociativeCache:
         self._index_for = index_for or (
             lambda physical_address: (physical_address >> offset_bits) & set_mask
         )
-        self._tag_for = tag_for or (
-            lambda physical_address: physical_address >> offset_bits
-        )
+        self._offset_bits = offset_bits
         self._stats = stats or StatsRegistry()
         # Inline-computation handles for the hot slab path: when the
-        # default index/tag functions are in use the slab access computes
-        # them with shifts instead of calling the lambdas above.
-        self._fast_offset_bits = (
-            offset_bits if index_for is None and tag_for is None else None
-        )
+        # default index function is in use the slab access computes the
+        # set with a mask instead of calling the lambda above.
+        self._fast_offset_bits = offset_bits if index_for is None else None
         self._fast_set_mask = set_mask
-        self._tag_shift = offset_bits if tag_for is None else None
         # A stateless pseudo-random policy's touch() is a no-op; skipping
         # the call entirely removes one method dispatch per access.
         self._touch = None if type(policy) is PseudoRandomPolicy else policy.touch
@@ -175,7 +162,6 @@ class SetAssociativeCache:
         self._sets: Optional[List[List[CacheLine]]] = None
         self._slab_tags: List[Optional[int]] = []
         self._slab_dirty: List[bool] = []
-        self._slab_owners: List[Optional[int]] = []
         self._tag_maps: List[Dict[int, int]] = []
         self._valid_counts: List[int] = []
         self._ways = geometry.ways
@@ -187,7 +173,6 @@ class SetAssociativeCache:
             total = geometry.num_sets * geometry.ways
             self._slab_tags = [None] * total
             self._slab_dirty = [False] * total
-            self._slab_owners = [None] * total
             self._tag_maps = [_NO_TAGS] * geometry.num_sets
             self._valid_counts = [0] * geometry.num_sets
             if policy_type is PseudoRandomPolicy:
@@ -215,21 +200,16 @@ class SetAssociativeCache:
                 for _ in range(geometry.num_sets)
             ]
 
-    def access_parts(
-        self,
-        physical_address: int,
-        is_write: bool = False,
-        owner: Optional[int] = None,
-        allocate: bool = True,
-    ) -> tuple:
+    def access_parts(self, physical_address: int, is_write: bool = False) -> tuple:
         """Perform an access, allocating on a miss; return plain values.
 
-        Returns ``(hit, set_index, way, evicted_tag, evicted_dirty,
-        evicted_owner)``.  This is the entry point of the L1 and LLC
-        wrappers and the memory hierarchy.
+        Returns ``(hit, set_index, evicted_dirty)``: the LLC reads the
+        set for its MSHR bank and the victim's dirty bit for its
+        writeback count.  This is the entry point of the LLC and the
+        memory hierarchy.
         """
         set_index = self._index_for(physical_address)
-        tag = self._tag_for(physical_address)
+        tag = physical_address >> self._offset_bits
         lines = self._sets[set_index]
         counter = self._c_access
         if counter is None:
@@ -246,26 +226,18 @@ class SetAssociativeCache:
                     self._touch(set_index, way)
                 if is_write:
                     line.dirty = True
-                if owner is not None:
-                    line.owner = owner
-                return (True, set_index, way, None, False, None)
+                return (True, set_index, False)
 
         counter = self._c_miss
         if counter is None:
             counter = self._c_miss = self._stats.counter(f"{self.name}.miss")
         counter.value += 1
-        if not allocate:
-            return (False, set_index, -1, None, False, None)
 
         victim_way = self._victim(set_index, [line.valid for line in lines])
         victim = lines[victim_way]
-        evicted_tag: Optional[int] = None
         evicted_dirty = False
-        evicted_owner: Optional[int] = None
         if victim.valid:
-            evicted_tag = victim.tag
             evicted_dirty = victim.dirty
-            evicted_owner = victim.owner
             counter = self._c_eviction
             if counter is None:
                 counter = self._c_eviction = self._stats.counter(f"{self.name}.eviction")
@@ -276,10 +248,10 @@ class SetAssociativeCache:
                     counter = self._c_writeback = self._stats.counter(f"{self.name}.writeback")
                 counter.value += 1
 
-        lines[victim_way] = CacheLine(valid=True, tag=tag, dirty=is_write, owner=owner)
+        lines[victim_way] = CacheLine(valid=True, tag=tag, dirty=is_write)
         if self._touch is not None:
             self._touch(set_index, victim_way)
-        return (False, set_index, victim_way, evicted_tag, evicted_dirty, evicted_owner)
+        return (False, set_index, evicted_dirty)
 
     # ------------------------------------------------------------------
     # Slab (flat-array) fast path.  Same observable behaviour as the
@@ -287,25 +259,14 @@ class SetAssociativeCache:
     # transitions, identical RNG draw sequence.  They are the public
     # entry points of :class:`_SlabCache` (fast kernel only).
 
-    def _access_parts_slab(
-        self,
-        physical_address: int,
-        is_write: bool = False,
-        owner: Optional[int] = None,
-        allocate: bool = True,
-    ) -> tuple:
+    def _access_parts_slab(self, physical_address: int, is_write: bool = False) -> tuple:
         fast_offset_bits = self._fast_offset_bits
         if fast_offset_bits is not None:
             tag = physical_address >> fast_offset_bits
             set_index = tag & self._fast_set_mask
         else:
             set_index = self._index_for(physical_address)
-            tag_shift = self._tag_shift
-            tag = (
-                physical_address >> tag_shift
-                if tag_shift is not None
-                else self._tag_for(physical_address)
-            )
+            tag = physical_address >> self._offset_bits
         counter = self._c_access
         if counter is None:
             counter = self._c_access = self._stats.counter(f"{self.name}.access")
@@ -327,26 +288,19 @@ class SetAssociativeCache:
                         stack = stacks[set_index] = bytearray(stack)
                     stack.remove(way)
                     stack.insert(0, way)
-            slot = set_index * ways + way
             if is_write:
-                self._slab_dirty[slot] = True
-            if owner is not None:
-                self._slab_owners[slot] = owner
-            return (True, set_index, way, None, False, None)
+                self._slab_dirty[set_index * ways + way] = True
+            return (True, set_index, False)
 
         counter = self._c_miss
         if counter is None:
             counter = self._c_miss = self._stats.counter(f"{self.name}.miss")
         counter.value += 1
-        if not allocate:
-            return (False, set_index, -1, None, False, None)
 
         tags = self._slab_tags
         base = set_index * ways
         valid_count = self._valid_counts[set_index]
-        evicted_tag: Optional[int] = None
         evicted_dirty = False
-        evicted_owner: Optional[int] = None
         if valid_count < ways:
             if not valid_count and tag_map is _NO_TAGS:
                 tag_map = self._tag_maps[set_index] = {}
@@ -367,10 +321,8 @@ class SetAssociativeCache:
             else:
                 victim_way = self._policy.victim(set_index, [True] * ways)
             slot = base + victim_way
-            evicted_tag = tags[slot]
             evicted_dirty = self._slab_dirty[slot]
-            evicted_owner = self._slab_owners[slot]
-            del tag_map[evicted_tag]
+            del tag_map[tags[slot]]
             counter = self._c_eviction
             if counter is None:
                 counter = self._c_eviction = self._stats.counter(f"{self.name}.eviction")
@@ -385,7 +337,6 @@ class SetAssociativeCache:
 
         tags[slot] = tag
         self._slab_dirty[slot] = is_write
-        self._slab_owners[slot] = owner
         tag_map[tag] = victim_way
         stacks = self._lru_stacks
         if stacks is not None:
@@ -395,7 +346,7 @@ class SetAssociativeCache:
                     stack = stacks[set_index] = bytearray(stack)
                 stack.remove(victim_way)
                 stack.insert(0, victim_way)
-        return (False, set_index, victim_way, evicted_tag, evicted_dirty, evicted_owner)
+        return (False, set_index, evicted_dirty)
 
     def _invalidate_tag_range_slab(self, low_tag: int, high_tag: int) -> int:
         """Slab twin of :meth:`invalidate_tag_range`.
@@ -412,7 +363,6 @@ class SetAssociativeCache:
         ways = self._ways
         tags = self._slab_tags
         dirty = self._slab_dirty
-        owners = self._slab_owners
         tag_maps = self._tag_maps
         invalidate = self._policy.invalidate
         invalidated = 0
@@ -427,7 +377,6 @@ class SetAssociativeCache:
                 del tag_maps[set_index][tag]
                 tags[slot] = None
                 dirty[slot] = False
-                owners[slot] = None
                 remaining -= 1
                 invalidate(set_index, way)
             if remaining != count:
@@ -441,15 +390,14 @@ class SetAssociativeCache:
         The purge stall (one cycle per line slot, 512 for an L1) does
         not depend on what the cache holds; only this host work does.
         A cache holding no line is left as it is: every invalidation
-        restores its slot's dirty bit and owner, so it already equals a
-        fresh cache.
+        restores its slot's dirty bit, so it already equals a fresh
+        cache.
         """
         flushed = sum(self._valid_counts)
         if flushed:
             total = len(self._slab_tags)
             self._slab_tags = [None] * total
             self._slab_dirty = [False] * total
-            self._slab_owners = [None] * total
             self._tag_maps = [_NO_TAGS] * self.geometry.num_sets
             self._valid_counts = [0] * self.geometry.num_sets
         self._policy.reset()
@@ -517,7 +465,6 @@ class _SlabCache(SetAssociativeCache):
         return (
             list(self._slab_tags),
             list(self._slab_dirty),
-            list(self._slab_owners),
             [dict(tag_map) if tag_map else _NO_TAGS for tag_map in self._tag_maps],
             list(self._valid_counts),
             None if self._lru_stacks is None else list(map(bytes, self._lru_stacks)),
@@ -530,10 +477,9 @@ class _SlabCache(SetAssociativeCache):
         Counters and their cached handles are left alone: they belong to
         this cache's own registry.
         """
-        tags, dirty, owners, tag_maps, valid_counts, stacks, rng_state = state
+        tags, dirty, tag_maps, valid_counts, stacks, rng_state = state
         self._slab_tags = list(tags)
         self._slab_dirty = list(dirty)
-        self._slab_owners = list(owners)
         self._tag_maps = [dict(tag_map) if tag_map else _NO_TAGS for tag_map in tag_maps]
         self._valid_counts = list(valid_counts)
         policy = self._policy

@@ -105,7 +105,7 @@ class DramController:
         read) is available at the LLC.
         """
         accept = self.earliest_accept_cycle(now)
-        latency = self._latency_for(line_address, accept)
+        latency = self._latency_for(line_address)
         request = DramRequest(
             core=core,
             line_address=line_address,
@@ -131,7 +131,7 @@ class DramController:
             self._stats.counter("dram.backpressure_cycles").increment(accept - now)
         return request
 
-    def _latency_for(self, line_address: int, accept_cycle: int) -> int:
+    def _latency_for(self, line_address: int) -> int:
         if self.config.constant_latency:
             return self.config.latency_cycles
         # Illustrative reordering model: a request to the bank most

@@ -3,29 +3,22 @@
 The out-of-order core timing model performs every instruction fetch, data
 access, and page-table walk through a :class:`MemoryHierarchy`, which owns
 the core-private structures (L1 I/D caches, L1 I/D TLBs, the L2 TLB and
-translation cache) and references the shared structures (LLC, DRAM
-controller).  Every physical address produced here — including the
+translation cache) and references the shared LLC, which holds the DRAM
+controller.  Every physical address produced here — including the
 addresses touched by page-table walks — is passed through the protection
 domain's DRAM-region check, mirroring the MI6 hardware of Section 5.3.
 
-Two access surfaces are exposed:
-
-* the descriptive methods (:meth:`MemoryHierarchy.data_access`,
-  :meth:`MemoryHierarchy.fetch_access`) return a full
-  :class:`HierarchyAccess` record — tests, attack models, and the
-  reference (slow-path) core loop use these;
-* the timing methods (:meth:`MemoryHierarchy.data_access_timing`,
-  :meth:`MemoryHierarchy.fetch_access_timing`) perform *identical* state
-  and statistics updates but return only the scalars the fast core loop
-  consumes, skipping the per-access record construction;
-  :meth:`MemoryHierarchy.data_access_parts` does the same for the
-  co-scheduled attack executor.
+Each side has one accessor: :meth:`MemoryHierarchy.data_access` for a
+load or store (or, with ``l1_bypass``, the flush+access idiom's direct
+LLC probe) and :meth:`MemoryHierarchy.fetch_access` for an instruction
+fetch.  Both return a plain tuple; the core loops, warm-up, the
+co-scheduled attack executor and the OS model share them.
 
 Warm-up discards every latency, so the fast kernel primes through the
 fused warm-up lanes (:meth:`MemoryHierarchy.prime_data_timing`,
 :meth:`MemoryHierarchy.prime_fetch_timing`): one loop per side that
 applies the TLB, L1 and LLC effects of each address in place, with the
-timing methods' state and statistics.  It tallies the counts it applies
+accessors' state and statistics.  It tallies the counts it applies
 and adds them when it ends, deriving its evictions from its misses and
 the lines the caches hold, and hands an access to the accessors only
 where the path it takes needs a counter not registered yet.
@@ -33,14 +26,12 @@ where the path it takes needs a counter not registered yet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
 from repro.mem.address import AddressMap
 from repro.mem.cache import _NO_TAGS, SetAssociativeCache
-from repro.mem.dram import DramController
 from repro.mem.l1 import L1Cache
 from repro.mem.llc import LastLevelCache
 from repro.mem.page_table import PageTable
@@ -50,48 +41,12 @@ from repro.mem.tlb import TranslationCache, Tlb
 L2_TLB_HIT_LATENCY = 4
 
 
-@dataclass(frozen=True)
-class HierarchyAccess:
-    """Timing and event summary of one memory-hierarchy access.
-
-    Attributes:
-        latency: Total load-to-use (or fetch) latency in cycles, excluding
-            MSHR-availability stalls which the core model adds.
-        physical_address: Translated physical address (None if the access
-            faulted or was suppressed by the protection check).
-        l1_hit: Whether the access hit in its L1 cache.
-        llc_accessed: Whether the access reached the LLC.
-        llc_hit: Whether the LLC access hit (meaningless if not accessed).
-        llc_set: LLC set index touched (for attack/partition analysis).
-        llc_bank: MSHR bank a miss would occupy.
-        llc_writeback: Whether the LLC fill evicted a dirty line.
-        tlb_walk_accesses: Memory accesses performed by the page walk.
-        page_fault: True when translation failed.
-        blocked_by_protection: True when the DRAM-region check suppressed
-            the access (the speculative case of Section 5.3: the access is
-            simply not emitted).
-    """
-
-    latency: int
-    physical_address: Optional[int] = None
-    l1_hit: bool = True
-    llc_accessed: bool = False
-    llc_hit: bool = False
-    llc_set: int = -1
-    llc_bank: int = 0
-    llc_writeback: bool = False
-    tlb_walk_accesses: int = 0
-    page_fault: bool = False
-    blocked_by_protection: bool = False
-
-
 class MemoryHierarchy:
-    """Core-private caches/TLBs plus references to the shared LLC and DRAM.
+    """Core-private caches/TLBs plus a reference to the shared LLC.
 
     Args:
-        core_id: Index of the owning core.
-        llc: Shared last-level cache.
-        dram: Shared DRAM controller.
+        core_id: Index of the owning core (it seeds the L1s' replacement).
+        llc: Shared last-level cache (it holds the DRAM controller).
         address_map: Physical address map (for region computation).
         rng: Deterministic random source for replacement policies.
         stats: Statistics registry (shared with the core model).
@@ -101,15 +56,12 @@ class MemoryHierarchy:
         self,
         core_id: int,
         llc: LastLevelCache,
-        dram: DramController,
         address_map: AddressMap,
         *,
         rng: Optional[DeterministicRng] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
-        self.core_id = core_id
         self.llc = llc
-        self.dram = dram
         self.address_map = address_map
         self._stats = stats or StatsRegistry()
         rng = rng or DeterministicRng(0)
@@ -124,8 +76,6 @@ class MemoryHierarchy:
         self.page_table: Optional[PageTable] = None
         # DRAM-region access check installed by the protection domain.
         self.region_allowed: Optional[Callable[[int], bool]] = None
-        # Owner label recorded on cache lines (protection-domain id).
-        self.owner: Optional[int] = None
         # Hot-path handles: the L1 tag arrays' access entry points bound
         # once, and lazily cached counters.
         self._l1i_access_parts = self.l1i.cache.access_parts
@@ -141,23 +91,15 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Translation
 
-    def _check_region(self, physical_address: int) -> bool:
-        """True if the access to ``physical_address`` is permitted."""
-        if self.region_allowed is None:
-            return True
-        return self.region_allowed(physical_address)
-
-    def _translate(
-        self, virtual_address: int, tlb: Tlb
-    ) -> tuple[Optional[int], int, int, bool]:
+    def _translate(self, virtual_address: int, tlb: Tlb) -> tuple[Optional[int], int]:
         """Translate through the given L1 TLB.
 
-        Returns ``(physical_address, extra_latency, walk_accesses, fault)``.
+        Returns ``(physical_address, extra_latency)``; the address is
+        None when the translation faults.
         """
         page_table = self.page_table
         if page_table is None:
-            physical = virtual_address % self._dram_bytes
-            return physical, 0, 0, False
+            return virtual_address % self._dram_bytes, 0
 
         # Inlined L1-TLB hit path (state/stats-identical to ``tlb.access``):
         # the access counter bumps on every probe, a hit bumps the hit
@@ -170,7 +112,7 @@ class MemoryHierarchy:
         if counter is None:
             counter = tlb._c_access = tlb._stats.counter(f"{tlb.name}.access")
         counter.value += 1
-        if vpn in entries and tlb._asid_of.get(vpn, 0) == 0:
+        if vpn in entries:
             if entries[0] != vpn:
                 entries.remove(vpn)
                 entries.insert(0, vpn)
@@ -181,18 +123,16 @@ class MemoryHierarchy:
             page_bytes = page_table.page_bytes
             ppn = page_table.mappings.get(virtual_address // page_bytes)
             if ppn is None:
-                return None, 0, 0, True
-            return ppn * page_bytes + virtual_address % page_bytes, 0, 0, False
+                return None, 0
+            return ppn * page_bytes + virtual_address % page_bytes, 0
         counter = tlb._c_miss
         if counter is None:
             counter = tlb._c_miss = tlb._stats.counter(f"{tlb.name}.miss")
         counter.value += 1
-        tlb.fill(virtual_address, 0)
+        tlb.fill(virtual_address)
         return self._translate_miss_tail(virtual_address)
 
-    def _translate_miss_tail(
-        self, virtual_address: int
-    ) -> tuple[Optional[int], int, int, bool]:
+    def _translate_miss_tail(self, virtual_address: int) -> tuple[Optional[int], int]:
         """L2-TLB / page-walk tail of a translation (after an L1-TLB miss).
 
         The L1-TLB probe, miss accounting, and refill have already
@@ -201,25 +141,19 @@ class MemoryHierarchy:
         """
         page_table = self.page_table
         if self.l2tlb.access(virtual_address):
-            physical = page_table.translate(virtual_address)
-            return physical, L2_TLB_HIT_LATENCY, 0, physical is None
+            return page_table.translate(virtual_address), L2_TLB_HIT_LATENCY
 
         # Full (possibly shortened) page-table walk.
         skipped = self.translation_cache.deepest_hit_level(virtual_address)
         levels = max(1, page_table.walk_levels - skipped)
         extra_latency = L2_TLB_HIT_LATENCY
-        walk_accesses = 0
         root = page_table.root_physical_address
         page_bytes = page_table.page_bytes
         for level in range(levels):
             pte_address = (root + level * page_bytes) % self._dram_bytes
-            walk_accesses += 1
-            extra_latency += self._physical_data_timing(
-                pte_address, is_write=False, is_ptw=True
-            )[0]
+            extra_latency += self._physical_data_timing(pte_address, is_ptw=True)[0]
         self.translation_cache.fill(virtual_address)
-        physical = page_table.translate(virtual_address)
-        return physical, extra_latency, walk_accesses, physical is None
+        return page_table.translate(virtual_address), extra_latency
 
     # ------------------------------------------------------------------
     # Physical-side accesses
@@ -254,22 +188,19 @@ class MemoryHierarchy:
     ) -> tuple:
         """Access the data-side hierarchy with an already translated address.
 
-        Returns ``(latency, llc_parts, blocked)`` where ``llc_parts`` is
-        the LLC's ``access_parts`` tuple when the access reached the LLC
-        and ``None`` otherwise.  This is the single implementation behind
-        every data access after translation (reference, timing, page
-        walk, and the core's fused lane on an L1D miss), so the state and
-        statistics effects are identical on every path.
+        Returns :meth:`data_access`'s ``(latency, llc_hit, llc_bank,
+        blocked)`` without the translation.  This is the single
+        implementation behind every data access after translation (the
+        accessor, the page walk, and the core's fused lane on an L1D
+        miss), so the state and statistics effects are identical on
+        every path.
         """
         if self.region_allowed is not None and not self.region_allowed(physical_address):
             self._count_blocked_access()
-            return (0, None, True)
-        if self._l1d_access_parts(physical_address, is_write, self.owner)[0]:
-            return (self.l1d.hit_latency, None, False)
-        llc_parts = self.llc.access_parts(
-            physical_address, is_write=is_write, core=self.core_id, owner=self.owner
-        )
-        latency = self.l1d.hit_latency + llc_parts[1]
+            return (0, None, 0, True)
+        if self._l1d_access_parts(physical_address, is_write)[0]:
+            return (self.l1d.hit_latency, None, 0, False)
+        llc_hit, llc_latency, llc_bank = self.llc.access_parts(physical_address, is_write)
         if is_ptw:
             counter = self._c_ptw_llc_access
             if counter is None:
@@ -279,49 +210,89 @@ class MemoryHierarchy:
             if counter is None:
                 counter = self._c_data_llc_access = self._stats.counter("data.llc_access")
         counter.value += 1
-        return (latency, llc_parts, False)
+        return (self.l1d.hit_latency + llc_latency, llc_hit, llc_bank, False)
 
     def _physical_fetch_timing(self, physical_address: int) -> tuple:
         """Fetch one line with an already translated address: ``(latency, l1_hit)``.
 
         The I-side twin of :meth:`_physical_data_timing`, behind
-        :meth:`fetch_access_timing` and the core's fused lane on an L1I
-        miss.  A suppressed fetch reports a hit: it stalls nothing.
+        :meth:`fetch_access` and the core's fused lane on an L1I miss.
+        A suppressed fetch reports a hit: it stalls nothing.
         """
         if self.region_allowed is not None and not self.region_allowed(physical_address):
             self._count_blocked_fetch()
             return (0, True)
         hit_latency = self.l1i.hit_latency
-        if self._l1i_access_parts(physical_address, False, self.owner)[0]:
+        if self._l1i_access_parts(physical_address)[0]:
             return (hit_latency, True)
-        llc_parts = self.llc.access_parts(physical_address, core=self.core_id, owner=self.owner)
-        return (hit_latency + llc_parts[1], False)
+        return (hit_latency + self.llc.access_parts(physical_address)[1], False)
 
     # ------------------------------------------------------------------
-    # Public access points used by the core model
+    # Public access points
 
-    def data_access_timing(self, virtual_address: int, *, is_write: bool = False) -> tuple:
-        """Timing of a load/store: ``(latency, llc_miss, llc_bank)``.
+    def data_access(
+        self, address: int, *, is_write: bool = False, l1_bypass: bool = False
+    ) -> tuple:
+        """A load or store: ``(latency, llc_hit, llc_bank, blocked)``.
 
-        Identical state and statistics effects to :meth:`data_access`,
-        returning only what the core's stage loop consumes: the total
-        latency, whether the access missed in the LLC (and therefore needs
-        an MSHR), and the MSHR bank a miss occupies.
+        ``address`` is virtual: it is translated through the D-TLB, and a
+        faulting translation counts ``mem.page_faults`` and emits
+        nothing.  ``latency`` is the load-to-use latency, excluding
+        MSHR-availability stalls, which the core models add.
+        ``llc_hit`` is None when the access did not reach the LLC (an L1
+        hit, a fault, or an access the DRAM-region check suppressed, for
+        which ``blocked`` is True: the speculative case of Section 5.3,
+        where the access is simply not emitted); otherwise it tells a
+        hit from a miss, and ``llc_bank`` is the MSHR bank a miss
+        occupies (0 when there is none).
+
+        With ``l1_bypass`` it accesses the shared LLC directly at a
+        physical ``address``, modelling the flush+access idiom attack
+        code relies on (a ``clflush``-ed or uncached load): the line is
+        looked up in, and on a miss installed into, the shared LLC
+        without ever being served from or allocated in the core's L1D,
+        so the latency reflects LLC state alone.  The DRAM-region check
+        still applies: MI6 suppresses disallowed probes exactly like
+        ordinary accesses.
         """
-        physical, extra, _walk, fault = self._translate(virtual_address, self.dtlb)
-        if fault:
+        if l1_bypass:
+            if self.region_allowed is not None and not self.region_allowed(address):
+                self._count_blocked_access()
+                return (0, None, 0, True)
+            llc_hit, llc_latency, llc_bank = self.llc.access_parts(address, is_write)
+            return (self.l1d.hit_latency + llc_latency, llc_hit, llc_bank, False)
+        physical, extra = self._translate(address, self.dtlb)
+        if physical is None:
             self._count_page_fault()
-            return (extra, False, 0)
-        latency, llc_parts, _blocked = self._physical_data_timing(physical, is_write=is_write)
-        if llc_parts is None or llc_parts[0]:
-            return (latency + extra, False, 0)
-        return (latency + extra, True, llc_parts[3])
+            return (extra, None, 0, False)
+        latency, llc_hit, llc_bank, blocked = self._physical_data_timing(
+            physical, is_write=is_write
+        )
+        return (latency + extra, llc_hit, llc_bank, blocked)
+
+    def fetch_access(self, virtual_address: int) -> tuple:
+        """An instruction fetch of one cache line: ``(latency, l1_hit)``.
+
+        The latency matters only on an L1I miss, when the fetch stream
+        stalls for it; a faulting or suppressed fetch reports a hit.
+        """
+        physical, extra = self._translate(virtual_address, self.itlb)
+        if physical is None:
+            counter = self._c_instruction_page_faults
+            if counter is None:
+                counter = self._c_instruction_page_faults = self._stats.counter(
+                    "mem.instruction_page_faults"
+                )
+            counter.value += 1
+            return (extra, True)
+        latency, l1_hit = self._physical_fetch_timing(physical)
+        return (latency + extra, l1_hit)
 
     def prime_data_timing(self, addresses: Iterable[int]) -> None:
         """Warm-up prime of the data side (fast kernel only).
 
         State- and statistics-identical to calling
-        :meth:`data_access_timing` on every address in ``addresses`` and
+        :meth:`data_access` on every address in ``addresses`` and
         discarding the results, which is what the processor's warm-up
         does; see :meth:`_prime_lane`.
         """
@@ -331,7 +302,7 @@ class MemoryHierarchy:
         """Warm-up prime of the instruction side (fast kernel only).
 
         State- and statistics-identical to calling
-        :meth:`fetch_access_timing` on every address; see
+        :meth:`fetch_access` on every address; see
         :meth:`_prime_lane`.
         """
         self._prime_lane(addresses, data_side=False)
@@ -407,9 +378,8 @@ class MemoryHierarchy:
           reordered.
 
         Every other case takes an accessor, as the core's fused lanes
-        do.  A TLB miss, a page fault or an entry of another address
-        space takes :meth:`data_access_timing` /
-        :meth:`fetch_access_timing`.  Each path checks only the counters
+        do.  A TLB miss or a page fault takes :meth:`data_access` /
+        :meth:`fetch_access`.  Each path checks only the counters
         it bumps (:meth:`_prime_ready`).  One its structure does not
         hold yet, or an address outside DRAM under set partitioning
         (whose index function raises), takes :meth:`_physical_data_timing`
@@ -429,12 +399,12 @@ class MemoryHierarchy:
         """
         if data_side:
             tlb, l1 = self.dtlb, self.l1d.cache
-            access_timing = self.data_access_timing
+            access = self.data_access
             physical_timing = self._physical_data_timing
             count_blocked = self._count_blocked_access
         else:
             tlb, l1 = self.itlb, self.l1i.cache
-            access_timing = self.fetch_access_timing
+            access = self.fetch_access
             physical_timing = self._physical_fetch_timing
             count_blocked = self._count_blocked_fetch
         page_table = self.page_table
@@ -449,16 +419,13 @@ class MemoryHierarchy:
             or llc_cache._lru_stacks is None
         ):
             for virtual_address in addresses:
-                access_timing(virtual_address)
+                access(virtual_address)
             return
         page_bytes = tlb.page_bytes
         tlb_num_sets = tlb.num_sets
         tlb_sets = tlb._sets
-        asid_get = tlb._asid_of.get
         mappings_get = page_table.mappings.get
         region_allowed = self.region_allowed
-        owner = self.owner
-        core_id = self.core_id
         l1_shift = l1._fast_offset_bits
         l1_set_mask = l1._fast_set_mask
         l1_ways = l1._ways
@@ -486,12 +453,10 @@ class MemoryHierarchy:
         # in this loop does.
         l1_tags = l1._slab_tags
         l1_dirty = l1._slab_dirty
-        l1_owners = l1._slab_owners
         l1_tag_maps = l1._tag_maps
         l1_valid_counts = l1._valid_counts
         llc_tags = llc_cache._slab_tags
         llc_dirty = llc_cache._slab_dirty
-        llc_owners = llc_cache._slab_owners
         llc_tag_maps = llc_cache._tag_maps
         llc_valid_counts = llc_cache._valid_counts
         l1_balance = self._eviction_balance(l1)
@@ -511,14 +476,10 @@ class MemoryHierarchy:
                 vpn = virtual_address // page_bytes
                 if vpn != front:
                     entries = tlb_sets[vpn % tlb_num_sets]
-                    ppn = (
-                        mappings_get(vpn)
-                        if tlb_ready and vpn in entries and asid_get(vpn, 0) == 0
-                        else None
-                    )
+                    ppn = mappings_get(vpn) if tlb_ready and vpn in entries else None
                     if ppn is None:
                         full_accesses += 1
-                        access_timing(virtual_address)
+                        access(virtual_address)
                         front = None
                         (
                             tlb_ready, l1_hit_ready, l1_fill_ready, l1_evict_ready,
@@ -550,12 +511,9 @@ class MemoryHierarchy:
                 tag = physical >> l1_shift
                 set_index = tag & l1_set_mask
                 tag_map = l1_tag_maps[set_index]
-                way = tag_map.get(tag)
-                if way is not None:
+                if tag in tag_map:
                     if l1_hit_ready:
                         l1_hits += 1
-                        if owner is not None:
-                            l1_owners[set_index * l1_ways + way] = owner
                         continue
                     physical_timing(physical)
                 else:
@@ -585,7 +543,6 @@ class MemoryHierarchy:
                                 counter.value += 1
                         l1_tags[slot] = tag
                         l1_dirty[slot] = False
-                        l1_owners[slot] = owner
                         tag_map[tag] = slot - base
                         # The LLC access (SetAssociativeCache._access_parts_slab
                         # under LastLevelCache.access_parts); ``ready`` is
@@ -597,8 +554,6 @@ class MemoryHierarchy:
                             ready = llc_hit_ready
                             if ready:
                                 llc_hits += 1
-                                if owner is not None:
-                                    llc_owners[llc_set * llc_ways + llc_way] = owner
                         else:
                             base = llc_set * llc_ways
                             llc_valid = llc_valid_counts[llc_set]
@@ -623,7 +578,6 @@ class MemoryHierarchy:
                                 llc_way = slot - base
                                 llc_tags[slot] = line
                                 llc_dirty[slot] = False
-                                llc_owners[slot] = owner
                                 llc_map[line] = llc_way
                         if ready:
                             if stack[0] != llc_way:
@@ -635,7 +589,7 @@ class MemoryHierarchy:
                         # An LLC counter not registered yet: the LLC part
                         # through its accessor.
                         llc_accessor_calls += 1
-                        llc_access_parts(physical, False, core_id, owner)
+                        llc_access_parts(physical)
                     else:
                         physical_timing(physical)
                 # A counter the structures did not hold yet, or an index
@@ -665,124 +619,6 @@ class MemoryHierarchy:
                         cache._c_eviction.value += evictions
             if data_side and l1_misses:
                 self._c_data_llc_access.value += l1_misses
-
-    def data_access(self, virtual_address: int, *, is_write: bool = False) -> HierarchyAccess:
-        """Perform a load or store through the data-side hierarchy."""
-        physical, extra, walk_accesses, fault = self._translate(virtual_address, self.dtlb)
-        if fault:
-            self._count_page_fault()
-            return HierarchyAccess(latency=extra, tlb_walk_accesses=walk_accesses, page_fault=True)
-        latency, llc_parts, blocked = self._physical_data_timing(physical, is_write=is_write)
-        if blocked:
-            return HierarchyAccess(
-                latency=extra, tlb_walk_accesses=walk_accesses, blocked_by_protection=True
-            )
-        if llc_parts is None:
-            return HierarchyAccess(
-                latency=latency + extra,
-                physical_address=physical,
-                l1_hit=True,
-                tlb_walk_accesses=walk_accesses,
-            )
-        return HierarchyAccess(
-            latency=latency + extra,
-            physical_address=physical,
-            l1_hit=False,
-            llc_accessed=True,
-            llc_hit=llc_parts[0],
-            llc_set=llc_parts[2],
-            llc_bank=llc_parts[3],
-            llc_writeback=llc_parts[4],
-            tlb_walk_accesses=walk_accesses,
-        )
-
-    def data_access_parts(
-        self, address: int, *, is_write: bool = False, l1_bypass: bool = False
-    ) -> tuple:
-        """``(latency, l1_hit, llc_accessed, llc_hit, blocked)`` of one data access.
-
-        Without ``l1_bypass`` this is :meth:`data_access` of a virtual
-        ``address``: the same state and statistics effects and the same
-        five fields, without building the :class:`HierarchyAccess` (the
-        co-scheduled executor keeps only these).
-
-        With ``l1_bypass`` it accesses the shared LLC directly at a
-        physical ``address``, modelling the flush+access idiom attack
-        code relies on (a ``clflush``-ed or uncached load): the line is
-        looked up in, and on a miss installed into, the shared LLC
-        without ever being served from or allocated in the core's L1D,
-        so the latency reflects LLC state alone.  The DRAM-region check
-        still applies: MI6 suppresses disallowed probes exactly like
-        ordinary accesses (Section 5.3).
-        """
-        if l1_bypass:
-            if not self._check_region(address):
-                self._count_blocked_access()
-                return (0, True, False, False, True)
-            llc_parts = self.llc.access_parts(address, is_write, self.core_id, self.owner)
-            return (self.l1d.hit_latency + llc_parts[1], False, True, llc_parts[0], False)
-        physical, extra, _walk, fault = self._translate(address, self.dtlb)
-        if fault:
-            self._count_page_fault()
-            return (extra, True, False, False, False)
-        latency, llc_parts, blocked = self._physical_data_timing(physical, is_write=is_write)
-        if blocked:
-            return (extra, True, False, False, True)
-        if llc_parts is None:
-            return (latency + extra, True, False, False, False)
-        return (latency + extra, False, True, llc_parts[0], False)
-
-    def fetch_access_timing(self, virtual_address: int) -> tuple:
-        """Timing of an instruction fetch: ``(latency, l1_hit)``.
-
-        Identical state and statistics effects to :meth:`fetch_access`,
-        returning only the fetch latency and the L1I hit bit the front
-        end's stall computation consumes (the latency only matters on a
-        miss).
-        """
-        physical, extra, _walk, fault = self._translate(virtual_address, self.itlb)
-        if fault:
-            counter = self._c_instruction_page_faults
-            if counter is None:
-                counter = self._c_instruction_page_faults = self._stats.counter(
-                    "mem.instruction_page_faults"
-                )
-            counter.value += 1
-            return (extra, True)
-        latency, l1_hit = self._physical_fetch_timing(physical)
-        return (latency + extra, l1_hit)
-
-    def fetch_access(self, virtual_address: int) -> HierarchyAccess:
-        """Perform an instruction fetch (one cache line) through the I-side."""
-        physical, extra, walk_accesses, fault = self._translate(virtual_address, self.itlb)
-        if fault:
-            counter = self._c_instruction_page_faults
-            if counter is None:
-                counter = self._c_instruction_page_faults = self._stats.counter(
-                    "mem.instruction_page_faults"
-                )
-            counter.value += 1
-            return HierarchyAccess(latency=extra, tlb_walk_accesses=walk_accesses, page_fault=True)
-        if not self._check_region(physical):
-            self._count_blocked_fetch()
-            return HierarchyAccess(latency=0, blocked_by_protection=True)
-        l1_hit = self._l1i_access_parts(physical, owner=self.owner)[0]
-        latency = self.l1i.hit_latency + extra
-        if l1_hit:
-            return HierarchyAccess(
-                latency=latency, physical_address=physical, tlb_walk_accesses=walk_accesses
-            )
-        llc_parts = self.llc.access_parts(physical, core=self.core_id, owner=self.owner)
-        return HierarchyAccess(
-            latency=latency + llc_parts[1],
-            physical_address=physical,
-            l1_hit=False,
-            llc_accessed=True,
-            llc_hit=llc_parts[0],
-            llc_set=llc_parts[2],
-            llc_bank=llc_parts[3],
-            tlb_walk_accesses=walk_accesses,
-        )
 
     # ------------------------------------------------------------------
     # Purge support
@@ -840,7 +676,6 @@ class MemoryHierarchy:
         self,
         page_table: Optional[PageTable],
         region_allowed: Optional[Callable[[int], bool]],
-        owner: Optional[int],
     ) -> None:
         """Install a new translation/protection context (context switch).
 
@@ -852,4 +687,3 @@ class MemoryHierarchy:
         """
         self.page_table = page_table
         self.region_allowed = region_allowed
-        self.owner = owner

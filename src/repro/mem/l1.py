@@ -44,7 +44,6 @@ class L1Cache:
         rng: Optional[DeterministicRng] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
-        self.name = name
         self.geometry = geometry or CacheGeometry(size_bytes=32 * 1024, ways=8, line_bytes=64)
         self.hit_latency = hit_latency
         policy_rng = (rng or DeterministicRng(0)).fork(name, "replacement")
@@ -54,9 +53,6 @@ class L1Cache:
             policy=PseudoRandomPolicy(policy_rng),
             stats=stats,
         )
-        # Hot handle for the hierarchy: the tag array's access entry
-        # point (the slab-backed implementation in the fast kernel).
-        self.access_parts = self._cache.access_parts
 
     @property
     def cache(self) -> SetAssociativeCache:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
 from repro.core.config import LlcConfig
 from repro.mem.address import AddressMap, IndexFunction, LlcIndexer
@@ -43,7 +42,6 @@ class LastLevelCache:
         address_map: AddressMap,
         dram: DramController,
         *,
-        rng: Optional[DeterministicRng] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
         """Build the tag array and its index function.
@@ -58,7 +56,6 @@ class LastLevelCache:
         """
         self.config = config
         self.address_map = address_map
-        self.dram = dram
         self._stats = stats or StatsRegistry()
         if config.mshr.partitioned or config.mshr.banks > 1:
             # The insecure baseline is allowed to violate the sizing rule
@@ -109,29 +106,19 @@ class LastLevelCache:
         """LLC set index of a physical address under the active indexing."""
         return self._indexer.set_index(physical_address)
 
-    def access_parts(
-        self,
-        physical_address: int,
-        is_write: bool = False,
-        core: int = 0,
-        owner: Optional[int] = None,
-    ) -> tuple:
-        """Access the LLC; return plain ``(hit, latency, set_index, bank,
-        writeback, evicted_owner)`` values.
+    def access_parts(self, physical_address: int, is_write: bool = False) -> tuple:
+        """Access the LLC; return plain ``(hit, latency, bank)`` values.
 
-        The latency includes the arbiter's extra pipeline-entry latency
-        and the DRAM latency on a miss, but not MSHR-availability stalls:
-        the core timing model accounts for those because they depend on
-        the misses already outstanding.
+        ``bank`` is the MSHR bank of the line's set.  The latency
+        includes the arbiter's extra pipeline-entry latency and the DRAM
+        latency on a miss, but not MSHR-availability stalls: the core
+        timing model accounts for those because they depend on the
+        misses already outstanding.
         """
-        hit, set_index, _way, _tag, evicted_dirty, evicted_owner = self._cache_access_parts(
-            physical_address, is_write, owner
-        )
+        hit, set_index, evicted_dirty = self._cache_access_parts(physical_address, is_write)
         bank = set_index % self._mshr_banks
-        latency = self._hit_latency
         if hit:
-            return (True, latency, set_index, bank, False, None)
-        latency += self._dram_latency
+            return (True, self._hit_latency, bank)
         if evicted_dirty:
             counter = self._c_replacement_writeback
             if counter is None:
@@ -139,7 +126,7 @@ class LastLevelCache:
                     "llc.replacement_writeback"
                 )
             counter.value += 1
-        return (False, latency, set_index, bank, evicted_dirty, evicted_owner)
+        return (False, self._hit_latency + self._dram_latency, bank)
 
     def scrub_region_sets(self, region: int) -> int:
         """Invalidate every line whose address belongs to ``region``.

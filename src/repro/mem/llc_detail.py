@@ -309,7 +309,7 @@ class DetailedLlc:
         keeps; only the entry queues and the pending L1 answers are
         looked at.
 
-        An upgrade queue whose head cannot allocate an MSHR is *parked*
+        An upgrade queue whose head cannot take an MSHR is *parked*
         and is not an event: the arbiter keeps offering it entry slots,
         and each slot it wins only adds one to
         ``llc_detail.mshr_stall_cycles``.  MSHRs free only when a response

@@ -31,7 +31,6 @@ class PageTable:
     machine, never builds its dict.
 
     Attributes:
-        asid: Address-space identifier (informational).
         page_bytes: Page size.
         mappings: Virtual page number -> physical page number.
         walk_levels: Number of levels in the radix walk (Sv39 = 3; we use
@@ -40,7 +39,6 @@ class PageTable:
             charge the walk's own accesses against the owner's regions.
     """
 
-    asid: int = 0
     page_bytes: int = 4096
     walk_levels: int = 3
     root_physical_address: int = 0

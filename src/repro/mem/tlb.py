@@ -9,12 +9,13 @@ The models here are functional: they record which translations are
 resident so that miss counts (and therefore page-walk latencies) emerge
 from the workload's page-level locality, and they expose ``flush_all`` so
 the purge model can scrub them and account for the stall and the cold
-misses that follow.
+misses that follow.  As in MI6, no entry carries an address-space tag:
+the purge empties a TLB whenever its core changes protection domain.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.common.stats import StatsRegistry
 
@@ -27,6 +28,7 @@ class Tlb:
     set is first filled; an empty set is the shared empty tuple, so a
     fresh or flushed TLB holds no per-set list (an L2 TLB has 256 sets
     per core).  Readers need no case for it: no page is ``in ()``.
+    A set's list never empties: only a flush puts the set back on ``()``.
 
     Args:
         name: Statistics prefix (``"itlb"``, ``"dtlb"``, ``"l2tlb"``).
@@ -45,7 +47,6 @@ class Tlb:
         stats: Optional[StatsRegistry] = None,
     ) -> None:
         self.name = name
-        self.entries = entries
         self.ways = ways if ways is not None else entries
         if entries % self.ways != 0:
             raise ValueError("TLB entries must be a multiple of associativity")
@@ -54,7 +55,8 @@ class Tlb:
         self._stats = stats or StatsRegistry()
         # Per set: virtual page numbers, most recent first; () while empty.
         self._sets: List[Sequence[int]] = [()] * self.num_sets
-        self._asid_of: Dict[int, int] = {}
+        # Indices of the sets holding a list, so a flush touches only those.
+        self._filled: List[int] = []
         # Lazily cached counter handles (registration stays on first use).
         self._c_access: Optional[object] = None
         self._c_hit: Optional[object] = None
@@ -67,7 +69,7 @@ class Tlb:
     def _set_of(self, vpn: int) -> int:
         return vpn % self.num_sets
 
-    def access(self, virtual_address: int, asid: int = 0) -> bool:
+    def access(self, virtual_address: int) -> bool:
         """Translate ``virtual_address``; refill on a miss.  True on a hit."""
         vpn = virtual_address // self.page_bytes
         entries = self._sets[vpn % self.num_sets]
@@ -75,7 +77,7 @@ class Tlb:
         if counter is None:
             counter = self._c_access = self._stats.counter(f"{self.name}.access")
         counter.value += 1
-        if vpn in entries and self._asid_of.get(vpn, asid) == asid:
+        if vpn in entries:
             # Move-to-front is a no-op when the entry is already frontmost
             # (the common case under page-level locality).
             if entries[0] != vpn:
@@ -90,24 +92,23 @@ class Tlb:
         if counter is None:
             counter = self._c_miss = self._stats.counter(f"{self.name}.miss")
         counter.value += 1
-        self.fill(virtual_address, asid)
+        self.fill(virtual_address)
         return False
 
-    def fill(self, virtual_address: int, asid: int = 0) -> None:
+    def fill(self, virtual_address: int) -> None:
         """Insert a translation (evicting the LRU entry if the set is full)."""
         vpn = self._vpn(virtual_address)
         set_index = self._set_of(vpn)
         entries = self._sets[set_index]
-        self._asid_of[vpn] = asid
         if not entries:
             self._sets[set_index] = [vpn]
+            self._filled.append(set_index)
             return
         if vpn in entries:
             entries.remove(vpn)
         entries.insert(0, vpn)
         if len(entries) > self.ways:
-            evicted = entries.pop()
-            self._asid_of.pop(evicted, None)
+            entries.pop()
 
     def flush_all(self) -> int:
         """Discard every translation; returns the number of entries flushed.
@@ -116,30 +117,29 @@ class Tlb:
         security monitor forces when protection domains change
         (Section 6.2).  Only the sets holding a resident translation are
         touched, so a near-empty TLB flushes in time proportional to its
-        contents rather than its size.
+        contents rather than its size.  ``_sets`` changes in place: the
+        core's fused lanes bind it once per run.
         """
-        asid_of = self._asid_of
-        flushed = len(asid_of)
         sets = self._sets
-        num_sets = self.num_sets
-        for vpn in asid_of:
-            sets[vpn % num_sets] = ()
-        asid_of.clear()
+        flushed = 0
+        for set_index in self._filled:
+            flushed += len(sets[set_index])
+            sets[set_index] = ()
+        self._filled.clear()
         counter = self._c_flush_entries
         if counter is None:
             counter = self._c_flush_entries = self._stats.counter(f"{self.name}.flush_entries")
         counter.value += flushed
         return flushed
 
-    def capture_warm_state(self) -> tuple:
+    def capture_warm_state(self) -> list:
         """Copy of the resident translations and their LRU order."""
-        return [list(entries) if entries else () for entries in self._sets], dict(self._asid_of)
+        return [list(entries) if entries else () for entries in self._sets]
 
-    def load_warm_state(self, state: tuple) -> None:
+    def load_warm_state(self, state: list) -> None:
         """Become a copy of the TLB :meth:`capture_warm_state` read."""
-        sets, asid_of = state
-        self._sets = [list(entries) if entries else () for entries in sets]
-        self._asid_of = dict(asid_of)
+        self._sets = [list(entries) if entries else () for entries in state]
+        self._filled = [set_index for set_index, entries in enumerate(self._sets) if entries]
 
 
 class TranslationCache:

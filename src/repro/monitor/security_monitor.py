@@ -152,7 +152,7 @@ class SecurityMonitor:
             regions=set(regions),
             is_enclave=True,
         )
-        table = PageTable(asid=domain_id)
+        table = PageTable()
         table.root_physical_address = self.machine.address_map.region_base(min(regions))
         domain.page_table = table
         self._scrub_regions(set(regions))

@@ -46,9 +46,7 @@ class TournamentPredictor:
     ) -> None:
         self.local_history_entries = local_history_entries
         self.local_history_bits = local_history_bits
-        self.local_counter_bits = local_counter_bits
         self.global_entries = global_entries
-        self.global_history_bits = global_history_bits
         self._stats = stats or StatsRegistry()
         self._local_history: List[int] = [0] * local_history_entries
         self._local_counters: List[int] = [0] * (1 << local_history_bits)

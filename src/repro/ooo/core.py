@@ -43,7 +43,7 @@ _NO_PAGES: Dict[int, int] = {}
 def _fusable(cache: SetAssociativeCache) -> bool:
     """Whether a fused lane may apply an L1 hit to ``cache``'s slabs in place.
 
-    That needs the slab layout, the default index and tag functions, and
+    That needs the slab layout, the default index function, and
     a replacement policy with no recency state to touch on a hit (the
     L1s' pseudo-random one).
     """
@@ -224,11 +224,10 @@ class OutOfOrderCore:
             # ---------------- execute ----------------
             mshr_wait = 0
             if kind is InstructionKind.LOAD or kind is InstructionKind.STORE:
-                access = hierarchy.data_access(
+                latency, llc_hit, llc_bank, _blocked = hierarchy.data_access(
                     instruction.vaddr or 0, is_write=(kind is InstructionKind.STORE)
                 )
-                latency = access.latency
-                if access.llc_accessed and not access.llc_hit:
+                if llc_hit is False:
                     # The miss needs an MSHR (and a bank slot); wait for
                     # availability based on the misses still outstanding.
                     start = issue
@@ -240,7 +239,7 @@ class OutOfOrderCore:
                         start = completions[len(outstanding_misses) - mshr_capacity]
                     if bank_count > 1:
                         bank_completions = sorted(
-                            entry[0] for entry in outstanding_misses if entry[1] == access.llc_bank
+                            entry[0] for entry in outstanding_misses if entry[1] == llc_bank
                         )
                         if len(bank_completions) >= bank_capacity:
                             start = max(start, bank_completions[len(bank_completions) - bank_capacity])
@@ -254,7 +253,7 @@ class OutOfOrderCore:
                     mshr_wait = start - issue
                     if mshr_wait:
                         counter_mshr_wait.increment(mshr_wait)
-                    outstanding_misses.append((start + latency, access.llc_bank))
+                    outstanding_misses.append((start + latency, llc_bank))
                 if kind is InstructionKind.STORE:
                     # Stores complete through the store buffer; they do not
                     # hold up dependents or commit for their miss latency.
@@ -320,8 +319,8 @@ class OutOfOrderCore:
     def _lane_context(self) -> tuple:
         """State :meth:`_run_fast` holds in locals that a callback may replace.
 
-        A trap hook may install a new page table, region check or owner
-        (a context switch), and a purge replaces the L1 tag slabs and the
+        A trap hook may install a new page table or region check (a
+        context switch), and a purge replaces the L1 tag slabs and the
         BTB lists, so the loop reads these again after every trap.  When
         the fused lanes cannot read the structures directly (bare
         physical mode, or L1s without the slab layout), the mappings
@@ -350,12 +349,9 @@ class OutOfOrderCore:
             page_bytes,
             allowed_frames,
             check_region,
-            hierarchy.owner,
             l1d._tag_maps,
             l1d._slab_dirty,
-            l1d._slab_owners,
             l1i._tag_maps,
-            l1i._slab_owners,
             btb._tags,
             btb._targets,
         )
@@ -418,7 +414,7 @@ class OutOfOrderCore:
         L1 hit is applied in place too.  Every other case takes the
         hierarchy's own code, so each counter bump, fill and eviction
         happens exactly once: a TLB miss or page fault goes to
-        ``fetch_access_timing`` / ``data_access_timing``, and an L1 miss
+        ``fetch_access`` / ``data_access``, and an L1 miss
         after a TLB hit to ``_physical_fetch_timing`` /
         ``_physical_data_timing``.  The lanes run only once the TLB and
         L1 hold their hit counter handles; until then, their accesses
@@ -449,26 +445,23 @@ class OutOfOrderCore:
         btb_miss_bubble = frontend.BTB_MISS_BUBBLE
 
         # Fused TLB/L1 hit lanes (see docstring).
-        fetch_access_timing = hierarchy.fetch_access_timing
-        data_access_timing = hierarchy.data_access_timing
+        fetch_access = hierarchy.fetch_access
+        data_access = hierarchy.data_access
         physical_fetch_timing = hierarchy._physical_fetch_timing
         physical_data_timing = hierarchy._physical_data_timing
         count_blocked_fetch = hierarchy._count_blocked_fetch
         count_blocked_access = hierarchy._count_blocked_access
         itlb = hierarchy.itlb
         itlb_sets = itlb._sets
-        itlb_asid_get = itlb._asid_of.get
         itlb_page_bytes = itlb.page_bytes
         itlb_num_sets = itlb.num_sets
         dtlb = hierarchy.dtlb
         dtlb_sets = dtlb._sets
-        dtlb_asid_get = dtlb._asid_of.get
         dtlb_page_bytes = dtlb.page_bytes
         dtlb_num_sets = dtlb.num_sets
         l1i = hierarchy.l1i.cache
         l1i_shift = l1i._fast_offset_bits
         l1i_set_mask = l1i._fast_set_mask
-        l1i_ways = l1i._ways
         l1d = hierarchy.l1d.cache
         l1d_shift = l1d._fast_offset_bits
         l1d_set_mask = l1d._fast_set_mask
@@ -479,9 +472,8 @@ class OutOfOrderCore:
         c_l1i_hit = l1i._c_hit
         c_l1d_hit = l1d._c_hit
         (
-            mappings_get, page_bytes, allowed_frames, check_region, owner,
-            l1d_tag_maps, l1d_dirty, l1d_owners, l1i_tag_maps, l1i_owners,
-            btb_tags, btb_targets,
+            mappings_get, page_bytes, allowed_frames, check_region,
+            l1d_tag_maps, l1d_dirty, l1i_tag_maps, btb_tags, btb_targets,
         ) = self._lane_context()
 
         mshr_config = hierarchy.llc.config.mshr
@@ -573,11 +565,11 @@ class OutOfOrderCore:
                     entries = itlb_sets[vpn % itlb_num_sets]
                     ppn = (
                         mappings_get(pc // page_bytes)
-                        if c_itlb_hit is not None and vpn in entries and itlb_asid_get(vpn, 0) == 0
+                        if c_itlb_hit is not None and vpn in entries
                         else None
                     )
                     if ppn is None:
-                        fetch_latency, l1_hit = fetch_access_timing(pc)
+                        fetch_latency, l1_hit = fetch_access(pc)
                         c_itlb_hit = itlb._c_hit
                     else:
                         itlb_hits += 1
@@ -586,17 +578,13 @@ class OutOfOrderCore:
                             entries.insert(0, vpn)
                         physical = ppn * page_bytes + pc % page_bytes
                         tag = physical >> l1i_shift
-                        set_index = tag & l1i_set_mask
-                        way = l1i_tag_maps[set_index].get(tag)
-                        if way is None or c_l1i_hit is None:
+                        if c_l1i_hit is None or tag not in l1i_tag_maps[tag & l1i_set_mask]:
                             fetch_latency, l1_hit = physical_fetch_timing(physical)
                             c_l1i_hit = l1i._c_hit
                         else:
                             l1_hit = True
                             if ppn in allowed_frames or check_region(physical, ppn):
                                 l1i_hits += 1
-                                if owner is not None:
-                                    l1i_owners[set_index * l1i_ways + way] = owner
                             else:
                                 count_blocked_fetch()
                     if not l1_hit:
@@ -687,11 +675,13 @@ class OutOfOrderCore:
                     entries = dtlb_sets[vpn % dtlb_num_sets]
                     ppn = (
                         mappings_get(address // page_bytes)
-                        if c_dtlb_hit is not None and vpn in entries and dtlb_asid_get(vpn, 0) == 0
+                        if c_dtlb_hit is not None and vpn in entries
                         else None
                     )
                     if ppn is None:
-                        latency, llc_miss, llc_bank = data_access_timing(address, is_write=is_store)
+                        latency, llc_hit, llc_bank, _blocked = data_access(
+                            address, is_write=is_store
+                        )
                         c_dtlb_hit = dtlb._c_hit
                     else:
                         dtlb_hits += 1
@@ -702,28 +692,23 @@ class OutOfOrderCore:
                         tag = physical >> l1d_shift
                         set_index = tag & l1d_set_mask
                         way = l1d_tag_maps[set_index].get(tag)
-                        llc_miss = False
                         if way is None or c_l1d_hit is None:
-                            latency, llc_parts, _blocked = physical_data_timing(
+                            latency, llc_hit, llc_bank, _blocked = physical_data_timing(
                                 physical, is_write=is_store
                             )
                             c_l1d_hit = l1d._c_hit
-                            if llc_parts is not None and not llc_parts[0]:
-                                llc_miss = True
-                                llc_bank = llc_parts[3]
-                        elif ppn in allowed_frames or check_region(physical, ppn):
-                            l1d_hits += 1
-                            line_slot = set_index * l1d_ways + way
-                            if is_store:
-                                l1d_dirty[line_slot] = True
-                            if owner is not None:
-                                l1d_owners[line_slot] = owner
-                            latency = l1d_hit_latency
                         else:
-                            count_blocked_access()
-                            latency = 0
+                            llc_hit = None
+                            if ppn in allowed_frames or check_region(physical, ppn):
+                                l1d_hits += 1
+                                if is_store:
+                                    l1d_dirty[set_index * l1d_ways + way] = True
+                                latency = l1d_hit_latency
+                            else:
+                                count_blocked_access()
+                                latency = 0
                     mshr_wait = 0
-                    if llc_miss:
+                    if llc_hit is False:
                         # The miss needs an MSHR (and a bank slot); wait for
                         # availability based on the misses still outstanding.
                         start = issue
@@ -864,9 +849,8 @@ class OutOfOrderCore:
                     fe_slots = frontend._slots_used
                     fe_line = frontend._last_fetch_line
                     (
-                        mappings_get, page_bytes, allowed_frames, check_region, owner,
-                        l1d_tag_maps, l1d_dirty, l1d_owners, l1i_tag_maps, l1i_owners,
-                        btb_tags, btb_targets,
+                        mappings_get, page_bytes, allowed_frames, check_region,
+                        l1d_tag_maps, l1d_dirty, l1i_tag_maps, btb_tags, btb_targets,
                     ) = self._lane_context()
                     floor = commit + penalty
                     if floor > fetch_floor:

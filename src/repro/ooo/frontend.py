@@ -28,13 +28,11 @@ class FetchOutcome:
         fetch_cycle: Cycle the instruction left the fetch stage.
         predicted_taken: Front-end direction prediction (control only).
         predicted_target_known: Whether the BTB/RAS supplied a target.
-        icache_miss: Whether this fetch triggered an L1I miss.
     """
 
     fetch_cycle: int
     predicted_taken: bool = False
     predicted_target_known: bool = True
-    icache_miss: bool = False
 
 
 class FrontEnd:
@@ -83,15 +81,13 @@ class FrontEnd:
             self._current_cycle += 1
             self._slots_used = 0
 
-        icache_miss = False
         line = instruction.pc // self.hierarchy.l1i.geometry.line_bytes
         if line != self._last_fetch_line:
             self._last_fetch_line = line
-            access = self.hierarchy.fetch_access(instruction.pc)
-            if not access.l1_hit:
-                icache_miss = True
+            latency, l1_hit = self.hierarchy.fetch_access(instruction.pc)
+            if not l1_hit:
                 # The fetch stream stalls for the miss latency.
-                self._current_cycle += access.latency - self.hierarchy.l1i.hit_latency
+                self._current_cycle += latency - self.hierarchy.l1i.hit_latency
                 self._slots_used = 0
 
         fetch_cycle = self._current_cycle
@@ -126,7 +122,6 @@ class FrontEnd:
             fetch_cycle=fetch_cycle,
             predicted_taken=predicted_taken,
             predicted_target_known=target_known,
-            icache_miss=icache_miss,
         )
 
     def resolve_control(self, instruction: Instruction, outcome: FetchOutcome) -> bool:

@@ -81,7 +81,7 @@ class MaliciousOS(UntrustedOS):
         return None
 
     def try_grab_monitor_region(self) -> Optional[SecurityMonitorError]:
-        """Try to allocate the monitor's protected address region."""
+        """Try to claim the monitor's protected address region."""
         try:
             self.monitor.create_enclave(set(self.monitor.monitor_domain.regions))
         except SecurityMonitorError as error:
@@ -122,13 +122,13 @@ class MaliciousOS(UntrustedOS):
         checker (Section 5.3): present on every MI6 build, absent on the
         insecure baseline.  Returns True if the access was emitted to
         the memory system, i.e. the secret's cache/DRAM footprint became
-        observable.
+        observable.  An access that faults, because the core translates
+        through a table that does not map the frame, emits nothing.
         """
         core = self.machine.core(core_id)
         target = self.machine.address_map.region_base(min(enclave.domain.regions))
         self.domain.page_table.map_page(target, target)
-        blocked_before = self.machine.stats.value("protection.blocked_accesses")
-        access = core.hierarchy.data_access(target)
-        blocked_after = self.machine.stats.value("protection.blocked_accesses")
-        emitted = access.physical_address is not None and not access.blocked_by_protection
-        return emitted and blocked_after == blocked_before
+        stats = self.machine.stats
+        faults_before = stats.value("mem.page_faults")
+        blocked = core.hierarchy.data_access(target)[3]
+        return not blocked and stats.value("mem.page_faults") == faults_before

@@ -53,14 +53,10 @@ class CoreComplex:
         region_allowed = self.region_bitvector.is_allowed if self.enforce_protection else None
         if domain is None:
             self.region_bitvector.set_regions(set())
-            self.hierarchy.install_context(None, region_allowed, None)
+            self.hierarchy.install_context(None, region_allowed)
             return
         self.region_bitvector.set_regions(domain.regions)
-        self.hierarchy.install_context(
-            page_table=domain.page_table,
-            region_allowed=region_allowed,
-            owner=domain.domain_id,
-        )
+        self.hierarchy.install_context(domain.page_table, region_allowed)
 
     def purge(self) -> int:
         """Execute the purge instruction on this core; returns stall cycles."""
@@ -99,14 +95,12 @@ class Machine:
             self.config.effective_llc_config(),
             self.config.address_map,
             self.dram,
-            rng=rng,
             stats=self.stats,
         )
         for core_id in range(self.num_cores):
             hierarchy = MemoryHierarchy(
                 core_id=core_id,
                 llc=self.llc,
-                dram=self.dram,
                 address_map=self.config.address_map,
                 rng=rng.fork("core", core_id),
                 stats=self.stats,

@@ -10,9 +10,8 @@ scenario does.
 in ``tests/conftest.py`` and be imported by name.)
 """
 
-from collections import Counter
 from dataclasses import astuple
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from repro.common.fastpath import slow_path_enabled
 from repro.isa.instructions import NO_REGISTER, Instruction, InstructionKind, TrapCause
@@ -75,12 +74,11 @@ def syscall(*, pc=0, sequence=0):
 
 
 class Line(NamedTuple):
-    """One line slot of a tag array; an invalid slot reads ``(False, 0, False, None)``."""
+    """One line slot of a tag array; an invalid slot reads ``(False, 0, False)``."""
 
     valid: bool
     tag: int
     dirty: bool
-    owner: Optional[int]
 
 
 def cache_lines(cache):
@@ -93,15 +91,15 @@ def cache_lines(cache):
         return [[Line(*astuple(line)) for line in lines] for lines in cache._sets]
     ways = cache._ways
     slots = [
-        Line(tag is not None, 0 if tag is None else tag, dirty, owner)
-        for tag, dirty, owner in zip(cache._slab_tags, cache._slab_dirty, cache._slab_owners)
+        Line(tag is not None, 0 if tag is None else tag, dirty)
+        for tag, dirty in zip(cache._slab_tags, cache._slab_dirty)
     ]
     return [slots[base : base + ways] for base in range(0, len(slots), ways)]
 
 
 def holds(cache, physical_address):
     """True if the tag array holds the line of ``physical_address``."""
-    tag = cache._tag_for(physical_address)
+    tag = physical_address >> cache.geometry.offset_bits
     lines = cache_lines(cache)[cache._index_for(physical_address)]
     return any(line.valid and line.tag == tag for line in lines)
 
@@ -111,9 +109,9 @@ def valid_lines(cache):
     return sum(line.valid for lines in cache_lines(cache) for line in lines)
 
 
-def owners(cache):
-    """Valid lines per owner label."""
-    return Counter(line.owner for lines in cache_lines(cache) for line in lines if line.valid)
+def tlb_entries(tlb):
+    """Number of translations a TLB holds."""
+    return sum(map(len, tlb._sets))
 
 
 def llc_sets_disjoint(regions_a, regions_b, *, index_function, region_index_bits=6, samples_per_region=64):
@@ -165,9 +163,9 @@ def purge_observable_state(processor):
         "ras": tuple(frontend.ras._stack),
         "l1i_valid_lines": valid_lines(hierarchy.l1i.cache),
         "l1d_valid_lines": valid_lines(hierarchy.l1d.cache),
-        "itlb_entries": len(hierarchy.itlb._asid_of),
-        "dtlb_entries": len(hierarchy.dtlb._asid_of),
-        "l2tlb_entries": len(hierarchy.l2tlb._asid_of),
+        "itlb_entries": tlb_entries(hierarchy.itlb),
+        "dtlb_entries": tlb_entries(hierarchy.dtlb),
+        "l2tlb_entries": tlb_entries(hierarchy.l2tlb),
     }
 
 

@@ -12,7 +12,6 @@ from repro.attacks.addressing import (
 )
 from repro.common.errors import ConfigurationError
 from repro.common.fastpath import SLOW_PATH_ENV_VAR
-from repro.common.rng import DeterministicRng
 from repro.mem.address import AddressMap, CacheGeometry, IndexFunction, LlcIndexer
 from repro.mem.dram import DramController
 from repro.mem.llc import LastLevelCache, LlcConfig
@@ -128,7 +127,7 @@ def build_llc(num_sets, index_function, region_index_bits, num_regions, dram_byt
         geometry=geometry, index_function=index_function, region_index_bits=region_index_bits
     )
     address_map = AddressMap(dram_bytes=dram_bytes, num_regions=num_regions)
-    return LastLevelCache(config, address_map, DramController(), rng=DeterministicRng(0))
+    return LastLevelCache(config, address_map, DramController())
 
 
 def record_set_index_calls(llc):

@@ -4,7 +4,7 @@ import gc
 import random
 
 import pytest
-from helpers import cache_lines, holds, owners, valid_lines
+from helpers import cache_lines, holds, valid_lines
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
@@ -27,7 +27,7 @@ def small_cache(policy=None, ways=4, sets=8, stats=None):
 
 
 class TestSetAssociativeCache:
-    """``access_parts`` returns ``(hit, set, way, evicted tag, evicted dirty, evicted owner)``."""
+    """``access_parts`` returns ``(hit, set, evicted dirty)``."""
 
     def test_miss_then_hit(self, kernel):
         stats = StatsRegistry()
@@ -37,19 +37,20 @@ class TestSetAssociativeCache:
         assert stats.value("test.miss") == 1
         assert stats.value("test.hit") == 1
 
-    def test_eviction_reports_victim(self, kernel):
-        cache = small_cache(ways=2, sets=1)
-        cache.access_parts(0 * 64, owner=1)
-        cache.access_parts(1 * 64, owner=1)
-        hit, _set, _way, evicted_tag, _dirty, evicted_owner = cache.access_parts(2 * 64, owner=2)
-        assert hit is False
-        assert evicted_tag is not None
-        assert evicted_owner == 1
+    def test_eviction_of_a_clean_victim(self, kernel):
+        stats = StatsRegistry()
+        cache = small_cache(ways=2, sets=1, stats=stats)
+        cache.access_parts(0 * 64)
+        cache.access_parts(1 * 64)
+        assert cache.access_parts(2 * 64) == (False, 0, False)
+        assert stats.value("test.eviction") == 1
+        assert not holds(cache, 0 * 64)
+        assert "test.writeback" not in stats.registered()
 
     def test_dirty_eviction_flagged_as_writeback(self, kernel):
         cache = small_cache(ways=1, sets=1)
         cache.access_parts(0, is_write=True)
-        assert cache.access_parts(64)[4] is True
+        assert cache.access_parts(64)[2] is True
 
     def test_flush_all_clears_every_line(self, kernel):
         cache = small_cache()
@@ -59,18 +60,6 @@ class TestSetAssociativeCache:
         assert flushed == 16
         assert valid_lines(cache) == 0
         assert not holds(cache, 0)
-
-    def test_owner_occupancy_tracking(self, kernel):
-        cache = small_cache()
-        cache.access_parts(0x0000, owner=1)
-        cache.access_parts(0x4000, owner=2)
-        occupancy = owners(cache)
-        assert occupancy[1] == 1 and occupancy[2] == 1
-
-    def test_miss_without_allocation_leaves_the_cache_empty(self, kernel):
-        cache = small_cache()
-        assert cache.access_parts(0x2000, allocate=False)[:3] == (False, 0, -1)
-        assert valid_lines(cache) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(addresses=st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=120))
@@ -121,16 +110,16 @@ def l1_like_cache(stats=None):
     return SetAssociativeCache("l1t", geometry, PseudoRandomPolicy(DeterministicRng(5)), stats=stats)
 
 
-def fill_every_way(cache, owner=None):
+def fill_every_way(cache):
     """One write per line slot: no eviction, so no RNG draw."""
     addresses = [line * 64 for line in range(cache.geometry.num_sets * cache.geometry.ways)]
     for address in addresses:
-        cache.access_parts(address, is_write=True, owner=owner)
+        cache.access_parts(address, is_write=True)
     return addresses
 
 
-def invalidate_every_owned_line(cache):
-    addresses = fill_every_way(cache, owner=3)
+def invalidate_every_line(cache):
+    addresses = fill_every_way(cache)
     assert cache.invalidate_tag_range(0, len(addresses)) == len(addresses)
 
 
@@ -139,7 +128,7 @@ class TestFlushOfEmptyCache:
 
     @pytest.mark.parametrize(
         "prepare, flushed",
-        [(lambda cache: None, 0), (invalidate_every_owned_line, 0), (fill_every_way, 32)],
+        [(lambda cache: None, 0), (invalidate_every_line, 0), (fill_every_way, 32)],
         ids=["fresh", "all-invalidated", "resident"],
     )
     def test_flush_leaves_a_fresh_cache(self, prepare, flushed, kernel):
@@ -156,13 +145,13 @@ class TestFlushOfEmptyCache:
         # fifth draws its victim from the replacement RNG.
         for line in range(5):
             address = line * 8 * 64
-            assert cache.access_parts(address, owner=4) == fresh.access_parts(address, owner=4)
+            assert cache.access_parts(address) == fresh.access_parts(address)
         assert cache_lines(cache) == cache_lines(fresh)
 
     def test_region_scrub_of_an_empty_llc(self, kernel):
         stats = StatsRegistry()
         llc = LastLevelCache(
-            LlcConfig(), AddressMap(), DramController(stats=stats), rng=DeterministicRng(0), stats=stats
+            LlcConfig(), AddressMap(), DramController(stats=stats), stats=stats
         )
         assert llc.scrub_region_sets(3) == 0
         assert "llc.region_scrub_lines" in stats.registered()
@@ -212,12 +201,13 @@ class TestTagMapsOnFirstFill:
         self.check(cache, reference, set())
         both = (cache, reference)
         for target in both:  # fills: sets 1 and 4
-            target.access_parts(line_in_set(1, 0), owner=1)
-            target.access_parts(line_in_set(1, 1), is_write=True, owner=1)
-            assert not target.access_parts(line_in_set(4, 0), owner=2)[0]
+            target.access_parts(line_in_set(1, 0))
+            target.access_parts(line_in_set(1, 1), is_write=True)
+            assert not target.access_parts(line_in_set(4, 0))[0]
         self.check(cache, reference, {1, 4})
-        for target in both:  # an eviction from the full set 1
-            assert target.access_parts(line_in_set(1, 2), owner=3)[3] == 1
+        for target in both:  # an eviction from the full set 1: its LRU line, tag 1
+            assert target.access_parts(line_in_set(1, 2)) == (False, 1, False)
+            assert not holds(target, line_in_set(1, 0))
         self.check(cache, reference, {1, 4})
         for target in both:  # set 4 empties and keeps its map; set 6 was never filled
             assert target.invalidate_tag_range(4, 5) == 1
@@ -230,7 +220,7 @@ class TestTagMapsOnFirstFill:
         copy.load_warm_state(cache.capture_warm_state())
         self.check(copy, reference, {1})  # the emptied set 4 is back on the shared map
         for target in (cache, copy, reference):
-            target.access_parts(line_in_set(4, 1), owner=5)
+            target.access_parts(line_in_set(4, 1))
         self.check(cache, reference, {1, 4})
         self.check(copy, reference, {1, 4})
         for target in both:

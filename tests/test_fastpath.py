@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
-from helpers import alu, cache_lines, idle, owners, syscall
+from helpers import alu, cache_lines, idle, syscall
 
 from repro.analysis.engine import (
     PAPER_VARIANTS,
@@ -202,8 +202,8 @@ def _run_digest(run):
 class TestMidRunPurgeEquivalence:
     """Fast == slow when purges and context switches happen inside a run.
 
-    The fast loop holds the page table, region check, owner, L1 tag
-    slabs and BTB lists in locals.  A purge replaces the slabs and the
+    The fast loop holds the page table, region check, L1 tag slabs and
+    BTB lists in locals.  A purge replaces the slabs and the
     BTB lists, and a trap hook may install a new context, so the loop
     must read them again after every trap; these runs differ if it
     keeps the old ones.
@@ -227,16 +227,16 @@ class TestMidRunPurgeEquivalence:
     def context_switching_run(spec, monkeypatch, *, slow):
         """A run whose trap hook changes the domain's context at every trap.
 
-        Each of the 3 traps installs a new owner.  The first also purges
-        (as the monitor does on an enclave exit, even without FLUSH) and
-        revokes the region holding the workload's pages and its page
-        table.  The second grants it back and installs a page table
-        mapping every page 4,096 pages higher.  The third revokes the
-        region again but installs no region check, so lines filled under
-        the second owner hit under the third.  The run ends 300
+        Each of the 3 traps installs a new context.  The first also
+        purges (as the monitor does on an enclave exit, even without
+        FLUSH) and revokes the region holding the workload's pages and
+        its page table.  The second grants it back and installs a page
+        table mapping every page 4,096 pages higher.  The third revokes
+        the region again but installs no region check, so lines filled
+        under the second context hit under the third.  The run ends 300
         instructions after the last trap.  Returns the run document, the
-        L1 contents, the LLC's lines per owner and the BTB, which carry
-        the owner labels, dirty bits and targets that no counter shows.
+        L1 and LLC contents and the BTB, which carry the lines, dirty
+        bits and targets that no counter shows.
         """
         with _kernel(monkeypatch, slow=slow):
             config = replace(
@@ -265,7 +265,7 @@ class TestMidRunPurgeEquivalence:
                         processor.purge_unit.execute()
                     else:
                         region_allowed = None
-                hierarchy.install_context(page_table, region_allowed, 100 + len(traps))
+                hierarchy.install_context(page_table, region_allowed)
 
             processor.core.trap_hooks.append(switch_context)
             run = run_to_dict(processor.run_loaded(workload, 1_800))
@@ -273,7 +273,7 @@ class TestMidRunPurgeEquivalence:
             return (
                 run,
                 [cache_lines(hierarchy.l1i.cache), cache_lines(hierarchy.l1d.cache)],
-                owners(processor.llc.cache),
+                cache_lines(processor.llc.cache),
                 (btb._tags, btb._targets),
             )
 

@@ -6,7 +6,6 @@ import pytest
 from helpers import cache_lines, holds
 
 from repro.common.fastpath import SLOW_PATH_ENV_VAR
-from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
 from repro.mem.address import AddressMap, IndexFunction
 from repro.mem.dram import DramController
@@ -17,7 +16,7 @@ from repro.mem.mshr import MshrConfig
 
 def build_llc(stats=None, **overrides):
     config = LlcConfig(**overrides)
-    return LastLevelCache(config, AddressMap(), DramController(), rng=DeterministicRng(0), stats=stats)
+    return LastLevelCache(config, AddressMap(), DramController(), stats=stats)
 
 
 class TestFunctionalLlc:
@@ -46,23 +45,24 @@ class TestFunctionalLlc:
         address_map = AddressMap()
         region1_address = address_map.region_base(1)
         region2_address = address_map.region_base(2)
-        llc.access_parts(region1_address, owner=1)
-        llc.access_parts(region2_address, owner=2)
+        llc.access_parts(region1_address)
+        llc.access_parts(region2_address)
         scrubbed = llc.scrub_region_sets(1)
         assert scrubbed == 1
         assert not holds(llc.cache, region1_address)
         assert holds(llc.cache, region2_address)
 
     def test_writeback_detected_on_dirty_eviction(self):
-        llc = build_llc()
+        stats = StatsRegistry()
+        llc = build_llc(stats)
         # Fill one set completely with dirty lines, then overflow it.
         base = 0
         for way in range(llc.config.geometry.ways):
             llc.access_parts(base + way * llc.config.geometry.num_sets * 64, is_write=True)
-        hit, _latency, _set, _bank, writeback, _owner = llc.access_parts(
-            base + 16 * llc.config.geometry.num_sets * 64
-        )
-        assert not hit and writeback is True
+        assert "llc.replacement_writeback" not in stats.registered()
+        assert not llc.access_parts(base + 16 * llc.config.geometry.num_sets * 64)[0]
+        assert stats.value("llc.replacement_writeback") == 1
+        assert stats.value("llc.writeback") == 1
 
 
 #: Regions filled before a scrub.  1, 5 and 9 share their low two bits,
@@ -112,14 +112,13 @@ def _scrub_snapshot(index_function, monkeypatch, *, slow):
     # misses and evictions, with some lines dirty.
     for _ in range(1_500):
         address = rng.choice(pool)
-        region = address_map.region_of(address)
-        llc.access_parts(address, is_write=rng.random() < 0.3, owner=region)
+        llc.access_parts(address, is_write=rng.random() < 0.3)
     # A line on each side of both region bounds, so that an off-by-one
     # tag range shows.
     low = address_map.region_base(SCRUBBED_REGION)
     high = low + address_map.region_bytes
     for address in (low - 64, low, high - 64, high):
-        llc.access_parts(address, owner=address_map.region_of(address))
+        llc.access_parts(address)
     before = cache_lines(cache)
     scrubbed = llc.scrub_region_sets(SCRUBBED_REGION)
     after = cache_lines(cache)
@@ -137,9 +136,11 @@ def _scrub_snapshot(index_function, monkeypatch, *, slow):
     target = partly_scrubbed[0]
     resident = {line.tag << 6 for line in after[target] if line.valid}
     overflow = _region_lines(llc, SCRUBBED_REGION, target, cache.geometry.ways + 4, resident)
+    # Each overflow access and the set it leaves: which way it filled
+    # and which line it evicted.
     victims = []
     for address in overflow:
-        victims.append(cache.access_parts(address, owner=SCRUBBED_REGION)[2:])
+        victims.append((cache.access_parts(address), cache_lines(cache)[target]))
     return {
         "before": before,
         "scrubbed": scrubbed,

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from helpers import holds
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
@@ -42,30 +43,34 @@ class TestTlb:
         for page in range(8):
             tlb.access(page * 4096)
         assert tlb.flush_all() == 8
-        assert not tlb._asid_of and not any(tlb._sets)
+        assert not any(tlb._sets)
 
     def test_set_associative_geometry(self):
         tlb = Tlb("l2tlb", entries=1024, ways=4)
         assert tlb.num_sets == 256
 
     def test_flush_counts_resident_entries_after_random_fills(self):
-        # Fills cross ASIDs (an ASID change on a resident page re-fills
-        # it) and overflow sets (LRU evictions drop ASID entries too);
-        # the flush must still report exactly what the sets held.
+        # Fills overflow sets (LRU evictions) and re-fill resident pages
+        # through ``fill``; the flush must still report exactly what the
+        # sets held, and touch only the sets that hold entries.
         stats = StatsRegistry()
         tlb = Tlb("l2tlb", entries=64, ways=4, stats=stats)
         rng = random.Random(2019)
         for _ in range(3):
             for _ in range(400):
-                tlb.access(rng.randrange(256) * 4096, asid=rng.randrange(3))
+                address = rng.randrange(256) * 4096
+                if rng.random() < 0.2:
+                    tlb.fill(address)
+                else:
+                    tlb.access(address)
             resident = sum(len(entries) for entries in tlb._sets)
-            assert 0 < resident <= tlb.entries
-            assert len(tlb._asid_of) == resident
+            assert 0 < resident <= 64
+            assert sorted(tlb._filled) == [index for index, entries in enumerate(tlb._sets) if entries]
             before = stats.value("l2tlb.flush_entries")
             assert tlb.flush_all() == resident
             assert stats.value("l2tlb.flush_entries") == before + resident
             assert all(not entries for entries in tlb._sets)
-            assert not tlb._asid_of
+            assert not tlb._filled
 
     def test_a_set_holds_a_list_only_while_it_holds_entries(self):
         def filled_sets(tlb):
@@ -131,6 +136,8 @@ class TestPageWalk:
     A full walk reads one entry per level of the table (3); the
     translation cache keeps the upper levels of a finished walk, so a
     page in the same 1 GiB region hits it at level 2 and reads one.
+    Every walk read and every emitted data access goes through the L1D,
+    so ``l1d.access`` counts them together.
     """
 
     @staticmethod
@@ -138,32 +145,33 @@ class TestPageWalk:
         stats = StatsRegistry()
         address_map = AddressMap()
         dram = DramController(stats=stats)
-        llc = LastLevelCache(LlcConfig(), address_map, dram, rng=DeterministicRng(0), stats=stats)
-        mem = MemoryHierarchy(0, llc, dram, address_map, rng=DeterministicRng(1), stats=stats)
+        llc = LastLevelCache(LlcConfig(), address_map, dram, stats=stats)
+        mem = MemoryHierarchy(0, llc, address_map, rng=DeterministicRng(1), stats=stats)
         mem.page_table = PageTable()
         mem.page_table.map_page(0x4000_0000, 0x10_0000)
         mem.page_table.map_page(0x4000_1000, 0x10_1000)
         return mem, stats
 
     def test_first_walk_reads_every_level(self, kernel):
-        access = self.hierarchy()[0].data_access(0x4000_0008)
-        assert access.tlb_walk_accesses == 3
-        assert access.physical_address == 0x10_0008 and not access.page_fault
+        mem, stats = self.hierarchy()
+        assert mem.data_access(0x4000_0008)[3] is False
+        assert stats.value("l1d.access") == 3 + 1
+        assert holds(mem.l1d.cache, 0x10_0008)
+        assert "mem.page_faults" not in stats.registered()
 
     def test_neighbouring_page_walks_from_the_translation_cache(self, kernel):
         mem, stats = self.hierarchy()
         mem.data_access(0x4000_0008)
-        access = mem.data_access(0x4000_1010)
+        mem.data_access(0x4000_1010)
         assert stats.value("tcache.hit") == 1
-        assert access.tlb_walk_accesses == 1
-        assert access.physical_address == 0x10_1010
+        assert stats.value("l1d.access") == 3 + 1 + 1 + 1
+        assert holds(mem.l1d.cache, 0x10_1010)
 
     def test_unmapped_address_faults_after_a_full_walk(self, kernel):
         mem, stats = self.hierarchy()
         mem.data_access(0x4000_0008)
-        access = mem.data_access(0x8000_0000)
-        assert access.page_fault and access.physical_address is None
-        assert access.tlb_walk_accesses == 3
+        assert mem.data_access(0x8000_0000)[1:] == (None, 0, False)
+        assert stats.value("l1d.access") == 3 + 1 + 3
         assert stats.value("mem.page_faults") == 1
 
 

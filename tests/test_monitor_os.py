@@ -166,6 +166,16 @@ class TestProbeAcrossMitigationLattice:
         _machine, operating_system, victim = _hostile_platform_for(spec)
         assert operating_system.probe_enclave_memory(victim, core_id=0) is False
 
+    @pytest.mark.parametrize("spec", ["BASE", "F+P+M+A"])
+    def test_probe_from_the_enclave_core_faults(self, spec, kernel):
+        # Core 1 runs the enclave and translates through its page table,
+        # which does not map the target: the access faults and emits
+        # nothing, with or without the protection hardware.
+        machine, operating_system, victim = _hostile_platform_for(spec)
+        faults_before = machine.stats.value("mem.page_faults")
+        assert operating_system.probe_enclave_memory(victim, core_id=1) is False
+        assert machine.stats.value("mem.page_faults") == faults_before + 1
+
     def test_protection_hardware_flag_matches_lattice(self):
         assert config_for_spec("BASE").has_protection_hardware is False
         assert config_for_spec("ARB").has_protection_hardware is True

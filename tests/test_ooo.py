@@ -21,9 +21,9 @@ def build_core(core_config=None, llc_config=None):
     address_map = AddressMap()
     dram = DramController(stats=stats)
     llc = LastLevelCache(
-        llc_config or LlcConfig(), address_map, dram, rng=DeterministicRng(0), stats=stats
+        llc_config or LlcConfig(), address_map, dram, stats=stats
     )
-    hierarchy = MemoryHierarchy(0, llc, dram, address_map, rng=DeterministicRng(1), stats=stats)
+    hierarchy = MemoryHierarchy(0, llc, address_map, rng=DeterministicRng(1), stats=stats)
     return OutOfOrderCore(hierarchy, core_config or CoreConfig(), stats=stats)
 
 

@@ -16,6 +16,11 @@ When it fails on an unreached function, delete the function (and port
 its tests onto a path users run), or add an exclusion with one of the
 reasons in ``REASONS``.  ``python tests/test_reach.py`` runs the slice
 and prints the unreached functions without comparing them.
+
+Beside the slice, ``test_every_parameter_is_read`` reads the source
+alone, so tier-1 runs it: every parameter of every function is read in
+its body, unless the function fills a signature it does not choose
+(``UNREAD_PARAMETERS``).
 """
 
 from __future__ import annotations
@@ -132,15 +137,14 @@ def _module_name(path: Path) -> str:
     return ".".join(parts)
 
 
-def _definitions(tree: ast.AST) -> Iterator[Tuple[str, int]]:
-    """``(qualname, first line)`` of every function, as its code object names it."""
+def _function_nodes(tree: ast.AST) -> Iterator[Tuple[str, ast.FunctionDef]]:
+    """``(qualname, node)`` of every function, named as its code object names it."""
 
-    def walk(node: ast.AST, prefix: str) -> Iterator[Tuple[str, int]]:
+    def walk(node: ast.AST, prefix: str) -> Iterator[Tuple[str, ast.FunctionDef]]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = prefix + child.name
-                lines = [d.lineno for d in child.decorator_list] + [child.lineno]
-                yield qualname, min(lines)
+                yield qualname, child
                 yield from walk(child, qualname + ".<locals>.")
             elif isinstance(child, ast.ClassDef):
                 yield from walk(child, prefix + child.name + ".")
@@ -148,6 +152,12 @@ def _definitions(tree: ast.AST) -> Iterator[Tuple[str, int]]:
                 yield from walk(child, prefix)
 
     yield from walk(tree, "")
+
+
+def _definitions(tree: ast.AST) -> Iterator[Tuple[str, int]]:
+    """``(qualname, first line)`` of every function, as its code object names it."""
+    for qualname, node in _function_nodes(tree):
+        yield qualname, min([d.lineno for d in node.decorator_list] + [node.lineno])
 
 
 def all_functions() -> Dict[Tuple[str, int], str]:
@@ -382,6 +392,119 @@ def test_the_function_table_names_what_the_profiler_sees():
 
 def test_every_exclusion_gives_an_allowed_reason():
     wrong = sorted(name for name, (reason, _) in REACH_EXCLUSIONS.items() if reason not in REASONS)
+    assert not wrong, f"exclusions without an allowed reason: {wrong}"
+
+
+# ----------------------------------------------------------------------
+# Parameters: each is read, or its function fills a signature it does
+# not choose
+
+DUNDER = "a dunder protocol method"
+SIGNAL_HANDLER = "a signal handler"
+IMPLEMENTS_ABSTRACT = "implements an abstract method"
+MEMO_KEY = "a memo key kept on purpose"
+PARAMETER_REASONS = (DUNDER, SIGNAL_HANDLER, IMPLEMENTS_ABSTRACT, MEMO_KEY)
+
+#: ``module:qualname`` -> (reason, the parameters it leaves unread).
+UNREAD_PARAMETERS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    # The configuration's repr tells ``True`` from ``1`` in the memo's key.
+    "repro.core.serialization:_config_document": (MEMO_KEY, ("spelling",)),
+    "repro.daemon.server:serve_daemon.<locals>._request_shutdown": (
+        SIGNAL_HANDLER,
+        ("signum", "frame"),
+    ),
+    "repro.mem.cache:SetAssociativeCache.__new__": (
+        DUNDER,
+        ("name", "geometry", "index_for", "stats"),
+    ),
+    "repro.mem.replacement:PseudoRandomPolicy.victim": (IMPLEMENTS_ABSTRACT, ("set_index",)),
+    "repro.mem.replacement:PseudoRandomPolicy.touch": (IMPLEMENTS_ABSTRACT, ("set_index", "way")),
+    "repro.mem.replacement:PseudoRandomPolicy.invalidate": (
+        IMPLEMENTS_ABSTRACT,
+        ("set_index", "way"),
+    ),
+    "repro.obs.trace:_NullSpan.__exit__": (DUNDER, ("exc_type", "exc", "tb")),
+    "repro.obs.trace:_WallSpan.__exit__": (DUNDER, ("exc_type", "exc", "tb")),
+}
+
+
+def _declares_only(function: ast.FunctionDef) -> bool:
+    """True for a body of a docstring, ``pass``, ``...`` or ``raise NotImplementedError``.
+
+    Such a function declares a signature (an abstract method, or a
+    library hook silenced by an override) and reads nothing.
+    """
+    body = function.body[1:] if ast.get_docstring(function) is not None else function.body
+    for statement in body:
+        if isinstance(statement, ast.Pass):
+            continue
+        if isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant):
+            if statement.value.value is Ellipsis:
+                continue
+        if isinstance(statement, ast.Raise) and statement.exc is not None:
+            raised = statement.exc.func if isinstance(statement.exc, ast.Call) else statement.exc
+            if isinstance(raised, ast.Name) and raised.id == "NotImplementedError":
+                continue
+        return False
+    return True
+
+
+def unread_parameters() -> Dict[str, Tuple[str, ...]]:
+    """``module:qualname`` -> the parameters no statement of its body reads.
+
+    A method's ``self`` or ``cls``, a parameter whose name starts with
+    ``_`` (which says it goes unread) and the parameters of a function
+    that only declares (:func:`_declares_only`) are not counted.  A read
+    in a nested function counts.
+    """
+    found = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = _module_name(path)
+        for qualname, node in _function_nodes(ast.parse(path.read_text(), str(path))):
+            if _declares_only(node):
+                continue
+            arguments = node.args
+            names = [
+                argument.arg
+                for argument in (
+                    *arguments.posonlyargs,
+                    *arguments.args,
+                    *arguments.kwonlyargs,
+                    arguments.vararg,
+                    arguments.kwarg,
+                )
+                if argument is not None
+            ]
+            if names[:1] in (["self"], ["cls"]):
+                names = names[1:]
+            read = {
+                name.id
+                for statement in node.body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            unread = tuple(name for name in names if name not in read and not name.startswith("_"))
+            if unread:
+                found[f"{module}:{qualname}"] = unread
+    return found
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters()
+    listed = {name: set(parameters) for name, (_, parameters) in UNREAD_PARAMETERS.items()}
+    unexcused = sorted(
+        f"{name}: {', '.join(parameter for parameter in parameters if parameter not in listed.get(name, ()))}"
+        for name, parameters in unread.items()
+        if not set(parameters) <= listed.get(name, set())
+    )
+    assert not unexcused, "nothing reads these parameters; remove them, or exclude the function:\n" + "\n".join(
+        unexcused
+    )
+    stale = sorted(name for name, parameters in listed.items() if not parameters <= set(unread.get(name, ())))
+    assert not stale, "these exclusions name a function that is gone or a parameter that is read:\n" + "\n".join(
+        stale
+    )
+    wrong = sorted(name for name, (reason, _) in UNREAD_PARAMETERS.items() if reason not in PARAMETER_REASONS)
     assert not wrong, f"exclusions without an allowed reason: {wrong}"
 
 

@@ -1,16 +1,16 @@
 """The fused warm-up prime lanes against the per-address accessors.
 
 ``MemoryHierarchy.prime_data_timing`` and ``prime_fetch_timing`` promise
-the state and statistics of calling ``data_access_timing`` /
-``fetch_access_timing`` on every address.  Each test primes one
+the state and statistics of calling ``data_access`` /
+``fetch_access`` on every address.  Each test primes one
 fast-layout machine through the lanes and its twin through the
 accessors, then compares, right after priming (before ``warm_up`` would
 reset the counters):
 
 * ``capture_warm_state()`` of every structure warm-up changes: the L1
-  and LLC tags, dirty bits, owners, tag maps, valid counts and LRU
-  stacks, the L1 replacement-RNG positions, the TLB sets and ASIDs, and
-  the translation cache;
+  and LLC tags, dirty bits, tag maps, valid counts and LRU stacks, the
+  L1 replacement-RNG positions, the TLB sets, and the translation
+  cache;
 * every counter value (``stats.counters()``);
 * the counter and histogram names, in registration order
   (``stats.registered()``).
@@ -94,7 +94,7 @@ def _page_machine(spec):
     config = _small_llc(config_for_spec(spec))
     processor = MI6Processor(config, seed=SEED)
     address_map = config.address_map
-    table = PageTable(asid=1)
+    table = PageTable()
     first = address_map.region_base(DOMAIN_REGIONS[0]) // PAGE_BYTES + 8
     for page in range(MAPPED_PAGES):
         table.mappings[_vpn(page)] = first + page
@@ -133,9 +133,9 @@ def _prime(processor, data, code, *, lanes):
         hierarchy.prime_fetch_timing(code)
     else:
         for virtual_address in data:
-            hierarchy.data_access_timing(virtual_address)
+            hierarchy.data_access(virtual_address)
         for virtual_address in code:
-            hierarchy.fetch_access_timing(virtual_address)
+            hierarchy.fetch_access(virtual_address)
     return _observed(processor)
 
 
@@ -157,7 +157,7 @@ def _check(build, data, code=(), history=()):
     for lanes in (True, False):
         processor = build()
         for virtual_address in history:
-            processor.hierarchy.data_access_timing(virtual_address, is_write=True)
+            processor.hierarchy.data_access(virtual_address, is_write=True)
         before = processor.stats.counters()
         twins.append((before, _prime(processor, data, code, lanes=lanes)))
     (_, got), (before, expected) = twins
@@ -259,8 +259,8 @@ class TestAddressLists:
         def build():
             processor = _page_machine("PART")
             hierarchy = processor.hierarchy
-            hierarchy.install_context(hierarchy.page_table, None, hierarchy.owner)
-            hierarchy.data_access_timing(_address(1, 0))
+            hierarchy.install_context(hierarchy.page_table, None)
+            hierarchy.data_access(_address(1, 0))
             dram_pages = processor.config.address_map.dram_bytes // PAGE_BYTES
             hierarchy.page_table.mappings[_vpn(1)] = dram_pages
             return processor
@@ -279,7 +279,7 @@ class TestAddressLists:
         def build():
             processor = _page_machine(spec)
             hierarchy = processor.hierarchy
-            hierarchy.install_context(None, hierarchy.region_allowed, hierarchy.owner)
+            hierarchy.install_context(None, hierarchy.region_allowed)
             return processor
 
         region_base = config_for_spec(spec).address_map.region_base(DOMAIN_REGIONS[0])
