@@ -1100,17 +1100,10 @@ class ExperimentResult:
     ) -> float:
         """Runtime overhead of ``variant`` over BASE for one benchmark.
 
-        Requires BASE in the spec.  Falls back to a per-instruction (CPI)
-        comparison when the two runs committed different instruction
-        counts (the NONSPEC truncation).
+        Requires BASE in the spec; :meth:`WorkloadRun.overhead_vs` compares.
         """
         base = self.run_for("BASE", benchmark, seed)
-        secured = self.run_for(variant, benchmark, seed)
-        if secured.instructions != base.instructions:
-            if not base.result.cpi:
-                return 0.0
-            return 100.0 * (secured.result.cpi - base.result.cpi) / base.result.cpi
-        return secured.overhead_vs(base)
+        return self.run_for(variant, benchmark, seed).overhead_vs(base)
 
 
 @dataclass(frozen=True)
@@ -1251,8 +1244,6 @@ class ParallelRunner:
             serially in-process; results are bit-identical either way.
 
     Attributes:
-        executed_runs: Simulations actually executed by this runner.
-        warm_runs: Requests served from the store without simulating.
         last_origins: Per-request provenance of the most recent
             :meth:`run` call, aligned with the request sequence:
             ``"warm"`` for store hits, ``"cold"`` for executed
@@ -1266,8 +1257,6 @@ class ParallelRunner:
     def __init__(self, store: Optional[ResultStore] = None, *, jobs: int = 1) -> None:
         self.store = store if store is not None else ResultStore.in_memory()
         self.jobs = max(1, jobs)
-        self.executed_runs = 0
-        self.warm_runs = 0
         self.last_origins: List[str] = []
         self.last_keys: List[str] = []
 
@@ -1316,7 +1305,6 @@ class ParallelRunner:
                     for position in positions:
                         results[position] = cached
                         origins[position] = "warm"
-                    self.warm_runs += len(positions)
                 else:
                     pending[key] = positions
         if pending:
@@ -1329,7 +1317,6 @@ class ParallelRunner:
             with wall_span("store-persist", track="engine", produced=len(to_run)):
                 for (key, positions), request, value in zip(pending.items(), to_run, produced):
                     self._persist(request.kind, key, value)
-                    self.executed_runs += 1
                     for position in positions:
                         results[position] = value
         # `keys` stays the full position-aligned list (one per request),
@@ -1415,14 +1402,12 @@ class ParallelRunner:
             outcome = self._lookup(FleetRunRequest.kind, key)
             if outcome is not None:
                 origins[position] = "warm"
-                self.warm_runs += 1
             else:
                 if request.service_cycles is None:
                     request = self.priced([request])[0]
                 plan = request.shard_plan(resolve_service_cycles(request))
                 outcome = _merge_fleet(request, plan, self.run(plan.shard_requests))
                 self._persist(FleetRunRequest.kind, key, outcome)
-                self.executed_runs += 1
                 executed[key] = outcome
             results.append(outcome)
         self.last_origins = origins

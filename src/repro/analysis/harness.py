@@ -109,8 +109,6 @@ def run_figure_series(
 
 def runtime_overhead_metric(base: WorkloadRun, secured: WorkloadRun) -> float:
     """Increased runtime in percent (Figures 5, 8, 10, 11, 12, 13)."""
-    if secured.instructions != base.instructions and base.result.cpi:
-        return 100.0 * (secured.result.cpi - base.result.cpi) / base.result.cpi
     return secured.overhead_vs(base)
 
 

@@ -25,7 +25,8 @@ The division of labour between the two LLC models:
   and backpressure, UQ/DQ queueing, DRAM latency — comes from the
   detailed pipeline, which receives one
   :class:`~repro.mem.llc_detail.LlcRequest` per LLC-bound access with
-  its functional hit/miss verdict attached (``hit_override``).
+  its functional hit/miss verdict attached (``llc_hit``); the pipeline
+  never decides a hit itself.
 
 A scenario drives the executor in *phases* (prime, victim, probe, or a
 single co-resident phase): machine state and the detailed pipeline's
@@ -45,13 +46,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Union
+from typing import Dict, List, Mapping, NamedTuple, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.fastpath import slow_path_enabled
 from repro.core.config import MI6Config
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.mem.llc_detail import DetailedLlc, DetailedLlcConfig, LlcRequest
+from repro.mem.llc_detail import LINE_BYTES, DetailedLlc, DetailedLlcConfig, LlcRequest
 from repro.os_model.machine import Machine
 
 #: Default cap on in-flight LLC requests per core (an aggressive OoO
@@ -129,7 +130,6 @@ def detailed_config_for(config: MI6Config, *, num_cores: int = 2) -> DetailedLlc
         num_cores=num_cores,
         secure=secure,
         mshrs_per_core=mshrs_per_core,
-        total_mshrs=8,
         dram_latency=config.dram.latency_cycles,
         dram_max_outstanding=config.dram.max_outstanding,
         set_partitioned=config.set_partition_llc,
@@ -178,11 +178,11 @@ class _CoreState:
 class CoScheduledExecutor:
     """Interleaves per-core access streams on one shared machine.
 
+    The timing pipeline's configuration is derived from the machine's
+    (:func:`detailed_config_for`).
+
     Args:
         machine: The shared multi-core machine (functional state).
-        detailed_config: Timing-pipeline configuration; derived from the
-            machine configuration via :func:`detailed_config_for` when
-            omitted.
         max_outstanding: In-flight request cap, either one value for all
             cores or a per-core mapping (receiver cores in contention
             scenarios typically run with a small cap, flooding senders
@@ -193,20 +193,14 @@ class CoScheduledExecutor:
         self,
         machine: Machine,
         *,
-        detailed_config: Optional[DetailedLlcConfig] = None,
         max_outstanding: Union[int, Mapping[int, int]] = DEFAULT_MAX_OUTSTANDING,
     ) -> None:
         self.machine = machine
-        config = detailed_config or detailed_config_for(
-            machine.config, num_cores=machine.num_cores
+        self.detailed = DetailedLlc(
+            detailed_config_for(machine.config, num_cores=machine.num_cores),
+            stats=machine.stats,
         )
-        if config.num_cores < machine.num_cores:
-            raise ConfigurationError(
-                "detailed LLC must serve at least as many cores as the machine"
-            )
-        self.detailed = DetailedLlc(config, stats=machine.stats)
         self._max_outstanding = max_outstanding
-        self._next_request_id = 0
         self.completed: List[CompletedAccess] = []
 
     @property
@@ -358,13 +352,10 @@ class CoScheduledExecutor:
         if llc_hit is not None:
             request = LlcRequest(
                 core=state.core_id,
-                line_address=op.address // self.detailed.config.line_bytes,
+                line_address=op.address // LINE_BYTES,
                 want_modified=op.is_write,
-                issue_cycle=cycle,
-                request_id=self._next_request_id,
-                hit_override=llc_hit,
+                llc_hit=llc_hit,
             )
-            self._next_request_id += 1
             self.detailed.inject_request(request)
             state.in_flight.append((index, op, outcome, cycle, request))
         else:

@@ -11,15 +11,17 @@ the functional ground truth is only used to score how much actually
 leaked.
 
 Scenarios are pure functions of ``(machine configuration, seed,
-num_cores, placement)``, so the experiment engine can treat them exactly
-like benchmark runs: sweep them across variants × seeds × machine sizes
-in parallel and persist their outcomes in the result store
-(:mod:`repro.analysis.engine`).  The scenario seed reaches the machine's
-shared LLC/hierarchy RNGs (not just the secret draws), and machines
-larger than the classic attacker+victim pair host *bystander* domains on
-the remaining cores — idle by default, but their queues still occupy
-round-robin arbiter slots, and the parallel scenarios give them light
-background traffic so the channel is measured on a loaded machine.
+num_cores)``, with the roles on the cores that
+:func:`~repro.attacks.placement.default_placement` names, so the
+experiment engine can treat them exactly like benchmark runs: sweep them
+across variants × seeds × machine sizes in parallel and persist their
+outcomes in the result store (:mod:`repro.analysis.engine`).  The
+scenario seed reaches the machine's shared LLC/hierarchy RNGs (not just
+the secret draws), and machines larger than the classic attacker+victim
+pair host *bystander* domains on the remaining cores — idle by default,
+but their queues still occupy round-robin arbiter slots, and the
+parallel scenarios give them light background traffic so the channel is
+measured on a loaded machine.
 
 The registry maps scenario names to runners:
 
@@ -35,6 +37,10 @@ The registry maps scenario names to runners:
                    time-sliced on one core of the shared machine;
                    closed by FLUSH's purge on the transition.
 =================  ====================================================
+
+Beside the registry, :func:`victim_timing_difference` checks the strong
+timing independence of Section 5.4 (Figures 2 and 3) directly: how far
+an attacker's flood moves a victim's completion cycles.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.common.defaults import DEFAULT_SEED
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.core.config import MI6Config
@@ -95,13 +102,7 @@ class ScenarioOutcome(OutcomeDocument):
 # Machine assembly shared by the scenarios
 
 
-def build_scenario_machine(
-    config: MI6Config,
-    *,
-    seed: Optional[int] = None,
-    num_cores: int = 2,
-    placement: Optional[Placement] = None,
-) -> Machine:
+def build_scenario_machine(config: MI6Config, *, seed: int, num_cores: int = 2) -> Machine:
     """Shared machine with attacker, victim, and bystander domains installed.
 
     On an MI6 build each core's DRAM-region bitvector enforces its
@@ -112,22 +113,17 @@ def build_scenario_machine(
     Args:
         config: Machine configuration (any mitigation combination).
         seed: Machine RNG seed (shared LLC replacement, per-core
-            hierarchy streams).  ``None`` keeps the historical default.
-        num_cores: Machine size; cores beyond the attacker/victim pair
-            become bystander domains per the placement policy.  Secure
+            hierarchy streams).
+        num_cores: Machine size; the roles follow
+            :func:`~repro.attacks.placement.default_placement`, and cores
+            beyond the attacker/victim pair host bystander domains.  Secure
             (MISS+ARB) machines are bounded by the Section 5.2 MSHR
             sizing rule: at most ``config.dram.max_outstanding // 2``
             cores (12 for the default configuration) — beyond that the
             detailed timing model raises ``ConfigurationError``.
-        placement: Explicit role→core assignment; defaults to
-            :func:`~repro.attacks.placement.default_placement`.
     """
-    placement = placement or default_placement(num_cores)
-    machine = (
-        Machine(config=config, num_cores=placement.num_cores, seed=seed)
-        if seed is not None
-        else Machine(config=config, num_cores=placement.num_cores)
-    )
+    placement = default_placement(num_cores)
+    machine = Machine(config=config, num_cores=num_cores, seed=seed)
     enforce = config.has_protection_hardware
     assignments = [
         (placement.attacker_core, ATTACKER_REGIONS),
@@ -152,11 +148,11 @@ def _hit_threshold(machine: Machine) -> int:
 
 
 def _bystander_ops(
-    machine: Machine, placement: Placement, *, count: int = 8, issue_gap: int = 50
+    machine: Machine, placement: Placement, *, issue_gap: int = 50
 ) -> Dict[int, List[MemOp]]:
     """Light background streams for every bystander core.
 
-    Each bystander walks ``count`` lines of its own region at a relaxed
+    Each bystander walks eight lines of its own region at a relaxed
     pace — enough to keep its queues live in the arbiter rotation without
     turning the background load into a second flooding sender.
     """
@@ -171,7 +167,7 @@ def _bystander_ops(
         base = machine.address_map.region_base(region) + offset
         streams[core_id] = [
             MemOp(base + index * 64, issue_gap=issue_gap, label="bystander")
-            for index in range(count)
+            for index in range(8)
         ]
     return streams
 
@@ -180,14 +176,7 @@ def _bystander_ops(
 # prime_probe
 
 
-def run_prime_probe(
-    config: MI6Config,
-    seed: int,
-    *,
-    trials: int = 3,
-    num_cores: int = 2,
-    placement: Optional[Placement] = None,
-) -> ScenarioOutcome:
+def run_prime_probe(config: MI6Config, seed: int, *, num_cores: int = 2) -> ScenarioOutcome:
     """Cross-core prime+probe through the shared LLC.
 
     Per trial: the attacker primes a handful of monitored sets with its
@@ -196,15 +185,16 @@ def run_prime_probe(
     attacker times one pass over its primed lines — a slow probe means
     the victim evicted that set.
     """
-    placement = placement or default_placement(num_cores)
+    placement = default_placement(num_cores)
     attacker_core, victim_core = placement.attacker_core, placement.victim_core
     rng = DeterministicRng(seed).fork("prime_probe")
+    trials = 3
     leaked = 0
     cycles = 0
     last_observed: List[int] = []
     monitored_count = 4
     for _trial in range(trials):
-        machine = build_scenario_machine(config, seed=seed, placement=placement)
+        machine = build_scenario_machine(config, seed=seed, num_cores=num_cores)
         executor = CoScheduledExecutor(machine)
         llc = machine.llc
         ways = llc.config.geometry.ways
@@ -237,7 +227,7 @@ def run_prime_probe(
         # probes): back-to-back probes queue behind each other in the
         # LLC pipeline, and on large machines that queueing alone pushes
         # late hits past the miss threshold.
-        probe_gap = 4 * placement.num_cores + 8
+        probe_gap = 4 * num_cores + 8
         probe_ops = [
             MemOp(address, issue_gap=probe_gap, l1_bypass=True, label=f"probe:{set_index}")
             for set_index in monitored
@@ -262,7 +252,7 @@ def run_prime_probe(
         leaked_bits=leaked,
         total_bits=trials,
         cycles=cycles,
-        num_cores=placement.num_cores,
+        num_cores=num_cores,
         details={"monitored_sets": monitored_count, "observed_last_trial": last_observed},
     )
 
@@ -271,14 +261,7 @@ def run_prime_probe(
 # spectre
 
 
-def run_spectre(
-    config: MI6Config,
-    seed: int,
-    *,
-    trials: int = 2,
-    num_cores: int = 2,
-    placement: Optional[Placement] = None,
-) -> ScenarioOutcome:
+def run_spectre(config: MI6Config, seed: int, *, num_cores: int = 2) -> ScenarioOutcome:
     """Cross-domain speculative read + LLC transmit, co-resident victim.
 
     The attacker's wrong-path gadget dereferences an enclave address
@@ -288,16 +271,17 @@ def run_spectre(
     region bitvector suppresses the speculative access (Section 5.3),
     so the probe finds nothing.
     """
-    placement = placement or default_placement(num_cores)
+    placement = default_placement(num_cores)
     attacker_core, victim_core = placement.attacker_core, placement.victim_core
     rng = DeterministicRng(seed).fork("spectre")
+    trials = 2
     probe_stride = 4096
     leaked = 0
     cycles = 0
     emitted_last = False
     recovered_last: int | None = None
     for _trial in range(trials):
-        machine = build_scenario_machine(config, seed=seed, placement=placement)
+        machine = build_scenario_machine(config, seed=seed, num_cores=num_cores)
         executor = CoScheduledExecutor(machine)
         secret = rng.integer(0, 15)
         enclave_base = machine.address_map.region_base(10)
@@ -344,7 +328,7 @@ def run_spectre(
         leaked_bits=leaked,
         total_bits=4 * trials,
         cycles=cycles,
-        num_cores=placement.num_cores,
+        num_cores=num_cores,
         details={
             "speculative_access_emitted": emitted_last,
             "recovered_last_trial": recovered_last,
@@ -356,15 +340,7 @@ def run_spectre(
 # contention
 
 
-def run_contention(
-    config: MI6Config,
-    seed: int,
-    *,
-    bits: int = 6,
-    slot_cycles: int = 600,
-    num_cores: int = 2,
-    placement: Optional[Placement] = None,
-) -> ScenarioOutcome:
+def run_contention(config: MI6Config, seed: int, *, num_cores: int = 2) -> ScenarioOutcome:
     """MSHR/arbiter covert channel between co-resident cores.
 
     The sender (victim core) modulates its miss traffic — flood during a
@@ -376,9 +352,11 @@ def run_contention(
     (per-core MSHR partitions + round-robin arbiter + per-core response
     queues) makes the receiver's timing sender-independent.
     """
-    placement = placement or default_placement(num_cores)
+    placement = default_placement(num_cores)
     attacker_core, victim_core = placement.attacker_core, placement.victim_core
     rng = DeterministicRng(seed).fork("contention")
+    bits = 6
+    slot_cycles = 600
     message = [1 if rng.chance(0.5) else 0 for _ in range(bits)]
     if not any(message):
         message[rng.integer(0, bits - 1)] = 1
@@ -388,7 +366,7 @@ def run_contention(
         # channel even on the insecure machine.
         message[rng.integer(0, bits - 1)] = 0
 
-    machine = build_scenario_machine(config, seed=seed, placement=placement)
+    machine = build_scenario_machine(config, seed=seed, num_cores=num_cores)
     executor = CoScheduledExecutor(
         machine, max_outstanding={attacker_core: 4, victim_core: 24}
     )
@@ -477,7 +455,7 @@ def run_contention(
         leaked_bits=leaked,
         total_bits=sum(message),
         cycles=executor.cycle,
-        num_cores=placement.num_cores,
+        num_cores=num_cores,
         details={
             "sent_bits": "".join(map(str, message)),
             "received_bits": "".join(map(str, received)),
@@ -492,14 +470,7 @@ def run_contention(
 # branch_residue
 
 
-def run_branch_residue(
-    config: MI6Config,
-    seed: int,
-    *,
-    trials: int = 2,
-    num_cores: int = 2,
-    placement: Optional[Placement] = None,
-) -> ScenarioOutcome:
+def run_branch_residue(config: MI6Config, seed: int, *, num_cores: int = 2) -> ScenarioOutcome:
     """Branch-predictor residue across a context switch on a shared core.
 
     Unlike the other scenarios this one is time-sliced rather than
@@ -511,15 +482,16 @@ def run_branch_residue(
     core's :class:`~repro.core.purge.PurgeUnit`, so both secrets yield
     the identical public reset state.
     """
-    placement = placement or default_placement(num_cores)
+    placement = default_placement(num_cores)
     rng = DeterministicRng(seed).fork("branch_residue")
+    trials = 2
     training_iterations = 64
     leaked = 0
     purge_stalls = 0
     for _trial in range(trials):
         observations = {}
         for secret_bit in (False, True):
-            machine = build_scenario_machine(config, seed=seed, placement=placement)
+            machine = build_scenario_machine(config, seed=seed, num_cores=num_cores)
             shared_core = machine.core(placement.attacker_core)
             predictor = shared_core.core.frontend.predictor
             # Victim time-slice: the secret selects the branch direction.
@@ -539,9 +511,51 @@ def run_branch_residue(
         leaked_bits=leaked,
         total_bits=trials,
         cycles=purge_stalls,
-        num_cores=placement.num_cores,
+        num_cores=num_cores,
         details={"training_iterations": training_iterations},
     )
+
+
+# ----------------------------------------------------------------------
+# Strong timing independence (Section 5.4), not a registered scenario
+
+
+def victim_timing_difference(config: MI6Config) -> int:
+    """Largest shift an attacker's flood causes in a victim's completion cycles.
+
+    The victim streams 24 L1-bypassing loads over its own region, 30
+    cycles apart, on a fresh two-core machine (seed
+    :data:`~repro.common.defaults.DEFAULT_SEED`); on a second such
+    machine the attacker floods the LLC beside it with 250 stores to its
+    own region, 2 cycles apart and 7 lines apart.  Returns the largest
+    difference between the two runs' completion cycles of one victim
+    op: 0 means the victim's timing does not depend on the attacker's
+    traffic, which the MI6 LLC organisation (MISS and ARB, Figure 3)
+    guarantees and the baseline (Figure 2) does not.
+    """
+    placement = default_placement(2)
+
+    def victim_completions(flood: bool) -> List[int]:
+        machine = build_scenario_machine(config, seed=DEFAULT_SEED)
+        region_base = machine.address_map.region_base
+        victim_base = region_base(min(VICTIM_REGIONS))
+        traces = {
+            placement.victim_core: [
+                MemOp(victim_base + index * 64, issue_gap=30, l1_bypass=True)
+                for index in range(24)
+            ]
+        }
+        if flood:
+            attacker_base = region_base(min(ATTACKER_REGIONS))
+            traces[placement.attacker_core] = [
+                MemOp(attacker_base + index * 7 * 64, is_write=True, issue_gap=2, l1_bypass=True)
+                for index in range(250)
+            ]
+        victim = CoScheduledExecutor(machine).run_phase(traces)[placement.victim_core]
+        return [record.complete_cycle for record in sorted(victim, key=lambda record: record.index)]
+
+    alone, contended = victim_completions(False), victim_completions(True)
+    return max(abs(quiet - loaded) for quiet, loaded in zip(alone, contended))
 
 
 # ----------------------------------------------------------------------
@@ -574,18 +588,11 @@ def scenario_description(name: str) -> str:
     return _SCENARIO_DESCRIPTIONS[name]
 
 
-def run_scenario(
-    name: str,
-    config: MI6Config,
-    seed: int,
-    *,
-    num_cores: int = 2,
-    placement: Optional[Placement] = None,
-) -> ScenarioOutcome:
+def run_scenario(name: str, config: MI6Config, seed: int, *, num_cores: int = 2) -> ScenarioOutcome:
     """Run one registered scenario on one machine configuration."""
     try:
         runner = _SCENARIOS[name]
     except KeyError:
         valid = ", ".join(scenario_names())
         raise ConfigurationError(f"unknown scenario {name!r} (expected one of: {valid})") from None
-    return runner(config, seed, num_cores=num_cores, placement=placement)
+    return runner(config, seed, num_cores=num_cores)

@@ -21,9 +21,7 @@ This package layers the MI6 mechanisms on top of the RiscyOO substrate:
   (:class:`~repro.core.results.WorkloadRun`), readable without importing
   the simulator;
 * :mod:`repro.core.serialization` — stable dict/JSON round-trips for
-  configurations and results, plus the content-hash cache keys;
-* :mod:`repro.core.isolation` — the detailed LLC's timing-independence
-  check that ``examples/side_channel_lab.py`` prints.
+  configurations and results, plus the content-hash cache keys.
 """
 
 from repro.common.lazy import lazy_exports
@@ -45,7 +43,6 @@ __all__, __getattr__ = lazy_exports(
             "register_mitigation",
             "spec_name",
         ),
-        "repro.core.isolation": ("timing_independence_report",),
         "repro.core.processor": ("MI6Processor",),
         "repro.core.protection": ("ProtectionDomain", "RegionBitvector"),
         "repro.core.purge": ("PurgeUnit",),

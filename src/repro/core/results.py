@@ -87,10 +87,19 @@ class WorkloadRun:
         return self.result.cycles
 
     def overhead_vs(self, baseline: WorkloadRun) -> float:
-        """Increased runtime relative to ``baseline``, as a percentage."""
-        if baseline.cycles == 0:
+        """Increased runtime relative to ``baseline``, as a percentage.
+
+        Compares cycles per instruction (CPI) instead of cycles when the
+        two runs committed different instruction counts (NONSPEC's
+        truncated runs), and reads 0.0 when the baseline's figure is 0.
+        """
+        if self.instructions != baseline.instructions:
+            base, mine = baseline.result.cpi, self.result.cpi
+        else:
+            base, mine = baseline.cycles, self.cycles
+        if not base:
             return 0.0
-        return 100.0 * (self.cycles - baseline.cycles) / baseline.cycles
+        return 100.0 * (mine - base) / base
 
 
 @dataclass(frozen=True)

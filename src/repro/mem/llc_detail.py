@@ -15,9 +15,12 @@ the baseline organisation leaks through
 * the shared Downgrade-L1 logic (unfair arbitration), and
 * DRAM-controller backpressure when MSHRs are not sized to ``dmax / 2``.
 
-The model is driven with per-core request traces by
-:class:`LlcTrafficSimulator` and returns per-request latencies, which the
-isolation tests compare across interference scenarios.
+Its one driver is :class:`~repro.attacks.coschedule.CoScheduledExecutor`,
+which injects a request per LLC-bound access of a co-scheduled scenario
+with the machine's functional hit verdict attached, and reads back each
+request's completion cycle.
+:func:`~repro.attacks.scenarios.victim_timing_difference` checks the
+Section 5.4 claim through it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.fastpath import slow_path_enabled
 from repro.common.stats import Counter, StatsRegistry
 from repro.mem.arbiter import PipelineEntryArbiter, RoundRobinArbiter, TwoLevelMuxArbiter
 from repro.mem.coherence import Directory
@@ -36,39 +38,48 @@ from repro.mem.dram import DramConfig, DramController
 from repro.mem.replacement import LruPolicy
 
 
+#: Sets in the (scaled-down) tag array.
+NUM_SETS = 64
+#: Associativity.
+WAYS = 4
+#: MSHR pool size in the baseline organisation.
+TOTAL_MSHRS = 8
+#: Cycles a message spends in the cache-access pipeline.
+PIPELINE_DEPTH = 4
+#: Cycles an L1 takes to answer a downgrade request.
+L1_DOWNGRADE_DELAY = 10
+#: Bytes per cache line (a request names its line, not its byte address).
+LINE_BYTES = 64
+
+#: Sets per region colour under the partitioned index.
+_COLOUR_SETS = NUM_SETS // 4
+
+
 @dataclass(frozen=True)
 class DetailedLlcConfig:
     """Configuration of the detailed LLC model.
 
+    The tag-array shape, the baseline's MSHR pool, the pipeline depth,
+    the L1 downgrade delay and the line size are the module's constants.
+
     Attributes:
         num_cores: Number of cores attached to the LLC.
-        num_sets: Sets in the (scaled-down) tag array.
-        ways: Associativity.
         secure: True builds the Figure 3 (MI6) organisation, False the
             Figure 2 baseline.
         mshrs_per_core: MSHR partition size in the secure organisation.
-        total_mshrs: MSHR pool size in the baseline organisation.
-        pipeline_depth: Cycles a message spends in the cache-access pipeline.
         dram_latency: Constant DRAM latency in cycles.
         dram_max_outstanding: DRAM controller occupancy limit.
-        l1_downgrade_delay: Cycles an L1 takes to answer a downgrade request.
         set_partitioned: Use a region-aware index function (secure mode).
         region_bytes: Size of a DRAM region for the partitioned indexing.
     """
 
     num_cores: int = 2
-    num_sets: int = 64
-    ways: int = 4
     secure: bool = True
     mshrs_per_core: int = 4
-    total_mshrs: int = 8
-    pipeline_depth: int = 4
     dram_latency: int = 60
     dram_max_outstanding: int = 24
-    l1_downgrade_delay: int = 10
     set_partitioned: bool = True
     region_bytes: int = 1 << 20
-    line_bytes: int = 64
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
@@ -86,28 +97,18 @@ class DetailedLlcConfig:
 class LlcRequest:
     """One L1 upgrade request injected into the simulation.
 
-    ``hit_override`` lets an external functional model decide whether the
-    request hits: the co-scheduled scenario executor
-    (:mod:`repro.attacks.coschedule`) keeps the authoritative tag state in
-    the machine's shared :class:`~repro.mem.llc.LastLevelCache` and uses
-    this pipeline only for cycle-level timing (queues, MSHRs, arbiters).
-    When ``None`` the detailed model's own tag array decides, as before.
+    ``llc_hit`` is the functional verdict: the co-scheduled executor
+    (:mod:`repro.attacks.coschedule`) keeps the authoritative tag state
+    in the machine's shared :class:`~repro.mem.llc.LastLevelCache` and
+    uses this pipeline only for cycle-level timing (queues, MSHRs,
+    arbiters).  ``complete_cycle`` is set when the response leaves its UQ.
     """
 
     core: int
     line_address: int
-    want_modified: bool = False
-    issue_cycle: int = 0
-    request_id: int = 0
+    want_modified: bool
+    llc_hit: bool
     complete_cycle: Optional[int] = None
-    hit_override: Optional[bool] = None
-
-    @property
-    def latency(self) -> Optional[int]:
-        """Completion latency in cycles, or None if still outstanding."""
-        if self.complete_cycle is None:
-            return None
-        return self.complete_cycle - self.issue_cycle
 
 
 #: Downgrade set of every MSHR that needs no downgrade; never written.
@@ -160,11 +161,11 @@ class DetailedLlc:
             )
         )
         # Tag array.
-        slots = config.num_sets * config.ways
+        slots = NUM_SETS * WAYS
         self._tags: List[Optional[int]] = [None] * slots
         self._dirty: List[bool] = [False] * slots
         self._locks: List[Optional[int]] = [None] * slots
-        self._lru = LruPolicy(config.num_sets, config.ways)
+        self._lru = LruPolicy(NUM_SETS, WAYS)
         self._partitioned = config.secure and config.set_partitioned
         # Input queues per core: upgrade requests, downgrade responses,
         # DRAM responses (per-core in secure mode), retries (secure mode).
@@ -226,12 +227,11 @@ class DetailedLlc:
     # Address helpers
 
     def _set_index(self, line_address: int) -> int:
-        config = self.config
         if self._partitioned:
-            region = (line_address * config.line_bytes) // config.region_bytes
-            low_bits = config.num_sets // 4 if config.num_sets >= 4 else 1
-            return ((region % 4) * low_bits + line_address % low_bits) % config.num_sets
-        return line_address % config.num_sets
+            # A quarter of the sets per region colour (region mod 4).
+            region = (line_address * LINE_BYTES) // self.config.region_bytes
+            return (region % 4) * _COLOUR_SETS + line_address % _COLOUR_SETS
+        return line_address % NUM_SETS
 
     # ------------------------------------------------------------------
     # MSHR helpers
@@ -239,7 +239,7 @@ class DetailedLlc:
     def _can_allocate_mshr(self, core: int) -> bool:
         if self.config.secure:
             return self._occupancy_by_core[core] < self.config.mshrs_per_core
-        return len(self._mshrs) < self.config.total_mshrs
+        return len(self._mshrs) < TOTAL_MSHRS
 
     def _parked(self, core: int) -> bool:
         """Whether ``core``'s upgrade queue waits on a full MSHR file."""
@@ -262,7 +262,7 @@ class DetailedLlc:
     # Public driving interface
 
     def inject_request(self, request: LlcRequest) -> None:
-        """Queue an L1 upgrade request for processing (at its issue cycle)."""
+        """Queue an L1 upgrade request for pipeline entry."""
         self._upgrade_in[request.core].append(request)
 
     def step(self) -> None:
@@ -456,7 +456,7 @@ class DetailedLlc:
         mshr.downgrades_to_send.discard(target)
         self._downgrades_unsent -= 1
         self._pending_l1_answers.append(
-            (self.cycle + self.config.l1_downgrade_delay, target, mshr.request.line_address)
+            (self.cycle + L1_DOWNGRADE_DELAY, target, mshr.request.line_address)
         )
         self.stats.counter("llc_detail.downgrade_requests").increment()
 
@@ -495,9 +495,9 @@ class DetailedLlc:
             self._dram_wait(mshr, read.complete_cycle)
 
     def _tag_lookup(self, set_index: int, line_address: int) -> Optional[int]:
-        base = set_index * self.config.ways
+        base = set_index * WAYS
         tags = self._tags
-        for way in range(self.config.ways):
+        for way in range(WAYS):
             if tags[base + way] == line_address:
                 return way
         return None
@@ -532,7 +532,7 @@ class DetailedLlc:
         request = mshr.request
         set_index = self._set_index(request.line_address)
         way = self._fill_way(set_index, mshr.mshr_id)
-        slot = set_index * self.config.ways + way
+        slot = set_index * WAYS + way
         self._tags[slot] = request.line_address
         self._dirty[slot] = request.want_modified
         self._locks[slot] = None
@@ -551,23 +551,23 @@ class DetailedLlc:
                 break
 
     def _fill_way(self, set_index: int, mshr_id: int) -> int:
-        ways = self.config.ways
-        base = set_index * ways
+        base = set_index * WAYS
         locks = self._locks
-        for way in range(ways):
+        for way in range(WAYS):
             if locks[base + way] == mshr_id:
                 return way
-        for way in range(ways):
+        for way in range(WAYS):
             if self._tags[base + way] is None and locks[base + way] is None:
                 return way
-        return self._lru.victim(set_index, [True] * ways)
+        return self._lru.victim(set_index, [True] * WAYS)
 
     def _resolve_tag_access(self, mshr: _Mshr) -> None:
         request = mshr.request
         set_index = self._set_index(request.line_address)
-        way = self._tag_lookup(set_index, request.line_address)
-        hit = way is not None if request.hit_override is None else request.hit_override
-        if hit:
+        if request.llc_hit:
+            # The functional verdict decides the hit; a line this model
+            # also holds only has its recency refreshed.
+            way = self._tag_lookup(set_index, request.line_address)
             if way is not None:
                 self._lru.touch(set_index, way)
             self.directory.grant(request.core, request.line_address, request.want_modified)
@@ -582,10 +582,10 @@ class DetailedLlc:
             counter = self._c_misses = self.stats.counter("llc_detail.misses")
         counter.value += 1
         # Choose a victim: prefer an unlocked invalid way, else LRU unlocked.
-        base = set_index * self.config.ways
+        base = set_index * WAYS
         tags, locks = self._tags, self._locks
         victim_way = None
-        for way in range(self.config.ways):
+        for way in range(WAYS):
             if tags[base + way] is None and locks[base + way] is None:
                 victim_way = way
                 break
@@ -675,93 +675,9 @@ class DetailedLlc:
                 return
             payload = self._allocate_mshr(payload).mshr_id
         fifo.pop(0)
-        self._pipeline.append((cycle + self.config.pipeline_depth, handler, payload))
+        self._pipeline.append((cycle + PIPELINE_DEPTH, handler, payload))
         counter = self._c_pipeline_entries
         if counter is None:
             counter = self._c_pipeline_entries = self.stats.counter("llc_detail.pipeline_entries")
         counter.value += 1
 
-
-class LlcTrafficSimulator:
-    """Drives a :class:`DetailedLlc` with per-core request traces."""
-
-    def __init__(self, config: DetailedLlcConfig) -> None:
-        self.config = config
-        self.llc = DetailedLlc(config)
-
-    def run(
-        self,
-        traces: Dict[int, List[Tuple[int, int, bool]]],
-        *,
-        max_cycles: int = 200_000,
-    ) -> Dict[int, List[LlcRequest]]:
-        """Run traces to completion.
-
-        Args:
-            traces: Mapping core -> list of ``(issue_cycle, line_address,
-                want_modified)`` tuples, sorted by issue cycle.
-            max_cycles: Safety bound on simulated cycles.
-
-        Returns:
-            Mapping core -> completed requests in completion order.
-        """
-        pending: List[LlcRequest] = []
-        request_id = 0
-        for core, trace in traces.items():
-            for issue_cycle, line_address, want_modified in trace:
-                pending.append(
-                    LlcRequest(
-                        core=core,
-                        line_address=line_address,
-                        want_modified=want_modified,
-                        issue_cycle=issue_cycle,
-                        request_id=request_id,
-                    )
-                )
-                request_id += 1
-        pending.sort(key=lambda request: (request.issue_cycle, request.request_id))
-        total = len(pending)
-        injected = 0
-        llc = self.llc
-        # Event-batched driving: whenever the LLC reports its next
-        # actionable cycle, jump the clock there (or to the next trace
-        # injection) instead of ticking through the idle gap.  Skipped
-        # cycles change nothing but the clock and the MSHR stall count
-        # advance_to charges, so results are bit-identical to the
-        # per-cycle reference loop kept under REPRO_SLOW_PATH=1.
-        batched = not slow_path_enabled()
-        while len(llc.completed) < total and llc.cycle < max_cycles:
-            while injected < total and pending[injected].issue_cycle <= llc.cycle:
-                llc.inject_request(pending[injected])
-                injected += 1
-            if batched:
-                event = llc.next_event_cycle()
-                next_injection = (
-                    pending[injected].issue_cycle if injected < total else None
-                )
-                if event is None:
-                    if next_injection is None:
-                        # Nothing in flight and nothing left to inject:
-                        # the reference loop would spin the clock to the
-                        # bound without changing any other state.
-                        llc.advance_to(max_cycles)
-                        break
-                    target = next_injection
-                elif next_injection is not None and next_injection < event:
-                    target = next_injection
-                else:
-                    target = event
-                if target > llc.cycle:
-                    llc.advance_to(min(target, max_cycles))
-                    continue
-            llc.step()
-        results: Dict[int, List[LlcRequest]] = {core: [] for core in traces}
-        for request in self.llc.completed:
-            results.setdefault(request.core, []).append(request)
-        return results
-
-
-def request_latencies(results: Dict[int, List[LlcRequest]], core: int) -> List[int]:
-    """Latencies of ``core``'s requests ordered by request id."""
-    requests = sorted(results.get(core, []), key=lambda request: request.request_id)
-    return [request.latency for request in requests if request.latency is not None]

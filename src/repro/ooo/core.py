@@ -21,7 +21,6 @@ load queue, store queue and store buffer are not bounded (their
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.fastpath import slow_path_enabled
@@ -109,9 +108,6 @@ class OutOfOrderCore:
             shared LLC and DRAM).
         config: Core timing parameters and variant switches.
         stats: Statistics registry shared with the hierarchy.
-        purge_callback: Invoked on trap entry/exit when ``flush_on_trap``
-            is set; must scrub the core-private state and return the
-            number of stall cycles charged (the MI6 purge).
     """
 
     def __init__(
@@ -120,19 +116,22 @@ class OutOfOrderCore:
         config: Optional[CoreConfig] = None,
         *,
         stats: StatsRegistry,
-        purge_callback: Optional[Callable[[], int]] = None,
     ) -> None:
         self.config = config or CoreConfig()
         self.hierarchy = hierarchy
         self.stats = stats
-        self.purge_callback = purge_callback
+        #: Invoked on trap entry and exit when ``flush_on_trap`` is set;
+        #: scrubs the core-private state and returns the stall cycles
+        #: charged (the MI6 purge, which
+        #: :class:`~repro.core.processor.MI6Processor` installs).
+        self.purge_callback: Optional[Callable[[], int]] = None
         self.frontend = FrontEnd(hierarchy, fetch_width=self.config.fetch_width, stats=self.stats)
         #: Callbacks invoked (functionally) with the cause of every trap.
         self.trap_hooks: List[Callable[[TrapCause], None]] = []
 
     # ------------------------------------------------------------------
 
-    def run(self, instructions: Iterable[Instruction], *, max_instructions: Optional[int] = None) -> CoreResult:
+    def run(self, instructions: Iterable[Instruction]) -> CoreResult:
         """Execute an instruction stream and return the timing summary.
 
         Dispatches to the fast stage loop by default; ``REPRO_SLOW_PATH=1``
@@ -141,12 +140,10 @@ class OutOfOrderCore:
         :mod:`repro.common.fastpath`).
         """
         if slow_path_enabled():
-            return self._run_reference(instructions, max_instructions=max_instructions)
-        return self._run_fast(instructions, max_instructions=max_instructions)
+            return self._run_reference(instructions)
+        return self._run_fast(instructions)
 
-    def _run_reference(
-        self, instructions: Iterable[Instruction], *, max_instructions: Optional[int] = None
-    ) -> CoreResult:
+    def _run_reference(self, instructions: Iterable[Instruction]) -> CoreResult:
         """Reference implementation of the stage loop (the slow path)."""
         config = self.config
         stats = self.stats
@@ -186,9 +183,6 @@ class OutOfOrderCore:
         counter_mispredict_redirects = stats.counter("core.mispredict_redirects")
 
         for instruction in instructions:
-            if max_instructions is not None and committed >= max_instructions:
-                break
-
             # ---------------- fetch ----------------
             outcome = frontend.fetch(instruction, fetch_floor)
             dispatch = max(outcome.fetch_cycle + config.frontend_depth, dispatch_floor)
@@ -377,9 +371,7 @@ class OutOfOrderCore:
     # repro: allow[fastpath-parity]: the frontend.* counters are inlined bumps of counters
     # the reference path registers inside FrontEnd itself; the equivalence suite compares
     # the full counter sets of both kernels field-for-field.
-    def _run_fast(
-        self, instructions: Iterable[Instruction], *, max_instructions: Optional[int] = None
-    ) -> CoreResult:
+    def _run_fast(self, instructions: Iterable[Instruction]) -> CoreResult:
         """Fast stage loop: same semantics as :meth:`_run_reference`.
 
         Differences are strictly mechanical: attribute lookups hoisted
@@ -398,7 +390,6 @@ class OutOfOrderCore:
           entries back (:class:`CoreConfig` keeps that within the ring);
         * the timer trap is a countdown, kept as the index where it runs
           out, that every trap, SYSCALL traps included, restarts;
-          ``max_instructions`` is an :func:`itertools.islice`;
         * ``core.instructions``, ``frontend.fetched`` and the fused
           lanes' TLB and L1 access/hit pairs are tallied in locals and
           added to their counters (:meth:`_add_tallies`) before each
@@ -518,8 +509,6 @@ class OutOfOrderCore:
         # The timer countdown: the index at which the next timer trap falls.
         timer_step = max(trap_interval, 1) if trap_interval else 0
         timer_at = timer_step - 1
-        if max_instructions is not None:
-            instructions = islice(instructions, max(0, max_instructions))
 
         # Front-end fetch state, held in locals (see docstring).
         fe_cycle = frontend._current_cycle

@@ -46,17 +46,14 @@ class FrontEnd:
         hierarchy: MemoryHierarchy,
         *,
         fetch_width: int = 2,
-        predictor: Optional[TournamentPredictor] = None,
-        btb: Optional[BranchTargetBuffer] = None,
-        ras: Optional[ReturnAddressStack] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
         self.hierarchy = hierarchy
         self.fetch_width = fetch_width
         self._stats = stats or StatsRegistry()
-        self.predictor = predictor or TournamentPredictor(stats=self._stats)
-        self.btb = btb or BranchTargetBuffer(stats=self._stats)
-        self.ras = ras or ReturnAddressStack(stats=self._stats)
+        self.predictor = TournamentPredictor(stats=self._stats)
+        self.btb = BranchTargetBuffer(stats=self._stats)
+        self.ras = ReturnAddressStack(stats=self._stats)
         self._current_cycle = 0
         self._slots_used = 0
         self._last_fetch_line: Optional[int] = None

@@ -6,7 +6,6 @@ from helpers import llc_sets_disjoint, purge_observable_state, valid_lines, veri
 from repro.analysis.engine import PAPER_VARIANTS, RunRequest, execute_request
 from repro.common.errors import ConfigurationError
 from repro.core.config import MI6Config
-from repro.core.isolation import timing_independence_report
 from repro.core.mitigations import config_for_spec
 from repro.core.processor import MI6Processor
 from repro.core.protection import ProtectionDomain, RegionBitvector
@@ -127,13 +126,6 @@ class TestIsolationCheckers:
 
     def test_baseline_index_shares_sets(self):
         assert not llc_sets_disjoint({1, 2}, {3, 4}, index_function=IndexFunction.BASELINE)
-
-    def test_timing_independence_secure_vs_baseline(self):
-        secure = timing_independence_report(secure=True)
-        insecure = timing_independence_report(secure=False)
-        assert secure.independent
-        assert not insecure.independent
-        assert insecure.max_difference > 0
 
 
 class TestMI6Processor:

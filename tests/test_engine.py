@@ -246,13 +246,13 @@ class TestParallelRunner:
         requests = self.SPEC.requests()
         cold = ParallelRunner(ResultStore(tmp_path / "cache"), jobs=2)
         cold_runs = cold.run(requests)
-        assert cold.executed_runs == len(requests)
-        assert cold.warm_runs == 0
+        assert cold.last_origins == ["cold"] * len(requests)
+        assert cold.store.misses == len(requests)
 
         warm = ParallelRunner(ResultStore(tmp_path / "cache"), jobs=2)
         warm_runs = warm.run(requests)
-        assert warm.executed_runs == 0
-        assert warm.warm_runs == len(requests)
+        assert warm.last_origins == ["warm"] * len(requests)
+        assert (warm.store.disk_hits, warm.store.misses) == (len(requests), 0)
         for cold_run, warm_run in zip(cold_runs, warm_runs):
             assert runs_equal(cold_run, warm_run)
 
@@ -261,7 +261,7 @@ class TestParallelRunner:
         request = request_for("BASE", "hmmer", SMALL)
         first, second = runner.run([request, request])
         assert first is second
-        assert runner.executed_runs == 1
+        assert runner.last_origins == ["cold", "cold"]
         # Store counters see one miss (one simulation), not one per position.
         assert runner.store.misses == 1
 

@@ -1,16 +1,22 @@
 """Tests for the functional LLC model and the detailed (Figure 2/3) LLC."""
 
 import random
+from itertools import combinations
 
 import pytest
 from helpers import cache_lines, holds
 
+from repro.attacks.coschedule import CoScheduledExecutor, MemOp
+from repro.attacks.placement import ATTACKER_REGIONS, VICTIM_REGIONS, default_placement
+from repro.attacks.scenarios import build_scenario_machine, victim_timing_difference
+from repro.common.errors import ConfigurationError
 from repro.common.fastpath import SLOW_PATH_ENV_VAR
 from repro.common.stats import StatsRegistry
+from repro.core.mitigations import config_for_spec
 from repro.mem.address import AddressMap, IndexFunction
 from repro.mem.dram import DramController
 from repro.mem.llc import LastLevelCache, LlcConfig
-from repro.mem.llc_detail import DetailedLlcConfig, LlcTrafficSimulator, request_latencies
+from repro.mem.llc_detail import DetailedLlcConfig
 from repro.mem.mshr import MshrConfig
 
 
@@ -187,89 +193,80 @@ class TestRegionScrubEquivalence:
         assert removed == snapshot["scrubbed"]
 
 
+#: Every point of the 2^5 mitigation lattice, as its members.
+LATTICE_POINTS = [
+    members
+    for count in range(6)
+    for members in combinations(("FLUSH", "PART", "MISS", "ARB", "NONSPEC"), count)
+]
+
+
 class TestDetailedLlcTimingIndependence:
-    @staticmethod
-    def victim_trace():
-        return [(index * 30, 0x100 + index, False) for index in range(24)]
+    """Section 5.4 on the co-scheduled executor, the detailed LLC's one driver.
+
+    The victim streams 24 L1-bypassing loads over its own region, 30
+    cycles apart; the attacker floods the LLC beside it with stores to
+    its own region, 2 cycles apart and 7 lines apart (seed 2019), the
+    streams :func:`victim_timing_difference` runs.
+    """
 
     @staticmethod
-    def attacker_trace(requests=250):
-        # Attacker lines live in a DRAM region of a different colour than
-        # the victim's (the monitor guarantees this for distinct domains).
-        return [(index * 2, 0x4000 + index * 7, True) for index in range(requests)]
-
-    def run_pair(self, secure):
-        config = DetailedLlcConfig(secure=secure)
-        alone = LlcTrafficSimulator(config).run({0: self.victim_trace(), 1: []})
-        contended = LlcTrafficSimulator(config).run(
-            {0: self.victim_trace(), 1: self.attacker_trace()}
+    def contended_phase(spec, num_cores=2, attacker_stores=250):
+        machine = build_scenario_machine(config_for_spec(spec), seed=2019, num_cores=num_cores)
+        placement = default_placement(num_cores)
+        region_base = machine.address_map.region_base
+        victim_base = region_base(min(VICTIM_REGIONS))
+        attacker_base = region_base(min(ATTACKER_REGIONS))
+        executor = CoScheduledExecutor(machine)
+        results = executor.run_phase(
+            {
+                placement.victim_core: [
+                    MemOp(victim_base + index * 64, issue_gap=30, l1_bypass=True)
+                    for index in range(24)
+                ],
+                placement.attacker_core: [
+                    MemOp(attacker_base + index * 7 * 64, is_write=True, issue_gap=2, l1_bypass=True)
+                    for index in range(attacker_stores)
+                ],
+            }
         )
-        return request_latencies(alone, 0), request_latencies(contended, 0)
+        return machine.stats.counters(), executor.completed, executor.cycle, results
 
-    def test_mi6_llc_is_timing_independent(self):
-        alone, contended = self.run_pair(secure=True)
-        assert alone and alone == contended
-
-    def test_baseline_llc_leaks_timing(self):
-        alone, contended = self.run_pair(secure=False)
-        assert alone != contended
+    @pytest.mark.parametrize("members", LATTICE_POINTS, ids=lambda members: "+".join(members) or "BASE")
+    def test_victim_timing_is_independent_iff_miss_and_arb(self, members):
+        # MISS and ARB together build the Figure 3 organisation; anything
+        # less leaves the attacker's flood visible in the victim's timing.
+        difference = victim_timing_difference(config_for_spec("+".join(members) or "BASE"))
+        assert (difference == 0) == ({"MISS", "ARB"} <= set(members))
 
     def test_all_requests_complete(self):
-        config = DetailedLlcConfig(secure=True)
-        results = LlcTrafficSimulator(config).run(
-            {0: self.victim_trace(), 1: self.attacker_trace(100)}
-        )
-        assert len(results[0]) == len(self.victim_trace())
-        assert len(results[1]) == 100
+        *_, results = self.contended_phase("F+P+M+A", attacker_stores=100)
+        placement = default_placement(2)
+        assert len(results[placement.victim_core]) == 24
+        assert len(results[placement.attacker_core]) == 100
 
     def test_mshr_sizing_rule_enforced_for_secure_config(self):
-        import pytest
-        from repro.common.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             DetailedLlcConfig(secure=True, mshrs_per_core=16, dram_max_outstanding=24)
 
-    def test_baseline_counts_mshr_stalls_under_load(self):
-        config = DetailedLlcConfig(secure=False, total_mshrs=2, dram_latency=200)
-        simulator = LlcTrafficSimulator(config)
-        simulator.run({0: [(0, index * 11, False) for index in range(8)], 1: []})
-        assert simulator.llc.stats.value("llc_detail.mshr_stall_cycles") > 0
-
     @pytest.mark.parametrize(
-        "config",
-        [
-            DetailedLlcConfig(secure=False, total_mshrs=2, dram_latency=200),
-            DetailedLlcConfig(secure=True, mshrs_per_core=1, dram_latency=200),
-            DetailedLlcConfig(num_cores=3, secure=True, mshrs_per_core=2, dram_latency=150),
-        ],
+        ("spec", "num_cores", "stall_cycles"),
+        [("BASE", 2, 783), ("F+P+M+A", 2, 3848), ("F+P+M+A", 3, 2411)],
         ids=["baseline", "secure", "secure-3-cores"],
     )
-    def test_mshr_stalls_skipped_in_closed_form_match_stepping(self, config, monkeypatch):
+    def test_mshr_stalls_skipped_in_closed_form_match_stepping(
+        self, spec, num_cores, stall_cycles, monkeypatch
+    ):
         # Parked upgrade queues are not events on the fast path: the
-        # driver jumps over them and charges their stall cycles in
-        # closed form.  Every counter and latency must still equal the
-        # per-cycle loop's.
-        traces = {
-            core: [
-                (core * 5 + index * 3, core * 0x1000 + index * 11, index % 2 == 0)
-                for index in range(10)
-            ]
-            for core in range(config.num_cores)
-        }
-
-        def run():
-            simulator = LlcTrafficSimulator(config)
-            results = simulator.run(traces)
-            latencies = {core: request_latencies(results, core) for core in traces}
-            return simulator.llc.stats.counters(), latencies, simulator.llc.cycle
-
+        # executor jumps over them and the detailed LLC charges their
+        # stall cycles in closed form.  Every counter, completion record
+        # and the final cycle must still equal the per-cycle loop's.
         monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
-        fast = run()
+        fast = self.contended_phase(spec, num_cores)
         monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
-        slow = run()
-        assert fast[0]["llc_detail.mshr_stall_cycles"] > 0
-        assert all(len(latencies) == 10 for latencies in fast[1].values())
-        assert fast == slow
+        slow = self.contended_phase(spec, num_cores)
+        assert fast[0]["llc_detail.mshr_stall_cycles"] == stall_cycles
+        assert fast[:3] == slow[:3]
 
 
 class TestLlcMshrInteraction:

@@ -31,6 +31,7 @@ from repro.attacks.scenarios import (
 )
 from repro.core.mitigations import config_for_spec
 from repro.mem.arbiter import RoundRobinArbiter, TwoLevelMuxArbiter
+from repro.os_model.machine import DEFAULT_MACHINE_SEED
 
 BASE = config_for_spec("BASE")
 MI6 = config_for_spec("F+P+M+A")
@@ -38,7 +39,7 @@ MI6 = config_for_spec("F+P+M+A")
 
 class TestCoScheduledExecutor:
     def test_llc_bound_accesses_run_through_the_detailed_pipeline(self):
-        machine = build_scenario_machine(BASE)
+        machine = build_scenario_machine(BASE, seed=DEFAULT_MACHINE_SEED)
         executor = CoScheduledExecutor(machine)
         base_address = machine.address_map.region_base(8)
         ops = [MemOp(base_address + index * 64, l1_bypass=True) for index in range(4)]
@@ -53,7 +54,7 @@ class TestCoScheduledExecutor:
         assert machine.stats.value("llc_detail.pipeline_entries") >= 4
 
     def test_l1_hits_complete_locally_without_llc_traffic(self):
-        machine = build_scenario_machine(BASE)
+        machine = build_scenario_machine(BASE, seed=DEFAULT_MACHINE_SEED)
         executor = CoScheduledExecutor(machine)
         address = machine.address_map.region_base(8)
         executor.run_phase({DEFAULT_ATTACKER_CORE: [MemOp(address)]})
@@ -65,7 +66,7 @@ class TestCoScheduledExecutor:
         assert machine.stats.value("llc_detail.pipeline_entries") == entries_before
 
     def test_mi6_protection_suppresses_cross_domain_access(self):
-        machine = build_scenario_machine(MI6)
+        machine = build_scenario_machine(MI6, seed=DEFAULT_MACHINE_SEED)
         victim_address = machine.address_map.region_base(9)
         done = CoScheduledExecutor(machine).run_phase(
             {DEFAULT_ATTACKER_CORE: [MemOp(victim_address)]}
@@ -82,13 +83,13 @@ class TestCoScheduledExecutor:
         # organisation (the detailed model is Figure 2 xor Figure 3).
         assert not detailed_config_for(config_for_spec("MISS")).secure
         assert not detailed_config_for(config_for_spec("ARB")).secure
-        baseline = CoScheduledExecutor(build_scenario_machine(BASE))
-        secure = CoScheduledExecutor(build_scenario_machine(MI6))
+        baseline = CoScheduledExecutor(build_scenario_machine(BASE, seed=DEFAULT_MACHINE_SEED))
+        secure = CoScheduledExecutor(build_scenario_machine(MI6, seed=DEFAULT_MACHINE_SEED))
         assert isinstance(baseline.detailed._arbiter, TwoLevelMuxArbiter)
         assert isinstance(secure.detailed._arbiter, RoundRobinArbiter)
 
     def test_phases_share_machine_state_and_clock(self):
-        machine = build_scenario_machine(BASE)
+        machine = build_scenario_machine(BASE, seed=DEFAULT_MACHINE_SEED)
         executor = CoScheduledExecutor(machine)
         address = machine.address_map.region_base(8)
         executor.run_phase({DEFAULT_ATTACKER_CORE: [MemOp(address, l1_bypass=True)]})
@@ -180,11 +181,12 @@ class TestScenarioEngine:
         spec = ScenarioSpec(scenarios=("branch_residue",), seeds=(2019,))
         cold_runner = ParallelRunner(ResultStore(tmp_path))
         cold = cold_runner.run(spec.requests())
-        assert cold_runner.executed_runs == len(spec.requests()) == 2
+        assert cold_runner.last_origins == ["cold"] * len(spec.requests())
+        assert cold_runner.store.misses == len(spec.requests()) == 2
         warm_runner = ParallelRunner(ResultStore(tmp_path))
         warm = warm_runner.run(spec.requests())
-        assert warm_runner.executed_runs == 0
-        assert warm_runner.warm_runs == len(spec.requests())
+        assert warm_runner.last_origins == ["warm"] * len(spec.requests())
+        assert (warm_runner.store.disk_hits, warm_runner.store.misses) == (2, 0)
         assert [outcome.to_dict() for outcome in warm] == [
             outcome.to_dict() for outcome in cold
         ]
