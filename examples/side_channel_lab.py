@@ -24,7 +24,7 @@ import sys
 from repro.analysis.figures import SECURITY_TABLE_TITLE, aggregate_leakage_rows
 from repro.analysis.report import format_security_table
 from repro.api import Session
-from repro.attacks.scenarios import scenario_description, victim_timing_difference
+from repro.attacks.scenarios import SCENARIOS, victim_timing_difference
 from repro.core.mitigations import config_for_spec
 
 BASELINE = "BASE"
@@ -47,7 +47,7 @@ def main() -> int:
     for name in scenarios:
         print(
             f"{name:<16} {verdict(leaked[name, BASELINE]):>8} "
-            f"{verdict(leaked[name, MI6]):>8}  {scenario_description(name)}"
+            f"{verdict(leaked[name, MI6]):>8}  {SCENARIOS.descriptions[name]}"
         )
     broken = [
         name for name in scenarios if not leaked[name, BASELINE] or leaked[name, MI6]

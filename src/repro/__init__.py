@@ -53,7 +53,6 @@ __all__, __getattr__ = lazy_exports(
             "config_for_spec",
             "known_mitigations",
             "parse_spec",
-            "register_mitigation",
         ),
         "repro.core.processor": ("MI6Processor",),
         "repro.core.protection": ("ProtectionDomain", "RegionBitvector"),

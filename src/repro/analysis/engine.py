@@ -51,6 +51,7 @@ from typing import (
     ClassVar,
     Dict,
     Hashable,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -87,13 +88,13 @@ from repro.core.serialization import (
     run_from_dict,
     run_to_dict,
 )
-from repro.fleet.admission import admission_names
-from repro.fleet.clients import client_model_names
-from repro.fleet.routing import TenantLoad, assign_tenants, router_names
+from repro.fleet.admission import ADMISSION_POLICIES
+from repro.fleet.clients import CLIENT_MODELS
+from repro.fleet.routing import ROUTERS, TenantLoad, assign_tenants
 from repro.obs.metrics import global_registry
 from repro.obs.trace import Tracer, active_tracer, set_active_tracer, wall_span
-from repro.service.arrivals import LOAD_PROFILES
-from repro.service.schedulers import policy_names
+from repro.service.arrivals import ARRIVAL_PROFILES
+from repro.service.schedulers import SCHEDULING_POLICIES
 from repro.workloads.spec_cint2006 import benchmark_names, profile_for, tenant_benchmarks
 
 if TYPE_CHECKING:
@@ -271,14 +272,14 @@ def _reject_empty(**sequences: Sequence[Any]) -> None:
             raise ValueError(f"{name} must not be empty (omit it for the default)")
 
 
-def _require_known(what: str, value: str, known: Sequence[str]) -> None:
-    """A registry name given to a spec must be registered."""
+def _require_known(what: str, value: str, known: Iterable[str]) -> None:
+    """A name given to a spec must be one of ``known``."""
     if value not in known:
         raise ValueError(f"unknown {what} {value!r} (expected one of: {', '.join(known)})")
 
 
-def _require_all_known(what: str, values: Sequence[str], known: Sequence[str]) -> None:
-    """Every registry name of a spec axis must be registered."""
+def _require_all_known(what: str, values: Sequence[str], known: Iterable[str]) -> None:
+    """Every name of a spec axis must be one of ``known``."""
     unknown = [name for name in values if name not in known]
     if unknown:
         raise ValueError(f"unknown {what}: {', '.join(unknown)} (expected: {', '.join(known)})")
@@ -463,10 +464,10 @@ def execute_scenario_request(request: ScenarioRequest) -> ScenarioOutcome:
 
 
 def _registered_scenarios() -> Tuple[str, ...]:
-    """Every registered scenario (imports the registry when called)."""
-    from repro.attacks.scenarios import scenario_names
+    """Every scenario name (imports the scenario table when called)."""
+    from repro.attacks.scenarios import SCENARIOS
 
-    return tuple(scenario_names())
+    return tuple(SCENARIOS)
 
 
 @dataclass(frozen=True)
@@ -599,8 +600,8 @@ class ServiceSpec:
         _reject_empty(
             policies=self.policies, variants=self.variants, loads=self.loads, seeds=self.seeds
         )
-        _require_all_known("scheduling policy(ies)", self.policies, policy_names())
-        _require_known("load profile", self.load_profile, LOAD_PROFILES)
+        _require_all_known("scheduling policy(ies)", self.policies, SCHEDULING_POLICIES)
+        _require_known("load profile", self.load_profile, ARRIVAL_PROFILES)
         if any(load <= 0.0 for load in self.loads):
             raise ValueError("loads must be positive fractions of fleet capacity")
         _require_positive(
@@ -978,11 +979,11 @@ class FleetSpec:
     def __post_init__(self) -> None:
         _freeze_sequences(self)
         _reject_empty(variants=self.variants, loads=self.loads, seeds=self.seeds)
-        _require_known("scheduling policy", self.policy, policy_names())
-        _require_known("routing policy", self.router, router_names())
-        _require_known("admission policy", self.admission, admission_names())
-        _require_known("client model", self.client, client_model_names())
-        _require_known("load profile", self.load_profile, LOAD_PROFILES)
+        _require_known("scheduling policy", self.policy, SCHEDULING_POLICIES)
+        _require_known("routing policy", self.router, ROUTERS)
+        _require_known("admission policy", self.admission, ADMISSION_POLICIES)
+        _require_known("client model", self.client, CLIENT_MODELS)
+        _require_known("load profile", self.load_profile, ARRIVAL_PROFILES)
         if any(load <= 0.0 for load in self.loads):
             raise ValueError("loads must be positive fractions of shard capacity")
         _require_positive(

@@ -9,8 +9,8 @@ The one front door every consumer goes through:
 >>> result.provenance.origin  # doctest: +SKIP
 'cold'
 
-* :class:`Session` — owns the result store, the parallel runner, the
-  evaluation settings, and the registries;
+* :class:`Session` — owns the result store, the parallel runner and the
+  evaluation settings;
 * :class:`WorkloadRequest` / :class:`SweepRequest` /
   :class:`ScenarioRequest` / :class:`ServiceRequest` /
   :class:`FleetRequest` — the typed request hierarchy;

@@ -2,11 +2,10 @@
 
 A :class:`Session` owns the pieces every experiment needs — the
 persistent :class:`~repro.analysis.store.ResultStore`, the
-:class:`~repro.analysis.engine.ParallelRunner`, the evaluation settings,
-and the registries (composable mitigations, security scenarios,
-benchmark profiles) — and exposes exactly one operation: :meth:`run` a
-typed request, get back a uniform :class:`~repro.api.results.Result`
-envelope with per-entry provenance.  The CLI, the figure functions, the
+:class:`~repro.analysis.engine.ParallelRunner` and the evaluation
+settings — and exposes exactly one operation: :meth:`run` a typed
+request, get back a uniform :class:`~repro.api.results.Result` envelope
+with per-entry provenance.  The CLI, the figure functions, the
 benchmarks, and the examples all flow through it, so adding a new
 experiment type means adding a request shape here, not teaching five
 front ends a new dialect.
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import time
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, get_args
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, get_args
 
 from repro.analysis.engine import (
     EvaluationSettings,
@@ -34,18 +33,13 @@ from repro.analysis.engine import (
 from repro.analysis.store import ResultStore
 from repro.api.requests import Request, ScenarioRequest, WorkloadRequest
 from repro.api.results import Provenance, Result, ResultEntry
-from repro.core.mitigations import (
-    Mitigation,
-    VariantLike,
-    known_compositions,
-    known_mitigations,
-)
+from repro.common.registry import Registry
+from repro.core.mitigations import VariantLike
 from repro.core.serialization import SCHEMA_VERSION
-from repro.fleet.admission import admission_description, admission_names
-from repro.fleet.clients import client_model_description, client_model_names
-from repro.fleet.routing import router_description, router_names
-from repro.service.schedulers import policy_description, policy_names
-from repro.workloads.spec_cint2006 import benchmark_names
+from repro.fleet.admission import ADMISSION_POLICIES
+from repro.fleet.clients import CLIENT_MODELS
+from repro.fleet.routing import ROUTERS
+from repro.service.schedulers import SCHEDULING_POLICIES
 
 #: Engine kind -> the names of the cell key (``ResultEntry.key``) of
 #: one of its requests: each is a field of the engine request, except
@@ -94,7 +88,7 @@ def _audit(outcome: Any, names: Tuple[str, ...]) -> Dict[str, Any]:
 
 
 class Session:
-    """One simulator context: store + runner + settings + registries.
+    """One simulator context: store + runner + settings.
 
     Args:
         store: Result store backing every request (environment default —
@@ -119,43 +113,6 @@ class Session:
         self.runner = ParallelRunner(
             self.store, jobs=jobs if jobs is not None else default_jobs()
         )
-
-    # ------------------------------------------------------------------
-    # Registries
-
-    def mitigations(self) -> List[Mitigation]:
-        """The registered composable mitigations, in canonical order."""
-        return known_mitigations()
-
-    def named_variants(self) -> Dict[str, Any]:
-        """Declared composition names (``BASE``, ``F+P+M+A``) and members."""
-        return known_compositions()
-
-    def scenarios(self) -> Dict[str, str]:
-        """Registered security scenarios and their descriptions."""
-        from repro.attacks.scenarios import scenario_description, scenario_names
-
-        return {name: scenario_description(name) for name in scenario_names()}
-
-    def policies(self) -> Dict[str, str]:
-        """Registered serving scheduling policies and their descriptions."""
-        return {name: policy_description(name) for name in policy_names()}
-
-    def routers(self) -> Dict[str, str]:
-        """Registered fleet routing policies and their descriptions."""
-        return {name: router_description(name) for name in router_names()}
-
-    def admission_policies(self) -> Dict[str, str]:
-        """Registered fleet admission policies and their descriptions."""
-        return {name: admission_description(name) for name in admission_names()}
-
-    def client_models(self) -> Dict[str, str]:
-        """Registered fleet client models and their descriptions."""
-        return {name: client_model_description(name) for name in client_model_names()}
-
-    def benchmarks(self) -> List[str]:
-        """Calibrated benchmark profile names, in paper order."""
-        return benchmark_names()
 
     # ------------------------------------------------------------------
     # Execution
@@ -284,4 +241,27 @@ def coerce_session(
         store=store if store is not None else base.store,
         jobs=jobs if jobs is not None else base.runner.jobs,
         settings=settings,
+    )
+
+
+# ----------------------------------------------------------------------
+# The tables of named choices
+
+
+def named_choices() -> Tuple[Tuple[str, str, Registry[Any]], ...]:
+    """The tables of named choices a request makes beyond its variants and benchmarks.
+
+    One ``(list heading, wire key, registry)`` row per table, in the
+    order ``repro list`` prints them under the heading and
+    ``GET /v1/registries`` serves them under the key.  The scenario
+    table is imported on call, so importing the session loads no attack.
+    """
+    from repro.attacks.scenarios import SCENARIOS
+
+    return (
+        ("scenarios", "scenarios", SCENARIOS),
+        ("serving policies", "policies", SCHEDULING_POLICIES),
+        ("fleet routers", "routers", ROUTERS),
+        ("fleet admission policies", "admission_policies", ADMISSION_POLICIES),
+        ("fleet client models", "client_models", CLIENT_MODELS),
     )

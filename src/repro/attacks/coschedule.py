@@ -407,9 +407,6 @@ class CoScheduledExecutor:
             state.rearm()
         return collected
 
-    # ------------------------------------------------------------------
-    # Conveniences for sequential (time-sliced) scenarios
-
 
 def latencies_by_label(
     accesses: List[CompletedAccess],

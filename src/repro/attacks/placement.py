@@ -1,26 +1,24 @@
-"""Core placement policy for co-scheduled security scenarios.
+"""Core and DRAM-region roles of the co-scheduled security scenarios.
 
-The scenario subsystem historically assumed exactly two cores — attacker
-on core 0, victim on core 1.  A :class:`Placement` makes the assignment
-explicit and lets scenarios scale to machines with ``num_cores=N``:
-besides the attacker and victim, every remaining core hosts a *bystander*
-protection domain with its own disjoint DRAM regions.  Bystanders matter
-even when idle — each core's queues own a slot in the LLC's round-robin
-arbiter, so the ARB entry latency and the MSHR partition arithmetic both
-scale with the machine size — and scenarios can hand them background
-traffic to model a realistically loaded machine.
+Every scenario puts the attacker on core 0 (:data:`ATTACKER_CORE`) and
+the victim on core 1 (:data:`VICTIM_CORE`) of a machine with
+``num_cores >= 2``; every remaining core hosts a *bystander* protection
+domain with its own disjoint DRAM region.  Bystanders matter even when
+idle — each core's queues own a slot in the LLC's round-robin arbiter,
+so the ARB entry latency and the MSHR partition arithmetic both scale
+with the machine size — and scenarios can hand them background traffic
+to model a realistically loaded machine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 from repro.common.errors import ConfigurationError
 
-#: Core assignments of the classic two-core scenarios.
-DEFAULT_ATTACKER_CORE = 0
-DEFAULT_VICTIM_CORE = 1
+#: Cores of the two principal parties.
+ATTACKER_CORE = 0
+VICTIM_CORE = 1
 
 #: DRAM regions of the two principal parties (always disjoint: the
 #: attacks are about *shared-structure* leakage, never direct access).
@@ -32,71 +30,35 @@ VICTIM_REGIONS = frozenset({9, 10})
 _BYSTANDER_FIRST_REGION = 11
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Assignment of scenario roles to the cores of one machine.
+def bystander_cores(num_cores: int) -> Tuple[int, ...]:
+    """The cores beyond the attacker and victim, each hosting a bystander."""
+    if num_cores < 2:
+        raise ConfigurationError(
+            "co-scheduled scenarios need at least two cores (attacker + victim)"
+        )
+    return tuple(range(VICTIM_CORE + 1, num_cores))
 
-    Attributes:
-        num_cores: Machine size the placement targets.
-        attacker_core: Core running the attacker domain.
-        victim_core: Core running the victim domain.
-        bystander_cores: Remaining cores, each hosting an unrelated
-            protection domain (idle unless a scenario gives them traffic).
+
+def bystander_regions(core_id: int, num_cores: int, num_regions: int) -> FrozenSet[int]:
+    """DRAM regions of the bystander domain on ``core_id``.
+
+    Each bystander gets one region, allocated deterministically and
+    disjoint from the attacker's and victim's regions (and from the
+    other bystanders').
     """
-
-    num_cores: int = 2
-    attacker_core: int = DEFAULT_ATTACKER_CORE
-    victim_core: int = DEFAULT_VICTIM_CORE
-    bystander_cores: Tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.num_cores < 2:
-            raise ConfigurationError(
-                "co-scheduled scenarios need at least two cores (attacker + victim)"
-            )
-        occupied = (self.attacker_core, self.victim_core, *self.bystander_cores)
-        if len(set(occupied)) != len(occupied):
-            raise ConfigurationError(f"placement assigns one core twice: {occupied}")
-        out_of_range = [core for core in occupied if core < 0 or core >= self.num_cores]
-        if out_of_range:
-            raise ConfigurationError(
-                f"placement uses cores {out_of_range} outside a "
-                f"{self.num_cores}-core machine"
-            )
-
-    def bystander_regions(self, core_id: int, num_regions: int) -> FrozenSet[int]:
-        """DRAM regions of the bystander domain on ``core_id``.
-
-        Each bystander gets one region, allocated deterministically and
-        disjoint from the attacker's and victim's regions (and from the
-        other bystanders').
-        """
-        if core_id not in self.bystander_cores:
-            raise ConfigurationError(f"core {core_id} is not a bystander core")
-        reserved = ATTACKER_REGIONS | VICTIM_REGIONS
-        # Keep bystanders in LLC partition 3 (region mod 4, matching the
-        # evaluation's two region-index bits): the principals' regions
-        # occupy partitions 0-2, so under set partitioning bystander
-        # traffic can never evict a monitored or secret-bearing set and
-        # turn the background load into false leakage.
-        available = [
-            region
-            for region in range(_BYSTANDER_FIRST_REGION, num_regions)
-            if region not in reserved and region % 4 == 3
-        ]
-        position = self.bystander_cores.index(core_id)
-        if position >= len(available):
-            raise ConfigurationError(
-                f"not enough DRAM regions for {len(self.bystander_cores)} bystanders"
-            )
-        return frozenset({available[position]})
-
-
-def default_placement(num_cores: int = 2) -> Placement:
-    """Attacker on core 0, victim on core 1, bystanders on the rest."""
-    return Placement(
-        num_cores=num_cores,
-        attacker_core=DEFAULT_ATTACKER_CORE,
-        victim_core=DEFAULT_VICTIM_CORE,
-        bystander_cores=tuple(range(2, num_cores)),
-    )
+    reserved = ATTACKER_REGIONS | VICTIM_REGIONS
+    # Keep bystanders in LLC partition 3 (region mod 4, matching the
+    # evaluation's two region-index bits): the principals' regions
+    # occupy partitions 0-2, so under set partitioning bystander
+    # traffic can never evict a monitored or secret-bearing set and
+    # turn the background load into false leakage.
+    available = [
+        region
+        for region in range(_BYSTANDER_FIRST_REGION, num_regions)
+        if region not in reserved and region % 4 == 3
+    ]
+    cores = bystander_cores(num_cores)
+    position = cores.index(core_id)
+    if position >= len(available):
+        raise ConfigurationError(f"not enough DRAM regions for {len(cores)} bystanders")
+    return frozenset({available[position]})

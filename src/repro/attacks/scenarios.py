@@ -2,28 +2,26 @@
 
 Each scenario re-stages one of the attack experiments of Section 6 as a
 *co-scheduled* experiment: attacker and victim protection domains run on
-cores of one shared :class:`~repro.os_model.machine.Machine` (assigned by
-a :class:`~repro.attacks.placement.Placement`), and every LLC-bound
-access is timed cycle-by-cycle through the :mod:`repro.mem.llc_detail`
-pipeline by the :class:`~repro.attacks.coschedule.CoScheduledExecutor`.
+cores of one shared :class:`~repro.os_model.machine.Machine` (the roles
+:mod:`repro.attacks.placement` fixes), and every LLC-bound access is
+timed cycle-by-cycle through the :mod:`repro.mem.llc_detail` pipeline by
+the :class:`~repro.attacks.coschedule.CoScheduledExecutor`.
 The attacker decodes exclusively from latencies it can measure itself;
 the functional ground truth is only used to score how much actually
 leaked.
 
 Scenarios are pure functions of ``(machine configuration, seed,
-num_cores)``, with the roles on the cores that
-:func:`~repro.attacks.placement.default_placement` names, so the
-experiment engine can treat them exactly like benchmark runs: sweep them
-across variants × seeds × machine sizes in parallel and persist their
-outcomes in the result store (:mod:`repro.analysis.engine`).  The
-scenario seed reaches the machine's shared LLC/hierarchy RNGs (not just
-the secret draws), and machines larger than the classic attacker+victim
-pair host *bystander* domains on the remaining cores — idle by default,
-but their queues still occupy round-robin arbiter slots, and the
-parallel scenarios give them light background traffic so the channel is
-measured on a loaded machine.
+num_cores)``, so the experiment engine can treat them exactly like
+benchmark runs: sweep them across variants × seeds × machine sizes in
+parallel and persist their outcomes in the result store
+(:mod:`repro.analysis.engine`).  The scenario seed reaches the machine's
+shared LLC/hierarchy RNGs (not just the secret draws), and machines
+larger than the classic attacker+victim pair host *bystander* domains
+on the remaining cores — idle by default, but their queues still occupy
+round-robin arbiter slots, and the parallel scenarios give them light
+background traffic so the channel is measured on a loaded machine.
 
-The registry maps scenario names to runners:
+:data:`SCENARIOS` maps scenario names to runners:
 
 =================  ====================================================
 ``prime_probe``    LLC prime+probe across cores; closed by PART's
@@ -38,7 +36,7 @@ The registry maps scenario names to runners:
                    closed by FLUSH's purge on the transition.
 =================  ====================================================
 
-Beside the registry, :func:`victim_timing_difference` checks the strong
+Beside the table, :func:`victim_timing_difference` checks the strong
 timing independence of Section 5.4 (Figures 2 and 3) directly: how far
 an attacker's flood moves a victim's completion cycles.
 """
@@ -49,17 +47,19 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.common.defaults import DEFAULT_SEED
-from repro.common.errors import ConfigurationError
+from repro.common.registry import Registry
 from repro.common.rng import DeterministicRng
 from repro.core.config import MI6Config
 from repro.core.serialization import OutcomeDocument
 from repro.attacks.addressing import addresses_for_set, distinct_sets
 from repro.attacks.coschedule import CoScheduledExecutor, MemOp, latencies_by_label
 from repro.attacks.placement import (
+    ATTACKER_CORE,
     ATTACKER_REGIONS,
+    VICTIM_CORE,
     VICTIM_REGIONS,
-    Placement,
-    default_placement,
+    bystander_cores,
+    bystander_regions,
 )
 from repro.os_model.machine import Machine
 
@@ -72,7 +72,7 @@ class ScenarioOutcome(OutcomeDocument):
     """Result of one scenario run (JSON-serialisable for the store).
 
     Attributes:
-        scenario: Registry name of the scenario.
+        scenario: Name of the scenario in :data:`SCENARIOS`.
         variant: Machine configuration name the scenario ran on.
         seed: Seed that drew the secrets and seeded the machine RNGs.
         leaked_bits: Secret bits the attacker recovered correctly.
@@ -114,25 +114,23 @@ def build_scenario_machine(config: MI6Config, *, seed: int, num_cores: int = 2) 
         config: Machine configuration (any mitigation combination).
         seed: Machine RNG seed (shared LLC replacement, per-core
             hierarchy streams).
-        num_cores: Machine size; the roles follow
-            :func:`~repro.attacks.placement.default_placement`, and cores
-            beyond the attacker/victim pair host bystander domains.  Secure
-            (MISS+ARB) machines are bounded by the Section 5.2 MSHR
-            sizing rule: at most ``config.dram.max_outstanding // 2``
-            cores (12 for the default configuration) — beyond that the
-            detailed timing model raises ``ConfigurationError``.
+        num_cores: Machine size; the attacker runs on
+            :data:`~repro.attacks.placement.ATTACKER_CORE`, the victim on
+            :data:`~repro.attacks.placement.VICTIM_CORE`, and the cores
+            beyond them host bystander domains.  Secure (MISS+ARB)
+            machines are bounded by the Section 5.2 MSHR sizing rule: at
+            most ``config.dram.max_outstanding // 2`` cores (12 for the
+            default configuration) — beyond that the detailed timing
+            model raises ``ConfigurationError``.
     """
-    placement = default_placement(num_cores)
+    bystanders = bystander_cores(num_cores)
     machine = Machine(config=config, num_cores=num_cores, seed=seed)
     enforce = config.has_protection_hardware
-    assignments = [
-        (placement.attacker_core, ATTACKER_REGIONS),
-        (placement.victim_core, VICTIM_REGIONS),
-    ]
+    assignments = [(ATTACKER_CORE, ATTACKER_REGIONS), (VICTIM_CORE, VICTIM_REGIONS)]
     num_regions = config.address_map.num_regions
     assignments += [
-        (core_id, placement.bystander_regions(core_id, num_regions))
-        for core_id in placement.bystander_cores
+        (core_id, bystander_regions(core_id, num_cores, num_regions))
+        for core_id in bystanders
     ]
     for core_id, regions in assignments:
         complex_ = machine.core(core_id)
@@ -147,9 +145,7 @@ def _hit_threshold(machine: Machine) -> int:
     return max(8, machine.config.dram.latency_cycles // 2)
 
 
-def _bystander_ops(
-    machine: Machine, placement: Placement, *, issue_gap: int = 50
-) -> Dict[int, List[MemOp]]:
+def _bystander_ops(machine: Machine, *, issue_gap: int = 50) -> Dict[int, List[MemOp]]:
     """Light background streams for every bystander core.
 
     Each bystander walks eight lines of its own region at a relaxed
@@ -162,8 +158,8 @@ def _bystander_ops(
     # function (where every region base aliases to set 0), bystander
     # lines land well away from the low sets the attacker monitors.
     offset = 128 * 64
-    for core_id in placement.bystander_cores:
-        region = min(placement.bystander_regions(core_id, num_regions))
+    for core_id in bystander_cores(machine.num_cores):
+        region = min(bystander_regions(core_id, machine.num_cores, num_regions))
         base = machine.address_map.region_base(region) + offset
         streams[core_id] = [
             MemOp(base + index * 64, issue_gap=issue_gap, label="bystander")
@@ -185,8 +181,6 @@ def run_prime_probe(config: MI6Config, seed: int, *, num_cores: int = 2) -> Scen
     attacker times one pass over its primed lines — a slow probe means
     the victim evicted that set.
     """
-    placement = default_placement(num_cores)
-    attacker_core, victim_core = placement.attacker_core, placement.victim_core
     rng = DeterministicRng(seed).fork("prime_probe")
     trials = 3
     leaked = 0
@@ -209,7 +203,7 @@ def run_prime_probe(config: MI6Config, seed: int, *, num_cores: int = 2) -> Scen
             for set_index in monitored
             for address in addresses_for_set(llc, attacker_base, set_index, ways)
         ]
-        executor.run_phase({attacker_core: prime_ops})
+        executor.run_phase({ATTACKER_CORE: prime_ops})
 
         victim_ops = [
             MemOp(address, label="victim")
@@ -221,7 +215,7 @@ def run_prime_probe(config: MI6Config, seed: int, *, num_cores: int = 2) -> Scen
             victim_ops = [
                 MemOp(victim_base + index * 64, label="victim") for index in range(ways + 2)
             ]
-        executor.run_phase({victim_core: victim_ops, **_bystander_ops(machine, placement)})
+        executor.run_phase({VICTIM_CORE: victim_ops, **_bystander_ops(machine)})
 
         # The timed pass is serialised (a real attacker fences between
         # probes): back-to-back probes queue behind each other in the
@@ -233,11 +227,11 @@ def run_prime_probe(config: MI6Config, seed: int, *, num_cores: int = 2) -> Scen
             for set_index in monitored
             for address in addresses_for_set(llc, attacker_base, set_index, 2)
         ]
-        probe = executor.run_phase({attacker_core: probe_ops})
+        probe = executor.run_phase({ATTACKER_CORE: probe_ops})
 
         threshold = _hit_threshold(machine)
         observed = []
-        for label, latencies in latencies_by_label(probe[attacker_core]).items():
+        for label, latencies in latencies_by_label(probe[ATTACKER_CORE]).items():
             set_index = int(label.split(":", 1)[1])
             if max(latencies) > threshold:
                 observed.append(set_index)
@@ -271,8 +265,6 @@ def run_spectre(config: MI6Config, seed: int, *, num_cores: int = 2) -> Scenario
     region bitvector suppresses the speculative access (Section 5.3),
     so the probe finds nothing.
     """
-    placement = default_placement(num_cores)
-    attacker_core, victim_core = placement.attacker_core, placement.victim_core
     rng = DeterministicRng(seed).fork("spectre")
     trials = 2
     probe_stride = 4096
@@ -295,24 +287,24 @@ def run_spectre(config: MI6Config, seed: int, *, num_cores: int = 2) -> Scenario
 
         gadget = executor.run_phase(
             {
-                attacker_core: [MemOp(enclave_secret_address, label="gadget")],
-                victim_core: victim_ops,
-                **_bystander_ops(machine, placement),
+                ATTACKER_CORE: [MemOp(enclave_secret_address, label="gadget")],
+                VICTIM_CORE: victim_ops,
+                **_bystander_ops(machine),
             }
         )
-        emitted = not gadget[attacker_core][0].blocked
+        emitted = not gadget[ATTACKER_CORE][0].blocked
         if emitted:
             transmit = MemOp(probe_base + secret * probe_stride, label="transmit")
-            executor.run_phase({attacker_core: [transmit]})
+            executor.run_phase({ATTACKER_CORE: [transmit]})
 
         probe_ops = [
             MemOp(probe_base + candidate * probe_stride, l1_bypass=True, label=f"cand:{candidate}")
             for candidate in range(16)
         ]
-        probe = executor.run_phase({attacker_core: probe_ops})
+        probe = executor.run_phase({ATTACKER_CORE: probe_ops})
         threshold = _hit_threshold(machine)
         recovered = None
-        for access in sorted(probe[attacker_core], key=lambda record: record.index):
+        for access in sorted(probe[ATTACKER_CORE], key=lambda record: record.index):
             if access.latency <= threshold:
                 recovered = int(access.label.split(":", 1)[1])
                 break
@@ -352,8 +344,6 @@ def run_contention(config: MI6Config, seed: int, *, num_cores: int = 2) -> Scena
     (per-core MSHR partitions + round-robin arbiter + per-core response
     queues) makes the receiver's timing sender-independent.
     """
-    placement = default_placement(num_cores)
-    attacker_core, victim_core = placement.attacker_core, placement.victim_core
     rng = DeterministicRng(seed).fork("contention")
     bits = 6
     slot_cycles = 600
@@ -368,7 +358,7 @@ def run_contention(config: MI6Config, seed: int, *, num_cores: int = 2) -> Scena
 
     machine = build_scenario_machine(config, seed=seed, num_cores=num_cores)
     executor = CoScheduledExecutor(
-        machine, max_outstanding={attacker_core: 4, victim_core: 24}
+        machine, max_outstanding={ATTACKER_CORE: 4, VICTIM_CORE: 24}
     )
     attacker_base = machine.address_map.region_base(min(ATTACKER_REGIONS))
     victim_base = machine.address_map.region_base(min(VICTIM_REGIONS))
@@ -414,9 +404,9 @@ def run_contention(config: MI6Config, seed: int, *, num_cores: int = 2) -> Scena
 
     results = executor.run_phase(
         {
-            attacker_core: receiver_ops,
-            victim_core: sender_ops,
-            **_bystander_ops(machine, placement, issue_gap=receiver_period * 4),
+            ATTACKER_CORE: receiver_ops,
+            VICTIM_CORE: sender_ops,
+            **_bystander_ops(machine, issue_gap=receiver_period * 4),
         },
         max_cycles=slot_cycles * (len(padded) + 4) + 100_000,
     )
@@ -424,7 +414,7 @@ def run_contention(config: MI6Config, seed: int, *, num_cores: int = 2) -> Scena
     # the bit slot it actually issued in, so cap-induced slips do not
     # smear the decode onto neighbouring slots.
     by_slot: Dict[int, List[int]] = {}
-    for access in results[attacker_core]:
+    for access in results[ATTACKER_CORE]:
         by_slot.setdefault(access.issue_cycle // slot_cycles, []).append(access.latency)
     means: List[Optional[float]] = []
     for slot in range(len(padded)):
@@ -482,7 +472,6 @@ def run_branch_residue(config: MI6Config, seed: int, *, num_cores: int = 2) -> S
     core's :class:`~repro.core.purge.PurgeUnit`, so both secrets yield
     the identical public reset state.
     """
-    placement = default_placement(num_cores)
     rng = DeterministicRng(seed).fork("branch_residue")
     trials = 2
     training_iterations = 64
@@ -492,7 +481,7 @@ def run_branch_residue(config: MI6Config, seed: int, *, num_cores: int = 2) -> S
         observations = {}
         for secret_bit in (False, True):
             machine = build_scenario_machine(config, seed=seed, num_cores=num_cores)
-            shared_core = machine.core(placement.attacker_core)
+            shared_core = machine.core(ATTACKER_CORE)
             predictor = shared_core.core.frontend.predictor
             # Victim time-slice: the secret selects the branch direction.
             for _ in range(training_iterations + rng.integer(0, 3)):
@@ -517,7 +506,7 @@ def run_branch_residue(config: MI6Config, seed: int, *, num_cores: int = 2) -> S
 
 
 # ----------------------------------------------------------------------
-# Strong timing independence (Section 5.4), not a registered scenario
+# Strong timing independence (Section 5.4), not a scenario of the table
 
 
 def victim_timing_difference(config: MI6Config) -> int:
@@ -533,25 +522,24 @@ def victim_timing_difference(config: MI6Config) -> int:
     traffic, which the MI6 LLC organisation (MISS and ARB, Figure 3)
     guarantees and the baseline (Figure 2) does not.
     """
-    placement = default_placement(2)
 
     def victim_completions(flood: bool) -> List[int]:
         machine = build_scenario_machine(config, seed=DEFAULT_SEED)
         region_base = machine.address_map.region_base
         victim_base = region_base(min(VICTIM_REGIONS))
         traces = {
-            placement.victim_core: [
+            VICTIM_CORE: [
                 MemOp(victim_base + index * 64, issue_gap=30, l1_bypass=True)
                 for index in range(24)
             ]
         }
         if flood:
             attacker_base = region_base(min(ATTACKER_REGIONS))
-            traces[placement.attacker_core] = [
+            traces[ATTACKER_CORE] = [
                 MemOp(attacker_base + index * 7 * 64, is_write=True, issue_gap=2, l1_bypass=True)
                 for index in range(250)
             ]
-        victim = CoScheduledExecutor(machine).run_phase(traces)[placement.victim_core]
+        victim = CoScheduledExecutor(machine).run_phase(traces)[VICTIM_CORE]
         return [record.complete_cycle for record in sorted(victim, key=lambda record: record.index)]
 
     alone, contended = victim_completions(False), victim_completions(True)
@@ -559,40 +547,34 @@ def victim_timing_difference(config: MI6Config) -> int:
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The scenario table
 
 ScenarioRunner = Callable[..., ScenarioOutcome]
 
-_SCENARIOS: Dict[str, ScenarioRunner] = {
-    "prime_probe": run_prime_probe,
-    "spectre": run_spectre,
-    "contention": run_contention,
-    "branch_residue": run_branch_residue,
-}
-
-_SCENARIO_DESCRIPTIONS: Dict[str, str] = {
-    "prime_probe": "cross-core LLC prime+probe (closed by PART)",
-    "spectre": "speculative cross-domain read + LLC transmit (closed by the protection checker)",
-    "contention": "MSHR/arbiter covert channel (closed by MISS+ARB)",
-    "branch_residue": "branch-predictor residue across a context switch (closed by FLUSH)",
-}
+SCENARIOS: Registry[ScenarioRunner] = Registry(
+    "scenario",
+    (
+        ("prime_probe", run_prime_probe, "cross-core LLC prime+probe (closed by PART)"),
+        (
+            "spectre",
+            run_spectre,
+            "speculative cross-domain read + LLC transmit (closed by the protection checker)",
+        ),
+        ("contention", run_contention, "MSHR/arbiter covert channel (closed by MISS+ARB)"),
+        (
+            "branch_residue",
+            run_branch_residue,
+            "branch-predictor residue across a context switch (closed by FLUSH)",
+        ),
+    ),
+)
 
 
 def scenario_names() -> List[str]:
-    """All registered scenario names, in presentation order."""
-    return list(_SCENARIOS)
-
-
-def scenario_description(name: str) -> str:
-    """One-line description of a scenario."""
-    return _SCENARIO_DESCRIPTIONS[name]
+    """All scenario names, in presentation order."""
+    return list(SCENARIOS)
 
 
 def run_scenario(name: str, config: MI6Config, seed: int, *, num_cores: int = 2) -> ScenarioOutcome:
-    """Run one registered scenario on one machine configuration."""
-    try:
-        runner = _SCENARIOS[name]
-    except KeyError:
-        valid = ", ".join(scenario_names())
-        raise ConfigurationError(f"unknown scenario {name!r} (expected one of: {valid})") from None
-    return runner(config, seed, num_cores=num_cores)
+    """Run one scenario of :data:`SCENARIOS` on one machine configuration."""
+    return SCENARIOS[name](config, seed, num_cores=num_cores)

@@ -90,7 +90,7 @@ from repro.api import (
     request_from_wire,
     set_default_session,
 )
-from repro.api.session import CELL_KEYS
+from repro.api.session import CELL_KEYS, named_choices
 from repro.common.defaults import DEFAULT_HOST, DEFAULT_PORT
 from repro.common.errors import ConfigurationError
 from repro.common.log import LOG_LEVELS, configure_logging
@@ -552,16 +552,9 @@ def _command_list(_args: argparse.Namespace) -> int:
     print("benchmarks:")
     for name in benchmark_names():
         print(f"  {name}")
-    session = Session(ResultStore.in_memory())
-    for heading, registry in (
-        ("scenarios", session.scenarios()),
-        ("serving policies", session.policies()),
-        ("fleet routers", session.routers()),
-        ("fleet admission policies", session.admission_policies()),
-        ("fleet client models", session.client_models()),
-    ):
+    for heading, _, registry in named_choices():
         print(f"{heading}:")
-        for name, description in registry.items():
+        for name, description in registry.descriptions.items():
             print(f"  {name:<16} {description}")
     return 0
 

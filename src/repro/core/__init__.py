@@ -8,8 +8,8 @@ This package layers the MI6 mechanisms on top of the RiscyOO substrate:
   DRAM-region access bitvector (Section 5.3);
 * :mod:`repro.core.purge` — the ``purge`` instruction: what it scrubs and
   how long it stalls (Section 6.1);
-* :mod:`repro.core.mitigations` — the composable mitigation registry:
-  each defence is a registered config transform, arbitrary combinations
+* :mod:`repro.core.mitigations` — the composable mitigations: each
+  defence is a config transform in one fixed table, arbitrary combinations
   (``FLUSH+MISS``) are first-class, and the paper's named variants are
   declared compositions; the seven evaluation variants of Section 7
   (BASE, FLUSH, PART, MISS, ARB, NONSPEC, F+P+M+A) are spec strings;
@@ -39,8 +39,6 @@ __all__, __getattr__ = lazy_exports(
             "known_compositions",
             "known_mitigations",
             "parse_spec",
-            "register_composition",
-            "register_mitigation",
             "spec_name",
         ),
         "repro.core.processor": ("MI6Processor",),

@@ -1,29 +1,32 @@
-"""Composable mitigation registry: the open ablation space of Section 7.
+"""Composable mitigations: the open ablation space of Section 7.
 
 The paper evaluates seven fixed processor variants, but its defences —
 FLUSH, PART, MISS, ARB, NONSPEC — are independent knobs on the machine
-configuration.  This module makes each defence a first-class, registered
-*mitigation* (a named transform over :class:`~repro.core.config.MI6Config`)
-and replaces the closed ``Variant`` if-chain with composition:
+configuration.  This module makes each defence a first-class *mitigation*
+(a named transform over :class:`~repro.core.config.MI6Config`) and
+replaces the closed ``Variant`` if-chain with composition:
 
-* a :class:`Mitigation` is a registered config transform with a canonical
-  name, a short alias (the paper's single letters), and a description;
+* a :class:`Mitigation` is a config transform with a canonical name, a
+  short alias (the paper's single letters), and a description; the five
+  of them are one fixed table whose order is the canonical order;
 * a :class:`MitigationSet` is a canonicalised combination of mitigations —
   the unit the engine, CLI, and scenario matrix sweep over.  Construction
-  canonicalises to registry order, so ``FLUSH+MISS`` and ``MISS+FLUSH``
+  canonicalises to table order, so ``FLUSH+MISS`` and ``MISS+FLUSH``
   are the *same* set, produce the same configuration, and hash to the
   same content-addressed cache key;
 * :func:`parse_spec` parses any combination spec (``FLUSH+MISS``,
   ``f+p+m+a``, ``BASE``) into a :class:`MitigationSet`, opening the full
   2^5 composition lattice to every front end;
 * named variants — the paper's ``BASE`` and ``F+P+M+A`` — are *declared
-  compositions* registered via :func:`register_composition`, not special
-  cases: they only pin display names (and hence cache-key identity) to
-  the paper's spelling.
+  compositions*, not special cases: they only pin display names (and
+  hence cache-key identity) to the paper's spelling.
 
-The paper's seven evaluation variants are spec strings over this
-registry (``"BASE"``, ``"FLUSH"``, ..., ``"F+P+M+A"``); every front end
-names a variant that way or by a :class:`MitigationSet`.
+The paper's seven evaluation variants are spec strings over these tables
+(``"BASE"``, ``"FLUSH"``, ..., ``"F+P+M+A"``); every front end names a
+variant that way or by a :class:`MitigationSet`.  A mitigation name
+holds no ``+`` (the spec separator) or ``_`` (which specs rewrite to
+``+``), and no name, alias or composition name repeats another;
+``tests/test_mitigations.py`` checks both over the tables.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ ConfigTransform = Callable[[MI6Config], MI6Config]
 
 @dataclass(frozen=True)
 class Mitigation:
-    """One registered defence: a named transform over the machine config.
+    """One defence: a named transform over the machine config.
 
     Attributes:
         name: Canonical name (``FLUSH``, ``PART``, ...).
@@ -54,67 +57,58 @@ class Mitigation:
     alias: Optional[str] = None
 
 
-#: Registration-ordered mitigation registry (insertion order is the
-#: canonical composition order used for naming and cache keys).
-_MITIGATIONS: Dict[str, Mitigation] = {}
+#: The five paper mitigations (Sections 7.1-7.5).  Their order is the
+#: canonical composition order used for naming and cache keys.
+_MITIGATIONS: Dict[str, Mitigation] = {
+    mitigation.name: mitigation
+    for mitigation in (
+        Mitigation(
+            "FLUSH",
+            "flush per-core microarchitectural state on every context switch",
+            lambda config: replace(config, flush_on_context_switch=True),
+            alias="F",
+        ),
+        Mitigation(
+            "PART",
+            "set-partition the LLC with the DRAM-region index function",
+            lambda config: replace(config, set_partition_llc=True),
+            alias="P",
+        ),
+        Mitigation(
+            "MISS",
+            "partition and size the LLC MSHRs (12 entries, 4 banks)",
+            lambda config: replace(config, partition_mshrs=True),
+            alias="M",
+        ),
+        Mitigation(
+            "ARB",
+            "round-robin LLC pipeline arbiter (+N/2 cycles of latency)",
+            lambda config: replace(config, llc_arbiter=True),
+            alias="A",
+        ),
+        Mitigation(
+            "NONSPEC",
+            "execute memory instructions non-speculatively",
+            lambda config: replace(config, nonspec_memory=True),
+            alias="N",
+        ),
+    )
+}
 #: Alias -> canonical name (single letters, lowercase handled by parsing).
-_ALIASES: Dict[str, str] = {}
-#: Declared composition name -> canonicalised member tuple.
-_COMPOSITIONS: Dict[str, Tuple[str, ...]] = {}
-
-
-def register_mitigation(
-    name: str,
-    description: str,
-    transform: ConfigTransform,
-    *,
-    alias: Optional[str] = None,
-) -> Mitigation:
-    """Register a new composable mitigation.
-
-    The registration order defines the canonical order in which
-    combinations are named and applied, so registrations should happen at
-    import time (module level), never conditionally.
-    """
-    canonical = name.strip().upper()
-    # '+' is the spec separator and '_' is rewritten to '+' (the
-    # underscore spelling F_P_M_A), so neither can appear in a registered name
-    # (an underscore name could never be composed via string specs).
-    if not canonical or "+" in canonical or "_" in canonical:
-        raise ValueError(f"invalid mitigation name {name!r}")
-    if canonical in _MITIGATIONS or canonical in _COMPOSITIONS or canonical in _ALIASES:
-        raise ValueError(f"mitigation name {name!r} already registered")
-    mitigation = Mitigation(canonical, description, transform, alias=alias)
-    _MITIGATIONS[canonical] = mitigation
-    if alias:
-        key = alias.strip().upper()
-        if key in _ALIASES or key in _MITIGATIONS or key in _COMPOSITIONS:
-            raise ValueError(f"mitigation alias {alias!r} already registered")
-        _ALIASES[key] = canonical
-    return mitigation
-
-
-def register_composition(name: str, mitigations: Iterable[str]) -> None:
-    """Declare a named composition (a display name for a mitigation set).
-
-    Declared names pin the canonical name — and therefore the
-    content-hash cache-key identity — of that combination; the paper's
-    ``BASE`` (empty set) and ``F+P+M+A`` are declared here so their
-    configurations carry the paper's spelling.
-    """
-    canonical = name.strip().upper()
-    if canonical in _MITIGATIONS or canonical in _ALIASES:
-        raise ValueError(f"composition name {name!r} collides with a mitigation")
-    if canonical in _COMPOSITIONS:
-        # Redefining a declared name would silently repoint every spec
-        # (and cache key) that uses it at a different configuration.
-        raise ValueError(f"composition name {name!r} already registered")
-    members = _canonical_members(mitigations)
-    _COMPOSITIONS[canonical] = members
+_ALIASES: Dict[str, str] = {
+    mitigation.alias: name for name, mitigation in _MITIGATIONS.items() if mitigation.alias
+}
+#: Declared composition name -> its members in canonical order.  These
+#: names pin the canonical name, and so the cache-key identity, of the
+#: paper's two named variants.
+_COMPOSITIONS: Dict[str, Tuple[str, ...]] = {
+    "BASE": (),
+    "F+P+M+A": ("FLUSH", "PART", "MISS", "ARB"),
+}
 
 
 def known_mitigations() -> List[Mitigation]:
-    """All registered mitigations, in canonical (registration) order."""
+    """All mitigations, in canonical order."""
     return list(_MITIGATIONS.values())
 
 
@@ -149,9 +143,9 @@ def _canonical_members(names: Iterable[str]) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class MitigationSet:
-    """A canonicalised combination of registered mitigations.
+    """A canonicalised combination of mitigations.
 
-    ``mitigations`` is always stored deduplicated in registry order, so
+    ``mitigations`` is always stored deduplicated in canonical order, so
     two sets built from differently-ordered specs compare (and hash)
     equal and name themselves identically — the property that makes
     ``FLUSH+MISS`` and ``MISS+FLUSH`` share one cache key.  The
@@ -246,42 +240,3 @@ def spec_name(value: VariantLike) -> str:
 def config_for_spec(spec: VariantLike, base: Optional[MI6Config] = None) -> MI6Config:
     """Machine configuration for any variant spec (the composed path)."""
     return as_spec(spec).apply(base)
-
-
-# ----------------------------------------------------------------------
-# The five paper mitigations (Sections 7.1-7.5) and the two named
-# compositions whose spellings the paper fixes.
-
-register_mitigation(
-    "FLUSH",
-    "flush per-core microarchitectural state on every context switch",
-    lambda config: replace(config, flush_on_context_switch=True),
-    alias="F",
-)
-register_mitigation(
-    "PART",
-    "set-partition the LLC with the DRAM-region index function",
-    lambda config: replace(config, set_partition_llc=True),
-    alias="P",
-)
-register_mitigation(
-    "MISS",
-    "partition and size the LLC MSHRs (12 entries, 4 banks)",
-    lambda config: replace(config, partition_mshrs=True),
-    alias="M",
-)
-register_mitigation(
-    "ARB",
-    "round-robin LLC pipeline arbiter (+N/2 cycles of latency)",
-    lambda config: replace(config, llc_arbiter=True),
-    alias="A",
-)
-register_mitigation(
-    "NONSPEC",
-    "execute memory instructions non-speculatively",
-    lambda config: replace(config, nonspec_memory=True),
-    alias="N",
-)
-
-register_composition("BASE", ())
-register_composition("F+P+M+A", ("FLUSH", "PART", "MISS", "ARB"))

@@ -11,7 +11,7 @@ over plain HTTP — stdlib :mod:`http.server` only, no dependencies:
 * ``GET /v1/jobs/<id>`` — an async submission's status and progress;
 * ``GET /v1/health`` — cache hit rates, store entry counts, worker-pool
   state and async job counts;
-* ``GET /v1/registries`` — every registry the session exposes.
+* ``GET /v1/registries`` — every named choice a request can make.
 
 :class:`~repro.daemon.client.DaemonClient` is the matching thin urllib
 client; the CLI's ``--remote <addr>`` flag routes any sweep/attack/

@@ -32,12 +32,14 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.api.requests import WIRE_VERSION, Request, WireError, request_from_wire
 from repro.api.results import Result, result_to_wire
-from repro.api.session import Session
+from repro.api.session import Session, named_choices
 from repro.common.defaults import DEFAULT_HOST, DEFAULT_PORT
 from repro.common.errors import ConfigurationError
+from repro.core.mitigations import known_compositions, known_mitigations
 from repro.daemon.jobs import JobRegistry
 from repro.obs.metrics import LabelValues, MetricsRegistry, global_registry
 from repro.obs.trace import wall_span, wall_time
+from repro.workloads.spec_cint2006 import benchmark_names
 
 _LOGGER = logging.getLogger("repro.daemon")
 
@@ -188,23 +190,16 @@ class DaemonState:
         return self.metrics.render_prometheus() + global_registry().render_prometheus()
 
     def registries(self) -> Dict[str, Any]:
-        """Every registry the session exposes (``GET /v1/registries``)."""
-        session = self.session
+        """Every named choice a request can make (``GET /v1/registries``)."""
         return {
             "mitigations": {
-                mitigation.name: mitigation.description
-                for mitigation in session.mitigations()
+                mitigation.name: mitigation.description for mitigation in known_mitigations()
             },
             "named_variants": {
-                name: list(members)
-                for name, members in session.named_variants().items()
+                name: list(members) for name, members in known_compositions().items()
             },
-            "scenarios": session.scenarios(),
-            "policies": session.policies(),
-            "routers": session.routers(),
-            "admission_policies": session.admission_policies(),
-            "client_models": session.client_models(),
-            "benchmarks": session.benchmarks(),
+            **{key: dict(registry.descriptions) for _, key, registry in named_choices()},
+            "benchmarks": benchmark_names(),
         }
 
 

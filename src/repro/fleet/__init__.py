@@ -27,23 +27,9 @@ __all__, __getattr__ = lazy_exports(
             "DEFAULT_THINK_FACTOR",
             "DEFAULT_WIPE_BYTES_PER_CYCLE",
         ),
-        "repro.fleet.admission": (
-            "admission_description",
-            "admission_names",
-            "register_admission_policy",
-        ),
-        "repro.fleet.clients": (
-            "client_model_description",
-            "client_model_names",
-            "register_client_model",
-        ),
-        "repro.fleet.routing": (
-            "TenantLoad",
-            "assign_tenants",
-            "register_router",
-            "router_description",
-            "router_names",
-        ),
+        "repro.fleet.admission": ("ADMISSION_POLICIES",),
+        "repro.fleet.clients": ("CLIENT_MODELS",),
+        "repro.fleet.routing": ("ROUTERS", "TenantLoad", "assign_tenants"),
         "repro.fleet.simulation": (
             "FleetOutcome",
             "ShardOutcome",

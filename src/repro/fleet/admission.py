@@ -17,17 +17,17 @@ counters.
                    deadline anyway.
 =================  ====================================================
 
-Policies are pure functions of the context (the determinism contract),
-registered by unconditional top-level :func:`register_admission_policy`
-calls so the ``registry-hygiene`` lint rule covers them.
+:data:`ADMISSION_POLICIES` is the fixed table of them.  Each is a pure
+function of the context, the determinism contract the engine's
+content-hash cache keys rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
-from repro.common.errors import ConfigurationError
+from repro.common.registry import Registry
 
 #: Rejection reason: the bounded queue is full.
 REJECT_QUEUE_FULL = "queue_full"
@@ -60,53 +60,6 @@ class AdmissionContext:
 #: ``context -> None`` to admit, or a rejection-reason string.
 AdmissionPolicy = Callable[[AdmissionContext], Optional[str]]
 
-_POLICIES: Dict[str, AdmissionPolicy] = {}
-_POLICY_DESCRIPTIONS: Dict[str, str] = {}
-
-
-def register_admission_policy(
-    name: str, policy: AdmissionPolicy, description: str
-) -> None:
-    """Register an admission policy under ``name``.
-
-    The policy must be a pure function of its
-    :class:`AdmissionContext` — the determinism contract the engine's
-    content-hash cache keys rely on.
-    """
-    key = name.strip()
-    if not key:
-        raise ConfigurationError("admission-policy name must be non-empty")
-    if key in _POLICIES:
-        raise ConfigurationError(f"admission policy {name!r} already registered")
-    _POLICIES[key] = policy
-    _POLICY_DESCRIPTIONS[key] = description
-
-
-def admission_names() -> List[str]:
-    """All registered admission-policy names, in presentation order."""
-    return list(_POLICIES)
-
-
-def admission_description(name: str) -> str:
-    """One-line description of a registered admission policy."""
-    return _POLICY_DESCRIPTIONS[name]
-
-
-def admit(policy: str, context: AdmissionContext) -> Optional[str]:
-    """Apply the named policy: ``None`` admits, a string is the rejection."""
-    try:
-        decide = _POLICIES[policy]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown admission policy {policy!r} (expected one of: "
-            f"{', '.join(admission_names())})"
-        ) from None
-    return decide(context)
-
-
-# ----------------------------------------------------------------------
-# Shipped policies
-
 
 def _drop_on_full(context: AdmissionContext) -> Optional[str]:
     if context.queue_length >= context.queue_depth:
@@ -122,13 +75,18 @@ def _deadline(context: AdmissionContext) -> Optional[str]:
     return None
 
 
-register_admission_policy(
-    "drop_on_full",
-    _drop_on_full,
-    "admit while the bounded queue has room, drop otherwise",
-)
-register_admission_policy(
-    "deadline",
-    _deadline,
-    "drop on full, and reject requests whose estimated wait would blow the SLO",
+ADMISSION_POLICIES: Registry[AdmissionPolicy] = Registry(
+    "admission policy",
+    (
+        (
+            "drop_on_full",
+            _drop_on_full,
+            "admit while the bounded queue has room, drop otherwise",
+        ),
+        (
+            "deadline",
+            _deadline,
+            "drop on full, and reject requests whose estimated wait would blow the SLO",
+        ),
+    ),
 )

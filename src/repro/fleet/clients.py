@@ -5,9 +5,9 @@ is fixed regardless of how the system responds, so past saturation the
 queue grows without bound and latency diverges.  Saturation-throughput
 measurement needs the complement — a *closed-loop* population of
 clients, each cycling request → response → think time, whose issue rate
-self-limits as the system slows down.  Both shapes are registered here
-as client models, beside (not replacing) the arrival-profile registry:
-the ``open_loop`` model delegates to whatever arrival profile the sweep
+self-limits as the system slows down.  Both shapes are rows of
+:data:`CLIENT_MODELS`, beside (not replacing) the arrival profiles: the
+``open_loop`` model delegates to whatever arrival profile the sweep
 names, while ``closed_loop`` drives the shard's event loop dynamically.
 
 The closed-loop population is sized from the offered-load knob: with
@@ -17,22 +17,18 @@ think time ``Z = think_factor × S`` (``S`` the mean service demand) and
 nominal load the open-loop profiles offer — so one ``--load`` axis
 sweeps both models comparably, and ``load > 1`` drives a shard past
 saturation by construction.
-
-Models are registered by unconditional top-level
-:func:`register_client_model` calls (``registry-hygiene`` lint rule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
-from repro.common.errors import ConfigurationError
+from repro.common.registry import Registry
 
 
 @dataclass(frozen=True)
 class ClientModel:
-    """One registered request-generation shape.
+    """One request-generation shape.
 
     Attributes:
         closed_loop: True when clients wait for their response (and a
@@ -41,42 +37,6 @@ class ClientModel:
     """
 
     closed_loop: bool
-
-
-_MODELS: Dict[str, ClientModel] = {}
-_MODEL_DESCRIPTIONS: Dict[str, str] = {}
-
-
-def register_client_model(name: str, model: ClientModel, description: str) -> None:
-    """Register a client model under ``name``."""
-    key = name.strip()
-    if not key:
-        raise ConfigurationError("client-model name must be non-empty")
-    if key in _MODELS:
-        raise ConfigurationError(f"client model {name!r} already registered")
-    _MODELS[key] = model
-    _MODEL_DESCRIPTIONS[key] = description
-
-
-def client_model_names() -> List[str]:
-    """All registered client-model names, in presentation order."""
-    return list(_MODELS)
-
-
-def client_model_description(name: str) -> str:
-    """One-line description of a registered client model."""
-    return _MODEL_DESCRIPTIONS[name]
-
-
-def client_model(name: str) -> ClientModel:
-    """The registered model for ``name``."""
-    try:
-        return _MODELS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown client model {name!r} (expected one of: "
-            f"{', '.join(client_model_names())})"
-        ) from None
 
 
 def closed_loop_population(load: float, num_cores: int, think_factor: float) -> int:
@@ -89,13 +49,18 @@ def closed_loop_population(load: float, num_cores: int, think_factor: float) -> 
     return max(1, int(round(load * num_cores * (1.0 + think_factor))))
 
 
-register_client_model(
-    "open_loop",
-    ClientModel(closed_loop=False),
-    "fixed-rate arrivals precomputed from the sweep's arrival profile",
-)
-register_client_model(
-    "closed_loop",
-    ClientModel(closed_loop=True),
-    "think-time clients that wait for each response (self-limiting at saturation)",
+CLIENT_MODELS: Registry[ClientModel] = Registry(
+    "client model",
+    (
+        (
+            "open_loop",
+            ClientModel(closed_loop=False),
+            "fixed-rate arrivals precomputed from the sweep's arrival profile",
+        ),
+        (
+            "closed_loop",
+            ClientModel(closed_loop=True),
+            "think-time clients that wait for each response (self-limiting at saturation)",
+        ),
+    ),
 )

@@ -21,10 +21,9 @@ spanning the placement trade-offs the paper's boundary costs create:
                        instead of stacking on one shard.
 =====================  ================================================
 
-Policies are pure functions of their arguments (hashing replaces
-randomness), preserving the engine's determinism contract, and are
-registered by unconditional top-level :func:`register_router` calls —
-the ``registry-hygiene`` lint rule pins both properties.
+:data:`ROUTERS` is the fixed table of them.  Each is a pure function of
+its arguments (hashing replaces randomness, no ambient state), the
+determinism contract the engine's content-hash cache keys rely on.
 """
 
 from __future__ import annotations
@@ -32,9 +31,10 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.common.registry import Registry
 
 #: Virtual nodes per shard on the consistent-hash ring (evens out the
 #: arc lengths without making the ring construction expensive).
@@ -64,35 +64,6 @@ class TenantLoad:
 #: ``(tenants, num_shards) -> shard index per tenant`` (position-aligned).
 RoutingPolicy = Callable[[Sequence[TenantLoad], int], Tuple[int, ...]]
 
-_ROUTERS: Dict[str, RoutingPolicy] = {}
-_ROUTER_DESCRIPTIONS: Dict[str, str] = {}
-
-
-def register_router(name: str, policy: RoutingPolicy, description: str) -> None:
-    """Register a routing policy under ``name``.
-
-    The policy must be a pure function of its arguments (no randomness,
-    no ambient state) — the determinism contract the engine's
-    content-hash cache keys rely on.
-    """
-    key = name.strip()
-    if not key:
-        raise ConfigurationError("router name must be non-empty")
-    if key in _ROUTERS:
-        raise ConfigurationError(f"routing policy {name!r} already registered")
-    _ROUTERS[key] = policy
-    _ROUTER_DESCRIPTIONS[key] = description
-
-
-def router_names() -> List[str]:
-    """All registered router names, in presentation order."""
-    return list(_ROUTERS)
-
-
-def router_description(name: str) -> str:
-    """One-line description of a registered router."""
-    return _ROUTER_DESCRIPTIONS[name]
-
 
 def assign_tenants(
     router: str, tenants: Sequence[TenantLoad], num_shards: int
@@ -103,13 +74,7 @@ def assign_tenants(
     index is validated to lie in ``[0, num_shards)`` so a buggy policy
     fails loudly here rather than as a missing shard downstream.
     """
-    try:
-        policy = _ROUTERS[router]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown routing policy {router!r} (expected one of: "
-            f"{', '.join(router_names())})"
-        ) from None
+    policy = ROUTERS[router]
     if num_shards < 1:
         raise ConfigurationError("num_shards must be positive")
     assignment = policy(tenants, num_shards)
@@ -179,18 +144,23 @@ def _purge_cost_aware(tenants: Sequence[TenantLoad], num_shards: int) -> Tuple[i
     )
 
 
-register_router(
-    "consistent_hash",
-    _consistent_hash,
-    f"SHA-256 hash ring with {VIRTUAL_NODES} virtual nodes per shard (stateless placement)",
-)
-register_router(
-    "least_loaded",
-    _least_loaded,
-    "greedy bin packing on per-request service demand (heaviest tenant first)",
-)
-register_router(
-    "purge_cost_aware",
-    _purge_cost_aware,
-    "greedy bin packing on demand plus estimated purge/churn boundary cost",
+ROUTERS: Registry[RoutingPolicy] = Registry(
+    "routing policy",
+    (
+        (
+            "consistent_hash",
+            _consistent_hash,
+            f"SHA-256 hash ring with {VIRTUAL_NODES} virtual nodes per shard (stateless placement)",
+        ),
+        (
+            "least_loaded",
+            _least_loaded,
+            "greedy bin packing on per-request service demand (heaviest tenant first)",
+        ),
+        (
+            "purge_cost_aware",
+            _purge_cost_aware,
+            "greedy bin packing on demand plus estimated purge/churn boundary cost",
+        ),
+    ),
 )

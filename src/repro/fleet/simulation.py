@@ -42,8 +42,8 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng, derive_seed
 from repro.core.config import MI6Config
 from repro.core.serialization import OutcomeDocument
-from repro.fleet.admission import REJECT_QUEUE_FULL, AdmissionContext, admit
-from repro.fleet.clients import client_model, closed_loop_population
+from repro.fleet.admission import ADMISSION_POLICIES, REJECT_QUEUE_FULL, AdmissionContext
+from repro.fleet.clients import CLIENT_MODELS, closed_loop_population
 from repro.service.arrivals import Arrival, exponential_gap, generate_arrivals
 from repro.service.metrics import summarize_latencies, throughput_per_mcycle
 from repro.service.simulation import mean_service_cycles, serve, teardown_cycles
@@ -265,7 +265,8 @@ def run_fleet_shard(
     tenants = tuple(tenants)
     if not tenants or num_requests < 1:
         return empty_shard_outcome(shard_index, tenants)
-    model = client_model(client)
+    model = CLIENT_MODELS[client]
+    decide = ADMISSION_POLICIES[admission]
     benchmarks_all = tenant_benchmarks(num_tenants)
     local_benchmarks = [benchmarks_all[tenant] for tenant in tenants]
     mean_service = mean_service_cycles(service_cycles, local_benchmarks)
@@ -295,8 +296,7 @@ def run_fleet_shard(
     def gate(now: int, queue_length: int, earliest_free: int, service: int) -> Optional[str]:
         """The admission policy, on a deterministic queue-wait estimate."""
         backlog = (queue_length // num_cores) * int(mean_service)
-        return admit(
-            admission,
+        return decide(
             AdmissionContext(
                 now=now,
                 queue_length=queue_length,
@@ -304,7 +304,7 @@ def run_fleet_shard(
                 service_cycles=service,
                 estimated_wait_cycles=max(0, earliest_free - now) + backlog,
                 slo_cycles=slo_cycles,
-            ),
+            )
         )
 
     stream = serve(

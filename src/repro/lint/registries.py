@@ -1,20 +1,20 @@
 """Registry hygiene rule: registrations at import time, in the owner.
 
-The scheduler/mitigation/scenario/arrival-profile registries (and this
-package's own rule registry) give every subsystem an open extension
-point, but the engine's determinism story assumes the registries are
-*identical in every process*: a registration that happens conditionally,
-lazily, or from a surprising module can make a pool worker see a
-different registry than the parent — and a sweep's expansion or a cached
-entry's meaning would change with it.  This rule pins the contract:
+The lint package's own rule registry is filled by ``register_rule``
+calls, one per rule module; every other table of named choices is a
+module-level literal (:class:`~repro.common.registry.Registry`) that
+nothing can add to.  The engine's determinism story assumes a registry
+is *identical in every process*: a registration that happens
+conditionally, lazily, or from a surprising module can make a pool
+worker see a different registry than the parent.  This rule pins the
+contract for the registrars of :data:`OWNING_MODULES`:
 
-* a ``register_*`` call must be a top-level statement of its module —
+* a registrar call must be a top-level statement of its module —
   never inside ``if``/``try``/``for``/``while``, a function, or a class
   body — so importing the module *is* the registration;
-* the shipped registries may only be populated from their owning module
-  (:data:`OWNING_MODULES`); third-party extension modules registering
-  their own entries are out of scope because only ``src/repro`` is
-  linted in CI.
+* a registrar may only be called from its owning modules; third-party
+  extension modules registering their own entries are out of scope
+  because only ``src/repro`` is linted in CI.
 """
 
 from __future__ import annotations
@@ -27,13 +27,6 @@ from repro.lint.findings import Finding
 
 #: Registrar name -> path suffixes of the modules allowed to call it.
 OWNING_MODULES: Dict[str, Tuple[str, ...]] = {
-    "register_policy": ("repro/service/schedulers.py",),
-    "register_mitigation": ("repro/core/mitigations.py",),
-    "register_composition": ("repro/core/mitigations.py",),
-    "register_arrival_profile": ("repro/service/arrivals.py",),
-    "register_router": ("repro/fleet/routing.py",),
-    "register_admission_policy": ("repro/fleet/admission.py",),
-    "register_client_model": ("repro/fleet/clients.py",),
     "register_rule": ("repro/lint/",),
 }
 

@@ -12,7 +12,7 @@ become throughput and tail-latency numbers under tenant churn.
 
 * :mod:`repro.service.arrivals` — deterministic Poisson / bursty /
   diurnal arrival processes;
-* :mod:`repro.service.schedulers` — the scheduling-policy registry
+* :mod:`repro.service.schedulers` — the scheduling-policy table
   (``fifo``, ``affinity``, ``batch``);
 * :mod:`repro.service.simulation` — the one serving event loop
   (:func:`~repro.service.simulation.serve`), its one-machine adapter
@@ -42,20 +42,13 @@ __all__, __getattr__ = lazy_exports(
             "DEFAULT_SERVICE_TENANTS",
         ),
         "repro.service.arrivals": (
+            "ARRIVAL_PROFILES",
             "LOAD_PROFILES",
             "Arrival",
             "generate_arrivals",
-            "profile_names",
-            "register_arrival_profile",
         ),
         "repro.service.metrics": ("percentile", "summarize_latencies"),
-        "repro.service.schedulers": (
-            "SchedulingPolicy",
-            "create_policy",
-            "policy_description",
-            "policy_names",
-            "register_policy",
-        ),
+        "repro.service.schedulers": ("SCHEDULING_POLICIES", "SchedulingPolicy"),
         "repro.service.simulation": ("ServiceOutcome", "run_service"),
         "repro.workloads.spec_cint2006": ("tenant_benchmarks",),
     },

@@ -18,21 +18,19 @@ about:
 
 All profiles are parameterised by the *mean* inter-arrival gap, so the
 offered load of a sweep point is comparable across profiles.
-
-Profiles are registered by name (:func:`register_arrival_profile`),
-mirroring the scheduler/mitigation/scenario registries: registration is
-an unconditional top-level statement of this module, so every process
-that imports the serving layer sees the identical profile set (the
-``registry-hygiene`` lint rule enforces this).
+:data:`ARRIVAL_PROFILES` is the fixed table of them; each is a pure
+function of its arguments, with all randomness drawn from the passed
+``rng``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.common.errors import ConfigurationError
+from repro.common.registry import Registry
 from repro.common.rng import DeterministicRng
 
 #: Requests per burst of the ``bursty`` profile.
@@ -65,33 +63,8 @@ def exponential_gap(rng: DeterministicRng, mean_gap: float) -> int:
     return max(1, int(round(draw)))
 
 
-# ----------------------------------------------------------------------
-# Registry
-
 #: ``(rng, num_requests, num_tenants, mean_gap_cycles) -> arrivals``.
 ArrivalGenerator = Callable[[DeterministicRng, int, int, int], List[Arrival]]
-
-_PROFILES: Dict[str, ArrivalGenerator] = {}
-
-
-def register_arrival_profile(name: str, generator: ArrivalGenerator) -> None:
-    """Register an arrival profile under ``name``.
-
-    The generator must be a pure function of its arguments (all
-    randomness through the passed ``rng``), the determinism contract the
-    engine's content-hash cache keys rely on.
-    """
-    key = name.strip()
-    if not key:
-        raise ConfigurationError("arrival-profile name must be non-empty")
-    if key in _PROFILES:
-        raise ConfigurationError(f"arrival profile {name!r} already registered")
-    _PROFILES[key] = generator
-
-
-def profile_names() -> List[str]:
-    """All registered profile names, in presentation order."""
-    return list(_PROFILES)
 
 
 def generate_arrivals(
@@ -105,8 +78,7 @@ def generate_arrivals(
     """The full arrival sequence for one service simulation.
 
     Args:
-        profile: A registered profile name (:data:`LOAD_PROFILES` lists
-            the shipped set).
+        profile: A profile name (:data:`LOAD_PROFILES` lists them).
         num_requests: Open-loop requests to generate.
         num_tenants: Tenants the requests are spread across.
         mean_gap_cycles: Target mean inter-arrival gap (sets the offered
@@ -118,13 +90,7 @@ def generate_arrivals(
         Arrivals in non-decreasing time order (times are strictly
         spaced by at least one cycle).
     """
-    try:
-        generator = _PROFILES[profile]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown load profile {profile!r} (expected one of: "
-            f"{', '.join(profile_names())})"
-        ) from None
+    generator = ARRIVAL_PROFILES[profile]
     if num_requests < 1:
         raise ConfigurationError("num_requests must be positive")
     if num_tenants < 1:
@@ -197,12 +163,14 @@ def _diurnal(
     return arrivals
 
 
-# Memoryless arrivals, tenants drawn uniformly (the open-loop baseline).
-register_arrival_profile("poisson", _poisson)
-# On/off bursts of BURST_LENGTH in which one tenant dominates each burst.
-register_arrival_profile("bursty", _bursty)
-# A slow sinusoidal rate swing across the run (a compressed day).
-register_arrival_profile("diurnal", _diurnal)
+ARRIVAL_PROFILES: Registry[ArrivalGenerator] = Registry(
+    "load profile",
+    (
+        ("poisson", _poisson, "memoryless arrivals, tenants drawn uniformly (the open-loop baseline)"),
+        ("bursty", _bursty, f"on/off bursts of {BURST_LENGTH} in which one tenant dominates each burst"),
+        ("diurnal", _diurnal, "a slow sinusoidal rate swing across the run (a compressed day)"),
+    ),
+)
 
-#: Shipped load-profile names, in registration order.
-LOAD_PROFILES = tuple(_PROFILES)
+#: Shipped load-profile names, in declaration order.
+LOAD_PROFILES = tuple(ARRIVAL_PROFILES)

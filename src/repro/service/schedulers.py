@@ -16,26 +16,26 @@ trade-off:
                already hosts — back-to-back requests of one tenant pay
                no purge at all.
 ``batch``      Affinity plus a fairness bound: a core drains up to
-               ``batch_limit`` consecutive requests of its installed
+               :data:`BATCH_LIMIT` consecutive requests of its installed
                tenant (amortising one purge pair over the whole batch),
                then must switch to the oldest other tenant if one is
                waiting.
 =============  ========================================================
 
-Policies are registered by name (:func:`register_policy`), mirroring the
-scenario registry, so new placement ideas compose with the engine's
-sweep/caching machinery without touching the event loop.
+:data:`SCHEDULING_POLICIES` is the fixed table of them.  A policy keeps
+no state of its own: its choice is a function of the dispatch state it
+is shown, so the table holds one shared instance of each.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.common.errors import ConfigurationError
+from repro.common.registry import Registry
 
 #: Fairness bound of the ``batch`` policy: consecutive requests of one
 #: tenant a core may serve while another tenant waits.
-DEFAULT_BATCH_LIMIT = 8
+BATCH_LIMIT = 8
 
 
 class QueueView:
@@ -78,12 +78,10 @@ class SchedulingPolicy:
     """Base policy: subclasses override :meth:`pick`.
 
     Attributes:
-        name: Registry name.
         eager_release: True when the core is descheduled (handed back to
             the OS, paying the deschedule purge) after every request.
     """
 
-    name = "?"
     eager_release = False
 
     def pick(self, core: Any, view: QueueView) -> Optional[Any]:
@@ -98,7 +96,6 @@ class SchedulingPolicy:
 class FifoPolicy(SchedulingPolicy):
     """Strict arrival order with eager core release."""
 
-    name = "fifo"
     eager_release = True
 
     def pick(self, core: Any, view: QueueView) -> Optional[Any]:
@@ -110,8 +107,6 @@ class FifoPolicy(SchedulingPolicy):
 
 class AffinityPolicy(SchedulingPolicy):
     """Serve the installed tenant first; otherwise oldest claimable."""
-
-    name = "affinity"
 
     def pick(self, core: Any, view: QueueView) -> Optional[Any]:
         if core.installed is not None:
@@ -125,14 +120,7 @@ class AffinityPolicy(SchedulingPolicy):
 
 
 class BatchPolicy(SchedulingPolicy):
-    """Affinity bounded by a batch limit: amortise purges, stay fair."""
-
-    name = "batch"
-
-    def __init__(self, batch_limit: int = DEFAULT_BATCH_LIMIT) -> None:
-        if batch_limit < 1:
-            raise ConfigurationError("batch_limit must be positive")
-        self.batch_limit = batch_limit
+    """Affinity bounded by :data:`BATCH_LIMIT`: amortise purges, stay fair."""
 
     def pick(self, core: Any, view: QueueView) -> Optional[Any]:
         same = None
@@ -148,71 +136,28 @@ class BatchPolicy(SchedulingPolicy):
             ):
                 other = request
                 break
-        if same is not None and (core.streak < self.batch_limit or other is None):
+        if same is not None and (core.streak < BATCH_LIMIT or other is None):
             return same
         return other
 
 
-# ----------------------------------------------------------------------
-# Registry
-
-PolicyFactory = Callable[[], SchedulingPolicy]
-
-_POLICIES: Dict[str, PolicyFactory] = {}
-_POLICY_DESCRIPTIONS: Dict[str, str] = {}
-
-
-def register_policy(name: str, factory: PolicyFactory, description: str) -> None:
-    """Register a scheduling policy under ``name``.
-
-    The factory must build a fresh policy instance per simulation (a
-    policy may keep per-run state), and the policy must be a pure
-    function of the dispatch state — the determinism contract the
-    engine's cache keys rely on.
-    """
-    key = name.strip()
-    if not key:
-        raise ConfigurationError("policy name must be non-empty")
-    if key in _POLICIES:
-        raise ConfigurationError(f"scheduling policy {name!r} already registered")
-    _POLICIES[key] = factory
-    _POLICY_DESCRIPTIONS[key] = description
-
-
-def policy_names() -> List[str]:
-    """All registered policy names, in presentation order."""
-    return list(_POLICIES)
-
-
-def policy_description(name: str) -> str:
-    """One-line description of a policy."""
-    return _POLICY_DESCRIPTIONS[name]
-
-
-def create_policy(name: str) -> SchedulingPolicy:
-    """A fresh instance of the named policy."""
-    try:
-        factory = _POLICIES[name]
-    except KeyError:
-        valid = ", ".join(policy_names())
-        raise ConfigurationError(
-            f"unknown scheduling policy {name!r} (expected one of: {valid})"
-        ) from None
-    return factory()
-
-
-register_policy(
-    "fifo",
-    FifoPolicy,
-    "strict arrival order, core released after every request (max purges)",
-)
-register_policy(
-    "affinity",
-    AffinityPolicy,
-    "enclaves stay resident; idle cores serve their installed tenant first",
-)
-register_policy(
-    "batch",
-    BatchPolicy,
-    f"affinity with a {DEFAULT_BATCH_LIMIT}-request fairness bound per tenant batch",
+SCHEDULING_POLICIES: Registry[SchedulingPolicy] = Registry(
+    "scheduling policy",
+    (
+        (
+            "fifo",
+            FifoPolicy(),
+            "strict arrival order, core released after every request (max purges)",
+        ),
+        (
+            "affinity",
+            AffinityPolicy(),
+            "enclaves stay resident; idle cores serve their installed tenant first",
+        ),
+        (
+            "batch",
+            BatchPolicy(),
+            f"affinity with a {BATCH_LIMIT}-request fairness bound per tenant batch",
+        ),
+    ),
 )

@@ -67,7 +67,7 @@ from repro.os_model.kernel import UntrustedOS
 from repro.os_model.machine import Machine
 from repro.service.arrivals import Arrival, generate_arrivals
 from repro.service.metrics import summarize_latencies, throughput_per_mcycle
-from repro.service.schedulers import QueueView, create_policy
+from repro.service.schedulers import SCHEDULING_POLICIES, QueueView
 from repro.workloads.spec_cint2006 import tenant_benchmarks
 
 #: Floor on the charged LLC scrub penalty per churned region (a scrub
@@ -324,8 +324,8 @@ def serve(
 
     Args:
         config: Machine configuration (any mitigation combination).
-        policy: Scheduling-policy name (see
-            :func:`repro.service.schedulers.policy_names`).
+        policy: Scheduling-policy name (a name of
+            :data:`repro.service.schedulers.SCHEDULING_POLICIES`).
         service_cycles: Benchmark -> cycles of one request's workload on
             this configuration; every entry of ``benchmarks`` is priced.
         benchmarks: Workload of each tenant, by machine-local tenant id.
@@ -347,7 +347,7 @@ def serve(
         track: Prefix of the trace tracks.
         labels: Extra arguments tagged on every span.
     """
-    scheduler = create_policy(policy)
+    scheduler = SCHEDULING_POLICIES[policy]
     host = _TenantMachine(config, num_cores, len(benchmarks), seed)
     charge_purge = config.flush_on_context_switch
     charge_teardown = config.has_protection_hardware
@@ -600,8 +600,8 @@ def run_service(
 
     Args:
         config: Machine configuration (any mitigation combination).
-        policy: Scheduling-policy name (see
-            :func:`repro.service.schedulers.policy_names`).
+        policy: Scheduling-policy name (a name of
+            :data:`repro.service.schedulers.SCHEDULING_POLICIES`).
         service_cycles: Benchmark -> cycles of one request's workload on
             this configuration (the engine resolves this table through
             the result store; see

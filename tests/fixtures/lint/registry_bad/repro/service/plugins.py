@@ -1,10 +1,10 @@
-"""Bad fixture: registration from outside the registry's owning module."""
+"""Bad fixture: registration from outside the registry's owning package."""
 
-from repro.service.schedulers import register_policy
-
-
-class RoguePolicy:
-    pass
+from repro.lint.rules import register_rule
 
 
-register_policy("rogue", RoguePolicy, "registered from the wrong module")
+class RogueRule:
+    name = "rogue"
+
+
+register_rule(RogueRule())

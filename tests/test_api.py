@@ -13,7 +13,14 @@ from repro.api import (
     default_session,
     set_default_session,
 )
-from repro.attacks.placement import Placement, default_placement
+from repro.attacks.placement import (
+    ATTACKER_CORE,
+    ATTACKER_REGIONS,
+    VICTIM_CORE,
+    VICTIM_REGIONS,
+    bystander_cores,
+    bystander_regions,
+)
 from repro.attacks.scenarios import build_scenario_machine
 from repro.common.errors import ConfigurationError
 from repro.core.config import MI6Config
@@ -203,31 +210,25 @@ class TestDefaultSession:
 
 
 class TestPlacement:
-    def test_default_placement_assigns_bystanders(self):
-        placement = default_placement(4)
-        assert placement.attacker_core == 0
-        assert placement.victim_core == 1
-        assert placement.bystander_cores == (2, 3)
+    def test_bystanders_take_the_cores_beyond_attacker_and_victim(self):
+        assert (ATTACKER_CORE, VICTIM_CORE) == (0, 1)
+        assert bystander_cores(2) == ()
+        assert bystander_cores(4) == (2, 3)
 
     def test_placement_validation(self):
         with pytest.raises(ConfigurationError, match="at least two"):
-            Placement(num_cores=1)
-        with pytest.raises(ConfigurationError, match="twice"):
-            Placement(num_cores=4, attacker_core=0, victim_core=0)
-        with pytest.raises(ConfigurationError, match="outside"):
-            Placement(num_cores=2, attacker_core=0, victim_core=5)
+            bystander_cores(1)
 
     def test_bystander_regions_are_disjoint_from_principals(self):
-        from repro.attacks.placement import ATTACKER_REGIONS, VICTIM_REGIONS
-
-        placement = default_placement(6)
         reserved = ATTACKER_REGIONS | VICTIM_REGIONS
-        regions = [
-            placement.bystander_regions(core, 64) for core in placement.bystander_cores
-        ]
+        regions = [bystander_regions(core, 6, 64) for core in bystander_cores(6)]
         flattened = set().union(*regions)
         assert not flattened & reserved
         assert len(flattened) == len(regions)  # pairwise disjoint
+        # Region 11 is the only partition-3 region below 12.
+        assert bystander_regions(2, 3, 12) == {11}
+        with pytest.raises(ConfigurationError, match="not enough DRAM regions for 2 bystanders"):
+            bystander_regions(3, 4, 12)
 
     def test_scenario_machine_installs_every_domain(self):
         machine = build_scenario_machine(MI6, seed=5, num_cores=4)

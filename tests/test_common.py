@@ -1,6 +1,9 @@
-"""Tests for the shared infrastructure (RNG and stats)."""
+"""Tests for the shared infrastructure (RNG, stats and the named-choice tables)."""
 
-from repro.common import DeterministicRng, StatsRegistry
+import pytest
+
+from repro.common import ConfigurationError, DeterministicRng, StatsRegistry
+from repro.common.registry import Registry
 from repro.common.rng import derive_seed
 
 
@@ -52,3 +55,15 @@ class TestStatsRegistry:
         stats.counter("b").increment(1)
         stats.reset()
         assert stats.counters() == {"a": 0, "b": 0}
+
+
+class TestRegistry:
+    def test_rows_keep_declaration_order_and_unknown_names_list_them(self):
+        registry = Registry("colour", (("red", 1, "warm"), ("blue", 2, "cold")))
+        assert list(registry) == ["red", "blue"]
+        assert registry["blue"] == 2
+        assert registry.descriptions == {"red": "warm", "blue": "cold"}
+        with pytest.raises(
+            ConfigurationError, match=r"unknown colour 'green' \(expected one of: red, blue\)"
+        ):
+            registry["green"]

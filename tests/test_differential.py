@@ -35,7 +35,14 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 from helpers import idle
 
 from repro.attacks.coschedule import CoScheduledExecutor, MemOp
-from repro.attacks.placement import ATTACKER_REGIONS, VICTIM_REGIONS, default_placement
+from repro.attacks.placement import (
+    ATTACKER_CORE,
+    ATTACKER_REGIONS,
+    VICTIM_CORE,
+    VICTIM_REGIONS,
+    bystander_cores,
+    bystander_regions,
+)
 from repro.attacks.scenarios import build_scenario_machine
 from repro.common.fastpath import SLOW_PATH_ENV_VAR
 from repro.core.mitigations import config_for_spec
@@ -93,14 +100,10 @@ def phase_cases(draw):
 
 def region_bases(machine, num_cores):
     """Base address of each core's own domain region."""
-    placement = default_placement(num_cores)
     num_regions = machine.config.address_map.num_regions
-    regions = {
-        placement.attacker_core: min(ATTACKER_REGIONS),
-        placement.victim_core: min(VICTIM_REGIONS),
-    }
-    for core in placement.bystander_cores:
-        regions[core] = min(placement.bystander_regions(core, num_regions))
+    regions = {ATTACKER_CORE: min(ATTACKER_REGIONS), VICTIM_CORE: min(VICTIM_REGIONS)}
+    for core in bystander_cores(num_cores):
+        regions[core] = min(bystander_regions(core, num_cores, num_regions))
     return {core: machine.address_map.region_base(region) for core, region in regions.items()}
 
 

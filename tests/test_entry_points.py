@@ -131,12 +131,12 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(["list"])
 from repro.core.mitigations import parse_spec
-from repro.service.arrivals import profile_names
+from repro.service.arrivals import LOAD_PROFILES
 spec = parse_spec("F+P+M+A")
 print(json.dumps({
     "code": code,
     "list": out.getvalue(),
-    "profiles": profile_names(),
+    "profiles": list(LOAD_PROFILES),
     "spec": [spec.name, list(spec.mitigations)],
 }))
 """

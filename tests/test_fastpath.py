@@ -30,7 +30,14 @@ from repro.analysis.engine import (
     request_for,
 )
 from repro.attacks.coschedule import CoScheduledExecutor, MemOp
-from repro.attacks.placement import ATTACKER_REGIONS, VICTIM_REGIONS, default_placement
+from repro.attacks.placement import (
+    ATTACKER_CORE,
+    ATTACKER_REGIONS,
+    VICTIM_CORE,
+    VICTIM_REGIONS,
+    bystander_cores,
+    bystander_regions,
+)
 from repro.attacks.scenarios import build_scenario_machine, run_scenario, scenario_names
 from repro.common.fastpath import SLOW_PATH_ENV_VAR, slow_path_enabled
 from repro.core.mitigations import config_for_spec, parse_spec
@@ -515,8 +522,7 @@ class TestCoScheduledCounterEquivalence:
     def flooding_phase(spec):
         """A sender flooding writes past its MSHRs while a receiver polls."""
         machine = build_scenario_machine(config_for_spec(spec), seed=2019)
-        placement = default_placement(2)
-        receiver, sender = placement.attacker_core, placement.victim_core
+        receiver, sender = ATTACKER_CORE, VICTIM_CORE
         executor = CoScheduledExecutor(machine, max_outstanding={receiver: 4, sender: 24})
         receiver_base = machine.address_map.region_base(min(ATTACKER_REGIONS))
         sender_base = machine.address_map.region_base(min(VICTIM_REGIONS))
@@ -560,14 +566,13 @@ class TestCoScheduledCompletionEquivalence:
     @staticmethod
     def three_party_phase(spec):
         machine = build_scenario_machine(config_for_spec(spec), seed=2019, num_cores=3)
-        placement = default_placement(3)
-        attacker, victim = placement.attacker_core, placement.victim_core
-        (bystander,) = placement.bystander_cores
+        attacker, victim = ATTACKER_CORE, VICTIM_CORE
+        (bystander,) = bystander_cores(3)
         region_base = machine.address_map.region_base
         num_regions = machine.config.address_map.num_regions
         attacker_base = region_base(min(ATTACKER_REGIONS))
         victim_base = region_base(min(VICTIM_REGIONS))
-        bystander_base = region_base(min(placement.bystander_regions(bystander, num_regions)))
+        bystander_base = region_base(min(bystander_regions(bystander, 3, num_regions)))
         executor = CoScheduledExecutor(
             machine, max_outstanding={attacker: 3, victim: 6, bystander: 2}
         )

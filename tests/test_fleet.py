@@ -25,29 +25,21 @@ from repro.cli import main as cli_main
 from repro.common.errors import ConfigurationError
 from repro.core.mitigations import config_for_spec
 from repro.fleet import (
+    ADMISSION_POLICIES,
+    CLIENT_MODELS,
+    ROUTERS,
     FleetOutcome,
     ShardOutcome,
     TenantLoad,
-    admission_names,
     assign_tenants,
-    client_model_names,
-    register_admission_policy,
-    register_client_model,
-    register_router,
-    router_names,
     run_fleet_shard,
 )
 from repro.fleet.admission import (
     REJECT_DEADLINE,
     REJECT_QUEUE_FULL,
     AdmissionContext,
-    admit,
 )
-from repro.fleet.clients import (
-    ClientModel,
-    client_model,
-    closed_loop_population,
-)
+from repro.fleet.clients import closed_loop_population
 from repro.common.rng import DeterministicRng
 from repro.service.arrivals import exponential_gap
 from repro.service.simulation import tenant_benchmarks
@@ -97,7 +89,7 @@ def priced(request):
 
 class TestRouting:
     def test_registry_ships_three_routers(self):
-        assert router_names() == [
+        assert list(ROUTERS) == [
             "consistent_hash",
             "least_loaded",
             "purge_cost_aware",
@@ -109,10 +101,6 @@ class TestRouting:
             assign_tenants("random", loads, 2)
         with pytest.raises(ConfigurationError, match="num_shards must be positive"):
             assign_tenants("consistent_hash", loads, 0)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_router("least_loaded", lambda tenants, shards: (), "again")
 
     def test_consistent_hash_is_stable_and_ignores_demand(self):
         light = [TenantLoad(t, "astar", 100, 0) for t in range(8)]
@@ -189,47 +177,43 @@ class TestAdmission:
         return AdmissionContext(**fields)
 
     def test_registry_ships_two_policies(self):
-        assert admission_names() == ["drop_on_full", "deadline"]
+        assert list(ADMISSION_POLICIES) == ["drop_on_full", "deadline"]
 
     def test_drop_on_full(self):
-        assert admit("drop_on_full", self.context()) is None
-        assert admit("drop_on_full", self.context(queue_length=3)) is None
+        assert ADMISSION_POLICIES["drop_on_full"](self.context()) is None
+        assert ADMISSION_POLICIES["drop_on_full"](self.context(queue_length=3)) is None
         assert (
-            admit("drop_on_full", self.context(queue_length=4)) == REJECT_QUEUE_FULL
+            ADMISSION_POLICIES["drop_on_full"](self.context(queue_length=4)) == REJECT_QUEUE_FULL
         )
 
     def test_deadline_rejects_hopeless_requests(self):
-        assert admit("deadline", self.context()) is None
+        assert ADMISSION_POLICIES["deadline"](self.context()) is None
         # queue_full outranks the SLO check (matches drop_on_full).
         assert (
-            admit("deadline", self.context(queue_length=4, estimated_wait_cycles=10**6))
+            ADMISSION_POLICIES["deadline"](self.context(queue_length=4, estimated_wait_cycles=10**6))
             == REJECT_QUEUE_FULL
         )
         assert (
-            admit("deadline", self.context(estimated_wait_cycles=7_500))
+            ADMISSION_POLICIES["deadline"](self.context(estimated_wait_cycles=7_500))
             == REJECT_DEADLINE
         )
         # Exactly meeting the SLO is admitted (strict inequality).
-        assert admit("deadline", self.context(estimated_wait_cycles=7_000)) is None
+        assert ADMISSION_POLICIES["deadline"](self.context(estimated_wait_cycles=7_000)) is None
 
-    def test_unknown_and_duplicate_rejected(self):
+    def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown admission policy"):
-            admit("lottery", self.context())
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_admission_policy("deadline", lambda context: None, "again")
+            ADMISSION_POLICIES["lottery"]
 
 
 class TestClients:
     def test_registry_ships_two_models(self):
-        assert client_model_names() == ["open_loop", "closed_loop"]
-        assert client_model("open_loop").closed_loop is False
-        assert client_model("closed_loop").closed_loop is True
+        assert list(CLIENT_MODELS) == ["open_loop", "closed_loop"]
+        assert CLIENT_MODELS["open_loop"].closed_loop is False
+        assert CLIENT_MODELS["closed_loop"].closed_loop is True
 
-    def test_unknown_and_duplicate_rejected(self):
+    def test_unknown_model_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown client model"):
-            client_model("half_open")
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_client_model("open_loop", ClientModel(closed_loop=False), "again")
+            CLIENT_MODELS["half_open"]
 
     def test_population_tracks_the_load_knob(self):
         # N = load x cores x (1 + think_factor), floored at one client.

@@ -7,7 +7,7 @@ import pytest
 from helpers import cache_lines, holds
 
 from repro.attacks.coschedule import CoScheduledExecutor, MemOp
-from repro.attacks.placement import ATTACKER_REGIONS, VICTIM_REGIONS, default_placement
+from repro.attacks.placement import ATTACKER_CORE, ATTACKER_REGIONS, VICTIM_CORE, VICTIM_REGIONS
 from repro.attacks.scenarios import build_scenario_machine, victim_timing_difference
 from repro.common.errors import ConfigurationError
 from repro.common.fastpath import SLOW_PATH_ENV_VAR
@@ -213,18 +213,17 @@ class TestDetailedLlcTimingIndependence:
     @staticmethod
     def contended_phase(spec, num_cores=2, attacker_stores=250):
         machine = build_scenario_machine(config_for_spec(spec), seed=2019, num_cores=num_cores)
-        placement = default_placement(num_cores)
         region_base = machine.address_map.region_base
         victim_base = region_base(min(VICTIM_REGIONS))
         attacker_base = region_base(min(ATTACKER_REGIONS))
         executor = CoScheduledExecutor(machine)
         results = executor.run_phase(
             {
-                placement.victim_core: [
+                VICTIM_CORE: [
                     MemOp(victim_base + index * 64, issue_gap=30, l1_bypass=True)
                     for index in range(24)
                 ],
-                placement.attacker_core: [
+                ATTACKER_CORE: [
                     MemOp(attacker_base + index * 7 * 64, is_write=True, issue_gap=2, l1_bypass=True)
                     for index in range(attacker_stores)
                 ],
@@ -241,9 +240,8 @@ class TestDetailedLlcTimingIndependence:
 
     def test_all_requests_complete(self):
         *_, results = self.contended_phase("F+P+M+A", attacker_stores=100)
-        placement = default_placement(2)
-        assert len(results[placement.victim_core]) == 24
-        assert len(results[placement.attacker_core]) == 100
+        assert len(results[VICTIM_CORE]) == 24
+        assert len(results[ATTACKER_CORE]) == 100
 
     def test_mshr_sizing_rule_enforced_for_secure_config(self):
         with pytest.raises(ConfigurationError):

@@ -20,8 +20,6 @@ from repro.core.mitigations import (
     known_compositions,
     known_mitigations,
     parse_spec,
-    register_composition,
-    register_mitigation,
     spec_name,
 )
 from repro.core.serialization import config_to_dict
@@ -122,15 +120,25 @@ class TestParsing:
 
 
 class TestRegistry:
-    def test_registrations_are_guarded(self):
-        with pytest.raises(ValueError):
-            register_mitigation("FLUSH", "duplicate", lambda config: config)
-        with pytest.raises(ValueError):
-            register_mitigation("NO+PLUS", "bad name", lambda config: config)
-        with pytest.raises(ValueError):
-            register_composition("ARB", ["FLUSH"])  # collides with a mitigation
-        with pytest.raises(ValueError):
-            register_composition("BASE", ["FLUSH"])  # silent redefinition
+    def test_tables_hold_the_spec_grammar(self):
+        mitigations = known_mitigations()
+        names = [mitigation.name for mitigation in mitigations]
+        aliases = [mitigation.alias for mitigation in mitigations if mitigation.alias]
+        compositions = known_compositions()
+        # '+' separates a spec's tokens and '_' is rewritten to '+' (the
+        # F_P_M_A spelling), so a name holding either could never be
+        # composed through a spec string; parsing upper-cases every token.
+        for name in names + aliases:
+            assert name and name == name.strip().upper(), name
+        for name in names:
+            assert "+" not in name and "_" not in name, name
+        # A token resolves through one table only: no name repeats.
+        every = names + aliases + list(compositions)
+        assert len(set(every)) == len(every), every
+        # A declared name pins the canonical name of exactly its members,
+        # so they must be mitigations, deduplicated, in canonical order.
+        for members in compositions.values():
+            assert members == tuple(name for name in names if name in members), members
 
     def test_raw_constructor_canonicalises(self):
         # Bypassing parse_spec must not bypass the cache-key invariant.

@@ -228,8 +228,8 @@ def run_slice(cache: Path, fast_extras: bool) -> None:
     from repro.analysis.store import ResultStore
     from repro.api import Session
     from repro.daemon import ReproDaemonServer
-    from repro.fleet import admission_names, client_model_names, router_names
-    from repro.service import policy_names, profile_names
+    from repro.fleet import ADMISSION_POLICIES, CLIENT_MODELS, ROUTERS
+    from repro.service import LOAD_PROFILES, SCHEDULING_POLICIES
 
     # 6,000 instructions: one timer trap (the interval floors at 5,000).
     variants = ["BASE", "FLUSH", "PART", "MISS", "ARB", "NONSPEC", "F+P+M+A"]
@@ -251,16 +251,16 @@ def run_slice(cache: Path, fast_extras: bool) -> None:
     # One store for the serving commands, so each prices a tenant's kernel once.
     small = ["--tenants", "2", "--requests", "20", "--instructions", "300", "--churn-every", "3"]
     stored = [*small, "--cache-dir", str(cache / "serving")]
-    for profile in profile_names():
-        _cli("serve", "--policy", *policy_names(), "--profile", profile, "--num-cores", "2", *stored)
+    for profile in LOAD_PROFILES:
+        _cli("serve", "--policy", *SCHEDULING_POLICIES, "--profile", profile, "--num-cores", "2", *stored)
     _cli("serve", "--policy", "fifo", "--variants", "BASE", "--num-cores", "2", "--json", *stored)
     # Serving loops record simulated-cycle spans, which pool workers ship back.
     _cli("serve", "--policy", "fifo", "batch", "--num-cores", "2", *small, "--no-cache", "--jobs", "2",
          "--trace", str(cache / "serve.json"))
-    admissions, clients = admission_names(), client_model_names()
+    admissions, clients = list(ADMISSION_POLICIES), list(CLIENT_MODELS)
     fleet = ["fleet", "--shards", "2", "--shard-cores", "1", *stored]
-    for index, router in enumerate(router_names()):
-        profile = profile_names()[index % len(profile_names())]
+    for index, router in enumerate(ROUTERS):
+        profile = LOAD_PROFILES[index % len(LOAD_PROFILES)]
         _cli(*fleet, "--router", router, "--admission", admissions[index % len(admissions)],
              "--client", "open_loop", "--profile", profile, "--json")
     for client in clients:  # a load sweep's table names each variant's saturation point

@@ -22,7 +22,7 @@ from repro.analysis.figures import aggregate_leakage_rows
 from repro.analysis.store import ResultStore
 from repro.api import Session
 from repro.attacks.coschedule import CoScheduledExecutor, MemOp, detailed_config_for
-from repro.attacks.placement import DEFAULT_ATTACKER_CORE
+from repro.attacks.placement import ATTACKER_CORE
 from repro.attacks.scenarios import (
     ScenarioOutcome,
     build_scenario_machine,
@@ -43,13 +43,13 @@ class TestCoScheduledExecutor:
         executor = CoScheduledExecutor(machine)
         base_address = machine.address_map.region_base(8)
         ops = [MemOp(base_address + index * 64, l1_bypass=True) for index in range(4)]
-        done = executor.run_phase({DEFAULT_ATTACKER_CORE: ops})
-        assert len(done[DEFAULT_ATTACKER_CORE]) == 4
+        done = executor.run_phase({ATTACKER_CORE: ops})
+        assert len(done[ATTACKER_CORE]) == 4
         # Cold lines: every access misses and pays the DRAM latency
         # through the message-level pipeline.
         assert all(
             access.latency >= machine.config.dram.latency_cycles
-            for access in done[DEFAULT_ATTACKER_CORE]
+            for access in done[ATTACKER_CORE]
         )
         assert machine.stats.value("llc_detail.pipeline_entries") >= 4
 
@@ -57,21 +57,21 @@ class TestCoScheduledExecutor:
         machine = build_scenario_machine(BASE, seed=DEFAULT_MACHINE_SEED)
         executor = CoScheduledExecutor(machine)
         address = machine.address_map.region_base(8)
-        executor.run_phase({DEFAULT_ATTACKER_CORE: [MemOp(address)]})
+        executor.run_phase({ATTACKER_CORE: [MemOp(address)]})
         entries_before = machine.stats.value("llc_detail.pipeline_entries")
-        done = executor.run_phase({DEFAULT_ATTACKER_CORE: [MemOp(address)]})
-        access = done[DEFAULT_ATTACKER_CORE][0]
+        done = executor.run_phase({ATTACKER_CORE: [MemOp(address)]})
+        access = done[ATTACKER_CORE][0]
         assert access.l1_hit
-        assert access.latency <= machine.core(DEFAULT_ATTACKER_CORE).hierarchy.l1d.hit_latency
+        assert access.latency <= machine.core(ATTACKER_CORE).hierarchy.l1d.hit_latency
         assert machine.stats.value("llc_detail.pipeline_entries") == entries_before
 
     def test_mi6_protection_suppresses_cross_domain_access(self):
         machine = build_scenario_machine(MI6, seed=DEFAULT_MACHINE_SEED)
         victim_address = machine.address_map.region_base(9)
         done = CoScheduledExecutor(machine).run_phase(
-            {DEFAULT_ATTACKER_CORE: [MemOp(victim_address)]}
+            {ATTACKER_CORE: [MemOp(victim_address)]}
         )
-        assert done[DEFAULT_ATTACKER_CORE][0].blocked
+        assert done[ATTACKER_CORE][0].blocked
         assert not BASE.has_protection_hardware
         assert MI6.has_protection_hardware
 
@@ -92,12 +92,12 @@ class TestCoScheduledExecutor:
         machine = build_scenario_machine(BASE, seed=DEFAULT_MACHINE_SEED)
         executor = CoScheduledExecutor(machine)
         address = machine.address_map.region_base(8)
-        executor.run_phase({DEFAULT_ATTACKER_CORE: [MemOp(address, l1_bypass=True)]})
+        executor.run_phase({ATTACKER_CORE: [MemOp(address, l1_bypass=True)]})
         first_phase_end = executor.cycle
-        done = executor.run_phase({DEFAULT_ATTACKER_CORE: [MemOp(address, l1_bypass=True)]})
+        done = executor.run_phase({ATTACKER_CORE: [MemOp(address, l1_bypass=True)]})
         assert executor.cycle > first_phase_end
         # The second phase sees the line the first phase installed.
-        assert done[DEFAULT_ATTACKER_CORE][0].llc_hit
+        assert done[ATTACKER_CORE][0].llc_hit
 
 
 class TestScenarioProperty1:

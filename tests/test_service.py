@@ -21,17 +21,14 @@ from repro.core.mitigations import config_for_spec
 from repro.obs import tracing
 from repro.service import (
     LOAD_PROFILES,
+    SCHEDULING_POLICIES,
     ServiceOutcome,
-    create_policy,
     generate_arrivals,
     percentile,
-    policy_names,
-    register_policy,
     run_service,
     summarize_latencies,
     tenant_benchmarks,
 )
-from repro.service.schedulers import FifoPolicy
 
 #: Small fleet shared by most tests: six tenants contending for two
 #: cores keeps every policy busy while the suite stays fast.
@@ -130,15 +127,11 @@ class TestMetrics:
 
 class TestPolicies:
     def test_registry_ships_three_policies(self):
-        assert policy_names() == ["fifo", "affinity", "batch"]
+        assert list(SCHEDULING_POLICIES) == ["fifo", "affinity", "batch"]
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown scheduling policy"):
-            create_policy("shortest-job-first")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_policy("fifo", FifoPolicy, "again")
+            SCHEDULING_POLICIES["shortest-job-first"]
 
 
 class TestRunService:
@@ -174,7 +167,7 @@ class TestRunService:
     def test_policy_ordering_on_flush_machine(self):
         outcomes = {
             policy: execute_service_request(small_request(policy=policy))
-            for policy in policy_names()
+            for policy in SCHEDULING_POLICIES
         }
         # fifo releases the core after every request: maximal switches,
         # maximal purge charge; affinity/batch amortise.
