@@ -23,11 +23,19 @@ class Registry(Generic[T]):
         kind: What the names choose, as the unknown-name error says it
             (``"scheduling policy"``).
         rows: ``(name, value, description)`` rows, in presentation order.
+            A name may appear in one row only: a second row would
+            silently replace the first one's value and description.
     """
 
     def __init__(self, kind: str, rows: Tuple[Tuple[str, T, str], ...]) -> None:
         self.kind = kind
         self._values: Dict[str, T] = {name: value for name, value, _ in rows}
+        if len(self._values) != len(rows):
+            seen = set()
+            for name, _, _ in rows:
+                if name in seen:
+                    raise ConfigurationError(f"{kind} {name!r} declared twice")
+                seen.add(name)
         #: Name -> one-line description, in declaration order.
         self.descriptions: Dict[str, str] = {name: description for name, _, description in rows}
 

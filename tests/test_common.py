@@ -67,3 +67,9 @@ class TestRegistry:
             ConfigurationError, match=r"unknown colour 'green' \(expected one of: red, blue\)"
         ):
             registry["green"]
+
+    def test_a_name_declared_twice_is_rejected(self):
+        # A second row would otherwise replace the first one's value and
+        # description without a word.
+        with pytest.raises(ConfigurationError, match=r"colour 'red' declared twice"):
+            Registry("colour", (("red", 1, "warm"), ("blue", 2, "cold"), ("red", 3, "again")))
